@@ -129,8 +129,8 @@ class SimulationCheck:
         return self.ok
 
 
-def _partner_joins(left: VCategory, right: VCategory, pairs) -> dict:
-    """For each left object a', the right partners of a' under the relation."""
+def _partners(pairs) -> dict:
+    """For each left object a', its right partners under the relation."""
     partners: dict[int, list[int]] = {}
     for a, b in pairs:
         partners.setdefault(a, []).append(b)
@@ -138,22 +138,25 @@ def _partner_joins(left: VCategory, right: VCategory, pairs) -> dict:
 
 
 def _sim_holds_at(left, right, partners, a, b, cache) -> Optional[int]:
-    """First left object a' violating the condition at (a,b), else None."""
-    for ap in range(left.n_objects):
+    """First left object a' violating the condition at (a,b), else None.
+
+    Homs were checked when the enrichments were built, so the unchecked
+    lattice cores are used on them.
+    """
+    row_b = right.homs[b]
+    for ap, x in enumerate(left.homs[a]):
         lat = left.hom_lattice(a, ap)
         key = (ap, b)
         if key not in cache:
-            cache[key] = lat.join(
-                right.hom(b, bp) for bp in partners.get(ap, ())
-            )
-        if not lat.leq(left.hom(a, ap), cache[key]):
+            cache[key] = lat._join([row_b[bp] for bp in partners.get(ap, ())])
+        if not lat._leq(x, cache[key]):
             return ap
     return None
 
 
 def is_simulation(r: SimRelation) -> SimulationCheck:
     """Direct check of the simulation condition at every pair."""
-    partners = _partner_joins(r.left, r.right, r.pairs)
+    partners = _partners(r.pairs)
     cache: dict = {}
     for a, b in sorted(r.pairs):
         ap = _sim_holds_at(r.left, r.right, partners, a, b, cache)
@@ -184,8 +187,8 @@ def _refine(left: VCategory, right: VCategory, bisim: bool) -> SimRelation:
     round_no = 0
     while True:
         round_no += 1
-        partners = _partner_joins(left, right, pairs)
-        co_partners = _partner_joins(right, left, {(b, a) for a, b in pairs})
+        partners = _partners(pairs)
+        co_partners = _partners((b, a) for a, b in pairs)
         cache: dict = {}
         co_cache: dict = {}
         removed = []
@@ -422,10 +425,6 @@ def span_witness(a: VCategory, b: VCategory) -> tuple[VFunctor, VFunctor]:
     f, g = cospan_witness(a, b, r)
     _, to_a, to_b = pullback(f, g)
     return to_a, to_b
-
-
-def compose_relations(r: SimRelation, s: SimRelation) -> SimRelation:
-    return r.compose(s)
 
 
 def inverse_relation(r: SimRelation) -> SimRelation:

@@ -8,6 +8,12 @@ order extensionally with dense cached join/meet tables, which is the
 right trade-off for the desk-scale homs used everywhere except the
 symbolic powerset lattices, whose elements are frozensets and whose
 operations never need the full element enumeration.
+
+The public ``leq``/``join``/``meet`` check that every argument is an
+element and then call the unchecked cores ``_leq``/``_join``/``_meet``.
+Interior loops that only see elements already checked at a boundary
+call the cores directly; the cores still raise ``IncompleteLattice``
+when a join or meet does not exist.
 """
 
 from __future__ import annotations
@@ -35,12 +41,29 @@ class Lattice:
         raise NotImplementedError
 
     def leq(self, x, y) -> bool:
-        raise NotImplementedError
+        self.check_element(x)
+        self.check_element(y)
+        return self._leq(x, y)
 
     def join(self, xs: Iterable):
-        raise NotImplementedError
+        return self._join(self._checked(xs))
 
     def meet(self, xs: Iterable):
+        return self._meet(self._checked(xs))
+
+    def _checked(self, xs: Iterable) -> list:
+        vals = list(xs)
+        for x in vals:
+            self.check_element(x)
+        return vals
+
+    def _leq(self, x, y) -> bool:
+        raise NotImplementedError
+
+    def _join(self, xs: Iterable):
+        raise NotImplementedError
+
+    def _meet(self, xs: Iterable):
         raise NotImplementedError
 
     @property
@@ -101,8 +124,8 @@ class TableLattice(Lattice):
             downs[j] |= 1 << i
         self._ups = ups
         self._downs = downs
-        self._join = [[self._lub(i, j) for j in range(n)] for i in range(n)]
-        self._meet = [[self._glb(i, j) for j in range(n)] for i in range(n)]
+        self._joins = [[self._lub(i, j) for j in range(n)] for i in range(n)]
+        self._meets = [[self._glb(i, j) for j in range(n)] for i in range(n)]
         self._bottom = next((i for i in range(n) if ups[i] == full), None)
         self._top = next((i for i in range(n) if downs[i] == full), None)
         self._distributive: bool | None = None
@@ -151,15 +174,12 @@ class TableLattice(Lattice):
         except ValueError:
             raise UnknownElement(f"no element named {name!r}") from None
 
-    def leq(self, x, y) -> bool:
-        self.check_element(x)
-        self.check_element(y)
+    def _leq(self, x, y) -> bool:
         return bool(self._ups[x] >> y & 1)
 
     def _fold(self, xs, table, empty, what):
         acc = None
         for x in xs:
-            self.check_element(x)
             if acc is None:
                 acc = x
             else:
@@ -172,11 +192,11 @@ class TableLattice(Lattice):
             return empty
         return acc
 
-    def join(self, xs: Iterable):
-        return self._fold(xs, self._join, self._bottom, "join")
+    def _join(self, xs: Iterable):
+        return self._fold(xs, self._joins, self._bottom, "join")
 
-    def meet(self, xs: Iterable):
-        return self._fold(xs, self._meet, self._top, "meet")
+    def _meet(self, xs: Iterable):
+        return self._fold(xs, self._meets, self._top, "meet")
 
     def sample(self, rng):
         return rng.randrange(self._n)
@@ -213,9 +233,9 @@ class TableLattice(Lattice):
                     )
         for i in range(n):
             for j in range(n):
-                if self._join[i][j] is None:
+                if self._joins[i][j] is None:
                     out.append(f"no join for {self.names[i]},{self.names[j]}")
-                if self._meet[i][j] is None:
+                if self._meets[i][j] is None:
                     out.append(f"no meet for {self.names[i]},{self.names[j]}")
         if self._bottom is None:
             out.append("no bottom element")
@@ -228,8 +248,8 @@ class TableLattice(Lattice):
             if self.validate():
                 raise IncompleteLattice("distributivity needs a valid lattice")
             self._distributive = all(
-                self._meet[x][self._join[y][z]]
-                == self._join[self._meet[x][y]][self._meet[x][z]]
+                self._meets[x][self._joins[y][z]]
+                == self._joins[self._meets[x][y]][self._meets[x][z]]
                 for x in range(self._n)
                 for y in range(self._n)
                 for z in range(self._n)
@@ -246,7 +266,28 @@ class TableLattice(Lattice):
         return cls.chain(["0", "1"])
 
 
-class PowersetLattice(Lattice):
+class _SetLattice(Lattice):
+    """Families of subsets of ``universe`` closed under union and
+    intersection, ordered by inclusion: joins and meets are the set
+    operations and the whole universe is top."""
+
+    def _leq(self, x, y) -> bool:
+        return x <= y
+
+    def _join(self, xs: Iterable):
+        return frozenset().union(*xs)
+
+    def _meet(self, xs: Iterable):
+        acc = None
+        for x in xs:
+            acc = set(x) if acc is None else acc & x
+        return self._uset if acc is None else frozenset(acc)
+
+    def is_distributive(self) -> bool:
+        return True
+
+
+class PowersetLattice(_SetLattice):
     """All subsets of a finite universe, ordered by inclusion.
 
     Elements are frozensets of universe members.  The element count is
@@ -277,34 +318,12 @@ class PowersetLattice(Lattice):
     def has_element(self, x) -> bool:
         return isinstance(x, frozenset) and x <= self._uset
 
-    def leq(self, x, y) -> bool:
-        self.check_element(x)
-        self.check_element(y)
-        return x <= y
-
-    def join(self, xs: Iterable):
-        acc = set()
-        for x in xs:
-            self.check_element(x)
-            acc |= x
-        return frozenset(acc)
-
-    def meet(self, xs: Iterable):
-        acc = None
-        for x in xs:
-            self.check_element(x)
-            acc = set(x) if acc is None else acc & x
-        return self._uset if acc is None else frozenset(acc)
-
-    def is_distributive(self) -> bool:
-        return True
-
     def sample(self, rng):
         p = rng.random()
         return frozenset(u for u in self.universe if rng.random() < p)
 
 
-class DownsetLattice(Lattice):
+class DownsetLattice(_SetLattice):
     """Down-closed subsets of a finite preorder, ordered by inclusion.
 
     Used for the sieve lattices: the universe is a finite set of spans
@@ -315,10 +334,10 @@ class DownsetLattice(Lattice):
     def __init__(self, universe: Iterable, leq_fn):
         self.universe = list(universe)
         self._leq_fn = leq_fn
-        # below[i] = members dominated by universe[i] (including itself)
-        self._below = [
-            frozenset(v for v in self.universe if leq_fn(v, u)) for u in self.universe
-        ]
+        # below[u] = members dominated by u (including itself)
+        self._below = {
+            u: frozenset(v for v in self.universe if leq_fn(v, u)) for u in self.universe
+        }
         self._uset = frozenset(self.universe)
         self._all: list[frozenset] | None = None
 
@@ -330,7 +349,7 @@ class DownsetLattice(Lattice):
         for m in members:
             if m not in self._uset:
                 raise UnknownElement(f"{m!r} is not in the universe")
-            out |= self._below[self.universe.index(m)]
+            out |= self._below[m]
         return frozenset(out)
 
     def _enumerate(self) -> list[frozenset]:
@@ -355,29 +374,7 @@ class DownsetLattice(Lattice):
     def has_element(self, x) -> bool:
         if not isinstance(x, frozenset) or not x <= self._uset:
             return False
-        return x == self.down_close(x)
-
-    def leq(self, x, y) -> bool:
-        self.check_element(x)
-        self.check_element(y)
-        return x <= y
-
-    def join(self, xs: Iterable):
-        acc = set()
-        for x in xs:
-            self.check_element(x)
-            acc |= x
-        return frozenset(acc)
-
-    def meet(self, xs: Iterable):
-        acc = None
-        for x in xs:
-            self.check_element(x)
-            acc = set(x) if acc is None else acc & x
-        return self._uset if acc is None else frozenset(acc)
-
-    def is_distributive(self) -> bool:
-        return True
+        return all(self._below[m] <= x for m in x)
 
     def sample(self, rng):
         p = rng.random()
@@ -410,26 +407,17 @@ class PrincipalDownsetLattice(Lattice):
         return (x for x in self.base.elements() if self.base.leq(x, self.cap))
 
     def has_element(self, x) -> bool:
-        return self.base.has_element(x) and self.base.leq(x, self.cap)
+        return self.base.has_element(x) and self.base._leq(x, self.cap)
 
-    def leq(self, x, y) -> bool:
-        self.check_element(x)
-        self.check_element(y)
-        return self.base.leq(x, y)
+    def _leq(self, x, y) -> bool:
+        return self.base._leq(x, y)
 
-    def join(self, xs: Iterable):
+    def _join(self, xs: Iterable):
+        return self.base._join(xs)
+
+    def _meet(self, xs: Iterable):
         vals = list(xs)
-        for x in vals:
-            self.check_element(x)
-        return self.base.join(vals)
-
-    def meet(self, xs: Iterable):
-        vals = list(xs)
-        for x in vals:
-            self.check_element(x)
-        if not vals:
-            return self.cap
-        return self.base.meet(vals)
+        return self.base._meet(vals) if vals else self.cap
 
     def is_distributive(self) -> bool:
         xs = list(self.elements())

@@ -17,6 +17,7 @@ from typing import Any, Iterable
 
 from .errors import (
     BadGrid,
+    InternalAssertion,
     NotComposable,
     SizeLimit,
     UnknownObject,
@@ -73,7 +74,11 @@ class Quantaloid:
         raise NotImplementedError
 
     def compose(self, u: int, v: int, w: int, f, g):
-        """Raw composite of ``f`` in hom(u,v) with ``g`` in hom(v,w)."""
+        """Raw composite of ``f`` in hom(u,v) with ``g`` in hom(v,w).
+
+        The arguments are trusted, not checked: ``tensor`` is the checked
+        entry point.
+        """
         raise NotImplementedError
 
     def unit(self, u: int):
@@ -117,8 +122,6 @@ class TableQuantaloid(Quantaloid):
             raise UnknownObject(f"no hom lattice for pair ({u},{v})") from None
 
     def compose(self, u, v, w, f, g):
-        self.hom(u, v).check_element(f)
-        self.hom(v, w).check_element(g)
         return self._tables[(u, v, w)][f][g]
 
     def unit(self, u):
@@ -137,8 +140,6 @@ class RelQuantaloid(Quantaloid):
         return PowersetLattice(itertools.product(self.sets[u], self.sets[v]))
 
     def compose(self, u, v, w, f, g):
-        self.hom(u, v).check_element(f)
-        self.hom(v, w).check_element(g)
         return frozenset(
             (x, z) for x, y in f for y2, z in g if y == y2
         )
@@ -181,8 +182,6 @@ class LanguageQuantale(Quantaloid):
         return frozenset(w for w in words if len(w) <= self.k)
 
     def compose(self, u, v, w, f, g):
-        self.hom(0, 0).check_element(f)
-        self.hom(0, 0).check_element(g)
         k = self.k
         return frozenset(a + b for a in f for b in g if len(a) + len(b) <= k)
 
@@ -298,6 +297,8 @@ def tensor(q: Quantaloid, f: QuantaloidElement, g: QuantaloidElement) -> Quantal
         raise NotComposable(
             f"cannot compose {f.source}->{f.target} with {g.source}->{g.target}"
         )
+    q.hom(f.source, f.target).check_element(f.value)
+    q.hom(g.source, g.target).check_element(g.value)
     value = q.compose(f.source, f.target, g.target, f.value, g.value)
     return QuantaloidElement(f.source, g.target, value)
 
@@ -320,43 +321,32 @@ def residual(
         if f.source != h.source:
             raise NotComposable("right residual needs f and h out of one object")
         u, v, w = f.source, f.target, h.target
-        hom = q.hom(v, w)
-        out_hom = q.hom(u, w)
-        if isinstance(hom, PowersetLattice):
-            value = frozenset(
-                y
-                for y in hom.universe
-                if out_hom.leq(q.compose(u, v, w, f.value, frozenset({y})), h.value)
-            )
-        else:
-            hom.ensure_enumerable(enum_cap)
-            value = hom.join(
-                g
-                for g in hom.elements()
-                if out_hom.leq(q.compose(u, v, w, f.value, g), h.value)
-            )
-        assert out_hom.leq(q.compose(u, v, w, f.value, value), h.value)
-        return QuantaloidElement(v, w, value)
-    if f.target != h.target:
-        raise NotComposable("left residual needs f and h into one object")
-    u, v, w = h.source, f.source, f.target
-    hom = q.hom(u, v)
-    out_hom = q.hom(u, w)
+        free = (v, w)
+
+        def comp(g):
+            return q.compose(u, v, w, f.value, g)
+
+    else:
+        if f.target != h.target:
+            raise NotComposable("left residual needs f and h into one object")
+        u, v, w = h.source, f.source, f.target
+        free = (u, v)
+
+        def comp(g):
+            return q.compose(u, v, w, g, f.value)
+
+    q.hom(f.source, f.target).check_element(f.value)
+    hom, out_hom = q.hom(*free), q.hom(u, w)
     if isinstance(hom, PowersetLattice):
         value = frozenset(
-            y
-            for y in hom.universe
-            if out_hom.leq(q.compose(u, v, w, frozenset({y}), f.value), h.value)
+            y for y in hom.universe if out_hom.leq(comp(frozenset({y})), h.value)
         )
     else:
         hom.ensure_enumerable(enum_cap)
-        value = hom.join(
-            g
-            for g in hom.elements()
-            if out_hom.leq(q.compose(u, v, w, g, f.value), h.value)
-        )
-    assert out_hom.leq(q.compose(u, v, w, value, f.value), h.value)
-    return QuantaloidElement(u, v, value)
+        value = hom.join(g for g in hom.elements() if out_hom.leq(comp(g), h.value))
+    if not out_hom.leq(comp(value), h.value):
+        raise InternalAssertion(f"{side} residual violates its defining inequality")
+    return QuantaloidElement(*free, value)
 
 
 @dataclass

@@ -34,7 +34,11 @@ def require_same_base(a: "VCategory", b: "VCategory") -> None:
 
 
 class VCategory:
-    """An enrichment over a quantaloid."""
+    """An enrichment over a quantaloid.
+
+    The constructor checks every hom against its lattice and raises
+    ``UnknownElement`` for one outside it.
+    """
 
     def __init__(
         self,
@@ -43,7 +47,8 @@ class VCategory:
         extents: list[int],
         homs: list[list[Any]],
     ):
-        if len(objects) != len(extents) or len(objects) != len(homs):
+        n = len(objects)
+        if len(extents) != n or len(homs) != n or any(len(row) != n for row in homs):
             raise ValueError("objects, extents and hom table sizes disagree")
         self.base = base
         self.objects = list(objects)
@@ -51,6 +56,12 @@ class VCategory:
         self.homs = [list(row) for row in homs]
         for e in self.extents:
             base.check_object(e)
+        # the boundary: every hom is checked here once, so interior loops
+        # may use the unchecked lattice cores on it
+        self._lattices: dict[tuple[int, int], Lattice] = {}
+        for i, row in enumerate(self.homs):
+            for j, x in enumerate(row):
+                self.hom_lattice(i, j).check_element(x)
 
     @property
     def n_objects(self) -> int:
@@ -66,7 +77,11 @@ class VCategory:
         return self.homs[i][j]
 
     def hom_lattice(self, i: int, j: int) -> Lattice:
-        return self.base.hom(self.extents[i], self.extents[j])
+        key = (self.extents[i], self.extents[j])
+        lat = self._lattices.get(key)
+        if lat is None:
+            lat = self._lattices[key] = self.base.hom(*key)
+        return lat
 
     def fiber(self, base_object: int) -> list[int]:
         return [i for i, e in enumerate(self.extents) if e == base_object]
@@ -76,29 +91,33 @@ class VCategory:
 
 
 def validate_vcategory(a: VCategory) -> list[str]:
-    """Check hom typing, unit bounds and the composition inequality."""
+    """Check the unit bounds and the composition inequality.
+
+    Hom typing is the constructor's job.  The composition law is checked
+    only where both ``hom(i,j)`` and ``hom(j,k)`` are not bottom.  That is
+    exact when the base satisfies the quantaloid laws, so that composing
+    with bottom on either side gives bottom, which lies below every hom:
+    ``validate_quantaloid`` checks those laws for table bases, and the
+    structural bases meet them by construction.
+    """
     out = []
-    base = a.base
-    n = a.n_objects
-    for i in range(n):
-        for j in range(n):
-            if not a.hom_lattice(i, j).has_element(a.hom(i, j)):
-                out.append(
-                    f"hom({a.objects[i]},{a.objects[j]}) is not in its lattice"
-                )
-    if out:
-        return out
+    base, n, ext, homs = a.base, a.n_objects, a.extents, a.homs
     for i in range(n):
         lat = a.hom_lattice(i, i)
-        if not lat.leq(base.unit(a.extents[i]), a.hom(i, i)):
+        if not lat.leq(base.unit(ext[i]), homs[i][i]):
             out.append(f"identity not below hom({a.objects[i]},{a.objects[i]})")
+    bottoms = {key: base.hom(*key).bottom for key in itertools.product(set(ext), repeat=2)}
+    nonbottom = [
+        [k for k in range(n) if homs[j][k] != bottoms[ext[j], ext[k]]] for j in range(n)
+    ]
     for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                comp = base.compose(
-                    a.extents[i], a.extents[j], a.extents[k], a.hom(i, j), a.hom(j, k)
-                )
-                if not a.hom_lattice(i, k).leq(comp, a.hom(i, k)):
+        ei, row_i = ext[i], homs[i]
+        lats = [a.hom_lattice(i, k) for k in range(n)]
+        for j in nonbottom[i]:
+            ej, f, row_j = ext[j], row_i[j], homs[j]
+            for k in nonbottom[j]:
+                comp = base.compose(ei, ej, ext[k], f, row_j[k])
+                if not lats[k]._leq(comp, row_i[k]):
                     out.append(
                         "composition fails at "
                         f"({a.objects[i]},{a.objects[j]},{a.objects[k]})"
@@ -473,8 +492,6 @@ class SliceQuantaloid(Quantaloid):
 
     def compose(self, u, v, w, f, g):
         a = self.vcategory
-        self.hom(u, v).check_element(f)
-        self.hom(v, w).check_element(g)
         return self.base.compose(a.extents[u], a.extents[v], a.extents[w], f, g)
 
     def unit(self, u):

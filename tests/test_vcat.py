@@ -1,10 +1,22 @@
+import itertools
+import json
 import random
 
 import pytest
 
-from enrbisim.errors import BaseMismatch, NotParallel, SizeLimit, TypeMismatch
-from enrbisim.fixtures import aut1, codisc2, loop1, m3, p01, point, q2, ql
-from enrbisim.quantaloid import validate_quantaloid
+from enrbisim.cli import main
+from enrbisim.cts import FiniteCategory, build_S_quantaloid
+from enrbisim.documents import SCHEMA
+from enrbisim.errors import (
+    BaseMismatch,
+    NotParallel,
+    SizeLimit,
+    TypeMismatch,
+    UnknownElement,
+)
+from enrbisim.fixtures import aut1, bp2, codisc2, loop1, m3, p01, point, q2, ql, rel1
+from enrbisim.generators import random_vcategory
+from enrbisim.quantaloid import build_language_quantale, validate_quantaloid
 from enrbisim.vcat import (
     EnrichedGraph,
     LaxRelationalPresentation,
@@ -62,6 +74,86 @@ class TestValidateVCategory:
     def test_missing_identity(self, Q2):
         a = VCategory(Q2, ["x"], [0], [[0]])
         assert any("identity" in v for v in validate_vcategory(a))
+
+
+def dense_validate(a):
+    """Reference: the dense, fully checked loop over every triple."""
+    base, ext, n = a.base, a.extents, a.n_objects
+    out = []
+    for i, j in itertools.product(range(n), repeat=2):
+        if not base.hom(ext[i], ext[j]).has_element(a.hom(i, j)):
+            out.append(f"hom({a.objects[i]},{a.objects[j]}) is not in its lattice")
+    if out:
+        return out
+    for i in range(n):
+        if not base.hom(ext[i], ext[i]).leq(base.unit(ext[i]), a.hom(i, i)):
+            out.append(f"identity not below hom({a.objects[i]},{a.objects[i]})")
+    for i, j, k in itertools.product(range(n), repeat=3):
+        base.hom(ext[i], ext[j]).check_element(a.hom(i, j))
+        base.hom(ext[j], ext[k]).check_element(a.hom(j, k))
+        comp = base.compose(ext[i], ext[j], ext[k], a.hom(i, j), a.hom(j, k))
+        if not base.hom(ext[i], ext[k]).leq(comp, a.hom(i, k)):
+            out.append(
+                f"composition fails at ({a.objects[i]},{a.objects[j]},{a.objects[k]})"
+            )
+    return out
+
+
+ORACLE_BASES = {
+    "Q2": q2,
+    "M3": m3,
+    "QL_ab_2": lambda: build_language_quantale(["a", "b"], 2),
+    "REL1": rel1,
+    "BP2": bp2,
+    "S(P2)": lambda: build_S_quantaloid(
+        FiniteCategory.poset(["0", "1"], [(0, 0), (0, 1), (1, 1)])
+    ),
+}
+
+
+class TestValidateAgainstDenseOracle:
+    @pytest.mark.parametrize("name", sorted(ORACLE_BASES))
+    def test_same_violations_as_dense_loop(self, name):
+        base = ORACLE_BASES[name]()
+        rng = random.Random(f"oracle-{name}")
+        broken = 0
+        for case in range(40):
+            a = random_vcategory(base, rng, max_objects=5, density=0.3)
+            assert validate_vcategory(a) == dense_validate(a) == []
+            homs = [list(row) for row in a.homs]
+            for _ in range(rng.randint(1, 4)):
+                i, j = rng.randrange(a.n_objects), rng.randrange(a.n_objects)
+                lat = a.hom_lattice(i, j)
+                homs[i][j] = lat.bottom if rng.random() < 0.3 else lat.sample(rng)
+            b = VCategory(base, a.objects, a.extents, homs)
+            expected = dense_validate(b)
+            assert validate_vcategory(b) == expected, case
+            broken += bool(expected)
+        assert broken >= 5
+
+
+class TestHomBoundary:
+    def test_constructor_rejects_hom_outside_lattice(self, Q2, QL):
+        with pytest.raises(UnknownElement):
+            VCategory(Q2, ["x"], [0], [[5]])
+        with pytest.raises(UnknownElement):
+            VCategory(QL, ["x"], [0], [[frozenset({("m", "m", "m")})]])
+        with pytest.raises(UnknownElement):
+            VCategory(QL, ["x", "y"], [0, 0], [[frozenset({()}), 1], [0, frozenset({()})]])
+
+    def test_table_document_with_foreign_hom_exits_2(self, tmp_path, capsys):
+        docs = [
+            {"schema": SCHEMA, "name": "Q", "kind": "quantaloid", "construction": "boolean"},
+            {
+                "schema": SCHEMA, "name": "BAD", "kind": "vcategory", "base": "Q",
+                "objects": [{"name": "x", "extent": "*"}], "homs": {"x,x": 5},
+            },
+        ]
+        for doc in docs:
+            (tmp_path / f"{doc['name']}.json").write_text(json.dumps(doc))
+        code = main(["--paths", str(tmp_path), "bisimilar", "--a", "BAD", "--b", "BAD"])
+        assert code == 2
+        assert "UnknownElement" in json.loads(capsys.readouterr().out)["details"]["error"]
 
 
 class TestValidateVFunctor:
