@@ -6,9 +6,7 @@ from .lattice import (
     MonotoneMap,
     PowersetLattice,
     TableLattice,
-    is_distributive,
     right_adjoint_of_monotone,
-    validate_lattice,
 )
 from .quantaloid import (
     LanguageQuantale,
@@ -31,7 +29,6 @@ from .vcat import (
     enumerate_vfunctors,
     exists_vnatural,
     free_vcategory,
-    product,
     pullback,
     slice_quantaloid,
     terminal,

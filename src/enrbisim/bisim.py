@@ -10,6 +10,7 @@ equal the union of all relations passing the direct check.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -28,7 +29,14 @@ from .vcat import VCategory, VFunctor, pullback, require_same_base, validate_vfu
 class SimRelation:
     """A set of extent-matching object pairs between two enrichments."""
 
-    def __init__(self, left: VCategory, right: VCategory, pairs: Iterable[tuple[int, int]]):
+    def __init__(
+        self,
+        left: VCategory,
+        right: VCategory,
+        pairs: Iterable[tuple[int, int]],
+        *,
+        trace: Iterable[tuple[int, str, str]] = (),
+    ):
         require_same_base(left, right)
         self.left = left
         self.right = right
@@ -40,7 +48,8 @@ class SimRelation:
                 raise ExtentMismatch(
                     f"pair ({left.objects[a]},{right.objects[b]}) mixes extents"
                 )
-        self.refinement_trace: list[tuple[int, str, str]] = []
+        # (round, left name, right name) of each pair refinement removed
+        self.refinement_trace = tuple(trace)
 
     @classmethod
     def from_names(cls, left: VCategory, right: VCategory, named_pairs) -> "SimRelation":
@@ -181,7 +190,10 @@ def is_bisimulation(r: SimRelation) -> SimulationCheck:
 def _refine(left: VCategory, right: VCategory, bisim: bool) -> SimRelation:
     """Greatest fixed point of the refinement operator from the full
     extent-matching relation.  Relations passing the direct check are
-    exactly the post-fixed points, so the result is their union."""
+    exactly the post-fixed points, so the result is their union.
+
+    The engine of ``largest_simulation``; with ``bisim=True``, the test
+    oracle for ``largest_bisimulation``."""
     pairs = set(SimRelation.full(left, right).pairs)
     trace: list[tuple[int, str, str]] = []
     round_no = 0
@@ -206,17 +218,80 @@ def _refine(left: VCategory, right: VCategory, bisim: bool) -> SimRelation:
         for a, b in removed:
             pairs.discard((a, b))
             trace.append((round_no, left.objects[a], right.objects[b]))
-    out = SimRelation(left, right, pairs)
-    out.refinement_trace = sorted(trace)
-    return out
+    return SimRelation(left, right, pairs, trace=sorted(trace))
 
 
 def largest_simulation(left: VCategory, right: VCategory) -> SimRelation:
     return _refine(left, right, bisim=False)
 
 
+def _nonbottom_rows(cat: VCategory, offset: int = 0) -> list[list[tuple]]:
+    """Each object's non-bottom homs as ``(offset + target, hom, lattice)``."""
+    ext = cat.extents
+    kinds = {}
+    for u, v in itertools.product(set(ext), repeat=2):
+        lat = cat.base.hom(u, v)
+        kinds[u, v] = (lat, lat._join(()))
+    rows = []
+    for i, row in enumerate(cat.homs):
+        kind = [kinds[ext[i], v] for v in ext]
+        rows.append([(offset + j, x, kind[j][0]) for j, x in enumerate(row) if x != kind[j][1]])
+    return rows
+
+
+def _block_joins(row: list[tuple], block_of) -> dict:
+    """The join of the row's homs into each block it reaches, unchecked:
+    the homs were checked when their enrichment was built.  A join of
+    non-bottom homs is not bottom, so absent blocks are the bottom joins."""
+    groups: dict = {}
+    for y, x, lat in row:
+        groups.setdefault(block_of[y], (lat, []))[1].append(x)
+    return {c: lat._join(xs) for c, (lat, xs) in groups.items()}
+
+
+def _numbered(keys: list) -> tuple[list[int], int]:
+    """Block ids by first occurrence in object order, and their count."""
+    ids: dict = {}
+    return [ids.setdefault(k, len(ids)) for k in keys], len(ids)
+
+
 def largest_bisimulation(left: VCategory, right: VCategory) -> SimRelation:
-    return _refine(left, right, bisim=True)
+    """Signature refinement on the coproduct, where cross homs are bottom.
+
+    From the partition by extent, each round splits the blocks by
+    signature (an object's block and its join into each block) until the
+    block count stops growing.  A partition is a bisimulation iff objects
+    sharing a block have equal blockwise joins, so the result is the
+    left-right pairs sharing a final block.  ``_refine`` checks each
+    round against the previous round's relation, which is the left-right
+    part of that round's partition; so a pair's trace round is the round
+    that first separates it, and the trace equals ``_refine``'s.
+
+    Precondition: every hom order is antisymmetric, so that equal joins
+    are equal values.  Table lattices are validated when loaded.
+    """
+    require_same_base(left, right)
+    na = left.n_objects
+    rows = _nonbottom_rows(left) + _nonbottom_rows(right, na)
+    block_of, count = _numbered(left.extents + right.extents)
+    alive = [
+        (a, b) for a in range(na) for b in range(na, len(rows)) if block_of[a] == block_of[b]
+    ]
+    removed = []
+    for round_no in itertools.count(1):
+        new, new_count = _numbered(
+            [
+                (block_of[x], tuple(sorted(_block_joins(row, block_of).items())))
+                for x, row in enumerate(rows)
+            ]
+        )
+        if new_count == count:
+            break
+        removed += [(round_no, a, b) for a, b in alive if new[a] != new[b]]
+        alive = [(a, b) for a, b in alive if new[a] == new[b]]
+        block_of, count = new, new_count
+    trace = sorted((r, left.objects[a], right.objects[b - na]) for r, a, b in removed)
+    return SimRelation(left, right, [(a, b - na) for a, b in alive], trace=trace)
 
 
 def simulates(left: VCategory, right: VCategory) -> bool:
@@ -233,17 +308,13 @@ def is_functional_bisimulation(f: VFunctor) -> bool:
     """A functor whose target homs equal the fiberwise joins of source homs."""
     if validate_vfunctor(f):
         return False
-    a, b = f.source, f.target
-    preimages: dict[int, list[int]] = {}
-    for x, y in enumerate(f.mapping):
-        preimages.setdefault(y, []).append(x)
-    for x in range(a.n_objects):
-        for yp in range(b.n_objects):
-            lat = b.hom_lattice(f(x), yp)
-            joined = lat.join(a.hom(x, xp) for xp in preimages.get(yp, ()))
-            if b.hom(f(x), yp) != joined:
-                return False
-    return True
+    source_rows = _nonbottom_rows(f.source)
+    target_rows = _nonbottom_rows(f.target)
+    # the fibers are the blocks of f.mapping; non-bottom entries suffice
+    return all(
+        _block_joins(row, f.mapping) == {y: x for y, x, _ in target_rows[f(i)]}
+        for i, row in enumerate(source_rows)
+    )
 
 
 def is_od(f: VFunctor) -> bool:
@@ -264,12 +335,24 @@ class BisimEquivalence:
         for bi, block in enumerate(self.blocks):
             for i in block:
                 self.block_of[i] = bi
-        rel = self.as_relation()
-        check = is_bisimulation(rel)
-        if not check:
-            raise NotABisimulation(
-                f"partition is not a bisimulation: {check.counterexample}"
-            )
+        names = carrier.objects
+        for block in self.blocks:
+            if len({carrier.extents[i] for i in block}) > 1:
+                raise ExtentMismatch(f"block of {names[block[0]]} mixes extents")
+        # a partition is a bisimulation iff objects sharing a block have
+        # equal joins into every block
+        rows = _nonbottom_rows(carrier)
+        for block in self.blocks:
+            want = _block_joins(rows[block[0]], self.block_of)
+            for i in block[1:]:
+                got = _block_joins(rows[i], self.block_of)
+                if got != want:
+                    c = min(c for c in want.keys() | got.keys() if want.get(c) != got.get(c))
+                    raise NotABisimulation(
+                        f"partition is not a bisimulation: {names[block[0]]} and "
+                        f"{names[i]} have different joins into the block of "
+                        f"{names[self.blocks[c][0]]}"
+                    )
 
     def as_relation(self) -> SimRelation:
         return SimRelation(
@@ -337,22 +420,22 @@ def quotient(a: VCategory, e: BisimEquivalence) -> tuple[VCategory, VFunctor]:
         if len(exts) != 1:
             raise InternalAssertion("equivalence class mixes extents")
         extents.append(exts.pop())
+    rows = _nonbottom_rows(a)
+    bottoms = {k: base.hom(*k).bottom for k in itertools.product(set(extents), repeat=2)}
     homs = []
     for bi, block_i in enumerate(e.blocks):
-        row = []
-        for bj, block_j in enumerate(e.blocks):
-            lat = base.hom(extents[bi], extents[bj])
-            rep = block_i[0]
-            value = lat.join(a.hom(rep, bp) for bp in block_j)
-            for other in block_i[1:]:
-                alt = lat.join(a.hom(other, bp) for bp in block_j)
-                if alt != value:
-                    raise InternalAssertion(
-                        "quotient hom depends on the representative at "
-                        f"({names[bi]},{names[bj]})"
-                    )
-            row.append(value)
-        homs.append(row)
+        joins = _block_joins(rows[block_i[0]], e.block_of)
+        for other in block_i[1:]:
+            if _block_joins(rows[other], e.block_of) != joins:
+                raise InternalAssertion(
+                    f"quotient hom depends on the representative in {names[bi]}"
+                )
+        homs.append(
+            [
+                joins.get(bj, bottoms[extents[bi], extents[bj]])
+                for bj in range(len(e.blocks))
+            ]
+        )
     quo = VCategory(base, names, extents, homs)
     q = VFunctor(a, quo, [e.block_of[i] for i in range(a.n_objects)])
     return quo, q
@@ -387,15 +470,8 @@ def cospan_witness(
     qa_cat, qa = quotient(a, ea)
     qb_cat, qb = quotient(b, eb)
 
-    # blocks of ea/eb are sorted by least member; recover the matching
-    a_block_to_class = {min(ba): ci for ci, ba in enumerate(blocks_a)}
-    class_to_qb = {}
-    for ci, bb in enumerate(blocks_b):
-        class_to_qb[ci] = eb.block_of[bb[0]]
-    match = {}  # qa block index -> qb block index
-    for qa_idx, block in enumerate(ea.blocks):
-        ci = a_block_to_class[block[0]]
-        match[qa_idx] = class_to_qb[ci]
+    # qa block index -> qb block index of the same linked class
+    match = {ea.block_of[ba[0]]: eb.block_of[bb[0]] for ba, bb in zip(blocks_a, blocks_b)}
     for qa_idx, qb_idx in match.items():
         for qa_jdx, qb_jdx in match.items():
             if qa_cat.hom(qa_idx, qa_jdx) != qb_cat.hom(qb_idx, qb_jdx):
@@ -425,11 +501,3 @@ def span_witness(a: VCategory, b: VCategory) -> tuple[VFunctor, VFunctor]:
     f, g = cospan_witness(a, b, r)
     _, to_a, to_b = pullback(f, g)
     return to_a, to_b
-
-
-def inverse_relation(r: SimRelation) -> SimRelation:
-    return r.inverse()
-
-
-def union_relations(r: SimRelation, s: SimRelation) -> SimRelation:
-    return r.union(s)

@@ -19,7 +19,7 @@ from typing import Any
 from . import bisim, documents
 from .cob import TwoSidedEnrichment, apply_cob, local_right_adjoints, right_adjoint_cob
 from .cts import CatFunctor, FiniteCategory, cts_to_vcat, refine
-from .errors import EnrbisimError
+from .errors import EnrbisimError, ParseError
 from .generators import AXIOMS, run_axiom_suite
 from .lattice import DEFAULT_ENUM_CAP
 from .quantaloid import Quantaloid, validate_quantaloid
@@ -261,11 +261,14 @@ def _cmd_span(bundle, flags) -> Report:
 
 def _parse_suite(spec: str) -> list[str]:
     names = sorted(AXIOMS)
-    if ".." in spec:
-        lo, hi = spec.split("..")
-        lo_i, hi_i = names.index(lo.strip()), names.index(hi.strip())
-        return names[lo_i : hi_i + 1]
-    return [part.strip() for part in spec.split(",") if part.strip()]
+    ends = [part.strip() for part in spec.split("..")]
+    if len(ends) == 2 and set(ends) <= set(names):
+        suite = names[names.index(ends[0]) : names.index(ends[1]) + 1]
+    else:
+        suite = [part.strip() for part in spec.split(",") if part.strip()]
+    if not suite or len(ends) > 2 or not set(suite) <= set(names):
+        raise ParseError(f"bad axiom suite {spec!r}; axioms are {', '.join(names)}")
+    return suite
 
 
 def _cmd_axioms(bundle, flags) -> Report:
@@ -287,10 +290,10 @@ def _cmd_axioms(bundle, flags) -> Report:
 
 
 def _cmd_cts_build(bundle, flags) -> Report:
-    cat_name = bundle.docs[flags.spec]["category"]
-    sieves = bundle.sieve_base(str(cat_name))
+    cat, spec = bundle.get(flags.spec, tuple)  # a ctsspec loads as (category, spec)
+    cat_name = _fincat_name_of(bundle, cat)
+    sieves = bundle.sieve_base(cat_name)
     base_report = validate_quantaloid(sieves)
-    _, spec = bundle.get(flags.spec)
     out = cts_to_vcat(sieves, spec)
     sieve_name = f"S({cat_name})"
     bundle.objects.setdefault(sieve_name, sieves)
@@ -309,9 +312,8 @@ def _cmd_cts_build(bundle, flags) -> Report:
 
 def _cmd_cts_refine(bundle, flags) -> Report:
     fun = bundle.get(flags.functor, CatFunctor)
-    cat_name = bundle.docs[flags.spec]["category"]
-    source_sq = bundle.sieve_base(str(cat_name))
-    _, spec = bundle.get(flags.spec)
+    cat, spec = bundle.get(flags.spec, tuple)
+    source_sq = bundle.sieve_base(_fincat_name_of(bundle, cat))
     a = cts_to_vcat(source_sq, spec)
     target_name = _fincat_name_of(bundle, fun.target)
     target_sq = bundle.sieve_base(target_name)
@@ -332,7 +334,7 @@ def _fincat_name_of(bundle, cat: FiniteCategory) -> str:
     for name, obj in bundle.objects.items():
         if obj is cat:
             return name
-    raise EnrbisimError("the functor's target category is not in the bundle")
+    raise EnrbisimError("the category is not in the bundle")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -431,11 +433,17 @@ def main(argv=None) -> int:
     paths = args.paths if args.paths is not None else default_fixture_paths()
     try:
         bundle = documents.load_bundle(paths, alphabet, args.aut_k)
+        report = run(args.command, bundle, args)
     except EnrbisimError as err:
         report = Report(args.command, "error", {"error": f"{type(err).__name__}: {err}"})
-        print(report.to_json() if args.format == "json" else report.to_text())
-        return 2
-    report = run(args.command, bundle, args)
+    except Exception as err:
+        # a bug, not an answer: exit 2 (never 1, which reads as "no");
+        # traceback is imported here to keep it off the start-up path
+        import traceback
+
+        traceback.print_exc()
+        details = {"error": f"{type(err).__name__}: {err}", "kind": "internal"}
+        report = Report(args.command, "error", details)
     if args.format == "json":
         print(report.to_json(include_timing=args.timing))
     else:

@@ -98,7 +98,9 @@ def element_from_doc(base: Quantaloid, u: int, v: int, doc) -> Any:
             for d in doc
         )
     elif isinstance(lat, TableLattice):
-        value = lat.index_of(doc) if isinstance(doc, str) else int(doc)
+        if isinstance(doc, bool) or not isinstance(doc, (str, int)):
+            raise ParseError(f"table element {doc!r} is neither a name nor an index")
+        value = lat.index_of(doc) if isinstance(doc, str) else doc
     else:
         raise ValidationError(f"no element encoding for base {base!r}")
     lat.check_element(value)
@@ -341,7 +343,6 @@ class Bundle:
 
     objects: dict[str, Any] = field(default_factory=dict)
     kinds: dict[str, str] = field(default_factory=dict)
-    docs: dict[str, dict] = field(default_factory=dict)
     sieve_bases: dict[str, CribleQuantaloid] = field(default_factory=dict)
 
     def get(self, name: str, expected: type | tuple | None = None):
@@ -452,7 +453,6 @@ def load_bundle(paths, aut_alphabet=None, aut_k=None) -> Bundle:
                 raise type(err)(f"{name}: {err}") from None
             bundle.objects[name] = obj
             bundle.kinds[name] = kind
-            bundle.docs[name] = doc
     unknown = [d for d in docs if d["kind"] not in _LOAD_ORDER]
     if unknown:
         raise ParseError(f"unknown document kind {unknown[0]['kind']!r}")

@@ -528,12 +528,3 @@ def verify_adjunction(left: MonotoneMap, right: MonotoneMap) -> bool:
         for v in left.source.elements()
         for w in left.target.elements()
     )
-
-
-def validate_lattice(lat: Lattice) -> list[str]:
-    """Report every violated lattice invariant; empty means valid."""
-    return lat.validate()
-
-
-def is_distributive(lat: Lattice) -> bool:
-    return lat.is_distributive()

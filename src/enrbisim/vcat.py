@@ -24,12 +24,8 @@ from .lattice import Lattice, PrincipalDownsetLattice
 from .quantaloid import LanguageQuantale, Quantaloid
 
 
-def same_base(a: "VCategory", b: "VCategory") -> bool:
-    return a.base is b.base
-
-
 def require_same_base(a: "VCategory", b: "VCategory") -> None:
-    if not same_base(a, b):
+    if a.base is not b.base:
         raise BaseMismatch("the two categories live over different bases")
 
 
@@ -37,7 +33,8 @@ class VCategory:
     """An enrichment over a quantaloid.
 
     The constructor checks every hom against its lattice and raises
-    ``UnknownElement`` for one outside it.
+    ``UnknownElement`` for one outside it.  The hom table is stored as a
+    tuple of tuples, so it cannot change after that check.
     """
 
     def __init__(
@@ -53,7 +50,7 @@ class VCategory:
         self.base = base
         self.objects = list(objects)
         self.extents = list(extents)
-        self.homs = [list(row) for row in homs]
+        self.homs = tuple(tuple(row) for row in homs)
         for e in self.extents:
             base.check_object(e)
         # the boundary: every hom is checked here once, so interior loops
@@ -136,7 +133,7 @@ class VFunctor:
                 raise UnknownObject(f"target index {t} out of range")
         self.source = source
         self.target = target
-        self.mapping = list(mapping)
+        self.mapping = tuple(mapping)
 
     def __call__(self, i: int) -> int:
         return self.mapping[i]
@@ -171,15 +168,14 @@ def validate_vfunctor(f: VFunctor) -> list[str]:
             out.append(f"extent changes at {a.objects[i]}")
     if out:
         return out
-    for i in range(a.n_objects):
-        for j in range(a.n_objects):
-            if not a.hom_lattice(i, j).leq(a.hom(i, j), b.hom(f(i), f(j))):
+    # both hom tables were checked by their constructors
+    m = f.mapping
+    for i, row in enumerate(a.homs):
+        row_fi = b.homs[m[i]]
+        for j, x in enumerate(row):
+            if not a.hom_lattice(i, j)._leq(x, row_fi[m[j]]):
                 out.append(f"hom shrinks at ({a.objects[i]},{a.objects[j]})")
     return out
-
-
-def is_vfunctor(source: VCategory, target: VCategory, mapping: list[int]) -> bool:
-    return not validate_vfunctor(VFunctor(source, target, mapping))
 
 
 def exists_vnatural(f: VFunctor, g: VFunctor) -> bool:
@@ -193,32 +189,11 @@ def exists_vnatural(f: VFunctor, g: VFunctor) -> bool:
     )
 
 
-def product(a: VCategory, b: VCategory) -> tuple[VCategory, VFunctor, VFunctor]:
-    """Pairs with equal extents; homs are the meets of the factors'."""
-    require_same_base(a, b)
-    pairs = [
-        (i, j)
-        for i in range(a.n_objects)
-        for j in range(b.n_objects)
-        if a.extents[i] == b.extents[j]
-    ]
-    names = [f"({a.objects[i]}|{b.objects[j]})" for i, j in pairs]
-    extents = [a.extents[i] for i, _ in pairs]
-    homs = [
-        [
-            a.hom_lattice(i1, i2).meet([a.hom(i1, i2), b.hom(j1, j2)])
-            for (i2, j2) in pairs
-        ]
-        for (i1, j1) in pairs
-    ]
-    p = VCategory(a.base, names, extents, homs)
-    to_a = VFunctor(p, a, [i for i, _ in pairs])
-    to_b = VFunctor(p, b, [j for _, j in pairs])
-    return p, to_a, to_b
-
-
 def pullback(f: VFunctor, g: VFunctor) -> tuple[VCategory, VFunctor, VFunctor]:
-    """Full subcategory of the product on pairs agreeing in the target."""
+    """Pairs agreeing in the target, with the meets of the factors' homs.
+
+    Over the maps into ``terminal`` this is the product.
+    """
     if f.target is not g.target:
         raise BaseMismatch("pullback needs a common codomain")
     a, b = f.source, g.source

@@ -4,11 +4,12 @@ import random
 import pytest
 
 from enrbisim.bisim import (
+    BisimEquivalence,
     SimRelation,
+    _refine,
     bisimilar,
     cospan_witness,
     equivalence_closure,
-    inverse_relation,
     is_bisimulation,
     is_functional_bisimulation,
     is_od,
@@ -18,7 +19,6 @@ from enrbisim.bisim import (
     quotient,
     simulates,
     span_witness,
-    union_relations,
 )
 from enrbisim.errors import (
     ExtentMismatch,
@@ -26,7 +26,7 @@ from enrbisim.errors import (
     NotBisimilar,
     NotLocallyDistributive,
 )
-from enrbisim.fixtures import aut1, codisc2, loop1, p01, penta, point, q2, ql
+from enrbisim.fixtures import aut1, bp2, codisc2, loop1, m3, p01, penta, point, q2, ql, rel1
 from enrbisim.generators import (
     cover_od,
     random_od_map,
@@ -35,8 +35,10 @@ from enrbisim.generators import (
     run_axiom_suite,
 )
 from enrbisim.vcat import (
+    EnrichedGraph,
     VCategory,
     VFunctor,
+    free_vcategory,
     isomorphic_by,
     validate_vcategory,
     validate_vfunctor,
@@ -144,6 +146,126 @@ class TestLargestRelations:
                     assert not is_bisimulation(
                         SimRelation(a, b, set(best.pairs) | {pair})
                     )
+
+
+def random_table(base, rng, n, prefix):
+    """An enrichment with random homs, most of them bottom.
+
+    The engine and the oracle need no composition law, so the homs are
+    drawn freely; that keeps large cases cheap to build.
+    """
+    extents = [rng.randrange(base.n_objects) for _ in range(n)]
+    homs = []
+    for u in extents:
+        row = []
+        for v in extents:
+            lat = base.hom(u, v)
+            row.append(lat.bottom if rng.random() < 0.7 else lat.sample(rng))
+        homs.append(row)
+    return VCategory(base, [f"{prefix}{i}" for i in range(n)], extents, homs)
+
+
+def covering_copy(a, rng, perturb):
+    """One or two shuffled copies of each object, homs copied from ``a``;
+    ``perturb`` redraws one hom, which may break bisimilarity."""
+    origin = [i for i in range(a.n_objects) for _ in range(rng.randint(1, 2))]
+    rng.shuffle(origin)
+    homs = [[a.hom(i, j) for j in origin] for i in origin]
+    if perturb:
+        x, y = rng.randrange(len(origin)), rng.randrange(len(origin))
+        homs[x][y] = a.hom_lattice(origin[x], origin[y]).sample(rng)
+    names = [f"y{x}" for x in range(len(origin))]
+    return VCategory(a.base, names, [a.extents[i] for i in origin], homs)
+
+
+def aut_pair(rng, n, flip):
+    """A random 2-out automaton over {a,b} and a copy with about a tenth
+    of its states cloned (incoming transitions split between original and
+    clone), renumbered; ``flip`` changes the label of one transition."""
+    base = ql(("a", "b"), 2)
+    trans = [(s, rng.choice("ab"), rng.randrange(n)) for s in range(n) for _ in range(2)]
+    cloned = rng.sample(range(n), n // 10)
+    clone_of = {c: n + i for i, c in enumerate(cloned)}
+    copy = [
+        (s, label, clone_of[t] if t in clone_of and rng.random() < 0.5 else t)
+        for s, label, t in trans
+    ]
+    copy += [(clone_of[s], label, t) for s, label, t in copy if s in clone_of]
+    if flip:
+        i = rng.randrange(len(copy))
+        s, label, t = copy[i]
+        copy[i] = (s, "b" if label == "a" else "a", t)
+    m = n + len(cloned)
+    perm = list(range(m))
+    rng.shuffle(perm)
+
+    def free(size, edges, prefix):
+        graph = EnrichedGraph(
+            [(f"{prefix}{i}", 0) for i in range(size)],
+            [(s, t, frozenset({(label,)})) for s, label, t in edges],
+        )
+        return free_vcategory(base, graph)
+
+    return free(n, trans, "s"), free(m, [(perm[s], x, perm[t]) for s, x, t in copy], "t")
+
+
+def assert_matches_oracle(a, b):
+    got, want = largest_bisimulation(a, b), _refine(a, b, bisim=True)
+    assert got.pairs == want.pairs
+    assert got.refinement_trace == want.refinement_trace
+    return got
+
+
+ORACLE_BASES = {
+    "Q2": q2, "M3": m3, "QL": lambda: ql(("a", "b"), 2), "REL1": rel1, "BP2": bp2, "PENTA": penta,
+}
+
+
+class TestSignatureRefinement:
+    """The partition engine against the pairwise refinement it replaced."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_BASES))
+    def test_matches_oracle_on_random_pairs(self, name):
+        base = ORACLE_BASES[name]()
+        rng = random.Random(f"oracle:{name}")
+        for n in (10, 20, 30, 40):
+            a = random_table(base, rng, n, "x")
+            assert_matches_oracle(a, covering_copy(a, rng, perturb=n % 20 == 0))
+            assert_matches_oracle(a, random_table(base, rng, n // 2, "z"))
+        a = random_table(base, rng, 25, "x")
+        assert_matches_oracle(a, a)
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_matches_oracle_on_automata(self, flip):
+        a, b = aut_pair(random.Random(f"aut:{flip}"), 60, flip)
+        got = assert_matches_oracle(a, b)
+        assert got.refinement_trace
+        assert (got.total_on_left() and got.total_on_right()) != flip
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_BASES))
+    def test_bisim_equivalence_accepts_engine_partitions(self, name):
+        base = ORACLE_BASES[name]()
+        rng = random.Random(f"partition:{name}")
+        merged = 0
+        for _ in range(8):
+            a = random_table(base, rng, rng.randint(5, 30), "x")
+            pairs = largest_bisimulation(a, a).pairs
+            blocks = {}  # least member -> block
+            for i in range(a.n_objects):
+                least = min(j for j in range(a.n_objects) if (i, j) in pairs)
+                blocks.setdefault(least, []).append(i)
+            e = BisimEquivalence(a, list(blocks.values()))
+            assert is_bisimulation(e.as_relation())
+            # merging two blocks of one extent joins non-bisimilar objects
+            reps = sorted(blocks)
+            for r1, r2 in itertools.combinations(reps, 2):
+                if a.extents[r1] == a.extents[r2]:
+                    rest = [blk for r, blk in blocks.items() if r not in (r1, r2)]
+                    with pytest.raises(NotABisimulation):
+                        BisimEquivalence(a, rest + [blocks[r1] + blocks[r2]])
+                    merged += 1
+                    break
+        assert merged
 
 
 class TestSimilarity:
@@ -340,7 +462,7 @@ class TestRelationAlgebra:
 
     def test_double_inverse(self, QL):
         r = SimRelation.full(aut1(QL), loop1(QL))
-        assert inverse_relation(inverse_relation(r)).pairs == r.pairs
+        assert r.inverse().inverse().pairs == r.pairs
 
     def test_union_of_simulations_is_simulation(self, Q2, QL):
         rng = random.Random(8)
@@ -355,7 +477,7 @@ class TestRelationAlgebra:
                 if not (is_simulation(r1) and is_simulation(r2)):
                     continue
                 hits += 1
-                assert is_simulation(union_relations(r1, r2))
+                assert is_simulation(r1.union(r2))
 
     def test_composition_of_bisimulations(self, Q2):
         rng = random.Random(9)
@@ -377,7 +499,7 @@ class TestRelationAlgebra:
             a = random_vcategory(QL, rng)
             b = random_vcategory(QL, rng)
             r = largest_bisimulation(a, b)
-            assert is_bisimulation(inverse_relation(r))
+            assert is_bisimulation(r.inverse())
 
 
 class TestAxiomSuites:

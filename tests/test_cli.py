@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from enrbisim.cli import build_parser, default_fixture_paths, main, run
 from enrbisim.documents import SCHEMA, load_bundle
 
@@ -182,3 +184,67 @@ class TestParser:
         report = run("bisimilar", bundle, args)
         assert report.verdict == "error"
         assert report.exit_code == 2
+
+
+class TestExitCodeContract:
+    """Malformed input exits 2 (error), never 1, which reads as "no"."""
+
+    def assert_error(self, code, out):
+        assert code == 2
+        assert json.loads(out)["verdict"] == "error"
+
+    @pytest.mark.parametrize("suite", ["A1..A9", "A1,A9", "A3..A1", "A1..A2..A3", ""])
+    def test_bad_axiom_suite(self, capsys, suite):
+        code, out = invoke(capsys, "axioms", "--suite", suite, "--base", "Q2")
+        self.assert_error(code, out)
+        assert "ParseError" in json.loads(out)["details"]["error"]
+
+    def test_missing_cts_spec(self, capsys):
+        code, out = invoke(capsys, "cts-build", "--spec", "NOPE")
+        self.assert_error(code, out)
+        assert "DanglingReference" in json.loads(out)["details"]["error"]
+
+    def test_cts_spec_of_wrong_kind(self, capsys):
+        code, out = invoke(capsys, "cts-build", "--spec", "Q2")
+        self.assert_error(code, out)
+
+    def test_table_hom_written_as_list(self, capsys, tmp_path):
+        copy_fixtures(tmp_path, ["Q2"])
+        (tmp_path / "BAD.json").write_text(json.dumps({
+            "schema": SCHEMA, "name": "BAD", "kind": "vcategory", "base": "Q2",
+            "objects": [{"name": "a", "extent": "*"}], "homs": {"a,a": ["1"]},
+        }))
+        code, out = invoke(capsys, "--paths", str(tmp_path), "validate")
+        self.assert_error(code, out)
+        assert "ParseError" in json.loads(out)["details"]["error"]
+
+    def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch):
+        from enrbisim import bisim
+
+        def broken(a, b):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(bisim, "largest_bisimulation", broken)
+        code = main(["bisimilar", "--a", "P01", "--b", "POINT"])
+        captured = capsys.readouterr()
+        self.assert_error(code, captured.out)
+        details = json.loads(captured.out)["details"]
+        assert details["kind"] == "internal"
+        assert details["error"] == "RuntimeError: boom"
+        assert "Traceback" in captured.err
+
+
+class TestCtsCommands:
+    def test_cts_build_from_spec(self, capsys, tmp_path):
+        copy_fixtures(tmp_path, ["P2"])
+        (tmp_path / "SPEC.json").write_text(json.dumps({
+            "schema": SCHEMA, "name": "SPEC", "kind": "ctsspec", "category": "P2",
+            "vertices": [{"name": "v0", "type": "0"}, {"name": "v1", "type": "1"}],
+            "edges": [{"src": "v0", "tgt": "v1",
+                       "span": {"apex": "0", "left": "0<=0", "right": "0<=1"}}],
+        }))
+        code, out = invoke(capsys, "--paths", str(tmp_path), "cts-build", "--spec", "SPEC")
+        assert code == 0
+        result = json.loads(out)["details"]["result"]
+        assert result["base"] == "S(P2)"
+        assert [o["name"] for o in result["objects"]] == ["v0", "v1"]

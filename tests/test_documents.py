@@ -243,7 +243,7 @@ class TestRelationAndFunctorDocs:
             },
         )
         bundle = load_bundle([tmp_path])
-        assert bundle.get("F").mapping == [0, 0]
+        assert bundle.get("F").mapping == (0, 0)
 
     def test_tse_docs(self, tmp_path):
         write_doc(
