@@ -12,15 +12,12 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
-from importlib import resources
 from typing import Any
 
 from . import bisim, documents
 from .cob import TwoSidedEnrichment, apply_cob, local_right_adjoints, right_adjoint_cob
-from .cts import CatFunctor, FiniteCategory, cts_to_vcat, refine
+from .cts import CatFunctor, cts_to_vcat, refine
 from .errors import EnrbisimError, ParseError
-from .generators import AXIOMS, run_axiom_suite
 from .lattice import DEFAULT_ENUM_CAP
 from .quantaloid import Quantaloid, validate_quantaloid
 from .vcat import VCategory, VFunctor, validate_vcategory, validate_vfunctor
@@ -28,14 +25,14 @@ from .vcat import VCategory, VFunctor, validate_vcategory, validate_vfunctor
 FIXTURE_ENV = "ENRBISIM_FIXTURES"
 
 
-@dataclass
 class Report:
     """Outcome of one command: verdict, evidence, timing."""
 
-    command: str
-    verdict: str  # yes | no | valid | invalid | error
-    details: dict[str, Any] = field(default_factory=dict)
-    timing: float | None = None
+    def __init__(self, command: str, verdict: str, details: dict[str, Any]):
+        self.command = command
+        self.verdict = verdict  # yes | no | valid | invalid | error
+        self.details = details
+        self.timing: float | None = None
 
     @property
     def exit_code(self) -> int:
@@ -71,6 +68,8 @@ def default_fixture_paths() -> list[str]:
     root = os.environ.get(FIXTURE_ENV)
     if root:
         return [root]
+    from importlib import resources
+
     return [str(resources.files("enrbisim").joinpath("data"))]
 
 
@@ -260,6 +259,8 @@ def _cmd_span(bundle, flags) -> Report:
 
 
 def _parse_suite(spec: str) -> list[str]:
+    from .generators import AXIOMS  # only ``axioms`` needs the generators
+
     names = sorted(AXIOMS)
     ends = [part.strip() for part in spec.split("..")]
     if len(ends) == 2 and set(ends) <= set(names):
@@ -272,6 +273,8 @@ def _parse_suite(spec: str) -> list[str]:
 
 
 def _cmd_axioms(bundle, flags) -> Report:
+    from .generators import run_axiom_suite
+
     base = bundle.get(flags.base, Quantaloid)
     suite = _parse_suite(flags.suite)
     outcome = run_axiom_suite(suite, base, flags.seed, flags.cases)
@@ -290,8 +293,8 @@ def _cmd_axioms(bundle, flags) -> Report:
 
 
 def _cmd_cts_build(bundle, flags) -> Report:
-    cat, spec = bundle.get(flags.spec, tuple)  # a ctsspec loads as (category, spec)
-    cat_name = _fincat_name_of(bundle, cat)
+    cat, spec = bundle.get(flags.spec, "ctsspec")  # loaded as (category, spec)
+    cat_name = bundle.name_of(cat)
     sieves = bundle.sieve_base(cat_name)
     base_report = validate_quantaloid(sieves)
     out = cts_to_vcat(sieves, spec)
@@ -312,10 +315,10 @@ def _cmd_cts_build(bundle, flags) -> Report:
 
 def _cmd_cts_refine(bundle, flags) -> Report:
     fun = bundle.get(flags.functor, CatFunctor)
-    cat, spec = bundle.get(flags.spec, tuple)
-    source_sq = bundle.sieve_base(_fincat_name_of(bundle, cat))
+    cat, spec = bundle.get(flags.spec, "ctsspec")
+    source_sq = bundle.sieve_base(bundle.name_of(cat))
     a = cts_to_vcat(source_sq, spec)
-    target_name = _fincat_name_of(bundle, fun.target)
+    target_name = bundle.name_of(fun.target)
     target_sq = bundle.sieve_base(target_name)
     out = refine(fun, a, source_sq, target_sq)
     sieve_name = f"S({target_name})"
@@ -328,13 +331,6 @@ def _cmd_cts_refine(bundle, flags) -> Report:
         "valid",
         {"result": documents.vcategory_to_doc(bundle, flags.out, out)},
     )
-
-
-def _fincat_name_of(bundle, cat: FiniteCategory) -> str:
-    for name, obj in bundle.objects.items():
-        if obj is cat:
-            return name
-    raise EnrbisimError("the category is not in the bundle")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,8 +11,7 @@ has a right adjoint built from those local adjoints.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import (
     BaseMismatch,
@@ -78,8 +77,7 @@ class TwoSidedEnrichment:
         return f"TwoSidedEnrichment({len(self.carriers)} carriers)"
 
 
-@dataclass
-class CatenTwoCell:
+class CatenTwoCell(NamedTuple):
     """A carrier map between two parallel two-sided enrichments."""
 
     source: TwoSidedEnrichment
@@ -205,14 +203,13 @@ def apply_cob_vfunctor(
     )
 
 
-@dataclass
-class AdjointReport:
+class AdjointReport(NamedTuple):
     """Local right adjoints of a two-sided enrichment's components."""
 
     adjoints: dict[tuple[int, int], MonotoneMap]
     coherence1: bool
     coherence2: bool
-    violations: list[str] = field(default_factory=list)
+    violations: list[str]
 
     @property
     def coherent(self) -> bool:

@@ -10,8 +10,7 @@ surjective functional bisimulations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import (
     AmbientMismatch,
@@ -28,8 +27,7 @@ from .cob import TwoSidedEnrichment, apply_cob, local_right_adjoints
 from .vcat import EnrichedGraph, VCategory, free_vcategory
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(NamedTuple):
     name: str
     src: int
     tgt: int
@@ -235,8 +233,7 @@ class PowersetCatQuantaloid(Quantaloid):
         return frozenset({self.cat.identities[u]})
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """A pair of morphisms out of a common apex (stored as indices)."""
 
     apex: int
@@ -327,8 +324,7 @@ def build_S_quantaloid(cat: FiniteCategory, max_spans: int = 12) -> CribleQuanta
     return CribleQuantaloid(cat, max_spans)
 
 
-@dataclass
-class CtsSpec:
+class CtsSpec(NamedTuple):
     """A specification: typed vertices and span-labelled edges."""
 
     vertices: list[tuple[str, int]]  # (state name, type object index)
@@ -355,8 +351,7 @@ def cts_to_vcat(sq: CribleQuantaloid, spec: CtsSpec) -> VCategory:
     return free_vcategory(sq, graph)
 
 
-@dataclass
-class CatFunctor:
+class CatFunctor(NamedTuple):
     """A functor between finite categories, as explicit object/morphism maps."""
 
     source: FiniteCategory
@@ -506,8 +501,7 @@ def refine(
     return apply_cob(tse, a)
 
 
-@dataclass
-class CatAdjunction:
+class CatAdjunction(NamedTuple):
     """An adjunction between finite categories, given by unit and counit."""
 
     left: CatFunctor  # F : A -> B

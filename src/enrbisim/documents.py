@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -325,35 +324,31 @@ def _ctsspec_from_doc(doc, resolve) -> tuple[FiniteCategory, CtsSpec]:
 # ---------------------------------------------------------------------------
 # the bundle
 
-_LOAD_ORDER = [
-    "fincat",
-    "quantaloid",
-    "vcategory",
-    "vfunctor",
-    "relation",
-    "tse",
-    "ctsspec",
-    "catfunctor",
-]
-
-
-@dataclass
 class Bundle:
     """Named, validated, cross-linked objects loaded from documents."""
 
-    objects: dict[str, Any] = field(default_factory=dict)
-    kinds: dict[str, str] = field(default_factory=dict)
-    sieve_bases: dict[str, CribleQuantaloid] = field(default_factory=dict)
+    def __init__(self):
+        self.objects: dict[str, Any] = {}
+        self.kinds: dict[str, str] = {}
+        self.sieve_bases: dict[str, CribleQuantaloid] = {}
 
-    def get(self, name: str, expected: type | tuple | None = None):
+    def get(self, name: str, expected: type | str | None = None):
+        """The named object, checked against a type or a kind name."""
         if name not in self.objects:
             raise DanglingReference(f"no object named {name!r} in the bundle")
         obj = self.objects[name]
-        if expected is not None and not isinstance(obj, expected):
-            raise ValidationError(
-                f"{name!r} is a {self.kinds[name]}, which is not what was expected"
-            )
+        kind = self.kinds[name]
+        if expected is not None and not (
+            kind == expected if isinstance(expected, str) else isinstance(obj, expected)
+        ):
+            raise ValidationError(f"{name!r} is a {kind}, which is not what was expected")
         return obj
+
+    def name_of(self, obj) -> str:
+        for name, candidate in self.objects.items():
+            if candidate is obj:
+                return name
+        raise DanglingReference("object is not part of the bundle")
 
     def names(self, kind: str | None = None) -> list[str]:
         return sorted(
@@ -369,6 +364,7 @@ class Bundle:
         return self.sieve_bases[fincat_name]
 
 
+# in load order: a document refers only to kinds listed before its own
 _BUILDERS = {
     "fincat": lambda doc, resolve: _fincat_from_doc(doc),
     "quantaloid": _quantaloid_from_doc,
@@ -379,15 +375,23 @@ _BUILDERS = {
     "ctsspec": _ctsspec_from_doc,
     "catfunctor": _catfunctor_from_doc,
 }
+_LOAD_ORDER = list(_BUILDERS)  # a list: document kinds need not be hashable
 
 
 # shorthand spelling: "kind" may name the construction directly
 _QUANTALOID_SHORTHANDS = ("boolean", "language", "metric", "rel", "powerset", "sieves")
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ParseError(f"{path}: cannot read: {err}") from None
+
+
 def _read_doc(path: Path) -> dict:
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as err:
         raise ParseError(f"{path}: {err}") from None
     if not isinstance(doc, dict):
@@ -449,6 +453,8 @@ def load_bundle(paths, aut_alphabet=None, aut_k=None) -> Bundle:
                 obj = _BUILDERS[kind](doc, resolve)
             except KeyError as err:
                 raise ParseError(f"{name}: missing field {err}") from None
+            except (TypeError, ValueError, AttributeError, IndexError, ZeroDivisionError) as err:
+                raise ParseError(f"{name}: malformed field ({type(err).__name__}: {err})") from None
             except (ValidationError, DanglingReference) as err:
                 raise type(err)(f"{name}: {err}") from None
             bundle.objects[name] = obj
@@ -468,13 +474,15 @@ _AUT_LINE = re.compile(r'\(\s*(\d+)\s*,\s*"([^"]*)"\s*,\s*(\d+)\s*\)\s*$')
 
 def parse_aut(path) -> tuple[int, int, list[tuple[int, str, int]]]:
     """Read an Aldebaran file: header ``des (init, trans, states)``."""
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
+    lines = [ln.strip() for ln in _read_text(path).splitlines() if ln.strip()]
     if not lines:
         raise ParseError(f"{path}: empty file")
     header = _AUT_HEADER.match(lines[0])
     if not header:
         raise ParseError(f"{path}: bad header {lines[0]!r}")
     initial, n_trans, n_states = (int(g) for g in header.groups())
+    if initial >= n_states:
+        raise ParseError(f"{path}: initial state {initial} out of range")
     transitions = []
     for ln in lines[1:]:
         m = _AUT_LINE.match(ln)
@@ -555,8 +563,8 @@ def serialize(bundle: Bundle, name: str) -> dict:
             "schema": SCHEMA,
             "name": name,
             "kind": "vfunctor",
-            "source": _ref_of(bundle, obj.source),
-            "target": _ref_of(bundle, obj.target),
+            "source": bundle.name_of(obj.source),
+            "target": bundle.name_of(obj.target),
             "map": {
                 obj.source.objects[i]: obj.target.objects[obj(i)]
                 for i in range(obj.source.n_objects)
@@ -567,18 +575,11 @@ def serialize(bundle: Bundle, name: str) -> dict:
             "schema": SCHEMA,
             "name": name,
             "kind": "relation",
-            "left": _ref_of(bundle, obj.left),
-            "right": _ref_of(bundle, obj.right),
+            "left": bundle.name_of(obj.left),
+            "right": bundle.name_of(obj.right),
             "pairs": [list(p) for p in obj.pairs_named()],
         }
     raise ValidationError(f"cannot serialize documents of kind {kind!r}")
-
-
-def _ref_of(bundle: Bundle, obj) -> str:
-    for name, candidate in bundle.objects.items():
-        if candidate is obj:
-            return name
-    raise DanglingReference("object is not part of the bundle")
 
 
 def _quantaloid_to_doc(bundle, name, q) -> dict:
@@ -597,9 +598,9 @@ def _quantaloid_to_doc(bundle, name, q) -> dict:
     if isinstance(q, RelQuantaloid):
         return head | {"construction": "rel", "sets": [list(s) for s in q.sets]}
     if isinstance(q, PowersetCatQuantaloid):
-        return head | {"construction": "powerset", "category": _ref_of(bundle, q.cat)}
+        return head | {"construction": "powerset", "category": bundle.name_of(q.cat)}
     if isinstance(q, CribleQuantaloid):
-        return head | {"construction": "sieves", "category": _ref_of(bundle, q.cat)}
+        return head | {"construction": "sieves", "category": bundle.name_of(q.cat)}
     if isinstance(q, TableQuantaloid):
         objects = list(q.objects)
         homs = {}
@@ -655,7 +656,7 @@ def vcategory_to_doc(bundle: Bundle, name: str, cat: VCategory) -> dict:
         "schema": SCHEMA,
         "name": name,
         "kind": "vcategory",
-        "base": _ref_of(bundle, base),
+        "base": bundle.name_of(base),
         "objects": [
             {"name": cat.objects[i], "extent": base.objects[cat.extents[i]]}
             for i in range(cat.n_objects)

@@ -11,9 +11,7 @@ provided as builders; user-supplied bases come in as explicit tables.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 from .errors import (
     BadGrid,
@@ -32,8 +30,7 @@ from .lattice import (
 INF = float("inf")
 
 
-@dataclass(frozen=True)
-class QuantaloidElement:
+class QuantaloidElement(NamedTuple):
     """An arrow of a quantaloid: a value in hom(source, target)."""
 
     source: int
@@ -166,12 +163,19 @@ class LanguageQuantale(Quantaloid):
         self.k = int(k)
         if self.k < 0:
             raise ValueError("k must be >= 0")
-        n_words = sum(len(self.alphabet) ** i for i in range(self.k + 1))
-        if n_words > max_words:
-            raise SizeLimit(f"{n_words} words exceed the cap {max_words}")
+        # over an empty alphabet only the empty word exists, whatever k is
+        longest = self.k if self.alphabet else 0
+        n_words = symbols = 0
+        for length in range(longest + 1):  # ends at the first length over a cap
+            count = len(self.alphabet) ** length
+            n_words, symbols = n_words + count, symbols + length * count
+            # within the word cap, a word over two or more letters has at most
+            # log2(max_words) symbols, so the symbol cap binds on one letter only
+            if n_words > max_words or symbols > 32 * max_words:
+                raise SizeLimit(f"the words up to length {self.k} exceed the cap {max_words}")
         self.words = [
             word
-            for length in range(self.k + 1)
+            for length in range(longest + 1)
             for word in itertools.product(self.alphabet, repeat=length)
         ]
 
@@ -287,6 +291,10 @@ def grid_value(text: str):
     """Parse one metric grid entry; 'inf' means infinity."""
     if text in ("inf", "Infinity", "oo"):
         return INF
+    if text.isascii() and text.isdigit():
+        return int(text)  # the common case, without importing fractions
+    from fractions import Fraction
+
     frac = Fraction(text)
     return int(frac) if frac.denominator == 1 else frac
 
@@ -349,8 +357,7 @@ def residual(
     return QuantaloidElement(*free, value)
 
 
-@dataclass
-class QuantaloidReport:
+class QuantaloidReport(NamedTuple):
     """Outcome of validating a quantaloid."""
 
     violations: list[str]
@@ -492,6 +499,8 @@ def build_rel_quantaloid(
     """Relations between the given finite sets, ordered by inclusion."""
     if not sets:
         raise ValueError("need at least one set")
+    if any(len(set(a)) != len(a) for a in sets):
+        raise ValueError("a set repeats an element")
     for a in sets:
         for b in sets:
             if len(a) * len(b) > max_pairs:

@@ -9,8 +9,7 @@ are extent-preserving maps that never shrink homs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import (
     BaseMismatch,
@@ -264,8 +263,7 @@ def coproduct(parts: list[VCategory]) -> tuple[VCategory, list[VFunctor]]:
     return total, injections
 
 
-@dataclass
-class EnrichedGraph:
+class EnrichedGraph(NamedTuple):
     """Generators for a free enrichment: typed vertices, labelled edges."""
 
     vertices: list[tuple[str, int]]  # (name, base object index)
@@ -352,8 +350,7 @@ def enumerate_vfunctors(
     return out
 
 
-@dataclass
-class LaxRelationalPresentation:
+class LaxRelationalPresentation(NamedTuple):
     """Fibers over a finite category's objects, a relation per morphism.
 
     The relational view of an enrichment over the powerset-of-homs base:

@@ -430,6 +430,72 @@ class TestCospan:
         with pytest.raises(NotBisimilar):
             cospan_witness(a, a, partial)
 
+    def test_class_closed_non_bisimulation_rejected(self, QL):
+        # both sides are single classes, so only the matched homs differ
+        loop = loop1(QL)
+        still = free_vcategory(QL, EnrichedGraph([("c0", 0)], []))
+        r = SimRelation.full(loop, still)
+        assert not is_bisimulation(r)
+        with pytest.raises(NotABisimulation, match="different homs"):
+            cospan_witness(loop, still, r)
+
+    def test_class_closed_with_non_bisimilar_class_rejected(self, QL):
+        a, b = aut1(QL), loop1(QL)
+        with pytest.raises(NotABisimulation):
+            cospan_witness(a, b, SimRelation.full(a, b))
+
+    def test_bisimulation_not_class_closed_accepted(self, Q2):
+        a = VCategory(Q2, ["x0", "x1"], [0, 0], [[1, 0], [0, 1]])
+        b = VCategory(Q2, ["y0", "y1"], [0, 0], [[1, 0], [0, 1]])
+        r = SimRelation(a, b, {(0, 0), (0, 1), (1, 1)})
+        assert is_bisimulation(r)
+        f, g = cospan_witness(a, b, r)
+        assert f.target.n_objects == 1
+        assert is_od(f) and is_od(g)
+
+    def test_non_bisimulation_not_class_closed_rejected(self, Q2):
+        # its class closure, the full relation, is a bisimulation
+        a = VCategory(Q2, ["x0", "x1"], [0, 0], [[1, 0], [0, 1]])
+        b = VCategory(Q2, ["y0", "y1"], [0, 0], [[1, 0], [1, 1]])
+        assert is_bisimulation(SimRelation.full(a, b))
+        r = SimRelation(a, b, {(0, 0), (0, 1), (1, 1)})
+        assert not is_bisimulation(r)
+        with pytest.raises(NotABisimulation, match="relation fails at"):
+            cospan_witness(a, b, r)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_BASES))
+    def test_class_closed_verdicts_match_pairwise_check(self, name):
+        """Merging two linked classes of the engine's relation keeps it
+        class-closed; the witness must reject it exactly when the pairwise
+        check does."""
+        base = ORACLE_BASES[name]()
+        rng = random.Random(f"cospan:{name}")
+        rejected = 0
+        for _ in range(12):
+            a = random_table(base, rng, rng.randint(4, 16), "x")
+            b = covering_copy(a, rng, perturb=False)
+            r = largest_bisimulation(a, b)
+            cospan_witness(a, b, r)
+            classes = {}  # least left member -> (left block, right block)
+            for x, y in sorted(r.pairs):
+                lefts = {x2 for x2, y2 in r.pairs if y2 == y}
+                rights = {y2 for x2, y2 in r.pairs if x2 == x}
+                classes.setdefault(min(lefts), (lefts, rights))
+            reps = [k for k in classes if a.extents[k] == a.extents[min(classes)]]
+            if len(reps) < 2:
+                continue
+            (l1, r1), (l2, r2) = classes[reps[0]], classes[reps[1]]
+            merged = SimRelation(
+                a, b, set(r.pairs) | {(x, y) for x in l1 | l2 for y in r1 | r2}
+            )
+            if is_bisimulation(merged):
+                cospan_witness(a, b, merged)
+            else:
+                with pytest.raises(NotABisimulation):
+                    cospan_witness(a, b, merged)
+                rejected += 1
+        assert rejected
+
 
 class TestSpan:
     def test_identity_case(self, Q2):

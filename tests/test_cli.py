@@ -120,6 +120,30 @@ class TestCommands:
         code, out = invoke(capsys, "--paths", str(tmp_path), "span", "--a", "P01", "--b", "POINT")
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "left, right, pairs, want",
+        [
+            # class-closed, not a bisimulation: the witness rejects it
+            ("AUT1", "LOOP1", [["a0", "b0"], ["a1", "b0"]], "NotABisimulation"),
+            # a bisimulation that is not class-closed is accepted
+            ("P01", "P01", [["a0", "a0"], ["a0", "a1"], ["a1", "a1"]], None),
+        ],
+    )
+    def test_cospan_with_given_relation(self, capsys, tmp_path, left, right, pairs, want):
+        copy_fixtures(tmp_path, ["Q2", "QL_m_2", "P01", "AUT1", "LOOP1"])
+        (tmp_path / "R.json").write_text(json.dumps({
+            "schema": SCHEMA, "name": "R", "kind": "relation",
+            "left": left, "right": right, "pairs": pairs,
+        }))
+        code, out = invoke(
+            capsys, "--paths", str(tmp_path), "cospan", "--a", left, "--b", right, "--rel", "R"
+        )
+        body = json.loads(out)
+        if want is None:
+            assert code == 0 and body["details"]["left_in_class"]
+        else:
+            assert code == 2 and want in body["details"]["error"]
+
     def test_span_rejected_on_nonbisimilar(self, capsys):
         code, out = invoke(capsys, "span", "--a", "AUT1", "--b", "LOOP1")
         assert code == 2
@@ -217,6 +241,67 @@ class TestExitCodeContract:
         code, out = invoke(capsys, "--paths", str(tmp_path), "validate")
         self.assert_error(code, out)
         assert "ParseError" in json.loads(out)["details"]["error"]
+
+    def assert_parse_error(self, capsys, *argv, match):
+        code, out = invoke(capsys, *argv)
+        self.assert_error(code, out)
+        details = json.loads(out)["details"]
+        assert "kind" not in details
+        assert details["error"].startswith("ParseError") and match in details["error"]
+
+    @pytest.mark.parametrize("name", ["nope.json", "nope.aut"])
+    def test_missing_path(self, capsys, tmp_path, name):
+        self.assert_parse_error(
+            capsys, "--paths", str(tmp_path / name), "--aut-alphabet", "a", "--aut-k", "1",
+            "validate", match="cannot read",
+        )
+
+    def test_undecodable_file(self, capsys, tmp_path):
+        (tmp_path / "BAD.json").write_bytes(b'{"name": "\xff"}')
+        self.assert_parse_error(capsys, "--paths", str(tmp_path), "validate", match="can't decode")
+
+    @pytest.mark.parametrize(
+        "alphabet, k, match", [("a,a", "2", "duplicates"), ("a", "-1", "k must be")]
+    )
+    def test_bad_aut_base_flags(self, capsys, tmp_path, alphabet, k, match):
+        (tmp_path / "A.aut").write_text('des (0, 1, 1)\n(0, "a", 0)\n')
+        self.assert_parse_error(
+            capsys, "--paths", str(tmp_path), "--aut-alphabet", alphabet, "--aut-k", k,
+            "validate", match=match,
+        )
+
+    @pytest.mark.parametrize(
+        "alphabet, k, match", [(["a", "a"], 2, "duplicates"), (["a"], -1, "k must be")]
+    )
+    def test_bad_language_document(self, capsys, tmp_path, alphabet, k, match):
+        (tmp_path / "L.json").write_text(json.dumps({
+            "schema": SCHEMA, "name": "L", "kind": "language", "alphabet": alphabet, "k": k,
+        }))
+        self.assert_parse_error(capsys, "--paths", str(tmp_path), "validate", match=match)
+
+    def test_bad_metric_grid_entry(self, capsys, tmp_path):
+        (tmp_path / "M.json").write_text(json.dumps({
+            "schema": SCHEMA, "name": "M", "kind": "metric", "grid": ["0", "x", "inf"],
+        }))
+        self.assert_parse_error(capsys, "--paths", str(tmp_path), "validate", match="'x'")
+
+    def test_aut_initial_state_out_of_range(self, capsys, tmp_path):
+        (tmp_path / "A.aut").write_text('des (5, 1, 2)\n(0, "a", 1)\n')
+        self.assert_parse_error(
+            capsys, "--paths", str(tmp_path), "--aut-alphabet", "a", "--aut-k", "2",
+            "validate", match="initial state 5",
+        )
+
+    def test_cts_spec_naming_a_functor(self, capsys, tmp_path):
+        copy_fixtures(tmp_path, ["P2"])
+        (tmp_path / "G.json").write_text(json.dumps({
+            "schema": SCHEMA, "name": "G", "kind": "catfunctor", "source": "P2", "target": "P2",
+            "objects": {"0": "0", "1": "1"},
+            "morphisms": {m: m for m in ("0<=0", "0<=1", "1<=1")},
+        }))
+        code, out = invoke(capsys, "--paths", str(tmp_path), "cts-build", "--spec", "G")
+        self.assert_error(code, out)
+        assert "ValidationError" in json.loads(out)["details"]["error"]
 
     def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch):
         from enrbisim import bisim

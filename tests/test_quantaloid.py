@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ from enrbisim.quantaloid import (
     build_language_quantale,
     build_metric_quantale,
     build_rel_quantaloid,
+    grid_value,
     residual,
     tensor,
     validate_quantaloid,
@@ -139,6 +141,10 @@ class TestResidual:
 
 
 class TestRelQuantaloid:
+    def test_repeated_set_element_rejected(self):
+        with pytest.raises(ValueError):
+            build_rel_quantaloid([[1, 2, 1]])
+
     def test_single_point(self):
         q = build_rel_quantaloid([[0]])
         assert q.hom(0, 0).size == 2
@@ -206,6 +212,17 @@ class TestLanguageQuantale:
         with pytest.raises(SizeLimit):
             build_language_quantale(["a", "b"], 30, max_words=1000)
 
+    @pytest.mark.parametrize("alphabet", [["m"], ["a", "b"]])
+    def test_huge_cutoff_is_refused_before_building(self, alphabet):
+        # one letter: few words but k(k+1)/2 symbols; two letters: 2^k words
+        with pytest.raises(SizeLimit):
+            build_language_quantale(alphabet, 10**9)
+
+    def test_empty_alphabet_has_only_the_empty_word(self):
+        q = build_language_quantale([], 10**9)
+        assert q.words == [()]
+        assert q.compose(0, 0, 0, q.unit(0), q.unit(0)) == q.unit(0)
+
 
 class TestMetricQuantale:
     def test_truncated_addition(self):
@@ -238,3 +255,26 @@ class TestMetricQuantale:
         q = build_metric_quantale([0, 1, 2, 5, INF])
         assert q.notes
         assert not validate_quantaloid(q).ok
+
+    @pytest.mark.parametrize(
+        "text",
+        ["0", "1", "007", "10", "1_0", "1_000", " 3", "3 ", "+3", "-3", "1/2", "4/2",
+         "0.5", "2.0", "1e2", "\u0663", "\u00b2", "x", "", "1/0", "inf", "oo"],
+    )
+    def test_grid_value_matches_fraction_parsing(self, text):
+        """The int fast path reads every spelling as ``Fraction`` does."""
+
+        def reference(text):
+            if text in ("inf", "Infinity", "oo"):
+                return INF
+            frac = Fraction(text)
+            return int(frac) if frac.denominator == 1 else frac
+
+        try:
+            want = reference(text)
+        except (ValueError, ZeroDivisionError) as err:
+            with pytest.raises(type(err)):
+                grid_value(text)
+            return
+        got = grid_value(text)
+        assert (type(got), got) == (type(want), want)
