@@ -15,9 +15,7 @@ from .quantaloid import (
     TableQuantaloid,
     build_language_quantale,
     build_metric_quantale,
-    build_powerset_quantaloid,
     build_rel_quantaloid,
-    residual,
     tensor,
     validate_quantaloid,
 )
@@ -25,13 +23,8 @@ from .vcat import (
     EnrichedGraph,
     VCategory,
     VFunctor,
-    coproduct,
-    enumerate_vfunctors,
-    exists_vnatural,
     free_vcategory,
     pullback,
-    slice_quantaloid,
-    terminal,
     validate_vcategory,
     validate_vfunctor,
 )
@@ -54,13 +47,10 @@ from .bisim import (
 from .cob import (
     TwoSidedEnrichment,
     apply_cob,
-    compose_tse,
     local_right_adjoints,
     monoid_congruence_tse,
     right_adjoint_cob,
-    slice_change,
     validate_tse,
-    vcat_as_tse,
 )
 from .cts import (
     CatFunctor,

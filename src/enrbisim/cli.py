@@ -121,30 +121,15 @@ def _dispatch(command, bundle, flags) -> Report:
         return _cmd_span(bundle, flags)
     if command == "cob-apply":
         tse = bundle.get(flags.tse, TwoSidedEnrichment)
-        a = bundle.get(flags.a, VCategory)
-        out = apply_cob(tse, a)
-        bundle.objects[flags.out] = out
-        bundle.kinds[flags.out] = "vcategory"
-        return Report(
-            command,
-            "valid",
-            {"result": documents.vcategory_to_doc(bundle, flags.out, out)},
-        )
+        out = apply_cob(tse, bundle.get(flags.a, VCategory))
+        return Report(command, "valid", {"result": _store(bundle, flags.out, out)})
     if command == "cob-radjoint":
         tse = bundle.get(flags.tse, TwoSidedEnrichment)
         b = bundle.get(flags.b, VCategory)
         report = local_right_adjoints(tse, enum_cap=flags.enum_cap)
         out = right_adjoint_cob(tse, b, report)
-        bundle.objects[flags.out] = out
-        bundle.kinds[flags.out] = "vcategory"
-        return Report(
-            command,
-            "valid",
-            {
-                "coherent": report.coherent,
-                "result": documents.vcategory_to_doc(bundle, flags.out, out),
-            },
-        )
+        details = {"coherent": report.coherent, "result": _store(bundle, flags.out, out)}
+        return Report(command, "valid", details)
     if command == "axioms":
         return _cmd_axioms(bundle, flags)
     if command == "cts-build":
@@ -152,6 +137,13 @@ def _dispatch(command, bundle, flags) -> Report:
     if command == "cts-refine":
         return _cmd_cts_refine(bundle, flags)
     raise EnrbisimError(f"unknown command {command!r}")
+
+
+def _store(bundle: documents.Bundle, name: str, out: VCategory) -> dict:
+    """Keep a command's result in the bundle under ``name``; return its document."""
+    bundle.objects[name] = out
+    bundle.kinds[name] = "vcategory"
+    return documents.vcategory_to_doc(bundle, name, out)
 
 
 def _cmd_validate(bundle, flags) -> Report:
@@ -211,15 +203,13 @@ def _cmd_quotient(bundle, flags) -> Report:
     rel = bundle.get(flags.rel, bisim.SimRelation)
     equivalence = bisim.equivalence_closure(rel)
     quo, qmap = bisim.quotient(a, equivalence)
-    bundle.objects[flags.out] = quo
-    bundle.kinds[flags.out] = "vcategory"
     return Report(
         "quotient",
         "valid",
         {
             "blocks": [[a.objects[i] for i in block] for block in equivalence.blocks],
             "map_in_class": bisim.is_od(qmap),
-            "result": documents.vcategory_to_doc(bundle, flags.out, quo),
+            "result": _store(bundle, flags.out, quo),
         },
     )
 
@@ -277,6 +267,8 @@ def _cmd_axioms(bundle, flags) -> Report:
 
     base = bundle.get(flags.base, Quantaloid)
     suite = _parse_suite(flags.suite)
+    if flags.cases < 1:
+        raise ParseError(f"--cases must be at least 1, not {flags.cases}")
     outcome = run_axiom_suite(suite, base, flags.seed, flags.cases)
     failures = {name: msgs for name, msgs in outcome.items() if msgs}
     return Report(
@@ -301,14 +293,12 @@ def _cmd_cts_build(bundle, flags) -> Report:
     sieve_name = f"S({cat_name})"
     bundle.objects.setdefault(sieve_name, sieves)
     bundle.kinds.setdefault(sieve_name, "quantaloid")
-    bundle.objects[flags.out] = out
-    bundle.kinds[flags.out] = "vcategory"
     return Report(
         "cts-build",
         "valid" if base_report.ok else "invalid",
         {
             "sieve_base_violations": base_report.violations,
-            "result": documents.vcategory_to_doc(bundle, flags.out, out),
+            "result": _store(bundle, flags.out, out),
         },
     )
 
@@ -324,13 +314,7 @@ def _cmd_cts_refine(bundle, flags) -> Report:
     sieve_name = f"S({target_name})"
     bundle.objects.setdefault(sieve_name, target_sq)
     bundle.kinds.setdefault(sieve_name, "quantaloid")
-    bundle.objects[flags.out] = out
-    bundle.kinds[flags.out] = "vcategory"
-    return Report(
-        "cts-refine",
-        "valid",
-        {"result": documents.vcategory_to_doc(bundle, flags.out, out)},
-    )
+    return Report("cts-refine", "valid", {"result": _store(bundle, flags.out, out)})
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,7 +21,7 @@ from .errors import (
     TypeMismatch,
     UnknownObject,
 )
-from .lattice import DownsetLattice, MonotoneMap, PowersetLattice, verify_adjunction
+from .lattice import DownsetLattice, MonotoneMap, PowersetLattice
 from .quantaloid import Quantaloid
 from .cob import TwoSidedEnrichment, apply_cob, local_right_adjoints
 from .vcat import EnrichedGraph, VCategory, free_vcategory
@@ -196,24 +196,29 @@ def validate_fincat(cat: FiniteCategory) -> list[str]:
         if cat.compose_mor(p1, f) != cat.compose_mor(p2, g):
             out.append(f"chosen pullback square of ({f},{g}) does not commute")
             continue
-        apex = cat.mor_src(p1)
-        for q_obj in range(cat.n_objects):
-            for q1 in cat.hom_morphisms(q_obj, cat.mor_src(f)):
-                for q2 in cat.hom_morphisms(q_obj, cat.mor_src(g)):
-                    if cat.compose_mor(q1, f) != cat.compose_mor(q2, g):
-                        continue
-                    mediators = [
-                        u
-                        for u in cat.hom_morphisms(q_obj, apex)
-                        if cat.compose_mor(u, p1) == q1
-                        and cat.compose_mor(u, p2) == q2
-                    ]
-                    if len(mediators) != 1:
-                        out.append(
-                            f"chosen pullback of ({f},{g}) not universal for a "
-                            f"cone from {cat.objects[q_obj]}"
-                        )
+        out.extend(
+            f"chosen pullback of ({f},{g}) not universal for a cone from {cat.objects[q]}"
+            for q in _cones_without_mediator(cat, f, g, p1, p2)
+        )
     return out
+
+
+def _cones_without_mediator(cat: FiniteCategory, f: int, g: int, p1: int, p2: int):
+    """The source object of every cone over the cospan ``(f, g)`` that does
+    not factor through the commuting square ``(p1, p2)`` exactly once."""
+    apex = cat.mor_src(p1)
+    for q_obj in range(cat.n_objects):
+        for q1 in cat.hom_morphisms(q_obj, cat.mor_src(f)):
+            for q2 in cat.hom_morphisms(q_obj, cat.mor_src(g)):
+                if cat.compose_mor(q1, f) != cat.compose_mor(q2, g):
+                    continue
+                mediators = [
+                    u
+                    for u in cat.hom_morphisms(q_obj, apex)
+                    if cat.compose_mor(u, p1) == q1 and cat.compose_mor(u, p2) == q2
+                ]
+                if len(mediators) != 1:
+                    yield q_obj
 
 
 class PowersetCatQuantaloid(Quantaloid):
@@ -402,22 +407,10 @@ def preserves_chosen_pullbacks(fun: CatFunctor) -> list[str]:
         if tgt.compose_mor(tp1, tf) != tgt.compose_mor(tp2, tg):
             out.append(f"image of chosen square ({f},{g}) does not commute")
             continue
-        apex = tgt.mor_src(tp1)
-        for q_obj in range(tgt.n_objects):
-            for q1 in tgt.hom_morphisms(q_obj, tgt.mor_src(tf)):
-                for q2 in tgt.hom_morphisms(q_obj, tgt.mor_src(tg)):
-                    if tgt.compose_mor(q1, tf) != tgt.compose_mor(q2, tg):
-                        continue
-                    mediators = [
-                        u
-                        for u in tgt.hom_morphisms(q_obj, apex)
-                        if tgt.compose_mor(u, tp1) == q1
-                        and tgt.compose_mor(u, tp2) == q2
-                    ]
-                    if len(mediators) != 1:
-                        out.append(
-                            f"image of chosen square ({f},{g}) is not a pullback"
-                        )
+        out.extend(
+            f"image of chosen square ({f},{g}) is not a pullback"
+            for _ in _cones_without_mediator(tgt, tf, tg, tp1, tp2)
+        )
     return out
 
 
@@ -499,99 +492,3 @@ def refine(
                     f"computed adjoint disagrees with the preimage at ({x},{y})"
                 )
     return apply_cob(tse, a)
-
-
-class CatAdjunction(NamedTuple):
-    """An adjunction between finite categories, given by unit and counit."""
-
-    left: CatFunctor  # F : A -> B
-    right: CatFunctor  # G : B -> A
-    unit: list[int]  # per object a of A, a morphism a -> G F a
-    counit: list[int]  # per object b of B, a morphism F G b -> b
-
-    def validate(self) -> list[str]:
-        out = []
-        a_cat, b_cat = self.left.source, self.left.target
-        if self.right.source is not b_cat or self.right.target is not a_cat:
-            return ["the two functors are not opposed"]
-        for a in range(a_cat.n_objects):
-            eta = self.unit[a]
-            if a_cat.mor_src(eta) != a or a_cat.mor_tgt(eta) != self.right.obj_map[
-                self.left.obj_map[a]
-            ]:
-                out.append(f"unit mistyped at {a_cat.objects[a]}")
-        for b in range(b_cat.n_objects):
-            eps = self.counit[b]
-            if b_cat.mor_src(eps) != self.left.obj_map[
-                self.right.obj_map[b]
-            ] or b_cat.mor_tgt(eps) != b:
-                out.append(f"counit mistyped at {b_cat.objects[b]}")
-        if out:
-            return out
-        for a in range(a_cat.n_objects):
-            lhs = b_cat.compose_mor(
-                self.left.mor_map[self.unit[a]],
-                self.counit[self.left.obj_map[a]],
-            )
-            if lhs != b_cat.identities[self.left.obj_map[a]]:
-                out.append(f"triangle identity fails at {a_cat.objects[a]}")
-        for b in range(b_cat.n_objects):
-            lhs = a_cat.compose_mor(
-                self.unit[self.right.obj_map[b]],
-                self.right.mor_map[self.counit[b]],
-            )
-            if lhs != a_cat.identities[self.right.obj_map[b]]:
-                out.append(f"triangle identity fails at {b_cat.objects[b]}")
-        return out
-
-    def transpose(self, t: int, b: int) -> int:
-        """Mate of ``t : a -> G b`` across the adjunction: ``F a -> b``."""
-        return self.left.target.compose_mor(self.left.mor_map[t], self.counit[b])
-
-
-def crible_left_adjoints(
-    adj: CatAdjunction,
-    sa: CribleQuantaloid,
-    sb: CribleQuantaloid,
-) -> dict[tuple[int, int], MonotoneMap]:
-    """Left adjoints to the sieve images along the right functor.
-
-    For an adjunction the direct-image span along the right functor has,
-    on top of its right adjoints, local left adjoints that transpose
-    every span leg.  ``sa`` holds the sieves over the left functor's
-    source and ``sb`` those over its target; each candidate is verified
-    against the Galois condition before being returned.
-    """
-    if sa.cat is not adj.left.source or sb.cat is not adj.left.target:
-        raise NotExact("the sieve bases do not match the adjunction")
-    b_cat = adj.left.target
-    out = {}
-    for x in range(b_cat.n_objects):
-        for y in range(b_cat.n_objects):
-            gx, gy = adj.right.obj_map[x], adj.right.obj_map[y]
-
-            def left(crible, x=x, y=y):
-                spans = [
-                    Span(
-                        adj.left.obj_map[s.apex],
-                        adj.transpose(s.left, x),
-                        adj.transpose(s.right, y),
-                    )
-                    for s in crible
-                ]
-                return sb.down_close(x, y, spans)
-
-            candidate = MonotoneMap.from_function(
-                sa.hom(gx, gy), sb.hom(x, y), left
-            )
-            g_component = MonotoneMap.from_function(
-                sb.hom(x, y),
-                sa.hom(gx, gy),
-                lambda crible, gx=gx, gy=gy: sa.down_close(
-                    gx, gy, [adj.right.apply_span(s) for s in crible]
-                ),
-            )
-            if not verify_adjunction(candidate, g_component):
-                raise NoAdjoint(f"no left adjoint at objects ({x},{y})")
-            out[(x, y)] = candidate
-    return out

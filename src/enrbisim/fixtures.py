@@ -40,8 +40,8 @@ def rel1():
 
 def bp2():
     """Powersets of the hom-sets of the two-point poset 0 <= 1."""
+    from .constructions import build_powerset_quantaloid
     from .cts import FiniteCategory
-    from .quantaloid import build_powerset_quantaloid
 
     return build_powerset_quantaloid(
         FiniteCategory.poset(["0", "1"], [(0, 0), (0, 1), (1, 1)])

@@ -22,17 +22,9 @@ from .bisim import (
     largest_bisimulation,
     quotient,
 )
+from .constructions import coproduct, terminal, to_terminal
 from .quantaloid import Quantaloid
-from .vcat import (
-    EnrichedGraph,
-    VCategory,
-    VFunctor,
-    coproduct,
-    free_vcategory,
-    pullback,
-    terminal,
-    to_terminal,
-)
+from .vcat import EnrichedGraph, VCategory, VFunctor, free_vcategory, pullback
 
 
 def random_vcategory(

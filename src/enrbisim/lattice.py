@@ -19,6 +19,7 @@ when a join or meet does not exist.
 from __future__ import annotations
 
 import itertools
+from types import MappingProxyType
 from typing import Any, Iterable, Iterator
 
 from .errors import IncompleteLattice, NoAdjoint, SizeLimit, UnknownElement
@@ -99,6 +100,18 @@ class Lattice:
         return x == y
 
 
+def _bound(mask: int, cones: list[int]) -> int | None:
+    """The member of ``mask`` whose cone contains all of ``mask``: with
+    up-sets as cones the least member, with down-sets the greatest."""
+    m = mask
+    while m:
+        z = (m & -m).bit_length() - 1
+        if mask & ~cones[z] == 0:
+            return z
+        m &= m - 1
+    return None
+
+
 class TableLattice(Lattice):
     """Lattice given extensionally by an element list and an order table.
 
@@ -124,36 +137,14 @@ class TableLattice(Lattice):
             downs[j] |= 1 << i
         self._ups = ups
         self._downs = downs
-        self._joins = [[self._lub(i, j) for j in range(n)] for i in range(n)]
-        self._meets = [[self._glb(i, j) for j in range(n)] for i in range(n)]
+        self._joins = [[_bound(ups[i] & ups[j], ups) for j in range(n)] for i in range(n)]
+        self._meets = [[_bound(downs[i] & downs[j], downs) for j in range(n)] for i in range(n)]
         self._bottom = next((i for i in range(n) if ups[i] == full), None)
         self._top = next((i for i in range(n) if downs[i] == full), None)
         self._distributive: bool | None = None
 
     def __repr__(self):
         return f"TableLattice({self._n} elements)"
-
-    def _least_of(self, mask: int) -> int | None:
-        m = mask
-        while m:
-            z = (m & -m).bit_length() - 1
-            if mask & ~self._ups[z] == 0:
-                return z
-            m &= m - 1
-        return None
-
-    def _lub(self, i, j):
-        return self._least_of(self._ups[i] & self._ups[j])
-
-    def _glb(self, i, j):
-        mask = self._downs[i] & self._downs[j]
-        m = mask
-        while m:
-            z = (m & -m).bit_length() - 1
-            if mask & ~self._downs[z] == 0:
-                return z
-            m &= m - 1
-        return None
 
     @property
     def size(self) -> int:
@@ -381,66 +372,16 @@ class DownsetLattice(_SetLattice):
         return self.down_close(u for u in self.universe if rng.random() < p)
 
 
-class PrincipalDownsetLattice(Lattice):
-    """The elements of a base lattice lying below a fixed cap element.
-
-    Closed under the base joins and meets, with the cap as top, so it is
-    a complete lattice in its own right.
-    """
-
-    def __init__(self, base: Lattice, cap):
-        base.check_element(cap)
-        self.base = base
-        self.cap = cap
-        self._size: int | None = None
-
-    def __repr__(self):
-        return f"PrincipalDownsetLattice(cap={self.cap!r})"
-
-    @property
-    def size(self) -> int:
-        if self._size is None:
-            self._size = sum(1 for _ in self.elements())
-        return self._size
-
-    def elements(self):
-        return (x for x in self.base.elements() if self.base.leq(x, self.cap))
-
-    def has_element(self, x) -> bool:
-        return self.base.has_element(x) and self.base._leq(x, self.cap)
-
-    def _leq(self, x, y) -> bool:
-        return self.base._leq(x, y)
-
-    def _join(self, xs: Iterable):
-        return self.base._join(xs)
-
-    def _meet(self, xs: Iterable):
-        vals = list(xs)
-        return self.base._meet(vals) if vals else self.cap
-
-    def is_distributive(self) -> bool:
-        xs = list(self.elements())
-        for x in xs:
-            for y in xs:
-                for z in xs:
-                    if self.meet([x, self.join([y, z])]) != self.join(
-                        [self.meet([x, y]), self.meet([x, z])]
-                    ):
-                        return False
-        return True
-
-    def sample(self, rng):
-        return self.base.meet([self.base.sample(rng), self.cap])
-
-
 class MonotoneMap:
-    """An order-preserving assignment between two finite lattices."""
+    """An order-preserving assignment between two finite lattices.
+
+    ``mapping`` is a read-only view of a private copy of the assignment.
+    """
 
     def __init__(self, source: Lattice, target: Lattice, mapping: dict):
         self.source = source
         self.target = target
-        self.mapping = dict(mapping)
+        self.mapping = MappingProxyType(dict(mapping))
 
     def __call__(self, x):
         try:
@@ -517,14 +458,3 @@ def right_adjoint_of_monotone(
                     " (the map does not preserve all joins)"
                 )
     return g
-
-
-def verify_adjunction(left: MonotoneMap, right: MonotoneMap) -> bool:
-    """Check ``left(v) <= w  iff  v <= right(w)`` for every pair."""
-    if left.source is not right.target or left.target is not right.source:
-        return False
-    return all(
-        left.target.leq(left(v), w) == left.source.leq(v, right(w))
-        for v in left.source.elements()
-        for w in left.target.elements()
-    )

@@ -4,8 +4,8 @@ A quantaloid here is a finite object set with a complete lattice of
 arrows between each ordered pair, an associative composition that
 preserves joins in each argument separately, and identity arrows.
 One-object quantaloids are quantales.  The standard bases (relations,
-powersets of hom-sets, truncated word languages, metric grids) are
-provided as builders; user-supplied bases come in as explicit tables.
+truncated word languages, metric grids, truth values) are provided as
+builders; user-supplied bases come in as explicit tables.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from typing import Any, Iterable, NamedTuple
 
 from .errors import (
     BadGrid,
-    InternalAssertion,
     NotComposable,
     SizeLimit,
     UnknownObject,
@@ -311,52 +310,6 @@ def tensor(q: Quantaloid, f: QuantaloidElement, g: QuantaloidElement) -> Quantal
     return QuantaloidElement(f.source, g.target, value)
 
 
-def residual(
-    q: Quantaloid,
-    side: str,
-    f: QuantaloidElement,
-    h: QuantaloidElement,
-    enum_cap: int = DEFAULT_ENUM_CAP,
-) -> QuantaloidElement:
-    """Largest ``g`` with ``f . g <= h`` (right) or ``g . f <= h`` (left).
-
-    These exist because composition preserves joins in each argument;
-    the defining inequality is asserted on the result.
-    """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    if side == "right":
-        if f.source != h.source:
-            raise NotComposable("right residual needs f and h out of one object")
-        u, v, w = f.source, f.target, h.target
-        free = (v, w)
-
-        def comp(g):
-            return q.compose(u, v, w, f.value, g)
-
-    else:
-        if f.target != h.target:
-            raise NotComposable("left residual needs f and h into one object")
-        u, v, w = h.source, f.source, f.target
-        free = (u, v)
-
-        def comp(g):
-            return q.compose(u, v, w, g, f.value)
-
-    q.hom(f.source, f.target).check_element(f.value)
-    hom, out_hom = q.hom(*free), q.hom(u, w)
-    if isinstance(hom, PowersetLattice):
-        value = frozenset(
-            y for y in hom.universe if out_hom.leq(comp(frozenset({y})), h.value)
-        )
-    else:
-        hom.ensure_enumerable(enum_cap)
-        value = hom.join(g for g in hom.elements() if out_hom.leq(comp(g), h.value))
-    if not out_hom.leq(comp(value), h.value):
-        raise InternalAssertion(f"{side} residual violates its defining inequality")
-    return QuantaloidElement(*free, value)
-
-
 class QuantaloidReport(NamedTuple):
     """Outcome of validating a quantaloid."""
 
@@ -510,17 +463,6 @@ def build_rel_quantaloid(
     return RelQuantaloid(sets, names)
 
 
-def build_powerset_quantaloid(cat, max_morphisms: int = 12) -> Quantaloid:
-    """Powersets of the hom-sets of a finite category, composed pointwise."""
-    from .cts import PowersetCatQuantaloid  # deferred: cts builds on this module
-
-    for c in range(len(cat.objects)):
-        for d in range(len(cat.objects)):
-            if len(cat.hom_morphisms(c, d)) > max_morphisms:
-                raise SizeLimit("hom powerset too large")
-    return PowersetCatQuantaloid(cat)
-
-
 def build_language_quantale(
     alphabet: Iterable[str], k: int, max_words: int = 1 << 20
 ) -> LanguageQuantale:
@@ -531,12 +473,6 @@ def build_language_quantale(
 def build_metric_quantale(grid) -> MetricQuantale:
     """Distances on an ascending grid from 0 to infinity."""
     return MetricQuantale(grid)
-
-
-def build_unit_quantaloid() -> TableQuantaloid:
-    """One object, one arrow: the unit for pasting enrichments."""
-    lat = TableLattice(["*"], [(0, 0)])
-    return TableQuantaloid(["*"], {(0, 0): lat}, {(0, 0, 0): [[0]]}, [0])
 
 
 def build_boolean_quantale() -> TableQuantaloid:

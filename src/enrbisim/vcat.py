@@ -1,4 +1,4 @@
-"""Categories enriched over a quantaloid, their functors and (co)limits.
+"""Categories enriched over a quantaloid, their functors, pullbacks and free constructions.
 
 An enriched category is a finite object set, an extent map into the
 base's objects, and a hom element in the base's hom lattice for each
@@ -11,15 +11,8 @@ from __future__ import annotations
 import itertools
 from typing import Any, NamedTuple
 
-from .errors import (
-    BaseMismatch,
-    NotComposable,
-    NotParallel,
-    SizeLimit,
-    TypeMismatch,
-    UnknownObject,
-)
-from .lattice import Lattice, PrincipalDownsetLattice
+from .errors import BaseMismatch, NotComposable, TypeMismatch, UnknownObject
+from .lattice import Lattice
 from .quantaloid import LanguageQuantale, Quantaloid
 
 
@@ -177,17 +170,6 @@ def validate_vfunctor(f: VFunctor) -> list[str]:
     return out
 
 
-def exists_vnatural(f: VFunctor, g: VFunctor) -> bool:
-    """Whether the unique candidate transformation from f to g exists."""
-    if f.source is not g.source or f.target is not g.target:
-        raise NotParallel("the functors are not parallel")
-    a, b = f.source, f.target
-    return all(
-        b.hom_lattice(f(i), g(i)).leq(b.base.unit(a.extents[i]), b.hom(f(i), g(i)))
-        for i in range(a.n_objects)
-    )
-
-
 def pullback(f: VFunctor, g: VFunctor) -> tuple[VCategory, VFunctor, VFunctor]:
     """Pairs agreeing in the target, with the meets of the factors' homs.
 
@@ -214,53 +196,6 @@ def pullback(f: VFunctor, g: VFunctor) -> tuple[VCategory, VFunctor, VFunctor]:
     ]
     p = VCategory(a.base, names, extents, homs)
     return p, VFunctor(p, a, [i for i, _ in pairs]), VFunctor(p, b, [j for _, j in pairs])
-
-
-def terminal(base: Quantaloid) -> VCategory:
-    """One point per base object, with the top element as every hom."""
-    n = base.n_objects
-    names = [f"*{base.objects[u]}" for u in range(n)]
-    homs = [[base.hom(u, v).top for v in range(n)] for u in range(n)]
-    return VCategory(base, names, list(range(n)), homs)
-
-
-def to_terminal(a: VCategory, one: VCategory) -> VFunctor:
-    """The unique extent-determined map into the terminal enrichment."""
-    return VFunctor(a, one, [a.extents[i] for i in range(a.n_objects)])
-
-
-def coproduct(parts: list[VCategory]) -> tuple[VCategory, list[VFunctor]]:
-    """Disjoint union; homs across different summands are bottom."""
-    if not parts:
-        raise ValueError("coproduct needs at least one summand (may be empty)")
-    base = parts[0].base
-    for p in parts[1:]:
-        if p.base is not base:
-            raise BaseMismatch("summands live over different bases")
-    names, extents, owner = [], [], []
-    for idx, p in enumerate(parts):
-        for i in range(p.n_objects):
-            names.append(f"{p.objects[i]}#{idx}")
-            extents.append(p.extents[i])
-            owner.append((idx, i))
-    homs = []
-    for x, (ia, i) in enumerate(owner):
-        row = []
-        for y, (ib, j) in enumerate(owner):
-            if ia == ib:
-                row.append(parts[ia].hom(i, j))
-            else:
-                row.append(base.hom(extents[x], extents[y]).bottom)
-        homs.append(row)
-    total = VCategory(base, names, extents, homs)
-    injections = []
-    offset = 0
-    for p in parts:
-        injections.append(
-            VFunctor(p, total, list(range(offset, offset + p.n_objects)))
-        )
-        offset += p.n_objects
-    return total, injections
 
 
 class EnrichedGraph(NamedTuple):
@@ -324,198 +259,3 @@ def _kleene_closure(base: Quantaloid, extents: list[int], edges) -> list[list[An
                         homs[i][j] = lat.join([homs[i][j], comp])
                         changed = True
     return homs
-
-
-def enumerate_vfunctors(
-    a: VCategory, b: VCategory, cap: int = 200_000
-) -> list[VFunctor]:
-    """All functors from ``a`` to ``b``, by exhaustive search."""
-    require_same_base(a, b)
-    candidates = [b.fiber(a.extents[i]) for i in range(a.n_objects)]
-    total = 1
-    for c in candidates:
-        total *= len(c)
-        if total > cap:
-            raise SizeLimit(f"more than {cap} candidate maps")
-    out = []
-    for assignment in itertools.product(*candidates):
-        mapping = list(assignment)
-        ok = all(
-            a.hom_lattice(i, j).leq(a.hom(i, j), b.hom(mapping[i], mapping[j]))
-            for i in range(a.n_objects)
-            for j in range(a.n_objects)
-        )
-        if ok:
-            out.append(VFunctor(a, b, mapping))
-    return out
-
-
-class LaxRelationalPresentation(NamedTuple):
-    """Fibers over a finite category's objects, a relation per morphism.
-
-    The relational view of an enrichment over the powerset-of-homs base:
-    identities must relate each fiber element to itself, and relations
-    must compose laxly.
-    """
-
-    cat: Any  # FiniteCategory
-    fibers: list[list[str]]
-    relations: dict[int, set[tuple[int, int]]]  # morphism -> fiber index pairs
-
-
-def validate_laxrel(p: LaxRelationalPresentation) -> list[str]:
-    out = []
-    cat = p.cat
-    if len(p.fibers) != len(cat.objects):
-        return ["one fiber per category object is required"]
-    for c in range(len(cat.objects)):
-        ident = cat.identities[c]
-        rel = p.relations.get(ident, set())
-        for i in range(len(p.fibers[c])):
-            if (i, i) not in rel:
-                out.append(f"identity relation misses ({c},{i})")
-    for f in range(len(cat.morphisms)):
-        for g in range(len(cat.morphisms)):
-            if cat.mor_tgt(f) != cat.mor_src(g):
-                continue
-            fg = cat.compose_mor(f, g)
-            for x, y in p.relations.get(f, set()):
-                for y2, z in p.relations.get(g, set()):
-                    if y == y2 and (x, z) not in p.relations.get(fg, set()):
-                        out.append(
-                            f"composite relation misses ({x},{z}) under morphism {fg}"
-                        )
-    return out
-
-
-def laxrel_to_vcat(p: LaxRelationalPresentation, base=None) -> VCategory:
-    """Enrichment over the powerset base of the presentation's category."""
-    from .errors import ValidationError
-    from .quantaloid import build_powerset_quantaloid
-
-    problems = validate_laxrel(p)
-    if problems:
-        raise ValidationError(f"presentation invalid: {problems[0]}")
-    if base is None:
-        base = build_powerset_quantaloid(p.cat)
-    if getattr(base, "cat", None) is not p.cat:
-        raise BaseMismatch("base was built from a different category")
-    names, extents = [], []
-    for c, fiber in enumerate(p.fibers):
-        for name in fiber:
-            names.append(name)
-            extents.append(c)
-    index = {}
-    pos = 0
-    for c, fiber in enumerate(p.fibers):
-        for i in range(len(fiber)):
-            index[(c, i)] = pos
-            pos += 1
-    n = len(names)
-    homs = [[frozenset() for _ in range(n)] for _ in range(n)]
-    for c, fiber in enumerate(p.fibers):
-        for d, fiber2 in enumerate(p.fibers):
-            for i in range(len(fiber)):
-                for j in range(len(fiber2)):
-                    mors = frozenset(
-                        m
-                        for m in p.cat.hom_morphisms(c, d)
-                        if (i, j) in p.relations.get(m, set())
-                    )
-                    homs[index[(c, i)]][index[(d, j)]] = mors
-    return VCategory(base, names, extents, homs)
-
-
-def vcat_to_laxrel(a: VCategory) -> LaxRelationalPresentation:
-    """Inverse reading: fibers and one relation per base morphism."""
-    cat = getattr(a.base, "cat", None)
-    if cat is None:
-        raise BaseMismatch("the base is not a powerset-of-homs quantaloid")
-    fibers = [[a.objects[i] for i in a.fiber(c)] for c in range(len(cat.objects))]
-    fiber_idx = [a.fiber(c) for c in range(len(cat.objects))]
-    relations: dict[int, set[tuple[int, int]]] = {
-        m: set() for m in range(len(cat.morphisms))
-    }
-    for m in range(len(cat.morphisms)):
-        c, d = cat.mor_src(m), cat.mor_tgt(m)
-        for i, oi in enumerate(fiber_idx[c]):
-            for j, oj in enumerate(fiber_idx[d]):
-                if m in a.hom(oi, oj):
-                    relations[m].add((i, j))
-    return LaxRelationalPresentation(cat, fibers, relations)
-
-
-class SliceQuantaloid(Quantaloid):
-    """Arrows bounded by a fixed enrichment's homs.
-
-    Objects are the enrichment's objects; the lattice between two of
-    them is the down-set of base arrows below the enrichment's hom.
-    Composition and identities are inherited from the base.
-    """
-
-    def __init__(self, vcategory: VCategory):
-        super().__init__(list(vcategory.objects))
-        self.vcategory = vcategory
-        self.base = vcategory.base
-
-    def _make_hom(self, u, v):
-        a = self.vcategory
-        return PrincipalDownsetLattice(a.hom_lattice(u, v), a.hom(u, v))
-
-    def compose(self, u, v, w, f, g):
-        a = self.vcategory
-        return self.base.compose(a.extents[u], a.extents[v], a.extents[w], f, g)
-
-    def unit(self, u):
-        return self.base.unit(self.vcategory.extents[u])
-
-
-def slice_quantaloid(a: VCategory) -> SliceQuantaloid:
-    return SliceQuantaloid(a)
-
-
-def encode_slice(va: SliceQuantaloid, f: VFunctor) -> VCategory:
-    """View a functor into the slice's enrichment as a category over it."""
-    if f.target is not va.vcategory:
-        raise BaseMismatch("the functor does not land in the sliced enrichment")
-    x = f.source
-    homs = [
-        [x.hom(i, j) for j in range(x.n_objects)] for i in range(x.n_objects)
-    ]
-    return VCategory(va, list(x.objects), list(f.mapping), homs)
-
-
-def decode_slice(va: SliceQuantaloid, s: VCategory) -> VFunctor:
-    """Inverse of ``encode_slice``: rebuild the functor into the base."""
-    if s.base is not va:
-        raise BaseMismatch("the category does not live over this slice")
-    a = va.vcategory
-    extents = [a.extents[s.extents[i]] for i in range(s.n_objects)]
-    homs = [
-        [s.hom(i, j) for j in range(s.n_objects)] for i in range(s.n_objects)
-    ]
-    x = VCategory(a.base, list(s.objects), extents, homs)
-    return VFunctor(x, a, list(s.extents))
-
-
-def same_presentation(a: VCategory, b: VCategory) -> bool:
-    """Exact equality of presentation: names, extents and hom tables."""
-    return (
-        a.base is b.base
-        and a.objects == b.objects
-        and a.extents == b.extents
-        and a.homs == b.homs
-    )
-
-
-def isomorphic_by(a: VCategory, b: VCategory, mapping: list[int]) -> bool:
-    """Whether ``mapping`` is a bijective hom-preserving functor a -> b."""
-    if sorted(mapping) != list(range(b.n_objects)) or a.n_objects != b.n_objects:
-        return False
-    if any(a.extents[i] != b.extents[mapping[i]] for i in range(a.n_objects)):
-        return False
-    return all(
-        a.hom(i, j) == b.hom(mapping[i], mapping[j])
-        for i in range(a.n_objects)
-        for j in range(a.n_objects)
-    )

@@ -23,13 +23,19 @@ from enrbisim.bisim import (
 )
 from enrbisim.cob import (
     apply_cob,
-    apply_cob_vfunctor,
     identity_tse,
     local_right_adjoints,
     monoid_congruence_tse,
     monoid_morphism_pairs,
     right_adjoint_cob,
+)
+from enrbisim.constructions import (
+    apply_cob_vfunctor,
+    decode_slice,
+    encode_slice,
+    enumerate_vfunctors,
     slice_change,
+    slice_quantaloid,
     transpose_to_left,
     transpose_to_right,
 )
@@ -58,12 +64,8 @@ from enrbisim.vcat import (
     EnrichedGraph,
     VCategory,
     VFunctor,
-    encode_slice,
-    decode_slice,
-    enumerate_vfunctors,
     free_vcategory,
     pullback,
-    slice_quantaloid,
     validate_vcategory,
 )
 

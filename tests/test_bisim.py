@@ -34,12 +34,12 @@ from enrbisim.generators import (
     random_vcategory,
     run_axiom_suite,
 )
+from enrbisim.constructions import isomorphic_by
 from enrbisim.vcat import (
     EnrichedGraph,
     VCategory,
     VFunctor,
     free_vcategory,
-    isomorphic_by,
     validate_vcategory,
     validate_vfunctor,
 )

@@ -223,6 +223,12 @@ class TestExitCodeContract:
         self.assert_error(code, out)
         assert "ParseError" in json.loads(out)["details"]["error"]
 
+    @pytest.mark.parametrize("cases", ["0", "-3"])
+    def test_axiom_cases_below_one(self, capsys, cases):
+        code, out = invoke(capsys, "axioms", "--base", "Q2", "--cases", cases)
+        self.assert_error(code, out)
+        assert "ParseError" in json.loads(out)["details"]["error"]
+
     def test_missing_cts_spec(self, capsys):
         code, out = invoke(capsys, "cts-build", "--spec", "NOPE")
         self.assert_error(code, out)

@@ -5,43 +5,41 @@ import pytest
 
 from enrbisim.bisim import is_od
 from enrbisim.cob import (
-    CatenTwoCell,
     TwoSidedEnrichment,
     apply_cob,
+    identity_tse,
+    local_right_adjoints,
+    monoid_congruence_tse,
+    monoid_morphism_pairs,
+    right_adjoint_cob,
+    validate_tse,
+)
+from enrbisim.constructions import (
+    CatenTwoCell,
     apply_cob_vfunctor,
     caten_2cell_leq,
     category_congruence_tse,
     check_caten_2cell,
     compose_tse,
+    encode_slice,
+    enumerate_vfunctors,
     functor_exists_tse,
     functor_preimage_tse,
-    identity_tse,
     is_strong_tse,
-    local_right_adjoints,
-    monoid_congruence_tse,
-    monoid_morphism_pairs,
-    right_adjoint_cob,
     slice_change,
+    slice_quantaloid,
     transpose_to_left,
     transpose_to_right,
     tse_as_vcat,
-    validate_tse,
     vcat_as_tse,
+    verify_adjunction,
 )
-from enrbisim.errors import NoAdjoint, NotACongruence
+from enrbisim.errors import BaseMismatch, NoAdjoint, NotACongruence
 from enrbisim.fixtures import aut1, loop1, p01, point, q2, ql
 from enrbisim.generators import random_od_map
-from enrbisim.lattice import MonotoneMap, verify_adjunction
+from enrbisim.lattice import MonotoneMap
 from enrbisim.quantaloid import build_language_quantale
-from enrbisim.vcat import (
-    VFunctor,
-    encode_slice,
-    enumerate_vfunctors,
-    pullback,
-    slice_quantaloid,
-    validate_vcategory,
-    validate_vfunctor,
-)
+from enrbisim.vcat import VFunctor, pullback, validate_vcategory, validate_vfunctor
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +209,17 @@ class TestRightAdjointCob:
         f = relabel_tse(QLm, QLn, {"m": "n"})
         self._bijection_case(f, aut1(QLm), loop1(QLn, letter="n"))
 
+    def test_transport_needs_a_changed_base(self, Q2):
+        # an enrichment that apply_cob/right_adjoint_cob did not build
+        f, a = identity_tse(Q2), point(Q2)
+        g = VFunctor.identity(a)
+        with pytest.raises(BaseMismatch):
+            apply_cob_vfunctor(f, g, a, a)
+        with pytest.raises(BaseMismatch):
+            transpose_to_right(f, a, a, a, g)
+        with pytest.raises(BaseMismatch):
+            transpose_to_left(f, a, a, a, g)
+
 
 class TestCatenTwoCells:
     def test_identity_cell(self, QLm, QLn):
@@ -264,7 +273,7 @@ class TestVcatAsTse:
         assert len(cells) == len(enumerate_vfunctors(a, b))
 
     def test_cell_order_matches_transformation_existence(self, Q2):
-        from enrbisim.vcat import exists_vnatural
+        from enrbisim.constructions import exists_vnatural
 
         a = p01(Q2)
         ta = vcat_as_tse(a)
@@ -341,7 +350,7 @@ class TestMonoidCongruence:
 class TestCategoryCongruence:
     def _posets(self):
         from enrbisim.cts import CatFunctor, FiniteCategory
-        from enrbisim.quantaloid import build_powerset_quantaloid
+        from enrbisim.constructions import build_powerset_quantaloid
 
         c = FiniteCategory.poset(["0", "1"], [(0, 0), (0, 1), (1, 1)])
         base = build_powerset_quantaloid(c)

@@ -1,9 +1,9 @@
 import pytest
 
 from enrbisim.bisim import is_od
-from enrbisim.cob import apply_cob_vfunctor, local_right_adjoints
+from enrbisim.cob import local_right_adjoints
+from enrbisim.constructions import CatAdjunction, apply_cob_vfunctor, crible_left_adjoints
 from enrbisim.cts import (
-    CatAdjunction,
     CatFunctor,
     CtsSpec,
     FiniteCategory,
@@ -12,7 +12,6 @@ from enrbisim.cts import (
     all_spans,
     build_S_quantaloid,
     crible_change_tse,
-    crible_left_adjoints,
     crible_preimage_map,
     cts_to_vcat,
     identity_span,
@@ -187,7 +186,7 @@ class TestCtsToVcat:
             )
 
     def test_disjoint_specs_give_coproduct(self, poset2):
-        from enrbisim.vcat import coproduct
+        from enrbisim.constructions import coproduct
 
         sq = build_S_quantaloid(poset2)
         spec1 = CtsSpec(vertices=[("s", 0)], edges=[(0, 0, identity_span(poset2, 0))])

@@ -3,13 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from enrbisim.constructions import verify_adjunction
 from enrbisim.errors import NoAdjoint, SizeLimit, UnknownElement
 from enrbisim.lattice import (
     MonotoneMap,
     PowersetLattice,
     TableLattice,
     right_adjoint_of_monotone,
-    verify_adjunction,
 )
 
 
@@ -192,6 +192,15 @@ class TestMonotoneAdjoints:
         two = TableLattice.boolean()
         f = MonotoneMap(two, two, {0: 1, 1: 0})
         assert f.check()
+
+    def test_mapping_is_read_only(self):
+        two = TableLattice.boolean()
+        given = {0: 0, 1: 1}
+        f = MonotoneMap(two, two, given)
+        with pytest.raises(TypeError):
+            f.mapping[0] = 1
+        given[0] = 1  # the map keeps its own copy
+        assert f(0) == 0
 
 
 class TestJoinOrderProperties:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from enrbisim.constructions import residual
 from enrbisim.errors import BadGrid, NotComposable, SizeLimit
 from enrbisim.fixtures import bp2, m3, penta, q2, ql, rel1
 from enrbisim.lattice import TableLattice
@@ -13,7 +14,6 @@ from enrbisim.quantaloid import (
     build_metric_quantale,
     build_rel_quantaloid,
     grid_value,
-    residual,
     tensor,
     validate_quantaloid,
 )
@@ -175,7 +175,7 @@ class TestPowersetQuantaloid:
 
     def test_one_object_one_identity_matches_truth_values(self):
         from enrbisim.cts import FiniteCategory
-        from enrbisim.quantaloid import build_powerset_quantaloid
+        from enrbisim.constructions import build_powerset_quantaloid
 
         q = build_powerset_quantaloid(FiniteCategory.poset(["x"], [(0, 0)]))
         hom = q.hom(0, 0)

@@ -22,6 +22,7 @@ KEPT_OFF = {
     "decimal",
     "enrbisim.generators",
     "enrbisim.fixtures",
+    "enrbisim.constructions",
 }
 TRACED = {
     f"enrbisim.{name}"

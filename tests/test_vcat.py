@@ -5,6 +5,21 @@ import random
 import pytest
 
 from enrbisim.cli import main
+from enrbisim.constructions import (
+    LaxRelationalPresentation,
+    coproduct,
+    decode_slice,
+    encode_slice,
+    enumerate_vfunctors,
+    exists_vnatural,
+    isomorphic_by,
+    laxrel_to_vcat,
+    same_presentation,
+    slice_quantaloid,
+    terminal,
+    to_terminal,
+    vcat_to_laxrel,
+)
 from enrbisim.cts import FiniteCategory, build_S_quantaloid
 from enrbisim.documents import SCHEMA
 from enrbisim.errors import (
@@ -19,26 +34,13 @@ from enrbisim.generators import random_vcategory
 from enrbisim.quantaloid import build_language_quantale, validate_quantaloid
 from enrbisim.vcat import (
     EnrichedGraph,
-    LaxRelationalPresentation,
     VCategory,
     VFunctor,
     _kleene_closure,
-    coproduct,
-    decode_slice,
-    encode_slice,
-    enumerate_vfunctors,
-    exists_vnatural,
     free_vcategory,
-    isomorphic_by,
-    laxrel_to_vcat,
     pullback,
-    same_presentation,
-    slice_quantaloid,
-    terminal,
-    to_terminal,
     validate_vcategory,
     validate_vfunctor,
-    vcat_to_laxrel,
 )
 
 
@@ -420,7 +422,7 @@ class TestEnumerateVFunctors:
 class TestLaxRelational:
     def _presentation(self):
         from enrbisim.cts import FiniteCategory
-        from enrbisim.quantaloid import build_powerset_quantaloid
+        from enrbisim.constructions import build_powerset_quantaloid
 
         cat = FiniteCategory.poset(["0", "1"], [(0, 0), (0, 1), (1, 1)])
         base = build_powerset_quantaloid(cat)
@@ -454,7 +456,7 @@ class TestLaxRelational:
 
     def test_random_round_trips(self):
         from enrbisim.cts import FiniteCategory
-        from enrbisim.quantaloid import build_powerset_quantaloid
+        from enrbisim.constructions import build_powerset_quantaloid
 
         rng = random.Random(11)
         cat = FiniteCategory.poset(["0", "1"], [(0, 0), (0, 1), (1, 1)])
