@@ -11,7 +11,7 @@ has a right adjoint built from those local adjoints.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Any, Iterable, Iterator, NamedTuple
 
 from .errors import BaseMismatch, NoAdjoint, NotACongruence, SizeLimit
 from .lattice import DEFAULT_ENUM_CAP, Lattice, MonotoneMap, right_adjoint_of_monotone
@@ -67,25 +67,24 @@ class TwoSidedEnrichment:
         return f"TwoSidedEnrichment({len(self.carriers)} carriers)"
 
 
-def composition_square_holds(
+def composition_square(
     dom: Quantaloid,
     cod: Quantaloid,
     dom_obj: list[int],
     cod_obj: list[int],
     maps: dict[tuple[int, int], MonotoneMap],
     triple: tuple[int, int, int],
-    holds: Callable[[Lattice, Any, Any], bool],
     enum_cap: int,
-) -> bool:
-    """The composition square of a family of hom maps at one carrier triple.
+) -> Iterator[tuple[Lattice, Any, Any]]:
+    """The two sides of the composition square of a family of hom maps.
 
     ``maps[x, y]`` sends hom(dom_obj[x], dom_obj[y]) of ``dom`` into
-    hom(cod_obj[x], cod_obj[y]) of ``cod``.  For every ``g`` and ``h``
-    composable in ``dom`` at ``(x, y, z)``, ``holds(lattice, lhs, rhs)``
-    must be true of ``lhs = maps[x, y](g) ; maps[y, z](h)``, composed in
-    ``cod``, and ``rhs = maps[x, z](g ; h)``; ``lattice`` is the ``cod``
-    hom both lie in.  Raises ``SizeLimit`` when one of the two ``dom``
-    homs has more than ``enum_cap`` elements.
+    hom(cod_obj[x], cod_obj[y]) of ``cod``.  At the carrier triple
+    ``(x, y, z)`` this yields ``(lattice, lhs, rhs)`` for every ``g`` and
+    ``h`` composable in ``dom``, where ``lhs = maps[x, y](g) ; maps[y, z](h)``
+    is composed in ``cod``, ``rhs = maps[x, z](g ; h)`` and ``lattice`` is
+    the ``cod`` hom both lie in.  Raises ``SizeLimit`` at once when one
+    of the two ``dom`` homs has more than ``enum_cap`` elements.
     """
     x, y, z = triple
     d, c = dom_obj, cod_obj
@@ -93,8 +92,8 @@ def composition_square_holds(
     hom_xy.ensure_enumerable(enum_cap)
     hom_yz.ensure_enumerable(enum_cap)
     lat, m_xy, m_yz, m_xz = cod.hom(c[x], c[z]), maps[x, y], maps[y, z], maps[x, z]
-    return all(
-        holds(
+    return (
+        (
             lat,
             cod.compose(c[x], c[y], c[z], m_xy(g), m_yz(h)),
             m_xz(dom.compose(d[x], d[y], d[z], g, h)),
@@ -102,10 +101,6 @@ def composition_square_holds(
         for g in hom_xy.elements()
         for h in hom_yz.elements()
     )
-
-
-def _below(lat: Lattice, lhs, rhs) -> bool:
-    return lat.leq(lhs, rhs)
 
 
 def validate_tse(f: TwoSidedEnrichment, enum_cap: int = DEFAULT_ENUM_CAP) -> list[str]:
@@ -135,8 +130,11 @@ def validate_tse(f: TwoSidedEnrichment, enum_cap: int = DEFAULT_ENUM_CAP) -> lis
             out.append(f"unit square fails at carrier {f.carriers[x]}")
     for x, y, z in itertools.product(range(f.n_carriers), repeat=3):
         try:
-            lax = composition_square_holds(
-                f.source, f.target, f.minus, f.plus, f.components, (x, y, z), _below, enum_cap
+            lax = all(
+                lat.leq(lhs, rhs)
+                for lat, lhs, rhs in composition_square(
+                    f.source, f.target, f.minus, f.plus, f.components, (x, y, z), enum_cap
+                )
             )
         except SizeLimit:
             out.append(f"hom pair at carriers ({x},{y},{z}) too large to check")
@@ -216,8 +214,11 @@ def local_right_adjoints(
     violations = [
         f"adjoint composition inequality fails at ({x},{y},{z})"
         for x, y, z in itertools.product(range(f.n_carriers), repeat=3)
-        if not composition_square_holds(
-            f.target, f.source, f.plus, f.minus, adjoints, (x, y, z), _below, enum_cap
+        if not all(
+            lat.leq(lhs, rhs)
+            for lat, lhs, rhs in composition_square(
+                f.target, f.source, f.plus, f.minus, adjoints, (x, y, z), enum_cap
+            )
         )
     ]
     coherence1 = not violations

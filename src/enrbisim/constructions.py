@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Iterable, NamedTuple
 
-from .cob import TwoSidedEnrichment, composition_square_holds
+from .cob import TwoSidedEnrichment, composition_square
 from .cts import CatFunctor, CribleQuantaloid, PowersetCatQuantaloid, Span
 from .errors import (
     BaseMismatch,
@@ -161,7 +161,7 @@ def build_unit_quantaloid() -> TableQuantaloid:
 
 
 # ---------------------------------------------------------------------------
-# enrichments: limits, functor search, presentations and slices
+# enrichments: transformations, functor search, presentations and slices
 
 
 def exists_vnatural(f: VFunctor, g: VFunctor) -> bool:
@@ -173,53 +173,6 @@ def exists_vnatural(f: VFunctor, g: VFunctor) -> bool:
         b.hom_lattice(f(i), g(i)).leq(b.base.unit(a.extents[i]), b.hom(f(i), g(i)))
         for i in range(a.n_objects)
     )
-
-
-def terminal(base: Quantaloid) -> VCategory:
-    """One point per base object, with the top element as every hom."""
-    n = base.n_objects
-    names = [f"*{base.objects[u]}" for u in range(n)]
-    homs = [[base.hom(u, v).top for v in range(n)] for u in range(n)]
-    return VCategory(base, names, list(range(n)), homs)
-
-
-def to_terminal(a: VCategory, one: VCategory) -> VFunctor:
-    """The unique extent-determined map into the terminal enrichment."""
-    return VFunctor(a, one, [a.extents[i] for i in range(a.n_objects)])
-
-
-def coproduct(parts: list[VCategory]) -> tuple[VCategory, list[VFunctor]]:
-    """Disjoint union; homs across different summands are bottom."""
-    if not parts:
-        raise ValueError("coproduct needs at least one summand (may be empty)")
-    base = parts[0].base
-    for p in parts[1:]:
-        if p.base is not base:
-            raise BaseMismatch("summands live over different bases")
-    names, extents, owner = [], [], []
-    for idx, p in enumerate(parts):
-        for i in range(p.n_objects):
-            names.append(f"{p.objects[i]}#{idx}")
-            extents.append(p.extents[i])
-            owner.append((idx, i))
-    homs = []
-    for x, (ia, i) in enumerate(owner):
-        row = []
-        for y, (ib, j) in enumerate(owner):
-            if ia == ib:
-                row.append(parts[ia].hom(i, j))
-            else:
-                row.append(base.hom(extents[x], extents[y]).bottom)
-        homs.append(row)
-    total = VCategory(base, names, extents, homs)
-    injections = []
-    offset = 0
-    for p in parts:
-        injections.append(
-            VFunctor(p, total, list(range(offset, offset + p.n_objects)))
-        )
-        offset += p.n_objects
-    return total, injections
 
 
 def enumerate_vfunctors(
@@ -584,11 +537,11 @@ def is_strong_tse(f: TwoSidedEnrichment, enum_cap: int = DEFAULT_ENUM_CAP) -> bo
         if f.component(x, x)(f.source.unit(f.minus[x])) != f.target.unit(f.plus[x]):
             return False
     return all(
-        composition_square_holds(
-            f.source, f.target, f.minus, f.plus, f.components, triple,
-            lambda lat, lhs, rhs: lhs == rhs, enum_cap,
-        )
+        lhs == rhs
         for triple in itertools.product(range(f.n_carriers), repeat=3)
+        for _, lhs, rhs in composition_square(
+            f.source, f.target, f.minus, f.plus, f.components, triple, enum_cap
+        )
     )
 
 

@@ -5,7 +5,8 @@ enrichments, random surjective functional bisimulations (built as
 covers and quotients, which are such maps by construction), and one
 case runner per axiom of the surjective-functional-bisimulation class.
 All sampling goes through an explicit ``random.Random`` so runs are
-reproducible from the seed.
+reproducible from the seed.  The terminal enrichment and coproducts,
+which the fold and sum axioms build on, live here too.
 """
 
 from __future__ import annotations
@@ -22,9 +23,56 @@ from .bisim import (
     largest_bisimulation,
     quotient,
 )
-from .constructions import coproduct, terminal, to_terminal
+from .errors import BaseMismatch
 from .quantaloid import Quantaloid
 from .vcat import EnrichedGraph, VCategory, VFunctor, free_vcategory, pullback
+
+
+def terminal(base: Quantaloid) -> VCategory:
+    """One point per base object, with the top element as every hom."""
+    n = base.n_objects
+    names = [f"*{base.objects[u]}" for u in range(n)]
+    homs = [[base.hom(u, v).top for v in range(n)] for u in range(n)]
+    return VCategory(base, names, list(range(n)), homs)
+
+
+def to_terminal(a: VCategory, one: VCategory) -> VFunctor:
+    """The unique extent-determined map into the terminal enrichment."""
+    return VFunctor(a, one, [a.extents[i] for i in range(a.n_objects)])
+
+
+def coproduct(parts: list[VCategory]) -> tuple[VCategory, list[VFunctor]]:
+    """Disjoint union; homs across different summands are bottom."""
+    if not parts:
+        raise ValueError("coproduct needs at least one summand (may be empty)")
+    base = parts[0].base
+    for p in parts[1:]:
+        if p.base is not base:
+            raise BaseMismatch("summands live over different bases")
+    names, extents, owner = [], [], []
+    for idx, p in enumerate(parts):
+        for i in range(p.n_objects):
+            names.append(f"{p.objects[i]}#{idx}")
+            extents.append(p.extents[i])
+            owner.append((idx, i))
+    homs = []
+    for x, (ia, i) in enumerate(owner):
+        row = []
+        for y, (ib, j) in enumerate(owner):
+            if ia == ib:
+                row.append(parts[ia].hom(i, j))
+            else:
+                row.append(base.hom(extents[x], extents[y]).bottom)
+        homs.append(row)
+    total = VCategory(base, names, extents, homs)
+    injections = []
+    offset = 0
+    for p in parts:
+        injections.append(
+            VFunctor(p, total, list(range(offset, offset + p.n_objects)))
+        )
+        offset += p.n_objects
+    return total, injections
 
 
 def random_vcategory(

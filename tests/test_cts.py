@@ -186,7 +186,7 @@ class TestCtsToVcat:
             )
 
     def test_disjoint_specs_give_coproduct(self, poset2):
-        from enrbisim.constructions import coproduct
+        from enrbisim.generators import coproduct
 
         sq = build_S_quantaloid(poset2)
         spec1 = CtsSpec(vertices=[("s", 0)], edges=[(0, 0, identity_span(poset2, 0))])

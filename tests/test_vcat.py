@@ -7,7 +7,6 @@ import pytest
 from enrbisim.cli import main
 from enrbisim.constructions import (
     LaxRelationalPresentation,
-    coproduct,
     decode_slice,
     encode_slice,
     enumerate_vfunctors,
@@ -16,8 +15,6 @@ from enrbisim.constructions import (
     laxrel_to_vcat,
     same_presentation,
     slice_quantaloid,
-    terminal,
-    to_terminal,
     vcat_to_laxrel,
 )
 from enrbisim.cts import FiniteCategory, build_S_quantaloid
@@ -30,7 +27,7 @@ from enrbisim.errors import (
     UnknownElement,
 )
 from enrbisim.fixtures import aut1, bp2, codisc2, loop1, m3, p01, point, q2, ql, rel1
-from enrbisim.generators import random_vcategory
+from enrbisim.generators import coproduct, random_vcategory, terminal, to_terminal
 from enrbisim.quantaloid import build_language_quantale, validate_quantaloid
 from enrbisim.vcat import (
     EnrichedGraph,
