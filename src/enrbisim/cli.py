@@ -16,7 +16,7 @@ from typing import Any
 
 from . import bisim, documents
 from .cob import TwoSidedEnrichment, apply_cob, local_right_adjoints, right_adjoint_cob
-from .cts import CatFunctor, cts_to_vcat, refine
+from .cts import CatFunctor, cts_to_vcat, refine, validate_fincat
 from .errors import EnrbisimError, ParseError
 from .lattice import DEFAULT_ENUM_CAP
 from .quantaloid import Quantaloid, validate_quantaloid
@@ -160,8 +160,6 @@ def _cmd_validate(bundle, flags) -> Report:
         elif kind == "vfunctor":
             found = validate_vfunctor(obj)
         elif kind == "fincat":
-            from .cts import validate_fincat
-
             found = validate_fincat(obj)
         elif kind == "relation":
             found = []  # construction already enforces the extent invariant

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Any
 
 from .bisim import SimRelation
-from .cob import TwoSidedEnrichment, identity_tse, monoid_congruence_tse
+from .cob import TwoSidedEnrichment, identity_tse, monoid_congruence_tse, monoid_morphism_pairs, validate_tse
 from .cts import (
     CatFunctor,
     CribleQuantaloid,
@@ -26,6 +26,7 @@ from .cts import (
     PowersetCatQuantaloid,
     Span,
     build_S_quantaloid,
+    validate_fincat,
 )
 from .errors import (
     DanglingReference,
@@ -156,8 +157,6 @@ def _quantaloid_from_doc(doc, resolve) -> Quantaloid:
 
 
 def _fincat_from_doc(doc) -> FiniteCategory:
-    from .cts import validate_fincat
-
     if doc.get("construction") == "poset":
         cat = FiniteCategory.poset(
             [str(n) for n in doc["elements"]], [tuple(p) for p in doc["leq"]]
@@ -181,6 +180,23 @@ def _fincat_from_doc(doc) -> FiniteCategory:
     return cat
 
 
+def _name_lookup(doc, names: list[str]):
+    """Object index by name, in one map: a repeated name means its first
+    occurrence, as ``list.index`` would give, and an unknown one is a
+    ``ParseError``."""
+    index: dict[str, int] = {}
+    for i, name in enumerate(names):
+        index.setdefault(name, i)
+
+    def lookup(name: str) -> int:
+        try:
+            return index[name]
+        except KeyError:
+            raise ParseError(f"{doc['name']}: no object named {name!r}") from None
+
+    return lookup
+
+
 def _vcategory_from_doc(doc, resolve) -> VCategory:
     base = resolve(doc["base"], Quantaloid)
     if "graph" in doc:
@@ -189,10 +205,10 @@ def _vcategory_from_doc(doc, resolve) -> VCategory:
             (str(v["name"]), base.object_index(str(v["extent"])))
             for v in g["vertices"]
         ]
-        names = [n for n, _ in vertices]
+        index = _name_lookup(doc, [n for n, _ in vertices])
         edges = []
         for e in g["edges"]:
-            s, t = names.index(str(e["src"])), names.index(str(e["tgt"]))
+            s, t = index(str(e["src"])), index(str(e["tgt"]))
             label = element_from_doc(base, vertices[s][1], vertices[t][1], e["label"])
             edges.append((s, t, label))
         cat = free_vcategory(base, EnrichedGraph(vertices, edges))
@@ -204,9 +220,10 @@ def _vcategory_from_doc(doc, resolve) -> VCategory:
             [base.hom(extents[i], extents[j]).bottom for j in range(len(objs))]
             for i in range(len(objs))
         ]
+        index = _name_lookup(doc, names)
         for key, elem_doc in doc["homs"].items():
             a, b = key.split(",")
-            i, j = names.index(a), names.index(b)
+            i, j = index(a), index(b)
             homs[i][j] = element_from_doc(base, extents[i], extents[j], elem_doc)
         cat = VCategory(base, names, extents, homs)
     problems = validate_vcategory(cat)
@@ -242,8 +259,6 @@ def _relation_from_doc(doc, resolve) -> SimRelation:
 
 
 def _tse_from_doc(doc, resolve) -> TwoSidedEnrichment:
-    from .cob import validate_tse
-
     construction = doc.get("construction", "explicit")
     if construction == "identity":
         return identity_tse(resolve(doc["base"], Quantaloid))
@@ -253,8 +268,6 @@ def _tse_from_doc(doc, resolve) -> TwoSidedEnrichment:
         pairs = [(tuple(m), tuple(n)) for m, n in doc["pairs"]]
         return monoid_congruence_tse(source, target, pairs)
     if construction == "monoid-morphism":
-        from .cob import monoid_morphism_pairs
-
         source = resolve(doc["source"], Quantaloid)
         target = resolve(doc["target"], Quantaloid)
         gen_map = {str(k): tuple(v) for k, v in doc["map"].items()}

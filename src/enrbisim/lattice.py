@@ -96,9 +96,6 @@ class Lattice:
                 f"{self!r} has {self.size} elements, more than the cap {cap}"
             )
 
-    def equal(self, x, y) -> bool:
-        return x == y
-
 
 def _bound(mask: int, cones: list[int]) -> int | None:
     """The member of ``mask`` whose cone contains all of ``mask``: with

@@ -196,48 +196,46 @@ class LanguageQuantale(Quantaloid):
     ) -> list[list[frozenset]]:
         """Hom table of the free enrichment on a labelled graph.
 
-        Dynamic programming on word length: level 0 seeds the empty word
-        on the diagonal, every edge extends lower levels by its labels,
-        and empty-word labels propagate within a level until stable.
-        This equals the generic ascending closure but never concatenates
-        two large languages.
+        A forward sweep from each source over the out-edge lists.  Level
+        ``l`` lists the pairs (vertex, word of length ``l`` reaching it),
+        each pair once; level 0 holds the source and the empty word.
+        Walking a level extends each pair along every out-edge label: an
+        empty-word label appends to the level being walked, so each level
+        is closed under those before the next one starts, and any other
+        label appends to a later level.  This equals the generic ascending
+        closure but never concatenates two large languages, and it touches
+        only what the source reaches within ``k`` letters: every entry it
+        does not reach is one shared empty set.
         """
         k = self.k
-        levels: list[list[list[set]]] = [
-            [[set() for _ in range(n_vertices)] for _ in range(n_vertices)]
-            for _ in range(k + 1)
-        ]
+        out: list[list[tuple[int, tuple, int]]] = [[] for _ in range(n_vertices)]
+        for s, t, lab in edges:
+            out[s].extend((t, word, len(word)) for word in lab if len(word) <= k)
+        bottom = frozenset()
+        table = []
         for a in range(n_vertices):
-            levels[0][a][a].add(())
-        eps_edges = [(s, t) for s, t, lab in edges if () in lab]
-        pos_edges = [
-            (s, t, word) for s, t, lab in edges for word in lab if 0 < len(word) <= k
-        ]
-        for level in range(k + 1):
-            cur = levels[level]
-            changed = True
-            while changed:
-                changed = False
-                for s, t in eps_edges:
-                    for a in range(n_vertices):
-                        new = cur[a][s] - cur[a][t]
-                        if new:
-                            cur[a][t] |= new
-                            changed = True
-            for s, t, word in pos_edges:
-                nxt = level + len(word)
-                if nxt > k:
-                    continue
-                for a in range(n_vertices):
-                    for w in cur[a][s]:
-                        levels[nxt][a][t].add(w + word)
-        return [
-            [
-                frozenset().union(*(levels[l][a][b] for l in range(k + 1)))
-                for b in range(n_vertices)
-            ]
-            for a in range(n_vertices)
-        ]
+            reached: dict[int, set] = {a: {()}}
+            levels: list[list[tuple[int, tuple]]] = [[] for _ in range(k + 1)]
+            levels[0].append((a, ()))
+            for level, pending in enumerate(levels):
+                room = k - level
+                for s, w in pending:
+                    for t, word, length in out[s]:
+                        if length <= room:
+                            longer = w + word
+                            have = reached.get(t)
+                            if have is None:
+                                reached[t] = {longer}
+                            elif longer in have:
+                                continue
+                            else:
+                                have.add(longer)
+                            levels[level + length].append((t, longer))
+            row = [bottom] * n_vertices
+            for t, words in reached.items():
+                row[t] = frozenset(words)
+            table.append(row)
+        return table
 
 
 class MetricQuantale(TableQuantaloid):

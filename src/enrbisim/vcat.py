@@ -87,7 +87,9 @@ def validate_vcategory(a: VCategory) -> list[str]:
     exact when the base satisfies the quantaloid laws, so that composing
     with bottom on either side gives bottom, which lies below every hom:
     ``validate_quantaloid`` checks those laws for table bases, and the
-    structural bases meet them by construction.
+    structural bases meet them by construction.  Over a language quantale
+    the law is first decided on word masks (``_language_law_holds``); the
+    triple loop then runs only to list the violations.
     """
     out = []
     base, n, ext, homs = a.base, a.n_objects, a.extents, a.homs
@@ -95,6 +97,8 @@ def validate_vcategory(a: VCategory) -> list[str]:
         lat = a.hom_lattice(i, i)
         if not lat.leq(base.unit(ext[i]), homs[i][i]):
             out.append(f"identity not below hom({a.objects[i]},{a.objects[i]})")
+    if isinstance(base, LanguageQuantale) and _language_law_holds(base, homs):
+        return out
     bottoms = {key: base.hom(*key).bottom for key in itertools.product(set(ext), repeat=2)}
     nonbottom = [
         [k for k in range(n) if homs[j][k] != bottoms[ext[j], ext[k]]] for j in range(n)
@@ -112,6 +116,53 @@ def validate_vcategory(a: VCategory) -> list[str]:
                         f"({a.objects[i]},{a.objects[j]},{a.objects[k]})"
                     )
     return out
+
+
+def _language_law_holds(base: LanguageQuantale, homs) -> bool:
+    """Whether ``hom(i,j) . hom(j,l) <= hom(i,l)`` for all ``i, j, l``.
+
+    Row ``i`` becomes a map ``masks[i]`` from each word to the bitmask of
+    the targets ``l`` whose hom contains it.  The law holds exactly when
+    ``masks[j][w] <= masks[i][u.w]`` (as bit sets) for every word ``u`` in
+    ``hom(i,j)`` and every word ``w`` of row ``j`` with ``|u| + |w| <= k``.
+    Each row's words are bucketed by length, so only those pairs are
+    visited.  Each concatenation comes from ``base.compose`` on
+    singletons, once per word pair, so truncation is defined in one place.
+    """
+    cutoff = base.k
+    targets: list[list[int]] = []
+    masks: list[dict[tuple, int]] = []
+    by_length: list[list[list[tuple[tuple, int]]]] = []
+    for row in homs:
+        reached = [t for t, words in enumerate(row) if words]
+        mask: dict[tuple, int] = {}
+        for t in reached:
+            bit = 1 << t
+            for w in row[t]:
+                mask[w] = mask.get(w, 0) | bit
+        buckets: list[list[tuple[tuple, int]]] = [[] for _ in range(cutoff + 1)]
+        for w, m in mask.items():
+            buckets[len(w)].append((w, m))
+        targets.append(reached)
+        masks.append(mask)
+        by_length.append(buckets)
+    concat: dict[tuple, dict[tuple, tuple]] = {}
+    for i, (row, reached, mask_i) in enumerate(zip(homs, targets, masks)):
+        for j in reached:
+            buckets = by_length[j]
+            for u in row[j]:
+                if j == i and not u:
+                    continue  # the unit at i composes to each word of row i itself
+                after_u = concat.setdefault(u, {})
+                for length in range(cutoff - len(u) + 1):
+                    for w, m in buckets[length]:
+                        uw = after_u.get(w)
+                        if uw is None:
+                            (uw,) = base.compose(0, 0, 0, frozenset((u,)), frozenset((w,)))
+                            after_u[w] = uw
+                        if m & ~mask_i.get(uw, 0):
+                            return False
+    return True
 
 
 class VFunctor:
@@ -210,9 +261,9 @@ def free_vcategory(base: Quantaloid, graph: EnrichedGraph) -> VCategory:
 
     Ascending closure under identities, labels and composition; it
     terminates because every hom lattice is finite.  Over a language
-    quantale the closure is computed by the length-indexed path sweep,
-    which gives the same least fixed point without concatenating large
-    languages.
+    quantale the closure is ``path_homs``'s forward sweep from each
+    source, which gives the same least fixed point without concatenating
+    large languages.
     """
     names = [name for name, _ in graph.vertices]
     extents = [ext for _, ext in graph.vertices]

@@ -248,6 +248,20 @@ class TestExitCodeContract:
         self.assert_error(code, out)
         assert "ParseError" in json.loads(out)["details"]["error"]
 
+    @pytest.mark.parametrize("body", [
+        {"objects": [{"name": "a", "extent": "*"}], "homs": {"a,b": "1"}},
+        {"graph": {"vertices": [{"name": "a", "extent": "*"}],
+                   "edges": [{"src": "a", "tgt": "b", "label": "1"}]}},
+    ], ids=["table", "graph"])
+    def test_unknown_object_name(self, capsys, tmp_path, body):
+        copy_fixtures(tmp_path, ["Q2"])
+        (tmp_path / "BAD.json").write_text(json.dumps(
+            {"schema": SCHEMA, "name": "BAD", "kind": "vcategory", "base": "Q2", **body}
+        ))
+        self.assert_parse_error(
+            capsys, "--paths", str(tmp_path), "validate", match="BAD: no object named 'b'"
+        )
+
     def assert_parse_error(self, capsys, *argv, match):
         code, out = invoke(capsys, *argv)
         self.assert_error(code, out)

@@ -86,6 +86,22 @@ class TestBundleLoading:
         with pytest.raises(ValidationError, match="duplicate"):
             load_bundle([tmp_path])
 
+    def test_repeated_object_name_means_first(self, tmp_path):
+        write_doc(tmp_path, {"schema": SCHEMA, "name": "Q", "kind": "quantaloid", "construction": "boolean"})
+        vertices = [{"name": name, "extent": "*"} for name in ("x", "y", "x")]
+        write_doc(
+            tmp_path,
+            {
+                "schema": SCHEMA,
+                "name": "G",
+                "kind": "vcategory",
+                "base": "Q",
+                "graph": {"vertices": vertices, "edges": [{"src": "y", "tgt": "x", "label": "1"}]},
+            },
+        )
+        g = load_bundle([tmp_path]).get("G", VCategory)
+        assert (g.hom(1, 0), g.hom(1, 2)) == (1, 0)
+
     def test_shorthand_kind_spelling(self, tmp_path):
         write_doc(
             tmp_path,

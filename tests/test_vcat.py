@@ -34,6 +34,7 @@ from enrbisim.vcat import (
     VCategory,
     VFunctor,
     _kleene_closure,
+    _language_law_holds,
     free_vcategory,
     pullback,
     validate_vcategory,
@@ -128,6 +129,78 @@ class TestValidateAgainstDenseOracle:
             assert validate_vcategory(b) == expected, case
             broken += bool(expected)
         assert broken >= 5
+
+
+def random_automaton_graph(rng, n):
+    """A 2-out automaton over {a,b}: two random transitions per state."""
+    edges = [
+        (s, rng.randrange(n), frozenset({(rng.choice("ab"),)}))
+        for s in range(n)
+        for _ in range(2)
+    ]
+    return EnrichedGraph([(f"s{i}", 0) for i in range(n)], edges)
+
+
+class TestLanguageKernelsAgainstOracles:
+    """The forward sweep and the word-mask check at automaton scale."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_path_homs_matches_kleene_closure(self, k):
+        base = build_language_quantale(["a", "b"], k)
+        rng = random.Random(f"sweep-{k}")
+        for case in range(40):
+            n = rng.randint(1, 12)
+            edges = []
+            for _ in range(rng.randint(0, 2 * n)):
+                label = set(rng.sample(base.words, rng.randint(1, min(3, len(base.words)))))
+                if rng.random() < 0.3:
+                    label.add(())  # an empty-word label, closed within each level
+                edges.append((rng.randrange(n), rng.randrange(n), frozenset(label)))
+            assert base.path_homs(n, edges) == _kleene_closure(base, [0] * n, edges), case
+
+    @pytest.mark.parametrize(
+        "given",
+        [
+            {(0, 1): [()], (1, 2): ["a"]},  # an empty-word hom composes too
+            {(0, 1): ["a", "b"], (1, 2): ["a"], (0, 2): ["aa"]},  # every word of
+            {(0, 1): ["a", "b"], (1, 2): ["a"], (0, 2): ["ba"]},  # hom(x,y) composes
+            {(0, 1): ["a"], (1, 2): ["b"]},  # a composite of length exactly k
+        ],
+    )
+    def test_mask_check_on_minimal_violations(self, given):
+        base = build_language_quantale(["a", "b"], 2)
+        homs = [[frozenset({()}) if i == j else frozenset() for j in range(3)] for i in range(3)]
+        for (i, j), words in given.items():
+            homs[i][j] = frozenset(tuple(w) for w in words)
+        a = VCategory(base, ["x", "y", "z"], [0, 0, 0], homs)
+        assert not _language_law_holds(base, a.homs)
+        assert validate_vcategory(a) == dense_validate(a) == ["composition fails at (x,y,z)"]
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_mask_check_matches_dense_loop(self, k):
+        base = build_language_quantale(["a", "b"], k)
+        rng = random.Random(f"mask-{k}")
+        broken = 0
+        for case in range(4):
+            n = 30
+            a = free_vcategory(base, random_automaton_graph(rng, n))
+            assert validate_vcategory(a) == dense_validate(a) == []
+            assert _language_law_holds(base, a.homs)
+            for edit in ("remove", "add", "add the empty word"):
+                homs = [list(row) for row in a.homs]
+                if edit == "remove":
+                    i, j = rng.choice([(i, j) for i in range(n) for j in range(n) if homs[i][j]])
+                    homs[i][j] -= {rng.choice(sorted(homs[i][j]))}
+                else:
+                    i, j = rng.sample(range(n), 2)
+                    homs[i][j] |= {rng.choice(base.words) if edit == "add" else ()}
+                b = VCategory(base, a.objects, a.extents, homs)
+                expected = dense_validate(b)
+                assert validate_vcategory(b) == expected, case
+                law_fails = any(m.startswith("composition") for m in expected)
+                assert _language_law_holds(base, b.homs) is not law_fails, case
+                broken += law_fails
+        assert broken >= 4
 
 
 class TestHomBoundary:
