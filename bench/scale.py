@@ -42,6 +42,7 @@ import time
 from pathlib import Path
 
 ALPHABET = ("a", "b")
+SEED = 7
 CUTOFFS = (2, 4)
 LAYERS = (
     "import_aut",
@@ -77,7 +78,7 @@ def timed(fn):
     return time.perf_counter() - start, result
 
 
-def measure(k: int, sizes: list[int], cap: float, seed: int, workdir: Path) -> dict:
+def measure(k: int, sizes: list[int], cap: float, workdir: Path) -> dict:
     from enrbisim import bisim, documents
     from enrbisim.quantaloid import build_language_quantale
     from enrbisim.vcat import VCategory, validate_vcategory
@@ -87,7 +88,7 @@ def measure(k: int, sizes: list[int], cap: float, seed: int, workdir: Path) -> d
     for n in sizes:
         if all(layer["stopped"] for layer in layers.values()):
             break
-        trans = random_automaton(random.Random(f"{seed}:{k}:{n}"), n)
+        trans = random_automaton(random.Random(f"{SEED}:{k}:{n}"), n)
         path = workdir / f"a{n}.aut"
         path.write_text(aut_text(n, trans))
         edges = [(s, t, frozenset({(label,)})) for s, label, t in trans]
@@ -162,13 +163,12 @@ def main(argv=None) -> int:
     parser.add_argument("--sizes", type=int, nargs="+", default=[100, 200, 400, 800, 1600])
     parser.add_argument("--cap", type=float, default=2.0,
                         help="seconds after which a layer stops growing n")
-    parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(Path(args.src).resolve()))
     run = {
         "machine": machine(),
-        "seed": args.seed,
+        "seed": SEED,
         "seed_rule": "each automaton draws from random.Random('<seed>:<k>:<n>')",
         "sizes": args.sizes,
         "cap_s": args.cap,
@@ -176,7 +176,7 @@ def main(argv=None) -> int:
     }
     with tempfile.TemporaryDirectory() as tmp:
         for k in CUTOFFS:
-            run["k"][str(k)] = measure(k, args.sizes, args.cap, args.seed, Path(tmp))
+            run["k"][str(k)] = measure(k, args.sizes, args.cap, Path(tmp))
 
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}

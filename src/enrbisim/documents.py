@@ -322,7 +322,7 @@ def _ctsspec_from_doc(doc, resolve) -> tuple[FiniteCategory, CtsSpec]:
     vertices = [
         (str(v["name"]), cat.object_index(str(v["type"]))) for v in doc["vertices"]
     ]
-    names = [n for n, _ in vertices]
+    index = _name_lookup(doc, [n for n, _ in vertices])
     edges = []
     for e in doc["edges"]:
         span = Span(
@@ -330,7 +330,7 @@ def _ctsspec_from_doc(doc, resolve) -> tuple[FiniteCategory, CtsSpec]:
             cat.morphism_index(str(e["span"]["left"])),
             cat.morphism_index(str(e["span"]["right"])),
         )
-        edges.append((names.index(str(e["src"])), names.index(str(e["tgt"])), span))
+        edges.append((index(str(e["src"])), index(str(e["tgt"])), span))
     return cat, CtsSpec(vertices, edges)
 
 

@@ -248,16 +248,20 @@ class TestExitCodeContract:
         self.assert_error(code, out)
         assert "ParseError" in json.loads(out)["details"]["error"]
 
-    @pytest.mark.parametrize("body", [
-        {"objects": [{"name": "a", "extent": "*"}], "homs": {"a,b": "1"}},
-        {"graph": {"vertices": [{"name": "a", "extent": "*"}],
-                   "edges": [{"src": "a", "tgt": "b", "label": "1"}]}},
-    ], ids=["table", "graph"])
-    def test_unknown_object_name(self, capsys, tmp_path, body):
-        copy_fixtures(tmp_path, ["Q2"])
-        (tmp_path / "BAD.json").write_text(json.dumps(
-            {"schema": SCHEMA, "name": "BAD", "kind": "vcategory", "base": "Q2", **body}
-        ))
+    @pytest.mark.parametrize("fixture, body", [
+        ("Q2", {"kind": "vcategory", "base": "Q2",
+                "objects": [{"name": "a", "extent": "*"}], "homs": {"a,b": "1"}}),
+        ("Q2", {"kind": "vcategory", "base": "Q2",
+                "graph": {"vertices": [{"name": "a", "extent": "*"}],
+                          "edges": [{"src": "a", "tgt": "b", "label": "1"}]}}),
+        ("P2", {"kind": "ctsspec", "category": "P2",
+                "vertices": [{"name": "a", "type": "0"}],
+                "edges": [{"src": "a", "tgt": "b",
+                           "span": {"apex": "0", "left": "0<=0", "right": "0<=0"}}]}),
+    ], ids=["table", "graph", "cts-graph"])
+    def test_unknown_object_name(self, capsys, tmp_path, fixture, body):
+        copy_fixtures(tmp_path, [fixture])
+        (tmp_path / "BAD.json").write_text(json.dumps({"schema": SCHEMA, "name": "BAD", **body}))
         self.assert_parse_error(
             capsys, "--paths", str(tmp_path), "validate", match="BAD: no object named 'b'"
         )
