@@ -147,12 +147,12 @@ def _partners(pairs) -> dict:
 def _sim_holds_at(left, right, partners, a, b, cache) -> Optional[int]:
     """First left object a' violating the condition at (a,b), else None.
 
-    Homs were checked when the enrichments were built, so the unchecked
-    lattice cores are used on them.
+    Only a's non-bottom homs are probed: a bottom hom lies below any
+    partner join.  Homs were checked when the enrichments were built, so
+    the unchecked lattice cores are used on them.
     """
     row_b = right.homs[b]
-    for ap, x in enumerate(left.homs[a]):
-        lat = left.hom_lattice(a, ap)
+    for ap, x, lat in left.rows[a]:
         key = (ap, b)
         if key not in cache:
             cache[key] = lat._join([row_b[bp] for bp in partners.get(ap, ())])
@@ -223,20 +223,6 @@ def largest_simulation(left: VCategory, right: VCategory) -> SimRelation:
     return _refine(left, right, bisim=False)
 
 
-def _nonbottom_rows(cat: VCategory, offset: int = 0) -> list[list[tuple]]:
-    """Each object's non-bottom homs as ``(offset + target, hom, lattice)``."""
-    ext = cat.extents
-    kinds = {}
-    for u, v in itertools.product(set(ext), repeat=2):
-        lat = cat.base.hom(u, v)
-        kinds[u, v] = (lat, lat._join(()))
-    rows = []
-    for i, row in enumerate(cat.homs):
-        kind = [kinds[ext[i], v] for v in ext]
-        rows.append([(offset + j, x, kind[j][0]) for j, x in enumerate(row) if x != kind[j][1]])
-    return rows
-
-
 def _block_joins(row: list[tuple], block_of) -> dict:
     """The join of the row's homs into each block it reaches, unchecked:
     the homs were checked when their enrichment was built.  A join of
@@ -270,7 +256,8 @@ def largest_bisimulation(left: VCategory, right: VCategory) -> SimRelation:
     """
     require_same_base(left, right)
     na = left.n_objects
-    rows = _nonbottom_rows(left) + _nonbottom_rows(right, na)
+    # the right side's objects follow the left's, so its targets shift by na
+    rows = list(left.rows) + [[(na + y, x, lat) for y, x, lat in row] for row in right.rows]
     block_of, count = _numbered(left.extents + right.extents)
     alive = [
         (a, b) for a in range(na) for b in range(na, len(rows)) if block_of[a] == block_of[b]
@@ -306,12 +293,11 @@ def is_functional_bisimulation(f: VFunctor) -> bool:
     """A functor whose target homs equal the fiberwise joins of source homs."""
     if validate_vfunctor(f):
         return False
-    source_rows = _nonbottom_rows(f.source)
-    target_rows = _nonbottom_rows(f.target)
+    target_rows = f.target.rows
     # the fibers are the blocks of f.mapping; non-bottom entries suffice
     return all(
         _block_joins(row, f.mapping) == {y: x for y, x, _ in target_rows[f(i)]}
-        for i, row in enumerate(source_rows)
+        for i, row in enumerate(f.source.rows)
     )
 
 
@@ -339,7 +325,7 @@ class BisimEquivalence:
                 raise ExtentMismatch(f"block of {names[block[0]]} mixes extents")
         # a partition is a bisimulation iff objects sharing a block have
         # equal joins into every block
-        rows = _nonbottom_rows(carrier)
+        rows = carrier.rows
         for block in self.blocks:
             want = _block_joins(rows[block[0]], self.block_of)
             for i in block[1:]:
@@ -418,7 +404,7 @@ def quotient(a: VCategory, e: BisimEquivalence) -> tuple[VCategory, VFunctor]:
         if len(exts) != 1:
             raise InternalAssertion("equivalence class mixes extents")
         extents.append(exts.pop())
-    rows = _nonbottom_rows(a)
+    rows = a.rows
     bottoms = {k: base.hom(*k).bottom for k in itertools.product(set(extents), repeat=2)}
     homs = []
     for bi, block_i in enumerate(e.blocks):

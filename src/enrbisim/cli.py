@@ -161,9 +161,8 @@ def _cmd_validate(bundle, flags) -> Report:
             found = validate_vfunctor(obj)
         elif kind == "fincat":
             found = validate_fincat(obj)
-        elif kind == "relation":
-            found = []  # construction already enforces the extent invariant
         else:
+            # relations: construction already enforces the extent invariant
             found = []
         if found:
             problems[name] = found

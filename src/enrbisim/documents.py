@@ -216,10 +216,9 @@ def _vcategory_from_doc(doc, resolve) -> VCategory:
         objs = [(str(o["name"]), base.object_index(str(o["extent"]))) for o in doc["objects"]]
         names = [n for n, _ in objs]
         extents = [e for _, e in objs]
-        homs = [
-            [base.hom(extents[i], extents[j]).bottom for j in range(len(objs))]
-            for i in range(len(objs))
-        ]
+        used = set(extents)
+        bottoms = {(u, v): base.hom(u, v).bottom for u in used for v in used}
+        homs = [[bottoms[u, v] for v in extents] for u in extents]
         index = _name_lookup(doc, names)
         for key, elem_doc in doc["homs"].items():
             a, b = key.split(",")

@@ -55,15 +55,15 @@ def coproduct(parts: list[VCategory]) -> tuple[VCategory, list[VFunctor]]:
             names.append(f"{p.objects[i]}#{idx}")
             extents.append(p.extents[i])
             owner.append((idx, i))
-    homs = []
-    for x, (ia, i) in enumerate(owner):
-        row = []
-        for y, (ib, j) in enumerate(owner):
-            if ia == ib:
-                row.append(parts[ia].hom(i, j))
-            else:
-                row.append(base.hom(extents[x], extents[y]).bottom)
-        homs.append(row)
+    used = set(extents)
+    bottoms = {(u, v): base.hom(u, v).bottom for u in used for v in used}
+    homs = [
+        [
+            parts[ia].hom(i, j) if ia == ib else bottoms[extents[x], extents[y]]
+            for y, (ib, j) in enumerate(owner)
+        ]
+        for x, (ia, i) in enumerate(owner)
+    ]
     total = VCategory(base, names, extents, homs)
     injections = []
     offset = 0

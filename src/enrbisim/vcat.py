@@ -24,9 +24,13 @@ def require_same_base(a: "VCategory", b: "VCategory") -> None:
 class VCategory:
     """An enrichment over a quantaloid.
 
-    The constructor checks every hom against its lattice and raises
-    ``UnknownElement`` for one outside it.  The hom table is stored as a
-    tuple of tuples, so it cannot change after that check.
+    The constructor is the one place that decides which homs are bottom.
+    A hom counts as bottom when it has the bottom's own type and equals
+    it; every other hom is checked against its lattice, which raises
+    ``UnknownElement`` for one outside it.  ``rows[i]`` lists object
+    ``i``'s non-bottom homs as ``(target, hom, lattice)`` in target order.
+    Both the dense ``homs`` table and ``rows`` are tuples, so neither can
+    change after that check.
     """
 
     def __init__(
@@ -45,12 +49,27 @@ class VCategory:
         self.homs = tuple(tuple(row) for row in homs)
         for e in self.extents:
             base.check_object(e)
-        # the boundary: every hom is checked here once, so interior loops
-        # may use the unchecked lattice cores on it
-        self._lattices: dict[tuple[int, int], Lattice] = {}
+        # the boundary: every non-bottom hom is checked here once, so
+        # interior loops may use the unchecked lattice cores on it
+        self._lattices: dict[tuple[int, int], Lattice] = {}  # by extent pair
+        kinds = {}  # extent pair -> (lattice, bottom, type of bottom)
+        for key in itertools.product(set(self.extents), repeat=2):
+            lat = self._lattices[key] = base.hom(*key)
+            bottom = lat._join(())
+            kinds[key] = (lat, bottom, type(bottom))
+        row_kinds = {u: [kinds[u, v] for v in self.extents] for u in set(self.extents)}
+        rows = []
         for i, row in enumerate(self.homs):
-            for j, x in enumerate(row):
-                self.hom_lattice(i, j).check_element(x)
+            out = []
+            for j, (x, (lat, bottom, bottom_type)) in enumerate(
+                zip(row, row_kinds[self.extents[i]])
+            ):
+                if type(x) is bottom_type and x == bottom:
+                    continue
+                lat.check_element(x)
+                out.append((j, x, lat))
+            rows.append(tuple(out))
+        self.rows = tuple(rows)
 
     @property
     def n_objects(self) -> int:
@@ -66,11 +85,7 @@ class VCategory:
         return self.homs[i][j]
 
     def hom_lattice(self, i: int, j: int) -> Lattice:
-        key = (self.extents[i], self.extents[j])
-        lat = self._lattices.get(key)
-        if lat is None:
-            lat = self._lattices[key] = self.base.hom(*key)
-        return lat
+        return self._lattices[self.extents[i], self.extents[j]]
 
     def fiber(self, base_object: int) -> list[int]:
         return [i for i, e in enumerate(self.extents) if e == base_object]
@@ -92,25 +107,21 @@ def validate_vcategory(a: VCategory) -> list[str]:
     triple loop then runs only to list the violations.
     """
     out = []
-    base, n, ext, homs = a.base, a.n_objects, a.extents, a.homs
-    for i in range(n):
+    base, ext, homs, rows = a.base, a.extents, a.homs, a.rows
+    for i in range(a.n_objects):
         lat = a.hom_lattice(i, i)
         if not lat.leq(base.unit(ext[i]), homs[i][i]):
             out.append(f"identity not below hom({a.objects[i]},{a.objects[i]})")
-    if isinstance(base, LanguageQuantale) and _language_law_holds(base, homs):
+    if isinstance(base, LanguageQuantale) and _language_law_holds(base, rows):
         return out
-    bottoms = {key: base.hom(*key).bottom for key in itertools.product(set(ext), repeat=2)}
-    nonbottom = [
-        [k for k in range(n) if homs[j][k] != bottoms[ext[j], ext[k]]] for j in range(n)
-    ]
-    for i in range(n):
-        ei, row_i = ext[i], homs[i]
-        lats = [a.hom_lattice(i, k) for k in range(n)]
-        for j in nonbottom[i]:
-            ej, f, row_j = ext[j], row_i[j], homs[j]
-            for k in nonbottom[j]:
-                comp = base.compose(ei, ej, ext[k], f, row_j[k])
-                if not lats[k]._leq(comp, row_i[k]):
+    lats = {u: [base.hom(u, v) for v in ext] for u in set(ext)}
+    for i, row_i in enumerate(rows):
+        ei, homs_i, lats_i = ext[i], homs[i], lats[ext[i]]
+        for j, f, _ in row_i:
+            ej = ext[j]
+            for k, g, _ in rows[j]:
+                comp = base.compose(ei, ej, ext[k], f, g)
+                if not lats_i[k]._leq(comp, homs_i[k]):
                     out.append(
                         "composition fails at "
                         f"({a.objects[i]},{a.objects[j]},{a.objects[k]})"
@@ -118,9 +129,10 @@ def validate_vcategory(a: VCategory) -> list[str]:
     return out
 
 
-def _language_law_holds(base: LanguageQuantale, homs) -> bool:
+def _language_law_holds(base: LanguageQuantale, rows) -> bool:
     """Whether ``hom(i,j) . hom(j,l) <= hom(i,l)`` for all ``i, j, l``.
 
+    ``rows`` are an enrichment's non-bottom rows (``VCategory.rows``).
     Row ``i`` becomes a map ``masks[i]`` from each word to the bitmask of
     the targets ``l`` whose hom contains it.  The law holds exactly when
     ``masks[j][w] <= masks[i][u.w]`` (as bit sets) for every word ``u`` in
@@ -130,27 +142,24 @@ def _language_law_holds(base: LanguageQuantale, homs) -> bool:
     singletons, once per word pair, so truncation is defined in one place.
     """
     cutoff = base.k
-    targets: list[list[int]] = []
     masks: list[dict[tuple, int]] = []
     by_length: list[list[list[tuple[tuple, int]]]] = []
-    for row in homs:
-        reached = [t for t, words in enumerate(row) if words]
+    for row in rows:
         mask: dict[tuple, int] = {}
-        for t in reached:
+        for t, words, _ in row:
             bit = 1 << t
-            for w in row[t]:
+            for w in words:
                 mask[w] = mask.get(w, 0) | bit
         buckets: list[list[tuple[tuple, int]]] = [[] for _ in range(cutoff + 1)]
         for w, m in mask.items():
             buckets[len(w)].append((w, m))
-        targets.append(reached)
         masks.append(mask)
         by_length.append(buckets)
     concat: dict[tuple, dict[tuple, tuple]] = {}
-    for i, (row, reached, mask_i) in enumerate(zip(homs, targets, masks)):
-        for j in reached:
+    for i, (row, mask_i) in enumerate(zip(rows, masks)):
+        for j, words, _ in row:
             buckets = by_length[j]
-            for u in row[j]:
+            for u in words:
                 if j == i and not u:
                     continue  # the unit at i composes to each word of row i itself
                 after_u = concat.setdefault(u, {})
@@ -191,9 +200,6 @@ class VFunctor:
     def is_surjective(self) -> bool:
         return set(self.mapping) == set(range(self.target.n_objects))
 
-    def is_injective(self) -> bool:
-        return len(set(self.mapping)) == len(self.mapping)
-
     @classmethod
     def identity(cls, a: VCategory) -> "VFunctor":
         return cls(a, a, list(range(a.n_objects)))
@@ -211,12 +217,13 @@ def validate_vfunctor(f: VFunctor) -> list[str]:
             out.append(f"extent changes at {a.objects[i]}")
     if out:
         return out
-    # both hom tables were checked by their constructors
+    # both hom tables were checked by their constructors, and a bottom
+    # hom lies below any image
     m = f.mapping
-    for i, row in enumerate(a.homs):
+    for i, row in enumerate(a.rows):
         row_fi = b.homs[m[i]]
-        for j, x in enumerate(row):
-            if not a.hom_lattice(i, j)._leq(x, row_fi[m[j]]):
+        for j, x, lat in row:
+            if not lat._leq(x, row_fi[m[j]]):
                 out.append(f"hom shrinks at ({a.objects[i]},{a.objects[j]})")
     return out
 
@@ -294,7 +301,7 @@ def _kleene_closure(base: Quantaloid, extents: list[int], edges) -> list[list[An
             start = [lab for s, t, lab in edges if s == i and t == j]
             if i == j:
                 start.append(base.unit(extents[i]))
-            row.append(lat.join(start))
+            row.append(lat._join(start))
         homs.append(row)
     changed = True
     while changed:
@@ -306,7 +313,7 @@ def _kleene_closure(base: Quantaloid, extents: list[int], edges) -> list[list[An
                     comp = base.compose(
                         extents[i], extents[k], extents[j], homs[i][k], homs[k][j]
                     )
-                    if not lat.leq(comp, homs[i][j]):
-                        homs[i][j] = lat.join([homs[i][j], comp])
+                    if not lat._leq(comp, homs[i][j]):
+                        homs[i][j] = lat._join([homs[i][j], comp])
                         changed = True
     return homs

@@ -268,6 +268,92 @@ class TestSignatureRefinement:
         assert merged
 
 
+def dense_violation(left, right, partners, a, b, joins):
+    """Reference: the first left object a' whose hom from a is not below
+    the join of b's homs into the partners of a', probing every a',
+    bottom homs included.  ``joins`` caches those joins by (a', b)."""
+    for ap in range(left.n_objects):
+        lat = left.hom_lattice(a, ap)
+        if (ap, b) not in joins:
+            joins[ap, b] = lat._join([right.hom(b, bp) for bp in partners.get(ap, ())])
+        if not lat._leq(left.hom(a, ap), joins[ap, b]):
+            return ap
+    return None
+
+
+def dense_is_simulation(r):
+    partners = {}
+    for a, b in r.pairs:
+        partners.setdefault(a, []).append(b)
+    joins = {}
+    for a, b in sorted(r.pairs):
+        ap = dense_violation(r.left, r.right, partners, a, b, joins)
+        if ap is not None:
+            return r.left.objects[a], r.right.objects[b], r.left.objects[ap]
+    return None
+
+
+def dense_largest_simulation(left, right):
+    """Reference: drop, round by round, every pair with a dense violation."""
+    pairs = set(SimRelation.full(left, right).pairs)
+    trace = []
+    for round_no in itertools.count(1):
+        partners = {}
+        for a, b in pairs:
+            partners.setdefault(a, []).append(b)
+        joins = {}
+        removed = {
+            p for p in pairs if dense_violation(left, right, partners, *p, joins) is not None
+        }
+        if not removed:
+            return pairs, tuple(sorted(trace))
+        pairs -= removed
+        trace += [(round_no, left.objects[a], right.objects[b]) for a, b in removed]
+
+
+def assert_simulation_matches_dense(a, b, rng):
+    """Compare the largest simulation, then ``is_simulation`` on it and on
+    a random half of the full relation; return the relation and the
+    number of counterexamples seen."""
+    got = largest_simulation(a, b)
+    assert (got.pairs, got.refinement_trace) == dense_largest_simulation(a, b)
+    full = sorted(SimRelation.full(a, b).pairs)
+    failed = 0
+    for r in (got, SimRelation(a, b, rng.sample(full, len(full) // 2))):
+        check = is_simulation(r)
+        assert check.counterexample == dense_is_simulation(r)
+        assert check.ok == (check.counterexample is None)
+        failed += not check.ok
+    return got, failed
+
+
+class TestSimulationAgainstDenseProbes:
+    """``_sim_holds_at`` probes only non-bottom homs; a reference that
+    probes every object must give the same pairs, trace and
+    counterexamples."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_BASES))
+    def test_matches_dense_reference_on_random_pairs(self, name):
+        base = ORACLE_BASES[name]()
+        rng = random.Random(f"dense-sim:{name}")
+        traced = failed = 0
+        for n in (10, 20, 40):
+            a = random_table(base, rng, n, "x")
+            for b in (covering_copy(a, rng, perturb=n == 20), random_table(base, rng, n // 2, "z")):
+                got, fails = assert_simulation_matches_dense(a, b, rng)
+                traced += bool(got.refinement_trace)
+                failed += fails
+        assert traced and failed
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_matches_dense_reference_on_automata(self, flip):
+        rng = random.Random(f"dense-sim-aut:{flip}")
+        a, b = aut_pair(rng, 60, flip)
+        got, failed = assert_simulation_matches_dense(a, b, rng)
+        assert got.refinement_trace and failed
+        assert got.total_on_left() != flip
+
+
 class TestSimilarity:
     def test_bisimilar_reflexive(self, QL):
         a = aut1(QL)

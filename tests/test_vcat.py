@@ -28,7 +28,8 @@ from enrbisim.errors import (
 )
 from enrbisim.fixtures import aut1, bp2, codisc2, loop1, m3, p01, point, q2, ql, rel1
 from enrbisim.generators import coproduct, random_vcategory, terminal, to_terminal
-from enrbisim.quantaloid import build_language_quantale, validate_quantaloid
+from enrbisim.lattice import TableLattice
+from enrbisim.quantaloid import TableQuantaloid, build_language_quantale, validate_quantaloid
 from enrbisim.vcat import (
     EnrichedGraph,
     VCategory,
@@ -131,6 +132,35 @@ class TestValidateAgainstDenseOracle:
         assert broken >= 5
 
 
+class TestNonBottomRows:
+    """``VCategory.rows`` against a scan of the dense table."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_BASES))
+    def test_rows_are_the_non_bottom_entries(self, name):
+        base = ORACLE_BASES[name]()
+        rng = random.Random(f"rows-{name}")
+        for case in range(30):
+            a = random_vcategory(base, rng, max_objects=6, density=0.3)
+            homs = [list(row) for row in a.homs]
+            for _ in range(rng.randint(0, 4)):
+                i, j = rng.randrange(a.n_objects), rng.randrange(a.n_objects)
+                lat = a.hom_lattice(i, j)
+                homs[i][j] = lat.bottom if rng.random() < 0.5 else lat.sample(rng)
+            b = VCategory(base, a.objects, a.extents, homs)
+            want = tuple(
+                tuple(
+                    (j, x, b.hom_lattice(i, j))
+                    for j, x in enumerate(row)
+                    if x != b.hom_lattice(i, j).bottom
+                )
+                for i, row in enumerate(homs)
+            )
+            assert b.rows == want, case
+            assert all(
+                got[2] is b.hom_lattice(i, got[0]) for i, row in enumerate(b.rows) for got in row
+            )
+
+
 def random_automaton_graph(rng, n):
     """A 2-out automaton over {a,b}: two random transitions per state."""
     edges = [
@@ -173,7 +203,7 @@ class TestLanguageKernelsAgainstOracles:
         for (i, j), words in given.items():
             homs[i][j] = frozenset(tuple(w) for w in words)
         a = VCategory(base, ["x", "y", "z"], [0, 0, 0], homs)
-        assert not _language_law_holds(base, a.homs)
+        assert not _language_law_holds(base, a.rows)
         assert validate_vcategory(a) == dense_validate(a) == ["composition fails at (x,y,z)"]
 
     @pytest.mark.parametrize("k", [2, 4])
@@ -185,7 +215,7 @@ class TestLanguageKernelsAgainstOracles:
             n = 30
             a = free_vcategory(base, random_automaton_graph(rng, n))
             assert validate_vcategory(a) == dense_validate(a) == []
-            assert _language_law_holds(base, a.homs)
+            assert _language_law_holds(base, a.rows)
             for edit in ("remove", "add", "add the empty word"):
                 homs = [list(row) for row in a.homs]
                 if edit == "remove":
@@ -198,7 +228,7 @@ class TestLanguageKernelsAgainstOracles:
                 expected = dense_validate(b)
                 assert validate_vcategory(b) == expected, case
                 law_fails = any(m.startswith("composition") for m in expected)
-                assert _language_law_holds(base, b.homs) is not law_fails, case
+                assert _language_law_holds(base, b.rows) is not law_fails, case
                 broken += law_fails
         assert broken >= 4
 
@@ -211,6 +241,23 @@ class TestHomBoundary:
             VCategory(QL, ["x"], [0], [[frozenset({("m", "m", "m")})]])
         with pytest.raises(UnknownElement):
             VCategory(QL, ["x", "y"], [0, 0], [[frozenset({()}), 1], [0, frozenset({()})]])
+
+    def test_value_equal_to_bottom_must_still_be_an_element(self, QL):
+        # the truth values with bottom at index 1: True == 1, but is no element
+        lat = TableLattice(["true", "false"], [(0, 0), (1, 1), (1, 0)])
+        table = [[0, 1], [1, 1]]
+        base = TableQuantaloid(["*"], {(0, 0): lat}, {(0, 0, 0): table}, [0])
+        assert validate_quantaloid(base).violations == [] and lat.bottom == 1
+        assert VCategory(base, ["x", "y"], [0, 0], [[0, 1], [1, 0]]).rows == (
+            ((0, 0, lat),),
+            ((1, 0, lat),),
+        )
+        with pytest.raises(UnknownElement):
+            VCategory(base, ["x", "y"], [0, 0], [[0, True], [1, 0]])
+        # a plain set equals the empty language, but is no frozenset
+        with pytest.raises(UnknownElement):
+            unit = frozenset({()})
+            VCategory(QL, ["x", "y"], [0, 0], [[unit, set()], [frozenset(), unit]])
 
     def test_table_document_with_foreign_hom_exits_2(self, tmp_path, capsys):
         docs = [
