@@ -1,30 +1,40 @@
-"""Layer timings of enrbisim on growing automata, in one process.
+"""Layer timings of enrbisim on growing automata and hom tables, in one process.
 
 Usage (from the root of a checkout):
 
-    python3 bench/scale.py --label change --out bench/BENCH_scale_7.json
-    python3 bench/scale.py --src OTHER/src --label parent --out bench/BENCH_scale_7.json
+    python3 bench/scale.py --label change --out bench/BENCH_scale_9.json
+    python3 bench/scale.py --src OTHER/src --label parent --out bench/BENCH_scale_9.json
     python3 bench/scale.py --sizes 100 --cap 1 --out /tmp/scale.json   # smoke run
 
-Inputs are seeded 2-out automata over {a,b}, read as free enrichments
-over the truncated language quantale QL({a,b},k) for k = 2 and k = 4.
-For each k the sizes grow in the order given, and each layer is timed
-once per size:
+Two input families, each grown over the sizes in the order given:
 
-- ``import_aut``: parse an Aldebaran file, build and validate its free
-  enrichment (``documents.import_aut``);
-- ``path_homs``: the free construction's hom table alone;
-- ``vcategory``: the ``VCategory`` constructor on that table;
-- ``validate_vcategory``: the unit and composition laws;
-- ``largest_bisimulation`` and ``largest_simulation``: the automaton
-  against itself.
+- automata: seeded 2-out automata over {a,b}, read as free enrichments
+  over the truncated language quantale QL({a,b},k) for k = 2 and k = 4,
+  with the layers
+  - ``import_aut``: parse an Aldebaran file, build and validate its free
+    enrichment (``documents.import_aut``);
+  - ``path_homs``: the free construction's hom table alone;
+  - ``vcategory``: the ``VCategory`` constructor on that table;
+- tables: seeded 2-out graphs closed into explicit hom tables over Q2
+  (reachability) and M3 (shortest distance over edge weights 1, 1, 2,
+  where a sum above 2 is infinity, the grid's bottom).  The closure is
+  computed here by a search from each source, not by ``free_vcategory``,
+  whose generic closure is cubic; only sizes up to ``TABLE_MAX_N`` run,
+  since a table holds n² homs;
 
-A layer stops growing n after the first size at which it takes longer
-than ``--cap`` seconds, and a layer stops with the layer whose output it
-needs.  The JSON records every time, where and why each layer stopped,
-a digest of each result (so two checkouts can be seen to agree), the
-seeds, the machine and the Python version.  Results are merged into
-``--out`` under ``--label``, so the same file can hold two checkouts.
+and, on both families, ``validate_vcategory``, ``largest_bisimulation``
+and ``largest_simulation`` (the input against itself).
+
+Each layer runs ``REPEATS`` times per size, each run after
+``gc.collect()`` with the previous run's result dropped, and the median
+is recorded with every run, so that a figure depends neither on what ran
+before it nor on when the cyclic collector last fired.  A layer stops
+growing n after the first size at which its median passes ``--cap``
+seconds, and a layer stops with the layer whose output it needs.  The
+JSON records every time, where and why each layer stopped, a digest of
+each result (so two checkouts can be seen to agree), the seeds, the
+machine and the Python version.  Results are merged into ``--out`` under
+``--label``, so the same file can hold two checkouts.
 
 Standard library only; nothing here is part of the test suite.
 """
@@ -32,10 +42,13 @@ Standard library only; nothing here is part of the test suite.
 from __future__ import annotations
 
 import argparse
+import gc
+import hashlib
 import json
 import os
 import platform
 import random
+import statistics
 import sys
 import tempfile
 import time
@@ -44,15 +57,13 @@ from pathlib import Path
 ALPHABET = ("a", "b")
 SEED = 7
 CUTOFFS = (2, 4)
-LAYERS = (
-    "import_aut",
-    "path_homs",
-    "vcategory",
-    "validate_vcategory",
-    "largest_bisimulation",
-    "largest_simulation",
-)
-# the layer whose output each layer consumes
+TABLE_BASES = ("Q2", "M3")
+TABLE_MAX_N = 800
+REPEATS = 3
+M3_GRID = [0, 1, 2, float("inf")]  # element i is the distance M3_GRID[i]
+RELATION_LAYERS = ("validate_vcategory", "largest_bisimulation", "largest_simulation")
+AUTOMATON_LAYERS = ("import_aut", "path_homs", "vcategory") + RELATION_LAYERS
+# the layer whose output each layer consumes; table layers read the input
 NEEDS = {
     "vcategory": "path_homs",
     "validate_vcategory": "vcategory",
@@ -72,71 +83,139 @@ def aut_text(n: int, trans: list[tuple[int, str, int]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def timed(fn):
-    start = time.perf_counter()
-    result = fn()
-    return time.perf_counter() - start, result
+def closed_table(base_name: str, rng: random.Random, n: int) -> list[list[int]]:
+    """A random 2-out graph closed into its hom table, as element indices.
+
+    Q2: 1 where the target is reachable, else 0 (bottom).  M3: the index
+    of the least distance, 3 (infinity) beyond distance 2; every edge
+    weight is at least 1, so two steps reach everything within 2.
+    """
+    weights = (1,) if base_name == "Q2" else (1, 1, 2)
+    out = [[(rng.randrange(n), rng.choice(weights)) for _ in range(2)] for _ in range(n)]
+    table = []
+    for s in range(n):
+        if base_name == "Q2":
+            seen, stack = {s}, [s]
+            while stack:
+                for t, _ in out[stack.pop()]:
+                    if t not in seen:
+                        seen.add(t)
+                        stack.append(t)
+            table.append([int(t in seen) for t in range(n)])
+            continue
+        dist = {s: 0}
+        for t, w in out[s]:
+            dist[t] = min(dist.get(t, 3), w)
+        for t, w in [(t2, w2) for t, d in list(dist.items()) if d == 1 for t2, w2 in out[t]]:
+            dist[t] = min(dist.get(t, 3), 1 + w)
+        table.append([dist.get(t, 3) for t in range(n)])
+    return table
 
 
-def measure(k: int, sizes: list[int], cap: float, workdir: Path) -> dict:
-    from enrbisim import bisim, documents
-    from enrbisim.quantaloid import build_language_quantale
-    from enrbisim.vcat import VCategory, validate_vcategory
-
-    base = build_language_quantale(ALPHABET, k)
-    layers = {name: {"seconds": {}, "digest": {}, "stopped": None} for name in LAYERS}
+def run_layers(layers, sizes: list[int], cap: float, prepare) -> dict:
+    """Time ``layers`` at each size.  ``prepare(n)`` returns each layer's
+    step, as a function of the outputs so far; the untimed inputs those
+    outputs start from; a label; and what to call, if anything, after
+    the size is done."""
+    out = {name: {"seconds": {}, "runs": {}, "digest": {}, "stopped": None} for name in layers}
     for n in sizes:
-        if all(layer["stopped"] for layer in layers.values()):
+        if all(layer["stopped"] for layer in out.values()):
             break
-        trans = random_automaton(random.Random(f"{SEED}:{k}:{n}"), n)
-        path = workdir / f"a{n}.aut"
-        path.write_text(aut_text(n, trans))
-        edges = [(s, t, frozenset({(label,)})) for s, label, t in trans]
-        names = [f"s{i}" for i in range(n)]
-        outputs = {}
-        steps = {
-            "import_aut": lambda: documents.import_aut(path, ALPHABET, k),
-            "path_homs": lambda: base.path_homs(n, edges),
-            "vcategory": lambda: VCategory(base, names, [0] * n, outputs["path_homs"]),
-            "validate_vcategory": lambda: validate_vcategory(outputs["vcategory"]),
-            "largest_bisimulation": lambda: bisim.largest_bisimulation(
-                outputs["vcategory"], outputs["vcategory"]
-            ),
-            "largest_simulation": lambda: bisim.largest_simulation(
-                outputs["vcategory"], outputs["vcategory"]
-            ),
-        }
-        for name in LAYERS:
-            layer = layers[name]
+        steps, outputs, label, cleanup = prepare(n)
+        for name in layers:
+            layer = out[name]
             if layer["stopped"] is not None:
                 continue
             need = NEEDS.get(name)
             if need is not None and need not in outputs:
                 layer["stopped"] = {"n": n, "why": f"needs {need}, which stopped"}
                 continue
-            seconds, result = timed(steps[name])
+            runs = []
+            for _ in range(REPEATS):
+                result = None  # drop the previous run's result before collecting
+                gc.collect()
+                start = time.perf_counter()
+                result = steps[name](outputs)
+                runs.append(time.perf_counter() - start)
+            seconds = statistics.median(runs)
             outputs[name] = result
             layer["seconds"][str(n)] = round(seconds, 6)
+            layer["runs"][str(n)] = [round(r, 6) for r in runs]
             layer["digest"][str(n)] = digest(name, result)
             if seconds > cap:
-                layer["stopped"] = {"n": n, "why": f"took {seconds:.3f} s, over the cap"}
-            print(f"k={k} n={n} {name}: {seconds:.4f} s", file=sys.stderr, flush=True)
-        path.unlink()
+                layer["stopped"] = {"n": n, "why": f"median {seconds:.3f} s, over the cap"}
+            print(f"{label} n={n} {name}: {seconds:.4f} s", file=sys.stderr, flush=True)
+        if cleanup is not None:
+            cleanup()
         del outputs  # drop this size's tables before drawing the next
-    for layer in layers.values():
+    for layer in out.values():
         if layer["stopped"] is None:
             layer["stopped"] = {"n": None, "why": "ran every size"}
-    return layers
+    return out
+
+
+def relation_steps(bisim, validate_vcategory) -> dict:
+    """The layers both families share, on the enrichment ``vcategory``."""
+    return {
+        "validate_vcategory": lambda o: validate_vcategory(o["vcategory"]),
+        "largest_bisimulation": lambda o: bisim.largest_bisimulation(o["vcategory"], o["vcategory"]),
+        "largest_simulation": lambda o: bisim.largest_simulation(o["vcategory"], o["vcategory"]),
+    }
+
+
+def measure_automata(k: int, sizes: list[int], cap: float, workdir: Path) -> dict:
+    from enrbisim import bisim, documents
+    from enrbisim.quantaloid import build_language_quantale
+    from enrbisim.vcat import VCategory, validate_vcategory
+
+    base = build_language_quantale(ALPHABET, k)
+
+    def prepare(n):
+        trans = random_automaton(random.Random(f"{SEED}:{k}:{n}"), n)
+        path = workdir / f"a{n}.aut"
+        path.write_text(aut_text(n, trans))
+        edges = [(s, t, frozenset({(label,)})) for s, label, t in trans]
+        names = [f"s{i}" for i in range(n)]
+        steps = {
+            "import_aut": lambda o: documents.import_aut(path, ALPHABET, k),
+            "path_homs": lambda o: base.path_homs(n, edges),
+            "vcategory": lambda o: VCategory(base, names, [0] * n, o["path_homs"]),
+            **relation_steps(bisim, validate_vcategory),
+        }
+        return steps, {}, f"k={k}", path.unlink
+
+    return run_layers(AUTOMATON_LAYERS, sizes, cap, prepare)
+
+
+def measure_tables(base_name: str, sizes: list[int], cap: float) -> dict:
+    from enrbisim import bisim
+    from enrbisim.quantaloid import build_boolean_quantale, build_metric_quantale
+    from enrbisim.vcat import VCategory, validate_vcategory
+
+    base = build_boolean_quantale() if base_name == "Q2" else build_metric_quantale(M3_GRID)
+
+    def prepare(n):
+        table = closed_table(base_name, random.Random(f"{SEED}:{base_name}:{n}"), n)
+        # the input, built untimed, stands where the automata's constructor output does
+        cat = VCategory(base, [f"x{i}" for i in range(n)], [0] * n, table)
+        return relation_steps(bisim, validate_vcategory), {"vcategory": cat}, base_name, None
+
+    return run_layers(RELATION_LAYERS, [n for n in sizes if n <= TABLE_MAX_N], cap, prepare)
 
 
 def digest(name: str, result):
     """What two correct checkouts must agree on: the number of words in
-    the hom table, of violations, or of related pairs."""
+    an automaton's hom table, and a hash of the violations or of the
+    related pairs and refinement trace."""
     if name == "path_homs":
         return sum(len(x) for row in result for x in row)
     if name in ("import_aut", "vcategory"):
         return sum(len(x) for row in result.homs for x in row)
-    return len(result)
+    if name == "validate_vcategory":
+        text = repr(result)
+    else:
+        text = repr((sorted(result.pairs), result.refinement_trace))
+    return f"{len(result)}:{hashlib.sha256(text.encode()).hexdigest()[:16]}"
 
 
 def machine() -> dict:
@@ -169,19 +248,28 @@ def main(argv=None) -> int:
     run = {
         "machine": machine(),
         "seed": SEED,
-        "seed_rule": "each automaton draws from random.Random('<seed>:<k>:<n>')",
+        "seed_rule": "each input draws from random.Random('<seed>:<k>:<n>') "
+        "(automata) or random.Random('<seed>:<base>:<n>') (tables)",
         "sizes": args.sizes,
         "cap_s": args.cap,
+        "repeats": REPEATS,
+        "table_max_n": TABLE_MAX_N,
         "k": {},
+        "tables": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
         for k in CUTOFFS:
-            run["k"][str(k)] = measure(k, args.sizes, args.cap, Path(tmp))
+            run["k"][str(k)] = measure_automata(k, args.sizes, args.cap, Path(tmp))
+    for base_name in TABLE_BASES:
+        run["tables"][base_name] = measure_tables(base_name, args.sizes, args.cap)
 
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc.setdefault("harness", "bench/scale.py")
-    doc.setdefault("inputs", "seeded 2-out automata over {a,b}, free enrichments over QL({a,b},k)")
+    doc["inputs"] = (
+        "seeded 2-out automata over {a,b}, free enrichments over QL({a,b},k); "
+        "seeded 2-out graphs closed into Q2 and M3 hom tables"
+    )
     doc.setdefault("runs", {})[args.label] = run
     out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0

@@ -185,42 +185,110 @@ def is_bisimulation(r: SimRelation) -> SimulationCheck:
     return SimulationCheck(True)
 
 
-def _refine(left: VCategory, right: VCategory, bisim: bool) -> SimRelation:
+def largest_simulation(left: VCategory, right: VCategory) -> SimRelation:
     """Greatest fixed point of the refinement operator from the full
-    extent-matching relation.  Relations passing the direct check are
-    exactly the post-fixed points, so the result is their union.
+    extent-matching relation, in synchronous rounds.  Relations passing
+    the direct check are exactly the post-fixed points, so the result is
+    their union.
 
-    The engine of ``largest_simulation``; with ``bisim=True``, the test
-    oracle for ``largest_bisimulation``."""
-    pairs = set(SimRelation.full(left, right).pairs)
-    trace: list[tuple[int, str, str]] = []
-    round_no = 0
-    while True:
-        round_no += 1
-        partners = _partners(pairs)
-        co_partners = _partners((b, a) for a, b in pairs)
-        cache: dict = {}
-        co_cache: dict = {}
-        removed = []
-        for a, b in pairs:
-            bad = _sim_holds_at(left, right, partners, a, b, cache) is not None
-            if not bad and bisim:
-                bad = (
-                    _sim_holds_at(right, left, co_partners, b, a, co_cache)
-                    is not None
-                )
-            if bad:
-                removed.append((a, b))
-        if not removed:
+    Round r removes every pair (a,b) with a probe a' (a non-bottom hom
+    x = hom(a,a')) such that x is not below the partner join of (a',b),
+    the join of hom(b,b') over the partners b' of a' at the start of the
+    round; the trace gives each removed pair its round.
+
+    - Round 1: each partner set is a whole extent, so the partner join
+      is b's join into the extent of a'.  A pair survives iff, for each
+      extent, a's join into it is below b's (a join is below a bound iff
+      each joinand is), so objects are compared once per distinct
+      vector of extent joins.
+    - Round r > 1: a pair that passed round r-1 can fail only on a probe
+      whose partner set shrank in round r-1, so only pairs (a,b) whose
+      a has a non-bottom hom into such an object are re-checked, and
+      only on those probes, with their partner joins recomputed.
+
+    Each step needs of the base only what the direct check does: every
+    hom lattice has binary and empty joins that are least upper bounds,
+    and a transitive order.  No distributivity is used, since no join
+    is ever split or subtracted.
+    """
+    require_same_base(left, right)
+    lnames, rnames, rrows = left.objects, right.objects, right.rows
+    part, shrunk, trace = _first_round(left, right)
+    preds: list[list] = [[] for _ in lnames]  # a' -> (a, hom(a,a'), lattice)
+    for a, row in enumerate(left.rows):
+        for ap, x, lat in row:
+            preds[ap].append((a, x, lat))
+    for round_no in itertools.count(2):
+        if not shrunk:
             break
+        probes: dict = {}  # a -> its probes whose partner sets shrank
+        for ap in shrunk:
+            for a, x, lat in preds[ap]:
+                probes.setdefault(a, []).append((ap, x, lat))
+        joins: dict = {}  # (a', b) -> partner join
+        removed = []
+        for a, checks in probes.items():
+            for b in part[a]:
+                row_b, homs_b = rrows[b], right.homs[b]
+                for ap, x, lat in checks:
+                    key = (ap, b)
+                    if key not in joins:
+                        mates = part[ap]
+                        if len(row_b) <= len(mates):
+                            joins[key] = lat._join([y for bp, y, _ in row_b if bp in mates])
+                        else:
+                            joins[key] = lat._join([homs_b[bp] for bp in mates])
+                    if not lat._leq(x, joins[key]):
+                        removed.append((a, b))
+                        break
+        shrunk = set()
         for a, b in removed:
-            pairs.discard((a, b))
-            trace.append((round_no, left.objects[a], right.objects[b]))
+            part[a].discard(b)
+            shrunk.add(a)
+            trace.append((round_no, lnames[a], rnames[b]))
+    pairs = [(a, b) for a, mates in enumerate(part) for b in mates]
     return SimRelation(left, right, pairs, trace=sorted(trace))
 
 
-def largest_simulation(left: VCategory, right: VCategory) -> SimRelation:
-    return _refine(left, right, bisim=False)
+def _first_round(left: VCategory, right: VCategory) -> tuple[list[set], set, list]:
+    """Round 1 of ``largest_simulation``: each left object's surviving
+    partners, the left objects that lost one, and the trace entries.
+
+    Objects of one extent with equal extent joins pass or fail together,
+    so each distinct left vector meets each distinct right one once.  An
+    extent that b has no hom into has the bottom join there.
+    """
+    base = left.base
+    by_vector: list[dict] = [{}, {}]  # (extent, {extent: join}) -> (joins, objects)
+    for side, cat in enumerate((left, right)):
+        for x, row in enumerate(cat.rows):
+            joins = _block_joins(row, cat.extents)
+            key = (cat.extents[x], frozenset(joins.items()))
+            by_vector[side].setdefault(key, (joins, []))[1].append(x)
+    right_groups: dict = {}  # extent -> [(joins, objects)]
+    for (eb, _), group in by_vector[1].items():
+        right_groups.setdefault(eb, []).append(group)
+    part: list[set] = [set() for _ in left.objects]
+    shrunk: set = set()
+    trace: list = []
+    lnames, rnames = left.objects, right.objects
+    for (ea, _), (need, lefts) in by_vector[0].items():
+        lats = {e: base.hom(ea, e) for e in need}
+        checks = [(e, lats[e], x, lats[e]._join(())) for e, x in need.items()]
+        good, bad = [], []
+        for have, rights in right_groups.get(ea, ()):
+            for e, lat, x, bottom in checks:
+                if not lat._leq(x, have.get(e, bottom)):
+                    bad += rights
+                    break
+            else:
+                good += rights
+        for a in lefts:
+            part[a].update(good)
+        if bad:
+            shrunk.update(lefts)
+            trace += [(1, lnames[a], rnames[b]) for a in lefts for b in bad]
+    return part, shrunk, trace
 
 
 def _block_joins(row: list[tuple], block_of) -> dict:
@@ -246,10 +314,11 @@ def largest_bisimulation(left: VCategory, right: VCategory) -> SimRelation:
     signature (an object's block and its join into each block) until the
     block count stops growing.  A partition is a bisimulation iff objects
     sharing a block have equal blockwise joins, so the result is the
-    left-right pairs sharing a final block.  ``_refine`` checks each
-    round against the previous round's relation, which is the left-right
-    part of that round's partition; so a pair's trace round is the round
-    that first separates it, and the trace equals ``_refine``'s.
+    left-right pairs sharing a final block.  The round-robin refinement
+    (``_refine``, the oracle in the tests) checks each round against the
+    previous round's relation, which is the left-right part of that
+    round's partition; so a pair's trace round is the round that first
+    separates it, and the trace equals ``_refine``'s.
 
     Precondition: every hom order is antisymmetric, so that equal joins
     are equal values.  Table lattices are validated when loaded.

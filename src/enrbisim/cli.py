@@ -26,7 +26,8 @@ FIXTURE_ENV = "ENRBISIM_FIXTURES"
 
 
 class Report:
-    """Outcome of one command: verdict, evidence, timing."""
+    """Outcome of one command: verdict, evidence, and the time ``main``
+    took to produce it."""
 
     def __init__(self, command: str, verdict: str, details: dict[str, Any]):
         self.command = command
@@ -95,13 +96,10 @@ def _counterexample(check: bisim.SimulationCheck) -> dict:
 
 def run(command: str, bundle: documents.Bundle, flags: argparse.Namespace) -> Report:
     """Dispatch one command against a loaded bundle."""
-    start = time.perf_counter()
     try:
-        report = _dispatch(command, bundle, flags)
+        return _dispatch(command, bundle, flags)
     except EnrbisimError as err:
-        report = Report(command, "error", {"error": f"{type(err).__name__}: {err}"})
-    report.timing = time.perf_counter() - start
-    return report
+        return Report(command, "error", {"error": f"{type(err).__name__}: {err}"})
 
 
 def _dispatch(command, bundle, flags) -> Report:
@@ -405,6 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    start = time.perf_counter()
     args = build_parser().parse_args(argv)
     alphabet = args.aut_alphabet.split(",") if args.aut_alphabet else None
     paths = args.paths if args.paths is not None else default_fixture_paths()
@@ -421,6 +420,7 @@ def main(argv=None) -> int:
         traceback.print_exc()
         details = {"error": f"{type(err).__name__}: {err}", "kind": "internal"}
         report = Report(args.command, "error", details)
+    report.timing = time.perf_counter() - start  # the whole run, load errors included
     if args.format == "json":
         print(report.to_json(include_timing=args.timing))
     else:

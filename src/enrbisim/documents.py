@@ -80,31 +80,53 @@ def element_to_doc(base: Quantaloid, u: int, v: int, value) -> Any:
     raise ValidationError(f"no element encoding for base {base!r}")
 
 
-def element_from_doc(base: Quantaloid, u: int, v: int, doc) -> Any:
+def element_decoder(base: Quantaloid, u: int, v: int):
+    """The reader of hom(u,v) element documents: a function from a
+    document value to its element, checked against the hom lattice.
+    Callers reading many elements of one hom take it once."""
     lat = base.hom(u, v)
     if isinstance(base, LanguageQuantale):
-        value = frozenset(tuple(word) for word in doc)
+        def raw(doc):
+            return frozenset(tuple(word) for word in doc)
     elif isinstance(base, RelQuantaloid):
-        value = frozenset(tuple(pair) for pair in doc)
+        def raw(doc):
+            return frozenset(tuple(pair) for pair in doc)
     elif isinstance(base, PowersetCatQuantaloid):
-        value = frozenset(base.cat.morphism_index(name) for name in doc)
+        def raw(doc):
+            return frozenset(base.cat.morphism_index(name) for name in doc)
     elif isinstance(base, CribleQuantaloid):
-        value = frozenset(
-            Span(
-                base.cat.object_index(d["apex"]),
-                base.cat.morphism_index(d["left"]),
-                base.cat.morphism_index(d["right"]),
+        def raw(doc):
+            return frozenset(
+                Span(
+                    base.cat.object_index(d["apex"]),
+                    base.cat.morphism_index(d["left"]),
+                    base.cat.morphism_index(d["right"]),
+                )
+                for d in doc
             )
-            for d in doc
-        )
     elif isinstance(lat, TableLattice):
-        if isinstance(doc, bool) or not isinstance(doc, (str, int)):
-            raise ParseError(f"table element {doc!r} is neither a name nor an index")
-        value = lat.index_of(doc) if isinstance(doc, str) else doc
+        def decode_table(doc):
+            if isinstance(doc, str):
+                return lat.index_of(doc)  # a named element needs no further check
+            if isinstance(doc, bool) or not isinstance(doc, int):
+                raise ParseError(f"table element {doc!r} is neither a name nor an index")
+            lat.check_element(doc)
+            return doc
+
+        return decode_table
     else:
         raise ValidationError(f"no element encoding for base {base!r}")
-    lat.check_element(value)
-    return value
+
+    def decode(doc):
+        value = raw(doc)
+        lat.check_element(value)
+        return value
+
+    return decode
+
+
+def element_from_doc(base: Quantaloid, u: int, v: int, doc) -> Any:
+    return element_decoder(base, u, v)(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +221,13 @@ def _name_lookup(doc, names: list[str]):
 
 def _vcategory_from_doc(doc, resolve) -> VCategory:
     base = resolve(doc["base"], Quantaloid)
+    decoders: dict = {}  # extent pair -> its element_decoder
+
+    def decode(u, v, elem_doc):
+        if (u, v) not in decoders:
+            decoders[u, v] = element_decoder(base, u, v)
+        return decoders[u, v](elem_doc)
+
     if "graph" in doc:
         g = doc["graph"]
         vertices = [
@@ -209,7 +238,7 @@ def _vcategory_from_doc(doc, resolve) -> VCategory:
         edges = []
         for e in g["edges"]:
             s, t = index(str(e["src"])), index(str(e["tgt"]))
-            label = element_from_doc(base, vertices[s][1], vertices[t][1], e["label"])
+            label = decode(vertices[s][1], vertices[t][1], e["label"])
             edges.append((s, t, label))
         cat = free_vcategory(base, EnrichedGraph(vertices, edges))
     else:
@@ -223,7 +252,7 @@ def _vcategory_from_doc(doc, resolve) -> VCategory:
         for key, elem_doc in doc["homs"].items():
             a, b = key.split(",")
             i, j = index(a), index(b)
-            homs[i][j] = element_from_doc(base, extents[i], extents[j], elem_doc)
+            homs[i][j] = decode(extents[i], extents[j], elem_doc)
         cat = VCategory(base, names, extents, homs)
     problems = validate_vcategory(cat)
     if problems:

@@ -26,6 +26,8 @@ from .errors import IncompleteLattice, NoAdjoint, SizeLimit, UnknownElement
 
 # Largest element count we are willing to enumerate exhaustively.
 DEFAULT_ENUM_CAP = 1 << 13
+# Most compositions an exhaustive check of a quantaloid's laws may make.
+COMPOSE_BUDGET = 1 << 20
 
 
 class Lattice:
@@ -122,6 +124,9 @@ class TableLattice(Lattice):
         self.names = list(names)
         n = len(self.names)
         self._n = n
+        self._index: dict[str, int] = {}  # a repeated name means its first index
+        for i, name in enumerate(self.names):
+            self._index.setdefault(name, i)
         full = (1 << n) - 1
         ups = [0] * n  # ups[i] = bitmask of j with i <= j
         downs = [0] * n
@@ -158,8 +163,8 @@ class TableLattice(Lattice):
 
     def index_of(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._index[name]
+        except KeyError:
             raise UnknownElement(f"no element named {name!r}") from None
 
     def _leq(self, x, y) -> bool:

@@ -6,7 +6,8 @@ import pytest
 from enrbisim.bisim import (
     BisimEquivalence,
     SimRelation,
-    _refine,
+    _partners,
+    _sim_holds_at,
     bisimilar,
     cospan_witness,
     equivalence_closure,
@@ -209,6 +210,40 @@ def aut_pair(rng, n, flip):
     return free(n, trans, "s"), free(m, [(perm[s], x, perm[t]) for s, x, t in copy], "t")
 
 
+def _refine(left: VCategory, right: VCategory, bisim: bool) -> SimRelation:
+    """Greatest fixed point of the refinement operator from the full
+    extent-matching relation.  Relations passing the direct check are
+    exactly the post-fixed points, so the result is their union.
+
+    The test oracle for ``largest_simulation`` and, with ``bisim=True``,
+    for ``largest_bisimulation``."""
+    pairs = set(SimRelation.full(left, right).pairs)
+    trace: list[tuple[int, str, str]] = []
+    round_no = 0
+    while True:
+        round_no += 1
+        partners = _partners(pairs)
+        co_partners = _partners((b, a) for a, b in pairs)
+        cache: dict = {}
+        co_cache: dict = {}
+        removed = []
+        for a, b in pairs:
+            bad = _sim_holds_at(left, right, partners, a, b, cache) is not None
+            if not bad and bisim:
+                bad = (
+                    _sim_holds_at(right, left, co_partners, b, a, co_cache)
+                    is not None
+                )
+            if bad:
+                removed.append((a, b))
+        if not removed:
+            break
+        for a, b in removed:
+            pairs.discard((a, b))
+            trace.append((round_no, left.objects[a], right.objects[b]))
+    return SimRelation(left, right, pairs, trace=sorted(trace))
+
+
 def assert_matches_oracle(a, b):
     got, want = largest_bisimulation(a, b), _refine(a, b, bisim=True)
     assert got.pairs == want.pairs
@@ -325,6 +360,50 @@ def assert_simulation_matches_dense(a, b, rng):
         assert check.ok == (check.counterexample is None)
         failed += not check.ok
     return got, failed
+
+
+def assert_simulation_matches_oracle(a, b):
+    """Compare ``largest_simulation`` with the round-robin refinement,
+    pairs and trace; return the last round that removed a pair."""
+    got, want = largest_simulation(a, b), _refine(a, b, bisim=False)
+    assert got.pairs == want.pairs
+    assert got.refinement_trace == want.refinement_trace
+    return max((r for r, _, _ in got.refinement_trace), default=0)
+
+
+class TestSimulationEngine:
+    """The round-synchronous engine against the round-robin refinement it
+    replaced.  PENTA and BP2 have two base objects, so their tables mix
+    extents."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_BASES))
+    def test_matches_oracle_on_random_pairs(self, name):
+        base = ORACLE_BASES[name]()
+        rng = random.Random(f"sim-oracle:{name}")
+        rounds = []
+        for n in (10, 20, 30, 40):
+            a = random_table(base, rng, n, "x")
+            for b in (covering_copy(a, rng, perturb=True), random_table(base, rng, n // 2, "z"), a):
+                rounds.append(assert_simulation_matches_oracle(a, b))
+        assert max(rounds) >= 3  # later rounds re-check only affected probes
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_matches_oracle_on_automata(self, flip):
+        a, b = aut_pair(random.Random(f"sim-aut:{flip}"), 60, flip)
+        assert assert_simulation_matches_oracle(a, b) >= 1
+        assert_simulation_matches_oracle(b, a)
+        assert_simulation_matches_oracle(a, a)
+
+    def test_extent_without_right_homs_fails_in_round_one(self):
+        base = penta()
+        n5 = base.hom(0, 1)
+        # x0 has a hom into the v-object x1; y0 has none into extent v
+        a = VCategory(base, ["x0", "x1"], [0, 1], [[1, n5.top], [0, 1]])
+        b = VCategory(base, ["y0", "y1"], [0, 1], [[1, n5.bottom], [0, 1]])
+        got = largest_simulation(a, b)
+        assert got.pairs == {(1, 1)}
+        assert got.refinement_trace == ((1, "x0", "y0"),)
+        assert_simulation_matches_oracle(a, b)
 
 
 class TestSimulationAgainstDenseProbes:

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -58,6 +59,15 @@ class TestDeterminism:
     def test_timing_flag_adds_field(self, capsys):
         _, out = invoke(capsys, "--timing", "validate", "Q2")
         assert "timing_seconds" in json.loads(out)
+
+    def test_timing_covers_load_errors(self, capsys, tmp_path):
+        (tmp_path / "BAD.json").write_text("{")
+        code, out = invoke(capsys, "--timing", "--paths", str(tmp_path), "validate")
+        body = json.loads(out)
+        assert code == 2 and body["verdict"] == "error"
+        assert body["timing_seconds"] >= 0
+        _, plain = invoke(capsys, "--paths", str(tmp_path), "validate")
+        assert "timing_seconds" not in json.loads(plain)
 
 
 class TestCommands:
@@ -195,6 +205,22 @@ class TestFixtureRoot:
         assert json.loads(out)["details"]["checked"] == ["POINT", "Q2"]
 
 
+class TestQuantaloidWorkBound:
+    def test_oversized_base_is_refused_quickly(self, capsys, tmp_path):
+        # one hom of 2^9 relations: the exhaustive law checks would make
+        # about 8e8 compositions
+        (tmp_path / "R.json").write_text(json.dumps({
+            "schema": SCHEMA, "name": "R", "kind": "quantaloid", "construction": "rel",
+            "sets": [["a", "b", "c"]],
+        }))
+        start = time.perf_counter()
+        code, out = invoke(capsys, "--paths", str(tmp_path), "validate")
+        assert time.perf_counter() - start < 20
+        assert code == 1
+        (violation,) = json.loads(out)["details"]["violations"]["R"]
+        assert violation.startswith("too large to validate")
+
+
 class TestParser:
     def test_suite_range_parse(self):
         parser = build_parser()
@@ -237,6 +263,22 @@ class TestExitCodeContract:
     def test_cts_spec_of_wrong_kind(self, capsys):
         code, out = invoke(capsys, "cts-build", "--spec", "Q2")
         self.assert_error(code, out)
+
+    @pytest.mark.parametrize("hom, error", [
+        ("2", "UnknownElement: no element named '2'"),
+        (2, "UnknownElement: 2 is not an element of TableLattice(2 elements)"),
+        (True, "ParseError: table element True is neither a name nor an index"),
+    ])
+    def test_table_hom_outside_its_lattice(self, capsys, tmp_path, hom, error):
+        copy_fixtures(tmp_path, ["Q2"])
+        (tmp_path / "BAD.json").write_text(json.dumps({
+            "schema": SCHEMA, "name": "BAD", "kind": "vcategory", "base": "Q2",
+            "objects": [{"name": "a", "extent": "*"}, {"name": "b", "extent": "*"}],
+            "homs": {"a,a": "1", "a,b": 0, "b,b": "1", "b,a": hom},
+        }))
+        code, out = invoke(capsys, "--paths", str(tmp_path), "validate")
+        self.assert_error(code, out)
+        assert json.loads(out)["details"]["error"] == error
 
     def test_table_hom_written_as_list(self, capsys, tmp_path):
         copy_fixtures(tmp_path, ["Q2"])

@@ -6,10 +6,11 @@ import pytest
 from enrbisim.constructions import residual
 from enrbisim.errors import BadGrid, NotComposable, SizeLimit
 from enrbisim.fixtures import bp2, m3, penta, q2, ql, rel1
-from enrbisim.lattice import TableLattice
+from enrbisim.lattice import COMPOSE_BUDGET, TableLattice
 from enrbisim.quantaloid import (
     INF,
     TableQuantaloid,
+    _law_compositions,
     build_language_quantale,
     build_metric_quantale,
     build_rel_quantaloid,
@@ -58,6 +59,26 @@ class TestValidate:
         )
         report = validate_quantaloid(broken)
         assert any("unit law" in v for v in report.violations)
+
+
+class TestWorkBound:
+    @pytest.mark.parametrize("build", [q2, ql, m3, rel1, bp2, penta])
+    def test_count_is_the_compositions_made(self, build, monkeypatch):
+        q = build()
+        made = []
+        compose = q.compose
+        monkeypatch.setattr(q, "compose", lambda *args: made.append(1) or compose(*args))
+        assert validate_quantaloid(q).ok
+        n = q.n_objects
+        sizes = [[q.hom(u, v).size for v in range(n)] for u in range(n)]
+        assert _law_compositions(sizes) == len(made) <= COMPOSE_BUDGET
+
+    def test_base_over_budget_is_not_certified(self):
+        report = validate_quantaloid(build_language_quantale(["a", "b"], 2))
+        assert report.violations == [
+            "too large to validate: the law checks take 12649088 compositions, "
+            f"over the budget of {COMPOSE_BUDGET}"
+        ]
 
 
 class TestTensor:

@@ -26,9 +26,9 @@ from enrbisim.errors import (
     TypeMismatch,
     UnknownElement,
 )
-from enrbisim.fixtures import aut1, bp2, codisc2, loop1, m3, p01, point, q2, ql, rel1
+from enrbisim.fixtures import aut1, bp2, codisc2, loop1, m3, p01, penta, point, q2, ql, rel1
 from enrbisim.generators import coproduct, random_vcategory, terminal, to_terminal
-from enrbisim.lattice import TableLattice
+from enrbisim.lattice import PowersetLattice, TableLattice
 from enrbisim.quantaloid import TableQuantaloid, build_language_quantale, validate_quantaloid
 from enrbisim.vcat import (
     EnrichedGraph,
@@ -130,6 +130,73 @@ class TestValidateAgainstDenseOracle:
             assert validate_vcategory(b) == expected, case
             broken += bool(expected)
         assert broken >= 5
+
+
+def random_hom_table(base, rng, n):
+    """Homs drawn freely, a third of them bottom, so that most composites
+    break the law and rows hold several distinct values."""
+    extents = [rng.randrange(base.n_objects) for _ in range(n)]
+    homs = [
+        [
+            base.hom(u, v).bottom if rng.random() < 0.3 else base.hom(u, v).sample(rng)
+            for v in extents
+        ]
+        for u in extents
+    ]
+    return VCategory(base, [f"x{i}" for i in range(n)], extents, homs)
+
+
+GROUPED_BASES = {"M3": m3, "PENTA": penta, "BP2": bp2}
+
+
+class TestGroupedCheck:
+    """The value-grouped composition check against the dense loop.  PENTA
+    and BP2 have two base objects, and PENTA's homs share values across
+    extents."""
+
+    @pytest.mark.parametrize("name", sorted(GROUPED_BASES))
+    def test_same_violations_in_the_same_order(self, name):
+        base = GROUPED_BASES[name]()
+        rng = random.Random(f"grouped-{name}")
+        busy = 0  # rows with several distinct values and several violations
+        for case in range(12):
+            a = random_hom_table(base, rng, rng.randint(6, 12))
+            found = validate_vcategory(a)
+            assert found == dense_validate(a), case
+            for i, row in enumerate(a.rows):
+                values = {(a.extents[k], x) for k, x, _ in row}
+                fails = [m for m in found if m.startswith(f"composition fails at ({a.objects[i]},")]
+                busy += len(values) >= 2 and len(fails) >= 2
+        assert busy >= 20
+
+    @pytest.mark.parametrize("name", sorted(GROUPED_BASES))
+    def test_no_more_work_than_the_triple_loop(self, name, monkeypatch):
+        """At most one ``_leq`` per composable triple (plus the unit
+        checks) and one composite per composable triple."""
+        base = GROUPED_BASES[name]()
+        rng = random.Random(f"grouped-work-{name}")
+        calls = {"leq": 0, "compose": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for cls in (TableLattice, PowersetLattice):
+            monkeypatch.setattr(cls, "_leq", counted("leq", cls._leq))
+        monkeypatch.setattr(base, "compose", counted("compose", base.compose))
+        for case in range(12):
+            if case % 2:
+                a = random_hom_table(base, rng, rng.randint(6, 12))
+            else:
+                a = random_vcategory(base, rng, max_objects=12, density=0.3)
+            triples = sum(len(a.rows[j]) for row in a.rows for j, _, _ in row)
+            calls.update(leq=0, compose=0)
+            validate_vcategory(a)
+            assert calls["leq"] <= triples + a.n_objects, case
+            assert calls["compose"] <= triples, case
 
 
 class TestNonBottomRows:
