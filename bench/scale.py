@@ -2,8 +2,8 @@
 
 Usage (from the root of a checkout):
 
-    python3 bench/scale.py --label change --out bench/BENCH_scale_9.json
-    python3 bench/scale.py --src OTHER/src --label parent --out bench/BENCH_scale_9.json
+    python3 bench/scale.py --label change --out bench/BENCH_scale_10.json
+    python3 bench/scale.py --src OTHER/src --label parent --out bench/BENCH_scale_10.json
     python3 bench/scale.py --sizes 100 --cap 1 --out /tmp/scale.json   # smoke run
 
 Two input families, each grown over the sizes in the order given:
@@ -18,9 +18,12 @@ Two input families, each grown over the sizes in the order given:
 - tables: seeded 2-out graphs closed into explicit hom tables over Q2
   (reachability) and M3 (shortest distance over edge weights 1, 1, 2,
   where a sum above 2 is infinity, the grid's bottom).  The closure is
-  computed here by a search from each source, not by ``free_vcategory``,
-  whose generic closure is cubic; only sizes up to ``TABLE_MAX_N`` run,
-  since a table holds n² homs;
+  computed here by a search from each source, and it is the input of the
+  other layers.  Only sizes up to ``TABLE_MAX_N`` run, since a table
+  holds n² homs.  The layer
+  - ``free_vcategory`` builds the same table from the graph's labelled
+    edges through the generic closure; the harness exits with status 1
+    if the two tables differ;
 
 and, on both families, ``validate_vcategory``, ``largest_bisimulation``
 and ``largest_simulation`` (the input against itself).
@@ -28,8 +31,14 @@ and ``largest_simulation`` (the input against itself).
 Each layer runs ``REPEATS`` times per size, each run after
 ``gc.collect()`` with the previous run's result dropped, and the median
 is recorded with every run, so that a figure depends neither on what ran
-before it nor on when the cyclic collector last fired.  A layer stops
-growing n after the first size at which its median passes ``--cap``
+before it nor on when the cyclic collector last fired.  The speed of a
+shared host drifts by a third and more over minutes, so a fixed
+pure-Python loop (the probe of ``perfbench/run.py``) is timed before each
+run.  A layer's figure at a size is the median of its runs scaled by
+``NOMINAL_PROBE_S`` over the median of their probes: it reads as if the
+host ran at nominal speed.  A probe sees drift between runs, not during
+one.  The raw median and the probes are kept beside it.  A layer stops
+growing n after the first size at which its figure passes ``--cap``
 seconds, and a layer stops with the layer whose output it needs.  The
 JSON records every time, where and why each layer stopped, a digest of
 each result (so two checkouts can be seen to agree), the seeds, the
@@ -61,8 +70,11 @@ TABLE_BASES = ("Q2", "M3")
 TABLE_MAX_N = 800
 REPEATS = 3
 M3_GRID = [0, 1, 2, float("inf")]  # element i is the distance M3_GRID[i]
+PROBE_ITERATIONS = 100_000
+NOMINAL_PROBE_S = 0.007  # the probe's median on perfbench's baseline machine
 RELATION_LAYERS = ("validate_vcategory", "largest_bisimulation", "largest_simulation")
 AUTOMATON_LAYERS = ("import_aut", "path_homs", "vcategory") + RELATION_LAYERS
+TABLE_LAYERS = ("free_vcategory",) + RELATION_LAYERS
 # the layer whose output each layer consumes; table layers read the input
 NEEDS = {
     "vcategory": "path_homs",
@@ -83,15 +95,21 @@ def aut_text(n: int, trans: list[tuple[int, str, int]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def closed_table(base_name: str, rng: random.Random, n: int) -> list[list[int]]:
-    """A random 2-out graph closed into its hom table, as element indices.
+def random_graph(base_name: str, rng: random.Random, n: int) -> list[list[tuple[int, int]]]:
+    """Two out-edges per vertex, as (target, weight); every weight is 1
+    over Q2, and 1, 1 or 2 over M3, where it is also the edge's label."""
+    weights = (1,) if base_name == "Q2" else (1, 1, 2)
+    return [[(rng.randrange(n), rng.choice(weights)) for _ in range(2)] for _ in range(n)]
+
+
+def closed_table(base_name: str, out: list[list[tuple[int, int]]]) -> list[list[int]]:
+    """A 2-out graph closed into its hom table, as element indices.
 
     Q2: 1 where the target is reachable, else 0 (bottom).  M3: the index
     of the least distance, 3 (infinity) beyond distance 2; every edge
     weight is at least 1, so two steps reach everything within 2.
     """
-    weights = (1,) if base_name == "Q2" else (1, 1, 2)
-    out = [[(rng.randrange(n), rng.choice(weights)) for _ in range(2)] for _ in range(n)]
+    n = len(out)
     table = []
     for s in range(n):
         if base_name == "Q2":
@@ -112,12 +130,24 @@ def closed_table(base_name: str, rng: random.Random, n: int) -> list[list[int]]:
     return table
 
 
+def speed_probe() -> float:
+    start = time.perf_counter()
+    acc = 0
+    for i in range(PROBE_ITERATIONS):
+        acc += i * i
+    return time.perf_counter() - start
+
+
 def run_layers(layers, sizes: list[int], cap: float, prepare) -> dict:
     """Time ``layers`` at each size.  ``prepare(n)`` returns each layer's
     step, as a function of the outputs so far; the untimed inputs those
     outputs start from; a label; and what to call, if anything, after
     the size is done."""
-    out = {name: {"seconds": {}, "runs": {}, "digest": {}, "stopped": None} for name in layers}
+    out = {
+        name: {"seconds": {}, "raw_seconds": {}, "runs": {}, "probes": {}, "digest": {},
+               "stopped": None}
+        for name in layers
+    }
     for n in sizes:
         if all(layer["stopped"] for layer in out.values()):
             break
@@ -130,21 +160,26 @@ def run_layers(layers, sizes: list[int], cap: float, prepare) -> dict:
             if need is not None and need not in outputs:
                 layer["stopped"] = {"n": n, "why": f"needs {need}, which stopped"}
                 continue
-            runs = []
+            runs, probes = [], []
             for _ in range(REPEATS):
                 result = None  # drop the previous run's result before collecting
                 gc.collect()
+                probes.append(speed_probe())
                 start = time.perf_counter()
                 result = steps[name](outputs)
                 runs.append(time.perf_counter() - start)
-            seconds = statistics.median(runs)
+            raw = statistics.median(runs)
+            seconds = raw * NOMINAL_PROBE_S / statistics.median(probes)
             outputs[name] = result
             layer["seconds"][str(n)] = round(seconds, 6)
+            layer["raw_seconds"][str(n)] = round(raw, 6)
             layer["runs"][str(n)] = [round(r, 6) for r in runs]
+            layer["probes"][str(n)] = [round(p, 6) for p in probes]
             layer["digest"][str(n)] = digest(name, result)
             if seconds > cap:
                 layer["stopped"] = {"n": n, "why": f"median {seconds:.3f} s, over the cap"}
-            print(f"{label} n={n} {name}: {seconds:.4f} s", file=sys.stderr, flush=True)
+            print(f"{label} n={n} {name}: {seconds:.4f} s (raw {raw:.4f} s)", file=sys.stderr,
+                  flush=True)
         if cleanup is not None:
             cleanup()
         del outputs  # drop this size's tables before drawing the next
@@ -190,32 +225,51 @@ def measure_automata(k: int, sizes: list[int], cap: float, workdir: Path) -> dic
 def measure_tables(base_name: str, sizes: list[int], cap: float) -> dict:
     from enrbisim import bisim
     from enrbisim.quantaloid import build_boolean_quantale, build_metric_quantale
-    from enrbisim.vcat import VCategory, validate_vcategory
+    from enrbisim.vcat import EnrichedGraph, VCategory, free_vcategory, validate_vcategory
 
     base = build_boolean_quantale() if base_name == "Q2" else build_metric_quantale(M3_GRID)
 
     def prepare(n):
-        table = closed_table(base_name, random.Random(f"{SEED}:{base_name}:{n}"), n)
+        out = random_graph(base_name, random.Random(f"{SEED}:{base_name}:{n}"), n)
+        names = [f"x{i}" for i in range(n)]
         # the input, built untimed, stands where the automata's constructor output does
-        cat = VCategory(base, [f"x{i}" for i in range(n)], [0] * n, table)
-        return relation_steps(bisim, validate_vcategory), {"vcategory": cat}, base_name, None
+        cat = VCategory(base, names, [0] * n, closed_table(base_name, out))
+        # a weight is its M3 element's index, and Q2's top is 1
+        graph = EnrichedGraph(
+            [(x, 0) for x in names], [(s, t, w) for s, row in enumerate(out) for t, w in row]
+        )
+        outputs = {"vcategory": cat}
+        steps = {
+            "free_vcategory": lambda o: free_vcategory(base, graph),
+            **relation_steps(bisim, validate_vcategory),
+        }
 
-    return run_layers(RELATION_LAYERS, [n for n in sizes if n <= TABLE_MAX_N], cap, prepare)
+        def check():
+            free = outputs.get("free_vcategory")
+            if free is not None and free.homs != cat.homs:
+                raise SystemExit(f"{base_name} n={n}: free_vcategory differs from the closed table")
+
+        return steps, outputs, base_name, check
+
+    return run_layers(TABLE_LAYERS, [n for n in sizes if n <= TABLE_MAX_N], cap, prepare)
 
 
 def digest(name: str, result):
     """What two correct checkouts must agree on: the number of words in
-    an automaton's hom table, and a hash of the violations or of the
-    related pairs and refinement trace."""
+    an automaton's hom table; the number of non-bottom homs of a free
+    table enrichment and a hash of its table; and a hash of the
+    violations or of the related pairs and refinement trace."""
     if name == "path_homs":
         return sum(len(x) for row in result for x in row)
     if name in ("import_aut", "vcategory"):
         return sum(len(x) for row in result.homs for x in row)
-    if name == "validate_vcategory":
-        text = repr(result)
+    if name == "free_vcategory":
+        size, text = sum(map(len, result.rows)), repr(result.homs)
+    elif name == "validate_vcategory":
+        size, text = len(result), repr(result)
     else:
-        text = repr((sorted(result.pairs), result.refinement_trace))
-    return f"{len(result)}:{hashlib.sha256(text.encode()).hexdigest()[:16]}"
+        size, text = len(result), repr((sorted(result.pairs), result.refinement_trace))
+    return f"{size}:{hashlib.sha256(text.encode()).hexdigest()[:16]}"
 
 
 def machine() -> dict:
@@ -254,6 +308,11 @@ def main(argv=None) -> int:
         "cap_s": args.cap,
         "repeats": REPEATS,
         "table_max_n": TABLE_MAX_N,
+        "speed_probe": {
+            "iterations": PROBE_ITERATIONS,
+            "nominal_s": NOMINAL_PROBE_S,
+            "rule": "seconds = median of the runs * nominal_s / median of their probes",
+        },
         "k": {},
         "tables": {},
     }
@@ -268,7 +327,7 @@ def main(argv=None) -> int:
     doc.setdefault("harness", "bench/scale.py")
     doc["inputs"] = (
         "seeded 2-out automata over {a,b}, free enrichments over QL({a,b},k); "
-        "seeded 2-out graphs closed into Q2 and M3 hom tables"
+        "seeded 2-out graphs closed into Q2 and M3 hom tables, and their free enrichments"
     )
     doc.setdefault("runs", {})[args.label] = run
     out.write_text(json.dumps(doc, indent=1) + "\n")

@@ -60,12 +60,15 @@ class Quantaloid:
             raise UnknownObject(f"object index {u} out of range")
 
     def hom(self, u: int, v: int) -> Lattice:
+        # only checked pairs are cached, so a hit needs no check
+        try:
+            return self._hom_cache[u, v]
+        except KeyError:
+            pass
         self.check_object(u)
         self.check_object(v)
-        key = (u, v)
-        if key not in self._hom_cache:
-            self._hom_cache[key] = self._make_hom(u, v)
-        return self._hom_cache[key]
+        lat = self._hom_cache[u, v] = self._make_hom(u, v)
+        return lat
 
     def _make_hom(self, u: int, v: int) -> Lattice:
         raise NotImplementedError

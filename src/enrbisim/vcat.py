@@ -337,29 +337,48 @@ def free_vcategory(base: Quantaloid, graph: EnrichedGraph) -> VCategory:
 
 
 def _kleene_closure(base: Quantaloid, extents: list[int], edges) -> list[list[Any]]:
-    """Ascending closure under identities, labels and composition."""
+    """Ascending closure under identities, labels and composition.
+
+    Passes over every ``(i, k, j)`` join ``hom(i,k) . hom(k,j)`` into
+    ``hom(i,j)`` until a pass changes nothing.  Each extent pair's
+    lattice is looked up once, and the edge labels are bucketed by
+    endpoints in one pass.  ``base.compose`` is a pure function of its
+    arguments and hom elements are hashable, so each distinct
+    ``(extents, f, g)`` is composed once, into a cache that lives for
+    the call; over a base whose homs take few values that cache is
+    small and most cells are dictionary hits.
+    """
     n = len(extents)
+    lattices = {key: base.hom(*key) for key in itertools.product(set(extents), repeat=2)}
+    row_lattices = {u: [lattices[u, v] for v in extents] for u in set(extents)}
+    labels: dict[tuple[int, int], list] = {}
+    for s, t, lab in edges:
+        labels.setdefault((s, t), []).append(lab)
     homs = []
     for i in range(n):
         row = []
-        for j in range(n):
-            lat = base.hom(extents[i], extents[j])
-            start = [lab for s, t, lab in edges if s == i and t == j]
+        for j, lat in enumerate(row_lattices[extents[i]]):
+            start = labels.get((i, j), [])
             if i == j:
-                start.append(base.unit(extents[i]))
+                start = [*start, base.unit(extents[i])]
             row.append(lat._join(start))
         homs.append(row)
+    composites: dict = {}  # (e_i, e_k, e_j, f, g) -> base.compose of them
     changed = True
     while changed:
         changed = False
         for i in range(n):
+            ei, row_i, lats_i = extents[i], homs[i], row_lattices[extents[i]]
             for k in range(n):
+                ek, row_k = extents[k], homs[k]
                 for j in range(n):
-                    lat = base.hom(extents[i], extents[j])
-                    comp = base.compose(
-                        extents[i], extents[k], extents[j], homs[i][k], homs[k][j]
-                    )
-                    if not lat._leq(comp, homs[i][j]):
-                        homs[i][j] = lat._join([homs[i][j], comp])
+                    key = (ei, ek, extents[j], row_i[k], row_k[j])
+                    try:
+                        comp = composites[key]
+                    except KeyError:
+                        comp = composites[key] = base.compose(*key)
+                    lat = lats_i[j]
+                    if not lat._leq(comp, row_i[j]):
+                        row_i[j] = lat._join([row_i[j], comp])
                         changed = True
     return homs

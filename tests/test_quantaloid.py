@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from enrbisim.constructions import residual
-from enrbisim.errors import BadGrid, NotComposable, SizeLimit
+from enrbisim.cts import FiniteCategory, build_S_quantaloid
+from enrbisim.errors import BadGrid, NotComposable, SizeLimit, UnknownObject
 from enrbisim.fixtures import bp2, m3, penta, q2, ql, rel1
 from enrbisim.lattice import COMPOSE_BUDGET, TableLattice
 from enrbisim.quantaloid import (
@@ -79,6 +80,23 @@ class TestWorkBound:
             "too large to validate: the law checks take 12649088 compositions, "
             f"over the budget of {COMPOSE_BUDGET}"
         ]
+
+
+class TestHomCache:
+    @pytest.mark.parametrize(
+        "build",
+        [q2, bp2, lambda: build_S_quantaloid(FiniteCategory.poset(["0", "1"], [(0, 0), (0, 1), (1, 1)]))],
+    )
+    def test_indices_out_of_range_raise_after_the_cache_fills(self, build):
+        q = build()
+        n = q.n_objects
+        filled = {(u, v): q.hom(u, v) for u in range(n) for v in range(n)}
+        for bad in (-1, n):
+            with pytest.raises(UnknownObject):
+                q.hom(bad, 0)
+            with pytest.raises(UnknownObject):
+                q.hom(0, bad)
+        assert all(q.hom(u, v) is lat for (u, v), lat in filled.items())
 
 
 class TestTensor:

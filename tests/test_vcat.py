@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import random
@@ -253,7 +254,7 @@ class TestLanguageKernelsAgainstOracles:
                 if rng.random() < 0.3:
                     label.add(())  # an empty-word label, closed within each level
                 edges.append((rng.randrange(n), rng.randrange(n), frozenset(label)))
-            assert base.path_homs(n, edges) == _kleene_closure(base, [0] * n, edges), case
+            assert base.path_homs(n, edges) == naive_closure(base, [0] * n, edges), case
 
     @pytest.mark.parametrize(
         "given",
@@ -538,6 +539,120 @@ class TestCoproduct:
         assert total.n_objects == 3
         assert all(validate_vfunctor(i) == [] for i in injections)
         assert validate_vcategory(total) == []
+
+
+def naive_closure(base, extents, edges):
+    """Oracle: the ascending closure that looks up every lattice and
+    composes every cell on every pass, with no cache."""
+    n = len(extents)
+    homs = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            lat = base.hom(extents[i], extents[j])
+            start = [lab for s, t, lab in edges if s == i and t == j]
+            if i == j:
+                start.append(base.unit(extents[i]))
+            row.append(lat._join(start))
+        homs.append(row)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            for k in range(n):
+                for j in range(n):
+                    lat = base.hom(extents[i], extents[j])
+                    comp = base.compose(
+                        extents[i], extents[k], extents[j], homs[i][k], homs[k][j]
+                    )
+                    if not lat._leq(comp, homs[i][j]):
+                        homs[i][j] = lat._join([homs[i][j], comp])
+                        changed = True
+    return homs
+
+
+def flipped_q2():
+    """Two objects, every hom the truth values, but a hom into the second
+    object stores true as index 0: one pair of indices composes to
+    different values over different extents."""
+    truth = TableLattice.boolean()
+    flipped = TableLattice(["true", "false"], [(0, 0), (1, 1), (1, 0)])
+    homs = {(a, b): truth if b == 0 else flipped for a in range(2) for b in range(2)}
+
+    def flip(b, x):  # an index of a hom into object b <-> its truth value
+        return int(x ^ (b == 1))
+
+    tables = {
+        (a, b, c): [[flip(c, flip(b, f) & flip(c, g)) for g in (0, 1)] for f in (0, 1)]
+        for a, b, c in itertools.product(range(2), repeat=3)
+    }
+    return TableQuantaloid(["u", "v"], homs, tables, [1, 0])
+
+
+CLOSURE_BASES = {
+    **ORACLE_BASES,
+    "FLIPPED_Q2": flipped_q2,
+    "S(T3)": lambda: build_S_quantaloid(
+        FiniteCategory.poset(["0", "1", "2"], [(i, j) for i in range(3) for j in range(i, 3)])
+    ),
+}
+
+
+def random_labelled_graph(base, rng, n):
+    """Random extents and edges, with parallel edges, self-loops and
+    bottom labels among them."""
+    extents = [rng.randrange(base.n_objects) for _ in range(n)]
+    edges = []
+    for _ in range(rng.randint(1, 2 * n)):
+        s = rng.randrange(n)
+        t = s if rng.random() < 0.2 else rng.randrange(n)
+        lat = base.hom(extents[s], extents[t])
+        edges.append((s, t, lat.bottom if rng.random() < 0.2 else lat.sample(rng)))
+        if rng.random() < 0.2:
+            edges.append((s, t, lat.sample(rng)))
+    return extents, edges
+
+
+class TestKleeneClosure:
+    """The cached generic closure against ``naive_closure``."""
+
+    def test_flipped_base_is_a_quantaloid(self):
+        assert validate_quantaloid(flipped_q2()).ok
+
+    @pytest.mark.parametrize("name", sorted(CLOSURE_BASES))
+    def test_matches_naive_closure(self, name):
+        base = CLOSURE_BASES[name]()
+        rng = random.Random(f"closure-{name}")
+        seen = collections.Counter()
+        for case in range(30):
+            extents, edges = random_labelled_graph(base, rng, rng.randint(1, 8))
+            assert _kleene_closure(base, extents, edges) == naive_closure(base, extents, edges), case
+            pairs = collections.Counter((s, t) for s, t, _ in edges)
+            seen["parallel"] += max(pairs.values()) > 1
+            seen["self-loop"] += any(s == t for s, t, _ in edges)
+            seen["bottom"] += any(
+                lab == base.hom(extents[s], extents[t]).bottom for s, t, lab in edges
+            )
+            seen["mixed"] += len(set(extents)) > 1
+        assert min(seen[k] for k in ("parallel", "self-loop", "bottom")) >= 5, seen
+        assert (seen["mixed"] >= 5) is (base.n_objects > 1), seen
+
+    @pytest.mark.parametrize("name", sorted(CLOSURE_BASES))
+    def test_each_distinct_composite_is_made_once(self, name, monkeypatch):
+        base = CLOSURE_BASES[name]()
+        rng = random.Random(f"closure-once-{name}")
+        calls = collections.Counter()
+        compose = base.compose
+
+        def counted(*args):
+            calls[args] += 1
+            return compose(*args)
+
+        monkeypatch.setattr(base, "compose", counted)
+        for case in range(10):
+            calls.clear()
+            _kleene_closure(base, *random_labelled_graph(base, rng, rng.randint(1, 8)))
+            assert calls and max(calls.values()) == 1, case
 
 
 class TestFreeVCategory:
