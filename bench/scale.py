@@ -2,11 +2,11 @@
 
 Usage (from the root of a checkout):
 
-    python3 bench/scale.py --label change --out bench/BENCH_scale_10.json
-    python3 bench/scale.py --src OTHER/src --label parent --out bench/BENCH_scale_10.json
+    python3 bench/scale.py --label change --out bench/BENCH_scale_11.json
+    python3 bench/scale.py --src OTHER/src --label parent --out bench/BENCH_scale_11.json
     python3 bench/scale.py --sizes 100 --cap 1 --out /tmp/scale.json   # smoke run
 
-Two input families, each grown over the sizes in the order given:
+Three input families, each grown over the sizes in the order given:
 
 - automata: seeded 2-out automata over {a,b}, read as free enrichments
   over the truncated language quantale QL({a,b},k) for k = 2 and k = 4,
@@ -25,8 +25,18 @@ Two input families, each grown over the sizes in the order given:
     edges through the generic closure; the harness exits with status 1
     if the two tables differ;
 
-and, on both families, ``validate_vcategory``, ``largest_bisimulation``
-and ``largest_simulation`` (the input against itself).
+and, on these two families, ``validate_vcategory``, ``largest_bisimulation``
+and ``largest_simulation`` (the input against itself);
+- sieves: seeded specifications over the chain T2 = {0 <= 1}, each
+  vertex typed 0 or 1 and given two out-edges, each labelled with the
+  span whose apex is drawn up to both end types, as the ``sieve-cts``
+  benchmark draws them.  The layer ``free_vcategory`` builds their free
+  enrichment over the sieve quantaloid S(T2).  Over a chain a sieve is
+  the set of spans with apex up to some m, and composition takes the
+  smaller m, so the enrichment is the widest-path closure of the apexes.
+  A search from each source computes that closure here, and the harness
+  exits with status 1 if a hom's largest apex differs from it.  Sizes
+  stop at ``TABLE_MAX_N`` here too.
 
 Each layer runs ``REPEATS`` times per size, each run after
 ``gc.collect()`` with the previous run's result dropped, and the median
@@ -34,10 +44,11 @@ is recorded with every run, so that a figure depends neither on what ran
 before it nor on when the cyclic collector last fired.  The speed of a
 shared host drifts by a third and more over minutes, so a fixed
 pure-Python loop (the probe of ``perfbench/run.py``) is timed before each
-run.  A layer's figure at a size is the median of its runs scaled by
-``NOMINAL_PROBE_S`` over the median of their probes: it reads as if the
-host ran at nominal speed.  A probe sees drift between runs, not during
-one.  The raw median and the probes are kept beside it.  A layer stops
+run and again after it.  Each run is scaled by ``NOMINAL_PROBE_S`` over
+the mean of its two probes, so that drift during a run counts as well as
+drift between runs, and a layer's figure at a size is the median of its
+scaled runs: it reads as if the host ran at nominal speed.  The raw
+median and the probe pairs are kept beside it.  A layer stops
 growing n after the first size at which its figure passes ``--cap``
 seconds, and a layer stops with the layer whose output it needs.  The
 JSON records every time, where and why each layer stopped, a digest of
@@ -75,6 +86,7 @@ NOMINAL_PROBE_S = 0.007  # the probe's median on perfbench's baseline machine
 RELATION_LAYERS = ("validate_vcategory", "largest_bisimulation", "largest_simulation")
 AUTOMATON_LAYERS = ("import_aut", "path_homs", "vcategory") + RELATION_LAYERS
 TABLE_LAYERS = ("free_vcategory",) + RELATION_LAYERS
+SIEVE_LAYERS = ("free_vcategory",)
 # the layer whose output each layer consumes; table layers read the input
 NEEDS = {
     "vcategory": "path_homs",
@@ -130,6 +142,46 @@ def closed_table(base_name: str, out: list[list[tuple[int, int]]]) -> list[list[
     return table
 
 
+def random_spec(rng: random.Random, n: int) -> tuple[list[int], list[list[tuple[int, int]]]]:
+    """Types in T2 and two out-edges per vertex, as (target, apex) with
+    the apex drawn up to both end types."""
+    types = [rng.randrange(2) for _ in range(n)]
+    out = []
+    for s in range(n):
+        row = []
+        for _ in range(2):
+            t = rng.randrange(n)
+            row.append((t, rng.randint(0, min(types[s], types[t]))))
+        out.append(row)
+    return types, out
+
+
+def widest_table(types: list[int], out: list[list[tuple[int, int]]]) -> list[list[int]]:
+    """The widest-path closure of the apexes, -1 where no path exists.
+
+    ``table[s][t]`` is the largest m such that some path of at least one
+    edge leads from s to t through edges of apex at least m, found by a
+    search from s for each m, largest first; the diagonal is at least
+    the vertex's own type, its identity sieve.
+    """
+    n = len(out)
+    table = []
+    for s in range(n):
+        row = [-1] * n
+        for m in range(max(types, default=0), -1, -1):
+            seen, stack = set(), [s]
+            while stack:
+                for t, apex in out[stack.pop()]:
+                    if apex >= m and t not in seen:
+                        seen.add(t)
+                        stack.append(t)
+            for t in seen:
+                row[t] = max(row[t], m)
+        row[s] = max(row[s], types[s])
+        table.append(row)
+    return table
+
+
 def speed_probe() -> float:
     start = time.perf_counter()
     acc = 0
@@ -160,21 +212,23 @@ def run_layers(layers, sizes: list[int], cap: float, prepare) -> dict:
             if need is not None and need not in outputs:
                 layer["stopped"] = {"n": n, "why": f"needs {need}, which stopped"}
                 continue
-            runs, probes = [], []
+            runs, probes, scaled = [], [], []
             for _ in range(REPEATS):
                 result = None  # drop the previous run's result before collecting
                 gc.collect()
-                probes.append(speed_probe())
+                before = speed_probe()
                 start = time.perf_counter()
                 result = steps[name](outputs)
                 runs.append(time.perf_counter() - start)
+                probes.append([before, speed_probe()])
+                scaled.append(runs[-1] * NOMINAL_PROBE_S / statistics.mean(probes[-1]))
             raw = statistics.median(runs)
-            seconds = raw * NOMINAL_PROBE_S / statistics.median(probes)
+            seconds = statistics.median(scaled)
             outputs[name] = result
             layer["seconds"][str(n)] = round(seconds, 6)
             layer["raw_seconds"][str(n)] = round(raw, 6)
             layer["runs"][str(n)] = [round(r, 6) for r in runs]
-            layer["probes"][str(n)] = [round(p, 6) for p in probes]
+            layer["probes"][str(n)] = [[round(p, 6) for p in pair] for pair in probes]
             layer["digest"][str(n)] = digest(name, result)
             if seconds > cap:
                 layer["stopped"] = {"n": n, "why": f"median {seconds:.3f} s, over the cap"}
@@ -254,17 +308,52 @@ def measure_tables(base_name: str, sizes: list[int], cap: float) -> dict:
     return run_layers(TABLE_LAYERS, [n for n in sizes if n <= TABLE_MAX_N], cap, prepare)
 
 
+def measure_sieves(sizes: list[int], cap: float) -> dict:
+    from enrbisim.cts import FiniteCategory, Span, build_S_quantaloid
+    from enrbisim.vcat import EnrichedGraph, free_vcategory
+
+    cat = FiniteCategory.poset(["0", "1"], [(0, 0), (0, 1), (1, 1)])
+    base = build_S_quantaloid(cat)
+
+    def sieve(s_type, t_type, apex):
+        (left,) = cat.hom_morphisms(apex, s_type)
+        (right,) = cat.hom_morphisms(apex, t_type)
+        return base.down_close(s_type, t_type, [Span(apex, left, right)])
+
+    def prepare(n):
+        types, out = random_spec(random.Random(f"{SEED}:S(T2):{n}"), n)
+        graph = EnrichedGraph(
+            [(f"v{i}", types[i]) for i in range(n)],
+            [(s, t, sieve(types[s], types[t], apex)) for s, row in enumerate(out) for t, apex in row],
+        )
+        outputs: dict = {}
+
+        def check():
+            free = outputs.get("free_vcategory")
+            if free is None:
+                return
+            apexes = [[max((span.apex for span in hom), default=-1) for hom in row] for row in free.homs]
+            if apexes != widest_table(types, out):
+                raise SystemExit(f"S(T2) n={n}: free_vcategory differs from the widest-path closure")
+
+        return {"free_vcategory": lambda o: free_vcategory(base, graph)}, outputs, "S(T2)", check
+
+    return run_layers(SIEVE_LAYERS, [n for n in sizes if n <= TABLE_MAX_N], cap, prepare)
+
+
 def digest(name: str, result):
     """What two correct checkouts must agree on: the number of words in
     an automaton's hom table; the number of non-bottom homs of a free
-    table enrichment and a hash of its table; and a hash of the
+    enrichment and a hash of its table, each sieve sorted so that equal
+    sets hash alike; and a hash of the
     violations or of the related pairs and refinement trace."""
     if name == "path_homs":
         return sum(len(x) for row in result for x in row)
     if name in ("import_aut", "vcategory"):
         return sum(len(x) for row in result.homs for x in row)
     if name == "free_vcategory":
-        size, text = sum(map(len, result.rows)), repr(result.homs)
+        table = [[sorted(x) if isinstance(x, frozenset) else x for x in row] for row in result.homs]
+        size, text = sum(map(len, result.rows)), repr(table)
     elif name == "validate_vcategory":
         size, text = len(result), repr(result)
     else:
@@ -303,7 +392,8 @@ def main(argv=None) -> int:
         "machine": machine(),
         "seed": SEED,
         "seed_rule": "each input draws from random.Random('<seed>:<k>:<n>') "
-        "(automata) or random.Random('<seed>:<base>:<n>') (tables)",
+        "(automata), random.Random('<seed>:<base>:<n>') (tables) or "
+        "random.Random('<seed>:S(T2):<n>') (sieves)",
         "sizes": args.sizes,
         "cap_s": args.cap,
         "repeats": REPEATS,
@@ -311,23 +401,27 @@ def main(argv=None) -> int:
         "speed_probe": {
             "iterations": PROBE_ITERATIONS,
             "nominal_s": NOMINAL_PROBE_S,
-            "rule": "seconds = median of the runs * nominal_s / median of their probes",
+            "rule": "seconds = median over the runs of run * nominal_s / mean of the "
+            "probes before and after it",
         },
         "k": {},
         "tables": {},
+        "sieves": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
         for k in CUTOFFS:
             run["k"][str(k)] = measure_automata(k, args.sizes, args.cap, Path(tmp))
     for base_name in TABLE_BASES:
         run["tables"][base_name] = measure_tables(base_name, args.sizes, args.cap)
+    run["sieves"]["S(T2)"] = measure_sieves(args.sizes, args.cap)
 
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc.setdefault("harness", "bench/scale.py")
     doc["inputs"] = (
         "seeded 2-out automata over {a,b}, free enrichments over QL({a,b},k); "
-        "seeded 2-out graphs closed into Q2 and M3 hom tables, and their free enrichments"
+        "seeded 2-out graphs closed into Q2 and M3 hom tables, and their free enrichments; "
+        "seeded 2-out span specifications over T2 and their free enrichments over S(T2)"
     )
     doc.setdefault("runs", {})[args.label] = run
     out.write_text(json.dumps(doc, indent=1) + "\n")

@@ -52,7 +52,9 @@ class Report:
         }
         if include_timing and self.timing is not None:
             body["timing_seconds"] = round(self.timing, 6)
-        return json.dumps(body, sort_keys=True, indent=2)
+        parts: list[str] = []
+        _encode_indented(body, "\n", parts)
+        return "".join(parts)
 
     def to_text(self) -> str:
         lines = [f"{self.command}: {self.verdict}"]
@@ -61,6 +63,50 @@ class Report:
         if self.timing is not None:
             lines.append(f"  elapsed: {self.timing:.3f}s")
         return "\n".join(lines)
+
+
+_encode_string = json.encoder.encode_basestring_ascii
+
+
+def _encode_indented(value, newline: str, parts: list[str]) -> None:
+    """Append the text ``json.dumps(value, sort_keys=True, indent=2)``
+    gives for ``value`` at the depth whose line break is ``newline``.
+
+    ``indent=2`` forces ``json``'s pure-Python encoder, so the layout is
+    written here.  Strings and keys go through the C encoder
+    ``encode_basestring_ascii`` and ints through ``int.__repr__``, as in
+    ``json``.  Any other value, and any dict with a key that is not a
+    ``str``, is left to ``json.dumps``.
+    """
+    kind = type(value)
+    if kind is str:
+        parts.append(_encode_string(value))
+    elif kind is int:
+        parts.append(int.__repr__(value))
+    elif kind is list or kind is tuple:
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            sep = "," + inner
+            _encode_indented(item, inner, parts)
+        parts.append(newline + "]")
+    elif kind is dict and all(type(key) is str for key in value):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            parts.append(sep + _encode_string(key) + ": ")
+            sep = "," + inner
+            _encode_indented(value[key], inner, parts)
+        parts.append(newline + "}")
+    else:
+        parts.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
 
 
 def default_fixture_paths() -> list[str]:

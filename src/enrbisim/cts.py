@@ -294,11 +294,15 @@ class CribleQuantaloid(Quantaloid):
     the chosen pullbacks and closes down again.  Down-closure absorbs
     the apex isomorphisms, which is why associativity holds on the nose
     even though span composition is only associative up to isomorphism.
+    ``compose`` is a pure function of its arguments and sieves are
+    frozensets, so each composite is made once per instance and kept in
+    ``_composites``.
     """
 
     def __init__(self, cat: FiniteCategory, max_spans: int = 12):
         super().__init__(list(cat.objects))
         self.cat = cat
+        self._composites: dict[tuple, frozenset] = {}  # (u, v, w, f, g) -> f.g
         for x in range(cat.n_objects):
             for y in range(cat.n_objects):
                 if len(all_spans(cat, x, y)) > max_spans:
@@ -317,8 +321,12 @@ class CribleQuantaloid(Quantaloid):
         return hom.down_close(spans)
 
     def compose(self, u, v, w, f, g):
-        composites = {span_compose(self.cat, s, t) for s in f for t in g}
-        return self.down_close(u, w, composites)
+        key = (u, v, w, f, g)
+        out = self._composites.get(key)
+        if out is None:
+            spans = {span_compose(self.cat, s, t) for s in f for t in g}
+            out = self._composites[key] = self.down_close(u, w, spans)
+        return out
 
     def unit(self, u):
         return self.down_close(u, u, [identity_span(self.cat, u)])

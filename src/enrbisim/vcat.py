@@ -8,6 +8,7 @@ are extent-preserving maps that never shrink homs.
 
 from __future__ import annotations
 
+import collections
 import itertools
 from typing import Any, NamedTuple
 
@@ -313,10 +314,12 @@ def free_vcategory(base: Quantaloid, graph: EnrichedGraph) -> VCategory:
     """Smallest enrichment whose homs dominate the edge labels.
 
     Ascending closure under identities, labels and composition; it
-    terminates because every hom lattice is finite.  Over a language
-    quantale the closure is ``path_homs``'s forward sweep from each
-    source, which gives the same least fixed point without concatenating
-    large languages.
+    terminates because every hom lattice is finite.  Both paths work one
+    source at a time, since row ``i`` of the closure is the least
+    solution of ``r = unit(i) ∨ r·E`` over the edge labels ``E``.  Over
+    a language quantale that is ``path_homs``'s forward sweep, which
+    never concatenates large languages; over every other base it is
+    ``_kleene_closure``'s worklist of the targets whose hom grew.
     """
     names = [name for name, _ in graph.vertices]
     extents = [ext for _, ext in graph.vertices]
@@ -339,46 +342,65 @@ def free_vcategory(base: Quantaloid, graph: EnrichedGraph) -> VCategory:
 def _kleene_closure(base: Quantaloid, extents: list[int], edges) -> list[list[Any]]:
     """Ascending closure under identities, labels and composition.
 
-    Passes over every ``(i, k, j)`` join ``hom(i,k) . hom(k,j)`` into
-    ``hom(i,j)`` until a pass changes nothing.  Each extent pair's
-    lattice is looked up once, and the edge labels are bucketed by
-    endpoints in one pass.  ``base.compose`` is a pure function of its
-    arguments and hom elements are hashable, so each distinct
-    ``(extents, f, g)`` is composed once, into a cache that lives for
-    the call; over a base whose homs take few values that cache is
-    small and most cells are dictionary hits.
+    Row ``i`` of the closure is the least solution of
+    ``r = unit(i) ∨ r·E``, where ``E`` joins the parallel edge labels of
+    each ``(s, t)`` once.  Because composition preserves joins in each
+    argument, that row equals the least fixed point of joining
+    ``hom(i,k)·hom(k,j)`` into ``hom(i,j)`` over all ``(i, k, j)``:
+    ``validate_quantaloid`` certifies the laws for table bases, and the
+    structural bases have them by construction.  So each source runs a
+    worklist of its own.  Row ``i`` starts as the unit at ``i`` joined
+    with ``i``'s edge labels, and the queue (first in, first out) holds
+    the targets ``k`` whose ``hom(i,k)`` grew; for each edge ``k -> j``
+    labelled ``g``, the composite ``hom(i,k)·g`` is joined into
+    ``hom(i,j)`` (it replaces a hom it lies above), and ``j`` is queued
+    again only if its hom grew.  A target row ``i`` never reaches is
+    never composed from, which is exact because bottom composes to
+    bottom.  A source's work is the out-edges of the targets it reaches,
+    once for each time their hom grows, where the passes it replaces
+    visited all n³ cells, a last pass that changed nothing included.
+
+    ``base.compose`` is a pure function of its arguments and hom
+    elements are hashable, so each distinct ``(extents, f, g)`` is
+    composed once, into a cache that lives for the call; over a base
+    whose homs take few values that cache is small and most steps are
+    dictionary hits.
     """
     n = len(extents)
     lattices = {key: base.hom(*key) for key in itertools.product(set(extents), repeat=2)}
     row_lattices = {u: [lattices[u, v] for v in extents] for u in set(extents)}
+    bottoms = {u: [lat._join(()) for lat in lats] for u, lats in row_lattices.items()}
     labels: dict[tuple[int, int], list] = {}
     for s, t, lab in edges:
         labels.setdefault((s, t), []).append(lab)
+    out: list[list[tuple[int, int, Any]]] = [[] for _ in range(n)]  # (j, e_j, label of k -> j)
+    for (s, t), labs in labels.items():
+        out[s].append((t, extents[t], lattices[extents[s], extents[t]]._join(labs)))
+    composites: dict = {}  # (e_i, e_k, e_j, f, g) -> base.compose of them
     homs = []
     for i in range(n):
-        row = []
-        for j, lat in enumerate(row_lattices[extents[i]]):
-            start = labels.get((i, j), [])
-            if i == j:
-                start = [*start, base.unit(extents[i])]
-            row.append(lat._join(start))
+        ei, lats = extents[i], row_lattices[extents[i]]
+        row = list(bottoms[ei])
+        row[i] = base.unit(ei)
+        for j, _, g in out[i]:
+            row[j] = lats[j]._join([row[j], g])
+        pending = collections.deque([i, *(j for j, _, _ in out[i] if j != i)])
+        queued = set(pending)
+        while pending:
+            k = pending.popleft()
+            queued.discard(k)
+            f, ek = row[k], extents[k]
+            for j, ej, g in out[k]:
+                key = (ei, ek, ej, f, g)
+                try:
+                    comp = composites[key]
+                except KeyError:
+                    comp = composites[key] = base.compose(*key)
+                lat, have = lats[j], row[j]
+                if not lat._leq(comp, have):
+                    row[j] = comp if lat._leq(have, comp) else lat._join([have, comp])
+                    if j not in queued:
+                        queued.add(j)
+                        pending.append(j)
         homs.append(row)
-    composites: dict = {}  # (e_i, e_k, e_j, f, g) -> base.compose of them
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            ei, row_i, lats_i = extents[i], homs[i], row_lattices[extents[i]]
-            for k in range(n):
-                ek, row_k = extents[k], homs[k]
-                for j in range(n):
-                    key = (ei, ek, extents[j], row_i[k], row_k[j])
-                    try:
-                        comp = composites[key]
-                    except KeyError:
-                        comp = composites[key] = base.compose(*key)
-                    lat = lats_i[j]
-                    if not lat._leq(comp, row_i[j]):
-                        row_i[j] = lat._join([row_i[j], comp])
-                        changed = True
     return homs

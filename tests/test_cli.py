@@ -1,10 +1,11 @@
 import json
+import random
 import time
 from pathlib import Path
 
 import pytest
 
-from enrbisim.cli import build_parser, default_fixture_paths, main, run
+from enrbisim.cli import Report, build_parser, default_fixture_paths, main, run
 from enrbisim.documents import SCHEMA, load_bundle
 
 FIXTURES = default_fixture_paths()
@@ -219,6 +220,83 @@ class TestQuantaloidWorkBound:
         assert code == 1
         (violation,) = json.loads(out)["details"]["violations"]["R"]
         assert violation.startswith("too large to validate")
+
+
+STRING_CHARS = "ab z09_-" + '"\\/\b\f\n\r\t\x00\x1f\x7f' + "é漢\u2028\U0001f600"
+SCALARS = [0, -1, 7, 2**70, -(2**64), True, False, None, 0.0, -0.0, 0.1, 1e300, 3.0,
+           float("inf"), float("-inf"), float("nan")]
+
+
+def random_string(rng):
+    return "".join(rng.choice(STRING_CHARS) for _ in range(rng.randrange(6)))
+
+
+def random_report_value(rng, depth):
+    """A nested report shape: str-keyed and int-keyed dicts, lists and
+    tuples (empty ones among them), strings with escapes and non-ASCII
+    characters, ints, bools, None and floats."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.35:
+        return random_string(rng) if rng.random() < 0.5 else rng.choice(SCALARS)
+    items = [random_report_value(rng, depth - 1) for _ in range(rng.choice([0, 1, 2, 4]))]
+    if roll < 0.55:
+        return items
+    if roll < 0.65:
+        return tuple(items)
+    if roll < 0.9:
+        return {random_string(rng): item for item in items}
+    return {rng.randrange(-5, 50): item for item in items}
+
+
+def random_reports(seed, count):
+    """Seeded reports around random details, a third of them timed."""
+    rng = random.Random(seed)
+    reports = []
+    for _ in range(count):
+        report = Report("cmd", rng.choice(["yes", "no"]), random_report_value(rng, rng.randint(1, 5)))
+        if rng.random() < 0.3:
+            report.timing = rng.random()
+        reports.append(report)
+    return reports
+
+
+class TestReportEncoder:
+    REPORTS = random_reports("report-encoder", 400)
+
+    def test_matches_json_dumps_on_random_shapes(self):
+        for case, report in enumerate(self.REPORTS):
+            body = {"schema": SCHEMA, "command": report.command, "verdict": report.verdict,
+                    "details": report.details}
+            if report.timing is not None:
+                body["timing_seconds"] = round(report.timing, 6)
+            expected = json.dumps(body, sort_keys=True, indent=2)
+            assert report.to_json(include_timing=True) == expected, case
+
+    def test_shapes_cover_every_kind(self):
+        seen = set()
+
+        def walk(x):
+            if isinstance(x, (dict, list, tuple)):
+                if isinstance(x, dict):
+                    seen.add("dict" if all(type(k) is str for k in x) else "int-keyed dict")
+                else:
+                    seen.add(type(x).__name__)
+                if not x:
+                    seen.add("empty " + type(x).__name__)
+                for v in x.values() if isinstance(x, dict) else x:
+                    walk(v)
+            elif isinstance(x, str):
+                seen.update(k for k, chars in [("escape", '"\\\n\x00'), ("non-ascii", "é漢\U0001f600")]
+                            if any(c in x for c in chars))
+            else:
+                seen.add(repr(x))
+
+        for report in self.REPORTS:
+            walk(report.details)
+        kinds = {"dict", "int-keyed dict", "list", "tuple", "escape", "non-ascii",
+                 "empty dict", "empty list", "empty tuple"}
+        assert kinds | {repr(x) for x in SCALARS} <= seen, kinds - seen
+        assert any(r.timing is not None for r in self.REPORTS)
 
 
 class TestParser:

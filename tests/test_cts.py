@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from enrbisim.bisim import is_od
@@ -5,6 +7,7 @@ from enrbisim.cob import local_right_adjoints
 from enrbisim.constructions import CatAdjunction, apply_cob_vfunctor, crible_left_adjoints
 from enrbisim.cts import (
     CatFunctor,
+    CribleQuantaloid,
     CtsSpec,
     FiniteCategory,
     Morphism,
@@ -133,18 +136,34 @@ class TestSieveQuantaloid:
 
     def test_tensor_matches_pointwise_closure(self, poset3):
         sq = build_S_quantaloid(poset3)
-        for x, y, z in [(1, 1, 1), (2, 1, 0), (1, 2, 2)]:
+        n = poset3.n_objects
+        for x, y, z in itertools.product(range(n), repeat=3):
             for m in sq.hom(x, y).elements():
-                for n in sq.hom(y, z).elements():
-                    direct = sq.down_close(
-                        x,
-                        z,
-                        [span_compose(poset3, s, t) for s in m for t in n],
+                for k in sq.hom(y, z).elements():
+                    direct = sq.hom(x, z).down_close(
+                        span_compose(poset3, s, t) for s in m for t in k
                     )
-                    assert sq.compose(x, y, z, m, n) == direct
+                    # the first call fills the cache, the second reads it
+                    assert sq.compose(x, y, z, m, k) == direct
+                    assert sq.compose(x, y, z, m, k) == direct
 
     def test_validate_whole_quantaloid_poset3(self, poset3):
         assert validate_quantaloid(build_S_quantaloid(poset3)).ok
+
+    @pytest.mark.parametrize("length", [2, 3])
+    def test_validation_report_unchanged_by_the_cache(self, length):
+        cat = FiniteCategory.poset(
+            [str(i) for i in range(length)],
+            [(i, j) for i in range(length) for j in range(i, length)],
+        )
+
+        class Uncached(CribleQuantaloid):
+            def compose(self, u, v, w, f, g):
+                return self.down_close(u, w, {span_compose(self.cat, s, t) for s in f for t in g})
+
+        cached = validate_quantaloid(build_S_quantaloid(cat))
+        assert cached.ok and all(cached.hom_distributive.values())
+        assert cached == validate_quantaloid(Uncached(cat))
 
 
 class TestCtsToVcat:

@@ -638,6 +638,37 @@ class TestKleeneClosure:
         assert (seen["mixed"] >= 5) is (base.n_objects > 1), seen
 
     @pytest.mark.parametrize("name", sorted(CLOSURE_BASES))
+    def test_matches_naive_closure_on_larger_graphs(self, name):
+        base = CLOSURE_BASES[name]()
+        rng = random.Random(f"closure-large-{name}")
+        for case in range(3):
+            extents, edges = random_labelled_graph(base, rng, rng.randint(15, 30))
+            assert _kleene_closure(base, extents, edges) == naive_closure(base, extents, edges), case
+
+    @pytest.mark.parametrize("name", sorted(CLOSURE_BASES))
+    @pytest.mark.parametrize("cycle", [False, True], ids=["chain", "cycle"])
+    def test_matches_naive_closure_on_long_paths(self, name, cycle):
+        """A path through every object of one extent, each step labelled
+        with the unit joined with a random element, and a chord forward
+        from every third object.  A target that a chord reaches early
+        grows again when the path arrives, so the worklist queues it more
+        than once (on these seeds, in 47 of the 48 cases, and on every
+        base); the cycle's edge back to the start carries each growth
+        around again."""
+        base = CLOSURE_BASES[name]()
+        rng = random.Random(f"closure-path-{name}-{cycle}")
+        for case in range(3):
+            n = rng.randint(15, 30)
+            e = rng.randrange(base.n_objects)
+            lat = base.hom(e, e)
+            edges = [(i, i + 1, lat.join([base.unit(e), lat.sample(rng)])) for i in range(n - 1)]
+            edges += [(i, rng.randrange(i + 2, n), lat.sample(rng)) for i in range(0, n - 2, 3)]
+            if cycle:
+                edges.append((n - 1, 0, lat.sample(rng)))
+            extents = [e] * n
+            assert _kleene_closure(base, extents, edges) == naive_closure(base, extents, edges), case
+
+    @pytest.mark.parametrize("name", sorted(CLOSURE_BASES))
     def test_each_distinct_composite_is_made_once(self, name, monkeypatch):
         base = CLOSURE_BASES[name]()
         rng = random.Random(f"closure-once-{name}")
