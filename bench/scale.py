@@ -13,8 +13,8 @@ Three input families, each grown over the sizes in the order given:
   with the layers
   - ``import_aut``: parse an Aldebaran file, build and validate its free
     enrichment (``documents.import_aut``);
-  - ``path_homs``: the free construction's hom table alone;
-  - ``vcategory``: the ``VCategory`` constructor on that table;
+  - ``path_homs``: the free construction's hom rows alone;
+  - ``vcategory``: the ``VCategory`` constructor on those rows;
 - tables: seeded 2-out graphs closed into explicit hom tables over Q2
   (reachability) and M3 (shortest distance over edge weights 1, 1, 2,
   where a sum above 2 is infinity, the grid's bottom).  The closure is
@@ -287,7 +287,8 @@ def measure_tables(base_name: str, sizes: list[int], cap: float) -> dict:
         out = random_graph(base_name, random.Random(f"{SEED}:{base_name}:{n}"), n)
         names = [f"x{i}" for i in range(n)]
         # the input, built untimed, stands where the automata's constructor output does
-        cat = VCategory(base, names, [0] * n, closed_table(base_name, out))
+        table = closed_table(base_name, out)
+        cat = VCategory(base, names, [0] * n, [dict(enumerate(row)) for row in table])
         # a weight is its M3 element's index, and Q2's top is 1
         graph = EnrichedGraph(
             [(x, 0) for x in names], [(s, t, w) for s, row in enumerate(out) for t, w in row]
@@ -300,7 +301,7 @@ def measure_tables(base_name: str, sizes: list[int], cap: float) -> dict:
 
         def check():
             free = outputs.get("free_vcategory")
-            if free is not None and free.homs != cat.homs:
+            if free is not None and cells(free) != table:
                 raise SystemExit(f"{base_name} n={n}: free_vcategory differs from the closed table")
 
         return steps, outputs, base_name, check
@@ -332,13 +333,18 @@ def measure_sieves(sizes: list[int], cap: float) -> dict:
             free = outputs.get("free_vcategory")
             if free is None:
                 return
-            apexes = [[max((span.apex for span in hom), default=-1) for hom in row] for row in free.homs]
+            apexes = [[max((span.apex for span in hom), default=-1) for hom in row] for row in cells(free)]
             if apexes != widest_table(types, out):
                 raise SystemExit(f"S(T2) n={n}: free_vcategory differs from the widest-path closure")
 
         return {"free_vcategory": lambda o: free_vcategory(base, graph)}, outputs, "S(T2)", check
 
     return run_layers(SIEVE_LAYERS, [n for n in sizes if n <= TABLE_MAX_N], cap, prepare)
+
+
+def cells(cat) -> list[list]:
+    """An enrichment's hom table, read cell by cell through ``hom``."""
+    return [[cat.hom(i, j) for j in range(cat.n_objects)] for i in range(cat.n_objects)]
 
 
 def digest(name: str, result):
@@ -348,11 +354,11 @@ def digest(name: str, result):
     sets hash alike; and a hash of the
     violations or of the related pairs and refinement trace."""
     if name == "path_homs":
-        return sum(len(x) for row in result for x in row)
+        return sum(len(x) for row in result for x in row.values())
     if name in ("import_aut", "vcategory"):
-        return sum(len(x) for row in result.homs for x in row)
+        return sum(len(x) for row in result.rows for _, x, _ in row)
     if name == "free_vcategory":
-        table = [[sorted(x) if isinstance(x, frozenset) else x for x in row] for row in result.homs]
+        table = [[sorted(x) if isinstance(x, frozenset) else x for x in row] for row in cells(result)]
         size, text = sum(map(len, result.rows)), repr(table)
     elif name == "validate_vcategory":
         size, text = len(result), repr(result)

@@ -147,15 +147,15 @@ def _partners(pairs) -> dict:
 def _sim_holds_at(left, right, partners, a, b, cache) -> Optional[int]:
     """First left object a' violating the condition at (a,b), else None.
 
-    Only a's non-bottom homs are probed: a bottom hom lies below any
-    partner join.  Homs were checked when the enrichments were built, so
-    the unchecked lattice cores are used on them.
+    Only non-bottom homs are probed or joined: a bottom hom lies below
+    any partner join and adds nothing to one.  Homs were checked when the
+    enrichments were built, so the unchecked lattice cores are used on them.
     """
-    row_b = right.homs[b]
+    row_b = right.row_maps[b]
     for ap, x, lat in left.rows[a]:
         key = (ap, b)
         if key not in cache:
-            cache[key] = lat._join([row_b[bp] for bp in partners.get(ap, ())])
+            cache[key] = lat._join([row_b[bp] for bp in partners.get(ap, ()) if bp in row_b])
         if not lat._leq(x, cache[key]):
             return ap
     return None
@@ -212,7 +212,7 @@ def largest_simulation(left: VCategory, right: VCategory) -> SimRelation:
     is ever split or subtracted.
     """
     require_same_base(left, right)
-    lnames, rnames, rrows = left.objects, right.objects, right.rows
+    lnames, rnames, rmaps = left.objects, right.objects, right.row_maps
     part, shrunk, trace = _first_round(left, right)
     preds: list[list] = [[] for _ in lnames]  # a' -> (a, hom(a,a'), lattice)
     for a, row in enumerate(left.rows):
@@ -229,15 +229,12 @@ def largest_simulation(left: VCategory, right: VCategory) -> SimRelation:
         removed = []
         for a, checks in probes.items():
             for b in part[a]:
-                row_b, homs_b = rrows[b], right.homs[b]
+                map_b = rmaps[b]
                 for ap, x, lat in checks:
                     key = (ap, b)
                     if key not in joins:
-                        mates = part[ap]
-                        if len(row_b) <= len(mates):
-                            joins[key] = lat._join([y for bp, y, _ in row_b if bp in mates])
-                        else:
-                            joins[key] = lat._join([homs_b[bp] for bp in mates])
+                        # the intersection walks the smaller of b's targets and the mates
+                        joins[key] = lat._join([map_b[bp] for bp in map_b.keys() & part[ap]])
                     if not lat._leq(x, joins[key]):
                         removed.append((a, b))
                         break
@@ -362,10 +359,9 @@ def is_functional_bisimulation(f: VFunctor) -> bool:
     """A functor whose target homs equal the fiberwise joins of source homs."""
     if validate_vfunctor(f):
         return False
-    target_rows = f.target.rows
     # the fibers are the blocks of f.mapping; non-bottom entries suffice
     return all(
-        _block_joins(row, f.mapping) == {y: x for y, x, _ in target_rows[f(i)]}
+        _block_joins(row, f.mapping) == f.target.row_maps[f(i)]
         for i, row in enumerate(f.source.rows)
     )
 
@@ -474,7 +470,6 @@ def quotient(a: VCategory, e: BisimEquivalence) -> tuple[VCategory, VFunctor]:
             raise InternalAssertion("equivalence class mixes extents")
         extents.append(exts.pop())
     rows = a.rows
-    bottoms = {k: base.hom(*k).bottom for k in itertools.product(set(extents), repeat=2)}
     homs = []
     for bi, block_i in enumerate(e.blocks):
         joins = _block_joins(rows[block_i[0]], e.block_of)
@@ -483,12 +478,7 @@ def quotient(a: VCategory, e: BisimEquivalence) -> tuple[VCategory, VFunctor]:
                 raise InternalAssertion(
                     f"quotient hom depends on the representative in {names[bi]}"
                 )
-        homs.append(
-            [
-                joins.get(bj, bottoms[extents[bi], extents[bj]])
-                for bj in range(len(e.blocks))
-            ]
-        )
+        homs.append(joins)
     quo = VCategory(base, names, extents, homs)
     q = VFunctor(a, quo, [e.block_of[i] for i in range(a.n_objects)])
     return quo, q

@@ -167,8 +167,9 @@ def apply_cob(f: TwoSidedEnrichment, a: VCategory) -> VCategory:
     ]
     names = [f"({a.objects[i]}|{f.carriers[x]})" for i, x in pairs]
     extents = [f.plus[x] for _, x in pairs]
+    # a component need not keep bottom at bottom, so every pair is mapped
     homs = [
-        [f.component(x1, x2)(a.hom(i1, i2)) for (i2, x2) in pairs]
+        {q: f.component(x1, x2)(a.hom(i1, i2)) for q, (i2, x2) in enumerate(pairs)}
         for (i1, x1) in pairs
     ]
     out = VCategory(f.target, names, extents, homs)
@@ -257,10 +258,10 @@ def right_adjoint_cob(
     names = [f"({b.objects[i]}|{f.source.objects[v]})" for i, v in pairs]
     extents = [v for _, v in pairs]
     homs = [
-        [
-            report.adjoints[(carrier_of[v1], carrier_of[v2])](b.hom(i1, i2))
-            for (i2, v2) in pairs
-        ]
+        {
+            q: report.adjoints[(carrier_of[v1], carrier_of[v2])](b.hom(i1, i2))
+            for q, (i2, v2) in enumerate(pairs)
+        }
         for (i1, v1) in pairs
     ]
     out = VCategory(f.source, names, extents, homs)

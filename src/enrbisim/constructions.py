@@ -257,8 +257,7 @@ def laxrel_to_vcat(p: LaxRelationalPresentation, base=None) -> VCategory:
         for i in range(len(fiber)):
             index[(c, i)] = pos
             pos += 1
-    n = len(names)
-    homs = [[frozenset() for _ in range(n)] for _ in range(n)]
+    homs: list[dict] = [{} for _ in names]
     for c, fiber in enumerate(p.fibers):
         for d, fiber2 in enumerate(p.fibers):
             for i in range(len(fiber)):
@@ -325,10 +324,7 @@ def encode_slice(va: SliceQuantaloid, f: VFunctor) -> VCategory:
     if f.target is not va.vcategory:
         raise BaseMismatch("the functor does not land in the sliced enrichment")
     x = f.source
-    homs = [
-        [x.hom(i, j) for j in range(x.n_objects)] for i in range(x.n_objects)
-    ]
-    return VCategory(va, list(x.objects), list(f.mapping), homs)
+    return VCategory(va, list(x.objects), list(f.mapping), x.row_maps)
 
 
 def decode_slice(va: SliceQuantaloid, s: VCategory) -> VFunctor:
@@ -337,20 +333,17 @@ def decode_slice(va: SliceQuantaloid, s: VCategory) -> VFunctor:
         raise BaseMismatch("the category does not live over this slice")
     a = va.vcategory
     extents = [a.extents[s.extents[i]] for i in range(s.n_objects)]
-    homs = [
-        [s.hom(i, j) for j in range(s.n_objects)] for i in range(s.n_objects)
-    ]
-    x = VCategory(a.base, list(s.objects), extents, homs)
+    x = VCategory(a.base, list(s.objects), extents, s.row_maps)
     return VFunctor(x, a, list(s.extents))
 
 
 def same_presentation(a: VCategory, b: VCategory) -> bool:
-    """Exact equality of presentation: names, extents and hom tables."""
+    """Exact equality of presentation: names, extents and homs."""
     return (
         a.base is b.base
         and a.objects == b.objects
         and a.extents == b.extents
-        and a.homs == b.homs
+        and a.row_maps == b.row_maps
     )
 
 
@@ -526,7 +519,7 @@ def tse_as_vcat(f: TwoSidedEnrichment) -> VCategory:
     only = next(iter(f.source.hom(0, 0).elements()))
     n = f.n_carriers
     homs = [
-        [f.component(x, y)(only) for y in range(n)] for x in range(n)
+        {y: f.component(x, y)(only) for y in range(n)} for x in range(n)
     ]
     return VCategory(f.target, list(f.carriers), list(f.plus), homs)
 

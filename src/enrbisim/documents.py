@@ -203,12 +203,12 @@ def _fincat_from_doc(doc) -> FiniteCategory:
 
 
 def _name_lookup(doc, names: list[str]):
-    """Object index by name, in one map: a repeated name means its first
-    occurrence, as ``list.index`` would give, and an unknown one is a
-    ``ParseError``."""
+    """Object index by name, in one map.  A repeated name and an unknown
+    one are each a ``ParseError``."""
     index: dict[str, int] = {}
     for i, name in enumerate(names):
-        index.setdefault(name, i)
+        if index.setdefault(name, i) != i:
+            raise ParseError(f"{doc['name']}: object name {name!r} is repeated")
 
     def lookup(name: str) -> int:
         try:
@@ -245,9 +245,7 @@ def _vcategory_from_doc(doc, resolve) -> VCategory:
         objs = [(str(o["name"]), base.object_index(str(o["extent"]))) for o in doc["objects"]]
         names = [n for n, _ in objs]
         extents = [e for _, e in objs]
-        used = set(extents)
-        bottoms = {(u, v): base.hom(u, v).bottom for u in used for v in used}
-        homs = [[bottoms[u, v] for v in extents] for u in extents]
+        homs: list[dict] = [{} for _ in names]
         index = _name_lookup(doc, names)
         for key, elem_doc in doc["homs"].items():
             a, b = key.split(",")

@@ -103,16 +103,16 @@ def loop1(base=None, letter: str = "m") -> VCategory:
 def p01(base=None) -> VCategory:
     """The two-point preorder a0 <= a1 over the Boolean base."""
     base = base or q2()
-    return VCategory(base, ["a0", "a1"], [0, 0], [[1, 1], [0, 1]])
+    return VCategory(base, ["a0", "a1"], [0, 0], [{0: 1, 1: 1}, {1: 1}])
 
 
 def point(base=None) -> VCategory:
     """A single reflexive point over the Boolean base."""
     base = base or q2()
-    return VCategory(base, ["p"], [0], [[1]])
+    return VCategory(base, ["p"], [0], [{0: 1}])
 
 
 def codisc2(base=None) -> VCategory:
     """Two points with every hom at the top of the Boolean base."""
     base = base or q2()
-    return VCategory(base, ["c0", "c1"], [0, 0], [[1, 1], [1, 1]])
+    return VCategory(base, ["c0", "c1"], [0, 0], [{0: 1, 1: 1}, {0: 1, 1: 1}])

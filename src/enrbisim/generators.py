@@ -32,7 +32,7 @@ def terminal(base: Quantaloid) -> VCategory:
     """One point per base object, with the top element as every hom."""
     n = base.n_objects
     names = [f"*{base.objects[u]}" for u in range(n)]
-    homs = [[base.hom(u, v).top for v in range(n)] for u in range(n)]
+    homs = [{v: base.hom(u, v).top for v in range(n)} for u in range(n)]
     return VCategory(base, names, list(range(n)), homs)
 
 
@@ -49,21 +49,13 @@ def coproduct(parts: list[VCategory]) -> tuple[VCategory, list[VFunctor]]:
     for p in parts[1:]:
         if p.base is not base:
             raise BaseMismatch("summands live over different bases")
-    names, extents, owner = [], [], []
+    names, extents, homs = [], [], []
     for idx, p in enumerate(parts):
+        offset = len(names)
         for i in range(p.n_objects):
             names.append(f"{p.objects[i]}#{idx}")
             extents.append(p.extents[i])
-            owner.append((idx, i))
-    used = set(extents)
-    bottoms = {(u, v): base.hom(u, v).bottom for u in used for v in used}
-    homs = [
-        [
-            parts[ia].hom(i, j) if ia == ib else bottoms[extents[x], extents[y]]
-            for y, (ib, j) in enumerate(owner)
-        ]
-        for x, (ia, i) in enumerate(owner)
-    ]
+            homs.append({offset + j: x for j, x in p.row_maps[i].items()})
     total = VCategory(base, names, extents, homs)
     injections = []
     offset = 0
@@ -126,15 +118,14 @@ def cover_od(c: VCategory, multiplicities: list[int]) -> VFunctor:
     identical copies of a hom is that hom.
     """
     names, extents, mapping = [], [], []
+    copies: list[list[int]] = [[] for _ in range(c.n_objects)]
     for i in range(c.n_objects):
         for copy in range(multiplicities[i]):
+            copies[i].append(len(names))
             names.append(f"{c.objects[i]}~{copy}")
             extents.append(c.extents[i])
             mapping.append(i)
-    homs = [
-        [c.hom(mapping[x], mapping[y]) for y in range(len(names))]
-        for x in range(len(names))
-    ]
+    homs = [{y: h for j, h, _ in c.rows[i] for y in copies[j]} for i in mapping]
     a = VCategory(c.base, names, extents, homs)
     return VFunctor(a, c, mapping)
 
@@ -197,10 +188,7 @@ def axiom_a1(base: Quantaloid, rng: random.Random) -> str | None:
         [f.target.objects[perm.index(i)] + "'" for i in range(len(perm))],
         [f.target.extents[perm.index(i)] for i in range(len(perm))],
         [
-            [
-                f.target.hom(perm.index(i), perm.index(j))
-                for j in range(len(perm))
-            ]
+            {perm[j]: h for j, h, _ in f.target.rows[perm.index(i)]}
             for i in range(len(perm))
         ],
     )

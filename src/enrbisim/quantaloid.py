@@ -197,8 +197,8 @@ class LanguageQuantale(Quantaloid):
 
     def path_homs(
         self, n_vertices: int, edges: list[tuple[int, int, frozenset]]
-    ) -> list[list[frozenset]]:
-        """Hom table of the free enrichment on a labelled graph.
+    ) -> list[dict[int, frozenset]]:
+        """Hom rows of the free enrichment on a labelled graph.
 
         A forward sweep from each source over the out-edge lists.  Level
         ``l`` lists the pairs (vertex, word of length ``l`` reaching it),
@@ -208,14 +208,14 @@ class LanguageQuantale(Quantaloid):
         is closed under those before the next one starts, and any other
         label appends to a later level.  This equals the generic ascending
         closure but never concatenates two large languages, and it touches
-        only what the source reaches within ``k`` letters: every entry it
-        does not reach is one shared empty set.
+        only what the source reaches within ``k`` letters.  A row maps
+        each reached target to its words and leaves out the rest, whose
+        hom is the empty set.
         """
         k = self.k
         out: list[list[tuple[int, tuple, int]]] = [[] for _ in range(n_vertices)]
         for s, t, lab in edges:
             out[s].extend((t, word, len(word)) for word in lab if len(word) <= k)
-        bottom = frozenset()
         table = []
         for a in range(n_vertices):
             reached: dict[int, set] = {a: {()}}
@@ -235,10 +235,7 @@ class LanguageQuantale(Quantaloid):
                             else:
                                 have.add(longer)
                             levels[level + length].append((t, longer))
-            row = [bottom] * n_vertices
-            for t, words in reached.items():
-                row[t] = frozenset(words)
-            table.append(row)
+            table.append({t: frozenset(words) for t, words in reached.items()})
         return table
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import collections
 import itertools
-from typing import Any, NamedTuple
+from types import MappingProxyType
+from typing import Any, Mapping, NamedTuple
 
 from .errors import BaseMismatch, NotComposable, TypeMismatch, UnknownObject
 from .lattice import Lattice
@@ -25,13 +26,14 @@ def require_same_base(a: "VCategory", b: "VCategory") -> None:
 class VCategory:
     """An enrichment over a quantaloid.
 
-    The constructor is the one place that decides which homs are bottom.
-    A hom counts as bottom when it has the bottom's own type and equals
-    it; every other hom is checked against its lattice, which raises
-    ``UnknownElement`` for one outside it.  ``rows[i]`` lists object
-    ``i``'s non-bottom homs as ``(target, hom, lattice)`` in target order.
-    Both the dense ``homs`` table and ``rows`` are tuples, so neither can
-    change after that check.
+    ``homs`` gives one row per object, ``{target: hom}``; a target it
+    leaves out has the bottom hom.  The constructor is the one place that
+    decides how homs are stored and which are bottom: a hom with the
+    bottom's own type that equals it is dropped, and every other one is
+    checked against its lattice (``UnknownElement`` if outside it).
+    ``rows[i]`` lists object ``i``'s non-bottom homs as ``(target, hom,
+    lattice)`` in target order, and ``row_maps[i]`` maps those targets to
+    their homs; both are read-only.
     """
 
     def __init__(
@@ -39,38 +41,43 @@ class VCategory:
         base: Quantaloid,
         objects: list[str],
         extents: list[int],
-        homs: list[list[Any]],
+        homs: list[Mapping[int, Any]],
     ):
         n = len(objects)
-        if len(extents) != n or len(homs) != n or any(len(row) != n for row in homs):
-            raise ValueError("objects, extents and hom table sizes disagree")
+        if len(extents) != n or len(homs) != n:
+            raise ValueError("objects, extents and hom rows disagree in number")
         self.base = base
         self.objects = list(objects)
         self.extents = list(extents)
-        self.homs = tuple(tuple(row) for row in homs)
         for e in self.extents:
             base.check_object(e)
         # the boundary: every non-bottom hom is checked here once, so
         # interior loops may use the unchecked lattice cores on it
         self._lattices: dict[tuple[int, int], Lattice] = {}  # by extent pair
+        self._bottoms: dict[tuple[int, int], Any] = {}
         kinds = {}  # extent pair -> (lattice, bottom, type of bottom)
         for key in itertools.product(set(self.extents), repeat=2):
             lat = self._lattices[key] = base.hom(*key)
-            bottom = lat._join(())
+            bottom = self._bottoms[key] = lat.bottom
             kinds[key] = (lat, bottom, type(bottom))
         row_kinds = {u: [kinds[u, v] for v in self.extents] for u in set(self.extents)}
         rows = []
-        for i, row in enumerate(self.homs):
+        for i, row in enumerate(homs):
+            targets = sorted(row.keys())  # a dense list row fails here, not misread
+            if targets and not (0 <= targets[0] and targets[-1] < n):
+                raise ValueError(f"hom row {i} has a target outside 0..{n - 1}")
+            kinds_i = row_kinds[self.extents[i]]
             out = []
-            for j, (x, (lat, bottom, bottom_type)) in enumerate(
-                zip(row, row_kinds[self.extents[i]])
-            ):
+            for j in targets:
+                x = row[j]
+                lat, bottom, bottom_type = kinds_i[j]
                 if type(x) is bottom_type and x == bottom:
                     continue
                 lat.check_element(x)
                 out.append((j, x, lat))
             rows.append(tuple(out))
         self.rows = tuple(rows)
+        self.row_maps = tuple(MappingProxyType({j: x for j, x, _ in row}) for row in rows)
 
     @property
     def n_objects(self) -> int:
@@ -83,7 +90,10 @@ class VCategory:
             raise UnknownObject(f"no object named {name!r}") from None
 
     def hom(self, i: int, j: int):
-        return self.homs[i][j]
+        n = len(self.objects)
+        if not (0 <= i < n and 0 <= j < n):
+            raise UnknownObject(f"object index pair ({i}, {j}) out of range")
+        return self.row_maps[i].get(j, self._bottoms[self.extents[i], self.extents[j]])
 
     def hom_lattice(self, i: int, j: int) -> Lattice:
         return self._lattices[self.extents[i], self.extents[j]]
@@ -120,17 +130,17 @@ def validate_vcategory(a: VCategory) -> list[str]:
     ``(i, j, k)`` order.
     """
     out = []
-    base, ext, homs, rows = a.base, a.extents, a.homs, a.rows
+    base, ext, rows = a.base, a.extents, a.rows
     for i in range(a.n_objects):
         lat = a.hom_lattice(i, i)
-        if not lat.leq(base.unit(ext[i]), homs[i][i]):
+        if not lat.leq(base.unit(ext[i]), a.hom(i, i)):
             out.append(f"identity not below hom({a.objects[i]},{a.objects[i]})")
     if isinstance(base, LanguageQuantale) and _language_law_holds(base, rows):
         return out
     groups = [_value_groups(row, ext) for row in rows]
     names, lattices = a.objects, a._lattices
     for i, row_i in enumerate(rows):
-        ei, homs_i = ext[i], homs[i]
+        ei, map_i = ext[i], a.row_maps[i]
         scope = {}  # extent e -> (lattice, bottom, [(value, bits)] of row i's groups in e)
         for (u, e), lat in lattices.items():
             if u == ei:
@@ -148,7 +158,7 @@ def validate_vcategory(a: VCategory) -> list[str]:
                     lat, bottom, mine = scope[e]
                     if len(targets) <= len(mine):
                         for k in targets:
-                            if not lat._leq(c, homs_i[k]):
+                            if not lat._leq(c, map_i.get(k, bottom)):
                                 failed |= 1 << k
                         continue
                     if lat._leq(c, bottom):
@@ -268,9 +278,8 @@ def validate_vfunctor(f: VFunctor) -> list[str]:
     # hom lies below any image
     m = f.mapping
     for i, row in enumerate(a.rows):
-        row_fi = b.homs[m[i]]
         for j, x, lat in row:
-            if not lat._leq(x, row_fi[m[j]]):
+            if not lat._leq(x, b.hom(m[i], m[j])):
                 out.append(f"hom shrinks at ({a.objects[i]},{a.objects[j]})")
     return out
 
@@ -278,7 +287,8 @@ def validate_vfunctor(f: VFunctor) -> list[str]:
 def pullback(f: VFunctor, g: VFunctor) -> tuple[VCategory, VFunctor, VFunctor]:
     """Pairs agreeing in the target, with the meets of the factors' homs.
 
-    Over the maps into ``terminal`` this is the product.
+    Over the maps into ``terminal`` this is the product.  A meet with a
+    bottom hom is bottom, so only pairs of non-bottom homs are met.
     """
     if f.target is not g.target:
         raise BaseMismatch("pullback needs a common codomain")
@@ -292,12 +302,15 @@ def pullback(f: VFunctor, g: VFunctor) -> tuple[VCategory, VFunctor, VFunctor]:
     ]
     names = [f"({a.objects[i]}|{b.objects[j]})" for i, j in pairs]
     extents = [a.extents[i] for i, _ in pairs]
+    at = {pair: p for p, pair in enumerate(pairs)}
     homs = [
-        [
-            a.hom_lattice(i1, i2).meet([a.hom(i1, i2), b.hom(j1, j2)])
-            for (i2, j2) in pairs
-        ]
-        for (i1, j1) in pairs
+        {
+            at[i2, j2]: lat.meet([x, y])
+            for i2, x, lat in a.rows[i1]
+            for j2, y, _ in b.rows[j1]
+            if (i2, j2) in at
+        }
+        for i1, j1 in pairs
     ]
     p = VCategory(a.base, names, extents, homs)
     return p, VFunctor(p, a, [i for i, _ in pairs]), VFunctor(p, b, [j for _, j in pairs])
@@ -339,7 +352,7 @@ def free_vcategory(base: Quantaloid, graph: EnrichedGraph) -> VCategory:
     return VCategory(base, names, extents, _kleene_closure(base, extents, graph.edges))
 
 
-def _kleene_closure(base: Quantaloid, extents: list[int], edges) -> list[list[Any]]:
+def _kleene_closure(base: Quantaloid, extents: list[int], edges) -> list[dict[int, Any]]:
     """Ascending closure under identities, labels and composition.
 
     Row ``i`` of the closure is the least solution of
@@ -379,11 +392,10 @@ def _kleene_closure(base: Quantaloid, extents: list[int], edges) -> list[list[An
     composites: dict = {}  # (e_i, e_k, e_j, f, g) -> base.compose of them
     homs = []
     for i in range(n):
-        ei, lats = extents[i], row_lattices[extents[i]]
-        row = list(bottoms[ei])
-        row[i] = base.unit(ei)
+        ei, lats, bottoms_i = extents[i], row_lattices[extents[i]], bottoms[extents[i]]
+        row = {i: base.unit(ei)}
         for j, _, g in out[i]:
-            row[j] = lats[j]._join([row[j], g])
+            row[j] = lats[j]._join([row[j], g]) if j in row else g
         pending = collections.deque([i, *(j for j, _, _ in out[i] if j != i)])
         queued = set(pending)
         while pending:
@@ -396,7 +408,7 @@ def _kleene_closure(base: Quantaloid, extents: list[int], edges) -> list[list[An
                     comp = composites[key]
                 except KeyError:
                     comp = composites[key] = base.compose(*key)
-                lat, have = lats[j], row[j]
+                lat, have = lats[j], row.get(j, bottoms_i[j])
                 if not lat._leq(comp, have):
                     row[j] = comp if lat._leq(have, comp) else lat._join([have, comp])
                     if j not in queued:

@@ -165,7 +165,7 @@ def test_criterion_3_span_under_distributivity(pair_pool):
         if not (is_od(to_a) and is_od(to_b)):
             ok = False
     base = penta()
-    one = VCategory(base, ["x"], [0], [[1]])
+    one = VCategory(base, ["x"], [0], [{0: 1}])
     try:
         span_witness(one, one)
         gate = False
@@ -238,14 +238,14 @@ def _small_vcats_over_ql(base, letter):
     """All enrichments over a one-letter language base with <= 2 objects."""
     hom = base.hom(0, 0)
     singles = [
-        VCategory(base, ["x"], [0], [[value]])
+        VCategory(base, ["x"], [0], [{0: value}])
         for value in hom.elements()
-        if not validate_vcategory(VCategory(base, ["x"], [0], [[value]]))
+        if not validate_vcategory(VCategory(base, ["x"], [0], [{0: value}]))
     ]
     elements = list(hom.elements())
     doubles = []
     for diag1, diag2, off1, off2 in itertools.product(elements, repeat=4):
-        cand = VCategory(base, ["x", "y"], [0, 0], [[diag1, off1], [off2, diag2]])
+        cand = VCategory(base, ["x", "y"], [0, 0], [{0: diag1, 1: off1}, {0: off2, 1: diag2}])
         if not validate_vcategory(cand):
             doubles.append(cand)
     return singles, doubles
@@ -453,9 +453,9 @@ def test_criterion_9_slice_correspondence():
     cases = []
 
     a_pre, pt = p01(base2), point(base2)
-    q2_singles = [VCategory(base2, ["x"], [0], [[1]])]
+    q2_singles = [VCategory(base2, ["x"], [0], [{0: 1}])]
     q2_doubles = [
-        VCategory(base2, ["x", "y"], [0, 0], [[1, off1], [off2, 1]])
+        VCategory(base2, ["x", "y"], [0, 0], [{0: 1, 1: off1}, {0: off2, 1: 1}])
         for off1 in (0, 1)
         for off2 in (0, 1)
     ]
@@ -476,11 +476,11 @@ def test_criterion_9_slice_correspondence():
             for g in enumerate_vfunctors(x, a):
                 s = encode_slice(va, g)
                 back = decode_slice(va, s)
-                if back.mapping != g.mapping or back.source.homs != x.homs:
+                if back.mapping != g.mapping or back.source.row_maps != x.row_maps:
                     ok = False
                 moved = apply_cob(tse, s)
                 direct = encode_slice(vb, g.then(f))
-                if moved.extents != direct.extents or moved.homs != direct.homs:
+                if moved.extents != direct.extents or moved.row_maps != direct.row_maps:
                     ok = False
         for y in stock:
             for h in enumerate_vfunctors(y, b):
@@ -488,7 +488,7 @@ def test_criterion_9_slice_correspondence():
                 lifted = right_adjoint_cob(tse, t)
                 _, _, to_a = pullback(h, f)
                 encoded = encode_slice(va, to_a)
-                if lifted.extents != encoded.extents or lifted.homs != encoded.homs:
+                if lifted.extents != encoded.extents or lifted.row_maps != encoded.row_maps:
                     ok = False
     verdict(9, ok, "round-trips, post-composition and pullback agree on slices")
 

@@ -97,8 +97,8 @@ class TestSimulationChecks:
 
     def test_extent_mismatch_rejected(self):
         base = penta()
-        a = VCategory(base, ["x"], [0], [[1]])
-        b = VCategory(base, ["y"], [1], [[1]])
+        a = VCategory(base, ["x"], [0], [{0: 1}])
+        b = VCategory(base, ["y"], [1], [{0: 1}])
         with pytest.raises(ExtentMismatch):
             SimRelation(a, b, [(0, 0)])
 
@@ -158,10 +158,10 @@ def random_table(base, rng, n, prefix):
     extents = [rng.randrange(base.n_objects) for _ in range(n)]
     homs = []
     for u in extents:
-        row = []
-        for v in extents:
+        row = {}
+        for j, v in enumerate(extents):
             lat = base.hom(u, v)
-            row.append(lat.bottom if rng.random() < 0.7 else lat.sample(rng))
+            row[j] = lat.bottom if rng.random() < 0.7 else lat.sample(rng)
         homs.append(row)
     return VCategory(base, [f"{prefix}{i}" for i in range(n)], extents, homs)
 
@@ -171,7 +171,7 @@ def covering_copy(a, rng, perturb):
     ``perturb`` redraws one hom, which may break bisimilarity."""
     origin = [i for i in range(a.n_objects) for _ in range(rng.randint(1, 2))]
     rng.shuffle(origin)
-    homs = [[a.hom(i, j) for j in origin] for i in origin]
+    homs = [{y: a.hom(i, j) for y, j in enumerate(origin)} for i in origin]
     if perturb:
         x, y = rng.randrange(len(origin)), rng.randrange(len(origin))
         homs[x][y] = a.hom_lattice(origin[x], origin[y]).sample(rng)
@@ -398,8 +398,8 @@ class TestSimulationEngine:
         base = penta()
         n5 = base.hom(0, 1)
         # x0 has a hom into the v-object x1; y0 has none into extent v
-        a = VCategory(base, ["x0", "x1"], [0, 1], [[1, n5.top], [0, 1]])
-        b = VCategory(base, ["y0", "y1"], [0, 1], [[1, n5.bottom], [0, 1]])
+        a = VCategory(base, ["x0", "x1"], [0, 1], [{0: 1, 1: n5.top}, {0: 0, 1: 1}])
+        b = VCategory(base, ["y0", "y1"], [0, 1], [{0: 1, 1: n5.bottom}, {0: 0, 1: 1}])
         got = largest_simulation(a, b)
         assert got.pairs == {(1, 1)}
         assert got.refinement_trace == ((1, "x0", "y0"),)
@@ -459,7 +459,7 @@ class TestFunctionalBisimulations:
 
     def test_embedding_is_functional_but_not_surjective(self, QL):
         a = aut1(QL)
-        single = VCategory(QL, ["a1"], [0], [[frozenset({()})]])
+        single = VCategory(QL, ["a1"], [0], [{0: frozenset({()})}])
         f = VFunctor(single, a, [1])
         assert is_functional_bisimulation(f)
         assert not is_od(f)
@@ -470,7 +470,7 @@ class TestFunctionalBisimulations:
             QL,
             ["a1"],
             [0],
-            [[frozenset({(), ("m",)})]],
+            [{0: frozenset({(), ("m",)})}],
         )
         # map the single point to a1 whose self-hom in aut1 is only eps
         f = VFunctor(bigger, a, [1])
@@ -581,7 +581,7 @@ class TestCospan:
 
     def test_two_copies_of_aut1(self, QL):
         a = aut1(QL)
-        b = VCategory(QL, ["c0", "c1"], [0, 0], [list(r) for r in a.homs])
+        b = VCategory(QL, ["c0", "c1"], [0, 0], a.row_maps)
         r = SimRelation(a, b, {(0, 0), (1, 1)})
         f, g = cospan_witness(a, b, r)
         assert f.target.n_objects == 2
@@ -610,8 +610,8 @@ class TestCospan:
             cospan_witness(a, b, SimRelation.full(a, b))
 
     def test_bisimulation_not_class_closed_accepted(self, Q2):
-        a = VCategory(Q2, ["x0", "x1"], [0, 0], [[1, 0], [0, 1]])
-        b = VCategory(Q2, ["y0", "y1"], [0, 0], [[1, 0], [0, 1]])
+        a = VCategory(Q2, ["x0", "x1"], [0, 0], [{0: 1, 1: 0}, {0: 0, 1: 1}])
+        b = VCategory(Q2, ["y0", "y1"], [0, 0], [{0: 1, 1: 0}, {0: 0, 1: 1}])
         r = SimRelation(a, b, {(0, 0), (0, 1), (1, 1)})
         assert is_bisimulation(r)
         f, g = cospan_witness(a, b, r)
@@ -620,8 +620,8 @@ class TestCospan:
 
     def test_non_bisimulation_not_class_closed_rejected(self, Q2):
         # its class closure, the full relation, is a bisimulation
-        a = VCategory(Q2, ["x0", "x1"], [0, 0], [[1, 0], [0, 1]])
-        b = VCategory(Q2, ["y0", "y1"], [0, 0], [[1, 0], [1, 1]])
+        a = VCategory(Q2, ["x0", "x1"], [0, 0], [{0: 1, 1: 0}, {0: 0, 1: 1}])
+        b = VCategory(Q2, ["y0", "y1"], [0, 0], [{0: 1, 1: 0}, {0: 1, 1: 1}])
         assert is_bisimulation(SimRelation.full(a, b))
         r = SimRelation(a, b, {(0, 0), (0, 1), (1, 1)})
         assert not is_bisimulation(r)
@@ -676,7 +676,7 @@ class TestSpan:
 
     def test_gate_rejects_pentagon_base(self):
         base = penta()
-        a = VCategory(base, ["x"], [0], [[1]])
+        a = VCategory(base, ["x"], [0], [{0: 1}])
         with pytest.raises(NotLocallyDistributive):
             span_witness(a, a)
 

@@ -251,7 +251,7 @@ class TestVcatAsTse:
     def test_point_round_trip(self, Q2):
         p = point(Q2)
         back = tse_as_vcat(vcat_as_tse(p))
-        assert back.objects == p.objects and back.homs == p.homs
+        assert back.objects == p.objects and back.row_maps == p.row_maps
 
     def test_aut1_round_trip(self, QLm):
         a = aut1(QLm)
@@ -260,7 +260,7 @@ class TestVcatAsTse:
         back = tse_as_vcat(tse)
         assert back.objects == a.objects
         assert back.extents == a.extents
-        assert back.homs == a.homs
+        assert back.row_maps == a.row_maps
 
     def test_functors_are_2cells(self, QLm):
         a, b = aut1(QLm), loop1(QLm)
@@ -419,7 +419,7 @@ class TestSliceChange:
                 moved = apply_cob(tse, encode_slice(va, g))
                 direct = encode_slice(vb, g.then(f))
                 assert moved.extents == direct.extents
-                assert moved.homs == direct.homs
+                assert moved.row_maps == direct.row_maps
 
     def test_pullback_agreement(self, Q2):
         a, p = p01(Q2), point(Q2)
@@ -432,7 +432,7 @@ class TestSliceChange:
                 pb, _, to_a = pullback(h, f)
                 encoded = encode_slice(va, to_a)
                 assert lifted.extents == encoded.extents
-                assert lifted.homs == encoded.homs
+                assert lifted.row_maps == encoded.row_maps
 
 
 class TestOdPreservation:

@@ -217,7 +217,7 @@ class TestCtsToVcat:
         a_joint = cts_to_vcat(sq, joint)
         total, _ = coproduct([cts_to_vcat(sq, spec1), cts_to_vcat(sq, spec2)])
         assert a_joint.extents == total.extents
-        assert a_joint.homs == total.homs
+        assert a_joint.row_maps == total.row_maps
 
 
 class TestRefine:

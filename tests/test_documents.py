@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from enrbisim.bisim import SimRelation
-from enrbisim.cli import default_fixture_paths
+from enrbisim.cli import default_fixture_paths, main
 from enrbisim.cts import FiniteCategory
 from enrbisim.documents import (
     SCHEMA,
@@ -86,21 +86,21 @@ class TestBundleLoading:
         with pytest.raises(ValidationError, match="duplicate"):
             load_bundle([tmp_path])
 
-    def test_repeated_object_name_means_first(self, tmp_path):
-        write_doc(tmp_path, {"schema": SCHEMA, "name": "Q", "kind": "quantaloid", "construction": "boolean"})
-        vertices = [{"name": name, "extent": "*"} for name in ("x", "y", "x")]
-        write_doc(
-            tmp_path,
-            {
-                "schema": SCHEMA,
-                "name": "G",
-                "kind": "vcategory",
-                "base": "Q",
-                "graph": {"vertices": vertices, "edges": [{"src": "y", "tgt": "x", "label": "1"}]},
-            },
-        )
-        g = load_bundle([tmp_path]).get("G", VCategory)
-        assert (g.hom(1, 0), g.hom(1, 2)) == (1, 0)
+    @pytest.mark.parametrize("body", [
+        {"kind": "vcategory", "base": "Q2", "homs": {"x,y": "1"},
+         "objects": [{"name": name, "extent": "*"} for name in ("x", "y", "x")]},
+        {"kind": "vcategory", "base": "Q2",
+         "graph": {"vertices": [{"name": name, "extent": "*"} for name in ("x", "y", "x")],
+                   "edges": [{"src": "y", "tgt": "x", "label": "1"}]}},
+        {"kind": "ctsspec", "category": "P2", "edges": [],
+         "vertices": [{"name": name, "type": "0"} for name in ("x", "y", "x")]},
+    ], ids=["table", "graph", "cts-graph"])
+    def test_repeated_object_name_is_a_parse_error(self, tmp_path, capsys, body):
+        write_doc(tmp_path, {"schema": SCHEMA, "name": "BAD", **body})
+        with pytest.raises(ParseError, match="BAD: object name 'x' is repeated"):
+            load_bundle([*FIXTURES, tmp_path])
+        assert main(["--paths", *FIXTURES, "--paths", str(tmp_path), "validate"]) == 2
+        assert "ParseError" in json.loads(capsys.readouterr().out)["details"]["error"]
 
     def test_shorthand_kind_spelling(self, tmp_path):
         write_doc(
@@ -159,7 +159,7 @@ class TestRoundTrips:
         a, b = bundle.get("AUT1"), reloaded.get("AUT1")
         assert a.objects == b.objects
         assert a.extents == b.extents
-        assert a.homs == b.homs
+        assert a.row_maps == b.row_maps
 
     def test_element_codecs(self):
         bundle = load_bundle(FIXTURES)
@@ -180,14 +180,14 @@ class TestAutImport:
         got = import_aut(path, ["m"], 2)
         want = aut1()
         assert got.extents == want.extents
-        assert got.homs == want.homs
+        assert got.row_maps == want.row_maps
         assert validate_vcategory(got) == []
 
     def test_loop_translation(self, tmp_path):
         path = tmp_path / "loop.aut"
         path.write_text('des (0, 1, 1)\n(0, "m", 0)\n')
         got = import_aut(path, ["m"], 2)
-        assert got.homs == loop1().homs
+        assert got.row_maps == loop1().row_maps
 
     def test_unknown_label(self, tmp_path):
         path = tmp_path / "bad.aut"

@@ -26,6 +26,7 @@ from enrbisim.errors import (
     SizeLimit,
     TypeMismatch,
     UnknownElement,
+    UnknownObject,
 )
 from enrbisim.fixtures import aut1, bp2, codisc2, loop1, m3, p01, penta, point, q2, ql, rel1
 from enrbisim.generators import coproduct, random_vcategory, terminal, to_terminal
@@ -56,7 +57,7 @@ def QL():
 
 class TestValidateVCategory:
     def test_single_point_valid(self, Q2):
-        a = VCategory(Q2, ["x"], [0], [[1]])
+        a = VCategory(Q2, ["x"], [0], [{0: 1}])
         assert validate_vcategory(a) == []
 
     def test_broken_transitivity(self, Q2):
@@ -64,7 +65,7 @@ class TestValidateVCategory:
             Q2,
             ["a0", "a1", "a2"],
             [0, 0, 0],
-            [[1, 1, 0], [0, 1, 1], [0, 0, 1]],
+            [{0: 1, 1: 1, 2: 0}, {0: 0, 1: 1, 2: 1}, {0: 0, 1: 0, 2: 1}],
         )
         assert any("composition" in v for v in validate_vcategory(a))
 
@@ -73,7 +74,7 @@ class TestValidateVCategory:
         assert validate_vcategory(loop1(QL)) == []
 
     def test_missing_identity(self, Q2):
-        a = VCategory(Q2, ["x"], [0], [[0]])
+        a = VCategory(Q2, ["x"], [0], [{0: 0}])
         assert any("identity" in v for v in validate_vcategory(a))
 
 
@@ -121,7 +122,7 @@ class TestValidateAgainstDenseOracle:
         for case in range(40):
             a = random_vcategory(base, rng, max_objects=5, density=0.3)
             assert validate_vcategory(a) == dense_validate(a) == []
-            homs = [list(row) for row in a.homs]
+            homs = [dict(row) for row in a.row_maps]
             for _ in range(rng.randint(1, 4)):
                 i, j = rng.randrange(a.n_objects), rng.randrange(a.n_objects)
                 lat = a.hom_lattice(i, j)
@@ -138,10 +139,10 @@ def random_hom_table(base, rng, n):
     break the law and rows hold several distinct values."""
     extents = [rng.randrange(base.n_objects) for _ in range(n)]
     homs = [
-        [
-            base.hom(u, v).bottom if rng.random() < 0.3 else base.hom(u, v).sample(rng)
-            for v in extents
-        ]
+        {
+            j: base.hom(u, v).bottom if rng.random() < 0.3 else base.hom(u, v).sample(rng)
+            for j, v in enumerate(extents)
+        }
         for u in extents
     ]
     return VCategory(base, [f"x{i}" for i in range(n)], extents, homs)
@@ -201,19 +202,31 @@ class TestGroupedCheck:
 
 
 class TestNonBottomRows:
-    """``VCategory.rows`` against a scan of the dense table."""
+    """``VCategory.rows`` against a scan of a dense table, given to the
+    constructor as ``{target: hom}`` rows in shuffled order, with some
+    bottoms written out and the rest left out."""
 
     @pytest.mark.parametrize("name", sorted(ORACLE_BASES))
     def test_rows_are_the_non_bottom_entries(self, name):
         base = ORACLE_BASES[name]()
         rng = random.Random(f"rows-{name}")
+        seen = collections.Counter()
         for case in range(30):
             a = random_vcategory(base, rng, max_objects=6, density=0.3)
-            homs = [list(row) for row in a.homs]
+            n = a.n_objects
+            dense = [[a.hom(i, j) for j in range(n)] for i in range(n)]
             for _ in range(rng.randint(0, 4)):
-                i, j = rng.randrange(a.n_objects), rng.randrange(a.n_objects)
+                i, j = rng.randrange(n), rng.randrange(n)
                 lat = a.hom_lattice(i, j)
-                homs[i][j] = lat.bottom if rng.random() < 0.5 else lat.sample(rng)
+                dense[i][j] = lat.bottom if rng.random() < 0.5 else lat.sample(rng)
+            homs = []
+            for i, row in enumerate(dense):
+                given = [
+                    (j, x) for j, x in enumerate(row)
+                    if x != a.hom_lattice(i, j).bottom or rng.random() < 0.5
+                ]
+                rng.shuffle(given)
+                homs.append(dict(given))
             b = VCategory(base, a.objects, a.extents, homs)
             want = tuple(
                 tuple(
@@ -221,12 +234,53 @@ class TestNonBottomRows:
                     for j, x in enumerate(row)
                     if x != b.hom_lattice(i, j).bottom
                 )
-                for i, row in enumerate(homs)
+                for i, row in enumerate(dense)
             )
             assert b.rows == want, case
             assert all(
                 got[2] is b.hom_lattice(i, got[0]) for i, row in enumerate(b.rows) for got in row
             )
+            assert b.row_maps == tuple({j: x for j, x, _ in row} for row in want), case
+            for i, j in itertools.product(range(n), repeat=2):
+                assert b.hom(i, j) == dense[i][j], case
+                if dense[i][j] == b.hom_lattice(i, j).bottom:
+                    seen["written" if j in homs[i] else "left out"] += 1
+        assert min(seen["written"], seen["left out"]) >= 20, seen
+
+    def test_explicit_bottom_is_dropped_and_missing_target_reads_bottom(self, Q2):
+        a = VCategory(Q2, ["x", "y", "z"], [0, 0, 0], [{2: 1, 0: 1, 1: 0}, {1: 1}, {2: 1}])
+        assert a.rows == (((0, 1, a.hom_lattice(0, 0)), (2, 1, a.hom_lattice(0, 2))),
+                          ((1, 1, a.hom_lattice(1, 1)),), ((2, 1, a.hom_lattice(2, 2)),))
+        assert dict(a.row_maps[0]) == {0: 1, 2: 1}
+        assert a.hom(0, 1) == a.hom(1, 0) == Q2.hom(0, 0).bottom == 0
+
+    def test_row_count_and_targets_are_checked(self, Q2):
+        for homs in ([{0: 1}], [{0: 1}, {1: 1}, {}], [{0: 1, 2: 1}, {1: 1}], [{-1: 1}, {1: 1}]):
+            with pytest.raises(ValueError):
+                VCategory(Q2, ["x", "y"], [0, 0], homs)
+        with pytest.raises(AttributeError):  # the dense form of p01 is not read as targets
+            VCategory(Q2, ["x", "y"], [0, 0], [[1, 1], [0, 1]])
+
+    def test_rows_are_read_only(self, Q2):
+        a = p01(Q2)
+        with pytest.raises(TypeError):
+            a.row_maps[0][1] = 0
+
+
+class TestHomIndices:
+    """``hom(i, j)`` outside ``0..n-1`` raises, as ``Quantaloid.hom`` does."""
+
+    @pytest.mark.parametrize("build", [p01, aut1, lambda: terminal(bp2())])
+    def test_indices_out_of_range_raise(self, build):
+        a = build()
+        n = a.n_objects
+        cells = {(i, j): a.hom(i, j) for i in range(n) for j in range(n)}
+        for bad in (-1, n):
+            with pytest.raises(UnknownObject):
+                a.hom(bad, 0)
+            with pytest.raises(UnknownObject):
+                a.hom(0, bad)
+        assert all(a.hom(i, j) == x for (i, j), x in cells.items())
 
 
 def random_automaton_graph(rng, n):
@@ -254,7 +308,9 @@ class TestLanguageKernelsAgainstOracles:
                 if rng.random() < 0.3:
                     label.add(())  # an empty-word label, closed within each level
                 edges.append((rng.randrange(n), rng.randrange(n), frozenset(label)))
-            assert base.path_homs(n, edges) == naive_closure(base, [0] * n, edges), case
+            assert as_table(base, [0] * n, base.path_homs(n, edges)) == naive_closure(
+                base, [0] * n, edges
+            ), case
 
     @pytest.mark.parametrize(
         "given",
@@ -267,7 +323,7 @@ class TestLanguageKernelsAgainstOracles:
     )
     def test_mask_check_on_minimal_violations(self, given):
         base = build_language_quantale(["a", "b"], 2)
-        homs = [[frozenset({()}) if i == j else frozenset() for j in range(3)] for i in range(3)]
+        homs = [{i: frozenset({()})} for i in range(3)]
         for (i, j), words in given.items():
             homs[i][j] = frozenset(tuple(w) for w in words)
         a = VCategory(base, ["x", "y", "z"], [0, 0, 0], homs)
@@ -285,13 +341,13 @@ class TestLanguageKernelsAgainstOracles:
             assert validate_vcategory(a) == dense_validate(a) == []
             assert _language_law_holds(base, a.rows)
             for edit in ("remove", "add", "add the empty word"):
-                homs = [list(row) for row in a.homs]
+                homs = [dict(row) for row in a.row_maps]
                 if edit == "remove":
-                    i, j = rng.choice([(i, j) for i in range(n) for j in range(n) if homs[i][j]])
+                    i, j = rng.choice([(i, j) for i in range(n) for j in homs[i]])
                     homs[i][j] -= {rng.choice(sorted(homs[i][j]))}
                 else:
                     i, j = rng.sample(range(n), 2)
-                    homs[i][j] |= {rng.choice(base.words) if edit == "add" else ()}
+                    homs[i][j] = a.hom(i, j) | {rng.choice(base.words) if edit == "add" else ()}
                 b = VCategory(base, a.objects, a.extents, homs)
                 expected = dense_validate(b)
                 assert validate_vcategory(b) == expected, case
@@ -304,11 +360,11 @@ class TestLanguageKernelsAgainstOracles:
 class TestHomBoundary:
     def test_constructor_rejects_hom_outside_lattice(self, Q2, QL):
         with pytest.raises(UnknownElement):
-            VCategory(Q2, ["x"], [0], [[5]])
+            VCategory(Q2, ["x"], [0], [{0: 5}])
         with pytest.raises(UnknownElement):
-            VCategory(QL, ["x"], [0], [[frozenset({("m", "m", "m")})]])
+            VCategory(QL, ["x"], [0], [{0: frozenset({("m", "m", "m")})}])
         with pytest.raises(UnknownElement):
-            VCategory(QL, ["x", "y"], [0, 0], [[frozenset({()}), 1], [0, frozenset({()})]])
+            VCategory(QL, ["x", "y"], [0, 0], [{0: frozenset({()}), 1: 1}, {0: 0, 1: frozenset({()})}])
 
     def test_value_equal_to_bottom_must_still_be_an_element(self, QL):
         # the truth values with bottom at index 1: True == 1, but is no element
@@ -316,16 +372,16 @@ class TestHomBoundary:
         table = [[0, 1], [1, 1]]
         base = TableQuantaloid(["*"], {(0, 0): lat}, {(0, 0, 0): table}, [0])
         assert validate_quantaloid(base).violations == [] and lat.bottom == 1
-        assert VCategory(base, ["x", "y"], [0, 0], [[0, 1], [1, 0]]).rows == (
+        assert VCategory(base, ["x", "y"], [0, 0], [{0: 0, 1: 1}, {0: 1, 1: 0}]).rows == (
             ((0, 0, lat),),
             ((1, 0, lat),),
         )
         with pytest.raises(UnknownElement):
-            VCategory(base, ["x", "y"], [0, 0], [[0, True], [1, 0]])
+            VCategory(base, ["x", "y"], [0, 0], [{0: 0, 1: True}, {0: 1, 1: 0}])
         # a plain set equals the empty language, but is no frozenset
         with pytest.raises(UnknownElement):
             unit = frozenset({()})
-            VCategory(QL, ["x", "y"], [0, 0], [[unit, set()], [frozenset(), unit]])
+            VCategory(QL, ["x", "y"], [0, 0], [{0: unit, 1: set()}, {0: frozenset(), 1: unit}])
 
     def test_table_document_with_foreign_hom_exits_2(self, tmp_path, capsys):
         docs = [
@@ -355,7 +411,7 @@ class TestValidateVFunctor:
     def test_hom_shrink_reported(self, Q2):
         # reversed preorder map shrinks the hom between the two points
         a = p01(Q2)
-        b = VCategory(Q2, ["b0", "b1"], [0, 0], [[1, 0], [1, 1]])
+        b = VCategory(Q2, ["b0", "b1"], [0, 0], [{0: 1, 1: 0}, {0: 1, 1: 1}])
         f = VFunctor(a, b, [0, 1])
         assert any("shrinks" in v for v in validate_vfunctor(f))
 
@@ -380,7 +436,7 @@ class TestVNatural:
 
     def test_language_case_fails_without_unit(self, QL):
         b = aut1(QL)
-        one = VCategory(QL, ["x"], [0], [[frozenset({()})]])
+        one = VCategory(QL, ["x"], [0], [{0: frozenset({()})}])
         f = VFunctor(one, b, [0])
         g = VFunctor(one, b, [1])
         # hom(a0, a1) = {m} does not contain the empty word
@@ -541,6 +597,13 @@ class TestCoproduct:
         assert validate_vcategory(total) == []
 
 
+def as_table(base, extents, rows):
+    """The dense table of ``{target: hom}`` rows, read through ``hom``."""
+    n = len(extents)
+    a = VCategory(base, [f"x{i}" for i in range(n)], extents, rows)
+    return [[a.hom(i, j) for j in range(n)] for i in range(n)]
+
+
 def naive_closure(base, extents, edges):
     """Oracle: the ascending closure that looks up every lattice and
     composes every cell on every pass, with no cache."""
@@ -626,7 +689,9 @@ class TestKleeneClosure:
         seen = collections.Counter()
         for case in range(30):
             extents, edges = random_labelled_graph(base, rng, rng.randint(1, 8))
-            assert _kleene_closure(base, extents, edges) == naive_closure(base, extents, edges), case
+            assert as_table(base, extents, _kleene_closure(base, extents, edges)) == naive_closure(
+                base, extents, edges
+            ), case
             pairs = collections.Counter((s, t) for s, t, _ in edges)
             seen["parallel"] += max(pairs.values()) > 1
             seen["self-loop"] += any(s == t for s, t, _ in edges)
@@ -643,7 +708,9 @@ class TestKleeneClosure:
         rng = random.Random(f"closure-large-{name}")
         for case in range(3):
             extents, edges = random_labelled_graph(base, rng, rng.randint(15, 30))
-            assert _kleene_closure(base, extents, edges) == naive_closure(base, extents, edges), case
+            assert as_table(base, extents, _kleene_closure(base, extents, edges)) == naive_closure(
+                base, extents, edges
+            ), case
 
     @pytest.mark.parametrize("name", sorted(CLOSURE_BASES))
     @pytest.mark.parametrize("cycle", [False, True], ids=["chain", "cycle"])
@@ -666,7 +733,9 @@ class TestKleeneClosure:
             if cycle:
                 edges.append((n - 1, 0, lat.sample(rng)))
             extents = [e] * n
-            assert _kleene_closure(base, extents, edges) == naive_closure(base, extents, edges), case
+            assert as_table(base, extents, _kleene_closure(base, extents, edges)) == naive_closure(
+                base, extents, edges
+            ), case
 
     @pytest.mark.parametrize("name", sorted(CLOSURE_BASES))
     def test_each_distinct_composite_is_made_once(self, name, monkeypatch):
@@ -717,8 +786,8 @@ class TestFreeVCategory:
             edges=[(0, 1, frozenset({("m",)})), (1, 0, frozenset({(), ("m",)}))],
         )
         fast = free_vcategory(QL, graph)
-        slow = _kleene_closure(QL, [0, 0], graph.edges)
-        assert [list(row) for row in fast.homs] == slow
+        slow = VCategory(QL, fast.objects, fast.extents, _kleene_closure(QL, [0, 0], graph.edges))
+        assert fast.rows == slow.rows
 
     def test_free_over_boolean_is_reachability(self, Q2):
         graph = EnrichedGraph(
@@ -842,3 +911,71 @@ class TestSlice:
                 g = decode_slice(va, s)
                 assert g.mapping == f.mapping
                 assert same_presentation(g.source, x)
+
+
+def assert_sparse_rows(a):
+    """No row holds a bottom, rows are in target order, and ``hom`` reads
+    the extent pair's bottom exactly where the row has no entry."""
+    for i, row in enumerate(a.rows):
+        targets = [j for j, _, _ in row]
+        assert targets == sorted(set(targets)), a
+        assert all(x != lat.bottom for _, x, lat in row), a
+        for j in range(a.n_objects):
+            bottom = a.hom_lattice(i, j).bottom
+            assert (a.hom(i, j) == bottom) is (j not in targets), (a, i, j)
+
+
+class TestBuilderInvariants:
+    def test_every_builder_keeps_sparse_rows(self, tmp_path):
+        from enrbisim.bisim import quotient
+        from enrbisim.cli import default_fixture_paths
+        from enrbisim.cob import apply_cob, monoid_congruence_tse, monoid_morphism_pairs, right_adjoint_cob
+        from enrbisim.constructions import tse_as_vcat, vcat_as_tse
+        from enrbisim.documents import load_bundle, serialize
+        from enrbisim.generators import cover_od, random_bisim_equivalence
+
+        rng = random.Random("builders")
+        qlm, qln = ql(("m",), 2), ql(("n",), 2)
+        relabel = monoid_congruence_tse(qlm, qln, monoid_morphism_pairs({"m": ("n",)}, qlm, qln))
+        built = collections.Counter()
+
+        def check(kind, a):
+            assert_sparse_rows(a)
+            built[kind] += 1
+
+        bundle = load_bundle(default_fixture_paths())
+        for case in range(6):
+            for base in (q2(), m3(), bp2(), qlm, build_S_quantaloid(
+                FiniteCategory.poset(["0", "1"], [(0, 0), (0, 1), (1, 1)])
+            )):
+                a = random_vcategory(base, rng, max_objects=5, density=0.4)
+                b = random_vcategory(base, rng, max_objects=4, density=0.4)
+                check("free_vcategory, " + ("path_homs" if base is qlm else "closure"), a)
+                check("quotient", quotient(a, random_bisim_equivalence(a, rng))[0])
+                one = terminal(base)
+                check("terminal", one)
+                check("pullback", pullback(to_terminal(a, one), to_terminal(b, one))[0])
+                check("coproduct", coproduct([a, b])[0])
+                check("cover", cover_od(a, [rng.randint(1, 2) for _ in range(a.n_objects)]).source)
+                check("tse_as_vcat", tse_as_vcat(vcat_as_tse(a)))
+                va = slice_quantaloid(b)
+                for f in enumerate_vfunctors(a, b)[:2]:
+                    s = encode_slice(va, f)
+                    check("encode_slice", s)
+                    check("decode_slice", decode_slice(va, s).source)
+            check("apply_cob", apply_cob(relabel, random_vcategory(qlm, rng, 4, 0.4)))
+            check("right_adjoint_cob", right_adjoint_cob(relabel, random_vcategory(qln, rng, 4, 0.4)))
+            c = random_vcategory(bundle.get("M3"), rng, max_objects=5, density=0.4)
+            bundle.objects["R"], bundle.kinds["R"] = c, "vcategory"
+            for name in ("M3", "R"):
+                (tmp_path / f"{name}.json").write_text(json.dumps(serialize(bundle, name)))
+            check("table document", load_bundle([tmp_path]).get("R"))
+        cat = FiniteCategory.poset(["0", "1"], [(0, 0), (0, 1), (1, 1)])
+        arrow = next(m for m in range(len(cat.morphisms)) if cat.mor_src(m) < cat.mor_tgt(m))
+        for case in range(6):
+            fibers = [["a", "b"][: rng.randint(1, 2)], ["c", "d"][: rng.randint(1, 2)]]
+            cross = {(i, j) for i in range(len(fibers[0])) for j in range(len(fibers[1]))
+                     if rng.random() < 0.6}
+            relations = {cat.identities[c]: {(i, i) for i in range(len(f))} for c, f in enumerate(fibers)}
+            check("laxrel", laxrel_to_vcat(LaxRelationalPresentation(cat, fibers, relations | {arrow: cross})))
+        assert min(built.values()) >= 6 and len(built) == 14, built
