@@ -2,8 +2,8 @@
 
 Usage (from the root of a checkout):
 
-    python3 bench/scale.py --label change --out bench/BENCH_scale_11.json
-    python3 bench/scale.py --src OTHER/src --label parent --out bench/BENCH_scale_11.json
+    python3 bench/scale.py --label change --out bench/BENCH_scale_13.json
+    python3 bench/scale.py --src OTHER/src --label parent --out bench/BENCH_scale_13.json
     python3 bench/scale.py --sizes 100 --cap 1 --out /tmp/scale.json   # smoke run
 
 Three input families, each grown over the sizes in the order given:
@@ -15,6 +15,14 @@ Three input families, each grown over the sizes in the order given:
     enrichment (``documents.import_aut``);
   - ``path_homs``: the free construction's hom rows alone;
   - ``vcategory``: the ``VCategory`` constructor on those rows;
+  - the witness layers, each on the enrichment against itself with
+    ``largest_bisimulation``'s relation: ``quotient`` builds the
+    ``BisimEquivalence`` of the relation's classes (read off its pairs)
+    and its quotient; ``cospan_witness`` builds the cospan from the
+    relation; ``span_witness`` computes its own relation and pulls the
+    cospan back.  The harness exits with status 1 unless both legs of
+    each cospan and span are surjective functional bisimulations
+    (``is_od``);
 - tables: seeded 2-out graphs closed into explicit hom tables over Q2
   (reachability) and M3 (shortest distance over edge weights 1, 1, 2,
   where a sum above 2 is infinity, the grid's bottom).  The closure is
@@ -84,7 +92,8 @@ M3_GRID = [0, 1, 2, float("inf")]  # element i is the distance M3_GRID[i]
 PROBE_ITERATIONS = 100_000
 NOMINAL_PROBE_S = 0.007  # the probe's median on perfbench's baseline machine
 RELATION_LAYERS = ("validate_vcategory", "largest_bisimulation", "largest_simulation")
-AUTOMATON_LAYERS = ("import_aut", "path_homs", "vcategory") + RELATION_LAYERS
+WITNESS_LAYERS = ("quotient", "cospan_witness", "span_witness")
+AUTOMATON_LAYERS = ("import_aut", "path_homs", "vcategory") + RELATION_LAYERS + WITNESS_LAYERS
 TABLE_LAYERS = ("free_vcategory",) + RELATION_LAYERS
 SIEVE_LAYERS = ("free_vcategory",)
 # the layer whose output each layer consumes; table layers read the input
@@ -93,6 +102,9 @@ NEEDS = {
     "validate_vcategory": "vcategory",
     "largest_bisimulation": "vcategory",
     "largest_simulation": "vcategory",
+    "quotient": "largest_bisimulation",
+    "cospan_witness": "largest_bisimulation",
+    "span_witness": "vcategory",
 }
 
 
@@ -270,8 +282,24 @@ def measure_automata(k: int, sizes: list[int], cap: float, workdir: Path) -> dic
             "path_homs": lambda o: base.path_homs(n, edges),
             "vcategory": lambda o: VCategory(base, names, [0] * n, o["path_homs"]),
             **relation_steps(bisim, validate_vcategory),
+            "quotient": lambda o: bisim.quotient(
+                o["vcategory"],
+                bisim.BisimEquivalence(o["vcategory"], classes(o["largest_bisimulation"])),
+            ),
+            "cospan_witness": lambda o: bisim.cospan_witness(
+                o["vcategory"], o["vcategory"], o["largest_bisimulation"]
+            ),
+            "span_witness": lambda o: bisim.span_witness(o["vcategory"], o["vcategory"]),
         }
-        return steps, {}, f"k={k}", path.unlink
+        outputs: dict = {}
+
+        def check():
+            path.unlink()
+            for name in ("cospan_witness", "span_witness"):
+                if not all(map(bisim.is_od, outputs.get(name, ()))):
+                    raise SystemExit(f"k={k} n={n}: a {name} leg is not is_od")
+
+        return steps, outputs, f"k={k}", check
 
     return run_layers(AUTOMATON_LAYERS, sizes, cap, prepare)
 
@@ -342,6 +370,18 @@ def measure_sieves(sizes: list[int], cap: float) -> dict:
     return run_layers(SIEVE_LAYERS, [n for n in sizes if n <= TABLE_MAX_N], cap, prepare)
 
 
+def classes(r) -> list[list[int]]:
+    """The classes of an equivalence relation, from its pairs: each
+    object joins the class of its least partner."""
+    least: dict = {}
+    for x, y in sorted(r.pairs):
+        least.setdefault(x, y)
+    groups: dict = {}
+    for x, y in least.items():
+        groups.setdefault(y, []).append(x)
+    return list(groups.values())
+
+
 def cells(cat) -> list[list]:
     """An enrichment's hom table, read cell by cell through ``hom``."""
     return [[cat.hom(i, j) for j in range(cat.n_objects)] for i in range(cat.n_objects)]
@@ -351,7 +391,9 @@ def digest(name: str, result):
     """What two correct checkouts must agree on: the number of words in
     an automaton's hom table; the number of non-bottom homs of a free
     enrichment and a hash of its table, each sieve sorted so that equal
-    sets hash alike; and a hash of the
+    sets hash alike; the number of objects of a quotient and a hash of
+    its rows and map; the number of objects of a cospan's middle or a
+    span's apex and a hash of the legs' maps; and a hash of the
     violations or of the related pairs and refinement trace."""
     if name == "path_homs":
         return sum(len(x) for row in result for x in row.values())
@@ -360,6 +402,14 @@ def digest(name: str, result):
     if name == "free_vcategory":
         table = [[sorted(x) if isinstance(x, frozenset) else x for x in row] for row in cells(result)]
         size, text = sum(map(len, result.rows)), repr(table)
+    elif name == "quotient":
+        quo, q = result
+        rows = [[(j, sorted(x)) for j, x, _ in row] for row in quo.rows]
+        size, text = quo.n_objects, repr((rows, q.mapping))
+    elif name in ("cospan_witness", "span_witness"):
+        f, g = result
+        middle = f.target if name == "cospan_witness" else f.source
+        size, text = middle.n_objects, repr((f.mapping, g.mapping))
     elif name == "validate_vcategory":
         size, text = len(result), repr(result)
     else:

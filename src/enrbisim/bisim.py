@@ -136,37 +136,34 @@ class SimulationCheck(NamedTuple):
         return self.ok
 
 
-def _partners(pairs) -> dict:
-    """For each left object a', its right partners under the relation."""
-    partners: dict[int, list[int]] = {}
-    for a, b in pairs:
-        partners.setdefault(a, []).append(b)
-    return partners
+def _failing_probe(probes, b, map_b, mates, joins) -> Optional[int]:
+    """The first probe ``(a', x, lattice)``, x = hom(a,a') non-bottom, with
+    x not below b's join into the mates of a' (read from b's row map
+    ``map_b``), else None.  ``joins`` caches those joins by (a', b).
 
-
-def _sim_holds_at(left, right, partners, a, b, cache) -> Optional[int]:
-    """First left object a' violating the condition at (a,b), else None.
-
-    Only non-bottom homs are probed or joined: a bottom hom lies below
-    any partner join and adds nothing to one.  Homs were checked when the
-    enrichments were built, so the unchecked lattice cores are used on them.
+    A bottom hom lies below any join and adds nothing to one, so only
+    non-bottom homs are probed or joined.  Homs were checked when the
+    enrichments were built, so the unchecked lattice cores are used.
     """
-    row_b = right.row_maps[b]
-    for ap, x, lat in left.rows[a]:
+    for ap, x, lat in probes:
         key = (ap, b)
-        if key not in cache:
-            cache[key] = lat._join([row_b[bp] for bp in partners.get(ap, ()) if bp in row_b])
-        if not lat._leq(x, cache[key]):
+        if key not in joins:
+            # the intersection walks the smaller of b's targets and the mates
+            joins[key] = lat._join([map_b[bp] for bp in map_b.keys() & mates[ap]])
+        if not lat._leq(x, joins[key]):
             return ap
     return None
 
 
 def is_simulation(r: SimRelation) -> SimulationCheck:
     """Direct check of the simulation condition at every pair."""
-    partners = _partners(r.pairs)
-    cache: dict = {}
+    mates: list[set] = [set() for _ in r.left.objects]
+    for a, b in r.pairs:
+        mates[a].add(b)
+    joins: dict = {}
+    rows, rmaps = r.left.rows, r.right.row_maps
     for a, b in sorted(r.pairs):
-        ap = _sim_holds_at(r.left, r.right, partners, a, b, cache)
+        ap = _failing_probe(rows[a], b, rmaps[b], mates, joins)
         if ap is not None:
             return SimulationCheck(
                 False,
@@ -226,18 +223,12 @@ def largest_simulation(left: VCategory, right: VCategory) -> SimRelation:
             for a, x, lat in preds[ap]:
                 probes.setdefault(a, []).append((ap, x, lat))
         joins: dict = {}  # (a', b) -> partner join
-        removed = []
-        for a, checks in probes.items():
-            for b in part[a]:
-                map_b = rmaps[b]
-                for ap, x, lat in checks:
-                    key = (ap, b)
-                    if key not in joins:
-                        # the intersection walks the smaller of b's targets and the mates
-                        joins[key] = lat._join([map_b[bp] for bp in map_b.keys() & part[ap]])
-                    if not lat._leq(x, joins[key]):
-                        removed.append((a, b))
-                        break
+        removed = [
+            (a, b)
+            for a, checks in probes.items()
+            for b in part[a]
+            if _failing_probe(checks, b, rmaps[b], part, joins) is not None
+        ]
         shrunk = set()
         for a, b in removed:
             part[a].discard(b)
@@ -296,6 +287,18 @@ def _block_joins(row: list[tuple], block_of) -> dict:
     for y, x, lat in row:
         groups.setdefault(block_of[y], (lat, []))[1].append(x)
     return {c: lat._join(xs) for c, (lat, xs) in groups.items()}
+
+
+def _unequal_joins(rows, block_of, want, objects) -> Optional[tuple[int, int]]:
+    """The first object i of ``objects`` whose joins into the blocks of
+    ``block_of`` differ from ``want[block_of[i]]`` (a mapping without
+    bottom entries), with the least block where they differ, else None.
+    """
+    for i in objects:
+        got, w = _block_joins(rows[i], block_of), want[block_of[i]]
+        if got != w:
+            return i, min(c for c in w.keys() | got.keys() if w.get(c) != got.get(c))
+    return None
 
 
 def _numbered(keys: list) -> tuple[list[int], int]:
@@ -360,10 +363,8 @@ def is_functional_bisimulation(f: VFunctor) -> bool:
     if validate_vfunctor(f):
         return False
     # the fibers are the blocks of f.mapping; non-bottom entries suffice
-    return all(
-        _block_joins(row, f.mapping) == f.target.row_maps[f(i)]
-        for i, row in enumerate(f.source.rows)
-    )
+    a = f.source
+    return _unequal_joins(a.rows, f.mapping, f.target.row_maps, range(a.n_objects)) is None
 
 
 def is_od(f: VFunctor) -> bool:
@@ -377,7 +378,7 @@ class BisimEquivalence:
     def __init__(self, carrier: VCategory, blocks: list[list[int]]):
         self.carrier = carrier
         seen = sorted(i for block in blocks for i in block)
-        if seen != list(range(carrier.n_objects)):
+        if seen != list(range(carrier.n_objects)) or not all(blocks):
             raise ValueError("blocks do not partition the objects")
         self.blocks = sorted([sorted(b) for b in blocks], key=lambda b: b[0])
         self.block_of = [0] * carrier.n_objects
@@ -391,17 +392,20 @@ class BisimEquivalence:
         # a partition is a bisimulation iff objects sharing a block have
         # equal joins into every block
         rows = carrier.rows
-        for block in self.blocks:
-            want = _block_joins(rows[block[0]], self.block_of)
-            for i in block[1:]:
-                got = _block_joins(rows[i], self.block_of)
-                if got != want:
-                    c = min(c for c in want.keys() | got.keys() if want.get(c) != got.get(c))
-                    raise NotABisimulation(
-                        f"partition is not a bisimulation: {names[block[0]]} and "
-                        f"{names[i]} have different joins into the block of "
-                        f"{names[self.blocks[c][0]]}"
-                    )
+        # each block's least member's joins: the quotient's homs
+        self._joins = [_block_joins(rows[block[0]], self.block_of) for block in self.blocks]
+        bad = _unequal_joins(rows, self.block_of, self._joins, self._others())
+        if bad is not None:
+            i, c = bad
+            raise NotABisimulation(
+                f"partition is not a bisimulation: "
+                f"{names[self.blocks[self.block_of[i]][0]]} and {names[i]} have "
+                f"different joins into the block of {names[self.blocks[c][0]]}"
+            )
+
+    def _others(self):
+        """The members of each block but its least, block by block."""
+        return (i for block in self.blocks for i in block[1:])
 
     def as_relation(self) -> SimRelation:
         return SimRelation(
@@ -469,16 +473,12 @@ def quotient(a: VCategory, e: BisimEquivalence) -> tuple[VCategory, VFunctor]:
         if len(exts) != 1:
             raise InternalAssertion("equivalence class mixes extents")
         extents.append(exts.pop())
-    rows = a.rows
-    homs = []
-    for bi, block_i in enumerate(e.blocks):
-        joins = _block_joins(rows[block_i[0]], e.block_of)
-        for other in block_i[1:]:
-            if _block_joins(rows[other], e.block_of) != joins:
-                raise InternalAssertion(
-                    f"quotient hom depends on the representative in {names[bi]}"
-                )
-        homs.append(joins)
+    homs = e._joins
+    bad = _unequal_joins(a.rows, e.block_of, homs, e._others())
+    if bad is not None:
+        raise InternalAssertion(
+            f"quotient hom depends on the representative in {names[e.block_of[bad[0]]]}"
+        )
     quo = VCategory(base, names, extents, homs)
     q = VFunctor(a, quo, [e.block_of[i] for i in range(a.n_objects)])
     return quo, q
@@ -487,53 +487,47 @@ def quotient(a: VCategory, e: BisimEquivalence) -> tuple[VCategory, VFunctor]:
 def cospan_witness(
     a: VCategory, b: VCategory, r: SimRelation
 ) -> tuple[VFunctor, VFunctor]:
-    """Two surjective functional bisimulations into a common quotient.
+    """Two surjective functional bisimulations into a quotient of ``a``.
 
-    The linking relation generates matching equivalences on both sides;
-    both quotients are built, their matched class homs are checked equal,
-    and the second leg lands in the first quotient through that matching.
-    A total relation equal to the union of its linked classes' products
-    needs no pairwise check: those two checks prove it a bisimulation.
+    ``a``'s leg quotients the linking relation's classes restricted to
+    ``a``, checked by ``BisimEquivalence``.  ``b``'s leg sends each object
+    to its linked class, and each object's joins into the fibers must
+    equal its class's homs.  A total relation equal to the union of its
+    linked classes' products is the composite of the legs' graphs, so
+    those two checks prove it a bisimulation without a pairwise check.
     """
     if r.left is not a or r.right is not b:
         raise EndpointMismatch("the relation does not link these enrichments")
     na, nb = a.n_objects, b.n_objects
-    blocks_ab = _closure_blocks(na + nb, [(x, na + y) for x, y in r.pairs])
-    blocks_a = [[i for i in blk if i < na] for blk in blocks_ab]
-    blocks_b = [[i - na for i in blk if i >= na] for blk in blocks_ab]
+    # each class lists its objects in order, a's (below na) before b's
+    blocks = _closure_blocks(na + nb, [(x, na + y) for x, y in r.pairs])
+    blocks_a = [[i for i in blk if i < na] for blk in blocks]
     total = r.total_on_left() and r.total_on_right()
     # r lies inside that union, so the sizes decide equality
-    closed = len(r) == sum(len(x) * len(y) for x, y in zip(blocks_a, blocks_b))
+    closed = len(r) == sum(len(x) * (len(blk) - len(x)) for x, blk in zip(blocks_a, blocks))
     if not (total and closed):
         check = is_bisimulation(r)
         if not check:
             raise NotABisimulation(f"relation fails at {check.counterexample}")
         if not total:
             raise NotBisimilar("the relation is not total on both sides")
-    if any(not ba or not bb for ba, bb in zip(blocks_a, blocks_b)):
+    if any(len(x) in (0, len(blk)) for x, blk in zip(blocks_a, blocks)):
         raise InternalAssertion("a linked class misses one side")
 
-    ea = BisimEquivalence(a, blocks_a)
-    eb = BisimEquivalence(b, blocks_b)
-    qa_cat, qa = quotient(a, ea)
-    qb_cat, qb = quotient(b, eb)
-
-    # qa block index -> qb block index of the same linked class
-    match = {ea.block_of[ba[0]]: eb.block_of[bb[0]] for ba, bb in zip(blocks_a, blocks_b)}
-    for qa_idx, qb_idx in match.items():
-        for qa_jdx, qb_jdx in match.items():
-            if qa_cat.hom(qa_idx, qa_jdx) != qb_cat.hom(qb_idx, qb_jdx):
-                raise NotABisimulation(
-                    f"linked classes {qa_cat.objects[qa_idx]} and "
-                    f"{qb_cat.objects[qb_idx]} have different homs into "
-                    f"{qa_cat.objects[qa_jdx]} and {qb_cat.objects[qb_jdx]}"
-                )
-            if qa_cat.extents[qa_idx] != qb_cat.extents[qb_idx]:
-                raise InternalAssertion("matched quotient classes mix extents")
-
-    inverse_match = {v: k for k, v in match.items()}
-    leg_b = VFunctor(b, qa_cat, [inverse_match[qb(i)] for i in range(nb)])
-    return qa, leg_b
+    e = BisimEquivalence(a, blocks_a)
+    quo, qa = quotient(a, e)
+    leg = [0] * nb
+    for x, blk in zip(blocks_a, blocks):
+        for y in blk[len(x) :]:
+            leg[y - na] = e.block_of[x[0]]
+    bad = _unequal_joins(b.rows, leg, quo.row_maps, range(nb))
+    if bad is not None:
+        y, c = bad
+        raise NotABisimulation(
+            f"{b.objects[y]} and its linked class {quo.objects[leg[y]]} have "
+            f"different homs into {quo.objects[c]}"
+        )
+    return qa, VFunctor(b, quo, leg)
 
 
 def span_witness(a: VCategory, b: VCategory) -> tuple[VFunctor, VFunctor]:

@@ -10,6 +10,7 @@ builders; user-supplied bases come in as explicit tables.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Any, Iterable, NamedTuple
 
@@ -385,50 +386,31 @@ def validate_quantaloid(
                 )
 
     # join preservation in each argument (empty and binary joins suffice
-    # for finite lattices)
+    # for finite lattices): each side fixes one factor and varies the other
     for u, v, w in itertools.product(range(n), repeat=3):
         h_uv, h_vw, h_uw = q.hom(u, v), q.hom(v, w), q.hom(u, w)
-        bot_vw, bot_uv, bot_uw = h_vw.bottom, h_uv.bottom, h_uw.bottom
-        for f in h_uv.elements():
-            if q.compose(u, v, w, f, bot_vw) != bot_uw:
-                violations.append(f"tensor does not annihilate bottom ({u},{v},{w})")
-                break
-        for g in h_vw.elements():
-            if q.compose(u, v, w, bot_uv, g) != bot_uw:
-                violations.append(f"bottom does not annihilate tensor ({u},{v},{w})")
-                break
-        for f in h_uv.elements():
-            for g1, g2 in itertools.combinations_with_replacement(
-                h_vw.elements(), 2
+        sides = (
+            (h_uv, h_vw, functools.partial(q.compose, u, v, w)),
+            (h_vw, h_uv, lambda g, f: q.compose(u, v, w, f, g)),
+        )
+        bottom = h_uw.bottom
+        for (fixed, varied, comp), message in zip(
+            sides, ("tensor does not annihilate bottom", "bottom does not annihilate tensor")
+        ):
+            zero = varied.bottom
+            if any(comp(x, zero) != bottom for x in fixed.elements()):
+                violations.append(f"{message} ({u},{v},{w})")
+        for (fixed, varied, comp), side in zip(sides, ("right", "left")):
+            joins = [
+                (y1, y2, varied.join([y1, y2]))
+                for y1, y2 in itertools.combinations_with_replacement(varied.elements(), 2)
+            ]
+            if any(
+                comp(x, y) != h_uw.join([comp(x, y1), comp(x, y2)])
+                for x in fixed.elements()
+                for y1, y2, y in joins
             ):
-                lhs = q.compose(u, v, w, f, h_vw.join([g1, g2]))
-                rhs = h_uw.join(
-                    [q.compose(u, v, w, f, g1), q.compose(u, v, w, f, g2)]
-                )
-                if lhs != rhs:
-                    violations.append(
-                        f"tensor not join-preserving on the right ({u},{v},{w})"
-                    )
-                    break
-            else:
-                continue
-            break
-        for g in h_vw.elements():
-            for f1, f2 in itertools.combinations_with_replacement(
-                h_uv.elements(), 2
-            ):
-                lhs = q.compose(u, v, w, h_uv.join([f1, f2]), g)
-                rhs = h_uw.join(
-                    [q.compose(u, v, w, f1, g), q.compose(u, v, w, f2, g)]
-                )
-                if lhs != rhs:
-                    violations.append(
-                        f"tensor not join-preserving on the left ({u},{v},{w})"
-                    )
-                    break
-            else:
-                continue
-            break
+                violations.append(f"tensor not join-preserving on the {side} ({u},{v},{w})")
 
     # associativity over all composable triples
     for u, v, w, t in itertools.product(range(n), repeat=4):

@@ -89,14 +89,18 @@ class VCategory:
         except ValueError:
             raise UnknownObject(f"no object named {name!r}") from None
 
-    def hom(self, i: int, j: int):
+    def _extent_pair(self, i: int, j: int) -> tuple[int, int]:
         n = len(self.objects)
         if not (0 <= i < n and 0 <= j < n):
             raise UnknownObject(f"object index pair ({i}, {j}) out of range")
-        return self.row_maps[i].get(j, self._bottoms[self.extents[i], self.extents[j]])
+        return self.extents[i], self.extents[j]
+
+    def hom(self, i: int, j: int):
+        key = self._extent_pair(i, j)
+        return self.row_maps[i].get(j, self._bottoms[key])
 
     def hom_lattice(self, i: int, j: int) -> Lattice:
-        return self._lattices[self.extents[i], self.extents[j]]
+        return self._lattices[self._extent_pair(i, j)]
 
     def fiber(self, base_object: int) -> list[int]:
         return [i for i, e in enumerate(self.extents) if e == base_object]

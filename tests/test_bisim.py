@@ -6,8 +6,6 @@ import pytest
 from enrbisim.bisim import (
     BisimEquivalence,
     SimRelation,
-    _partners,
-    _sim_holds_at,
     bisimilar,
     cospan_witness,
     equivalence_closure,
@@ -210,38 +208,44 @@ def aut_pair(rng, n, flip):
     return free(n, trans, "s"), free(m, [(perm[s], x, perm[t]) for s, x, t in copy], "t")
 
 
-def _refine(left: VCategory, right: VCategory, bisim: bool) -> SimRelation:
+def sparse_violation(left, right, partners, a, b, joins):
+    """``dense_violation`` on non-bottom homs alone: a bottom hom lies
+    below any join and adds nothing to one."""
+    map_b = right.row_maps[b]
+    for ap, x, lat in left.rows[a]:
+        if (ap, b) not in joins:
+            joins[ap, b] = lat._join([map_b[bp] for bp in partners.get(ap, ()) if bp in map_b])
+        if not lat._leq(x, joins[ap, b]):
+            return ap
+    return None
+
+
+def _refine(left: VCategory, right: VCategory, bisim: bool, violation=sparse_violation):
     """Greatest fixed point of the refinement operator from the full
     extent-matching relation.  Relations passing the direct check are
     exactly the post-fixed points, so the result is their union.
 
     The test oracle for ``largest_simulation`` and, with ``bisim=True``,
-    for ``largest_bisimulation``."""
+    for ``largest_bisimulation``.  Each round drops every pair with a
+    ``violation`` forward or, for a bisimulation, backward."""
     pairs = set(SimRelation.full(left, right).pairs)
     trace: list[tuple[int, str, str]] = []
-    round_no = 0
-    while True:
-        round_no += 1
-        partners = _partners(pairs)
-        co_partners = _partners((b, a) for a, b in pairs)
-        cache: dict = {}
-        co_cache: dict = {}
-        removed = []
+    for round_no in itertools.count(1):
+        partners, co_partners = {}, {}
         for a, b in pairs:
-            bad = _sim_holds_at(left, right, partners, a, b, cache) is not None
-            if not bad and bisim:
-                bad = (
-                    _sim_holds_at(right, left, co_partners, b, a, co_cache)
-                    is not None
-                )
-            if bad:
-                removed.append((a, b))
+            partners.setdefault(a, []).append(b)
+            co_partners.setdefault(b, []).append(a)
+        joins, co_joins = {}, {}
+        removed = [
+            (a, b)
+            for a, b in pairs
+            if violation(left, right, partners, a, b, joins) is not None
+            or bisim and violation(right, left, co_partners, b, a, co_joins) is not None
+        ]
         if not removed:
-            break
-        for a, b in removed:
-            pairs.discard((a, b))
-            trace.append((round_no, left.objects[a], right.objects[b]))
-    return SimRelation(left, right, pairs, trace=sorted(trace))
+            return SimRelation(left, right, pairs, trace=sorted(trace))
+        pairs.difference_update(removed)
+        trace += [(round_no, left.objects[a], right.objects[b]) for a, b in removed]
 
 
 def assert_matches_oracle(a, b):
@@ -328,30 +332,12 @@ def dense_is_simulation(r):
     return None
 
 
-def dense_largest_simulation(left, right):
-    """Reference: drop, round by round, every pair with a dense violation."""
-    pairs = set(SimRelation.full(left, right).pairs)
-    trace = []
-    for round_no in itertools.count(1):
-        partners = {}
-        for a, b in pairs:
-            partners.setdefault(a, []).append(b)
-        joins = {}
-        removed = {
-            p for p in pairs if dense_violation(left, right, partners, *p, joins) is not None
-        }
-        if not removed:
-            return pairs, tuple(sorted(trace))
-        pairs -= removed
-        trace += [(round_no, left.objects[a], right.objects[b]) for a, b in removed]
-
-
 def assert_simulation_matches_dense(a, b, rng):
     """Compare the largest simulation, then ``is_simulation`` on it and on
     a random half of the full relation; return the relation and the
     number of counterexamples seen."""
-    got = largest_simulation(a, b)
-    assert (got.pairs, got.refinement_trace) == dense_largest_simulation(a, b)
+    got, want = largest_simulation(a, b), _refine(a, b, False, dense_violation)
+    assert (got.pairs, got.refinement_trace) == (want.pairs, want.refinement_trace)
     full = sorted(SimRelation.full(a, b).pairs)
     failed = 0
     for r in (got, SimRelation(a, b, rng.sample(full, len(full) // 2))):
@@ -407,9 +393,9 @@ class TestSimulationEngine:
 
 
 class TestSimulationAgainstDenseProbes:
-    """``_sim_holds_at`` probes only non-bottom homs; a reference that
-    probes every object must give the same pairs, trace and
-    counterexamples."""
+    """``is_simulation`` and ``largest_simulation`` probe only non-bottom
+    homs; a reference that probes every object must give the same pairs,
+    trace and counterexamples."""
 
     @pytest.mark.parametrize("name", sorted(ORACLE_BASES))
     def test_matches_dense_reference_on_random_pairs(self, name):
@@ -521,6 +507,10 @@ class TestEquivalenceClosure:
         e = equivalence_closure(SimRelation.full(c, c))
         assert is_bisimulation(e.as_relation())
 
+    def test_empty_block_rejected(self, Q2):
+        with pytest.raises(ValueError, match="do not partition"):
+            BisimEquivalence(p01(Q2), [[0, 1], []])
+
     def test_rejects_non_bisimulations(self, QL):
         a = aut1(QL)
         # the full relation on the two-state automaton is not a simulation
@@ -603,6 +593,17 @@ class TestCospan:
         assert not is_bisimulation(r)
         with pytest.raises(NotABisimulation, match="different homs"):
             cospan_witness(loop, still, r)
+
+    def test_class_closed_with_unstable_right_class_rejected(self, QL):
+        # a's one class is stable; y0 loops and y1 is still, so b's leg fails
+        loop = loop1(QL)
+        b = free_vcategory(
+            QL, EnrichedGraph([("y0", 0), ("y1", 0)], [(0, 0, frozenset({("m",)}))])
+        )
+        r = SimRelation.full(loop, b)
+        assert not is_bisimulation(r)
+        with pytest.raises(NotABisimulation, match="y1 and its linked class .* different homs"):
+            cospan_witness(loop, b, r)
 
     def test_class_closed_with_non_bisimilar_class_rejected(self, QL):
         a, b = aut1(QL), loop1(QL)

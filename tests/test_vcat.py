@@ -268,7 +268,8 @@ class TestNonBottomRows:
 
 
 class TestHomIndices:
-    """``hom(i, j)`` outside ``0..n-1`` raises, as ``Quantaloid.hom`` does."""
+    """``hom(i, j)`` and ``hom_lattice(i, j)`` outside ``0..n-1`` raise,
+    as ``Quantaloid.hom`` does."""
 
     @pytest.mark.parametrize("build", [p01, aut1, lambda: terminal(bp2())])
     def test_indices_out_of_range_raise(self, build):
@@ -280,6 +281,10 @@ class TestHomIndices:
                 a.hom(bad, 0)
             with pytest.raises(UnknownObject):
                 a.hom(0, bad)
+            with pytest.raises(UnknownObject):
+                a.hom_lattice(bad, 0)
+            with pytest.raises(UnknownObject):
+                a.hom_lattice(0, bad)
         assert all(a.hom(i, j) == x for (i, j), x in cells.items())
 
 
