@@ -1,9 +1,10 @@
-"""Layer timings of enrbisim on growing automata and hom tables, in one process.
+"""Layer timings of enrbisim on growing automata and hom tables, in one process,
+and the wall time of a whole ``enrbisim`` request on the automata.
 
 Usage (from the root of a checkout):
 
-    python3 bench/scale.py --label change --out bench/BENCH_scale_13.json
-    python3 bench/scale.py --src OTHER/src --label parent --out bench/BENCH_scale_13.json
+    python3 bench/scale.py --label change --out bench/BENCH_scale_14.json
+    python3 bench/scale.py --src OTHER/src --label parent --out bench/BENCH_scale_14.json
     python3 bench/scale.py --sizes 100 --cap 1 --out /tmp/scale.json   # smoke run
 
 Three input families, each grown over the sizes in the order given:
@@ -23,6 +24,15 @@ Three input families, each grown over the sizes in the order given:
     cospan back.  The harness exits with status 1 unless both legs of
     each cospan and span are surjective functional bisimulations
     (``is_od``);
+  - ``bisimilar_cli``: the end-to-end layer, one whole request
+    ``python -m enrbisim bisimilar`` in a new process, on the automaton's
+    ``.aut`` file and a copy whose states other than the initial one are
+    shuffled, so the answer is "yes".  It times the wall clock from
+    start to exit of the child, which imports the package from
+    ``--src``, and covers what every request pays whatever its input
+    (interpreter start, imports, argument parsing, exit) beside the
+    work.  The harness exits with status 1 unless every run exits 0 with
+    the verdict ``yes``;
 - tables: seeded 2-out graphs closed into explicit hom tables over Q2
   (reachability) and M3 (shortest distance over edge weights 1, 1, 2,
   where a sum above 2 is infinity, the grid's bottom).  The closure is
@@ -77,6 +87,7 @@ import os
 import platform
 import random
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -93,7 +104,9 @@ PROBE_ITERATIONS = 100_000
 NOMINAL_PROBE_S = 0.007  # the probe's median on perfbench's baseline machine
 RELATION_LAYERS = ("validate_vcategory", "largest_bisimulation", "largest_simulation")
 WITNESS_LAYERS = ("quotient", "cospan_witness", "span_witness")
-AUTOMATON_LAYERS = ("import_aut", "path_homs", "vcategory") + RELATION_LAYERS + WITNESS_LAYERS
+AUTOMATON_LAYERS = (
+    ("import_aut", "path_homs", "vcategory") + RELATION_LAYERS + WITNESS_LAYERS + ("bisimilar_cli",)
+)
 TABLE_LAYERS = ("free_vcategory",) + RELATION_LAYERS
 SIEVE_LAYERS = ("free_vcategory",)
 # the layer whose output each layer consumes; table layers read the input
@@ -111,6 +124,12 @@ NEEDS = {
 def random_automaton(rng: random.Random, n: int) -> list[tuple[int, str, int]]:
     """Two transitions per state, each with a random letter and target."""
     return [(s, rng.choice(ALPHABET), rng.randrange(n)) for s in range(n) for _ in range(2)]
+
+
+def shuffled(rng: random.Random, n: int, trans: list[tuple[int, str, int]]) -> list:
+    """The automaton with its states other than 0, the initial one, renumbered at random."""
+    perm = [0] + rng.sample(range(1, n), n - 1)
+    return [(perm[s], label, perm[t]) for s, label, t in trans]
 
 
 def aut_text(n: int, trans: list[tuple[int, str, int]]) -> str:
@@ -264,17 +283,31 @@ def relation_steps(bisim, validate_vcategory) -> dict:
     }
 
 
-def measure_automata(k: int, sizes: list[int], cap: float, workdir: Path) -> dict:
+def measure_automata(k: int, sizes: list[int], cap: float, workdir: Path, src: Path) -> dict:
     from enrbisim import bisim, documents
     from enrbisim.quantaloid import build_language_quantale
     from enrbisim.vcat import VCategory, validate_vcategory
 
     base = build_language_quantale(ALPHABET, k)
+    env = dict(os.environ, PYTHONPATH=str(src))
 
     def prepare(n):
-        trans = random_automaton(random.Random(f"{SEED}:{k}:{n}"), n)
-        path = workdir / f"a{n}.aut"
+        rng = random.Random(f"{SEED}:{k}:{n}")
+        trans = random_automaton(rng, n)
+        path, copy = workdir / f"a{n}.aut", workdir / f"b{n}.aut"
         path.write_text(aut_text(n, trans))
+        copy.write_text(aut_text(n, shuffled(rng, n, trans)))
+        request = [
+            sys.executable, "-m", "enrbisim", "--paths", str(path), "--paths", str(copy),
+            "--aut-alphabet", ",".join(ALPHABET), "--aut-k", str(k),
+            "bisimilar", "--a", path.stem, "--b", copy.stem,
+        ]
+        children: list[subprocess.CompletedProcess] = []
+
+        def bisimilar_cli(o):
+            children.append(subprocess.run(request, env=env, capture_output=True, text=True))
+            return children[-1]
+
         edges = [(s, t, frozenset({(label,)})) for s, label, t in trans]
         names = [f"s{i}" for i in range(n)]
         steps = {
@@ -290,11 +323,17 @@ def measure_automata(k: int, sizes: list[int], cap: float, workdir: Path) -> dic
                 o["vcategory"], o["vcategory"], o["largest_bisimulation"]
             ),
             "span_witness": lambda o: bisim.span_witness(o["vcategory"], o["vcategory"]),
+            "bisimilar_cli": bisimilar_cli,
         }
         outputs: dict = {}
 
         def check():
             path.unlink()
+            copy.unlink()
+            for child in children:
+                if child.returncode != 0 or json.loads(child.stdout)["verdict"] != "yes":
+                    raise SystemExit(f"k={k} n={n}: bisimilar exited {child.returncode}, not 0 "
+                                     f"with verdict yes: {child.stderr[-500:]}")
             for name in ("cospan_witness", "span_witness"):
                 if not all(map(bisim.is_od, outputs.get(name, ()))):
                     raise SystemExit(f"k={k} n={n}: a {name} leg is not is_od")
@@ -394,7 +433,8 @@ def digest(name: str, result):
     sets hash alike; the number of objects of a quotient and a hash of
     its rows and map; the number of objects of a cospan's middle or a
     span's apex and a hash of the legs' maps; and a hash of the
-    violations or of the related pairs and refinement trace."""
+    violations or of the related pairs and refinement trace; and a whole
+    request's exit code and a hash of its report."""
     if name == "path_homs":
         return sum(len(x) for row in result for x in row.values())
     if name in ("import_aut", "vcategory"):
@@ -412,6 +452,8 @@ def digest(name: str, result):
         size, text = middle.n_objects, repr((f.mapping, g.mapping))
     elif name == "validate_vcategory":
         size, text = len(result), repr(result)
+    elif name == "bisimilar_cli":
+        size, text = result.returncode, result.stdout
     else:
         size, text = len(result), repr((sorted(result.pairs), result.refinement_trace))
     return f"{size}:{hashlib.sha256(text.encode()).hexdigest()[:16]}"
@@ -443,7 +485,8 @@ def main(argv=None) -> int:
                         help="seconds after which a layer stops growing n")
     args = parser.parse_args(argv)
 
-    sys.path.insert(0, str(Path(args.src).resolve()))
+    src = Path(args.src).resolve()
+    sys.path.insert(0, str(src))
     run = {
         "machine": machine(),
         "seed": SEED,
@@ -466,7 +509,7 @@ def main(argv=None) -> int:
     }
     with tempfile.TemporaryDirectory() as tmp:
         for k in CUTOFFS:
-            run["k"][str(k)] = measure_automata(k, args.sizes, args.cap, Path(tmp))
+            run["k"][str(k)] = measure_automata(k, args.sizes, args.cap, Path(tmp), src)
     for base_name in TABLE_BASES:
         run["tables"][base_name] = measure_tables(base_name, args.sizes, args.cap)
     run["sieves"]["S(T2)"] = measure_sieves(args.sizes, args.cap)

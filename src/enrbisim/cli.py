@@ -358,19 +358,52 @@ def _cmd_cts_refine(bundle, flags) -> Report:
     return Report("cts-refine", "valid", {"result": _store(bundle, flags.out, out)})
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+_REQUIRED, _FLAG = {"required": True}, {"action": "store_true"}
+_A, _B = ("--a", _REQUIRED), ("--b", _REQUIRED)
+# each command's help (or None) and arguments, in the order ``-h`` lists them;
+# the one declaration both the full and the one-command parser are built from
+COMMANDS: dict[str, tuple[str | None, tuple]] = {
+    "validate": ("validate named objects (default: all)", (("names", {"nargs": "*"}),)),
+    "bisim-largest": (None, (_A, _B, ("--sim", dict(_FLAG, help="one direction only")))),
+    "simulates": (None, (_A, _B)),
+    "bisimilar": (None, (_A, _B)),
+    "bisim-check": (None, (("--rel", _REQUIRED), ("--sim", _FLAG))),
+    "od-check": (None, (("--functor", _REQUIRED),)),
+    "quotient": (None, (_A, ("--rel", _REQUIRED), ("--out", {"default": "quotient"}))),
+    "cospan": (None, (_A, _B, ("--rel", {"default": None}))),
+    "span": (None, (_A, _B)),
+    "cob-apply": (None, (("--tse", _REQUIRED), _A, ("--out", {"default": "changed"}))),
+    "cob-radjoint": (None, (("--tse", _REQUIRED), _B, ("--out", {"default": "lifted"}))),
+    "axioms": (None, (("--suite", {"default": "A1..A6"}), ("--base", _REQUIRED),
+                      ("--seed", {"type": int, "default": 7}),
+                      ("--cases", {"type": int, "default": 200}))),
+    "cts-build": (None, (("--spec", _REQUIRED), ("--out", {"default": "built"}))),
+    "cts-refine": (None, (("--spec", _REQUIRED), ("--functor", _REQUIRED),
+                          ("--out", {"default": "refined"}))),
+}
+# the global options that take a value, so the token after each is not a command
+_VALUED = ("--format", "--paths", "--aut-alphabet", "--aut-k", "--enum-cap")
+_VALUED_JOINED = tuple(f"{option}=" for option in _VALUED)
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    """Raises on a usage error instead of reporting it, so that the full
+    parser reports it, with the usage line that lists every command."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+def build_parser(commands=COMMANDS, parser_class=argparse.ArgumentParser):
+    """The global options and a subparser for each of ``commands``."""
+    parser = parser_class(
         prog="enrbisim",
         description="Simulation and bisimulation checks for enrichments "
         "over finite quantaloids.",
         allow_abbrev=False,
     )
-    parser.add_argument(
-        "--format", choices=["json", "text"], default="json", help="report format"
-    )
-    parser.add_argument(
-        "--timing", action="store_true", help="include timing in JSON reports"
-    )
+    parser.add_argument("--format", choices=["json", "text"], default="json", help="report format")
+    parser.add_argument("--timing", action="store_true", help="include timing in JSON reports")
     parser.add_argument(
         "--paths",
         action="append",
@@ -388,69 +421,38 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest hom lattice that exhaustive checks will enumerate",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="validate named objects (default: all)")
-    p.add_argument("names", nargs="*")
-
-    for name in ("bisim-largest", "simulates", "bisimilar"):
-        p = sub.add_parser(name)
-        p.add_argument("--a", required=True)
-        p.add_argument("--b", required=True)
-        if name == "bisim-largest":
-            p.add_argument("--sim", action="store_true", help="one direction only")
-
-    p = sub.add_parser("bisim-check")
-    p.add_argument("--rel", required=True)
-    p.add_argument("--sim", action="store_true")
-
-    p = sub.add_parser("od-check")
-    p.add_argument("--functor", required=True)
-
-    p = sub.add_parser("quotient")
-    p.add_argument("--a", required=True)
-    p.add_argument("--rel", required=True)
-    p.add_argument("--out", default="quotient")
-
-    p = sub.add_parser("cospan")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--rel", default=None)
-
-    p = sub.add_parser("span")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-
-    p = sub.add_parser("cob-apply")
-    p.add_argument("--tse", required=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--out", default="changed")
-
-    p = sub.add_parser("cob-radjoint")
-    p.add_argument("--tse", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--out", default="lifted")
-
-    p = sub.add_parser("axioms")
-    p.add_argument("--suite", default="A1..A6")
-    p.add_argument("--base", required=True)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--cases", type=int, default=200)
-
-    p = sub.add_parser("cts-build")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--out", default="built")
-
-    p = sub.add_parser("cts-refine")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--functor", required=True)
-    p.add_argument("--out", default="refined")
-
+    for name in commands:
+        help_text, arguments = COMMANDS[name]
+        p = sub.add_parser(name) if help_text is None else sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
     return parser
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, building only the subparser of
+    the command ``argv`` names.  Help or an unknown option before the
+    command, an unknown or missing command and any usage error go to the
+    full parser, which prints and exits as always."""
+    tokens = iter(argv)
+    for token in tokens:
+        if token in _VALUED:
+            next(tokens, None)
+        elif token == "--timing" or token.startswith(_VALUED_JOINED):
+            continue
+        elif token in COMMANDS:
+            try:
+                return build_parser((token,), _OneCommandParser).parse_args(argv)
+            except argparse.ArgumentError:
+                break
+        else:
+            break
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     start = time.perf_counter()
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     alphabet = args.aut_alphabet.split(",") if args.aut_alphabet else None
     paths = args.paths if args.paths is not None else default_fixture_paths()
     try:
@@ -473,6 +475,3 @@ def main(argv=None) -> int:
         print(report.to_text())
     return report.exit_code
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,10 +1,18 @@
+import argparse
+import gc
+import importlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import enrbisim.__main__
+from enrbisim import cli
 from enrbisim.cli import Report, build_parser, default_fixture_paths, main, run
 from enrbisim.documents import SCHEMA, load_bundle
 
@@ -312,6 +320,162 @@ class TestParser:
         report = run("bisimilar", bundle, args)
         assert report.verdict == "error"
         assert report.exit_code == 2
+
+
+VALID_ARGV = {
+    "validate": ["validate", "Q2"],
+    "bisim-largest": ["bisim-largest", "--a", "X", "--b", "Y", "--sim"],
+    "simulates": ["simulates", "--a", "X", "--b", "Y"],
+    "bisimilar": ["--format", "text", "--timing", "bisimilar", "--a", "X", "--b", "Y"],
+    "bisim-check": ["bisim-check", "--rel", "R", "--sim"],
+    "od-check": ["od-check", "--functor", "F"],
+    "quotient": ["quotient", "--a", "X", "--rel", "R"],
+    "cospan": ["cospan", "--a", "X", "--b", "Y", "--rel", "R"],
+    "span": ["--aut-alphabet", "a,b", "--aut-k", "3", "span", "--a", "X", "--b", "Y"],
+    "cob-apply": ["cob-apply", "--tse", "T", "--a", "X", "--out", "O"],
+    "cob-radjoint": ["cob-radjoint", "--tse", "T", "--b", "Y"],
+    "axioms": ["--enum-cap", "64", "axioms", "--base", "Q2", "--seed", "3", "--cases", "5"],
+    "cts-build": ["cts-build", "--spec", "S"],
+    "cts-refine": ["--paths", "d1", "--paths", "d2", "cts-refine", "--spec", "S", "--functor", "G"],
+}
+# each argv with its outcome: None if it parses, else the exit code
+PARSER_CASES = [
+    *((argv, None) for argv in VALID_ARGV.values()),
+    (["-h"], 0),
+    (["--help", "validate"], 0),
+    (["bisimilar", "-h"], 0),
+    (["nope", "--a", "X"], 2),
+    ([], 2),
+    (["--aut-k", "many", "bisimilar", "--a", "X", "--b", "Y"], 2),
+    (["--format", "yaml", "validate"], 2),
+    (["bisimilar", "--b", "Y"], 2),
+    (["span", "--a", "X", "--b", "Y", "extra"], 2),
+    (["--paths", "span", "bisimilar", "--a", "X", "--b", "Y"], None),
+    (["--paths=DIR", "validate"], None),
+]
+
+
+class TestOneCommandParser:
+    """``cli.parse_args`` builds one subparser, and answers as the full parser does."""
+
+    @staticmethod
+    def outcome(parse, argv, capsys):
+        try:
+            return vars(parse(argv))
+        except SystemExit as stop:
+            captured = capsys.readouterr()
+            return stop.code, captured.out, captured.err
+
+    def test_every_command_is_covered(self):
+        assert list(VALID_ARGV) == list(cli.COMMANDS)
+
+    def test_scan_knows_which_global_options_take_a_value(self):
+        actions = build_parser()._actions
+        valued = {a.option_strings[0] for a in actions if a.option_strings and a.nargs is None}
+        assert valued == set(cli._VALUED)
+
+    @pytest.mark.parametrize(
+        "argv, code", PARSER_CASES, ids=[" ".join(argv) or "no-args" for argv, _ in PARSER_CASES]
+    )
+    def test_same_as_full_parser(self, argv, code, capsys):
+        lean = self.outcome(cli.parse_args, argv, capsys)
+        full = self.outcome(build_parser().parse_args, argv, capsys)
+        assert lean == full
+        if code is None:
+            assert isinstance(lean, dict)
+        else:
+            assert lean[0] == code and ("usage:" in lean[1] if code == 0 else "error:" in lean[2])
+
+    def test_valid_argv_builds_one_subparser(self, monkeypatch):
+        built = []
+
+        def recording(commands=cli.COMMANDS, parser_class=argparse.ArgumentParser):
+            built.append(tuple(commands))
+            return build_parser(commands, parser_class)
+
+        monkeypatch.setattr(cli, "build_parser", recording)
+        for name, argv in VALID_ARGV.items():
+            built.clear()
+            assert cli.parse_args(argv).command == name
+            assert built == [(name,)]
+
+    def test_usage_error_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            cli.parse_args(["bisimilar", "--a", "X", "--b", "Y", "extra"])
+        assert stop.value.code == 2
+        assert "{" + ",".join(cli.COMMANDS) + "}" in capsys.readouterr().err
+
+
+def enrbisim_child(args, env=(), **kwargs):
+    """``python -m enrbisim ARGS`` in a fresh interpreter, with ``env`` set."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, sys.path)), **dict(env))
+    return subprocess.run([sys.executable, "-m", "enrbisim", *args], env=env, **kwargs)
+
+
+def big_cts_spec(tmp_path, n=23) -> list[str]:
+    """A cts-refine request over a cycle of ``n`` vertices; its report is
+    over 64 KiB, more than a pipe holds."""
+    copy_fixtures(tmp_path, ["P2"])
+    types = [str(i % 2) for i in range(n)]
+    edges = [
+        {"src": f"v{i}", "tgt": f"v{(i + 1) % n}",
+         "span": {"apex": "0", "left": f"0<={types[i]}", "right": f"0<={types[(i + 1) % n]}"}}
+        for i in range(n)
+    ]
+    (tmp_path / "SPEC.json").write_text(json.dumps({
+        "schema": SCHEMA, "name": "SPEC", "kind": "ctsspec", "category": "P2",
+        "vertices": [{"name": f"v{i}", "type": t} for i, t in enumerate(types)], "edges": edges,
+    }))
+    (tmp_path / "G.json").write_text(json.dumps({
+        "schema": SCHEMA, "name": "G", "kind": "catfunctor", "source": "P2", "target": "P2",
+        "objects": {"0": "0", "1": "1"}, "morphisms": {m: m for m in ("0<=0", "0<=1", "1<=1")},
+    }))
+    return ["--paths", str(tmp_path), "cts-refine", "--spec", "SPEC", "--functor", "G"]
+
+
+class TestProcessEntry:
+    def test_in_process_main_does_not_freeze(self, capsys):
+        before = gc.get_freeze_count()
+        assert main(["validate", "Q2"]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_entry_freezes_the_import_heap(self):
+        code = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: sys.stderr.write(f'frozen={gc.get_freeze_count()}'))\n"
+            "sys.argv[1:] = ['validate', 'Q2']\n"
+            "runpy.run_module('enrbisim', run_name='__main__', alter_sys=True)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, sys.path)))
+        child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert child.returncode == 0, child.stderr
+        assert json.loads(child.stdout)["verdict"] == "valid"
+        frozen = int(child.stderr.rpartition("frozen=")[2])
+        assert frozen > 1000
+
+    def test_script_target_is_the_entry(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["enrbisim"]
+        module, _, attr = target.partition(":")
+        assert getattr(importlib.import_module(module), attr) is enrbisim.__main__.entry
+
+    @pytest.mark.parametrize("size", ["small", "big"])
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_closed_stdout_exits_2(self, size, buffered, tmp_path):
+        """Buffered, a small report fails at the flush; unbuffered, at the write."""
+        args = ["validate", "Q2"] if size == "small" else big_cts_spec(tmp_path)
+        env = {"PYTHONUNBUFFERED": "" if buffered else "1"}
+        if size == "big":
+            assert len(enrbisim_child(args, env, capture_output=True, check=True).stdout) > 65536
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # closed before the child starts: its first write fails
+        try:
+            child = enrbisim_child(args, env, stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert child.returncode == 2
+        assert child.stderr == ""
 
 
 class TestExitCodeContract:
