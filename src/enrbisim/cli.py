@@ -12,15 +12,15 @@ import argparse
 import json
 import sys
 import time
-from typing import Any
+from typing import Any, Callable
 
 from . import bisim, documents
 from .cob import TwoSidedEnrichment, apply_cob, local_right_adjoints, right_adjoint_cob
-from .cts import CatFunctor, cts_to_vcat, refine, validate_fincat
+from .cts import CatFunctor, cts_to_vcat, refine
 from .errors import EnrbisimError, ParseError
 from .lattice import DEFAULT_ENUM_CAP
 from .quantaloid import Quantaloid, validate_quantaloid
-from .vcat import VCategory, VFunctor, validate_vcategory, validate_vfunctor
+from .vcat import VCategory, VFunctor
 
 FIXTURE_ENV = "ENRBISIM_FIXTURES"
 
@@ -141,46 +141,12 @@ def _counterexample(check: bisim.SimulationCheck) -> dict:
 
 
 def run(command: str, bundle: documents.Bundle, flags: argparse.Namespace) -> Report:
-    """Dispatch one command against a loaded bundle."""
+    """Run one command's handler against a loaded bundle."""
+    handler = COMMANDS[command][0]
     try:
-        return _dispatch(command, bundle, flags)
+        return handler(bundle, flags)
     except EnrbisimError as err:
         return Report(command, "error", {"error": f"{type(err).__name__}: {err}"})
-
-
-def _dispatch(command, bundle, flags) -> Report:
-    if command == "validate":
-        return _cmd_validate(bundle, flags)
-    if command in ("bisim-largest", "bisim-check", "simulates", "bisimilar"):
-        return _cmd_relations(command, bundle, flags)
-    if command == "od-check":
-        f = bundle.get(flags.functor, VFunctor)
-        ok = bisim.is_od(f)
-        return Report(command, "yes" if ok else "no", {"functor": flags.functor})
-    if command == "quotient":
-        return _cmd_quotient(bundle, flags)
-    if command == "cospan":
-        return _cmd_cospan(bundle, flags)
-    if command == "span":
-        return _cmd_span(bundle, flags)
-    if command == "cob-apply":
-        tse = bundle.get(flags.tse, TwoSidedEnrichment)
-        out = apply_cob(tse, bundle.get(flags.a, VCategory))
-        return Report(command, "valid", {"result": _store(bundle, flags.out, out)})
-    if command == "cob-radjoint":
-        tse = bundle.get(flags.tse, TwoSidedEnrichment)
-        b = bundle.get(flags.b, VCategory)
-        report = local_right_adjoints(tse, enum_cap=flags.enum_cap)
-        out = right_adjoint_cob(tse, b, report)
-        details = {"coherent": report.coherent, "result": _store(bundle, flags.out, out)}
-        return Report(command, "valid", details)
-    if command == "axioms":
-        return _cmd_axioms(bundle, flags)
-    if command == "cts-build":
-        return _cmd_cts_build(bundle, flags)
-    if command == "cts-refine":
-        return _cmd_cts_refine(bundle, flags)
-    raise EnrbisimError(f"unknown command {command!r}")
 
 
 def _store(bundle: documents.Bundle, name: str, out: VCategory) -> dict:
@@ -191,52 +157,48 @@ def _store(bundle: documents.Bundle, name: str, out: VCategory) -> dict:
 
 
 def _cmd_validate(bundle, flags) -> Report:
+    """Check the named bases; every other document was checked as it loaded."""
     names = flags.names or bundle.names()
     problems: dict[str, list[str]] = {}
     for name in names:
         obj = bundle.get(name)
-        kind = bundle.kinds[name]
-        if kind == "quantaloid":
-            report = validate_quantaloid(obj, enum_cap=flags.enum_cap)
-            found = list(report.violations)
-        elif kind == "vcategory":
-            found = validate_vcategory(obj)
-        elif kind == "vfunctor":
-            found = validate_vfunctor(obj)
-        elif kind == "fincat":
-            found = validate_fincat(obj)
-        else:
-            # relations: construction already enforces the extent invariant
-            found = []
-        if found:
-            problems[name] = found
+        if bundle.kinds[name] == "quantaloid":
+            found = validate_quantaloid(obj, enum_cap=flags.enum_cap).violations
+            if found:
+                problems[name] = list(found)
     verdict = "valid" if not problems else "invalid"
     return Report("validate", verdict, {"checked": names, "violations": problems})
 
 
-def _cmd_relations(command, bundle, flags) -> Report:
-    if command == "bisim-check":
-        rel = bundle.get(flags.rel, bisim.SimRelation)
-        check = (
-            bisim.is_simulation(rel) if flags.sim else bisim.is_bisimulation(rel)
-        )
-        return Report(command, "yes" if check.ok else "no", _counterexample(check))
-    a = bundle.get(flags.a, VCategory)
-    b = bundle.get(flags.b, VCategory)
-    if command == "bisim-largest":
-        rel = (
-            bisim.largest_simulation(a, b)
-            if flags.sim
-            else bisim.largest_bisimulation(a, b)
-        )
-        return Report(command, "valid", _relation_details(rel))
-    if command == "simulates":
-        rel = bisim.largest_simulation(a, b)
-        verdict = "yes" if rel.total_on_left() else "no"
-        return Report(command, verdict, _relation_details(rel))
-    rel = bisim.largest_bisimulation(a, b)
+def _pair(bundle, flags) -> tuple[VCategory, VCategory]:
+    return bundle.get(flags.a, VCategory), bundle.get(flags.b, VCategory)
+
+
+def _cmd_bisim_largest(bundle, flags) -> Report:
+    largest = bisim.largest_simulation if flags.sim else bisim.largest_bisimulation
+    return Report("bisim-largest", "valid", _relation_details(largest(*_pair(bundle, flags))))
+
+
+def _cmd_simulates(bundle, flags) -> Report:
+    rel = bisim.largest_simulation(*_pair(bundle, flags))
+    return Report("simulates", "yes" if rel.total_on_left() else "no", _relation_details(rel))
+
+
+def _cmd_bisimilar(bundle, flags) -> Report:
+    rel = bisim.largest_bisimulation(*_pair(bundle, flags))
     ok = rel.total_on_left() and rel.total_on_right()
-    return Report(command, "yes" if ok else "no", _relation_details(rel))
+    return Report("bisimilar", "yes" if ok else "no", _relation_details(rel))
+
+
+def _cmd_bisim_check(bundle, flags) -> Report:
+    rel = bundle.get(flags.rel, bisim.SimRelation)
+    check = bisim.is_simulation(rel) if flags.sim else bisim.is_bisimulation(rel)
+    return Report("bisim-check", "yes" if check.ok else "no", _counterexample(check))
+
+
+def _cmd_od_check(bundle, flags) -> Report:
+    ok = bisim.is_od(bundle.get(flags.functor, VFunctor))
+    return Report("od-check", "yes" if ok else "no", {"functor": flags.functor})
 
 
 def _cmd_quotient(bundle, flags) -> Report:
@@ -256,8 +218,7 @@ def _cmd_quotient(bundle, flags) -> Report:
 
 
 def _cmd_cospan(bundle, flags) -> Report:
-    a = bundle.get(flags.a, VCategory)
-    b = bundle.get(flags.b, VCategory)
+    a, b = _pair(bundle, flags)
     if flags.rel:
         rel = bundle.get(flags.rel, bisim.SimRelation)
     else:
@@ -275,9 +236,7 @@ def _cmd_cospan(bundle, flags) -> Report:
 
 
 def _cmd_span(bundle, flags) -> Report:
-    a = bundle.get(flags.a, VCategory)
-    b = bundle.get(flags.b, VCategory)
-    to_a, to_b = bisim.span_witness(a, b)
+    to_a, to_b = bisim.span_witness(*_pair(bundle, flags))
     return Report(
         "span",
         "yes",
@@ -287,6 +246,21 @@ def _cmd_span(bundle, flags) -> Report:
             "right_in_class": bisim.is_od(to_b),
         },
     )
+
+
+def _cmd_cob_apply(bundle, flags) -> Report:
+    tse = bundle.get(flags.tse, TwoSidedEnrichment)
+    out = apply_cob(tse, bundle.get(flags.a, VCategory))
+    return Report("cob-apply", "valid", {"result": _store(bundle, flags.out, out)})
+
+
+def _cmd_cob_radjoint(bundle, flags) -> Report:
+    tse = bundle.get(flags.tse, TwoSidedEnrichment)
+    b = bundle.get(flags.b, VCategory)
+    report = local_right_adjoints(tse, enum_cap=flags.enum_cap)
+    out = right_adjoint_cob(tse, b, report)
+    details = {"coherent": report.coherent, "result": _store(bundle, flags.out, out)}
+    return Report("cob-radjoint", "valid", details)
 
 
 def _parse_suite(spec: str) -> list[str]:
@@ -327,13 +301,9 @@ def _cmd_axioms(bundle, flags) -> Report:
 
 def _cmd_cts_build(bundle, flags) -> Report:
     cat, spec = bundle.get(flags.spec, "ctsspec")  # loaded as (category, spec)
-    cat_name = bundle.name_of(cat)
-    sieves = bundle.sieve_base(cat_name)
+    sieves = bundle.sieve_base(bundle.name_of(cat))
     base_report = validate_quantaloid(sieves)
     out = cts_to_vcat(sieves, spec)
-    sieve_name = f"S({cat_name})"
-    bundle.objects.setdefault(sieve_name, sieves)
-    bundle.kinds.setdefault(sieve_name, "quantaloid")
     return Report(
         "cts-build",
         "valid" if base_report.ok else "invalid",
@@ -349,40 +319,54 @@ def _cmd_cts_refine(bundle, flags) -> Report:
     cat, spec = bundle.get(flags.spec, "ctsspec")
     source_sq = bundle.sieve_base(bundle.name_of(cat))
     a = cts_to_vcat(source_sq, spec)
-    target_name = bundle.name_of(fun.target)
-    target_sq = bundle.sieve_base(target_name)
+    target_sq = bundle.sieve_base(bundle.name_of(fun.target))
     out = refine(fun, a, source_sq, target_sq)
-    sieve_name = f"S({target_name})"
-    bundle.objects.setdefault(sieve_name, target_sq)
-    bundle.kinds.setdefault(sieve_name, "quantaloid")
     return Report("cts-refine", "valid", {"result": _store(bundle, flags.out, out)})
 
 
 _REQUIRED, _FLAG = {"required": True}, {"action": "store_true"}
 _A, _B = ("--a", _REQUIRED), ("--b", _REQUIRED)
-# each command's help (or None) and arguments, in the order ``-h`` lists them;
-# the one declaration both the full and the one-command parser are built from
-COMMANDS: dict[str, tuple[str | None, tuple]] = {
-    "validate": ("validate named objects (default: all)", (("names", {"nargs": "*"}),)),
-    "bisim-largest": (None, (_A, _B, ("--sim", dict(_FLAG, help="one direction only")))),
-    "simulates": (None, (_A, _B)),
-    "bisimilar": (None, (_A, _B)),
-    "bisim-check": (None, (("--rel", _REQUIRED), ("--sim", _FLAG))),
-    "od-check": (None, (("--functor", _REQUIRED),)),
-    "quotient": (None, (_A, ("--rel", _REQUIRED), ("--out", {"default": "quotient"}))),
-    "cospan": (None, (_A, _B, ("--rel", {"default": None}))),
-    "span": (None, (_A, _B)),
-    "cob-apply": (None, (("--tse", _REQUIRED), _A, ("--out", {"default": "changed"}))),
-    "cob-radjoint": (None, (("--tse", _REQUIRED), _B, ("--out", {"default": "lifted"}))),
-    "axioms": (None, (("--suite", {"default": "A1..A6"}), ("--base", _REQUIRED),
-                      ("--seed", {"type": int, "default": 7}),
-                      ("--cases", {"type": int, "default": 200}))),
-    "cts-build": (None, (("--spec", _REQUIRED), ("--out", {"default": "built"}))),
-    "cts-refine": (None, (("--spec", _REQUIRED), ("--functor", _REQUIRED),
-                          ("--out", {"default": "refined"}))),
+# each command's handler, help (or None) and arguments, in the order ``-h``
+# lists them: the one declaration ``run`` and both parsers are built from
+COMMANDS: dict[str, tuple[Callable[..., Report], str | None, tuple]] = {
+    "validate": (_cmd_validate, "validate named objects (default: all)",
+                 (("names", {"nargs": "*"}),)),
+    "bisim-largest": (_cmd_bisim_largest, None,
+                      (_A, _B, ("--sim", dict(_FLAG, help="one direction only")))),
+    "simulates": (_cmd_simulates, None, (_A, _B)),
+    "bisimilar": (_cmd_bisimilar, None, (_A, _B)),
+    "bisim-check": (_cmd_bisim_check, None, (("--rel", _REQUIRED), ("--sim", _FLAG))),
+    "od-check": (_cmd_od_check, None, (("--functor", _REQUIRED),)),
+    "quotient": (_cmd_quotient, None,
+                 (_A, ("--rel", _REQUIRED), ("--out", {"default": "quotient"}))),
+    "cospan": (_cmd_cospan, None, (_A, _B, ("--rel", {"default": None}))),
+    "span": (_cmd_span, None, (_A, _B)),
+    "cob-apply": (_cmd_cob_apply, None,
+                  (("--tse", _REQUIRED), _A, ("--out", {"default": "changed"}))),
+    "cob-radjoint": (_cmd_cob_radjoint, None,
+                     (("--tse", _REQUIRED), _B, ("--out", {"default": "lifted"}))),
+    "axioms": (_cmd_axioms, None, (("--suite", {"default": "A1..A6"}), ("--base", _REQUIRED),
+                                   ("--seed", {"type": int, "default": 7}),
+                                   ("--cases", {"type": int, "default": 200}))),
+    "cts-build": (_cmd_cts_build, None, (("--spec", _REQUIRED), ("--out", {"default": "built"}))),
+    "cts-refine": (_cmd_cts_refine, None, (("--spec", _REQUIRED), ("--functor", _REQUIRED),
+                                           ("--out", {"default": "refined"}))),
+}
+# each global option and its ``add_argument`` keywords, in the order ``-h`` lists them
+OPTIONS: dict[str, dict] = {
+    "--format": {"choices": ["json", "text"], "default": "json", "help": "report format"},
+    "--timing": dict(_FLAG, help="include timing in JSON reports"),
+    "--paths": {"action": "append", "default": None, "metavar": "PATH",
+                "help": "a document file or directory; repeatable "
+                "(defaults to the shipped fixtures)"},
+    "--aut-alphabet": {"default": None, "help": "comma-separated labels"},
+    "--aut-k": {"type": int, "default": None, "help": "word length cutoff"},
+    "--enum-cap": {"type": int, "default": DEFAULT_ENUM_CAP,
+                   "help": "largest hom lattice that exhaustive checks will enumerate"},
 }
 # the global options that take a value, so the token after each is not a command
-_VALUED = ("--format", "--paths", "--aut-alphabet", "--aut-k", "--enum-cap")
+_VALUED = tuple(flag for flag, options in OPTIONS.items()
+                if options.get("action") != "store_true")
 _VALUED_JOINED = tuple(f"{option}=" for option in _VALUED)
 
 
@@ -402,27 +386,11 @@ def build_parser(commands=COMMANDS, parser_class=argparse.ArgumentParser):
         "over finite quantaloids.",
         allow_abbrev=False,
     )
-    parser.add_argument("--format", choices=["json", "text"], default="json", help="report format")
-    parser.add_argument("--timing", action="store_true", help="include timing in JSON reports")
-    parser.add_argument(
-        "--paths",
-        action="append",
-        default=None,
-        metavar="PATH",
-        help="a document file or directory; repeatable "
-        "(defaults to the shipped fixtures)",
-    )
-    parser.add_argument("--aut-alphabet", default=None, help="comma-separated labels")
-    parser.add_argument("--aut-k", type=int, default=None, help="word length cutoff")
-    parser.add_argument(
-        "--enum-cap",
-        type=int,
-        default=DEFAULT_ENUM_CAP,
-        help="largest hom lattice that exhaustive checks will enumerate",
-    )
+    for flag, options in OPTIONS.items():
+        parser.add_argument(flag, **options)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in commands:
-        help_text, arguments = COMMANDS[name]
+        _, help_text, arguments = COMMANDS[name]
         p = sub.add_parser(name) if help_text is None else sub.add_parser(name, help=help_text)
         for flag, options in arguments:
             p.add_argument(flag, **options)
@@ -438,7 +406,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     for token in tokens:
         if token in _VALUED:
             next(tokens, None)
-        elif token == "--timing" or token.startswith(_VALUED_JOINED):
+        elif token in OPTIONS or token.startswith(_VALUED_JOINED):
             continue
         elif token in COMMANDS:
             try:

@@ -189,17 +189,27 @@ def _fincat_from_doc(doc) -> FiniteCategory:
             Morphism(str(m["name"]), int(m["src"]), int(m["tgt"]))
             for m in doc["morphisms"]
         ]
-        compose = {(int(f), int(g)): int(h) for f, g, h in doc["compose"]}
+        compose = _once(doc, "compose", (((int(f), int(g)), int(h)) for f, g, h in doc["compose"]))
         identities = [int(i) for i in doc["identities"]]
-        pullbacks = {
-            (int(f), int(g)): (int(p1), int(p2))
-            for f, g, p1, p2 in doc.get("pullbacks", [])
-        }
+        pullbacks = _once(doc, "pullbacks", (
+            ((int(f), int(g)), (int(p1), int(p2))) for f, g, p1, p2 in doc.get("pullbacks", [])
+        ))
         cat = FiniteCategory(objects, morphisms, compose, identities, pullbacks)
     problems = validate_fincat(cat)
     if problems:
         raise ValidationError(f"category invalid: {problems[0]}")
     return cat
+
+
+def _once(doc, field: str, entries) -> dict:
+    """The ``(key, value)`` entries of a document field as a dict; a key
+    given twice is a ``ParseError``."""
+    table: dict = {}
+    for key, value in entries:
+        if key in table:
+            raise ParseError(f"{doc['name']}: {field} gives {key!r} twice")
+        table[key] = value
+    return table
 
 
 def _name_lookup(doc, names: list[str]):
@@ -310,14 +320,13 @@ def _tse_from_doc(doc, resolve) -> TwoSidedEnrichment:
     components = {}
     for key, pairs in doc["components"].items():
         x, y = (carriers.index(part) for part in key.split(","))
-        src_lat = source.hom(minus[x], minus[y])
-        mapping = {}
-        for src_doc, tgt_doc in pairs:
-            mapping[element_from_doc(source, minus[x], minus[y], src_doc)] = (
-                element_from_doc(target, plus[x], plus[y], tgt_doc)
-            )
+        mapping = _once(doc, f"component {key!r}", (
+            (element_from_doc(source, minus[x], minus[y], src_doc),
+             element_from_doc(target, plus[x], plus[y], tgt_doc))
+            for src_doc, tgt_doc in pairs
+        ))
         components[(x, y)] = MonotoneMap(
-            src_lat, target.hom(plus[x], plus[y]), mapping
+            source.hom(minus[x], minus[y]), target.hom(plus[x], plus[y]), mapping
         )
     tse = TwoSidedEnrichment(source, target, carriers, minus, plus, components)
     problems = validate_tse(tse)
@@ -395,11 +404,13 @@ class Bundle:
         )
 
     def sieve_base(self, fincat_name: str) -> CribleQuantaloid:
-        """The sieve quantaloid of a loaded category, built once."""
+        """The sieve quantaloid of a loaded category, built once and kept
+        under the name ``S(<category>)`` unless a document has that name."""
         if fincat_name not in self.sieve_bases:
-            self.sieve_bases[fincat_name] = build_S_quantaloid(
-                self.get(fincat_name, FiniteCategory)
-            )
+            sieves = build_S_quantaloid(self.get(fincat_name, FiniteCategory))
+            self.sieve_bases[fincat_name] = sieves
+            self.objects.setdefault(f"S({fincat_name})", sieves)
+            self.kinds.setdefault(f"S({fincat_name})", "quantaloid")
         return self.sieve_bases[fincat_name]
 
 

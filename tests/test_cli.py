@@ -58,6 +58,24 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["verdict"] == "valid"
 
+    def test_validate_checks_each_vcategory_once(self, capsys, monkeypatch):
+        # load_bundle checked every vcategory; ``validate`` does not check it again
+        from enrbisim import vcat
+
+        expected = len(load_bundle(FIXTURES).names("vcategory"))
+        original, calls = vcat.validate_vcategory, []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("enrbisim") and getattr(module, "validate_vcategory", None) is original:
+                monkeypatch.setattr(module, "validate_vcategory", counting)
+        code, _ = invoke(capsys, "validate")
+        assert code == 0
+        assert expected > 0 and len(calls) == expected == len({id(cat) for cat in calls})
+
 
 class TestDeterminism:
     def test_reports_byte_identical(self, capsys):

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -98,6 +99,27 @@ class TestBundleLoading:
     def test_repeated_object_name_is_a_parse_error(self, tmp_path, capsys, body):
         write_doc(tmp_path, {"schema": SCHEMA, "name": "BAD", **body})
         with pytest.raises(ParseError, match="BAD: object name 'x' is repeated"):
+            load_bundle([*FIXTURES, tmp_path])
+        assert main(["--paths", *FIXTURES, "--paths", str(tmp_path), "validate"]) == 2
+        assert "ParseError" in json.loads(capsys.readouterr().out)["details"]["error"]
+
+    @pytest.mark.parametrize("body, match", [
+        ({"kind": "tse", "source": "Q2", "target": "Q2",
+          "carriers": [{"name": "c", "minus": "*", "plus": "*"}],
+          "components": {"c,c": [["0", "0"], ["1", "0"], ["1", "1"]]}},
+         "BAD: component 'c,c' gives 1 twice"),
+        ({"kind": "fincat", "objects": ["x"], "identities": [0],
+          "morphisms": [{"name": "id", "src": 0, "tgt": 0}, {"name": "e", "src": 0, "tgt": 0}],
+          "compose": [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0], [1, 1, 1]]},
+         "BAD: compose gives (1, 1) twice"),
+        ({"kind": "fincat", "objects": ["x"], "identities": [0],
+          "morphisms": [{"name": "id", "src": 0, "tgt": 0}], "compose": [[0, 0, 0]],
+          "pullbacks": [[0, 0, 0, 0], [0, 0, 0, 0]]},
+         "BAD: pullbacks gives (0, 0) twice"),
+    ], ids=["tse-component", "fincat-compose", "fincat-pullbacks"])
+    def test_repeated_entry_is_a_parse_error(self, tmp_path, capsys, body, match):
+        write_doc(tmp_path, {"schema": SCHEMA, "name": "BAD", **body})
+        with pytest.raises(ParseError, match=re.escape(match)):
             load_bundle([*FIXTURES, tmp_path])
         assert main(["--paths", *FIXTURES, "--paths", str(tmp_path), "validate"]) == 2
         assert "ParseError" in json.loads(capsys.readouterr().out)["details"]["error"]

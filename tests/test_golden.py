@@ -1,9 +1,10 @@
 """Byte-for-byte golden reports of the CLI on the shipped fixtures.
 
 Each case runs one command and compares its JSON report with the file
-``tests/golden/<case>.json``.  The relation and functor documents that
-``quotient`` and ``od-check`` need live in ``tests/golden/docs`` and
-refer to the shipped fixtures by name.  After an intended change of a
+``tests/golden/<case>.json``.  The relations, functors, span, chain and
+specification that the commands other than ``validate``, the relation
+queries and ``axioms`` need live in ``tests/golden/docs`` and refer to
+the shipped fixtures by name.  After an intended change of a
 report, regenerate the files with::
 
     PYTHONPATH=src python tests/test_golden.py
@@ -16,11 +17,14 @@ from pathlib import Path
 
 import pytest
 
-from enrbisim.cli import main
+from enrbisim.cli import COMMANDS, main
 
 GOLDEN = Path(__file__).parent / "golden"
 SHIPPED = str(resources.files("enrbisim").joinpath("data"))
 DOCS = str(GOLDEN / "docs")
+# the commands whose cases also load ``tests/golden/docs``
+DOC_COMMANDS = ("bisim-check", "od-check", "quotient", "cob-apply", "cob-radjoint",
+                "cts-build", "cts-refine")
 
 # case -> (arguments after the fixture paths, expected exit code)
 CASES = {
@@ -40,6 +44,12 @@ CASES = {
     "span-P01-POINT": (["span", "--a", "P01", "--b", "POINT"], 0),
     "span-AUT1-LOOP1": (["span", "--a", "AUT1", "--b", "LOOP1"], 2),
     "od-check-F": (["od-check", "--functor", "F"], 0),
+    "bisim-check-E": (["bisim-check", "--rel", "E"], 0),
+    "bisim-check-sim-H": (["bisim-check", "--rel", "H", "--sim"], 1),
+    "cob-apply-ID-P01": (["cob-apply", "--tse", "ID", "--a", "P01"], 0),
+    "cob-radjoint-ID-POINT": (["cob-radjoint", "--tse", "ID", "--b", "POINT"], 0),
+    "cts-build-SPEC": (["cts-build", "--spec", "SPEC"], 0),
+    "cts-refine-SPEC-INC": (["cts-refine", "--spec", "SPEC", "--functor", "INC"], 0),
     **{
         f"axioms-{base}-seed7": (["axioms", "--base", base, "--seed", "7"], 0)
         for base in ("Q2", "M3", "QL_m_2", "REL1", "BP2")
@@ -50,12 +60,16 @@ CASES = {
 def report_of(case: str) -> tuple[int, str]:
     args, _ = CASES[case]
     paths = ["--paths", SHIPPED]
-    if args[0] in ("quotient", "od-check"):
+    if args[0] in DOC_COMMANDS:
         paths += ["--paths", DOCS]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(paths + args)
     return code, out.getvalue()
+
+
+def test_every_command_has_a_case():
+    assert {args[0] for args, _ in CASES.values()} == set(COMMANDS)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
