@@ -22,7 +22,7 @@ from .errors import (
     UnknownObject,
 )
 from .lattice import DownsetLattice, MonotoneMap, PowersetLattice
-from .quantaloid import Quantaloid
+from .quantaloid import SetQuantaloid
 from .cob import TwoSidedEnrichment, apply_cob, local_right_adjoints
 from .vcat import EnrichedGraph, VCategory, free_vcategory
 
@@ -221,12 +221,19 @@ def _cones_without_mediator(cat: FiniteCategory, f: int, g: int, p1: int, p2: in
                     yield q_obj
 
 
-class PowersetCatQuantaloid(Quantaloid):
-    """Subsets of a finite category's hom-sets, composed pointwise."""
+class PowersetCatQuantaloid(SetQuantaloid):
+    """Subsets of a finite category's hom-sets, composed pointwise; a
+    member is a morphism, written as its name."""
 
     def __init__(self, cat: FiniteCategory):
         super().__init__(list(cat.objects))
         self.cat = cat
+
+    def member_to_doc(self, m):
+        return self.cat.morphisms[m].name
+
+    def member_from_doc(self, doc):
+        return self.cat.morphism_index(str(doc))
 
     def _make_hom(self, u, v):
         return PowersetLattice(self.cat.hom_morphisms(u, v))
@@ -247,6 +254,15 @@ class Span(NamedTuple):
 
     def ambient(self, cat: FiniteCategory) -> tuple[int, int]:
         return cat.mor_tgt(self.left), cat.mor_tgt(self.right)
+
+
+def span_from_doc(cat: FiniteCategory, doc) -> Span:
+    """The span a document ``{apex, left, right}`` gives by object and morphism names."""
+    return Span(
+        cat.object_index(str(doc["apex"])),
+        cat.morphism_index(str(doc["left"])),
+        cat.morphism_index(str(doc["right"])),
+    )
 
 
 def identity_span(cat: FiniteCategory, x: int) -> Span:
@@ -286,7 +302,7 @@ def all_spans(cat: FiniteCategory, x: int, y: int) -> list[Span]:
     ]
 
 
-class CribleQuantaloid(Quantaloid):
+class CribleQuantaloid(SetQuantaloid):
     """Sieves of spans between a finite category's objects.
 
     The lattice between two objects consists of the down-closed span
@@ -296,8 +312,10 @@ class CribleQuantaloid(Quantaloid):
     even though span composition is only associative up to isomorphism.
     ``compose`` is a pure function of its arguments and sieves are
     frozensets, so each composite is made once per instance and kept in
-    ``_composites``.
+    ``_composites``.  A member is a span, written ``{apex, left, right}``.
     """
+
+    member_order = staticmethod(lambda d: (d["apex"], d["left"], d["right"]))
 
     def __init__(self, cat: FiniteCategory, max_spans: int = 12):
         super().__init__(list(cat.objects))
@@ -310,6 +328,14 @@ class CribleQuantaloid(Quantaloid):
                         f"{len(all_spans(cat, x, y))} spans between "
                         f"{cat.objects[x]} and {cat.objects[y]}"
                     )
+
+    def member_to_doc(self, s):
+        cat = self.cat
+        return {"apex": cat.objects[s.apex], "left": cat.morphisms[s.left].name,
+                "right": cat.morphisms[s.right].name}
+
+    def member_from_doc(self, doc):
+        return span_from_doc(self.cat, doc)
 
     def _make_hom(self, u, v):
         return DownsetLattice(

@@ -3,13 +3,14 @@
 Every document is an object with a ``schema`` tag, a unique ``name`` and
 a ``kind``.  References between documents are by name; a bundle resolves
 them in dependency order and validates each object as it is built.
-Element encodings depend on the base: named elements for table lattices,
-word lists for language bases, pair lists for relation bases, morphism
-names for hom-powerset bases and span triples for sieve bases.
+How a hom element is written and read is the base's own decision
+(``Quantaloid.element_to_doc`` and ``Quantaloid.element_decoder``);
+this module only says where in a document the elements go.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from pathlib import Path
@@ -24,8 +25,8 @@ from .cts import (
     FiniteCategory,
     Morphism,
     PowersetCatQuantaloid,
-    Span,
     build_S_quantaloid,
+    span_from_doc,
     validate_fincat,
 )
 from .errors import (
@@ -51,82 +52,6 @@ from .quantaloid import (
 from .vcat import EnrichedGraph, VCategory, VFunctor, free_vcategory, validate_vcategory, validate_vfunctor
 
 SCHEMA = "enrbisim/1"
-
-
-# ---------------------------------------------------------------------------
-# element encoding, dispatched on the base
-
-
-def element_to_doc(base: Quantaloid, u: int, v: int, value) -> Any:
-    if isinstance(base, LanguageQuantale):
-        return sorted([list(word) for word in value], key=lambda w: (len(w), w))
-    if isinstance(base, RelQuantaloid):
-        return sorted([list(pair) for pair in value])
-    if isinstance(base, PowersetCatQuantaloid):
-        return sorted(base.cat.morphisms[m].name for m in value)
-    if isinstance(base, CribleQuantaloid):
-        spans = [
-            {
-                "apex": base.cat.objects[s.apex],
-                "left": base.cat.morphisms[s.left].name,
-                "right": base.cat.morphisms[s.right].name,
-            }
-            for s in value
-        ]
-        return sorted(spans, key=lambda d: (d["apex"], d["left"], d["right"]))
-    lat = base.hom(u, v)
-    if isinstance(lat, TableLattice):
-        return lat.name_of(value)
-    raise ValidationError(f"no element encoding for base {base!r}")
-
-
-def element_decoder(base: Quantaloid, u: int, v: int):
-    """The reader of hom(u,v) element documents: a function from a
-    document value to its element, checked against the hom lattice.
-    Callers reading many elements of one hom take it once."""
-    lat = base.hom(u, v)
-    if isinstance(base, LanguageQuantale):
-        def raw(doc):
-            return frozenset(tuple(word) for word in doc)
-    elif isinstance(base, RelQuantaloid):
-        def raw(doc):
-            return frozenset(tuple(pair) for pair in doc)
-    elif isinstance(base, PowersetCatQuantaloid):
-        def raw(doc):
-            return frozenset(base.cat.morphism_index(name) for name in doc)
-    elif isinstance(base, CribleQuantaloid):
-        def raw(doc):
-            return frozenset(
-                Span(
-                    base.cat.object_index(d["apex"]),
-                    base.cat.morphism_index(d["left"]),
-                    base.cat.morphism_index(d["right"]),
-                )
-                for d in doc
-            )
-    elif isinstance(lat, TableLattice):
-        def decode_table(doc):
-            if isinstance(doc, str):
-                return lat.index_of(doc)  # a named element needs no further check
-            if isinstance(doc, bool) or not isinstance(doc, int):
-                raise ParseError(f"table element {doc!r} is neither a name nor an index")
-            lat.check_element(doc)
-            return doc
-
-        return decode_table
-    else:
-        raise ValidationError(f"no element encoding for base {base!r}")
-
-    def decode(doc):
-        value = raw(doc)
-        lat.check_element(value)
-        return value
-
-    return decode
-
-
-def element_from_doc(base: Quantaloid, u: int, v: int, doc) -> Any:
-    return element_decoder(base, u, v)(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +156,7 @@ def _name_lookup(doc, names: list[str]):
 
 def _vcategory_from_doc(doc, resolve) -> VCategory:
     base = resolve(doc["base"], Quantaloid)
-    decoders: dict = {}  # extent pair -> its element_decoder
-
-    def decode(u, v, elem_doc):
-        if (u, v) not in decoders:
-            decoders[u, v] = element_decoder(base, u, v)
-        return decoders[u, v](elem_doc)
+    decoder = functools.cache(base.element_decoder)  # one per extent pair
 
     if "graph" in doc:
         g = doc["graph"]
@@ -248,7 +168,7 @@ def _vcategory_from_doc(doc, resolve) -> VCategory:
         edges = []
         for e in g["edges"]:
             s, t = index(str(e["src"])), index(str(e["tgt"]))
-            label = decode(vertices[s][1], vertices[t][1], e["label"])
+            label = decoder(vertices[s][1], vertices[t][1])(e["label"])
             edges.append((s, t, label))
         cat = free_vcategory(base, EnrichedGraph(vertices, edges))
     else:
@@ -260,7 +180,7 @@ def _vcategory_from_doc(doc, resolve) -> VCategory:
         for key, elem_doc in doc["homs"].items():
             a, b = key.split(",")
             i, j = index(a), index(b)
-            homs[i][j] = decode(extents[i], extents[j], elem_doc)
+            homs[i][j] = decoder(extents[i], extents[j])(elem_doc)
         cat = VCategory(base, names, extents, homs)
     problems = validate_vcategory(cat)
     if problems:
@@ -320,10 +240,10 @@ def _tse_from_doc(doc, resolve) -> TwoSidedEnrichment:
     components = {}
     for key, pairs in doc["components"].items():
         x, y = (carriers.index(part) for part in key.split(","))
+        read_source = source.element_decoder(minus[x], minus[y])
+        read_target = target.element_decoder(plus[x], plus[y])
         mapping = _once(doc, f"component {key!r}", (
-            (element_from_doc(source, minus[x], minus[y], src_doc),
-             element_from_doc(target, plus[x], plus[y], tgt_doc))
-            for src_doc, tgt_doc in pairs
+            (read_source(src_doc), read_target(tgt_doc)) for src_doc, tgt_doc in pairs
         ))
         components[(x, y)] = MonotoneMap(
             source.hom(minus[x], minus[y]), target.hom(plus[x], plus[y]), mapping
@@ -360,12 +280,7 @@ def _ctsspec_from_doc(doc, resolve) -> tuple[FiniteCategory, CtsSpec]:
     index = _name_lookup(doc, [n for n, _ in vertices])
     edges = []
     for e in doc["edges"]:
-        span = Span(
-            cat.object_index(str(e["span"]["apex"])),
-            cat.morphism_index(str(e["span"]["left"])),
-            cat.morphism_index(str(e["span"]["right"])),
-        )
-        edges.append((index(str(e["src"])), index(str(e["tgt"])), span))
+        edges.append((index(str(e["src"])), index(str(e["tgt"])), span_from_doc(cat, e["span"])))
     return cat, CtsSpec(vertices, edges)
 
 
@@ -379,6 +294,7 @@ class Bundle:
         self.objects: dict[str, Any] = {}
         self.kinds: dict[str, str] = {}
         self.sieve_bases: dict[str, CribleQuantaloid] = {}
+        self.certified: set[str] = set()  # bases whose laws were checked as they loaded
 
     def get(self, name: str, expected: type | str | None = None):
         """The named object, checked against a type or a kind name."""
@@ -509,6 +425,8 @@ def load_bundle(paths, aut_alphabet=None, aut_k=None) -> Bundle:
                 raise type(err)(f"{name}: {err}") from None
             bundle.objects[name] = obj
             bundle.kinds[name] = kind
+            if kind == "quantaloid" and doc.get("construction", "explicit") == "explicit":
+                bundle.certified.add(name)  # _quantaloid_from_doc checked its laws
     unknown = [d for d in docs if d["kind"] not in _LOAD_ORDER]
     if unknown:
         raise ParseError(f"unknown document kind {unknown[0]['kind']!r}")
@@ -712,8 +630,8 @@ def vcategory_to_doc(bundle: Bundle, name: str, cat: VCategory) -> dict:
             for i in range(cat.n_objects)
         ],
         "homs": {
-            f"{cat.objects[i]},{cat.objects[j]}": element_to_doc(
-                base, cat.extents[i], cat.extents[j], cat.hom(i, j)
+            f"{cat.objects[i]},{cat.objects[j]}": base.element_to_doc(
+                cat.extents[i], cat.extents[j], cat.hom(i, j)
             )
             for i in range(cat.n_objects)
             for j in range(cat.n_objects)

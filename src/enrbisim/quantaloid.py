@@ -17,6 +17,7 @@ from typing import Any, Iterable, NamedTuple
 from .errors import (
     BadGrid,
     NotComposable,
+    ParseError,
     SizeLimit,
     UnknownObject,
 )
@@ -89,6 +90,25 @@ class Quantaloid:
         self.hom(source, target).check_element(value)
         return QuantaloidElement(source, target, value)
 
+    def element_to_doc(self, u: int, v: int, x) -> Any:
+        """The document of ``x`` in hom(u,v): here its table lattice name."""
+        return self.hom(u, v).name_of(x)
+
+    def element_decoder(self, u: int, v: int):
+        """The reader of hom(u,v) element documents, checked against the
+        lattice; here a table lattice name or index.  Take it once per hom."""
+        lat = self.hom(u, v)
+
+        def decode(doc):
+            if isinstance(doc, str):
+                return lat.index_of(doc)  # a named element needs no further check
+            if isinstance(doc, bool) or not isinstance(doc, int):
+                raise ParseError(f"table element {doc!r} is neither a name nor an index")
+            lat.check_element(doc)
+            return doc
+
+        return decode
+
     def is_locally_distributive(self) -> bool:
         return all(
             self.hom(u, v).is_distributive()
@@ -130,8 +150,40 @@ class TableQuantaloid(Quantaloid):
         return self._units[u]
 
 
-class RelQuantaloid(Quantaloid):
-    """Sets, with binary relations ordered by inclusion as arrows."""
+class SetQuantaloid(Quantaloid):
+    """A quantaloid whose hom elements are frozensets of members, which a
+    document lists sorted by the key ``member_order`` (``None``: as they
+    compare).  Members are tuples, written as lists, unless a subclass
+    overrides ``member_to_doc`` and ``member_from_doc``."""
+
+    member_order = None
+
+    def member_to_doc(self, m) -> Any:
+        return list(m)
+
+    def member_from_doc(self, doc):
+        if not isinstance(doc, list):
+            raise ParseError(f"a member must be a list, not {doc!r}")
+        return tuple(doc)
+
+    def element_to_doc(self, u, v, x):
+        return sorted(map(self.member_to_doc, x), key=self.member_order)
+
+    def element_decoder(self, u, v):
+        lat = self.hom(u, v)
+
+        def decode(doc):
+            if not isinstance(doc, list):
+                raise ParseError(f"a set element must be a list of members, not {doc!r}")
+            value = frozenset(map(self.member_from_doc, doc))
+            lat.check_element(value)
+            return value
+
+        return decode
+
+
+class RelQuantaloid(SetQuantaloid):
+    """Sets, with binary relations ordered by inclusion as arrows; a member is a pair ``[x, y]``."""
 
     def __init__(self, sets: list[list], names: list[str] | None = None):
         super().__init__(names or [f"X{i}" for i in range(len(sets))])
@@ -149,7 +201,7 @@ class RelQuantaloid(Quantaloid):
         return frozenset((x, x) for x in self.sets[u])
 
 
-class LanguageQuantale(Quantaloid):
+class LanguageQuantale(SetQuantaloid):
     """Sets of words of length at most ``k`` under truncated concatenation.
 
     One object; elements are frozensets of words (tuples of symbols) and
@@ -158,6 +210,8 @@ class LanguageQuantale(Quantaloid):
     concatenation that fit, so truncation keeps composition associative.
     The unit is the singleton empty word.
     """
+
+    member_order = staticmethod(lambda word: (len(word), word))
 
     def __init__(self, alphabet: Iterable[str], k: int, max_words: int = 1 << 20):
         super().__init__(["*"])

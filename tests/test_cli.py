@@ -76,6 +76,31 @@ class TestExitCodes:
         assert code == 0
         assert expected > 0 and len(calls) == expected == len({id(cat) for cat in calls})
 
+    def test_validate_checks_each_base_once(self, capsys, monkeypatch, tmp_path):
+        # an explicit table base is checked as it loads, a named construction by ``validate``
+        from enrbisim import documents, quantaloid
+
+        copy_fixtures(tmp_path, ["Q2", "QL_m_2"])
+        (tmp_path / "Q2X.json").write_text(json.dumps(
+            documents.serialize(load_bundle([tmp_path]), "Q2") | {"name": "Q2X"}
+        ))
+        original, calls = quantaloid.validate_quantaloid, []
+
+        def counting(*args, **kwargs):
+            calls.append((args[0], kwargs.get("enum_cap", "default")))
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("enrbisim") and getattr(module, "validate_quantaloid", None) is original:
+                monkeypatch.setattr(module, "validate_quantaloid", counting)
+        code, out = invoke(capsys, "--paths", str(tmp_path), "--enum-cap", "64", "validate")
+        assert code == 0 and json.loads(out)["details"]["checked"] == ["Q2", "Q2X", "QL_m_2"]
+        # Q2X as it loads, then Q2 (a boolean construction) and QL_m_2 with --enum-cap
+        assert [(type(q).__name__, cap) for q, cap in calls] == [
+            ("TableQuantaloid", "default"), ("TableQuantaloid", 64), ("LanguageQuantale", 64)
+        ]
+        assert len({id(q) for q, _ in calls}) == 3
+
 
 class TestDeterminism:
     def test_reports_byte_identical(self, capsys):

@@ -6,12 +6,10 @@ import pytest
 
 from enrbisim.bisim import SimRelation
 from enrbisim.cli import default_fixture_paths, main
-from enrbisim.cts import FiniteCategory
+from enrbisim.cts import FiniteCategory, Morphism, PowersetCatQuantaloid
 from enrbisim.documents import (
     SCHEMA,
     aut_to_doc,
-    element_from_doc,
-    element_to_doc,
     import_aut,
     load_bundle,
     parse_aut,
@@ -24,11 +22,12 @@ from enrbisim.errors import (
     ValidationError,
 )
 from enrbisim.fixtures import aut1, loop1
-from enrbisim.quantaloid import Quantaloid
+from enrbisim.quantaloid import Quantaloid, build_language_quantale
 from enrbisim.vcat import VCategory, validate_vcategory
 
 
 FIXTURES = default_fixture_paths()
+GOLDEN_DOCS = Path(__file__).parent / "golden" / "docs"
 
 
 def write_doc(tmp_path, doc):
@@ -184,15 +183,46 @@ class TestRoundTrips:
         assert a.row_maps == b.row_maps
 
     def test_element_codecs(self):
-        bundle = load_bundle(FIXTURES)
-        for name in ("Q2", "QL_m_2", "M3", "REL1", "BP2"):
-            base = bundle.get(name, Quantaloid)
+        bundle = load_bundle([*FIXTURES, GOLDEN_DOCS])
+        bases = [bundle.get(name, Quantaloid) for name in ("Q2", "QL_m_2", "M3", "REL1", "BP2")]
+        for base in [*bases, bundle.sieve_base("T3")]:
             for u in range(base.n_objects):
                 for v in range(base.n_objects):
-                    lat = base.hom(u, v)
-                    for x in lat.elements():
-                        doc = element_to_doc(base, u, v, x)
-                        assert element_from_doc(base, u, v, doc) == x
+                    decode = base.element_decoder(u, v)
+                    for x in base.hom(u, v).elements():
+                        doc = base.element_to_doc(u, v, x)
+                        assert decode(json.loads(json.dumps(doc))) == x
+                        if isinstance(doc, list):  # a set reads back in any order
+                            assert decode(doc[::-1]) == x
+
+    def test_set_member_order(self):
+        bundle = load_bundle([*FIXTURES, GOLDEN_DOCS])
+        words = build_language_quantale(["m", "n"], 2)
+        assert words.element_to_doc(0, 0, frozenset({("m", "m"), ("n",), ()})) == [[], ["n"], ["m", "m"]]
+        rel = bundle.get("REL1")
+        assert rel.element_to_doc(0, 0, rel.hom(0, 0).top) == [["1", "1"], ["1", "2"], ["2", "1"], ["2", "2"]]
+        # the identity is morphism 0, but members sort by name
+        mono = FiniteCategory(["x"], [Morphism("id", 0, 0), Morphism("e", 0, 0)],
+                              {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1}, [0])
+        assert PowersetCatQuantaloid(mono).element_to_doc(0, 0, frozenset({0, 1})) == ["e", "id"]
+        sieves = bundle.sieve_base("T3")
+        assert sieves.element_to_doc(2, 2, sieves.hom(2, 2).top) == [
+            {"apex": str(i), "left": f"{i}<=2", "right": f"{i}<=2"} for i in range(3)
+        ]
+
+    @pytest.mark.parametrize("label", ["mn", ["mn"], [[["m"]]], {"m": 1}],
+                             ids=["string", "word-string", "nested-word", "object"])
+    def test_set_element_must_be_a_list_of_lists(self, tmp_path, capsys, label):
+        # a string is neither a language nor a word: it would read as its letters
+        write_doc(tmp_path, {"schema": SCHEMA, "name": "QLMN", "kind": "language",
+                             "alphabet": ["m", "n"], "k": 2})
+        write_doc(tmp_path, {"schema": SCHEMA, "name": "G", "kind": "vcategory", "base": "QLMN",
+                             "graph": {"vertices": [{"name": "s", "extent": "*"}],
+                                       "edges": [{"src": "s", "tgt": "s", "label": label}]}})
+        with pytest.raises(ParseError):
+            load_bundle([tmp_path])
+        assert main(["--paths", str(tmp_path), "validate"]) == 2
+        assert "ParseError" in json.loads(capsys.readouterr().out)["details"]["error"]
 
 
 class TestAutImport:
