@@ -394,7 +394,8 @@ class BisimEquivalence:
         rows = carrier.rows
         # each block's least member's joins: the quotient's homs
         self._joins = [_block_joins(rows[block[0]], self.block_of) for block in self.blocks]
-        bad = _unequal_joins(rows, self.block_of, self._joins, self._others())
+        others = (i for block in self.blocks for i in block[1:])  # all but the least
+        bad = _unequal_joins(rows, self.block_of, self._joins, others)
         if bad is not None:
             i, c = bad
             raise NotABisimulation(
@@ -402,10 +403,6 @@ class BisimEquivalence:
                 f"{names[self.blocks[self.block_of[i]][0]]} and {names[i]} have "
                 f"different joins into the block of {names[self.blocks[c][0]]}"
             )
-
-    def _others(self):
-        """The members of each block but its least, block by block."""
-        return (i for block in self.blocks for i in block[1:])
 
     def as_relation(self) -> SimRelation:
         return SimRelation(
@@ -459,27 +456,15 @@ def quotient(a: VCategory, e: BisimEquivalence) -> tuple[VCategory, VFunctor]:
     """Collapse a bisimulation equivalence into a new enrichment.
 
     The hom from one block to another is the join of the carrier's homs
-    from the block's least representative into the whole target block;
-    the join is independent of the representative, which is asserted
-    over all of them.
+    from the block's least representative into the whole target block.
+    ``BisimEquivalence`` checked, when it was built, that each block keeps
+    one extent and that the join does not depend on the representative.
     """
     if e.carrier is not a:
         raise NotABisimulation("the equivalence does not live on this enrichment")
-    base = a.base
     names = [f"[{a.objects[block[0]]}]" for block in e.blocks]
-    extents = []
-    for block in e.blocks:
-        exts = {a.extents[i] for i in block}
-        if len(exts) != 1:
-            raise InternalAssertion("equivalence class mixes extents")
-        extents.append(exts.pop())
-    homs = e._joins
-    bad = _unequal_joins(a.rows, e.block_of, homs, e._others())
-    if bad is not None:
-        raise InternalAssertion(
-            f"quotient hom depends on the representative in {names[e.block_of[bad[0]]]}"
-        )
-    quo = VCategory(base, names, extents, homs)
+    extents = [a.extents[block[0]] for block in e.blocks]
+    quo = VCategory(a.base, names, extents, e._joins)
     q = VFunctor(a, quo, [e.block_of[i] for i in range(a.n_objects)])
     return quo, q
 

@@ -18,11 +18,8 @@ from . import bisim, documents
 from .cob import TwoSidedEnrichment, apply_cob, local_right_adjoints, right_adjoint_cob
 from .cts import CatFunctor, cts_to_vcat, refine
 from .errors import EnrbisimError, ParseError
-from .lattice import DEFAULT_ENUM_CAP
 from .quantaloid import Quantaloid, validate_quantaloid
 from .vcat import VCategory, VFunctor
-
-FIXTURE_ENV = "ENRBISIM_FIXTURES"
 
 
 class Report:
@@ -110,11 +107,7 @@ def _encode_indented(value, newline: str, parts: list[str]) -> None:
 
 
 def default_fixture_paths() -> list[str]:
-    import os
-
-    root = os.environ.get(FIXTURE_ENV)
-    if root:
-        return [root]
+    """The data directory shipped inside the package."""
     from importlib import resources
 
     return [str(resources.files("enrbisim").joinpath("data"))]
@@ -157,14 +150,14 @@ def _store(bundle: documents.Bundle, name: str, out: VCategory) -> dict:
 
 
 def _cmd_validate(bundle, flags) -> Report:
-    """Check the named bases with ``--enum-cap``; every other document,
-    explicit table bases included, was checked as it loaded."""
+    """Check the named bases; every other document, explicit table bases
+    included, was checked as it loaded."""
     names = flags.names or bundle.names()
     problems: dict[str, list[str]] = {}
     for name in names:
         obj = bundle.get(name)
         if bundle.kinds[name] == "quantaloid" and name not in bundle.certified:
-            found = validate_quantaloid(obj, enum_cap=flags.enum_cap).violations
+            found = validate_quantaloid(obj).violations
             if found:
                 problems[name] = list(found)
     verdict = "valid" if not problems else "invalid"
@@ -258,7 +251,7 @@ def _cmd_cob_apply(bundle, flags) -> Report:
 def _cmd_cob_radjoint(bundle, flags) -> Report:
     tse = bundle.get(flags.tse, TwoSidedEnrichment)
     b = bundle.get(flags.b, VCategory)
-    report = local_right_adjoints(tse, enum_cap=flags.enum_cap)
+    report = local_right_adjoints(tse)
     out = right_adjoint_cob(tse, b, report)
     details = {"coherent": report.coherent, "result": _store(bundle, flags.out, out)}
     return Report("cob-radjoint", "valid", details)
@@ -362,8 +355,6 @@ OPTIONS: dict[str, dict] = {
                 "(defaults to the shipped fixtures)"},
     "--aut-alphabet": {"default": None, "help": "comma-separated labels"},
     "--aut-k": {"type": int, "default": None, "help": "word length cutoff"},
-    "--enum-cap": {"type": int, "default": DEFAULT_ENUM_CAP,
-                   "help": "largest hom lattice that exhaustive checks will enumerate"},
 }
 # the global options that take a value, so the token after each is not a command
 _VALUED = tuple(flag for flag, options in OPTIONS.items()

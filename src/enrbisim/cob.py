@@ -14,7 +14,7 @@ import itertools
 from typing import Any, Iterable, Iterator, NamedTuple
 
 from .errors import BaseMismatch, NoAdjoint, NotACongruence, SizeLimit
-from .lattice import DEFAULT_ENUM_CAP, Lattice, MonotoneMap, right_adjoint_of_monotone
+from .lattice import Lattice, MonotoneMap, right_adjoint_of_monotone
 from .quantaloid import LanguageQuantale, Quantaloid
 from .vcat import VCategory
 
@@ -74,7 +74,6 @@ def composition_square(
     cod_obj: list[int],
     maps: dict[tuple[int, int], MonotoneMap],
     triple: tuple[int, int, int],
-    enum_cap: int,
 ) -> Iterator[tuple[Lattice, Any, Any]]:
     """The two sides of the composition square of a family of hom maps.
 
@@ -84,13 +83,13 @@ def composition_square(
     ``h`` composable in ``dom``, where ``lhs = maps[x, y](g) ; maps[y, z](h)``
     is composed in ``cod``, ``rhs = maps[x, z](g ; h)`` and ``lattice`` is
     the ``cod`` hom both lie in.  Raises ``SizeLimit`` at once when one
-    of the two ``dom`` homs has more than ``enum_cap`` elements.
+    of the two ``dom`` homs has more than ``DEFAULT_ENUM_CAP`` elements.
     """
     x, y, z = triple
     d, c = dom_obj, cod_obj
     hom_xy, hom_yz = dom.hom(d[x], d[y]), dom.hom(d[y], d[z])
-    hom_xy.ensure_enumerable(enum_cap)
-    hom_yz.ensure_enumerable(enum_cap)
+    hom_xy.ensure_enumerable()
+    hom_yz.ensure_enumerable()
     lat, m_xy, m_yz, m_xz = cod.hom(c[x], c[z]), maps[x, y], maps[y, z], maps[x, z]
     return (
         (
@@ -103,7 +102,7 @@ def composition_square(
     )
 
 
-def validate_tse(f: TwoSidedEnrichment, enum_cap: int = DEFAULT_ENUM_CAP) -> list[str]:
+def validate_tse(f: TwoSidedEnrichment) -> list[str]:
     """Exhaustive check of the two lax inequalities and component shapes."""
     out = []
     for (x, y), comp in f.components.items():
@@ -133,7 +132,7 @@ def validate_tse(f: TwoSidedEnrichment, enum_cap: int = DEFAULT_ENUM_CAP) -> lis
             lax = all(
                 lat.leq(lhs, rhs)
                 for lat, lhs, rhs in composition_square(
-                    f.source, f.target, f.minus, f.plus, f.components, (x, y, z), enum_cap
+                    f.source, f.target, f.minus, f.plus, f.components, (x, y, z)
                 )
             )
         except SizeLimit:
@@ -190,11 +189,7 @@ class AdjointReport(NamedTuple):
         return self.coherence1 and self.coherence2
 
 
-def local_right_adjoints(
-    f: TwoSidedEnrichment,
-    pointwise_only: bool = False,
-    enum_cap: int = DEFAULT_ENUM_CAP,
-) -> AdjointReport:
+def local_right_adjoints(f: TwoSidedEnrichment, pointwise_only: bool = False) -> AdjointReport:
     """Right Galois adjoints of every component, with coherence flags.
 
     Coherence (the adjoints laxly respecting composition and units) is
@@ -205,20 +200,20 @@ def local_right_adjoints(
     if not pointwise_only and not f.left_leg_bijective():
         raise NoAdjoint("the left leg is not a bijection; pass pointwise_only")
     adjoints = {
-        key: right_adjoint_of_monotone(comp, enum_cap)
+        key: right_adjoint_of_monotone(comp)
         for key, comp in f.components.items()
     }
     if pointwise_only:
         return AdjointReport(adjoints, False, False, ["coherence not checked"])
     # the adjoints run from the target homs, which right_adjoint_of_monotone
-    # has already found enumerable under enum_cap
+    # has already found enumerable
     violations = [
         f"adjoint composition inequality fails at ({x},{y},{z})"
         for x, y, z in itertools.product(range(f.n_carriers), repeat=3)
         if not all(
             lat.leq(lhs, rhs)
             for lat, lhs, rhs in composition_square(
-                f.target, f.source, f.plus, f.minus, adjoints, (x, y, z), enum_cap
+                f.target, f.source, f.plus, f.minus, adjoints, (x, y, z)
             )
         )
     ]
@@ -269,6 +264,11 @@ def right_adjoint_cob(
     return out
 
 
+def require_language_bases(source: Quantaloid, target: Quantaloid) -> None:
+    if not (isinstance(source, LanguageQuantale) and isinstance(target, LanguageQuantale)):
+        raise NotACongruence("both bases must be truncated language quantales")
+
+
 def monoid_congruence_tse(
     source: LanguageQuantale,
     target: LanguageQuantale,
@@ -281,10 +281,7 @@ def monoid_congruence_tse(
     the resulting span is validated because truncation can still break
     laxness for unbalanced congruences.
     """
-    if not isinstance(source, LanguageQuantale) or not isinstance(
-        target, LanguageQuantale
-    ):
-        raise NotACongruence("both bases must be truncated language quantales")
+    require_language_bases(source, target)
     rel = set()
     for m, n in pairs:
         m, n = tuple(m), tuple(n)

@@ -27,9 +27,12 @@ from .errors import (
     SizeLimit,
     ValidationError,
 )
-from .lattice import DEFAULT_ENUM_CAP, Lattice, MonotoneMap, PowersetLattice, TableLattice
+from .lattice import MAX_GENERATORS, Lattice, MonotoneMap, PowersetLattice, TableLattice
 from .quantaloid import Quantaloid, QuantaloidElement, TableQuantaloid
 from .vcat import VCategory, VFunctor, require_same_base
+
+# Most candidate object maps ``enumerate_vfunctors`` may try
+MAX_CANDIDATE_MAPS = 200_000
 
 # ---------------------------------------------------------------------------
 # lattices and quantaloids
@@ -104,7 +107,6 @@ def residual(
     side: str,
     f: QuantaloidElement,
     h: QuantaloidElement,
-    enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> QuantaloidElement:
     """Largest ``g`` with ``f . g <= h`` (right) or ``g . f <= h`` (left).
 
@@ -138,18 +140,18 @@ def residual(
             y for y in hom.universe if out_hom.leq(comp(frozenset({y})), h.value)
         )
     else:
-        hom.ensure_enumerable(enum_cap)
+        hom.ensure_enumerable()
         value = hom.join(g for g in hom.elements() if out_hom.leq(comp(g), h.value))
     if not out_hom.leq(comp(value), h.value):
         raise InternalAssertion(f"{side} residual violates its defining inequality")
     return QuantaloidElement(*free, value)
 
 
-def build_powerset_quantaloid(cat, max_morphisms: int = 12) -> Quantaloid:
+def build_powerset_quantaloid(cat) -> Quantaloid:
     """Powersets of the hom-sets of a finite category, composed pointwise."""
     for c in range(len(cat.objects)):
         for d in range(len(cat.objects)):
-            if len(cat.hom_morphisms(c, d)) > max_morphisms:
+            if len(cat.hom_morphisms(c, d)) > MAX_GENERATORS:
                 raise SizeLimit("hom powerset too large")
     return PowersetCatQuantaloid(cat)
 
@@ -175,17 +177,15 @@ def exists_vnatural(f: VFunctor, g: VFunctor) -> bool:
     )
 
 
-def enumerate_vfunctors(
-    a: VCategory, b: VCategory, cap: int = 200_000
-) -> list[VFunctor]:
+def enumerate_vfunctors(a: VCategory, b: VCategory) -> list[VFunctor]:
     """All functors from ``a`` to ``b``, by exhaustive search."""
     require_same_base(a, b)
     candidates = [b.fiber(a.extents[i]) for i in range(a.n_objects)]
     total = 1
     for c in candidates:
         total *= len(c)
-        if total > cap:
-            raise SizeLimit(f"more than {cap} candidate maps")
+        if total > MAX_CANDIDATE_MAPS:
+            raise SizeLimit(f"more than {MAX_CANDIDATE_MAPS} candidate maps")
     out = []
     for assignment in itertools.product(*candidates):
         mapping = list(assignment)
@@ -524,7 +524,7 @@ def tse_as_vcat(f: TwoSidedEnrichment) -> VCategory:
     return VCategory(f.target, list(f.carriers), list(f.plus), homs)
 
 
-def is_strong_tse(f: TwoSidedEnrichment, enum_cap: int = DEFAULT_ENUM_CAP) -> bool:
+def is_strong_tse(f: TwoSidedEnrichment) -> bool:
     """Whether the components preserve composition and units exactly."""
     for x in range(f.n_carriers):
         if f.component(x, x)(f.source.unit(f.minus[x])) != f.target.unit(f.plus[x]):
@@ -533,7 +533,7 @@ def is_strong_tse(f: TwoSidedEnrichment, enum_cap: int = DEFAULT_ENUM_CAP) -> bo
         lhs == rhs
         for triple in itertools.product(range(f.n_carriers), repeat=3)
         for _, lhs, rhs in composition_square(
-            f.source, f.target, f.minus, f.plus, f.components, triple, enum_cap
+            f.source, f.target, f.minus, f.plus, f.components, triple
         )
     )
 

@@ -21,7 +21,7 @@ from .errors import (
     TypeMismatch,
     UnknownObject,
 )
-from .lattice import DownsetLattice, MonotoneMap, PowersetLattice
+from .lattice import MAX_GENERATORS, DownsetLattice, MonotoneMap, PowersetLattice
 from .quantaloid import SetQuantaloid
 from .cob import TwoSidedEnrichment, apply_cob, local_right_adjoints
 from .vcat import EnrichedGraph, VCategory, free_vcategory
@@ -317,13 +317,13 @@ class CribleQuantaloid(SetQuantaloid):
 
     member_order = staticmethod(lambda d: (d["apex"], d["left"], d["right"]))
 
-    def __init__(self, cat: FiniteCategory, max_spans: int = 12):
+    def __init__(self, cat: FiniteCategory):
         super().__init__(list(cat.objects))
         self.cat = cat
         self._composites: dict[tuple, frozenset] = {}  # (u, v, w, f, g) -> f.g
         for x in range(cat.n_objects):
             for y in range(cat.n_objects):
-                if len(all_spans(cat, x, y)) > max_spans:
+                if len(all_spans(cat, x, y)) > MAX_GENERATORS:
                     raise SizeLimit(
                         f"{len(all_spans(cat, x, y))} spans between "
                         f"{cat.objects[x]} and {cat.objects[y]}"
@@ -358,9 +358,9 @@ class CribleQuantaloid(SetQuantaloid):
         return self.down_close(u, u, [identity_span(self.cat, u)])
 
 
-def build_S_quantaloid(cat: FiniteCategory, max_spans: int = 12) -> CribleQuantaloid:
+def build_S_quantaloid(cat: FiniteCategory) -> CribleQuantaloid:
     """The sieve quantaloid of a finite category with chosen pullbacks."""
-    return CribleQuantaloid(cat, max_spans)
+    return CribleQuantaloid(cat)
 
 
 class CtsSpec(NamedTuple):

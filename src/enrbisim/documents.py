@@ -17,7 +17,14 @@ from pathlib import Path
 from typing import Any
 
 from .bisim import SimRelation
-from .cob import TwoSidedEnrichment, identity_tse, monoid_congruence_tse, monoid_morphism_pairs, validate_tse
+from .cob import (
+    TwoSidedEnrichment,
+    identity_tse,
+    monoid_congruence_tse,
+    monoid_morphism_pairs,
+    require_language_bases,
+    validate_tse,
+)
 from .cts import (
     CatFunctor,
     CribleQuantaloid,
@@ -218,18 +225,16 @@ def _tse_from_doc(doc, resolve) -> TwoSidedEnrichment:
     construction = doc.get("construction", "explicit")
     if construction == "identity":
         return identity_tse(resolve(doc["base"], Quantaloid))
-    if construction == "monoid-congruence":
+    if construction in ("monoid-congruence", "monoid-morphism"):
         source = resolve(doc["source"], Quantaloid)
         target = resolve(doc["target"], Quantaloid)
-        pairs = [(tuple(m), tuple(n)) for m, n in doc["pairs"]]
+        require_language_bases(source, target)  # before a word is read
+        if construction == "monoid-congruence":
+            pairs = [(source.member_from_doc(m), target.member_from_doc(n)) for m, n in doc["pairs"]]
+        else:
+            gen_map = {str(k): target.member_from_doc(v) for k, v in doc["map"].items()}
+            pairs = monoid_morphism_pairs(gen_map, source, target)
         return monoid_congruence_tse(source, target, pairs)
-    if construction == "monoid-morphism":
-        source = resolve(doc["source"], Quantaloid)
-        target = resolve(doc["target"], Quantaloid)
-        gen_map = {str(k): tuple(v) for k, v in doc["map"].items()}
-        return monoid_congruence_tse(
-            source, target, monoid_morphism_pairs(gen_map, source, target)
-        )
     if construction != "explicit":
         raise ParseError(f"unknown span construction {construction!r}")
     source = resolve(doc["source"], Quantaloid)
@@ -293,7 +298,6 @@ class Bundle:
     def __init__(self):
         self.objects: dict[str, Any] = {}
         self.kinds: dict[str, str] = {}
-        self.sieve_bases: dict[str, CribleQuantaloid] = {}
         self.certified: set[str] = set()  # bases whose laws were checked as they loaded
 
     def get(self, name: str, expected: type | str | None = None):
@@ -320,14 +324,17 @@ class Bundle:
         )
 
     def sieve_base(self, fincat_name: str) -> CribleQuantaloid:
-        """The sieve quantaloid of a loaded category, built once and kept
-        under the name ``S(<category>)`` unless a document has that name."""
-        if fincat_name not in self.sieve_bases:
-            sieves = build_S_quantaloid(self.get(fincat_name, FiniteCategory))
-            self.sieve_bases[fincat_name] = sieves
-            self.objects.setdefault(f"S({fincat_name})", sieves)
-            self.kinds.setdefault(f"S({fincat_name})", "quantaloid")
-        return self.sieve_bases[fincat_name]
+        """The sieve quantaloid of a loaded category: the first sieve base
+        over it in the bundle, else one built now and kept under the name
+        ``S(<category>)`` unless a document has that name."""
+        cat = self.get(fincat_name, FiniteCategory)
+        for obj in self.objects.values():
+            if isinstance(obj, CribleQuantaloid) and obj.cat is cat:
+                return obj
+        sieves = build_S_quantaloid(cat)
+        self.objects.setdefault(f"S({fincat_name})", sieves)
+        self.kinds.setdefault(f"S({fincat_name})", "quantaloid")
+        return sieves
 
 
 # in load order: a document refers only to kinds listed before its own

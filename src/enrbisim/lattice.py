@@ -24,8 +24,13 @@ from typing import Any, Iterable, Iterator
 
 from .errors import IncompleteLattice, NoAdjoint, SizeLimit, UnknownElement
 
-# Largest element count we are willing to enumerate exhaustively.
+# Largest element count we are willing to enumerate exhaustively: every
+# exhaustive check (quantaloid laws, laxness of a span, local right
+# adjoints, residuals) reads this one cap.
 DEFAULT_ENUM_CAP = 1 << 13
+# Most generators a rel, powerset or sieve base allows a hom: a powerset
+# of 12 has 2^12 elements, within DEFAULT_ENUM_CAP = 2^13.
+MAX_GENERATORS = 12
 # Most compositions an exhaustive check of a quantaloid's laws may make.
 COMPOSE_BUDGET = 1 << 20
 
@@ -92,10 +97,10 @@ class Lattice:
         if not self.has_element(x):
             raise UnknownElement(f"{x!r} is not an element of {self!r}")
 
-    def ensure_enumerable(self, cap: int = DEFAULT_ENUM_CAP) -> None:
-        if self.size > cap:
+    def ensure_enumerable(self) -> None:
+        if self.size > DEFAULT_ENUM_CAP:
             raise SizeLimit(
-                f"{self!r} has {self.size} elements, more than the cap {cap}"
+                f"{self!r} has {self.size} elements, more than the cap {DEFAULT_ENUM_CAP}"
             )
 
 
@@ -431,16 +436,14 @@ class MonotoneMap:
         return cls(source, target, {x: fn(x) for x in source.elements()})
 
 
-def right_adjoint_of_monotone(
-    f: MonotoneMap, enum_cap: int = DEFAULT_ENUM_CAP
-) -> MonotoneMap:
+def right_adjoint_of_monotone(f: MonotoneMap) -> MonotoneMap:
     """Right Galois adjoint ``g(w) = join{v : f(v) <= w}`` of ``f``.
 
     The adjunction ``f(v) <= w  iff  v <= g(w)`` is verified exhaustively
     before returning; it holds exactly when ``f`` preserves all joins.
     """
-    f.source.ensure_enumerable(enum_cap)
-    f.target.ensure_enumerable(enum_cap)
+    f.source.ensure_enumerable()
+    f.target.ensure_enumerable()
     bad = f.check()
     if bad:
         raise NoAdjoint(f"map is not monotone: {bad[0]}")

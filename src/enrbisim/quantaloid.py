@@ -23,13 +23,15 @@ from .errors import (
 )
 from .lattice import (
     COMPOSE_BUDGET,
-    DEFAULT_ENUM_CAP,
+    MAX_GENERATORS,
     Lattice,
     PowersetLattice,
     TableLattice,
 )
 
 INF = float("inf")
+# Most words a language quantale may hold
+MAX_WORDS = 1 << 20
 
 
 class QuantaloidElement(NamedTuple):
@@ -185,8 +187,8 @@ class SetQuantaloid(Quantaloid):
 class RelQuantaloid(SetQuantaloid):
     """Sets, with binary relations ordered by inclusion as arrows; a member is a pair ``[x, y]``."""
 
-    def __init__(self, sets: list[list], names: list[str] | None = None):
-        super().__init__(names or [f"X{i}" for i in range(len(sets))])
+    def __init__(self, sets: list[list]):
+        super().__init__([f"X{i}" for i in range(len(sets))])
         self.sets = [list(s) for s in sets]
 
     def _make_hom(self, u, v):
@@ -213,7 +215,7 @@ class LanguageQuantale(SetQuantaloid):
 
     member_order = staticmethod(lambda word: (len(word), word))
 
-    def __init__(self, alphabet: Iterable[str], k: int, max_words: int = 1 << 20):
+    def __init__(self, alphabet: Iterable[str], k: int):
         super().__init__(["*"])
         self.alphabet = tuple(alphabet)
         if len(set(self.alphabet)) != len(self.alphabet):
@@ -228,9 +230,9 @@ class LanguageQuantale(SetQuantaloid):
             count = len(self.alphabet) ** length
             n_words, symbols = n_words + count, symbols + length * count
             # within the word cap, a word over two or more letters has at most
-            # log2(max_words) symbols, so the symbol cap binds on one letter only
-            if n_words > max_words or symbols > 32 * max_words:
-                raise SizeLimit(f"the words up to length {self.k} exceed the cap {max_words}")
+            # log2(MAX_WORDS) symbols, so the symbol cap binds on one letter only
+            if n_words > MAX_WORDS or symbols > 32 * MAX_WORDS:
+                raise SizeLimit(f"the words up to length {self.k} exceed the cap {MAX_WORDS}")
         self.words = [
             word
             for length in range(longest + 1)
@@ -239,9 +241,6 @@ class LanguageQuantale(SetQuantaloid):
 
     def _make_hom(self, u, v):
         return PowersetLattice(self.words)
-
-    def truncate(self, words: Iterable[tuple]) -> frozenset:
-        return frozenset(w for w in words if len(w) <= self.k)
 
     def compose(self, u, v, w, f, g):
         k = self.k
@@ -379,12 +378,10 @@ class QuantaloidReport(NamedTuple):
         return self.ok
 
 
-def validate_quantaloid(
-    q: Quantaloid, enum_cap: int = DEFAULT_ENUM_CAP
-) -> QuantaloidReport:
+def validate_quantaloid(q: Quantaloid) -> QuantaloidReport:
     """Exhaustively check units, associativity and join preservation.
 
-    Hom lattices too large to enumerate, and bases whose checks would
+    Hom lattices over ``DEFAULT_ENUM_CAP``, and bases whose checks would
     make more than ``COMPOSE_BUDGET`` compositions, are reported as
     violations: a base that cannot be checked is not certified.
     """
@@ -398,7 +395,7 @@ def validate_quantaloid(
     for u, v in pairs:
         hom = q.hom(u, v)
         try:
-            hom.ensure_enumerable(enum_cap)
+            hom.ensure_enumerable()
         except SizeLimit:
             violations.append(
                 f"hom {q.objects[u]},{q.objects[v]} too large to validate"
@@ -502,9 +499,7 @@ def _law_compositions(size: list[list[int]]) -> int:
     return work
 
 
-def build_rel_quantaloid(
-    sets: list[list], names: list[str] | None = None, max_pairs: int = 12
-) -> RelQuantaloid:
+def build_rel_quantaloid(sets: list[list]) -> RelQuantaloid:
     """Relations between the given finite sets, ordered by inclusion."""
     if not sets:
         raise ValueError("need at least one set")
@@ -512,18 +507,16 @@ def build_rel_quantaloid(
         raise ValueError("a set repeats an element")
     for a in sets:
         for b in sets:
-            if len(a) * len(b) > max_pairs:
+            if len(a) * len(b) > MAX_GENERATORS:
                 raise SizeLimit(
                     f"hom powerset would have 2^{len(a) * len(b)} elements"
                 )
-    return RelQuantaloid(sets, names)
+    return RelQuantaloid(sets)
 
 
-def build_language_quantale(
-    alphabet: Iterable[str], k: int, max_words: int = 1 << 20
-) -> LanguageQuantale:
+def build_language_quantale(alphabet: Iterable[str], k: int) -> LanguageQuantale:
     """Truncated word languages over ``alphabet`` with cutoff ``k``."""
-    return LanguageQuantale(alphabet, k, max_words)
+    return LanguageQuantale(alphabet, k)
 
 
 def build_metric_quantale(grid) -> MetricQuantale:

@@ -351,8 +351,7 @@ def free_vcategory(base: Quantaloid, graph: EnrichedGraph) -> VCategory:
             )
 
     if isinstance(base, LanguageQuantale):
-        labelled = [(s, t, base.truncate(lab)) for s, t, lab in graph.edges]
-        return VCategory(base, names, extents, base.path_homs(n, labelled))
+        return VCategory(base, names, extents, base.path_homs(n, graph.edges))
     return VCategory(base, names, extents, _kleene_closure(base, extents, graph.edges))
 
 

@@ -86,20 +86,20 @@ class TestExitCodes:
         ))
         original, calls = quantaloid.validate_quantaloid, []
 
-        def counting(*args, **kwargs):
-            calls.append((args[0], kwargs.get("enum_cap", "default")))
-            return original(*args, **kwargs)
+        def counting(q):
+            calls.append(q)
+            return original(q)
 
         for name, module in list(sys.modules.items()):
             if name.startswith("enrbisim") and getattr(module, "validate_quantaloid", None) is original:
                 monkeypatch.setattr(module, "validate_quantaloid", counting)
-        code, out = invoke(capsys, "--paths", str(tmp_path), "--enum-cap", "64", "validate")
+        code, out = invoke(capsys, "--paths", str(tmp_path), "validate")
         assert code == 0 and json.loads(out)["details"]["checked"] == ["Q2", "Q2X", "QL_m_2"]
-        # Q2X as it loads, then Q2 (a boolean construction) and QL_m_2 with --enum-cap
-        assert [(type(q).__name__, cap) for q, cap in calls] == [
-            ("TableQuantaloid", "default"), ("TableQuantaloid", 64), ("LanguageQuantale", 64)
+        # Q2X as it loads, then Q2 (a boolean construction) and QL_m_2 in ``validate``
+        assert [type(q).__name__ for q in calls] == [
+            "TableQuantaloid", "TableQuantaloid", "LanguageQuantale"
         ]
-        assert len({id(q) for q, _ in calls}) == 3
+        assert len({id(q) for q in calls}) == 3
 
 
 class TestDeterminism:
@@ -248,15 +248,6 @@ class TestCommands:
         assert code == 0
 
 
-class TestFixtureRoot:
-    def test_env_var_overrides_fixture_root(self, tmp_path, monkeypatch, capsys):
-        copy_fixtures(tmp_path, ["Q2", "POINT"])
-        monkeypatch.setenv("ENRBISIM_FIXTURES", str(tmp_path))
-        code, out = invoke(capsys, "validate")
-        assert code == 0
-        assert json.loads(out)["details"]["checked"] == ["POINT", "Q2"]
-
-
 class TestQuantaloidWorkBound:
     def test_oversized_base_is_refused_quickly(self, capsys, tmp_path):
         # one hom of 2^9 relations: the exhaustive law checks would make
@@ -377,7 +368,7 @@ VALID_ARGV = {
     "span": ["--aut-alphabet", "a,b", "--aut-k", "3", "span", "--a", "X", "--b", "Y"],
     "cob-apply": ["cob-apply", "--tse", "T", "--a", "X", "--out", "O"],
     "cob-radjoint": ["cob-radjoint", "--tse", "T", "--b", "Y"],
-    "axioms": ["--enum-cap", "64", "axioms", "--base", "Q2", "--seed", "3", "--cases", "5"],
+    "axioms": ["axioms", "--base", "Q2", "--seed", "3", "--cases", "5"],
     "cts-build": ["cts-build", "--spec", "S"],
     "cts-refine": ["--paths", "d1", "--paths", "d2", "cts-refine", "--spec", "S", "--functor", "G"],
 }

@@ -15,8 +15,10 @@ from enrbisim.documents import (
     parse_aut,
     serialize,
 )
+from enrbisim.cob import TwoSidedEnrichment
 from enrbisim.errors import (
     DanglingReference,
+    NotACongruence,
     ParseError,
     UnknownLabel,
     ValidationError,
@@ -340,6 +342,55 @@ class TestRelationAndFunctorDocs:
         assert ren.component(0, 0)(frozenset({("m",)})) == frozenset({("n",)})
         ident = bundle.get("ID")
         assert ident.component(0, 0)(frozenset({("m",)})) == frozenset({("m",)})
+
+    @pytest.mark.parametrize("construction, strings, lists", [
+        ("monoid-congruence", {"pairs": [[[], []], ["m", "x"], ["mm", "xx"]]},
+         {"pairs": [[[], []], [["m"], ["x"]], [["m", "m"], ["x", "x"]]]}),
+        ("monoid-morphism", {"map": {"m": "x"}}, {"map": {"m": ["x"]}}),
+    ], ids=["congruence-pairs", "morphism-map"])
+    def test_span_words_must_be_lists(self, tmp_path, construction, strings, lists):
+        # a string word would read as its letters: "mm" as the word m·m
+        for name, letter in (("QLm", "m"), ("QLx", "x")):
+            write_doc(tmp_path, {"schema": SCHEMA, "name": name, "kind": "language",
+                                 "alphabet": [letter], "k": 2})
+        span = {"schema": SCHEMA, "name": "T", "kind": "tse", "construction": construction,
+                "source": "QLm", "target": "QLx"}
+        write_doc(tmp_path, span | strings)
+        with pytest.raises(ParseError, match="a member must be a list"):
+            load_bundle([tmp_path])
+        write_doc(tmp_path, span | lists)
+        tse = load_bundle([tmp_path]).get("T", TwoSidedEnrichment)
+        assert tse.component(0, 0)(frozenset({("m", "m")})) == frozenset({("x", "x")})
+
+    @pytest.mark.parametrize("construction, words", [
+        ("monoid-congruence", {"pairs": [["m", "x"]]}), ("monoid-morphism", {"map": {"m": "x"}}),
+    ])
+    def test_span_words_need_language_bases(self, tmp_path, construction, words):
+        # the bases are checked before a word is read
+        copy = Path(FIXTURES[0]) / "Q2.json"
+        (tmp_path / copy.name).write_text(copy.read_text())
+        write_doc(tmp_path, {"schema": SCHEMA, "name": "T", "kind": "tse", "construction": construction,
+                             "source": "Q2", "target": "Q2"} | words)
+        with pytest.raises(NotACongruence, match="both bases must be truncated language quantales"):
+            load_bundle([tmp_path])
+
+
+class TestSieveBase:
+    @pytest.mark.parametrize("name", ["S(P2)", "SQ"])
+    def test_loaded_sieve_base_is_used(self, tmp_path, capsys, name):
+        # a sieves document over the spec's category is the base cts-build builds over
+        for path in (Path(FIXTURES[0]) / "P2.json", GOLDEN_DOCS / "SPEC.json"):
+            (tmp_path / path.name).write_text(path.read_text())
+        write_doc(tmp_path, {"schema": SCHEMA, "name": name, "kind": "sieves", "category": "P2"})
+        bundle = load_bundle([tmp_path])
+        assert bundle.sieve_base("P2") is bundle.get(name)
+        assert main(["--paths", str(tmp_path), "cts-build", "--spec", "SPEC"]) == 0
+        assert json.loads(capsys.readouterr().out)["details"]["result"]["base"] == name
+
+    def test_sieve_base_is_built_once(self):
+        bundle = load_bundle([*FIXTURES, GOLDEN_DOCS])
+        sieves = bundle.sieve_base("P2")
+        assert bundle.sieve_base("P2") is sieves is bundle.get("S(P2)")
 
 
 class TestFinCatDocs:

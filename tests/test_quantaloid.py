@@ -10,6 +10,7 @@ from enrbisim.fixtures import bp2, m3, penta, q2, ql, rel1
 from enrbisim.lattice import COMPOSE_BUDGET, TableLattice
 from enrbisim.quantaloid import (
     INF,
+    MAX_WORDS,
     TableQuantaloid,
     _law_compositions,
     build_language_quantale,
@@ -199,8 +200,10 @@ class TestRelQuantaloid:
         assert rel1().unit(0) == frozenset({(1, 1), (2, 2)})
 
     def test_size_limit(self):
-        with pytest.raises(SizeLimit):
-            build_rel_quantaloid([list(range(6))], max_pairs=12)
+        # a set of three has 9 pairs, within MAX_GENERATORS = 12; a set of four has 16
+        assert build_rel_quantaloid([[0, 1, 2]]).hom(0, 0).size == 2**9
+        with pytest.raises(SizeLimit, match=r"2\^16"):
+            build_rel_quantaloid([[0, 1, 2, 3]])
 
 
 class TestPowersetQuantaloid:
@@ -248,8 +251,10 @@ class TestLanguageQuantale:
             assert lhs == rhs
 
     def test_word_cap(self):
-        with pytest.raises(SizeLimit):
-            build_language_quantale(["a", "b"], 30, max_words=1000)
+        # 2^20 - 1 words up to length 19 over two letters fit the cap; up to 20 do not
+        assert sum(2**n for n in range(20)) <= MAX_WORDS < sum(2**n for n in range(21))
+        with pytest.raises(SizeLimit, match=f"the words up to length 20 exceed the cap {MAX_WORDS}"):
+            build_language_quantale(["a", "b"], 20)
 
     @pytest.mark.parametrize("alphabet", [["m"], ["a", "b"]])
     def test_huge_cutoff_is_refused_before_building(self, alphabet):

@@ -7,6 +7,7 @@ import pytest
 
 from enrbisim.cli import main
 from enrbisim.constructions import (
+    MAX_CANDIDATE_MAPS,
     LaxRelationalPresentation,
     decode_slice,
     encode_slice,
@@ -818,9 +819,13 @@ class TestEnumerateVFunctors:
         assert enumerate_vfunctors(a, empty) == []
 
     def test_cap(self, Q2):
-        c = codisc2(Q2)
-        with pytest.raises(SizeLimit):
-            enumerate_vfunctors(c, c, cap=1)
+        # seven objects over one base object: 7^7 candidate maps, over the cap
+        n = 7
+        homs = [dict.fromkeys(range(n), 1) for _ in range(n)]
+        c = VCategory(Q2, [f"c{i}" for i in range(n)], [0] * n, homs)
+        assert n**n > MAX_CANDIDATE_MAPS
+        with pytest.raises(SizeLimit, match=f"more than {MAX_CANDIDATE_MAPS} candidate maps"):
+            enumerate_vfunctors(c, c)
 
 
 class TestLaxRelational:
