@@ -1,70 +1,67 @@
-"""Simulation and bisimulation for categories enriched over finite quantaloids."""
+"""Simulation and bisimulation for categories enriched over finite quantaloids.
 
-from .errors import EnrbisimError
-from .lattice import (
-    Lattice,
-    MonotoneMap,
-    PowersetLattice,
-    TableLattice,
-    right_adjoint_of_monotone,
-)
-from .quantaloid import (
-    LanguageQuantale,
-    Quantaloid,
-    QuantaloidElement,
-    TableQuantaloid,
-    build_language_quantale,
-    build_metric_quantale,
-    build_rel_quantaloid,
-    tensor,
-    validate_quantaloid,
-)
-from .vcat import (
-    EnrichedGraph,
-    VCategory,
-    VFunctor,
-    free_vcategory,
-    pullback,
-    validate_vcategory,
-    validate_vfunctor,
-)
-from .bisim import (
-    BisimEquivalence,
-    SimRelation,
-    bisimilar,
-    cospan_witness,
-    equivalence_closure,
-    is_bisimulation,
-    is_functional_bisimulation,
-    is_od,
-    is_simulation,
-    largest_bisimulation,
-    largest_simulation,
-    quotient,
-    simulates,
-    span_witness,
-)
-from .cob import (
-    TwoSidedEnrichment,
-    apply_cob,
-    local_right_adjoints,
-    monoid_congruence_tse,
-    right_adjoint_cob,
-    validate_tse,
-)
-from .cts import (
-    CatFunctor,
-    CribleQuantaloid,
-    CtsSpec,
-    FiniteCategory,
-    Span,
-    build_S_quantaloid,
-    cts_to_vcat,
-    refine,
-    span_compose,
-    span_leq,
-    validate_fincat,
-)
-from .documents import import_aut, load_bundle, serialize
+Importing the package runs no module of it.  ``bisim``, ``cts`` and
+``cob`` are lazy: they sit in ``sys.modules`` and on the package from
+the start, and the first attribute read on one compiles and runs it, so
+a command that never reaches a module does not pay for it.  The names
+below resolve on first use, from the module that defines each.
+"""
 
+import importlib
+import importlib.util
+import sys
+
+
+def _lazy(*names: str) -> None:
+    """Register each submodule of ``names`` without running it (the
+    ``LazyLoader`` recipe of the ``importlib`` documentation)."""
+    for name in names:
+        spec = importlib.util.find_spec(f"{__name__}.{name}")
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = globals()[name] = module
+        spec.loader.exec_module(module)
+
+
+_lazy("bisim", "cts", "cob")
+
+_EXPORTS = {
+    "errors": ("EnrbisimError",),
+    "lattice": (
+        "Lattice", "MonotoneMap", "PowersetLattice", "TableLattice", "right_adjoint_of_monotone",
+    ),
+    "quantaloid": (
+        "LanguageQuantale", "Quantaloid", "QuantaloidElement", "TableQuantaloid",
+        "build_language_quantale", "build_metric_quantale", "build_rel_quantaloid", "tensor",
+        "validate_quantaloid",
+    ),
+    "vcat": (
+        "EnrichedGraph", "VCategory", "VFunctor", "free_vcategory", "pullback",
+        "validate_vcategory", "validate_vfunctor",
+    ),
+    "bisim": (
+        "BisimEquivalence", "SimRelation", "bisimilar", "cospan_witness", "equivalence_closure",
+        "is_bisimulation", "is_functional_bisimulation", "is_od", "is_simulation",
+        "largest_bisimulation", "largest_simulation", "quotient", "simulates", "span_witness",
+    ),
+    "cob": (
+        "TwoSidedEnrichment", "apply_cob", "local_right_adjoints", "monoid_congruence_tse",
+        "right_adjoint_cob", "validate_tse",
+    ),
+    "cts": (
+        "CatFunctor", "CribleQuantaloid", "CtsSpec", "FiniteCategory", "Span",
+        "build_S_quantaloid", "cts_to_vcat", "refine", "span_compose", "span_leq",
+        "validate_fincat",
+    ),
+    "documents": ("import_aut", "load_bundle", "serialize"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """An exported name, read from its module (PEP 562)."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)

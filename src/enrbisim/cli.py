@@ -14,9 +14,8 @@ import sys
 import time
 from typing import Any, Callable
 
-from . import bisim, documents
-from .cob import TwoSidedEnrichment, apply_cob, local_right_adjoints, right_adjoint_cob
-from .cts import CatFunctor, cts_to_vcat, refine
+# bisim, cob and cts are lazy (see the package): read their names at call time
+from . import bisim, cob, cts, documents
 from .errors import EnrbisimError, ParseError
 from .quantaloid import Quantaloid, validate_quantaloid
 from .vcat import VCategory, VFunctor
@@ -243,16 +242,16 @@ def _cmd_span(bundle, flags) -> Report:
 
 
 def _cmd_cob_apply(bundle, flags) -> Report:
-    tse = bundle.get(flags.tse, TwoSidedEnrichment)
-    out = apply_cob(tse, bundle.get(flags.a, VCategory))
+    tse = bundle.get(flags.tse, cob.TwoSidedEnrichment)
+    out = cob.apply_cob(tse, bundle.get(flags.a, VCategory))
     return Report("cob-apply", "valid", {"result": _store(bundle, flags.out, out)})
 
 
 def _cmd_cob_radjoint(bundle, flags) -> Report:
-    tse = bundle.get(flags.tse, TwoSidedEnrichment)
+    tse = bundle.get(flags.tse, cob.TwoSidedEnrichment)
     b = bundle.get(flags.b, VCategory)
-    report = local_right_adjoints(tse)
-    out = right_adjoint_cob(tse, b, report)
+    report = cob.local_right_adjoints(tse)
+    out = cob.right_adjoint_cob(tse, b, report)
     details = {"coherent": report.coherent, "result": _store(bundle, flags.out, out)}
     return Report("cob-radjoint", "valid", details)
 
@@ -297,7 +296,7 @@ def _cmd_cts_build(bundle, flags) -> Report:
     cat, spec = bundle.get(flags.spec, "ctsspec")  # loaded as (category, spec)
     sieves = bundle.sieve_base(bundle.name_of(cat))
     base_report = validate_quantaloid(sieves)
-    out = cts_to_vcat(sieves, spec)
+    out = cts.cts_to_vcat(sieves, spec)
     return Report(
         "cts-build",
         "valid" if base_report.ok else "invalid",
@@ -309,12 +308,12 @@ def _cmd_cts_build(bundle, flags) -> Report:
 
 
 def _cmd_cts_refine(bundle, flags) -> Report:
-    fun = bundle.get(flags.functor, CatFunctor)
+    fun = bundle.get(flags.functor, cts.CatFunctor)
     cat, spec = bundle.get(flags.spec, "ctsspec")
     source_sq = bundle.sieve_base(bundle.name_of(cat))
-    a = cts_to_vcat(source_sq, spec)
+    a = cts.cts_to_vcat(source_sq, spec)
     target_sq = bundle.sieve_base(bundle.name_of(fun.target))
-    out = refine(fun, a, source_sq, target_sq)
+    out = cts.refine(fun, a, source_sq, target_sq)
     return Report("cts-refine", "valid", {"result": _store(bundle, flags.out, out)})
 
 

@@ -27,7 +27,7 @@ from .errors import (
     SizeLimit,
     ValidationError,
 )
-from .lattice import MAX_GENERATORS, Lattice, MonotoneMap, PowersetLattice, TableLattice
+from .lattice import Lattice, MonotoneMap, PowersetLattice, TableLattice
 from .quantaloid import Quantaloid, QuantaloidElement, TableQuantaloid
 from .vcat import VCategory, VFunctor, require_same_base
 
@@ -149,10 +149,6 @@ def residual(
 
 def build_powerset_quantaloid(cat) -> Quantaloid:
     """Powersets of the hom-sets of a finite category, composed pointwise."""
-    for c in range(len(cat.objects)):
-        for d in range(len(cat.objects)):
-            if len(cat.hom_morphisms(c, d)) > MAX_GENERATORS:
-                raise SizeLimit("hom powerset too large")
     return PowersetCatQuantaloid(cat)
 
 

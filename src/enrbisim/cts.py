@@ -228,6 +228,10 @@ class PowersetCatQuantaloid(SetQuantaloid):
     def __init__(self, cat: FiniteCategory):
         super().__init__(list(cat.objects))
         self.cat = cat
+        for x in range(cat.n_objects):
+            for y in range(cat.n_objects):
+                if len(cat.hom_morphisms(x, y)) > MAX_GENERATORS:
+                    raise SizeLimit("hom powerset too large")
 
     def member_to_doc(self, m):
         return self.cat.morphisms[m].name

@@ -16,26 +16,8 @@ import re
 from pathlib import Path
 from typing import Any
 
-from .bisim import SimRelation
-from .cob import (
-    TwoSidedEnrichment,
-    identity_tse,
-    monoid_congruence_tse,
-    monoid_morphism_pairs,
-    require_language_bases,
-    validate_tse,
-)
-from .cts import (
-    CatFunctor,
-    CribleQuantaloid,
-    CtsSpec,
-    FiniteCategory,
-    Morphism,
-    PowersetCatQuantaloid,
-    build_S_quantaloid,
-    span_from_doc,
-    validate_fincat,
-)
+# bisim, cob and cts are lazy (see the package): read their names at call time
+from . import bisim, cob, cts
 from .errors import (
     DanglingReference,
     ParseError,
@@ -84,9 +66,9 @@ def _quantaloid_from_doc(doc, resolve) -> Quantaloid:
     if kind == "rel":
         return build_rel_quantaloid([list(s) for s in doc["sets"]])
     if kind == "powerset":
-        return PowersetCatQuantaloid(resolve(doc["category"], FiniteCategory))
+        return cts.PowersetCatQuantaloid(resolve(doc["category"], cts.FiniteCategory))
     if kind == "sieves":
-        return build_S_quantaloid(resolve(doc["category"], FiniteCategory))
+        return cts.build_S_quantaloid(resolve(doc["category"], cts.FiniteCategory))
     if kind != "explicit":
         raise ParseError(f"unknown quantaloid construction {kind!r}")
     objects = [str(o) for o in doc["objects"]]
@@ -110,15 +92,15 @@ def _quantaloid_from_doc(doc, resolve) -> Quantaloid:
     return q
 
 
-def _fincat_from_doc(doc) -> FiniteCategory:
+def _fincat_from_doc(doc) -> cts.FiniteCategory:
     if doc.get("construction") == "poset":
-        cat = FiniteCategory.poset(
+        cat = cts.FiniteCategory.poset(
             [str(n) for n in doc["elements"]], [tuple(p) for p in doc["leq"]]
         )
     else:
         objects = [str(o) for o in doc["objects"]]
         morphisms = [
-            Morphism(str(m["name"]), int(m["src"]), int(m["tgt"]))
+            cts.Morphism(str(m["name"]), int(m["src"]), int(m["tgt"]))
             for m in doc["morphisms"]
         ]
         compose = _once(doc, "compose", (((int(f), int(g)), int(h)) for f, g, h in doc["compose"]))
@@ -126,8 +108,8 @@ def _fincat_from_doc(doc) -> FiniteCategory:
         pullbacks = _once(doc, "pullbacks", (
             ((int(f), int(g)), (int(p1), int(p2))) for f, g, p1, p2 in doc.get("pullbacks", [])
         ))
-        cat = FiniteCategory(objects, morphisms, compose, identities, pullbacks)
-    problems = validate_fincat(cat)
+        cat = cts.FiniteCategory(objects, morphisms, compose, identities, pullbacks)
+    problems = cts.validate_fincat(cat)
     if problems:
         raise ValidationError(f"category invalid: {problems[0]}")
     return cat
@@ -213,28 +195,28 @@ def _vfunctor_from_doc(doc, resolve) -> VFunctor:
     return f
 
 
-def _relation_from_doc(doc, resolve) -> SimRelation:
+def _relation_from_doc(doc, resolve) -> bisim.SimRelation:
     left = resolve(doc["left"], VCategory)
     right = resolve(doc["right"], VCategory)
-    return SimRelation.from_names(
+    return bisim.SimRelation.from_names(
         left, right, [(str(a), str(b)) for a, b in doc["pairs"]]
     )
 
 
-def _tse_from_doc(doc, resolve) -> TwoSidedEnrichment:
+def _tse_from_doc(doc, resolve) -> cob.TwoSidedEnrichment:
     construction = doc.get("construction", "explicit")
     if construction == "identity":
-        return identity_tse(resolve(doc["base"], Quantaloid))
+        return cob.identity_tse(resolve(doc["base"], Quantaloid))
     if construction in ("monoid-congruence", "monoid-morphism"):
         source = resolve(doc["source"], Quantaloid)
         target = resolve(doc["target"], Quantaloid)
-        require_language_bases(source, target)  # before a word is read
+        cob.require_language_bases(source, target)  # before a word is read
         if construction == "monoid-congruence":
             pairs = [(source.member_from_doc(m), target.member_from_doc(n)) for m, n in doc["pairs"]]
         else:
             gen_map = {str(k): target.member_from_doc(v) for k, v in doc["map"].items()}
-            pairs = monoid_morphism_pairs(gen_map, source, target)
-        return monoid_congruence_tse(source, target, pairs)
+            pairs = cob.monoid_morphism_pairs(gen_map, source, target)
+        return cob.monoid_congruence_tse(source, target, pairs)
     if construction != "explicit":
         raise ParseError(f"unknown span construction {construction!r}")
     source = resolve(doc["source"], Quantaloid)
@@ -253,16 +235,16 @@ def _tse_from_doc(doc, resolve) -> TwoSidedEnrichment:
         components[(x, y)] = MonotoneMap(
             source.hom(minus[x], minus[y]), target.hom(plus[x], plus[y]), mapping
         )
-    tse = TwoSidedEnrichment(source, target, carriers, minus, plus, components)
-    problems = validate_tse(tse)
+    tse = cob.TwoSidedEnrichment(source, target, carriers, minus, plus, components)
+    problems = cob.validate_tse(tse)
     if problems:
         raise ValidationError(f"span invalid: {problems[0]}")
     return tse
 
 
-def _catfunctor_from_doc(doc, resolve) -> CatFunctor:
-    source = resolve(doc["source"], FiniteCategory)
-    target = resolve(doc["target"], FiniteCategory)
+def _catfunctor_from_doc(doc, resolve) -> cts.CatFunctor:
+    source = resolve(doc["source"], cts.FiniteCategory)
+    target = resolve(doc["target"], cts.FiniteCategory)
     obj_map = [
         target.object_index(str(doc["objects"][name])) for name in source.objects
     ]
@@ -270,23 +252,24 @@ def _catfunctor_from_doc(doc, resolve) -> CatFunctor:
         target.morphism_index(str(doc["morphisms"][m.name]))
         for m in source.morphisms
     ]
-    fun = CatFunctor(source, target, obj_map, mor_map)
+    fun = cts.CatFunctor(source, target, obj_map, mor_map)
     problems = fun.validate()
     if problems:
         raise ValidationError(f"functor invalid: {problems[0]}")
     return fun
 
 
-def _ctsspec_from_doc(doc, resolve) -> tuple[FiniteCategory, CtsSpec]:
-    cat = resolve(doc["category"], FiniteCategory)
+def _ctsspec_from_doc(doc, resolve) -> tuple[cts.FiniteCategory, cts.CtsSpec]:
+    cat = resolve(doc["category"], cts.FiniteCategory)
     vertices = [
         (str(v["name"]), cat.object_index(str(v["type"]))) for v in doc["vertices"]
     ]
     index = _name_lookup(doc, [n for n, _ in vertices])
     edges = []
     for e in doc["edges"]:
-        edges.append((index(str(e["src"])), index(str(e["tgt"])), span_from_doc(cat, e["span"])))
-    return cat, CtsSpec(vertices, edges)
+        s, t = index(str(e["src"])), index(str(e["tgt"]))
+        edges.append((s, t, cts.span_from_doc(cat, e["span"])))
+    return cat, cts.CtsSpec(vertices, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -323,17 +306,22 @@ class Bundle:
             n for n, k in self.kinds.items() if kind is None or k == kind
         )
 
-    def sieve_base(self, fincat_name: str) -> CribleQuantaloid:
+    def sieve_base(self, fincat_name: str) -> cts.CribleQuantaloid:
         """The sieve quantaloid of a loaded category: the first sieve base
         over it in the bundle, else one built now and kept under the name
-        ``S(<category>)`` unless a document has that name."""
-        cat = self.get(fincat_name, FiniteCategory)
+        ``S(<category>)``, which no other object may have."""
+        cat = self.get(fincat_name, cts.FiniteCategory)
         for obj in self.objects.values():
-            if isinstance(obj, CribleQuantaloid) and obj.cat is cat:
+            if isinstance(obj, cts.CribleQuantaloid) and obj.cat is cat:
                 return obj
-        sieves = build_S_quantaloid(cat)
-        self.objects.setdefault(f"S({fincat_name})", sieves)
-        self.kinds.setdefault(f"S({fincat_name})", "quantaloid")
+        name = f"S({fincat_name})"
+        if name in self.objects:
+            raise ValidationError(
+                f"the sieve base of {fincat_name!r} would be named {name!r}, "
+                f"but that names a {self.kinds[name]} that is not a sieve base over it"
+            )
+        sieves = self.objects[name] = cts.build_S_quantaloid(cat)
+        self.kinds[name] = "quantaloid"
         return sieves
 
 
@@ -572,9 +560,9 @@ def _quantaloid_to_doc(bundle, name, q) -> dict:
         }
     if isinstance(q, RelQuantaloid):
         return head | {"construction": "rel", "sets": [list(s) for s in q.sets]}
-    if isinstance(q, PowersetCatQuantaloid):
+    if isinstance(q, cts.PowersetCatQuantaloid):
         return head | {"construction": "powerset", "category": bundle.name_of(q.cat)}
-    if isinstance(q, CribleQuantaloid):
+    if isinstance(q, cts.CribleQuantaloid):
         return head | {"construction": "sieves", "category": bundle.name_of(q.cat)}
     if isinstance(q, TableQuantaloid):
         objects = list(q.objects)
@@ -608,7 +596,7 @@ def _quantaloid_to_doc(bundle, name, q) -> dict:
     raise ValidationError(f"cannot serialize base {q!r}")
 
 
-def _fincat_to_doc(name, cat: FiniteCategory) -> dict:
+def _fincat_to_doc(name, cat: cts.FiniteCategory) -> dict:
     return {
         "schema": SCHEMA,
         "name": name,

@@ -20,6 +20,7 @@ from enrbisim.errors import (
     DanglingReference,
     NotACongruence,
     ParseError,
+    SizeLimit,
     UnknownLabel,
     ValidationError,
 )
@@ -391,6 +392,49 @@ class TestSieveBase:
         bundle = load_bundle([*FIXTURES, GOLDEN_DOCS])
         sieves = bundle.sieve_base("P2")
         assert bundle.sieve_base("P2") is sieves is bundle.get("S(P2)")
+
+    def test_name_taken_by_another_document(self, tmp_path, capsys):
+        # the base cts-build would build over P2 cannot be kept under S(P2)
+        for path in (Path(FIXTURES[0]) / "P2.json", GOLDEN_DOCS / "SPEC.json"):
+            (tmp_path / path.name).write_text(path.read_text())
+        write_doc(tmp_path, {"schema": SCHEMA, "name": "S(P2)", "kind": "boolean"})
+        with pytest.raises(ValidationError, match=r"'S\(P2\)'.*quantaloid"):
+            load_bundle([tmp_path]).sieve_base("P2")
+        assert main(["--paths", str(tmp_path), "cts-build", "--spec", "SPEC"]) == 2
+        error = json.loads(capsys.readouterr().out)["details"]["error"]
+        assert error.startswith("ValidationError: the sieve base of 'P2' would be named 'S(P2)'")
+
+
+def cyclic_monoid_doc(name: str, order: int) -> dict:
+    """A one-object category whose morphisms g^0 .. g^(order-1) compose by adding exponents."""
+    return {
+        "schema": SCHEMA, "name": name, "kind": "fincat", "objects": ["*"],
+        "morphisms": [{"name": f"g{i}", "src": 0, "tgt": 0} for i in range(order)],
+        "compose": [[i, j, (i + j) % order] for i in range(order) for j in range(order)],
+        "identities": [0],
+    }
+
+
+class TestPowersetBase:
+    def test_generator_cap(self, tmp_path, capsys):
+        # 13 morphisms are over MAX_GENERATORS, for a document as for the builder
+        from enrbisim.constructions import build_powerset_quantaloid
+
+        write_doc(tmp_path, cyclic_monoid_doc("C13", 13))
+        cat = load_bundle([tmp_path]).get("C13", FiniteCategory)
+        with pytest.raises(SizeLimit, match="hom powerset too large"):
+            build_powerset_quantaloid(cat)
+        write_doc(tmp_path, {"schema": SCHEMA, "name": "PC", "kind": "powerset", "category": "C13"})
+        with pytest.raises(SizeLimit, match="hom powerset too large"):
+            load_bundle([tmp_path])
+        assert main(["--paths", str(tmp_path), "validate"]) == 2
+        error = json.loads(capsys.readouterr().out)["details"]["error"]
+        assert error == "SizeLimit: hom powerset too large"
+
+    def test_within_the_cap(self, tmp_path):
+        write_doc(tmp_path, cyclic_monoid_doc("C12", 12))
+        write_doc(tmp_path, {"schema": SCHEMA, "name": "PC", "kind": "powerset", "category": "C12"})
+        assert isinstance(load_bundle([tmp_path]).get("PC"), PowersetCatQuantaloid)
 
 
 class TestFinCatDocs:

@@ -1,15 +1,23 @@
-"""The import set of the command-line module.
+"""What an ``enrbisim`` request loads, and which of it runs.
 
 Every ``enrbisim`` run is a fresh process, so what ``import enrbisim.cli``
-loads is paid on every request.  The modules below stay off that path;
-the eight package modules are the ones the benchmark's tracer wraps, so
-they must stay on it.
+loads is paid on every request, and so is compiling each module whose
+code runs when no bytecode cache is written.  The modules in KEPT_OFF
+stay off that path.  The eight package modules the benchmark's tracer
+wraps (TRACED) are all in ``sys.modules`` after the import, but three of
+them (LAZY) are registered unrun: a module of those runs only when a
+command first reads one of its names, so a request runs only the ones
+it reaches.  The ``exec`` audit event, raised each time a module's code
+runs, from source or from a bytecode cache, tells which ran.
 """
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -30,17 +38,116 @@ TRACED = {
 }
 
 
-def modules_after(statement: str) -> set[str]:
-    """``sys.modules`` of a fresh interpreter after running ``statement``."""
+LAZY = {"enrbisim.bisim", "enrbisim.cts", "enrbisim.cob"}
+DATA = SRC / "enrbisim" / "data"
+GOLDEN_DOCS = Path(__file__).parent / "golden" / "docs"
+# what ``from enrbisim import ...`` offers, by the module that defines it
+EXPORTS = {
+    "errors": ["EnrbisimError"],
+    "lattice": ["Lattice", "MonotoneMap", "PowersetLattice", "TableLattice",
+                "right_adjoint_of_monotone"],
+    "quantaloid": ["LanguageQuantale", "Quantaloid", "QuantaloidElement", "TableQuantaloid",
+                   "build_language_quantale", "build_metric_quantale", "build_rel_quantaloid",
+                   "tensor", "validate_quantaloid"],
+    "vcat": ["EnrichedGraph", "VCategory", "VFunctor", "free_vcategory", "pullback",
+             "validate_vcategory", "validate_vfunctor"],
+    "bisim": ["BisimEquivalence", "SimRelation", "bisimilar", "cospan_witness",
+              "equivalence_closure", "is_bisimulation", "is_functional_bisimulation", "is_od",
+              "is_simulation", "largest_bisimulation", "largest_simulation", "quotient",
+              "simulates", "span_witness"],
+    "cob": ["TwoSidedEnrichment", "apply_cob", "local_right_adjoints", "monoid_congruence_tse",
+            "right_adjoint_cob", "validate_tse"],
+    "cts": ["CatFunctor", "CribleQuantaloid", "CtsSpec", "FiniteCategory", "Span",
+            "build_S_quantaloid", "cts_to_vcat", "refine", "span_compose", "span_leq",
+            "validate_fincat"],
+    "documents": ["import_aut", "load_bundle", "serialize"],
+}
+
+
+def child_output(code: str) -> str:
+    """What a fresh interpreter running ``code`` prints."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    code = f"{statement}\nimport sys\nprint('\\n'.join(sys.modules))"
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    return set(out.split())
+
+
+def modules_after(statement: str) -> set[str]:
+    """``sys.modules`` of a fresh interpreter after running ``statement``."""
+    return set(child_output(f"{statement}\nimport sys\nprint('\\n'.join(sys.modules))").split())
+
+
+def executed_during(statement: str) -> set[str]:
+    """The package modules whose code a fresh interpreter runs in ``statement``."""
+    code = (
+        "import sys\n"
+        "ran = []\n"
+        "sys.addaudithook(lambda event, args: event == 'exec' and ran.append(args[0]))\n"
+        f"{statement}\n"
+        "print()\n"
+        "print(*(getattr(c, 'co_filename', '') for c in ran), sep='\\n')\n"
+    )
+    files = child_output(code).split("\n\n")[-1].split("\n")
+    package = (SRC / "enrbisim").resolve()
+    return {f"enrbisim.{Path(f).stem}" for f in files if f and Path(f).resolve().parent == package}
 
 
 def test_cli_import_set():
     added = modules_after("import enrbisim.cli") - modules_after("pass")
     assert not added & KEPT_OFF, sorted(added & KEPT_OFF)
     assert TRACED <= added, sorted(TRACED - added)
+
+
+def test_cli_import_runs_no_lazy_module():
+    ran = executed_during("import enrbisim.cli")
+    assert {"enrbisim.cli", "enrbisim.documents"} <= ran  # the hook sees module code run
+    assert not ran & LAZY, sorted(ran & LAZY)
+
+
+def aut_files(tmp_path) -> list[str]:
+    """Two bisimilar automata over {a, b} in Aldebaran files A and B."""
+    (tmp_path / "A.aut").write_text('des (0, 2, 2)\n(0, "a", 1)\n(1, "b", 0)\n')
+    (tmp_path / "B.aut").write_text('des (0, 2, 2)\n(0, "a", 1)\n(1, "b", 0)\n')
+    return ["--paths", str(tmp_path / "A.aut"), "--paths", str(tmp_path / "B.aut"),
+            "--aut-alphabet", "a,b", "--aut-k", "2"]
+
+
+def paths(*files) -> list[str]:
+    return [arg for file in files for arg in ("--paths", str(file))]
+
+
+# each run: its arguments (after the files), its exit code, the lazy modules it runs
+RUNS = {
+    "automaton bisimilar": (aut_files, ["bisimilar", "--a", "A", "--b", "B"], 0,
+                            {"enrbisim.bisim"}),
+    "table simulates": (lambda _: paths(DATA / "Q2.json", DATA / "P01.json", DATA / "POINT.json"),
+                        ["simulates", "--a", "P01", "--b", "POINT"], 0, {"enrbisim.bisim"}),
+    "cts-refine": (lambda _: paths(DATA / "P2.json", *(GOLDEN_DOCS / f"{name}.json"
+                                                      for name in ("SPEC", "T3", "INC"))),
+                   ["cts-refine", "--spec", "SPEC", "--functor", "INC"], 0,
+                   {"enrbisim.cts", "enrbisim.cob"}),
+}
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_request_runs_only_the_lazy_modules_it_reaches(tmp_path, run):
+    files, command, code, reached = RUNS[run]
+    argv = files(tmp_path) + command
+    ran = executed_during(
+        f"from enrbisim.cli import main\nassert main({argv!r}) == {code}, 'exit code'"
+    )
+    assert ran & LAZY == reached
+
+
+def test_every_export_resolves_to_its_module():
+    # in a fresh interpreter, so that a lazy module is loaded by the export read
+    code = (
+        "import importlib, json, sys\n"
+        "from enrbisim import *\n"
+        f"exports = {EXPORTS!r}\n"
+        "wrong = [name for module, names in exports.items() for name in names\n"
+        "         if globals().get(name) is not getattr(\n"
+        "             importlib.import_module('enrbisim.' + module), name)]\n"
+        "print(json.dumps(wrong))\n"
+    )
+    assert json.loads(child_output(code)) == []
