@@ -6,7 +6,6 @@ Usage (from the root of a checkout):
     python3 bench/scale.py --label change --out bench/BENCH_scale_14.json
     python3 bench/scale.py --src OTHER/src --label parent --out bench/BENCH_scale_14.json
     python3 bench/scale.py --sizes 100 --cap 1 --out /tmp/scale.json   # smoke run
-    python3 bench/scale.py --layers bisimilar_cli --out /tmp/cli.json     # one layer
 
 Three input families, each grown over the sizes in the order given:
 
@@ -69,10 +68,8 @@ drift between runs, and a layer's figure at a size is the median of its
 scaled runs: it reads as if the host ran at nominal speed.  The raw
 median and the probe pairs are kept beside it.  A layer stops
 growing n after the first size at which its figure passes ``--cap``
-seconds, and a layer stops with the layer whose output it needs.
-``--layers`` times only the layers it names (a layer whose input layer
-it leaves out does not run), and the others are left out of the JSON.
-The JSON records every time, where and why each layer stopped, a digest of
+seconds, and a layer stops with the layer whose output it needs.  The
+JSON records every time, where and why each layer stopped, a digest of
 each result (so two checkouts can be seen to agree), the seeds, the
 machine and the Python version.  Results are merged into ``--out`` under
 ``--label``, so the same file can hold two checkouts.
@@ -224,12 +221,11 @@ def speed_probe() -> float:
     return time.perf_counter() - start
 
 
-def run_layers(layers, sizes: list[int], cap: float, prepare, only) -> dict:
-    """Time those of ``layers`` that ``only`` names at each size.
-    ``prepare(n)`` returns each layer's step, as a function of the
-    outputs so far; the untimed inputs those outputs start from; a
-    label; and what to call, if anything, after the size is done."""
-    layers = [name for name in layers if name in only]
+def run_layers(layers, sizes: list[int], cap: float, prepare) -> dict:
+    """Time ``layers`` at each size.  ``prepare(n)`` returns each layer's
+    step, as a function of the outputs so far; the untimed inputs those
+    outputs start from; a label; and what to call, if anything, after
+    the size is done."""
     out = {
         name: {"seconds": {}, "raw_seconds": {}, "runs": {}, "probes": {}, "digest": {},
                "stopped": None}
@@ -287,7 +283,7 @@ def relation_steps(bisim, validate_vcategory) -> dict:
     }
 
 
-def measure_automata(k: int, sizes: list[int], cap: float, workdir: Path, src: Path, only) -> dict:
+def measure_automata(k: int, sizes: list[int], cap: float, workdir: Path, src: Path) -> dict:
     from enrbisim import bisim, documents
     from enrbisim.quantaloid import build_language_quantale
     from enrbisim.vcat import VCategory, validate_vcategory
@@ -344,10 +340,10 @@ def measure_automata(k: int, sizes: list[int], cap: float, workdir: Path, src: P
 
         return steps, outputs, f"k={k}", check
 
-    return run_layers(AUTOMATON_LAYERS, sizes, cap, prepare, only)
+    return run_layers(AUTOMATON_LAYERS, sizes, cap, prepare)
 
 
-def measure_tables(base_name: str, sizes: list[int], cap: float, only) -> dict:
+def measure_tables(base_name: str, sizes: list[int], cap: float) -> dict:
     from enrbisim import bisim
     from enrbisim.quantaloid import build_boolean_quantale, build_metric_quantale
     from enrbisim.vcat import EnrichedGraph, VCategory, free_vcategory, validate_vcategory
@@ -377,10 +373,10 @@ def measure_tables(base_name: str, sizes: list[int], cap: float, only) -> dict:
 
         return steps, outputs, base_name, check
 
-    return run_layers(TABLE_LAYERS, [n for n in sizes if n <= TABLE_MAX_N], cap, prepare, only)
+    return run_layers(TABLE_LAYERS, [n for n in sizes if n <= TABLE_MAX_N], cap, prepare)
 
 
-def measure_sieves(sizes: list[int], cap: float, only) -> dict:
+def measure_sieves(sizes: list[int], cap: float) -> dict:
     from enrbisim.cts import FiniteCategory, Span, build_S_quantaloid
     from enrbisim.vcat import EnrichedGraph, free_vcategory
 
@@ -410,7 +406,7 @@ def measure_sieves(sizes: list[int], cap: float, only) -> dict:
 
         return {"free_vcategory": lambda o: free_vcategory(base, graph)}, outputs, "S(T2)", check
 
-    return run_layers(SIEVE_LAYERS, [n for n in sizes if n <= TABLE_MAX_N], cap, prepare, only)
+    return run_layers(SIEVE_LAYERS, [n for n in sizes if n <= TABLE_MAX_N], cap, prepare)
 
 
 def classes(r) -> list[list[int]]:
@@ -487,10 +483,6 @@ def main(argv=None) -> int:
     parser.add_argument("--sizes", type=int, nargs="+", default=[100, 200, 400, 800, 1600])
     parser.add_argument("--cap", type=float, default=2.0,
                         help="seconds after which a layer stops growing n")
-    every = sorted(set(AUTOMATON_LAYERS + TABLE_LAYERS))
-    parser.add_argument("--layers", nargs="+", choices=every, default=every, metavar="LAYER",
-                        help="time only these layers, in every family that has them; a layer "
-                        "whose input layer is left out does not run (default: all)")
     args = parser.parse_args(argv)
 
     src = Path(args.src).resolve()
@@ -503,7 +495,6 @@ def main(argv=None) -> int:
         "random.Random('<seed>:S(T2):<n>') (sieves)",
         "sizes": args.sizes,
         "cap_s": args.cap,
-        "layers": sorted(args.layers),
         "repeats": REPEATS,
         "table_max_n": TABLE_MAX_N,
         "speed_probe": {
@@ -518,10 +509,10 @@ def main(argv=None) -> int:
     }
     with tempfile.TemporaryDirectory() as tmp:
         for k in CUTOFFS:
-            run["k"][str(k)] = measure_automata(k, args.sizes, args.cap, Path(tmp), src, args.layers)
+            run["k"][str(k)] = measure_automata(k, args.sizes, args.cap, Path(tmp), src)
     for base_name in TABLE_BASES:
-        run["tables"][base_name] = measure_tables(base_name, args.sizes, args.cap, args.layers)
-    run["sieves"]["S(T2)"] = measure_sieves(args.sizes, args.cap, args.layers)
+        run["tables"][base_name] = measure_tables(base_name, args.sizes, args.cap)
+    run["sieves"]["S(T2)"] = measure_sieves(args.sizes, args.cap)
 
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}

@@ -4,7 +4,7 @@ Importing the package runs no module of it.  ``bisim``, ``cts`` and
 ``cob`` are lazy: they sit in ``sys.modules`` and on the package from
 the start, and the first attribute read on one compiles and runs it, so
 a command that never reaches a module does not pay for it.  The names
-below resolve on first use, from the module that defines each.
+below, and the modules that define them, resolve on first use.
 """
 
 import importlib
@@ -61,7 +61,9 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    """An exported name, read from its module (PEP 562)."""
+    """An exported name, read from its module, or one of those modules (PEP 562)."""
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)

@@ -147,11 +147,6 @@ def residual(
     return QuantaloidElement(*free, value)
 
 
-def build_powerset_quantaloid(cat) -> Quantaloid:
-    """Powersets of the hom-sets of a finite category, composed pointwise."""
-    return PowersetCatQuantaloid(cat)
-
-
 def build_unit_quantaloid() -> TableQuantaloid:
     """One object, one arrow: the unit for pasting enrichments."""
     lat = TableLattice(["*"], [(0, 0)])
@@ -239,7 +234,7 @@ def laxrel_to_vcat(p: LaxRelationalPresentation, base=None) -> VCategory:
     if problems:
         raise ValidationError(f"presentation invalid: {problems[0]}")
     if base is None:
-        base = build_powerset_quantaloid(p.cat)
+        base = PowersetCatQuantaloid(p.cat)
     if getattr(base, "cat", None) is not p.cat:
         raise BaseMismatch("base was built from a different category")
     names, extents = [], []

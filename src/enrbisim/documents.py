@@ -560,10 +560,6 @@ def _quantaloid_to_doc(bundle, name, q) -> dict:
         }
     if isinstance(q, RelQuantaloid):
         return head | {"construction": "rel", "sets": [list(s) for s in q.sets]}
-    if isinstance(q, cts.PowersetCatQuantaloid):
-        return head | {"construction": "powerset", "category": bundle.name_of(q.cat)}
-    if isinstance(q, cts.CribleQuantaloid):
-        return head | {"construction": "sieves", "category": bundle.name_of(q.cat)}
     if isinstance(q, TableQuantaloid):
         objects = list(q.objects)
         homs = {}
@@ -593,6 +589,10 @@ def _quantaloid_to_doc(bundle, name, q) -> dict:
             "tensor": tensor,
             "id": {objects[u]: q.unit(u) for u in range(len(objects))},
         }
+    if isinstance(q, cts.PowersetCatQuantaloid):
+        return head | {"construction": "powerset", "category": bundle.name_of(q.cat)}
+    if isinstance(q, cts.CribleQuantaloid):
+        return head | {"construction": "sieves", "category": bundle.name_of(q.cat)}
     raise ValidationError(f"cannot serialize base {q!r}")
 
 

@@ -349,11 +349,10 @@ class TestMonoidCongruence:
 
 class TestCategoryCongruence:
     def _posets(self):
-        from enrbisim.cts import CatFunctor, FiniteCategory
-        from enrbisim.constructions import build_powerset_quantaloid
+        from enrbisim.cts import CatFunctor, FiniteCategory, PowersetCatQuantaloid
 
         c = FiniteCategory.poset(["0", "1"], [(0, 0), (0, 1), (1, 1)])
-        base = build_powerset_quantaloid(c)
+        base = PowersetCatQuantaloid(c)
         fun = CatFunctor(c, c, [0, 1], list(range(len(c.morphisms))))
         assert fun.validate() == []
         return c, base, fun

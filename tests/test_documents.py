@@ -417,13 +417,11 @@ def cyclic_monoid_doc(name: str, order: int) -> dict:
 
 class TestPowersetBase:
     def test_generator_cap(self, tmp_path, capsys):
-        # 13 morphisms are over MAX_GENERATORS, for a document as for the builder
-        from enrbisim.constructions import build_powerset_quantaloid
-
+        # 13 morphisms are over MAX_GENERATORS, for a document as for the constructor
         write_doc(tmp_path, cyclic_monoid_doc("C13", 13))
         cat = load_bundle([tmp_path]).get("C13", FiniteCategory)
         with pytest.raises(SizeLimit, match="hom powerset too large"):
-            build_powerset_quantaloid(cat)
+            PowersetCatQuantaloid(cat)
         write_doc(tmp_path, {"schema": SCHEMA, "name": "PC", "kind": "powerset", "category": "C13"})
         with pytest.raises(SizeLimit, match="hom powerset too large"):
             load_bundle([tmp_path])

@@ -216,10 +216,9 @@ class TestPowersetQuantaloid:
         assert q.unit(0) == frozenset({q.cat.identities[0]})
 
     def test_one_object_one_identity_matches_truth_values(self):
-        from enrbisim.cts import FiniteCategory
-        from enrbisim.constructions import build_powerset_quantaloid
+        from enrbisim.cts import PowersetCatQuantaloid
 
-        q = build_powerset_quantaloid(FiniteCategory.poset(["x"], [(0, 0)]))
+        q = PowersetCatQuantaloid(FiniteCategory.poset(["x"], [(0, 0)]))
         hom = q.hom(0, 0)
         assert hom.size == 2
         assert q.compose(0, 0, 0, hom.top, hom.top) == hom.top

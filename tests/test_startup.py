@@ -139,6 +139,15 @@ def test_request_runs_only_the_lazy_modules_it_reaches(tmp_path, run):
     assert ran & LAZY == reached
 
 
+def test_serializing_a_table_base_runs_no_lazy_module():
+    ran = executed_during(
+        "from enrbisim.documents import load_bundle, serialize\n"
+        f"bundle = load_bundle([{str(DATA / 'Q2.json')!r}])\n"
+        "assert serialize(bundle, 'Q2')['name'] == 'Q2'"
+    )
+    assert not ran & LAZY, sorted(ran & LAZY)
+
+
 def test_every_export_resolves_to_its_module():
     # in a fresh interpreter, so that a lazy module is loaded by the export read
     code = (
@@ -148,6 +157,18 @@ def test_every_export_resolves_to_its_module():
         "wrong = [name for module, names in exports.items() for name in names\n"
         "         if globals().get(name) is not getattr(\n"
         "             importlib.import_module('enrbisim.' + module), name)]\n"
+        "print(json.dumps(wrong))\n"
+    )
+    assert json.loads(child_output(code)) == []
+
+
+def test_exporting_modules_are_package_attributes():
+    # `import enrbisim; enrbisim.documents.load_bundle(...)` works without importing the module
+    code = (
+        "import json, sys\n"
+        "import enrbisim\n"
+        f"modules = {sorted(EXPORTS)!r}\n"
+        "wrong = [m for m in modules if getattr(enrbisim, m) is not sys.modules['enrbisim.' + m]]\n"
         "print(json.dumps(wrong))\n"
     )
     assert json.loads(child_output(code)) == []

@@ -830,11 +830,10 @@ class TestEnumerateVFunctors:
 
 class TestLaxRelational:
     def _presentation(self):
-        from enrbisim.cts import FiniteCategory
-        from enrbisim.constructions import build_powerset_quantaloid
+        from enrbisim.cts import FiniteCategory, PowersetCatQuantaloid
 
         cat = FiniteCategory.poset(["0", "1"], [(0, 0), (0, 1), (1, 1)])
-        base = build_powerset_quantaloid(cat)
+        base = PowersetCatQuantaloid(cat)
         arrow = next(
             m for m in range(len(cat.morphisms)) if cat.mor_src(m) == 0 and cat.mor_tgt(m) == 1
         )
@@ -864,12 +863,11 @@ class TestLaxRelational:
         assert arrow not in a.hom(1, 2)
 
     def test_random_round_trips(self):
-        from enrbisim.cts import FiniteCategory
-        from enrbisim.constructions import build_powerset_quantaloid
+        from enrbisim.cts import FiniteCategory, PowersetCatQuantaloid
 
         rng = random.Random(11)
         cat = FiniteCategory.poset(["0", "1"], [(0, 0), (0, 1), (1, 1)])
-        base = build_powerset_quantaloid(cat)
+        base = PowersetCatQuantaloid(cat)
         arrow = next(
             m
             for m in range(len(cat.morphisms))
