@@ -8,10 +8,10 @@ text.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
+from types import SimpleNamespace
 from typing import Any, Callable
 
 # bisim, cob and cts are lazy (see the package): read their names at call time
@@ -132,8 +132,8 @@ def _counterexample(check: bisim.SimulationCheck) -> dict:
     }
 
 
-def run(command: str, bundle: documents.Bundle, flags: argparse.Namespace) -> Report:
-    """Run one command's handler against a loaded bundle."""
+def run(command: str, bundle: documents.Bundle, flags: SimpleNamespace) -> Report:
+    """Run one command's handler on a loaded bundle and ``parse_args(argv)``."""
     handler = COMMANDS[command][0]
     try:
         return handler(bundle, flags)
@@ -256,25 +256,11 @@ def _cmd_cob_radjoint(bundle, flags) -> Report:
     return Report("cob-radjoint", "valid", details)
 
 
-def _parse_suite(spec: str) -> list[str]:
-    from .generators import AXIOMS  # only ``axioms`` needs the generators
-
-    names = sorted(AXIOMS)
-    ends = [part.strip() for part in spec.split("..")]
-    if len(ends) == 2 and set(ends) <= set(names):
-        suite = names[names.index(ends[0]) : names.index(ends[1]) + 1]
-    else:
-        suite = [part.strip() for part in spec.split(",") if part.strip()]
-    if not suite or len(ends) > 2 or not set(suite) <= set(names):
-        raise ParseError(f"bad axiom suite {spec!r}; axioms are {', '.join(names)}")
-    return suite
-
-
 def _cmd_axioms(bundle, flags) -> Report:
-    from .generators import run_axiom_suite
+    from .generators import parse_suite, run_axiom_suite  # only ``axioms`` needs them
 
     base = bundle.get(flags.base, Quantaloid)
-    suite = _parse_suite(flags.suite)
+    suite = parse_suite(flags.suite)
     if flags.cases < 1:
         raise ParseError(f"--cases must be at least 1, not {flags.cases}")
     outcome = run_axiom_suite(suite, base, flags.seed, flags.cases)
@@ -317,10 +303,10 @@ def _cmd_cts_refine(bundle, flags) -> Report:
     return Report("cts-refine", "valid", {"result": _store(bundle, flags.out, out)})
 
 
-_REQUIRED, _FLAG = {"required": True}, {"action": "store_true"}
+_REQUIRED, _FLAG = {"required": True}, {"action": "store_true", "default": False}
 _A, _B = ("--a", _REQUIRED), ("--b", _REQUIRED)
 # each command's handler, help (or None) and arguments, in the order ``-h``
-# lists them: the one declaration ``run`` and both parsers are built from
+# lists them: the one declaration ``run``, ``parse_args`` and ``build_parser`` read
 COMMANDS: dict[str, tuple[Callable[..., Report], str | None, tuple]] = {
     "validate": (_cmd_validate, "validate named objects (default: all)",
                  (("names", {"nargs": "*"}),)),
@@ -355,23 +341,14 @@ OPTIONS: dict[str, dict] = {
     "--aut-alphabet": {"default": None, "help": "comma-separated labels"},
     "--aut-k": {"type": int, "default": None, "help": "word length cutoff"},
 }
-# the global options that take a value, so the token after each is not a command
-_VALUED = tuple(flag for flag, options in OPTIONS.items()
-                if options.get("action") != "store_true")
-_VALUED_JOINED = tuple(f"{option}=" for option in _VALUED)
 
 
-class _OneCommandParser(argparse.ArgumentParser):
-    """Raises on a usage error instead of reporting it, so that the full
-    parser reports it, with the usage line that lists every command."""
+def build_parser():
+    """The global options and a subparser for each command.  Only an argv
+    ``parse_args`` cannot read alone needs it, so ``argparse`` loads here."""
+    import argparse
 
-    def error(self, message):
-        raise argparse.ArgumentError(None, message)
-
-
-def build_parser(commands=COMMANDS, parser_class=argparse.ArgumentParser):
-    """The global options and a subparser for each of ``commands``."""
-    parser = parser_class(
+    parser = argparse.ArgumentParser(
         prog="enrbisim",
         description="Simulation and bisimulation checks for enrichments "
         "over finite quantaloids.",
@@ -380,33 +357,69 @@ def build_parser(commands=COMMANDS, parser_class=argparse.ArgumentParser):
     for flag, options in OPTIONS.items():
         parser.add_argument(flag, **options)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in commands:
-        _, help_text, arguments = COMMANDS[name]
+    for name, (_, help_text, arguments) in COMMANDS.items():
         p = sub.add_parser(name) if help_text is None else sub.add_parser(name, help=help_text)
         for flag, options in arguments:
             p.add_argument(flag, **options)
     return parser
 
 
-def parse_args(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, building only the subparser of
-    the command ``argv`` names.  Help or an unknown option before the
-    command, an unknown or missing command and any usage error go to the
-    full parser, which prints and exits as always."""
-    tokens = iter(argv)
-    for token in tokens:
-        if token in _VALUED:
-            next(tokens, None)
-        elif token in OPTIONS or token.startswith(_VALUED_JOINED):
+def _dest(flag: str) -> str:
+    return flag.lstrip("-").replace("-", "_")
+
+
+def _read(argv: list[str], i: int, arguments, values: dict) -> int | None:
+    """Put the defaults of ``arguments`` in ``values``, then read their
+    options from ``argv[i:]`` (``--flag value``, ``--flag=value``, a bare
+    flag).  Return the index of the first other token, or None at what the
+    full parser must judge: help, an unknown or abbreviated option, ``--``,
+    a missing value or one that starts with ``-``, a bad int or choice."""
+    for flag, options in arguments:
+        values[_dest(flag)] = options.get("default")
+    declared = dict(arguments)
+    while i < len(argv) and argv[i].startswith("-"):
+        flag, joined, value = argv[i].partition("=")
+        options, i = declared.get(flag), i + 1
+        if options is None or joined and options.get("action") == "store_true":
+            return None
+        if options.get("action") == "store_true":
+            values[_dest(flag)] = True
             continue
-        elif token in COMMANDS:
-            try:
-                return build_parser((token,), _OneCommandParser).parse_args(argv)
-            except argparse.ArgumentError:
-                break
-        else:
-            break
-    return build_parser().parse_args(argv)
+        if not joined:
+            if i == len(argv):
+                return None
+            value, i = argv[i], i + 1
+        try:
+            typed = options.get("type", str)(value)
+        except ValueError:
+            return None
+        if value.startswith("-") or typed not in options.get("choices", (typed,)):
+            return None
+        old = values[_dest(flag)]
+        values[_dest(flag)] = [*(old or ()), typed] if options.get("action") == "append" else typed
+    return i
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """What ``build_parser().parse_args(argv)`` gives, defaults included.  A
+    well-formed ``argv`` is read from ``OPTIONS`` and its command's row alone;
+    anything else goes to the full parser, which prints and exits as always."""
+    values: dict = {}
+    i = _read(argv, 0, OPTIONS.items(), values)
+    if i is not None and i < len(argv) and argv[i] in COMMANDS:
+        values["command"], arguments = argv[i], COMMANDS[argv[i]][2]
+        options = [(flag, o) for flag, o in arguments if flag[0] == "-"]
+        names = [_dest(flag) for flag, _ in arguments if flag[0] != "-"]  # validate's nargs="*"
+        i = _read(argv, i + 1, options, values)
+        well_formed = (
+            i is not None
+            and (names or i == len(argv))
+            and not any(token.startswith("-") for token in argv[i:])
+            and not any(o.get("required") and values[_dest(flag)] is None for flag, o in options)
+        )
+        if well_formed:
+            return SimpleNamespace(**values, **dict.fromkeys(names, argv[i:]))
+    return SimpleNamespace(**vars(build_parser().parse_args(argv)))
 
 
 def main(argv=None) -> int:

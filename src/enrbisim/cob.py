@@ -13,7 +13,8 @@ from __future__ import annotations
 import itertools
 from typing import Any, Iterable, Iterator, NamedTuple
 
-from .errors import BaseMismatch, NoAdjoint, NotACongruence, SizeLimit
+from .documents import _once
+from .errors import BaseMismatch, NoAdjoint, NotACongruence, ParseError, SizeLimit, ValidationError
 from .lattice import Lattice, MonotoneMap, right_adjoint_of_monotone
 from .quantaloid import LanguageQuantale, Quantaloid
 from .vcat import VCategory
@@ -332,3 +333,44 @@ def monoid_morphism_pairs(
         return out
 
     return [(w, apply(w)) for w in source.words if len(apply(w)) <= target.k]
+
+
+def tse_from_doc(doc, resolve) -> TwoSidedEnrichment:
+    """The span of a ``tse`` document: the identity, a monoid congruence or
+    morphism between language quantales, or explicit components."""
+    construction = doc.get("construction", "explicit")
+    if construction == "identity":
+        return identity_tse(resolve(doc["base"], Quantaloid))
+    if construction in ("monoid-congruence", "monoid-morphism"):
+        source = resolve(doc["source"], Quantaloid)
+        target = resolve(doc["target"], Quantaloid)
+        require_language_bases(source, target)  # before a word is read
+        if construction == "monoid-congruence":
+            pairs = [(source.member_from_doc(m), target.member_from_doc(n)) for m, n in doc["pairs"]]
+        else:
+            gen_map = {str(k): target.member_from_doc(v) for k, v in doc["map"].items()}
+            pairs = monoid_morphism_pairs(gen_map, source, target)
+        return monoid_congruence_tse(source, target, pairs)
+    if construction != "explicit":
+        raise ParseError(f"unknown span construction {construction!r}")
+    source = resolve(doc["source"], Quantaloid)
+    target = resolve(doc["target"], Quantaloid)
+    carriers = [str(c["name"]) for c in doc["carriers"]]
+    minus = [source.object_index(str(c["minus"])) for c in doc["carriers"]]
+    plus = [target.object_index(str(c["plus"])) for c in doc["carriers"]]
+    components = {}
+    for key, pairs in doc["components"].items():
+        x, y = (carriers.index(part) for part in key.split(","))
+        read_source = source.element_decoder(minus[x], minus[y])
+        read_target = target.element_decoder(plus[x], plus[y])
+        mapping = _once(doc, f"component {key!r}", (
+            (read_source(src_doc), read_target(tgt_doc)) for src_doc, tgt_doc in pairs
+        ))
+        components[(x, y)] = MonotoneMap(
+            source.hom(minus[x], minus[y]), target.hom(plus[x], plus[y]), mapping
+        )
+    tse = TwoSidedEnrichment(source, target, carriers, minus, plus, components)
+    problems = validate_tse(tse)
+    if problems:
+        raise ValidationError(f"span invalid: {problems[0]}")
+    return tse

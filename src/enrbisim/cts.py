@@ -12,6 +12,10 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
+# cob is lazy (see the package): read its names at call time, so that
+# building a specification's enrichment never runs it
+from . import cob
+from .documents import SCHEMA, _name_lookup, _once
 from .errors import (
     AmbientMismatch,
     NoAdjoint,
@@ -20,10 +24,10 @@ from .errors import (
     SizeLimit,
     TypeMismatch,
     UnknownObject,
+    ValidationError,
 )
 from .lattice import MAX_GENERATORS, DownsetLattice, MonotoneMap, PowersetLattice
 from .quantaloid import SetQuantaloid
-from .cob import TwoSidedEnrichment, apply_cob, local_right_adjoints
 from .vcat import EnrichedGraph, VCategory, free_vcategory
 
 
@@ -454,7 +458,7 @@ def preserves_chosen_pullbacks(fun: CatFunctor) -> list[str]:
 
 def crible_change_tse(
     fun: CatFunctor, source_sq: CribleQuantaloid, target_sq: CribleQuantaloid
-) -> TwoSidedEnrichment:
+) -> cob.TwoSidedEnrichment:
     """The span between sieve quantaloids induced by an exact functor."""
     if source_sq.cat is not fun.source or target_sq.cat is not fun.target:
         raise NotExact("the sieve bases do not match the functor")
@@ -475,7 +479,7 @@ def crible_change_tse(
             comps[(x, y)] = MonotoneMap.from_function(
                 source_sq.hom(x, y), target_sq.hom(fx, fy), image
             )
-    return TwoSidedEnrichment(
+    return cob.TwoSidedEnrichment(
         source_sq,
         target_sq,
         list(fun.source.objects),
@@ -521,7 +525,7 @@ def refine(
     if a.base is not source_sq:
         raise NotExact("the enrichment does not live over the source sieves")
     tse = crible_change_tse(fun, source_sq, target_sq)
-    report = local_right_adjoints(tse, pointwise_only=True)
+    report = cob.local_right_adjoints(tse, pointwise_only=True)
     for (x, y), adj in report.adjoints.items():
         predicted = crible_preimage_map(fun, source_sq, target_sq, x, y)
         for n in predicted.source.elements():
@@ -529,4 +533,78 @@ def refine(
                 raise NoAdjoint(
                     f"computed adjoint disagrees with the preimage at ({x},{y})"
                 )
-    return apply_cob(tse, a)
+    return cob.apply_cob(tse, a)
+
+
+def fincat_from_doc(doc) -> FiniteCategory:
+    """The category of a ``fincat`` document: a poset or an explicit table."""
+    if doc.get("construction") == "poset":
+        cat = FiniteCategory.poset(
+            [str(n) for n in doc["elements"]], [tuple(p) for p in doc["leq"]]
+        )
+    else:
+        objects = [str(o) for o in doc["objects"]]
+        morphisms = [
+            Morphism(str(m["name"]), int(m["src"]), int(m["tgt"]))
+            for m in doc["morphisms"]
+        ]
+        compose = _once(doc, "compose", (((int(f), int(g)), int(h)) for f, g, h in doc["compose"]))
+        identities = [int(i) for i in doc["identities"]]
+        pullbacks = _once(doc, "pullbacks", (
+            ((int(f), int(g)), (int(p1), int(p2))) for f, g, p1, p2 in doc.get("pullbacks", [])
+        ))
+        cat = FiniteCategory(objects, morphisms, compose, identities, pullbacks)
+    problems = validate_fincat(cat)
+    if problems:
+        raise ValidationError(f"category invalid: {problems[0]}")
+    return cat
+
+
+def fincat_to_doc(name: str, cat: FiniteCategory) -> dict:
+    """The explicit ``fincat`` document of a category, a poset included."""
+    return {
+        "schema": SCHEMA,
+        "name": name,
+        "kind": "fincat",
+        "objects": list(cat.objects),
+        "morphisms": [
+            {"name": m.name, "src": m.src, "tgt": m.tgt} for m in cat.morphisms
+        ],
+        "compose": sorted([f, g, h] for (f, g), h in cat.compose_table.items()),
+        "identities": list(cat.identities),
+        "pullbacks": sorted(
+            [f, g, p1, p2] for (f, g), (p1, p2) in cat.pullbacks.items()
+        ),
+    }
+
+
+def catfunctor_from_doc(doc, resolve) -> CatFunctor:
+    """The functor of a ``catfunctor`` document, by object and morphism names."""
+    source = resolve(doc["source"], FiniteCategory)
+    target = resolve(doc["target"], FiniteCategory)
+    obj_map = [
+        target.object_index(str(doc["objects"][name])) for name in source.objects
+    ]
+    mor_map = [
+        target.morphism_index(str(doc["morphisms"][m.name]))
+        for m in source.morphisms
+    ]
+    fun = CatFunctor(source, target, obj_map, mor_map)
+    problems = fun.validate()
+    if problems:
+        raise ValidationError(f"functor invalid: {problems[0]}")
+    return fun
+
+
+def ctsspec_from_doc(doc, resolve) -> tuple[FiniteCategory, CtsSpec]:
+    """The category and specification of a ``ctsspec`` document."""
+    cat = resolve(doc["category"], FiniteCategory)
+    vertices = [
+        (str(v["name"]), cat.object_index(str(v["type"]))) for v in doc["vertices"]
+    ]
+    index = _name_lookup(doc, [n for n, _ in vertices])
+    edges = []
+    for e in doc["edges"]:
+        s, t = index(str(e["src"])), index(str(e["tgt"]))
+        edges.append((s, t, span_from_doc(cat, e["span"])))
+    return cat, CtsSpec(vertices, edges)

@@ -5,7 +5,8 @@ a ``kind``.  References between documents are by name; a bundle resolves
 them in dependency order and validates each object as it is built.
 How a hom element is written and read is the base's own decision
 (``Quantaloid.element_to_doc`` and ``Quantaloid.element_decoder``);
-this module only says where in a document the elements go.
+this module only says where in a document the elements go.  The kinds
+``cts`` and ``cob`` define are read by those modules.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import (
     UnknownLabel,
     ValidationError,
 )
-from .lattice import MonotoneMap, TableLattice
+from .lattice import TableLattice
 from .quantaloid import (
     LanguageQuantale,
     MetricQuantale,
@@ -90,29 +91,6 @@ def _quantaloid_from_doc(doc, resolve) -> Quantaloid:
     if not report.ok:
         raise ValidationError(f"quantaloid invalid: {report.violations[0]}")
     return q
-
-
-def _fincat_from_doc(doc) -> cts.FiniteCategory:
-    if doc.get("construction") == "poset":
-        cat = cts.FiniteCategory.poset(
-            [str(n) for n in doc["elements"]], [tuple(p) for p in doc["leq"]]
-        )
-    else:
-        objects = [str(o) for o in doc["objects"]]
-        morphisms = [
-            cts.Morphism(str(m["name"]), int(m["src"]), int(m["tgt"]))
-            for m in doc["morphisms"]
-        ]
-        compose = _once(doc, "compose", (((int(f), int(g)), int(h)) for f, g, h in doc["compose"]))
-        identities = [int(i) for i in doc["identities"]]
-        pullbacks = _once(doc, "pullbacks", (
-            ((int(f), int(g)), (int(p1), int(p2))) for f, g, p1, p2 in doc.get("pullbacks", [])
-        ))
-        cat = cts.FiniteCategory(objects, morphisms, compose, identities, pullbacks)
-    problems = cts.validate_fincat(cat)
-    if problems:
-        raise ValidationError(f"category invalid: {problems[0]}")
-    return cat
 
 
 def _once(doc, field: str, entries) -> dict:
@@ -203,75 +181,6 @@ def _relation_from_doc(doc, resolve) -> bisim.SimRelation:
     )
 
 
-def _tse_from_doc(doc, resolve) -> cob.TwoSidedEnrichment:
-    construction = doc.get("construction", "explicit")
-    if construction == "identity":
-        return cob.identity_tse(resolve(doc["base"], Quantaloid))
-    if construction in ("monoid-congruence", "monoid-morphism"):
-        source = resolve(doc["source"], Quantaloid)
-        target = resolve(doc["target"], Quantaloid)
-        cob.require_language_bases(source, target)  # before a word is read
-        if construction == "monoid-congruence":
-            pairs = [(source.member_from_doc(m), target.member_from_doc(n)) for m, n in doc["pairs"]]
-        else:
-            gen_map = {str(k): target.member_from_doc(v) for k, v in doc["map"].items()}
-            pairs = cob.monoid_morphism_pairs(gen_map, source, target)
-        return cob.monoid_congruence_tse(source, target, pairs)
-    if construction != "explicit":
-        raise ParseError(f"unknown span construction {construction!r}")
-    source = resolve(doc["source"], Quantaloid)
-    target = resolve(doc["target"], Quantaloid)
-    carriers = [str(c["name"]) for c in doc["carriers"]]
-    minus = [source.object_index(str(c["minus"])) for c in doc["carriers"]]
-    plus = [target.object_index(str(c["plus"])) for c in doc["carriers"]]
-    components = {}
-    for key, pairs in doc["components"].items():
-        x, y = (carriers.index(part) for part in key.split(","))
-        read_source = source.element_decoder(minus[x], minus[y])
-        read_target = target.element_decoder(plus[x], plus[y])
-        mapping = _once(doc, f"component {key!r}", (
-            (read_source(src_doc), read_target(tgt_doc)) for src_doc, tgt_doc in pairs
-        ))
-        components[(x, y)] = MonotoneMap(
-            source.hom(minus[x], minus[y]), target.hom(plus[x], plus[y]), mapping
-        )
-    tse = cob.TwoSidedEnrichment(source, target, carriers, minus, plus, components)
-    problems = cob.validate_tse(tse)
-    if problems:
-        raise ValidationError(f"span invalid: {problems[0]}")
-    return tse
-
-
-def _catfunctor_from_doc(doc, resolve) -> cts.CatFunctor:
-    source = resolve(doc["source"], cts.FiniteCategory)
-    target = resolve(doc["target"], cts.FiniteCategory)
-    obj_map = [
-        target.object_index(str(doc["objects"][name])) for name in source.objects
-    ]
-    mor_map = [
-        target.morphism_index(str(doc["morphisms"][m.name]))
-        for m in source.morphisms
-    ]
-    fun = cts.CatFunctor(source, target, obj_map, mor_map)
-    problems = fun.validate()
-    if problems:
-        raise ValidationError(f"functor invalid: {problems[0]}")
-    return fun
-
-
-def _ctsspec_from_doc(doc, resolve) -> tuple[cts.FiniteCategory, cts.CtsSpec]:
-    cat = resolve(doc["category"], cts.FiniteCategory)
-    vertices = [
-        (str(v["name"]), cat.object_index(str(v["type"]))) for v in doc["vertices"]
-    ]
-    index = _name_lookup(doc, [n for n, _ in vertices])
-    edges = []
-    for e in doc["edges"]:
-        s, t = index(str(e["src"])), index(str(e["tgt"]))
-        edges.append((s, t, cts.span_from_doc(cat, e["span"])))
-    return cat, cts.CtsSpec(vertices, edges)
-
-
 # ---------------------------------------------------------------------------
 # the bundle
 
@@ -325,16 +234,17 @@ class Bundle:
         return sieves
 
 
-# in load order: a document refers only to kinds listed before its own
+# in load order: a document refers only to kinds listed before its own; the
+# readers in cts and cob are read at call time, so only their kinds run them
 _BUILDERS = {
-    "fincat": lambda doc, resolve: _fincat_from_doc(doc),
+    "fincat": lambda doc, resolve: cts.fincat_from_doc(doc),
     "quantaloid": _quantaloid_from_doc,
     "vcategory": _vcategory_from_doc,
     "vfunctor": _vfunctor_from_doc,
     "relation": _relation_from_doc,
-    "tse": _tse_from_doc,
-    "ctsspec": _ctsspec_from_doc,
-    "catfunctor": _catfunctor_from_doc,
+    "tse": lambda doc, resolve: cob.tse_from_doc(doc, resolve),
+    "ctsspec": lambda doc, resolve: cts.ctsspec_from_doc(doc, resolve),
+    "catfunctor": lambda doc, resolve: cts.catfunctor_from_doc(doc, resolve),
 }
 _LOAD_ORDER = list(_BUILDERS)  # a list: document kinds need not be hashable
 
@@ -518,7 +428,7 @@ def serialize(bundle: Bundle, name: str) -> dict:
     if kind == "quantaloid":
         return _quantaloid_to_doc(bundle, name, obj)
     if kind == "fincat":
-        return _fincat_to_doc(name, obj)
+        return cts.fincat_to_doc(name, obj)
     if kind == "vcategory":
         return vcategory_to_doc(bundle, name, obj)
     if kind == "vfunctor":
@@ -594,23 +504,6 @@ def _quantaloid_to_doc(bundle, name, q) -> dict:
     if isinstance(q, cts.CribleQuantaloid):
         return head | {"construction": "sieves", "category": bundle.name_of(q.cat)}
     raise ValidationError(f"cannot serialize base {q!r}")
-
-
-def _fincat_to_doc(name, cat: cts.FiniteCategory) -> dict:
-    return {
-        "schema": SCHEMA,
-        "name": name,
-        "kind": "fincat",
-        "objects": list(cat.objects),
-        "morphisms": [
-            {"name": m.name, "src": m.src, "tgt": m.tgt} for m in cat.morphisms
-        ],
-        "compose": sorted([f, g, h] for (f, g), h in cat.compose_table.items()),
-        "identities": list(cat.identities),
-        "pullbacks": sorted(
-            [f, g, p1, p2] for (f, g), (p1, p2) in cat.pullbacks.items()
-        ),
-    }
 
 
 def vcategory_to_doc(bundle: Bundle, name: str, cat: VCategory) -> dict:

@@ -23,7 +23,7 @@ from .bisim import (
     largest_bisimulation,
     quotient,
 )
-from .errors import BaseMismatch
+from .errors import BaseMismatch, ParseError
 from .quantaloid import Quantaloid
 from .vcat import EnrichedGraph, VCategory, VFunctor, free_vcategory, pullback
 
@@ -260,6 +260,19 @@ AXIOMS: dict[str, Callable[[Quantaloid, random.Random], str | None]] = {
     "A5": axiom_a5,
     "A6": axiom_a6,
 }
+
+
+def parse_suite(spec: str) -> list[str]:
+    """The axioms a ``--suite`` spec names: a range ``A1..A6`` or a comma list."""
+    names = sorted(AXIOMS)
+    ends = [part.strip() for part in spec.split("..")]
+    if len(ends) == 2 and set(ends) <= set(names):
+        suite = names[names.index(ends[0]) : names.index(ends[1]) + 1]
+    else:
+        suite = [part.strip() for part in spec.split(",") if part.strip()]
+    if not suite or len(ends) > 2 or not set(suite) <= set(names):
+        raise ParseError(f"bad axiom suite {spec!r}; axioms are {', '.join(names)}")
+    return suite
 
 
 def run_axiom_suite(

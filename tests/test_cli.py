@@ -1,6 +1,7 @@
-import argparse
+import contextlib
 import gc
 import importlib
+import io
 import json
 import os
 import random
@@ -8,8 +9,10 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import enrbisim.__main__
 from enrbisim import cli
@@ -389,16 +392,63 @@ PARSER_CASES = [
 ]
 
 
+# the tokens the parser tests draw argvs from: values (ints, choices, junk), and
+# junk in place of an option (help, "--", abbreviations, misplaced options)
+INTS = ["3", "0", "-3", "1_0", " 7", "x"]
+WORDS = ["X", "Y", "", "a,b", "x y", "-x y", "-1.5", "=x", "-", "validate"]
+JUNK = ["-h", "--help", "--", "-", "--fo", "--ti", "--su", "--fun", "-a", "nope", "--a", "--timing",
+        "--paths", "--aut-k=2"]
+
+
+@st.composite
+def argvs(draw):
+    """A well-formed argv, or one a token away from it: the global options,
+    a command and its options, each option in any order, given 0-2 times
+    (a required one at least once) as ``--flag value`` or ``--flag=value``;
+    then maybe one token inserted from the junk or dropped."""
+
+    def options(declared) -> list[str]:
+        pieces = []
+        for flag, o in declared:
+            for _ in range(draw(st.integers(1 if o.get("required") else 0, 2))):
+                if o.get("action") == "store_true":
+                    pieces.append([flag])
+                    continue
+                value = draw(st.sampled_from(
+                    [*o["choices"], "yaml"] if "choices" in o else INTS if "type" in o else WORDS
+                ))
+                pieces.append([f"{flag}={value}"] if draw(st.booleans()) else [flag, value])
+        return sum(draw(st.permutations(pieces)), [])
+
+    command = draw(st.sampled_from([*cli.COMMANDS, "nope"]))
+    arguments = cli.COMMANDS.get(command, (None, None, ()))[2]
+    argv = options(cli.OPTIONS.items()) + [command] + options(
+        [(flag, o) for flag, o in arguments if flag[0] == "-"]
+    )
+    if command == "validate":
+        argv += draw(st.lists(st.sampled_from(WORDS), max_size=2))
+    where = draw(st.integers(0, len(argv)))
+    change = draw(st.sampled_from(["none", "none", "insert", "drop"]))
+    if change == "insert":
+        argv.insert(where, draw(st.sampled_from(JUNK + WORDS + INTS)))
+    elif change == "drop" and where < len(argv):
+        del argv[where]
+    return argv
+
+
 class TestOneCommandParser:
-    """``cli.parse_args`` builds one subparser, and answers as the full parser does."""
+    """``cli.parse_args`` reads a well-formed argv alone, and answers as the
+    full parser does."""
 
     @staticmethod
-    def outcome(parse, argv, capsys):
+    def outcome(parse, argv):
+        """The parsed arguments, or the exit code and output of help or an error."""
+        out, err = io.StringIO(), io.StringIO()
         try:
-            return vars(parse(argv))
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                return vars(parse(argv))
         except SystemExit as stop:
-            captured = capsys.readouterr()
-            return stop.code, captured.out, captured.err
+            return stop.code, out.getvalue(), err.getvalue()
 
     def test_every_command_is_covered(self):
         assert list(VALID_ARGV) == list(cli.COMMANDS)
@@ -406,32 +456,31 @@ class TestOneCommandParser:
     def test_scan_knows_which_global_options_take_a_value(self):
         actions = build_parser()._actions
         valued = {a.option_strings[0] for a in actions if a.option_strings and a.nargs is None}
-        assert valued == set(cli._VALUED)
+        assert valued == {flag for flag, o in cli.OPTIONS.items() if o.get("action") != "store_true"}
 
     @pytest.mark.parametrize(
         "argv, code", PARSER_CASES, ids=[" ".join(argv) or "no-args" for argv, _ in PARSER_CASES]
     )
-    def test_same_as_full_parser(self, argv, code, capsys):
-        lean = self.outcome(cli.parse_args, argv, capsys)
-        full = self.outcome(build_parser().parse_args, argv, capsys)
+    def test_same_as_full_parser(self, argv, code):
+        lean = self.outcome(cli.parse_args, argv)
+        full = self.outcome(build_parser().parse_args, argv)
         assert lean == full
         if code is None:
             assert isinstance(lean, dict)
         else:
             assert lean[0] == code and ("usage:" in lean[1] if code == 0 else "error:" in lean[2])
 
-    def test_valid_argv_builds_one_subparser(self, monkeypatch):
-        built = []
+    @settings(max_examples=400, deadline=None)
+    @given(argvs())
+    def test_drawn_argv_same_as_full_parser(self, argv):
+        assert self.outcome(cli.parse_args, argv) == self.outcome(build_parser().parse_args, argv)
 
-        def recording(commands=cli.COMMANDS, parser_class=argparse.ArgumentParser):
-            built.append(tuple(commands))
-            return build_parser(commands, parser_class)
-
-        monkeypatch.setattr(cli, "build_parser", recording)
+    def test_valid_argv_builds_no_parser(self, monkeypatch):
+        full = {name: vars(build_parser().parse_args(argv)) for name, argv in VALID_ARGV.items()}
+        monkeypatch.setattr(cli, "build_parser", None)  # calling it would raise
         for name, argv in VALID_ARGV.items():
-            built.clear()
-            assert cli.parse_args(argv).command == name
-            assert built == [(name,)]
+            flags = cli.parse_args(argv)
+            assert type(flags) is SimpleNamespace and vars(flags) == full[name]
 
     def test_usage_error_lists_every_command(self, capsys):
         with pytest.raises(SystemExit) as stop:

@@ -8,7 +8,9 @@ wraps (TRACED) are all in ``sys.modules`` after the import, but three of
 them (LAZY) are registered unrun: a module of those runs only when a
 command first reads one of its names, so a request runs only the ones
 it reaches.  The ``exec`` audit event, raised each time a module's code
-runs, from source or from a bytecode cache, tells which ran.
+runs, from source or from a bytecode cache, tells which ran.  A
+well-formed request reads its argv without ``argparse``, which only help
+and usage errors load.
 """
 
 import json
@@ -22,6 +24,8 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 KEPT_OFF = {
+    "argparse",
+    "gettext",
     "dataclasses",
     "inspect",
     "ast",
@@ -122,10 +126,15 @@ RUNS = {
                             {"enrbisim.bisim"}),
     "table simulates": (lambda _: paths(DATA / "Q2.json", DATA / "P01.json", DATA / "POINT.json"),
                         ["simulates", "--a", "P01", "--b", "POINT"], 0, {"enrbisim.bisim"}),
+    "cts-build": (lambda _: paths(DATA / "P2.json", GOLDEN_DOCS / "SPEC.json"),
+                  ["cts-build", "--spec", "SPEC"], 0, {"enrbisim.cts"}),
     "cts-refine": (lambda _: paths(DATA / "P2.json", *(GOLDEN_DOCS / f"{name}.json"
                                                       for name in ("SPEC", "T3", "INC"))),
                    ["cts-refine", "--spec", "SPEC", "--functor", "INC"], 0,
                    {"enrbisim.cts", "enrbisim.cob"}),
+    # the shipped fixtures hold a fincat document, which cts reads
+    "default-path bisimilar": (lambda _: [], ["bisimilar", "--a", "AUT1", "--b", "LOOP1"], 1,
+                               {"enrbisim.bisim", "enrbisim.cts"}),
 }
 
 
@@ -137,6 +146,28 @@ def test_request_runs_only_the_lazy_modules_it_reaches(tmp_path, run):
         f"from enrbisim.cli import main\nassert main({argv!r}) == {code}, 'exit code'"
     )
     assert ran & LAZY == reached
+
+
+def imported_by(*args: str) -> tuple[int, set[str]]:
+    """The exit code of ``python -X importtime ARGS`` and the modules it imports."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    run = subprocess.run([sys.executable, "-X", "importtime", *args], env=env,
+                         capture_output=True, text=True)
+    return run.returncode, {line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()
+                            if line.startswith("import time:")}
+
+
+@pytest.mark.parametrize("argv, code, parser", [
+    (["bisimilar", "--a", "AUT1", "--b", "LOOP1"], 1, False),
+    (["--format=text", "bisim-largest", "--sim", "--a", "AUT1", "--b=LOOP1"], 0, False),
+    (["bisimilar", "--a", "AUT1"], 2, True),  # a usage error is the full parser's
+])
+def test_well_formed_request_imports_no_argparse(argv, code, parser):
+    _, at_start = imported_by("-c", "pass")
+    exit_code, imported = imported_by("-m", "enrbisim", *argv)
+    assert exit_code == code
+    assert "enrbisim.cli" in imported  # the request's own imports are listed
+    assert bool({"argparse", "gettext", "locale"} & (imported - at_start)) == parser
 
 
 def test_serializing_a_table_base_runs_no_lazy_module():
