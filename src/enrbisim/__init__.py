@@ -3,7 +3,9 @@
 Importing the package runs no module of it.  ``bisim``, ``cts`` and
 ``cob`` are lazy: they sit in ``sys.modules`` and on the package from
 the start, and the first attribute read on one compiles and runs it, so
-a command that never reaches a module does not pay for it.  The names
+a command that never reaches a module does not pay for it.  The base
+families ``tables`` and ``language`` and the law checks ``laws`` are
+imported by the first document or command that needs them.  The names
 below, and the modules that define them, resolve on first use.
 """
 
@@ -24,6 +26,18 @@ def _lazy(*names: str) -> None:
 
 
 _lazy("bisim", "cts", "cob")
+
+
+def _moved(module: str, table: dict[str, str]):
+    """The PEP 562 ``__getattr__`` of ``module``: each name of ``table`` is
+    read from the module it moved to, imported on first use."""
+
+    def __getattr__(name: str):
+        if name not in table:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        return getattr(importlib.import_module(f".{table[name]}", __name__), name)
+
+    return __getattr__
 
 _EXPORTS = {
     "errors": ("EnrbisimError",),

@@ -17,7 +17,7 @@ from typing import Any, Callable
 # bisim, cob and cts are lazy (see the package): read their names at call time
 from . import bisim, cob, cts, documents
 from .errors import EnrbisimError, ParseError
-from .quantaloid import Quantaloid, validate_quantaloid
+from .quantaloid import Quantaloid
 from .vcat import VCategory, VFunctor
 
 
@@ -151,6 +151,8 @@ def _store(bundle: documents.Bundle, name: str, out: VCategory) -> dict:
 def _cmd_validate(bundle, flags) -> Report:
     """Check the named bases; every other document, explicit table bases
     included, was checked as it loaded."""
+    from .laws import validate_quantaloid  # only validate and cts-build check laws
+
     names = flags.names or bundle.names()
     problems: dict[str, list[str]] = {}
     for name in names:
@@ -279,6 +281,8 @@ def _cmd_axioms(bundle, flags) -> Report:
 
 
 def _cmd_cts_build(bundle, flags) -> Report:
+    from .laws import validate_quantaloid
+
     cat, spec = bundle.get(flags.spec, "ctsspec")  # loaded as (category, spec)
     sieves = bundle.sieve_base(bundle.name_of(cat))
     base_report = validate_quantaloid(sieves)

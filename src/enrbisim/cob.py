@@ -11,13 +11,102 @@ has a right adjoint built from those local adjoints.
 from __future__ import annotations
 
 import itertools
+from types import MappingProxyType
 from typing import Any, Iterable, Iterator, NamedTuple
 
 from .documents import _once
-from .errors import BaseMismatch, NoAdjoint, NotACongruence, ParseError, SizeLimit, ValidationError
-from .lattice import Lattice, MonotoneMap, right_adjoint_of_monotone
-from .quantaloid import LanguageQuantale, Quantaloid
+from .errors import (
+    BaseMismatch, NoAdjoint, NotACongruence, ParseError, SizeLimit, UnknownElement, ValidationError,
+)
+from .lattice import Lattice
+from .quantaloid import Quantaloid
 from .vcat import VCategory
+
+
+class MonotoneMap:
+    """An order-preserving assignment between two finite lattices.
+
+    ``mapping`` is a read-only view of a private copy of the assignment.
+    """
+
+    def __init__(self, source: Lattice, target: Lattice, mapping: dict):
+        self.source = source
+        self.target = target
+        self.mapping = MappingProxyType(dict(mapping))
+
+    def __call__(self, x):
+        try:
+            return self.mapping[x]
+        except KeyError:
+            raise UnknownElement(f"{x!r} is outside the map's domain") from None
+
+    def __repr__(self):
+        return f"MonotoneMap({self.source!r} -> {self.target!r})"
+
+    def then(self, other: "MonotoneMap") -> "MonotoneMap":
+        """Diagrammatic composite: apply self first, then other."""
+        return MonotoneMap(
+            self.source, other.target, {x: other(y) for x, y in self.mapping.items()}
+        )
+
+    def check(self) -> list[str]:
+        out = []
+        for x in self.source.elements():
+            if x not in self.mapping:
+                out.append(f"domain misses {x!r}")
+            elif not self.target.has_element(self.mapping[x]):
+                out.append(f"value {self.mapping[x]!r} not in target")
+        if out:
+            return out
+        for x in self.source.elements():
+            for y in self.source.elements():
+                if self.source.leq(x, y) and not self.target.leq(
+                    self.mapping[x], self.mapping[y]
+                ):
+                    out.append(f"not monotone at {x!r} <= {y!r}")
+        return out
+
+    def pointwise_leq(self, other: "MonotoneMap") -> bool:
+        return all(
+            self.target.leq(self(x), other(x)) for x in self.source.elements()
+        )
+
+    @classmethod
+    def identity(cls, lat: Lattice) -> "MonotoneMap":
+        return cls(lat, lat, {x: x for x in lat.elements()})
+
+    @classmethod
+    def from_function(cls, source: Lattice, target: Lattice, fn) -> "MonotoneMap":
+        return cls(source, target, {x: fn(x) for x in source.elements()})
+
+
+def right_adjoint_of_monotone(f: MonotoneMap) -> MonotoneMap:
+    """Right Galois adjoint ``g(w) = join{v : f(v) <= w}`` of ``f``.
+
+    The adjunction ``f(v) <= w  iff  v <= g(w)`` is verified exhaustively
+    before returning; it holds exactly when ``f`` preserves all joins.
+    """
+    f.source.ensure_enumerable()
+    f.target.ensure_enumerable()
+    bad = f.check()
+    if bad:
+        raise NoAdjoint(f"map is not monotone: {bad[0]}")
+    g = MonotoneMap(
+        f.target,
+        f.source,
+        {
+            w: f.source.join(v for v in f.source.elements() if f.target.leq(f(v), w))
+            for w in f.target.elements()
+        },
+    )
+    for v in f.source.elements():
+        for w in f.target.elements():
+            if f.target.leq(f(v), w) != f.source.leq(v, g(w)):
+                raise NoAdjoint(
+                    f"no right adjoint: adjunction fails at v={v!r}, w={w!r}"
+                    " (the map does not preserve all joins)"
+                )
+    return g
 
 
 class TwoSidedEnrichment:
@@ -266,13 +355,15 @@ def right_adjoint_cob(
 
 
 def require_language_bases(source: Quantaloid, target: Quantaloid) -> None:
+    from .language import LanguageQuantale  # only the monoid spans need it
+
     if not (isinstance(source, LanguageQuantale) and isinstance(target, LanguageQuantale)):
         raise NotACongruence("both bases must be truncated language quantales")
 
 
 def monoid_congruence_tse(
-    source: LanguageQuantale,
-    target: LanguageQuantale,
+    source: Quantaloid,
+    target: Quantaloid,
     pairs: Iterable[tuple[tuple, tuple]],
 ) -> TwoSidedEnrichment:
     """Direct image along a congruence between truncated word monoids.
@@ -323,7 +414,7 @@ def monoid_congruence_tse(
 
 
 def monoid_morphism_pairs(
-    gen_map: dict[str, tuple], source: LanguageQuantale, target: LanguageQuantale
+    gen_map: dict[str, tuple], source: Quantaloid, target: Quantaloid
 ) -> list[tuple[tuple, tuple]]:
     """The graph of the word map induced by a generator assignment."""
     def apply(word: tuple) -> tuple:

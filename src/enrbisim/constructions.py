@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Iterable, NamedTuple
 
-from .cob import TwoSidedEnrichment, composition_square
+from .cob import MonotoneMap, TwoSidedEnrichment, composition_square
 from .cts import CatFunctor, CribleQuantaloid, PowersetCatQuantaloid, Span
 from .errors import (
     BaseMismatch,
@@ -27,8 +27,9 @@ from .errors import (
     SizeLimit,
     ValidationError,
 )
-from .lattice import Lattice, MonotoneMap, PowersetLattice, TableLattice
-from .quantaloid import Quantaloid, QuantaloidElement, TableQuantaloid
+from .lattice import Lattice, PowersetLattice
+from .quantaloid import Quantaloid, QuantaloidElement
+from .tables import TableLattice, TableQuantaloid
 from .vcat import VCategory, VFunctor, require_same_base
 
 # Most candidate object maps ``enumerate_vfunctors`` may try

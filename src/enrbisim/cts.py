@@ -5,11 +5,14 @@ finite category with chosen pullbacks and whose edges carry spans; it
 generates an enrichment over the quantaloid whose arrows are sieves
 (down-closed sets) of spans.  Refining along a pullback-preserving
 functor is a change of base with local right adjoints, so it preserves
-surjective functional bisimulations.
+surjective functional bisimulations.  The sieve and powerset bases, with
+the sieves' down-set lattices, are this module's family: it reads and
+writes their documents.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, NamedTuple
 
 # cob is lazy (see the package): read its names at call time, so that
@@ -21,12 +24,14 @@ from .errors import (
     NoAdjoint,
     NotComposable,
     NotExact,
+    ParseError,
     SizeLimit,
     TypeMismatch,
+    UnknownElement,
     UnknownObject,
     ValidationError,
 )
-from .lattice import MAX_GENERATORS, DownsetLattice, MonotoneMap, PowersetLattice
+from .lattice import DEFAULT_ENUM_CAP, MAX_GENERATORS, PowersetLattice, _SetLattice
 from .quantaloid import SetQuantaloid
 from .vcat import EnrichedGraph, VCategory, free_vcategory
 
@@ -252,6 +257,9 @@ class PowersetCatQuantaloid(SetQuantaloid):
     def unit(self, u):
         return frozenset({self.cat.identities[u]})
 
+    def construction_doc(self, name_of) -> dict:
+        return {"construction": "powerset", "category": name_of(self.cat)}
+
 
 class Span(NamedTuple):
     """A pair of morphisms out of a common apex (stored as indices)."""
@@ -310,6 +318,64 @@ def all_spans(cat: FiniteCategory, x: int, y: int) -> list[Span]:
     ]
 
 
+class DownsetLattice(_SetLattice):
+    """Down-closed subsets of a finite preorder, ordered by inclusion.
+
+    Used for the sieve lattices: the universe is a finite set of spans
+    and the preorder is domination.  Unions and intersections of down-sets
+    are down-sets, so joins and meets are the set operations.
+    """
+
+    def __init__(self, universe: Iterable, leq_fn):
+        self.universe = list(universe)
+        self._leq_fn = leq_fn
+        # below[u] = members dominated by u (including itself)
+        self._below = {
+            u: frozenset(v for v in self.universe if leq_fn(v, u)) for u in self.universe
+        }
+        self._uset = frozenset(self.universe)
+        self._all: list[frozenset] | None = None
+
+    def __repr__(self):
+        return f"DownsetLattice({len(self.universe)} generators)"
+
+    def down_close(self, members: Iterable) -> frozenset:
+        out = set()
+        for m in members:
+            if m not in self._uset:
+                raise UnknownElement(f"{m!r} is not in the universe")
+            out |= self._below[m]
+        return frozenset(out)
+
+    def _enumerate(self) -> list[frozenset]:
+        if self._all is None:
+            n = len(self.universe)
+            if 1 << n > DEFAULT_ENUM_CAP:
+                raise SizeLimit(f"cannot enumerate down-sets of {n} generators")
+            found = set()
+            for r in range(n + 1):
+                for combo in itertools.combinations(self.universe, r):
+                    found.add(self.down_close(combo))
+            self._all = sorted(found, key=lambda s: (len(s), sorted(map(repr, s))))
+        return self._all
+
+    @property
+    def size(self) -> int:
+        return len(self._enumerate())
+
+    def elements(self):
+        return iter(self._enumerate())
+
+    def has_element(self, x) -> bool:
+        if not isinstance(x, frozenset) or not x <= self._uset:
+            return False
+        return all(self._below[m] <= x for m in x)
+
+    def sample(self, rng):
+        p = rng.random()
+        return self.down_close(u for u in self.universe if rng.random() < p)
+
+
 class CribleQuantaloid(SetQuantaloid):
     """Sieves of spans between a finite category's objects.
 
@@ -345,6 +411,9 @@ class CribleQuantaloid(SetQuantaloid):
     def member_from_doc(self, doc):
         return span_from_doc(self.cat, doc)
 
+    def construction_doc(self, name_of) -> dict:
+        return {"construction": "sieves", "category": name_of(self.cat)}
+
     def _make_hom(self, u, v):
         return DownsetLattice(
             all_spans(self.cat, u, v), lambda s, t: span_leq(self.cat, s, t)
@@ -369,6 +438,14 @@ class CribleQuantaloid(SetQuantaloid):
 def build_S_quantaloid(cat: FiniteCategory) -> CribleQuantaloid:
     """The sieve quantaloid of a finite category with chosen pullbacks."""
     return CribleQuantaloid(cat)
+
+
+def quantaloid_from_doc(doc, resolve) -> SetQuantaloid:
+    """The base of a ``powerset`` or ``sieves`` document over a category."""
+    cat = resolve(doc["category"], FiniteCategory)
+    if doc["construction"] == "powerset":
+        return PowersetCatQuantaloid(cat)
+    return build_S_quantaloid(cat)
 
 
 class CtsSpec(NamedTuple):
@@ -476,7 +553,7 @@ def crible_change_tse(
                     fx, fy, [fun.apply_span(s) for s in crible]
                 )
 
-            comps[(x, y)] = MonotoneMap.from_function(
+            comps[(x, y)] = cob.MonotoneMap.from_function(
                 source_sq.hom(x, y), target_sq.hom(fx, fy), image
             )
     return cob.TwoSidedEnrichment(
@@ -495,7 +572,7 @@ def crible_preimage_map(
     target_sq: CribleQuantaloid,
     x: int,
     y: int,
-) -> MonotoneMap:
+) -> cob.MonotoneMap:
     """Predicted right adjoint: spans whose image lies in the sieve."""
     fx, fy = fun.obj_map[x], fun.obj_map[y]
 
@@ -504,7 +581,7 @@ def crible_preimage_map(
             s for s in all_spans(fun.source, x, y) if fun.apply_span(s) in crible
         )
 
-    return MonotoneMap.from_function(
+    return cob.MonotoneMap.from_function(
         target_sq.hom(fx, fy), source_sq.hom(x, y), preimage
     )
 
@@ -539,9 +616,21 @@ def refine(
 def fincat_from_doc(doc) -> FiniteCategory:
     """The category of a ``fincat`` document: a poset or an explicit table."""
     if doc.get("construction") == "poset":
-        cat = FiniteCategory.poset(
-            [str(n) for n in doc["elements"]], [tuple(p) for p in doc["leq"]]
-        )
+        names = [str(n) for n in doc["elements"]]
+        _name_lookup(doc, names)  # a repeated name is a ParseError
+        order = set()
+        for pair in doc["leq"]:
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and all(type(i) is int and 0 <= i < len(names) for i in pair)):
+                raise ParseError(
+                    f"{doc['name']}: leq entry {pair!r} is not a pair of element "
+                    f"indices in 0..{len(names) - 1}"
+                )
+            order.add(tuple(pair))
+        for i, name in enumerate(names):
+            if (i, i) not in order:
+                raise ParseError(f"{doc['name']}: leq misses the pair [{i}, {i}] of {name!r}")
+        cat = FiniteCategory.poset(names, order)
     else:
         objects = [str(o) for o in doc["objects"]]
         morphisms = [

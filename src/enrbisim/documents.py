@@ -4,41 +4,25 @@ Every document is an object with a ``schema`` tag, a unique ``name`` and
 a ``kind``.  References between documents are by name; a bundle resolves
 them in dependency order and validates each object as it is built.
 How a hom element is written and read is the base's own decision
-(``Quantaloid.element_to_doc`` and ``Quantaloid.element_decoder``);
+(its ``element_to_doc`` and ``element_decoder``);
 this module only says where in a document the elements go.  The kinds
-``cts`` and ``cob`` define are read by those modules.
+``cts`` and ``cob`` define are read by those modules, and each base by
+the module of its family, which also writes it
+(``Quantaloid.construction_doc``); Aldebaran automata are ``language``'s.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib
 import json
-import re
 from pathlib import Path
 from typing import Any
 
 # bisim, cob and cts are lazy (see the package): read their names at call time
-from . import bisim, cob, cts
-from .errors import (
-    DanglingReference,
-    ParseError,
-    UnknownLabel,
-    ValidationError,
-)
-from .lattice import TableLattice
-from .quantaloid import (
-    LanguageQuantale,
-    MetricQuantale,
-    Quantaloid,
-    RelQuantaloid,
-    TableQuantaloid,
-    build_boolean_quantale,
-    build_language_quantale,
-    build_metric_quantale,
-    build_rel_quantaloid,
-    grid_value,
-    validate_quantaloid,
-)
+from . import _moved, bisim, cob, cts
+from .errors import DanglingReference, ParseError, ValidationError
+from .quantaloid import Quantaloid
 from .vcat import EnrichedGraph, VCategory, VFunctor, free_vcategory, validate_vcategory, validate_vfunctor
 
 SCHEMA = "enrbisim/1"
@@ -48,49 +32,20 @@ SCHEMA = "enrbisim/1"
 # per-kind builders
 
 
-def _table_lattice_from_doc(doc) -> TableLattice:
-    lat = TableLattice([str(n) for n in doc["elements"]], [tuple(p) for p in doc["leq"]])
-    problems = lat.validate()
-    if problems:
-        raise ValidationError(f"lattice invalid: {problems[0]}")
-    return lat
+# the module of each construction's family, which reads its documents: it
+# is imported at call time, so that a request runs only the families it names
+_CONSTRUCTIONS = {
+    "explicit": "tables", "boolean": "tables", "metric": "tables", "language": "language",
+    "rel": "quantaloid", "powerset": "cts", "sieves": "cts",
+}
 
 
 def _quantaloid_from_doc(doc, resolve) -> Quantaloid:
     kind = doc.get("construction", "explicit")
-    if kind == "boolean":
-        return build_boolean_quantale()
-    if kind == "language":
-        return build_language_quantale([str(s) for s in doc["alphabet"]], int(doc["k"]))
-    if kind == "metric":
-        return build_metric_quantale([grid_value(str(g)) for g in doc["grid"]])
-    if kind == "rel":
-        return build_rel_quantaloid([list(s) for s in doc["sets"]])
-    if kind == "powerset":
-        return cts.PowersetCatQuantaloid(resolve(doc["category"], cts.FiniteCategory))
-    if kind == "sieves":
-        return cts.build_S_quantaloid(resolve(doc["category"], cts.FiniteCategory))
-    if kind != "explicit":
+    if not isinstance(kind, str) or kind not in _CONSTRUCTIONS:
         raise ParseError(f"unknown quantaloid construction {kind!r}")
-    objects = [str(o) for o in doc["objects"]]
-    homs = {}
-    for key, lat_doc in doc["homs"].items():
-        u, v = key.split(",")
-        homs[(objects.index(u), objects.index(v))] = _table_lattice_from_doc(lat_doc)
-    tensor = {}
-    for key, table in doc["tensor"].items():
-        u, v, w = key.split(",")
-        tensor[(objects.index(u), objects.index(v), objects.index(w))] = [
-            [int(x) for x in row] for row in table
-        ]
-    units = [0] * len(objects)
-    for key, idx in doc["id"].items():
-        units[objects.index(key)] = int(idx)
-    q = TableQuantaloid(objects, homs, tensor, units)
-    report = validate_quantaloid(q)
-    if not report.ok:
-        raise ValidationError(f"quantaloid invalid: {report.violations[0]}")
-    return q
+    family = importlib.import_module(f".{_CONSTRUCTIONS[kind]}", __package__)
+    return family.quantaloid_from_doc(doc, resolve)
 
 
 def _once(doc, field: str, entries) -> dict:
@@ -250,7 +205,7 @@ _LOAD_ORDER = list(_BUILDERS)  # a list: document kinds need not be hashable
 
 
 # shorthand spelling: "kind" may name the construction directly
-_QUANTALOID_SHORTHANDS = ("boolean", "language", "metric", "rel", "powerset", "sieves")
+_QUANTALOID_SHORTHANDS = [kind for kind in _CONSTRUCTIONS if kind != "explicit"]
 
 
 def _read_text(path) -> str:
@@ -291,6 +246,8 @@ def collect_documents(paths, aut_alphabet=None, aut_k=None) -> list[dict]:
                     raise ParseError(
                         f"{file}: importing automata needs an alphabet and a cutoff"
                     )
+                from .language import aut_base_doc, aut_to_doc  # only automata need them
+
                 doc = aut_to_doc(file, aut_alphabet, aut_k)
                 base_doc = aut_base_doc(aut_alphabet, aut_k)
                 if not any(d["name"] == base_doc["name"] for d in docs):
@@ -339,85 +296,6 @@ def load_bundle(paths, aut_alphabet=None, aut_k=None) -> Bundle:
 
 
 # ---------------------------------------------------------------------------
-# Aldebaran automata
-
-_AUT_HEADER = re.compile(r"des\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\s*$")
-_AUT_LINE = re.compile(r'\(\s*(\d+)\s*,\s*"([^"]*)"\s*,\s*(\d+)\s*\)\s*$')
-
-
-def parse_aut(path) -> tuple[int, int, list[tuple[int, str, int]]]:
-    """Read an Aldebaran file: header ``des (init, trans, states)``."""
-    lines = [ln.strip() for ln in _read_text(path).splitlines() if ln.strip()]
-    if not lines:
-        raise ParseError(f"{path}: empty file")
-    header = _AUT_HEADER.match(lines[0])
-    if not header:
-        raise ParseError(f"{path}: bad header {lines[0]!r}")
-    initial, n_trans, n_states = (int(g) for g in header.groups())
-    if initial >= n_states:
-        raise ParseError(f"{path}: initial state {initial} out of range")
-    transitions = []
-    for ln in lines[1:]:
-        m = _AUT_LINE.match(ln)
-        if not m:
-            raise ParseError(f"{path}: bad transition line {ln!r}")
-        src, label, dst = int(m.group(1)), m.group(2), int(m.group(3))
-        if src >= n_states or dst >= n_states:
-            raise ParseError(f"{path}: state out of range in {ln!r}")
-        transitions.append((src, label, dst))
-    if len(transitions) != n_trans:
-        raise ParseError(
-            f"{path}: header announces {n_trans} transitions, found {len(transitions)}"
-        )
-    return initial, n_states, transitions
-
-
-def aut_base_doc(alphabet, k) -> dict:
-    alphabet = [str(a) for a in alphabet]
-    return {
-        "schema": SCHEMA,
-        "name": f"QL({','.join(alphabet)},{k})",
-        "kind": "quantaloid",
-        "construction": "language",
-        "alphabet": alphabet,
-        "k": int(k),
-    }
-
-
-def aut_to_doc(path, alphabet, k) -> dict:
-    """Translate an Aldebaran file into a free-enrichment document."""
-    alphabet = [str(a) for a in alphabet]
-    _, n_states, transitions = parse_aut(path)
-    for _, label, _ in transitions:
-        if label not in alphabet:
-            raise UnknownLabel(f"{path}: label {label!r} not in the alphabet")
-    return {
-        "schema": SCHEMA,
-        "name": Path(path).stem,
-        "kind": "vcategory",
-        "base": aut_base_doc(alphabet, k)["name"],
-        "graph": {
-            "vertices": [{"name": f"s{i}", "extent": "*"} for i in range(n_states)],
-            "edges": [
-                {"src": f"s{s}", "tgt": f"s{t}", "label": [[label]]}
-                for s, label, t in transitions
-            ],
-        },
-    }
-
-
-def import_aut(path, alphabet, k) -> VCategory:
-    """Free enrichment of an automaton over the truncated word base."""
-    doc = aut_to_doc(path, alphabet, k)
-    base = build_language_quantale([str(a) for a in alphabet], int(k))
-
-    def resolve(ref, expected):
-        return base
-
-    return _vcategory_from_doc(doc, resolve)
-
-
-# ---------------------------------------------------------------------------
 # serialization back to documents
 
 
@@ -426,7 +304,8 @@ def serialize(bundle: Bundle, name: str) -> dict:
     obj = bundle.get(name)
     kind = bundle.kinds[name]
     if kind == "quantaloid":
-        return _quantaloid_to_doc(bundle, name, obj)
+        head = {"schema": SCHEMA, "name": name, "kind": "quantaloid"}
+        return head | obj.construction_doc(bundle.name_of)
     if kind == "fincat":
         return cts.fincat_to_doc(name, obj)
     if kind == "vcategory":
@@ -455,57 +334,6 @@ def serialize(bundle: Bundle, name: str) -> dict:
     raise ValidationError(f"cannot serialize documents of kind {kind!r}")
 
 
-def _quantaloid_to_doc(bundle, name, q) -> dict:
-    head = {"schema": SCHEMA, "name": name, "kind": "quantaloid"}
-    if isinstance(q, LanguageQuantale):
-        return head | {
-            "construction": "language",
-            "alphabet": list(q.alphabet),
-            "k": q.k,
-        }
-    if isinstance(q, MetricQuantale):
-        return head | {
-            "construction": "metric",
-            "grid": [("inf" if g == float("inf") else str(g)) for g in q.grid],
-        }
-    if isinstance(q, RelQuantaloid):
-        return head | {"construction": "rel", "sets": [list(s) for s in q.sets]}
-    if isinstance(q, TableQuantaloid):
-        objects = list(q.objects)
-        homs = {}
-        tensor = {}
-        for u in range(len(objects)):
-            for v in range(len(objects)):
-                lat = q.hom(u, v)
-                homs[f"{objects[u]},{objects[v]}"] = {
-                    "elements": list(lat.names),
-                    "leq": sorted(
-                        [i, j]
-                        for i in lat.elements()
-                        for j in lat.elements()
-                        if lat.leq(i, j)
-                    ),
-                }
-        for u in range(len(objects)):
-            for v in range(len(objects)):
-                for w in range(len(objects)):
-                    tensor[f"{objects[u]},{objects[v]},{objects[w]}"] = [
-                        [q.compose(u, v, w, f, g) for g in q.hom(v, w).elements()]
-                        for f in q.hom(u, v).elements()
-                    ]
-        return head | {
-            "objects": objects,
-            "homs": homs,
-            "tensor": tensor,
-            "id": {objects[u]: q.unit(u) for u in range(len(objects))},
-        }
-    if isinstance(q, cts.PowersetCatQuantaloid):
-        return head | {"construction": "powerset", "category": bundle.name_of(q.cat)}
-    if isinstance(q, cts.CribleQuantaloid):
-        return head | {"construction": "sieves", "category": bundle.name_of(q.cat)}
-    raise ValidationError(f"cannot serialize base {q!r}")
-
-
 def vcategory_to_doc(bundle: Bundle, name: str, cat: VCategory) -> dict:
     base = cat.base
     return {
@@ -525,3 +353,8 @@ def vcategory_to_doc(bundle: Bundle, name: str, cat: VCategory) -> dict:
             for j in range(cat.n_objects)
         },
     }
+
+
+__getattr__ = _moved(__name__, dict.fromkeys(
+    ("aut_base_doc", "aut_to_doc", "import_aut", "parse_aut"), "language"
+))

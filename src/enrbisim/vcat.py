@@ -8,14 +8,13 @@ are extent-preserving maps that never shrink homs.
 
 from __future__ import annotations
 
-import collections
 import itertools
 from types import MappingProxyType
 from typing import Any, Mapping, NamedTuple
 
 from .errors import BaseMismatch, NotComposable, TypeMismatch, UnknownObject
 from .lattice import Lattice
-from .quantaloid import LanguageQuantale, Quantaloid
+from .quantaloid import Quantaloid
 
 
 def require_same_base(a: "VCategory", b: "VCategory") -> None:
@@ -117,8 +116,9 @@ def validate_vcategory(a: VCategory) -> list[str]:
     exact when the base satisfies the quantaloid laws, so that composing
     with bottom on either side gives bottom, which lies below every hom:
     ``validate_quantaloid`` checks those laws for table bases, and the
-    structural bases meet them by construction.  Over a language quantale
-    the law is first decided on word masks (``_language_law_holds``).
+    structural bases meet them by construction.  A base with a check of
+    its own decides the law first (``composition_law_holds``: a language
+    quantale compares word masks).
 
     Otherwise each row's non-bottom targets are grouped by (extent, hom
     value) into bitmasks (``_value_groups``).  At each non-bottom
@@ -139,7 +139,7 @@ def validate_vcategory(a: VCategory) -> list[str]:
         lat = a.hom_lattice(i, i)
         if not lat.leq(base.unit(ext[i]), a.hom(i, i)):
             out.append(f"identity not below hom({a.objects[i]},{a.objects[i]})")
-    if isinstance(base, LanguageQuantale) and _language_law_holds(base, rows):
+    if base.composition_law_holds(rows):
         return out
     groups = [_value_groups(row, ext) for row in rows]
     names, lattices = a.objects, a._lattices
@@ -188,51 +188,6 @@ def _value_groups(row, extents) -> list:
     for k, g, _ in row:
         groups.setdefault((extents[k], g), []).append(k)
     return [(e, g, sum(1 << k for k in ks), ks) for (e, g), ks in groups.items()]
-
-
-def _language_law_holds(base: LanguageQuantale, rows) -> bool:
-    """Whether ``hom(i,j) . hom(j,l) <= hom(i,l)`` for all ``i, j, l``.
-
-    ``rows`` are an enrichment's non-bottom rows (``VCategory.rows``).
-    Row ``i`` becomes a map ``masks[i]`` from each word to the bitmask of
-    the targets ``l`` whose hom contains it.  The law holds exactly when
-    ``masks[j][w] <= masks[i][u.w]`` (as bit sets) for every word ``u`` in
-    ``hom(i,j)`` and every word ``w`` of row ``j`` with ``|u| + |w| <= k``.
-    Each row's words are bucketed by length, so only those pairs are
-    visited.  Each concatenation comes from ``base.compose`` on
-    singletons, once per word pair, so truncation is defined in one place.
-    """
-    cutoff = base.k
-    masks: list[dict[tuple, int]] = []
-    by_length: list[list[list[tuple[tuple, int]]]] = []
-    for row in rows:
-        mask: dict[tuple, int] = {}
-        for t, words, _ in row:
-            bit = 1 << t
-            for w in words:
-                mask[w] = mask.get(w, 0) | bit
-        buckets: list[list[tuple[tuple, int]]] = [[] for _ in range(cutoff + 1)]
-        for w, m in mask.items():
-            buckets[len(w)].append((w, m))
-        masks.append(mask)
-        by_length.append(buckets)
-    concat: dict[tuple, dict[tuple, tuple]] = {}
-    for i, (row, mask_i) in enumerate(zip(rows, masks)):
-        for j, words, _ in row:
-            buckets = by_length[j]
-            for u in words:
-                if j == i and not u:
-                    continue  # the unit at i composes to each word of row i itself
-                after_u = concat.setdefault(u, {})
-                for length in range(cutoff - len(u) + 1):
-                    for w, m in buckets[length]:
-                        uw = after_u.get(w)
-                        if uw is None:
-                            (uw,) = base.compose(0, 0, 0, frozenset((u,)), frozenset((w,)))
-                            after_u[w] = uw
-                        if m & ~mask_i.get(uw, 0):
-                            return False
-    return True
 
 
 class VFunctor:
@@ -331,91 +286,18 @@ def free_vcategory(base: Quantaloid, graph: EnrichedGraph) -> VCategory:
     """Smallest enrichment whose homs dominate the edge labels.
 
     Ascending closure under identities, labels and composition; it
-    terminates because every hom lattice is finite.  Both paths work one
-    source at a time, since row ``i`` of the closure is the least
-    solution of ``r = unit(i) ∨ r·E`` over the edge labels ``E``.  Over
-    a language quantale that is ``path_homs``'s forward sweep, which
-    never concatenates large languages; over every other base it is
-    ``_kleene_closure``'s worklist of the targets whose hom grew.
+    terminates because every hom lattice is finite.  The base computes it
+    (``Quantaloid.free_homs``): by default a worklist of the targets whose
+    hom grew, and over a language quantale ``path_homs``'s forward sweep.
     """
     names = [name for name, _ in graph.vertices]
     extents = [ext for _, ext in graph.vertices]
     for ext in extents:
         base.check_object(ext)
-    n = len(names)
     for s, t, label in graph.edges:
         if not base.hom(extents[s], extents[t]).has_element(label):
             raise TypeMismatch(
                 f"edge label {label!r} is not in hom of extents "
                 f"({base.objects[extents[s]]},{base.objects[extents[t]]})"
             )
-
-    if isinstance(base, LanguageQuantale):
-        return VCategory(base, names, extents, base.path_homs(n, graph.edges))
-    return VCategory(base, names, extents, _kleene_closure(base, extents, graph.edges))
-
-
-def _kleene_closure(base: Quantaloid, extents: list[int], edges) -> list[dict[int, Any]]:
-    """Ascending closure under identities, labels and composition.
-
-    Row ``i`` of the closure is the least solution of
-    ``r = unit(i) ∨ r·E``, where ``E`` joins the parallel edge labels of
-    each ``(s, t)`` once.  Because composition preserves joins in each
-    argument, that row equals the least fixed point of joining
-    ``hom(i,k)·hom(k,j)`` into ``hom(i,j)`` over all ``(i, k, j)``:
-    ``validate_quantaloid`` certifies the laws for table bases, and the
-    structural bases have them by construction.  So each source runs a
-    worklist of its own.  Row ``i`` starts as the unit at ``i`` joined
-    with ``i``'s edge labels, and the queue (first in, first out) holds
-    the targets ``k`` whose ``hom(i,k)`` grew; for each edge ``k -> j``
-    labelled ``g``, the composite ``hom(i,k)·g`` is joined into
-    ``hom(i,j)`` (it replaces a hom it lies above), and ``j`` is queued
-    again only if its hom grew.  A target row ``i`` never reaches is
-    never composed from, which is exact because bottom composes to
-    bottom.  A source's work is the out-edges of the targets it reaches,
-    once for each time their hom grows, where the passes it replaces
-    visited all n³ cells, a last pass that changed nothing included.
-
-    ``base.compose`` is a pure function of its arguments and hom
-    elements are hashable, so each distinct ``(extents, f, g)`` is
-    composed once, into a cache that lives for the call; over a base
-    whose homs take few values that cache is small and most steps are
-    dictionary hits.
-    """
-    n = len(extents)
-    lattices = {key: base.hom(*key) for key in itertools.product(set(extents), repeat=2)}
-    row_lattices = {u: [lattices[u, v] for v in extents] for u in set(extents)}
-    bottoms = {u: [lat._join(()) for lat in lats] for u, lats in row_lattices.items()}
-    labels: dict[tuple[int, int], list] = {}
-    for s, t, lab in edges:
-        labels.setdefault((s, t), []).append(lab)
-    out: list[list[tuple[int, int, Any]]] = [[] for _ in range(n)]  # (j, e_j, label of k -> j)
-    for (s, t), labs in labels.items():
-        out[s].append((t, extents[t], lattices[extents[s], extents[t]]._join(labs)))
-    composites: dict = {}  # (e_i, e_k, e_j, f, g) -> base.compose of them
-    homs = []
-    for i in range(n):
-        ei, lats, bottoms_i = extents[i], row_lattices[extents[i]], bottoms[extents[i]]
-        row = {i: base.unit(ei)}
-        for j, _, g in out[i]:
-            row[j] = lats[j]._join([row[j], g]) if j in row else g
-        pending = collections.deque([i, *(j for j, _, _ in out[i] if j != i)])
-        queued = set(pending)
-        while pending:
-            k = pending.popleft()
-            queued.discard(k)
-            f, ek = row[k], extents[k]
-            for j, ej, g in out[k]:
-                key = (ei, ek, ej, f, g)
-                try:
-                    comp = composites[key]
-                except KeyError:
-                    comp = composites[key] = base.compose(*key)
-                lat, have = lats[j], row.get(j, bottoms_i[j])
-                if not lat._leq(comp, have):
-                    row[j] = comp if lat._leq(have, comp) else lat._join([have, comp])
-                    if j not in queued:
-                        queued.add(j)
-                        pending.append(j)
-        homs.append(row)
-    return homs
+    return VCategory(base, names, extents, base.free_homs(extents, graph.edges))

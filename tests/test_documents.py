@@ -158,6 +158,50 @@ class TestBundleLoading:
             load_bundle([tmp_path])
 
 
+class TestBoundaryChecks:
+    """A language or poset document field is checked as given: a bad one is
+    a ``ParseError`` that names it, never a conversion or an internal error."""
+
+    @staticmethod
+    def assert_parse_error(tmp_path, capsys, match):
+        with pytest.raises(ParseError, match=re.escape(match)):
+            load_bundle([tmp_path])
+        assert main(["--paths", str(tmp_path), "validate"]) == 2
+        out, err = capsys.readouterr()
+        assert json.loads(out)["details"] == {"error": f"ParseError: {match}"}
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fields, match", [
+        ('"alphabet": ["a"], "k": 1e400', "k must be an integer >= 0, not inf"),
+        ('"alphabet": ["a"], "k": 2.5', "k must be an integer >= 0, not 2.5"),
+        ('"alphabet": ["a"], "k": true', "k must be an integer >= 0, not True"),
+        ('"alphabet": [["a"]], "k": 1', "a letter must be a string: (['a'],)"),
+    ], ids=["k-overflows", "k-fraction", "k-boolean", "letter-list"])
+    def test_bad_language_field(self, tmp_path, capsys, fields, match):
+        (tmp_path / "L.json").write_text(
+            f'{{"schema": "{SCHEMA}", "name": "L", "kind": "language", {fields}}}'
+        )
+        self.assert_parse_error(tmp_path, capsys, f"L: malformed field (ValueError: {match})")
+
+    @pytest.mark.parametrize("elements, leq, match", [
+        (["0", "1"], [[0, 0], [1, 1], [0, 5]], "leq entry [0, 5] is not a pair of element "
+         "indices in 0..1"),
+        (["0", "1"], [[0, 0], [1, 1], [-1, 0]], "leq entry [-1, 0] is not a pair of element "
+         "indices in 0..1"),
+        (["0", "1"], [[0, 0], [1, 1], [0, 1, 2]], "leq entry [0, 1, 2] is not a pair of "
+         "element indices in 0..1"),
+        (["0", "1"], [[0, 0], [1, 1], [True, 1]], "leq entry [True, 1] is not a pair of "
+         "element indices in 0..1"),
+        (["0", "0"], [[0, 0], [1, 1]], "object name '0' is repeated"),
+        (["0", "1"], [[0, 0], [0, 1]], "leq misses the pair [1, 1] of '1'"),
+    ], ids=["index-too-large", "index-negative", "triple", "boolean", "repeated-name",
+            "not-reflexive"])
+    def test_bad_poset_field(self, tmp_path, capsys, elements, leq, match):
+        write_doc(tmp_path, {"schema": SCHEMA, "name": "P", "kind": "fincat",
+                             "construction": "poset", "elements": elements, "leq": leq})
+        self.assert_parse_error(tmp_path, capsys, f"P: {match}")
+
+
 class TestRoundTrips:
     def test_serialize_is_stable_under_reload(self, tmp_path):
         bundle = load_bundle(FIXTURES)

@@ -7,10 +7,12 @@ stay off that path.  The eight package modules the benchmark's tracer
 wraps (TRACED) are all in ``sys.modules`` after the import, but three of
 them (LAZY) are registered unrun: a module of those runs only when a
 command first reads one of its names, so a request runs only the ones
-it reaches.  The ``exec`` audit event, raised each time a module's code
-runs, from source or from a bytecode cache, tells which ran.  A
-well-formed request reads its argv without ``argparse``, which only help
-and usage errors load.
+it reaches.  The modules of the table and language base families and
+of the law checks (FAMILIES) are not even imported until a document or
+command needs them.  The ``exec`` audit event, raised each time a
+module's code runs, from source or from a bytecode cache, tells which
+ran.  A well-formed request reads its argv without ``argparse``, which
+only help and usage errors load.
 """
 
 import json
@@ -35,6 +37,9 @@ KEPT_OFF = {
     "enrbisim.generators",
     "enrbisim.fixtures",
     "enrbisim.constructions",
+    "enrbisim.tables",
+    "enrbisim.language",
+    "enrbisim.laws",
 }
 TRACED = {
     f"enrbisim.{name}"
@@ -43,6 +48,7 @@ TRACED = {
 
 
 LAZY = {"enrbisim.bisim", "enrbisim.cts", "enrbisim.cob"}
+FAMILIES = {"enrbisim.tables", "enrbisim.language", "enrbisim.laws"}
 DATA = SRC / "enrbisim" / "data"
 GOLDEN_DOCS = Path(__file__).parent / "golden" / "docs"
 # what ``from enrbisim import ...`` offers, by the module that defines it
@@ -120,21 +126,27 @@ def paths(*files) -> list[str]:
     return [arg for file in files for arg in ("--paths", str(file))]
 
 
-# each run: its arguments (after the files), its exit code, the lazy modules it runs
+# each run: its arguments (after the files), its exit code, the lazy and
+# family modules it runs
 RUNS = {
     "automaton bisimilar": (aut_files, ["bisimilar", "--a", "A", "--b", "B"], 0,
-                            {"enrbisim.bisim"}),
+                            {"enrbisim.bisim", "enrbisim.language"}),
     "table simulates": (lambda _: paths(DATA / "Q2.json", DATA / "P01.json", DATA / "POINT.json"),
-                        ["simulates", "--a", "P01", "--b", "POINT"], 0, {"enrbisim.bisim"}),
+                        ["simulates", "--a", "P01", "--b", "POINT"], 0,
+                        {"enrbisim.bisim", "enrbisim.tables"}),
+    "validate": (lambda _: paths(DATA / "Q2.json"), ["validate"], 0,
+                 {"enrbisim.tables", "enrbisim.laws"}),
     "cts-build": (lambda _: paths(DATA / "P2.json", GOLDEN_DOCS / "SPEC.json"),
-                  ["cts-build", "--spec", "SPEC"], 0, {"enrbisim.cts"}),
+                  ["cts-build", "--spec", "SPEC"], 0, {"enrbisim.cts", "enrbisim.laws"}),
     "cts-refine": (lambda _: paths(DATA / "P2.json", *(GOLDEN_DOCS / f"{name}.json"
                                                       for name in ("SPEC", "T3", "INC"))),
                    ["cts-refine", "--spec", "SPEC", "--functor", "INC"], 0,
                    {"enrbisim.cts", "enrbisim.cob"}),
-    # the shipped fixtures hold a fincat document, which cts reads
+    # the shipped fixtures hold a fincat document, which cts reads, and
+    # table and language bases
     "default-path bisimilar": (lambda _: [], ["bisimilar", "--a", "AUT1", "--b", "LOOP1"], 1,
-                               {"enrbisim.bisim", "enrbisim.cts"}),
+                               {"enrbisim.bisim", "enrbisim.cts", "enrbisim.tables",
+                                "enrbisim.language"}),
 }
 
 
@@ -145,7 +157,7 @@ def test_request_runs_only_the_lazy_modules_it_reaches(tmp_path, run):
     ran = executed_during(
         f"from enrbisim.cli import main\nassert main({argv!r}) == {code}, 'exit code'"
     )
-    assert ran & LAZY == reached
+    assert ran & (LAZY | FAMILIES) == reached
 
 
 def imported_by(*args: str) -> tuple[int, set[str]]:
