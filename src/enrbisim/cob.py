@@ -2,17 +2,19 @@
 
 A two-sided enrichment between two quantaloids is a span of object sets
 together with a monotone hom-component per carrier pair, lax with
-respect to composition and units.  Applying one to an enrichment
-changes its base; when every component has a right Galois adjoint and
-the adjoints satisfy the two coherence inequalities, the change of base
-has a right adjoint built from those local adjoints.
+respect to composition and units; ``span_of_maps`` builds every one
+from its hom maps.  Applying one to an enrichment changes its base.
+When the left leg is a bijection and every component has a right
+Galois adjoint, the adjoints form a span back from the target; when
+that span is lax too, changing base along it is the right adjoint of
+the change of base.
 """
 
 from __future__ import annotations
 
 import itertools
 from types import MappingProxyType
-from typing import Any, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .documents import _once
 from .errors import (
@@ -42,12 +44,6 @@ class MonotoneMap:
 
     def __repr__(self):
         return f"MonotoneMap({self.source!r} -> {self.target!r})"
-
-    def then(self, other: "MonotoneMap") -> "MonotoneMap":
-        """Diagrammatic composite: apply self first, then other."""
-        return MonotoneMap(
-            self.source, other.target, {x: other(y) for x, y in self.mapping.items()}
-        )
 
     def check(self) -> list[str]:
         out = []
@@ -157,35 +153,50 @@ class TwoSidedEnrichment:
         return f"TwoSidedEnrichment({len(self.carriers)} carriers)"
 
 
-def composition_square(
-    dom: Quantaloid,
-    cod: Quantaloid,
-    dom_obj: list[int],
-    cod_obj: list[int],
-    maps: dict[tuple[int, int], MonotoneMap],
-    triple: tuple[int, int, int],
-) -> Iterator[tuple[Lattice, Any, Any]]:
-    """The two sides of the composition square of a family of hom maps.
+def span_of_maps(
+    source: Quantaloid,
+    target: Quantaloid,
+    carriers: list[str],
+    minus: list[int],
+    plus: list[int],
+    image: Callable[[int, int], Callable[[Any], Any]],
+) -> TwoSidedEnrichment:
+    """The span whose component at carriers ``(x, y)`` sends each element
+    of hom(minus[x], minus[y]) of ``source`` to its value under the
+    function ``image(x, y)`` in hom(plus[x], plus[y]) of ``target``."""
+    components = {
+        (x, y): MonotoneMap.from_function(
+            source.hom(minus[x], minus[y]), target.hom(plus[x], plus[y]), image(x, y)
+        )
+        for x in range(len(carriers))
+        for y in range(len(carriers))
+    }
+    return TwoSidedEnrichment(source, target, carriers, minus, plus, components)
 
-    ``maps[x, y]`` sends hom(dom_obj[x], dom_obj[y]) of ``dom`` into
-    hom(cod_obj[x], cod_obj[y]) of ``cod``.  At the carrier triple
-    ``(x, y, z)`` this yields ``(lattice, lhs, rhs)`` for every ``g`` and
-    ``h`` composable in ``dom``, where ``lhs = maps[x, y](g) ; maps[y, z](h)``
-    is composed in ``cod``, ``rhs = maps[x, z](g ; h)`` and ``lattice`` is
-    the ``cod`` hom both lie in.  Raises ``SizeLimit`` at once when one
-    of the two ``dom`` homs has more than ``DEFAULT_ENUM_CAP`` elements.
+
+def composition_square(
+    f: TwoSidedEnrichment, triple: tuple[int, int, int]
+) -> Iterator[tuple[Lattice, Any, Any]]:
+    """The two sides of a span's composition square at carriers ``(x, y, z)``.
+
+    Yields ``(lattice, lhs, rhs)`` for every ``g`` and ``h`` composable in
+    the source, where ``lhs = f(x, y)(g) ; f(y, z)(h)`` is composed in the
+    target, ``rhs = f(x, z)(g ; h)`` and ``lattice`` is the target hom both
+    lie in.  Raises ``SizeLimit`` at once when one of the two source homs
+    has more than ``DEFAULT_ENUM_CAP`` elements.
     """
     x, y, z = triple
-    d, c = dom_obj, cod_obj
-    hom_xy, hom_yz = dom.hom(d[x], d[y]), dom.hom(d[y], d[z])
+    d, c = f.minus, f.plus
+    hom_xy, hom_yz = f.source.hom(d[x], d[y]), f.source.hom(d[y], d[z])
     hom_xy.ensure_enumerable()
     hom_yz.ensure_enumerable()
-    lat, m_xy, m_yz, m_xz = cod.hom(c[x], c[z]), maps[x, y], maps[y, z], maps[x, z]
+    lat = f.target.hom(c[x], c[z])
+    m_xy, m_yz, m_xz = f.component(x, y), f.component(y, z), f.component(x, z)
     return (
         (
             lat,
-            cod.compose(c[x], c[y], c[z], m_xy(g), m_yz(h)),
-            m_xz(dom.compose(d[x], d[y], d[z], g, h)),
+            f.target.compose(c[x], c[y], c[z], m_xy(g), m_yz(h)),
+            m_xz(f.source.compose(d[x], d[y], d[z], g, h)),
         )
         for g in hom_xy.elements()
         for h in hom_yz.elements()
@@ -193,7 +204,7 @@ def composition_square(
 
 
 def validate_tse(f: TwoSidedEnrichment) -> list[str]:
-    """Exhaustive check of the two lax inequalities and component shapes."""
+    """Exhaustive check of the component shapes and the two lax inequalities."""
     out = []
     for (x, y), comp in f.components.items():
         if comp.source is not f.source.hom(f.minus[x], f.minus[y]):
@@ -209,8 +220,12 @@ def validate_tse(f: TwoSidedEnrichment) -> list[str]:
     for (x, y), comp in f.components.items():
         for msg in comp.check():
             out.append(f"component ({x},{y}): {msg}")
-    if out:
-        return out
+    return out or _lax_violations(f)
+
+
+def _lax_violations(f: TwoSidedEnrichment) -> list[str]:
+    """Where a well-shaped span's unit or composition square fails."""
+    out = []
     for x in range(f.n_carriers):
         unit_src = f.source.unit(f.minus[x])
         unit_tgt = f.target.unit(f.plus[x])
@@ -219,12 +234,7 @@ def validate_tse(f: TwoSidedEnrichment) -> list[str]:
             out.append(f"unit square fails at carrier {f.carriers[x]}")
     for x, y, z in itertools.product(range(f.n_carriers), repeat=3):
         try:
-            lax = all(
-                lat.leq(lhs, rhs)
-                for lat, lhs, rhs in composition_square(
-                    f.source, f.target, f.minus, f.plus, f.components, (x, y, z)
-                )
-            )
+            lax = all(lat.leq(lhs, rhs) for lat, lhs, rhs in composition_square(f, (x, y, z)))
         except SizeLimit:
             out.append(f"hom pair at carriers ({x},{y},{z}) too large to check")
             continue
@@ -234,14 +244,8 @@ def validate_tse(f: TwoSidedEnrichment) -> list[str]:
 
 
 def identity_tse(q: Quantaloid) -> TwoSidedEnrichment:
-    carriers = list(q.objects)
-    n = len(carriers)
-    comps = {
-        (x, y): MonotoneMap.identity(q.hom(x, y))
-        for x in range(n)
-        for y in range(n)
-    }
-    return TwoSidedEnrichment(q, q, carriers, list(range(n)), list(range(n)), comps)
+    objects = list(range(q.n_objects))
+    return span_of_maps(q, q, list(q.objects), objects, objects, lambda x, y: lambda v: v)
 
 
 def apply_cob(f: TwoSidedEnrichment, a: VCategory) -> VCategory:
@@ -267,25 +271,27 @@ def apply_cob(f: TwoSidedEnrichment, a: VCategory) -> VCategory:
 
 
 class AdjointReport(NamedTuple):
-    """Local right adjoints of a two-sided enrichment's components."""
+    """Local right adjoints of a two-sided enrichment's components, keyed
+    by carrier pair, and the span back from the target that they form
+    when the left leg is a bijection."""
 
     adjoints: dict[tuple[int, int], MonotoneMap]
-    coherence1: bool
-    coherence2: bool
+    span: TwoSidedEnrichment | None
     violations: list[str]
 
     @property
     def coherent(self) -> bool:
-        return self.coherence1 and self.coherence2
+        return self.span is not None and not self.violations
 
 
 def local_right_adjoints(f: TwoSidedEnrichment, pointwise_only: bool = False) -> AdjointReport:
-    """Right Galois adjoints of every component, with coherence flags.
+    """Right Galois adjoints of every component, and whether they cohere.
 
-    Coherence (the adjoints laxly respecting composition and units) is
-    what makes the pointwise adjoints assemble into a right adjoint to
-    the change of base; it is only meaningful when the left leg is a
-    bijection, which callers may waive with ``pointwise_only``.
+    When the left leg is a bijection the adjoints form a span from the
+    target back to the source, indexed by source object; they cohere
+    when that span is lax, which is what makes changing base along it
+    the right adjoint of the change of base along ``f``.  Callers that
+    want only the pointwise adjoints pass ``pointwise_only``.
     """
     if not pointwise_only and not f.left_leg_bijective():
         raise NoAdjoint("the left leg is not a bijection; pass pointwise_only")
@@ -294,30 +300,13 @@ def local_right_adjoints(f: TwoSidedEnrichment, pointwise_only: bool = False) ->
         for key, comp in f.components.items()
     }
     if pointwise_only:
-        return AdjointReport(adjoints, False, False, ["coherence not checked"])
-    # the adjoints run from the target homs, which right_adjoint_of_monotone
-    # has already found enumerable
-    violations = [
-        f"adjoint composition inequality fails at ({x},{y},{z})"
-        for x, y, z in itertools.product(range(f.n_carriers), repeat=3)
-        if not all(
-            lat.leq(lhs, rhs)
-            for lat, lhs, rhs in composition_square(
-                f.target, f.source, f.plus, f.minus, adjoints, (x, y, z)
-            )
-        )
-    ]
-    coherence1 = not violations
-    coherence2 = True
-    for x in range(f.n_carriers):
-        lat = f.source.hom(f.minus[x], f.minus[x])
-        if not lat.leq(
-            f.source.unit(f.minus[x]),
-            adjoints[(x, x)](f.target.unit(f.plus[x])),
-        ):
-            coherence2 = False
-            violations.append(f"adjoint unit inequality fails at carrier {x}")
-    return AdjointReport(adjoints, coherence1, coherence2, violations)
+        return AdjointReport(adjoints, None, ["coherence not checked"])
+    carrier_of = {u: x for x, u in enumerate(f.minus)}
+    span = span_of_maps(
+        f.target, f.source, list(f.source.objects), f.object_action(),
+        list(range(f.source.n_objects)), lambda u, v: adjoints[carrier_of[u], carrier_of[v]],
+    )
+    return AdjointReport(adjoints, span, _lax_violations(span))
 
 
 def right_adjoint_cob(
@@ -325,33 +314,15 @@ def right_adjoint_cob(
     b: VCategory,
     report: AdjointReport | None = None,
 ) -> VCategory:
-    """Right adjoint to the change of base, from the local adjoints."""
+    """Right adjoint to the change of base: the change of base of ``b``
+    along the span of the local right adjoints."""
     if b.base is not f.target:
         raise BaseMismatch("the enrichment does not live over the span's target")
     if report is None:
         report = local_right_adjoints(f)
     if not report.coherent:
         raise NoAdjoint("the local adjoints are not coherent")
-    action = f.object_action()
-    carrier_of = {self_minus: x for x, self_minus in enumerate(f.minus)}
-    pairs = [
-        (i, v)
-        for i in range(b.n_objects)
-        for v in range(f.source.n_objects)
-        if b.extents[i] == action[v]
-    ]
-    names = [f"({b.objects[i]}|{f.source.objects[v]})" for i, v in pairs]
-    extents = [v for _, v in pairs]
-    homs = [
-        {
-            q: report.adjoints[(carrier_of[v1], carrier_of[v2])](b.hom(i1, i2))
-            for q, (i2, v2) in enumerate(pairs)
-        }
-        for (i1, v1) in pairs
-    ]
-    out = VCategory(f.source, names, extents, homs)
-    out.cob_pairs = pairs
-    return out
+    return apply_cob(report.span, b)
 
 
 def require_language_bases(source: Quantaloid, target: Quantaloid) -> None:
@@ -403,8 +374,7 @@ def monoid_congruence_tse(
             out |= by_word.get(w, set())
         return frozenset(out)
 
-    comp = MonotoneMap.from_function(source.hom(0, 0), target.hom(0, 0), image)
-    tse = TwoSidedEnrichment(source, target, ["*"], [0], [0], {(0, 0): comp})
+    tse = span_of_maps(source, target, ["*"], [0], [0], lambda x, y: image)
     problems = validate_tse(tse)
     if problems:
         raise NotACongruence(

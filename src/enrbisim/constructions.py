@@ -14,8 +14,8 @@ from __future__ import annotations
 import itertools
 from typing import Any, Iterable, NamedTuple
 
-from .cob import MonotoneMap, TwoSidedEnrichment, composition_square
-from .cts import CatFunctor, CribleQuantaloid, PowersetCatQuantaloid, Span
+from .cob import MonotoneMap, TwoSidedEnrichment, composition_square, span_of_maps
+from .cts import CatFunctor, CribleQuantaloid, PowersetCatQuantaloid, Span, crible_change_tse
 from .errors import (
     BaseMismatch,
     InternalAssertion,
@@ -377,11 +377,13 @@ def compose_tse(f: TwoSidedEnrichment, g: TwoSidedEnrichment) -> TwoSidedEnrichm
     carriers = [f"({f.carriers[x]}|{g.carriers[y]})" for x, y in pairs]
     minus = [f.minus[x] for x, _ in pairs]
     plus = [g.plus[y] for _, y in pairs]
-    comps = {}
-    for i, (x1, y1) in enumerate(pairs):
-        for j, (x2, y2) in enumerate(pairs):
-            comps[(i, j)] = f.component(x1, x2).then(g.component(y1, y2))
-    return TwoSidedEnrichment(f.source, g.target, carriers, minus, plus, comps)
+
+    def image(i, j):
+        (x1, y1), (x2, y2) = pairs[i], pairs[j]
+        first, then = f.component(x1, x2), g.component(y1, y2)
+        return lambda v: then(first(v))
+
+    return span_of_maps(f.source, g.target, carriers, minus, plus, image)
 
 
 def _cob_pairs(a: VCategory) -> list[tuple[int, int]]:
@@ -489,18 +491,10 @@ def shared_unit_base() -> Quantaloid:
 
 def vcat_as_tse(a: VCategory) -> TwoSidedEnrichment:
     """Present an enrichment as a span out of the one-arrow base."""
-    unit_q = shared_unit_base()
-    carriers = list(a.objects)
-    n = len(carriers)
-    comps = {}
-    for x in range(n):
-        for y in range(n):
-            lat = a.hom_lattice(x, y)
-            comps[(x, y)] = MonotoneMap(
-                unit_q.hom(0, 0), lat, {0: a.hom(x, y)}
-            )
-    return TwoSidedEnrichment(
-        unit_q, a.base, carriers, [0] * n, list(a.extents), comps
+    n = a.n_objects
+    return span_of_maps(
+        shared_unit_base(), a.base, list(a.objects), [0] * n, list(a.extents),
+        lambda x, y: lambda only: a.hom(x, y),
     )
 
 
@@ -524,9 +518,7 @@ def is_strong_tse(f: TwoSidedEnrichment) -> bool:
     return all(
         lhs == rhs
         for triple in itertools.product(range(f.n_carriers), repeat=3)
-        for _, lhs, rhs in composition_square(
-            f.source, f.target, f.minus, f.plus, f.components, triple
-        )
+        for _, lhs, rhs in composition_square(f, triple)
     )
 
 
@@ -560,20 +552,12 @@ def category_congruence_tse(
                             raise NotACongruence(
                                 f"composition pair missing at ({x},{y},{z})"
                             )
-    comps = {}
-    for x in range(len(carriers)):
-        for y in range(len(carriers)):
-            rel = relations.get((x, y), set())
 
-            def image(lang, rel=rel):
-                return frozenset(g for f_, g in rel if f_ in lang)
+    def image(x, y):
+        rel = relations.get((x, y), set())
+        return lambda lang: frozenset(g for f_, g in rel if f_ in lang)
 
-            comps[(x, y)] = MonotoneMap.from_function(
-                source.hom(minus[x], minus[y]),
-                target.hom(plus[x], plus[y]),
-                image,
-            )
-    return TwoSidedEnrichment(source, target, carriers, minus, plus, comps)
+    return span_of_maps(source, target, carriers, minus, plus, image)
 
 
 def functor_exists_tse(source, target, cat_functor) -> TwoSidedEnrichment:
@@ -628,15 +612,8 @@ def slice_change(
     vb = vb or slice_quantaloid(b)
     if va.vcategory is not a or vb.vcategory is not b:
         raise BaseMismatch("slice bases do not match the functor")
-    n = a.n_objects
-    comps = {}
-    for x in range(n):
-        for y in range(n):
-            comps[(x, y)] = MonotoneMap.from_function(
-                va.hom(x, y), vb.hom(f(x), f(y)), lambda v: v
-            )
-    return TwoSidedEnrichment(
-        va, vb, list(a.objects), list(range(n)), list(f.mapping), comps
+    return span_of_maps(
+        va, vb, list(a.objects), list(range(a.n_objects)), list(f.mapping), lambda x, y: lambda v: v
     )
 
 
@@ -707,34 +684,20 @@ def crible_left_adjoints(
     """
     if sa.cat is not adj.left.source or sb.cat is not adj.left.target:
         raise NotExact("the sieve bases do not match the adjunction")
-    b_cat = adj.left.target
+
+    def left(x, y, crible):
+        spans = [
+            Span(adj.left.obj_map[s.apex], adj.transpose(s.left, x), adj.transpose(s.right, y))
+            for s in crible
+        ]
+        return sb.down_close(x, y, spans)
+
     out = {}
-    for x in range(b_cat.n_objects):
-        for y in range(b_cat.n_objects):
-            gx, gy = adj.right.obj_map[x], adj.right.obj_map[y]
-
-            def left(crible, x=x, y=y):
-                spans = [
-                    Span(
-                        adj.left.obj_map[s.apex],
-                        adj.transpose(s.left, x),
-                        adj.transpose(s.right, y),
-                    )
-                    for s in crible
-                ]
-                return sb.down_close(x, y, spans)
-
-            candidate = MonotoneMap.from_function(
-                sa.hom(gx, gy), sb.hom(x, y), left
-            )
-            g_component = MonotoneMap.from_function(
-                sb.hom(x, y),
-                sa.hom(gx, gy),
-                lambda crible, gx=gx, gy=gy: sa.down_close(
-                    gx, gy, [adj.right.apply_span(s) for s in crible]
-                ),
-            )
-            if not verify_adjunction(candidate, g_component):
-                raise NoAdjoint(f"no left adjoint at objects ({x},{y})")
-            out[(x, y)] = candidate
+    for (x, y), right in crible_change_tse(adj.right, sb, sa).components.items():
+        candidate = MonotoneMap.from_function(
+            right.target, right.source, lambda crible: left(x, y, crible)
+        )
+        if not verify_adjunction(candidate, right):
+            raise NoAdjoint(f"no left adjoint at objects ({x},{y})")
+        out[(x, y)] = candidate
     return out

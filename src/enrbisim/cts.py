@@ -542,27 +542,14 @@ def crible_change_tse(
     problems = preserves_chosen_pullbacks(fun)
     if problems:
         raise NotExact(problems[0])
-    n = fun.source.n_objects
-    comps = {}
-    for x in range(n):
-        for y in range(n):
-            fx, fy = fun.obj_map[x], fun.obj_map[y]
 
-            def image(crible, x=x, y=y, fx=fx, fy=fy):
-                return target_sq.down_close(
-                    fx, fy, [fun.apply_span(s) for s in crible]
-                )
+    def image(x, y):
+        fx, fy = fun.obj_map[x], fun.obj_map[y]
+        return lambda crible: target_sq.down_close(fx, fy, [fun.apply_span(s) for s in crible])
 
-            comps[(x, y)] = cob.MonotoneMap.from_function(
-                source_sq.hom(x, y), target_sq.hom(fx, fy), image
-            )
-    return cob.TwoSidedEnrichment(
-        source_sq,
-        target_sq,
-        list(fun.source.objects),
-        list(range(n)),
-        list(fun.obj_map),
-        comps,
+    return cob.span_of_maps(
+        source_sq, target_sq, list(fun.source.objects), list(range(fun.source.n_objects)),
+        list(fun.obj_map), image,
     )
 
 

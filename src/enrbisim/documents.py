@@ -60,10 +60,13 @@ def _once(doc, field: str, entries) -> dict:
 
 
 def _name_lookup(doc, names: list[str]):
-    """Object index by name, in one map.  A repeated name and an unknown
-    one are each a ``ParseError``."""
+    """Object index by name, in one map.  A repeated name, an unknown one
+    and one with a comma (which the ``"a,b"`` hom keys could not split)
+    are each a ``ParseError``."""
     index: dict[str, int] = {}
     for i, name in enumerate(names):
+        if "," in name:
+            raise ParseError(f"{doc['name']}: object name {name!r} has a comma")
         if index.setdefault(name, i) != i:
             raise ParseError(f"{doc['name']}: object name {name!r} is repeated")
 
@@ -220,6 +223,8 @@ def _read_doc(path: Path) -> dict:
         doc = json.loads(_read_text(path))
     except json.JSONDecodeError as err:
         raise ParseError(f"{path}: {err}") from None
+    except RecursionError:
+        raise ParseError(f"{path}: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: document must be an object")
     if doc.get("schema") != SCHEMA:

@@ -102,11 +102,9 @@ def random_bisim_equivalence(a: VCategory, rng: random.Random) -> BisimEquivalen
     return equivalence_closure(random_sub_bisimulation(a, rng))
 
 
-def random_quotient_od(
-    base: Quantaloid, rng: random.Random, max_objects: int = 3
-) -> VFunctor:
+def random_quotient_od(base: Quantaloid, rng: random.Random) -> VFunctor:
     """A quotient map, surjective functional bisimulation by construction."""
-    a = random_vcategory(base, rng, max_objects)
+    a = random_vcategory(base, rng)
     _, q = quotient(a, random_bisim_equivalence(a, rng))
     return q
 
@@ -130,10 +128,8 @@ def cover_od(c: VCategory, multiplicities: list[int]) -> VFunctor:
     return VFunctor(a, c, mapping)
 
 
-def random_cover_od(
-    base: Quantaloid, rng: random.Random, max_objects: int = 3
-) -> VFunctor:
-    c = random_vcategory(base, rng, max_objects)
+def random_cover_od(base: Quantaloid, rng: random.Random) -> VFunctor:
+    c = random_vcategory(base, rng)
     return cover_od(c, [rng.randint(1, 2) for _ in range(c.n_objects)])
 
 
@@ -143,14 +139,13 @@ def random_od_map(base: Quantaloid, rng: random.Random) -> VFunctor:
     return random_quotient_od(base, rng)
 
 
-def random_functor_into(
-    c: VCategory, rng: random.Random, max_objects: int = 3, prefix: str = "y"
-) -> VFunctor:
-    """A random functor into ``c``: free on labels bounded by c's homs."""
+def random_functor_into(c: VCategory, rng: random.Random) -> VFunctor:
+    """A random functor into ``c`` from one to three objects ``y0``, ``y1``,
+    ...: free on labels bounded by c's homs."""
     base = c.base
-    n = rng.randint(1, max_objects)
+    n = rng.randint(1, 3)
     m = [rng.randrange(c.n_objects) for _ in range(n)]
-    vertices = [(f"{prefix}{i}", c.extents[m[i]]) for i in range(n)]
+    vertices = [(f"y{i}", c.extents[m[i]]) for i in range(n)]
     edges = []
     for i in range(n):
         for j in range(n):

@@ -19,6 +19,8 @@ from .vcat import VCategory
 
 # Most words a language quantale may hold
 MAX_WORDS = 1 << 20
+# Most states the header of an Aldebaran file may announce
+MAX_AUT_STATES = 1 << 17
 
 
 class LanguageQuantale(SetQuantaloid):
@@ -189,6 +191,10 @@ def parse_aut(path) -> tuple[int, int, list[tuple[int, str, int]]]:
     if not header:
         raise ParseError(f"{path}: bad header {lines[0]!r}")
     initial, n_trans, n_states = (int(g) for g in header.groups())
+    if n_states > MAX_AUT_STATES:
+        raise SizeLimit(
+            f"{path}: header announces {n_states} states, more than the cap {MAX_AUT_STATES}"
+        )
     if initial >= n_states:
         raise ParseError(f"{path}: initial state {initial} out of range")
     transitions = []

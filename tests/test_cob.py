@@ -172,6 +172,49 @@ class TestLocalRightAdjoints:
             local_right_adjoints(tse)
 
 
+def adjoint_span_cases(Q2, QLm, QLn):
+    """The identity, relabel and collapse spans, each with an enrichment over its target."""
+    qlab = build_language_quantale(("a", "b"), 2)
+    return {
+        "identity": (identity_tse(Q2), p01(Q2)),
+        "relabel": (relabel_tse(QLm, QLn, {"m": "n"}), loop1(QLn, letter="n")),
+        "collapse": (relabel_tse(qlab, QLn, {"a": "n", "b": "n"}), loop1(QLn, letter="n")),
+    }
+
+
+class TestAdjointSpan:
+    """The local right adjoints form a span back from the target, indexed by
+    source object; the right adjoint of the change of base is the change of
+    base along it."""
+
+    @pytest.mark.parametrize("case", ["identity", "relabel", "collapse"])
+    def test_coherent_is_the_span_being_lax(self, Q2, QLm, QLn, case):
+        f, _ = adjoint_span_cases(Q2, QLm, QLn)[case]
+        report = local_right_adjoints(f)
+        assert report.span.carriers == list(f.source.objects)
+        assert report.coherent
+        assert validate_tse(report.span) == []
+
+    def test_incoherent_span_is_not_lax(self, QLm):
+        fan = monoid_congruence_tse(QLm, QLm, [((), ()), ((), ("m",)), ((), ("m", "m"))])
+        report = local_right_adjoints(fan)
+        assert not report.coherent
+        assert validate_tse(report.span) == report.violations != []
+        with pytest.raises(NoAdjoint):
+            right_adjoint_cob(fan, loop1(QLm))
+        with pytest.raises(NoAdjoint):
+            right_adjoint_cob(fan, loop1(QLm), report)
+
+    @pytest.mark.parametrize("case", ["identity", "relabel", "collapse"])
+    def test_right_adjoint_is_apply_cob_along_the_span(self, Q2, QLm, QLn, case):
+        f, b = adjoint_span_cases(Q2, QLm, QLn)[case]
+        out = right_adjoint_cob(f, b)
+        along = apply_cob(local_right_adjoints(f).span, b)
+        assert out.base is along.base is f.source
+        assert (out.objects, out.extents, out.row_maps, out.cob_pairs) == (
+            along.objects, along.extents, along.row_maps, along.cob_pairs)
+
+
 class TestRightAdjointCob:
     def test_identity(self, QLm):
         a = aut1(QLm)

@@ -1,8 +1,10 @@
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from enrbisim.bisim import SimRelation
 from enrbisim.cli import default_fixture_paths, main
@@ -31,6 +33,11 @@ from enrbisim.vcat import VCategory, validate_vcategory
 
 FIXTURES = default_fixture_paths()
 GOLDEN_DOCS = Path(__file__).parent / "golden" / "docs"
+Q2_DOC = {"schema": SCHEMA, "name": "Q2", "kind": "quantaloid", "construction": "boolean"}
+# object names of printable ASCII: a comma is the one character they may not hold
+PRINTABLE_NAMES = st.text(
+    st.characters(min_codepoint=32, max_codepoint=126, blacklist_characters=","), min_size=1, max_size=4
+)
 
 
 def write_doc(tmp_path, doc):
@@ -256,6 +263,40 @@ class TestRoundTrips:
         assert sieves.element_to_doc(2, 2, sieves.hom(2, 2).top) == [
             {"apex": str(i), "left": f"{i}<=2", "right": f"{i}<=2"} for i in range(3)
         ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(names=st.lists(PRINTABLE_NAMES, min_size=1, max_size=4, unique=True), data=st.data())
+    def test_printable_names_round_trip(self, names, data):
+        edges = data.draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), max_size=6))
+        graph = {"vertices": [{"name": name, "extent": "*"} for name in names],
+                 "edges": [{"src": s, "tgt": t, "label": "1"} for s, t in edges]}
+        with tempfile.TemporaryDirectory() as tmp:
+            write_doc(Path(tmp), Q2_DOC)
+            write_doc(Path(tmp), {"schema": SCHEMA, "name": "G", "kind": "vcategory", "base": "Q2",
+                                  "graph": graph})
+            bundle = load_bundle([tmp])
+            doc = serialize(bundle, "G")
+            write_doc(Path(tmp), doc)
+            reloaded = load_bundle([tmp])
+        a, b = bundle.get("G"), reloaded.get("G")
+        assert b.objects == names
+        assert (a.objects, a.extents, a.row_maps) == (b.objects, b.extents, b.row_maps)
+        assert serialize(reloaded, "G") == doc
+
+    @pytest.mark.parametrize("body", [
+        {"graph": {"vertices": [{"name": "a,b", "extent": "*"}, {"name": "c", "extent": "*"}],
+                   "edges": [{"src": "a,b", "tgt": "c", "label": "1"}]}},
+        {"objects": [{"name": "a,b", "extent": "*"}], "homs": {"a,b,a,b": "1"}},
+    ], ids=["graph", "table"])
+    def test_comma_in_a_name_is_a_parse_error(self, tmp_path, capsys, body):
+        # serialize would write the hom keys "a,b,a,b" and "a,b,c", which no reader can split
+        write_doc(tmp_path, Q2_DOC)
+        write_doc(tmp_path, {"schema": SCHEMA, "name": "G", "kind": "vcategory", "base": "Q2", **body})
+        with pytest.raises(ParseError, match=re.escape("G: object name 'a,b' has a comma")):
+            load_bundle([tmp_path])
+        assert main(["--paths", str(tmp_path), "validate"]) == 2
+        assert json.loads(capsys.readouterr().out)["details"] == {
+            "error": "ParseError: G: object name 'a,b' has a comma"}
 
     @pytest.mark.parametrize("label", ["mn", ["mn"], [[["m"]]], {"m": 1}],
                              ids=["string", "word-string", "nested-word", "object"])

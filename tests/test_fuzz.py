@@ -5,11 +5,17 @@ documents of the other kinds) or one generated ``.aut`` file, then runs
 a command in-process through ``cli.main``.  Whatever the input, the exit
 code is 0, 1 or 2, the report parses, 0 and 1 come with a yes/no or
 valid/invalid verdict, and no error is reported as an internal one.
+Two inflated inputs, a deeply nested document and an ``.aut`` header
+that announces 10^8 states, are held to the same rule in a child process
+with a capped address space.
 """
 
 import copy
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +24,7 @@ from enrbisim.cli import default_fixture_paths, main
 from enrbisim.documents import SCHEMA, load_bundle, serialize
 
 FIXTURES = Path(default_fixture_paths()[0])
+SRC = Path(__file__).resolve().parent.parent / "src"
 VERDICTS = {0: {"yes", "valid"}, 1: {"no", "invalid"}, 2: {"error"}}
 JUNK = [None, True, -1, 0, 7, 10**6, 1.5, "", "x", "0", "inf", "1/0", [], [[]], ["x"], {}, {"x": 1}]
 
@@ -197,3 +204,30 @@ def test_mutated_automata(capsys, tmp_path, chunk):
         ])
         argv = ["--paths", str(case_dir), "--aut-alphabet", alphabet, "--aut-k", k, *command]
         run_case(capsys, argv, f"{what} on {text!r}")
+
+
+# runs the command line under a 1.5 GB address-space cap, so that an input
+# that slips past a size check ends in a MemoryError instead of filling memory
+CAPPED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+from enrbisim.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("name, text, argv, error", [
+    ("deep.json", "[" * 200_000 + "]" * 200_000, ["validate"], "ParseError"),
+    ("big.aut", 'des (0, 1, 100000000)\n(0, "a", 1)\n',
+     ["--aut-alphabet", "a", "--aut-k", "2", "validate", "big"], "SizeLimit"),
+], ids=["nested-200000-deep", "aut-header-announces-1e8-states"])
+def test_inflated_input_is_an_error(tmp_path, name, text, argv, error):
+    (tmp_path / name).write_text(text)
+    run = subprocess.run(
+        [sys.executable, "-c", CAPPED, "--paths", str(tmp_path), *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
+    )
+    assert run.returncode == 2, run.stderr
+    details = json.loads(run.stdout)["details"]
+    assert details["error"].startswith(f"{error}: "), details
+    assert details.get("kind") != "internal" and "Traceback" not in run.stderr
