@@ -16,9 +16,9 @@ import itertools
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
-from .documents import _once
+from .documents import _keyed, _name_lookup, _once
 from .errors import (
-    BaseMismatch, NoAdjoint, NotACongruence, ParseError, SizeLimit, UnknownElement, ValidationError,
+    BaseMismatch, NoAdjoint, NotACongruence, ParseError, SizeLimit, UnknownElement, require_valid,
 )
 from .lattice import Lattice
 from .quantaloid import Quantaloid
@@ -46,7 +46,9 @@ class MonotoneMap:
         return f"MonotoneMap({self.source!r} -> {self.target!r})"
 
     def check(self) -> list[str]:
-        out = []
+        """The map's faults: each key and each value is checked against its
+        lattice once, and then, if all are elements, monotonicity."""
+        out = [f"key {x!r} not in source" for x in self.mapping if not self.source.has_element(x)]
         for x in self.source.elements():
             if x not in self.mapping:
                 out.append(f"domain misses {x!r}")
@@ -56,7 +58,7 @@ class MonotoneMap:
             return out
         for x in self.source.elements():
             for y in self.source.elements():
-                if self.source.leq(x, y) and not self.target.leq(
+                if self.source._leq(x, y) and not self.target._leq(
                     self.mapping[x], self.mapping[y]
                 ):
                     out.append(f"not monotone at {x!r} <= {y!r}")
@@ -74,6 +76,17 @@ class MonotoneMap:
     @classmethod
     def from_function(cls, source: Lattice, target: Lattice, fn) -> "MonotoneMap":
         return cls(source, target, {x: fn(x) for x in source.elements()})
+
+
+def adjunction_failure(left: MonotoneMap, right: MonotoneMap) -> tuple[Any, Any] | None:
+    """The first ``(v, w)`` at which ``left(v) <= w  iff  v <= right(w)``
+    fails, or None when ``left`` is left adjoint to ``right``."""
+    return next((
+        (v, w)
+        for v in left.source.elements()
+        for w in left.target.elements()
+        if left.target.leq(left(v), w) != left.source.leq(v, right(w))
+    ), None)
 
 
 def right_adjoint_of_monotone(f: MonotoneMap) -> MonotoneMap:
@@ -95,13 +108,12 @@ def right_adjoint_of_monotone(f: MonotoneMap) -> MonotoneMap:
             for w in f.target.elements()
         },
     )
-    for v in f.source.elements():
-        for w in f.target.elements():
-            if f.target.leq(f(v), w) != f.source.leq(v, g(w)):
-                raise NoAdjoint(
-                    f"no right adjoint: adjunction fails at v={v!r}, w={w!r}"
-                    " (the map does not preserve all joins)"
-                )
+    failure = adjunction_failure(f, g)
+    if failure is not None:
+        raise NoAdjoint(
+            f"no right adjoint: adjunction fails at v={failure[0]!r}, w={failure[1]!r}"
+            " (the map does not preserve all joins)"
+        )
     return g
 
 
@@ -420,18 +432,16 @@ def tse_from_doc(doc, resolve) -> TwoSidedEnrichment:
     minus = [source.object_index(str(c["minus"])) for c in doc["carriers"]]
     plus = [target.object_index(str(c["plus"])) for c in doc["carriers"]]
     components = {}
-    for key, pairs in doc["components"].items():
-        x, y = (carriers.index(part) for part in key.split(","))
-        read_source = source.element_decoder(minus[x], minus[y])
-        read_target = target.element_decoder(plus[x], plus[y])
-        mapping = _once(doc, f"component {key!r}", (
-            (read_source(src_doc), read_target(tgt_doc)) for src_doc, tgt_doc in pairs
+    # the components' keys and values are checked by validate_tse, once
+    for (x, y), pairs in _keyed(doc, "components", _name_lookup(doc, carriers), 2):
+        mapping = _once(doc, f"component '{carriers[x]},{carriers[y]}'", (
+            (source.element_from_doc(minus[x], minus[y], src_doc),
+             target.element_from_doc(plus[x], plus[y], tgt_doc))
+            for src_doc, tgt_doc in pairs
         ))
         components[(x, y)] = MonotoneMap(
             source.hom(minus[x], minus[y]), target.hom(plus[x], plus[y]), mapping
         )
     tse = TwoSidedEnrichment(source, target, carriers, minus, plus, components)
-    problems = validate_tse(tse)
-    if problems:
-        raise ValidationError(f"span invalid: {problems[0]}")
+    require_valid("span", validate_tse(tse))
     return tse

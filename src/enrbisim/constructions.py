@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Iterable, NamedTuple
 
-from .cob import MonotoneMap, TwoSidedEnrichment, composition_square, span_of_maps
+from .cob import MonotoneMap, TwoSidedEnrichment, adjunction_failure, composition_square, span_of_maps
 from .cts import CatFunctor, CribleQuantaloid, PowersetCatQuantaloid, Span, crible_change_tse
 from .errors import (
     BaseMismatch,
@@ -25,7 +25,7 @@ from .errors import (
     NotExact,
     NotParallel,
     SizeLimit,
-    ValidationError,
+    require_valid,
 )
 from .lattice import Lattice, PowersetLattice
 from .quantaloid import Quantaloid, QuantaloidElement
@@ -94,13 +94,8 @@ class PrincipalDownsetLattice(Lattice):
 
 def verify_adjunction(left: MonotoneMap, right: MonotoneMap) -> bool:
     """Check ``left(v) <= w  iff  v <= right(w)`` for every pair."""
-    if left.source is not right.target or left.target is not right.source:
-        return False
-    return all(
-        left.target.leq(left(v), w) == left.source.leq(v, right(w))
-        for v in left.source.elements()
-        for w in left.target.elements()
-    )
+    return (left.source is right.target and left.target is right.source
+            and adjunction_failure(left, right) is None)
 
 
 def residual(
@@ -231,9 +226,7 @@ def validate_laxrel(p: LaxRelationalPresentation) -> list[str]:
 
 def laxrel_to_vcat(p: LaxRelationalPresentation, base=None) -> VCategory:
     """Enrichment over the powerset base of the presentation's category."""
-    problems = validate_laxrel(p)
-    if problems:
-        raise ValidationError(f"presentation invalid: {problems[0]}")
+    require_valid("presentation", validate_laxrel(p))
     if base is None:
         base = PowersetCatQuantaloid(p.cat)
     if getattr(base, "cat", None) is not p.cat:
@@ -697,7 +690,7 @@ def crible_left_adjoints(
         candidate = MonotoneMap.from_function(
             right.target, right.source, lambda crible: left(x, y, crible)
         )
-        if not verify_adjunction(candidate, right):
+        if adjunction_failure(candidate, right) is not None:
             raise NoAdjoint(f"no left adjoint at objects ({x},{y})")
         out[(x, y)] = candidate
     return out

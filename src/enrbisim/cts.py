@@ -28,11 +28,10 @@ from .errors import (
     SizeLimit,
     TypeMismatch,
     UnknownElement,
-    UnknownObject,
-    ValidationError,
+    require_valid,
 )
 from .lattice import DEFAULT_ENUM_CAP, MAX_GENERATORS, PowersetLattice, _SetLattice
-from .quantaloid import SetQuantaloid
+from .quantaloid import SetQuantaloid, name_index
 from .vcat import EnrichedGraph, VCategory, free_vcategory
 
 
@@ -59,6 +58,8 @@ class FiniteCategory:
     ):
         self.objects = list(objects)
         self.morphisms = list(morphisms)
+        self.object_index = name_index(self.objects)
+        self.morphism_index = name_index([m.name for m in self.morphisms], "morphism")
         self.compose_table = dict(compose_table)
         self.identities = list(identities)
         self.pullbacks = dict(pullbacks or {})
@@ -67,18 +68,6 @@ class FiniteCategory:
     @property
     def n_objects(self) -> int:
         return len(self.objects)
-
-    def object_index(self, name: str) -> int:
-        try:
-            return self.objects.index(name)
-        except ValueError:
-            raise UnknownObject(f"no object named {name!r}") from None
-
-    def morphism_index(self, name: str) -> int:
-        for i, m in enumerate(self.morphisms):
-            if m.name == name:
-                return i
-        raise UnknownObject(f"no morphism named {name!r}")
 
     def mor_src(self, f: int) -> int:
         return self.morphisms[f].src
@@ -591,12 +580,8 @@ def refine(
     tse = crible_change_tse(fun, source_sq, target_sq)
     report = cob.local_right_adjoints(tse, pointwise_only=True)
     for (x, y), adj in report.adjoints.items():
-        predicted = crible_preimage_map(fun, source_sq, target_sq, x, y)
-        for n in predicted.source.elements():
-            if adj(n) != predicted(n):
-                raise NoAdjoint(
-                    f"computed adjoint disagrees with the preimage at ({x},{y})"
-                )
+        if adj.mapping != crible_preimage_map(fun, source_sq, target_sq, x, y).mapping:
+            raise NoAdjoint(f"computed adjoint disagrees with the preimage at ({x},{y})")
     return cob.apply_cob(tse, a)
 
 
@@ -630,9 +615,7 @@ def fincat_from_doc(doc) -> FiniteCategory:
             ((int(f), int(g)), (int(p1), int(p2))) for f, g, p1, p2 in doc.get("pullbacks", [])
         ))
         cat = FiniteCategory(objects, morphisms, compose, identities, pullbacks)
-    problems = validate_fincat(cat)
-    if problems:
-        raise ValidationError(f"category invalid: {problems[0]}")
+    require_valid("category", validate_fincat(cat))
     return cat
 
 
@@ -666,9 +649,7 @@ def catfunctor_from_doc(doc, resolve) -> CatFunctor:
         for m in source.morphisms
     ]
     fun = CatFunctor(source, target, obj_map, mor_map)
-    problems = fun.validate()
-    if problems:
-        raise ValidationError(f"functor invalid: {problems[0]}")
+    require_valid("functor", fun.validate())
     return fun
 
 

@@ -4,16 +4,16 @@ Every document is an object with a ``schema`` tag, a unique ``name`` and
 a ``kind``.  References between documents are by name; a bundle resolves
 them in dependency order and validates each object as it is built.
 How a hom element is written and read is the base's own decision
-(its ``element_to_doc`` and ``element_decoder``);
-this module only says where in a document the elements go.  The kinds
-``cts`` and ``cob`` define are read by those modules, and each base by
-the module of its family, which also writes it
+(its ``element_to_doc`` and ``element_from_doc``), and the object that
+receives an element checks it; this module only says where in a
+document the elements go, and reads every ``"a,b"`` key (``_keyed``).
+The kinds ``cts`` and ``cob`` define are read by those modules, and
+each base by the module of its family, which also writes it
 (``Quantaloid.construction_doc``); Aldebaran automata are ``language``'s.
 """
 
 from __future__ import annotations
 
-import functools
 import importlib
 import json
 from pathlib import Path
@@ -21,7 +21,7 @@ from typing import Any
 
 # bisim, cob and cts are lazy (see the package): read their names at call time
 from . import _moved, bisim, cob, cts
-from .errors import DanglingReference, ParseError, ValidationError
+from .errors import DanglingReference, ParseError, ValidationError, require_valid
 from .quantaloid import Quantaloid
 from .vcat import EnrichedGraph, VCategory, VFunctor, free_vcategory, validate_vcategory, validate_vfunctor
 
@@ -60,9 +60,9 @@ def _once(doc, field: str, entries) -> dict:
 
 
 def _name_lookup(doc, names: list[str]):
-    """Object index by name, in one map.  A repeated name, an unknown one
-    and one with a comma (which the ``"a,b"`` hom keys could not split)
-    are each a ``ParseError``."""
+    """Index of a document's own objects by name, in one map.  A repeated
+    name, an unknown one and one with a comma (which the ``"a,b"`` keys
+    could not split) are each a ``ParseError``."""
     index: dict[str, int] = {}
     for i, name in enumerate(names):
         if "," in name:
@@ -79,10 +79,21 @@ def _name_lookup(doc, names: list[str]):
     return lookup
 
 
+def _keyed(doc, field: str, lookup, arity: int):
+    """``(indices, value)`` for each entry of a field keyed by ``arity``
+    comma-joined names, each resolved by ``lookup``; a key that names
+    another number of objects is a ``ParseError``."""
+    for key, value in doc[field].items():
+        names = key.split(",")
+        if len(names) != arity:
+            raise ParseError(
+                f"{doc['name']}: {field} key {key!r} names {len(names)} objects, not {arity}"
+            )
+        yield tuple(map(lookup, names)), value
+
+
 def _vcategory_from_doc(doc, resolve) -> VCategory:
     base = resolve(doc["base"], Quantaloid)
-    decoder = functools.cache(base.element_decoder)  # one per extent pair
-
     if "graph" in doc:
         g = doc["graph"]
         vertices = [
@@ -93,23 +104,17 @@ def _vcategory_from_doc(doc, resolve) -> VCategory:
         edges = []
         for e in g["edges"]:
             s, t = index(str(e["src"])), index(str(e["tgt"]))
-            label = decoder(vertices[s][1], vertices[t][1])(e["label"])
-            edges.append((s, t, label))
+            edges.append((s, t, base.element_from_doc(vertices[s][1], vertices[t][1], e["label"])))
         cat = free_vcategory(base, EnrichedGraph(vertices, edges))
     else:
         objs = [(str(o["name"]), base.object_index(str(o["extent"]))) for o in doc["objects"]]
         names = [n for n, _ in objs]
         extents = [e for _, e in objs]
         homs: list[dict] = [{} for _ in names]
-        index = _name_lookup(doc, names)
-        for key, elem_doc in doc["homs"].items():
-            a, b = key.split(",")
-            i, j = index(a), index(b)
-            homs[i][j] = decoder(extents[i], extents[j])(elem_doc)
+        for (i, j), elem_doc in _keyed(doc, "homs", _name_lookup(doc, names), 2):
+            homs[i][j] = base.element_from_doc(extents[i], extents[j], elem_doc)
         cat = VCategory(base, names, extents, homs)
-    problems = validate_vcategory(cat)
-    if problems:
-        raise ValidationError(f"vcategory invalid: {problems[0]}")
+    require_valid("vcategory", validate_vcategory(cat))
     return cat
 
 
@@ -125,9 +130,7 @@ def _vfunctor_from_doc(doc, resolve) -> VFunctor:
     if len(seen) != source.n_objects:
         raise ValidationError("functor map misses source objects")
     f = VFunctor(source, target, mapping)
-    problems = validate_vfunctor(f)
-    if problems:
-        raise ValidationError(f"vfunctor invalid: {problems[0]}")
+    require_valid("vfunctor", validate_vfunctor(f))
     return f
 
 

@@ -89,6 +89,12 @@ class ValidationError(EnrbisimError):
     """A loaded document failed validation."""
 
 
+def require_valid(what: str, problems: list[str]) -> None:
+    """Raise a ``ValidationError`` with the first of a validator's problems, if any."""
+    if problems:
+        raise ValidationError(f"{what} invalid: {problems[0]}")
+
+
 class DanglingReference(EnrbisimError):
     """A document refers to a name that is not part of the bundle."""
 

@@ -31,22 +31,33 @@ class QuantaloidElement(NamedTuple):
     value: Any
 
 
+def name_index(names: list[str], what: str = "object"):
+    """The position of a name among ``names`` (the first, if repeated), looked
+    up in one dict; any other name is ``UnknownObject``."""
+    index: dict[str, int] = {}
+    for i, name in enumerate(names):
+        index.setdefault(name, i)
+
+    def lookup(name: str) -> int:
+        try:
+            return index[name]
+        except KeyError:
+            raise UnknownObject(f"no {what} named {name!r}") from None
+
+    return lookup
+
+
 class Quantaloid:
     """Interface for finite quantaloids with opaque hom elements."""
 
     def __init__(self, objects: list[str]):
         self.objects = list(objects)
+        self.object_index = name_index(self.objects)
         self._hom_cache: dict[tuple[int, int], Lattice] = {}
 
     @property
     def n_objects(self) -> int:
         return len(self.objects)
-
-    def object_index(self, name: str) -> int:
-        try:
-            return self.objects.index(name)
-        except ValueError:
-            raise UnknownObject(f"no object named {name!r}") from None
 
     def check_object(self, u: int) -> None:
         if not 0 <= u < len(self.objects):
@@ -190,17 +201,10 @@ class SetQuantaloid(Quantaloid):
     def element_to_doc(self, u, v, x):
         return sorted(map(self.member_to_doc, x), key=self.member_order)
 
-    def element_decoder(self, u, v):
-        lat = self.hom(u, v)
-
-        def decode(doc):
-            if not isinstance(doc, list):
-                raise ParseError(f"a set element must be a list of members, not {doc!r}")
-            value = frozenset(map(self.member_from_doc, doc))
-            lat.check_element(value)
-            return value
-
-        return decode
+    def element_from_doc(self, u, v, doc):
+        if not isinstance(doc, list):
+            raise ParseError(f"a set element must be a list of members, not {doc!r}")
+        return frozenset(map(self.member_from_doc, doc))
 
 
 class RelQuantaloid(SetQuantaloid):

@@ -9,9 +9,8 @@ from __future__ import annotations
 import itertools
 from typing import Any, Iterable
 
-from .errors import (
-    BadGrid, IncompleteLattice, ParseError, UnknownElement, UnknownObject, ValidationError,
-)
+from .documents import _keyed, _name_lookup
+from .errors import BadGrid, IncompleteLattice, ParseError, UnknownElement, UnknownObject, require_valid
 from .lattice import Lattice
 from .quantaloid import Quantaloid
 
@@ -211,20 +210,14 @@ class TableQuantaloid(Quantaloid):
         """The document of ``x`` in hom(u,v): its table lattice name."""
         return self.hom(u, v).name_of(x)
 
-    def element_decoder(self, u: int, v: int):
-        """The reader of hom(u,v) element documents, checked against the
-        lattice: a table lattice name or index.  Take it once per hom."""
-        lat = self.hom(u, v)
-
-        def decode(doc):
-            if isinstance(doc, str):
-                return lat.index_of(doc)  # a named element needs no further check
-            if isinstance(doc, bool) or not isinstance(doc, int):
-                raise ParseError(f"table element {doc!r} is neither a name nor an index")
-            lat.check_element(doc)
-            return doc
-
-        return decode
+    def element_from_doc(self, u: int, v: int, doc) -> int:
+        """The element of hom(u,v) a document gives: a table lattice name, or
+        an index that the object receiving it checks."""
+        if isinstance(doc, str):
+            return self.hom(u, v).index_of(doc)
+        if isinstance(doc, bool) or not isinstance(doc, int):
+            raise ParseError(f"table element {doc!r} is neither a name nor an index")
+        return doc
 
     def construction_doc(self, name_of) -> dict:
         objects = list(self.objects)
@@ -335,9 +328,7 @@ def build_boolean_quantale() -> TableQuantaloid:
 
 def _table_lattice_from_doc(doc) -> TableLattice:
     lat = TableLattice([str(n) for n in doc["elements"]], [tuple(p) for p in doc["leq"]])
-    problems = lat.validate()
-    if problems:
-        raise ValidationError(f"lattice invalid: {problems[0]}")
+    require_valid("lattice", lat.validate())
     return lat
 
 
@@ -350,23 +341,17 @@ def quantaloid_from_doc(doc, resolve) -> TableQuantaloid:
     if kind == "metric":
         return build_metric_quantale([grid_value(str(g)) for g in doc["grid"]])
     objects = [str(o) for o in doc["objects"]]
-    homs = {}
-    for key, lat_doc in doc["homs"].items():
-        u, v = key.split(",")
-        homs[(objects.index(u), objects.index(v))] = _table_lattice_from_doc(lat_doc)
-    tensor = {}
-    for key, table in doc["tensor"].items():
-        u, v, w = key.split(",")
-        tensor[(objects.index(u), objects.index(v), objects.index(w))] = [
-            [int(x) for x in row] for row in table
-        ]
+    index = _name_lookup(doc, objects)
+    homs = {key: _table_lattice_from_doc(lat_doc) for key, lat_doc in _keyed(doc, "homs", index, 2)}
+    tensor = {
+        key: [[int(x) for x in row] for row in table]
+        for key, table in _keyed(doc, "tensor", index, 3)
+    }
     units = [0] * len(objects)
-    for key, idx in doc["id"].items():
-        units[objects.index(key)] = int(idx)
+    for (u,), idx in _keyed(doc, "id", index, 1):
+        units[u] = int(idx)
     q = TableQuantaloid(objects, homs, tensor, units)
     from .laws import validate_quantaloid  # only explicit bases need the law checks
 
-    report = validate_quantaloid(q)
-    if not report.ok:
-        raise ValidationError(f"quantaloid invalid: {report.violations[0]}")
+    require_valid("quantaloid", validate_quantaloid(q).violations)
     return q

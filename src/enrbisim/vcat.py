@@ -14,7 +14,7 @@ from typing import Any, Mapping, NamedTuple
 
 from .errors import BaseMismatch, NotComposable, TypeMismatch, UnknownObject
 from .lattice import Lattice
-from .quantaloid import Quantaloid
+from .quantaloid import Quantaloid, name_index
 
 
 def require_same_base(a: "VCategory", b: "VCategory") -> None:
@@ -47,6 +47,7 @@ class VCategory:
             raise ValueError("objects, extents and hom rows disagree in number")
         self.base = base
         self.objects = list(objects)
+        self.object_index = name_index(self.objects)
         self.extents = list(extents)
         for e in self.extents:
             base.check_object(e)
@@ -81,12 +82,6 @@ class VCategory:
     @property
     def n_objects(self) -> int:
         return len(self.objects)
-
-    def object_index(self, name: str) -> int:
-        try:
-            return self.objects.index(name)
-        except ValueError:
-            raise UnknownObject(f"no object named {name!r}") from None
 
     def _extent_pair(self, i: int, j: int) -> tuple[int, int]:
         n = len(self.objects)

@@ -17,7 +17,7 @@ from enrbisim.documents import (
     parse_aut,
     serialize,
 )
-from enrbisim.cob import TwoSidedEnrichment
+from enrbisim.cob import TwoSidedEnrichment, validate_tse
 from enrbisim.errors import (
     DanglingReference,
     NotACongruence,
@@ -27,7 +27,9 @@ from enrbisim.errors import (
     ValidationError,
 )
 from enrbisim.fixtures import aut1, loop1
+from enrbisim.lattice import PowersetLattice
 from enrbisim.quantaloid import Quantaloid, build_language_quantale
+from enrbisim.tables import TableLattice
 from enrbisim.vcat import VCategory, validate_vcategory
 
 
@@ -242,12 +244,11 @@ class TestRoundTrips:
         for base in [*bases, bundle.sieve_base("T3")]:
             for u in range(base.n_objects):
                 for v in range(base.n_objects):
-                    decode = base.element_decoder(u, v)
                     for x in base.hom(u, v).elements():
                         doc = base.element_to_doc(u, v, x)
-                        assert decode(json.loads(json.dumps(doc))) == x
+                        assert base.element_from_doc(u, v, json.loads(json.dumps(doc))) == x
                         if isinstance(doc, list):  # a set reads back in any order
-                            assert decode(doc[::-1]) == x
+                            assert base.element_from_doc(u, v, doc[::-1]) == x
 
     def test_set_member_order(self):
         bundle = load_bundle([*FIXTURES, GOLDEN_DOCS])
@@ -531,3 +532,128 @@ class TestFinCatDocs:
         assert got.objects == cat.objects
         assert got.compose_table == cat.compose_table
         assert got.pullbacks == cat.pullbacks
+
+
+def explicit_base_doc(objects, **fields) -> dict:
+    """An explicit two-element base named B on ``objects``: every hom the
+    chain 0 <= 1 and composition the meet, so fields may replace any part."""
+    chain = {"elements": ["0", "1"], "leq": [[0, 0], [0, 1], [1, 1]]}
+    return {"schema": SCHEMA, "name": "B", "kind": "quantaloid", "objects": objects,
+            "homs": {f"{u},{v}": chain for u in objects for v in objects},
+            "tensor": {f"{u},{v},{w}": [[0, 0], [0, 1]]
+                       for u in objects for v in objects for w in objects},
+            "id": {u: 1 for u in objects}} | fields
+
+
+def vcategory_doc(names, homs) -> dict:
+    return {"schema": SCHEMA, "name": "V", "kind": "vcategory", "base": "Q2", "homs": homs,
+            "objects": [{"name": name, "extent": "*"} for name in names]}
+
+
+def span_doc(carriers, components) -> dict:
+    return {"schema": SCHEMA, "name": "T", "kind": "tse", "source": "Q2", "target": "Q2",
+            "carriers": [{"name": name, "minus": "*", "plus": "*"} for name in carriers],
+            "components": components}
+
+
+IDENTITY_COMPONENT = [["0", "0"], ["1", "1"]]
+
+
+class TestMalformedDocuments:
+    """Every comma-keyed field and every list of names a document resolves:
+    a key naming the wrong number of objects, an unknown name, a repeated
+    name and a name with a comma each exit 2 with a ``ParseError`` that
+    names the document and the key or name.  An enrichment's unknown,
+    repeated and comma names are the cases of ``test_unknown_object_name``
+    (test_cli.py), ``test_repeated_object_name_is_a_parse_error`` and
+    ``test_comma_in_a_name_is_a_parse_error``."""
+
+    @pytest.mark.parametrize("doc, match", [
+        (explicit_base_doc(["x"], homs={"x": {}}), "B: homs key 'x' names 1 objects, not 2"),
+        (explicit_base_doc(["x"], homs={"x,z": {}}), "B: no object named 'z'"),
+        (explicit_base_doc(["x"], tensor={"x,x": []}), "B: tensor key 'x,x' names 2 objects, not 3"),
+        (explicit_base_doc(["x"], tensor={"x,x,z": []}), "B: no object named 'z'"),
+        (explicit_base_doc(["x"], id={"x,x": 1}), "B: id key 'x,x' names 2 objects, not 1"),
+        (explicit_base_doc(["x"], id={"z": 1}), "B: no object named 'z'"),
+        (explicit_base_doc(["x", "x"]), "B: object name 'x' is repeated"),
+        (explicit_base_doc(["x,y"]), "B: object name 'x,y' has a comma"),
+        (vcategory_doc(["a"], {"a": "1"}), "V: homs key 'a' names 1 objects, not 2"),
+        (vcategory_doc(["a"], {"a,a,a": "1"}), "V: homs key 'a,a,a' names 3 objects, not 2"),
+        (span_doc(["c"], {"c": IDENTITY_COMPONENT}), "T: components key 'c' names 1 objects, not 2"),
+        (span_doc(["c"], {"c,z": IDENTITY_COMPONENT}), "T: no object named 'z'"),
+        (span_doc(["c", "c"], {"c,c": IDENTITY_COMPONENT}), "T: object name 'c' is repeated"),
+        (span_doc(["c,d"], {"c,d,c,d": IDENTITY_COMPONENT}), "T: object name 'c,d' has a comma"),
+    ], ids=[
+        "base-homs-arity", "base-homs-unknown", "base-tensor-arity", "base-tensor-unknown",
+        "base-id-arity", "base-id-unknown", "base-repeated", "base-comma",
+        "vcategory-homs-short", "vcategory-homs-long",
+        "span-arity", "span-unknown", "span-carrier-repeated", "span-carrier-comma",
+    ])
+    def test_exits_2_naming_the_fault(self, tmp_path, capsys, doc, match):
+        write_doc(tmp_path, Q2_DOC)
+        write_doc(tmp_path, doc)
+        assert main(["--paths", str(tmp_path), "validate"]) == 2
+        out, err = capsys.readouterr()
+        assert json.loads(out)["details"] == {"error": f"ParseError: {match}"}
+        assert "Traceback" not in err
+
+
+class TestCheckedOnce:
+    """A base's codec only decodes; the object a hom element enters checks
+    it, once: the ``VCategory`` constructor each non-bottom hom,
+    ``free_vcategory`` each edge label, and a span's ``MonotoneMap.check``
+    each component key and value."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The number of ``has_element`` calls on table and powerset lattices so far."""
+        count = [0]
+        for cls in (TableLattice, PowersetLattice):
+            def counted(lat, x, original=cls.has_element):
+                count[0] += 1
+                return original(lat, x)
+
+            monkeypatch.setattr(cls, "has_element", counted)
+        return lambda: count[0]
+
+    @staticmethod
+    def load(tmp_path, calls, *docs):
+        for doc in docs:
+            write_doc(tmp_path, doc)
+        before = calls()
+        bundle = load_bundle([tmp_path])
+        return bundle, calls() - before
+
+    @staticmethod
+    def counted(calls, check, *args) -> int:
+        before = calls()
+        check(*args)
+        return calls() - before
+
+    def test_explicit_homs(self, tmp_path, calls):
+        names = ["a", "b", "c"]
+        # top by index and by name: the codec resolves a name, and checks neither
+        doc = vcategory_doc(names, {f"{u},{v}": 1 if u <= v else "1" for u in names for v in names})
+        bundle, loaded = self.load(tmp_path, calls, Q2_DOC, doc)
+        cat = bundle.get("V", VCategory)
+        assert sum(map(len, cat.rows)) == 9
+        assert loaded == 9 + self.counted(calls, validate_vcategory, cat)
+
+    def test_edge_labels(self, tmp_path, calls):
+        base = {"schema": SCHEMA, "name": "QLm", "kind": "language", "alphabet": ["m"], "k": 2}
+        edges = [("s", "t"), ("t", "u"), ("u", "s"), ("s", "s")]
+        doc = {"schema": SCHEMA, "name": "G", "kind": "vcategory", "base": "QLm",
+               "graph": {"vertices": [{"name": name, "extent": "*"} for name in "stu"],
+                         "edges": [{"src": s, "tgt": t, "label": [["m"]]} for s, t in edges]}}
+        bundle, loaded = self.load(tmp_path, calls, base, doc)
+        cat = bundle.get("G", VCategory)
+        homs = sum(map(len, cat.rows))
+        assert loaded == len(edges) + homs + self.counted(calls, validate_vcategory, cat)
+
+    def test_span_components(self, tmp_path, calls):
+        doc = span_doc(["c", "d"], {f"{x},{y}": IDENTITY_COMPONENT for x in "cd" for y in "cd"})
+        bundle, loaded = self.load(tmp_path, calls, Q2_DOC, doc)
+        tse = bundle.get("T", TwoSidedEnrichment)
+        assert loaded == self.counted(calls, validate_tse, tse)
+        for comp in tse.components.values():
+            assert self.counted(calls, comp.check) == 2 * len(comp.mapping)
