@@ -252,9 +252,8 @@ def _cmd_cob_apply(bundle, flags) -> Report:
 def _cmd_cob_radjoint(bundle, flags) -> Report:
     tse = bundle.get(flags.tse, cob.TwoSidedEnrichment)
     b = bundle.get(flags.b, VCategory)
-    report = cob.local_right_adjoints(tse)
-    out = cob.right_adjoint_cob(tse, b, report)
-    details = {"coherent": report.coherent, "result": _store(bundle, flags.out, out)}
+    out = cob.right_adjoint_cob(tse, b)  # NoAdjoint unless the adjoints cohere
+    details = {"coherent": True, "result": _store(bundle, flags.out, out)}
     return Report("cob-radjoint", "valid", details)
 
 

@@ -303,7 +303,8 @@ def local_right_adjoints(f: TwoSidedEnrichment, pointwise_only: bool = False) ->
     target back to the source, indexed by source object; they cohere
     when that span is lax, which is what makes changing base along it
     the right adjoint of the change of base along ``f``.  Callers that
-    want only the pointwise adjoints pass ``pointwise_only``.
+    want only the pointwise adjoints pass ``pointwise_only``: the report
+    then has no span and no violations, and is not ``coherent``.
     """
     if not pointwise_only and not f.left_leg_bijective():
         raise NoAdjoint("the left leg is not a bijection; pass pointwise_only")
@@ -312,7 +313,7 @@ def local_right_adjoints(f: TwoSidedEnrichment, pointwise_only: bool = False) ->
         for key, comp in f.components.items()
     }
     if pointwise_only:
-        return AdjointReport(adjoints, None, ["coherence not checked"])
+        return AdjointReport(adjoints, None, [])
     carrier_of = {u: x for x, u in enumerate(f.minus)}
     span = span_of_maps(
         f.target, f.source, list(f.source.objects), f.object_action(),
@@ -321,17 +322,12 @@ def local_right_adjoints(f: TwoSidedEnrichment, pointwise_only: bool = False) ->
     return AdjointReport(adjoints, span, _lax_violations(span))
 
 
-def right_adjoint_cob(
-    f: TwoSidedEnrichment,
-    b: VCategory,
-    report: AdjointReport | None = None,
-) -> VCategory:
-    """Right adjoint to the change of base: the change of base of ``b``
-    along the span of the local right adjoints."""
+def right_adjoint_cob(f: TwoSidedEnrichment, b: VCategory) -> VCategory:
+    """Right adjoint to the change of base: ``b`` changed along the span
+    of the local right adjoints, which must cohere (``NoAdjoint``)."""
     if b.base is not f.target:
         raise BaseMismatch("the enrichment does not live over the span's target")
-    if report is None:
-        report = local_right_adjoints(f)
+    report = local_right_adjoints(f)
     if not report.coherent:
         raise NoAdjoint("the local adjoints are not coherent")
     return apply_cob(report.span, b)
@@ -352,9 +348,10 @@ def monoid_congruence_tse(
     """Direct image along a congruence between truncated word monoids.
 
     The congruence must contain the empty-word pair and be closed under
-    concatenation whenever both concatenations survive the truncation;
-    the resulting span is validated because truncation can still break
-    laxness for unbalanced congruences.
+    concatenation whenever both concatenations survive the truncation.
+    The component, a union of related words, is well typed, total and
+    join-preserving as built; only its lax squares are checked, since
+    truncation can break them for unbalanced congruences.
     """
     require_language_bases(source, target)
     rel = set()
@@ -387,7 +384,7 @@ def monoid_congruence_tse(
         return frozenset(out)
 
     tse = span_of_maps(source, target, ["*"], [0], [0], lambda x, y: image)
-    problems = validate_tse(tse)
+    problems = _lax_violations(tse)
     if problems:
         raise NotACongruence(
             f"truncation breaks the lax structure: {problems[0]}"

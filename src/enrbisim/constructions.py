@@ -30,7 +30,7 @@ from .errors import (
 from .lattice import Lattice, PowersetLattice
 from .quantaloid import Quantaloid, QuantaloidElement
 from .tables import TableLattice, TableQuantaloid
-from .vcat import VCategory, VFunctor, require_same_base
+from .vcat import VCategory, VFunctor, require_same_base, validate_vfunctor
 
 # Most candidate object maps ``enumerate_vfunctors`` may try
 MAX_CANDIDATE_MAPS = 200_000
@@ -76,17 +76,6 @@ class PrincipalDownsetLattice(Lattice):
     def _meet(self, xs: Iterable):
         vals = list(xs)
         return self.base._meet(vals) if vals else self.cap
-
-    def is_distributive(self) -> bool:
-        xs = list(self.elements())
-        for x in xs:
-            for y in xs:
-                for z in xs:
-                    if self.meet([x, self.join([y, z])]) != self.join(
-                        [self.meet([x, y]), self.meet([x, z])]
-                    ):
-                        return False
-        return True
 
     def sample(self, rng):
         return self.base.meet([self.base.sample(rng), self.cap])
@@ -173,17 +162,8 @@ def enumerate_vfunctors(a: VCategory, b: VCategory) -> list[VFunctor]:
         total *= len(c)
         if total > MAX_CANDIDATE_MAPS:
             raise SizeLimit(f"more than {MAX_CANDIDATE_MAPS} candidate maps")
-    out = []
-    for assignment in itertools.product(*candidates):
-        mapping = list(assignment)
-        ok = all(
-            a.hom_lattice(i, j).leq(a.hom(i, j), b.hom(mapping[i], mapping[j]))
-            for i in range(a.n_objects)
-            for j in range(a.n_objects)
-        )
-        if ok:
-            out.append(VFunctor(a, b, mapping))
-    return out
+    functors = (VFunctor(a, b, list(mapping)) for mapping in itertools.product(*candidates))
+    return [f for f in functors if not validate_vfunctor(f)]
 
 
 class LaxRelationalPresentation(NamedTuple):
@@ -336,12 +316,10 @@ def isomorphic_by(a: VCategory, b: VCategory, mapping: list[int]) -> bool:
     """Whether ``mapping`` is a bijective hom-preserving functor a -> b."""
     if sorted(mapping) != list(range(b.n_objects)) or a.n_objects != b.n_objects:
         return False
-    if any(a.extents[i] != b.extents[mapping[i]] for i in range(a.n_objects)):
-        return False
     return all(
-        a.hom(i, j) == b.hom(mapping[i], mapping[j])
-        for i in range(a.n_objects)
-        for j in range(a.n_objects)
+        a.extents[i] == b.extents[mapping[i]]
+        and {mapping[j]: x for j, x in row.items()} == b.row_maps[mapping[i]]
+        for i, row in enumerate(a.row_maps)
     )
 
 

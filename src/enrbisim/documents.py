@@ -6,7 +6,8 @@ them in dependency order and validates each object as it is built.
 How a hom element is written and read is the base's own decision
 (its ``element_to_doc`` and ``element_from_doc``), and the object that
 receives an element checks it; this module only says where in a
-document the elements go, and reads every ``"a,b"`` key (``_keyed``).
+document the elements go, and reads every ``"a,b"`` key (``_keyed``)
+and every field of indices (``_indices``).
 The kinds ``cts`` and ``cob`` define are read by those modules, and
 each base by the module of its family, which also writes it
 (``Quantaloid.construction_doc``); Aldebaran automata are ``language``'s.
@@ -90,6 +91,22 @@ def _keyed(doc, field: str, lookup, arity: int):
                 f"{doc['name']}: {field} key {key!r} names {len(names)} objects, not {arity}"
             )
         yield tuple(map(lookup, names)), value
+
+
+def _indices(doc, field: str, entries, n: int, what: str, arity: int = 0) -> list:
+    """The entries of a field that lists indices into ``0..n-1``, taken as
+    given: each one JSON integer, or with ``arity`` a list of that many,
+    read as a tuple.  Anything else (a bool, a float, a string, an index
+    out of range) is a ``ParseError`` naming the entry and ``what`` was
+    expected."""
+    out = []
+    for entry in entries:
+        items = entry if arity else [entry]
+        if not (isinstance(items, list) and len(items) == max(arity, 1)
+                and all(type(i) is int and 0 <= i < n for i in items)):
+            raise ParseError(f"{doc['name']}: {field} entry {entry!r} is not {what} in 0..{n - 1}")
+        out.append(tuple(entry) if arity else entry)
+    return out
 
 
 def _vcategory_from_doc(doc, resolve) -> VCategory:

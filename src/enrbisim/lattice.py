@@ -82,7 +82,11 @@ class Lattice:
         return self.meet(())
 
     def is_distributive(self) -> bool:
-        raise NotImplementedError
+        """Whether meet distributes over binary join, at every triple."""
+        return all(
+            self._meet([x, self._join([y, z])]) == self._join([self._meet([x, y]), self._meet([x, z])])
+            for x, y, z in itertools.product(list(self.elements()), repeat=3)
+        )
 
     def sample(self, rng):
         """Pick a pseudo-random element without enumerating everything."""

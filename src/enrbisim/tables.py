@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Iterable
 
-from .documents import _keyed, _name_lookup
+from .documents import _indices, _keyed, _name_lookup
 from .errors import BadGrid, IncompleteLattice, ParseError, UnknownElement, UnknownObject, require_valid
 from .lattice import Lattice
 from .quantaloid import Quantaloid
@@ -61,7 +61,6 @@ class TableLattice(Lattice):
         self._meets = [[_bound(downs[i] & downs[j], downs) for j in range(n)] for i in range(n)]
         self._bottom = next((i for i in range(n) if ups[i] == full), None)
         self._top = next((i for i in range(n) if downs[i] == full), None)
-        self._distributive: bool | None = None
 
     def __repr__(self):
         return f"TableLattice({self._n} elements)"
@@ -153,19 +152,6 @@ class TableLattice(Lattice):
         if self._top is None:
             out.append("no top element")
         return out
-
-    def is_distributive(self) -> bool:
-        if self._distributive is None:
-            if self.validate():
-                raise IncompleteLattice("distributivity needs a valid lattice")
-            self._distributive = all(
-                self._meets[x][self._joins[y][z]]
-                == self._joins[self._meets[x][y]][self._meets[x][z]]
-                for x in range(self._n)
-                for y in range(self._n)
-                for z in range(self._n)
-            )
-        return self._distributive
 
     @classmethod
     def chain(cls, names: list[str]) -> "TableLattice":
@@ -326,12 +312,6 @@ def build_boolean_quantale() -> TableQuantaloid:
     return TableQuantaloid(["*"], {(0, 0): lat}, {(0, 0, 0): table}, [1])
 
 
-def _table_lattice_from_doc(doc) -> TableLattice:
-    lat = TableLattice([str(n) for n in doc["elements"]], [tuple(p) for p in doc["leq"]])
-    require_valid("lattice", lat.validate())
-    return lat
-
-
 def quantaloid_from_doc(doc, resolve) -> TableQuantaloid:
     """The base of a ``boolean``, ``metric`` or ``explicit`` document.  An
     explicit base has its laws checked here, as it loads."""
@@ -342,14 +322,24 @@ def quantaloid_from_doc(doc, resolve) -> TableQuantaloid:
         return build_metric_quantale([grid_value(str(g)) for g in doc["grid"]])
     objects = [str(o) for o in doc["objects"]]
     index = _name_lookup(doc, objects)
-    homs = {key: _table_lattice_from_doc(lat_doc) for key, lat_doc in _keyed(doc, "homs", index, 2)}
+    homs = {}
+    for (u, v), lat_doc in _keyed(doc, "homs", index, 2):
+        names = [str(n) for n in lat_doc["elements"]]
+        order = _indices(doc, f"homs '{objects[u]},{objects[v]}' leq", lat_doc["leq"], len(names),
+                         "a pair of element indices", 2)
+        homs[u, v] = TableLattice(names, order)
+        require_valid("lattice", homs[u, v].validate())
+    for u, v in itertools.product(range(len(objects)), repeat=2):
+        if (u, v) not in homs:
+            raise ParseError(f"{doc['name']}: homs misses the key '{objects[u]},{objects[v]}'")
     tensor = {
-        key: [[int(x) for x in row] for row in table]
-        for key, table in _keyed(doc, "tensor", index, 3)
+        (u, v, w): [_indices(doc, f"tensor '{objects[u]},{objects[v]},{objects[w]}'", row,
+                             homs[u, w].size, "an element index") for row in table]
+        for (u, v, w), table in _keyed(doc, "tensor", index, 3)
     }
     units = [0] * len(objects)
     for (u,), idx in _keyed(doc, "id", index, 1):
-        units[u] = int(idx)
+        units[u] = _indices(doc, f"id '{objects[u]}'", [idx], homs[u, u].size, "an element index")[0]
     q = TableQuantaloid(objects, homs, tensor, units)
     from .laws import validate_quantaloid  # only explicit bases need the law checks
 

@@ -202,8 +202,6 @@ class TestAdjointSpan:
         assert validate_tse(report.span) == report.violations != []
         with pytest.raises(NoAdjoint):
             right_adjoint_cob(fan, loop1(QLm))
-        with pytest.raises(NoAdjoint):
-            right_adjoint_cob(fan, loop1(QLm), report)
 
     @pytest.mark.parametrize("case", ["identity", "relabel", "collapse"])
     def test_right_adjoint_is_apply_cob_along_the_span(self, Q2, QLm, QLn, case):
@@ -368,6 +366,23 @@ class TestMonoidCongruence:
         f = relabel_tse(QLm, QLn, {"m": "n"})
         assert is_strong_tse(f)
         assert local_right_adjoints(f).coherent
+
+    def test_components_are_not_rechecked(self, QLm, QLn, monkeypatch):
+        # each component sends a language to a union of related words, so it
+        # is total, join-preserving and well-typed as built: only the lax
+        # squares are checked while the span is built
+        checked = []
+        original = MonotoneMap.check
+        monkeypatch.setattr(MonotoneMap, "check", lambda m: checked.append(m) or original(m))
+        qlab = build_language_quantale(("a", "b"), 2)
+        tse = monoid_congruence_tse(
+            qlab, QLn, monoid_morphism_pairs({"a": ("n",), "b": ("n",)}, qlab, QLn)
+        )
+        assert checked == []
+        assert validate_tse(tse) == [] and checked == [tse.component(0, 0)]
+        with pytest.raises(NotACongruence, match="truncation breaks the lax structure"):
+            monoid_congruence_tse(QLm, QLm, [((), ()), (("m",), ()), (("m", "m"), ())])
+        assert len(checked) == 1
 
     def test_unbalanced_congruence_rejected(self, QLm):
         # shortening relations break laxness under truncation

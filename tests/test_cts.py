@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from enrbisim.bisim import is_od
-from enrbisim.cob import local_right_adjoints
+from enrbisim.cob import MonotoneMap, apply_cob, local_right_adjoints
 from enrbisim.constructions import CatAdjunction, apply_cob_vfunctor, crible_left_adjoints
 from enrbisim.cts import (
     CatFunctor,
@@ -15,7 +15,6 @@ from enrbisim.cts import (
     all_spans,
     build_S_quantaloid,
     crible_change_tse,
-    crible_preimage_map,
     cts_to_vcat,
     identity_span,
     preserves_chosen_pullbacks,
@@ -27,6 +26,36 @@ from enrbisim.cts import (
 from enrbisim.errors import AmbientMismatch, NotExact, TypeMismatch
 from enrbisim.quantaloid import validate_quantaloid
 from enrbisim.vcat import VFunctor, validate_vcategory, validate_vfunctor
+
+
+def crible_preimage_map(fun, source_sq, target_sq, x, y) -> MonotoneMap:
+    """The oracle for a sieve adjoint: the spans whose image lies in the sieve."""
+    def preimage(crible):
+        return frozenset(s for s in all_spans(fun.source, x, y) if fun.apply_span(s) in crible)
+
+    return MonotoneMap.from_function(
+        target_sq.hom(fun.obj_map[x], fun.obj_map[y]), source_sq.hom(x, y), preimage
+    )
+
+
+def chain(n: int) -> FiniteCategory:
+    return FiniteCategory.poset([str(i) for i in range(n)], [(i, j) for i in range(n) for j in range(i, n)])
+
+
+# (source length, image in the target, target length): every order-preserving
+# inclusion between chains of 1 to 4 elements, the shapes the sieve workloads draw
+CHAIN_INCLUSIONS = [
+    (m, image, n)
+    for n in range(1, 5)
+    for m in range(1, n + 1)
+    for image in itertools.combinations(range(n), m)
+]
+
+
+def chain_inclusion(m: int, image: tuple, n: int) -> CatFunctor:
+    source, target = chain(m), chain(n)
+    mor_map = [target.morphism_index(f"{image[f.src]}<={image[f.tgt]}") for f in source.morphisms]
+    return CatFunctor(source, target, list(image), mor_map)
 
 
 @pytest.fixture(scope="module")
@@ -276,14 +305,35 @@ class TestRefine:
                 crible = out.hom(i, j)
                 assert sq3.hom(out.extents[i], out.extents[j]).has_element(crible)
 
-    def test_adjoints_match_preimage_formula(self, poset2, poset3):
-        fun = self._inclusion(poset2, poset3)
-        sq2, sq3 = build_S_quantaloid(poset2), build_S_quantaloid(poset3)
-        tse = crible_change_tse(fun, sq2, sq3)
-        report = local_right_adjoints(tse, pointwise_only=True)
-        for (x, y), adj in report.adjoints.items():
-            predicted = crible_preimage_map(fun, sq2, sq3, x, y)
-            assert adj.mapping == predicted.mapping
+    def test_adjoints_match_preimage_formula(self):
+        for m, image, n in CHAIN_INCLUSIONS:
+            fun = chain_inclusion(m, image, n)
+            assert fun.validate() == [] and preserves_chosen_pullbacks(fun) == []
+            source_sq, target_sq = build_S_quantaloid(fun.source), build_S_quantaloid(fun.target)
+            tse = crible_change_tse(fun, source_sq, target_sq)
+            report = local_right_adjoints(tse, pointwise_only=True)
+            assert (report.span, report.violations, report.coherent) == (None, [], False)
+            assert set(report.adjoints) == set(itertools.product(range(m), repeat=2))
+            for (x, y), adj in report.adjoints.items():
+                assert adj.mapping == crible_preimage_map(fun, source_sq, target_sq, x, y).mapping
+
+    @pytest.mark.parametrize("m, image, n", CHAIN_INCLUSIONS, ids=lambda v: str(v).replace(" ", ""))
+    def test_refine_is_apply_cob_along_the_induced_span(self, m, image, n):
+        fun = chain_inclusion(m, image, n)
+        source_sq, target_sq = build_S_quantaloid(fun.source), build_S_quantaloid(fun.target)
+        cat = fun.source
+        # an edge between every two vertices, by the span through their meet
+        edges = [
+            (i, j, Span(min(i, j), cat.morphism_index(f"{min(i, j)}<={i}"),
+                        cat.morphism_index(f"{min(i, j)}<={j}")))
+            for i in range(m)
+            for j in range(m)
+        ]
+        a = cts_to_vcat(source_sq, CtsSpec([(f"v{i}", i) for i in range(m)], edges))
+        out = refine(fun, a, source_sq, target_sq)
+        along = apply_cob(crible_change_tse(fun, source_sq, target_sq), a)
+        assert out.base is along.base is target_sq
+        assert (out.objects, out.extents, out.row_maps) == (along.objects, along.extents, along.row_maps)
 
     def test_non_exact_functor_rejected(self):
         # diamond -> 2-chain collapsing the middle: the meet of the two

@@ -545,6 +545,14 @@ def explicit_base_doc(objects, **fields) -> dict:
             "id": {u: 1 for u in objects}} | fields
 
 
+def fincat_doc(**fields) -> dict:
+    """An explicit category named C: one object and its identity, so fields
+    may replace any part."""
+    return {"schema": SCHEMA, "name": "C", "kind": "fincat", "objects": ["x"],
+            "morphisms": [{"name": "id", "src": 0, "tgt": 0}], "compose": [[0, 0, 0]],
+            "identities": [0]} | fields
+
+
 def vcategory_doc(names, homs) -> dict:
     return {"schema": SCHEMA, "name": "V", "kind": "vcategory", "base": "Q2", "homs": homs,
             "objects": [{"name": name, "extent": "*"} for name in names]}
@@ -560,10 +568,11 @@ IDENTITY_COMPONENT = [["0", "0"], ["1", "1"]]
 
 
 class TestMalformedDocuments:
-    """Every comma-keyed field and every list of names a document resolves:
-    a key naming the wrong number of objects, an unknown name, a repeated
-    name and a name with a comma each exit 2 with a ``ParseError`` that
-    names the document and the key or name.  An enrichment's unknown,
+    """Every comma-keyed field, every list of names a document resolves and
+    every field of indices: a key naming the wrong number of objects, an
+    unknown name, a repeated name, a name with a comma and an index that is
+    not a JSON integer in range each exit 2 with a ``ParseError`` that
+    names the document and the key, name or entry.  An enrichment's unknown,
     repeated and comma names are the cases of ``test_unknown_object_name``
     (test_cli.py), ``test_repeated_object_name_is_a_parse_error`` and
     ``test_comma_in_a_name_is_a_parse_error``."""
@@ -583,11 +592,30 @@ class TestMalformedDocuments:
         (span_doc(["c"], {"c,z": IDENTITY_COMPONENT}), "T: no object named 'z'"),
         (span_doc(["c", "c"], {"c,c": IDENTITY_COMPONENT}), "T: object name 'c' is repeated"),
         (span_doc(["c,d"], {"c,d,c,d": IDENTITY_COMPONENT}), "T: object name 'c,d' has a comma"),
+        (explicit_base_doc(["x"], tensor={"x,x,x": [[0, 0], [0, 1.9]]}),
+         "B: tensor 'x,x,x' entry 1.9 is not an element index in 0..1"),
+        (explicit_base_doc(["x"], tensor={"x,x,x": [[0, 0], [0, "1"]]}),
+         "B: tensor 'x,x,x' entry '1' is not an element index in 0..1"),
+        (explicit_base_doc(["x"], id={"x": "1"}), "B: id 'x' entry '1' is not an element index in 0..1"),
+        (explicit_base_doc(["x"], homs={"x,x": {"elements": ["0", "1"], "leq": [[0, 0], [1, 1], [0, 5]]}}),
+         "B: homs 'x,x' leq entry [0, 5] is not a pair of element indices in 0..1"),
+        (explicit_base_doc(["x", "y"], homs={"x,x": {"elements": ["0", "1"], "leq": [[0, 0], [0, 1], [1, 1]]}}),
+         "B: homs misses the key 'x,y'"),
+        (fincat_doc(identities=[-1]), "C: identities entry -1 is not a morphism index in 0..0"),
+        (fincat_doc(compose=[[-1, -1, -1]], identities=[-1]),
+         "C: compose entry [-1, -1, -1] is not a triple of morphism indices in 0..0"),
+        (fincat_doc(morphisms=[{"name": "id", "src": "0", "tgt": 0}]),
+         "C: morphism 'id' entry ['0', 0] is not a src, tgt pair of object indices in 0..0"),
+        (fincat_doc(pullbacks=[[0, 0, 0, True]]),
+         "C: pullbacks entry [0, 0, 0, True] is not a quadruple of morphism indices in 0..0"),
     ], ids=[
         "base-homs-arity", "base-homs-unknown", "base-tensor-arity", "base-tensor-unknown",
         "base-id-arity", "base-id-unknown", "base-repeated", "base-comma",
         "vcategory-homs-short", "vcategory-homs-long",
         "span-arity", "span-unknown", "span-carrier-repeated", "span-carrier-comma",
+        "base-tensor-fraction", "base-tensor-string", "base-id-string", "base-leq-range",
+        "base-homs-missing", "fincat-identity-negative", "fincat-compose-negative",
+        "fincat-src-string", "fincat-pullback-boolean",
     ])
     def test_exits_2_naming_the_fault(self, tmp_path, capsys, doc, match):
         write_doc(tmp_path, Q2_DOC)

@@ -3,8 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from enrbisim.constructions import verify_adjunction
+from enrbisim.constructions import PrincipalDownsetLattice, verify_adjunction
 from enrbisim.errors import NoAdjoint, SizeLimit, UnknownElement
+from enrbisim.fixtures import penta
 from enrbisim.lattice import (
     MonotoneMap,
     PowersetLattice,
@@ -136,6 +137,15 @@ class TestPowersetLattice:
     def test_leq_is_inclusion(self, a, b):
         lat = PowersetLattice(range(6))
         assert lat.leq(frozenset(a), frozenset(b)) == (a <= b)
+
+
+class TestPrincipalDownsetLattice:
+    def test_distributive_exactly_below_a_chain(self):
+        # the pentagon hom of penta(): below top lies the whole pentagon,
+        # below c only the chain bot < a < c
+        n5 = penta().hom(0, 1)
+        assert not PrincipalDownsetLattice(n5, n5.index_of("top")).is_distributive()
+        assert PrincipalDownsetLattice(n5, n5.index_of("c")).is_distributive()
 
 
 class TestMonotoneAdjoints:
