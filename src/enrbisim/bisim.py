@@ -10,6 +10,7 @@ equal the union of all relations passing the direct check.
 
 from __future__ import annotations
 
+import collections
 import itertools
 from typing import Iterable, NamedTuple, Optional
 
@@ -20,9 +21,14 @@ from .errors import (
     NotABisimulation,
     NotBisimilar,
     NotLocallyDistributive,
+    SizeLimit,
     UnknownObject,
 )
 from .vcat import VCategory, VFunctor, pullback, require_same_base, validate_vfunctor
+
+# Most extent-matching pairs the simulation and bisimulation engines may
+# start from: two 1,600-object automata over one extent have 2.56e6.
+MAX_PAIRS = 1 << 22
 
 
 class SimRelation:
@@ -52,14 +58,8 @@ class SimRelation:
 
     @classmethod
     def from_names(cls, left: VCategory, right: VCategory, named_pairs) -> "SimRelation":
-        return cls(
-            left,
-            right,
-            [
-                (left.object_index(a), right.object_index(b))
-                for a, b in named_pairs
-            ],
-        )
+        """The pairs of objects named by ``named_pairs``, each name looked up as given."""
+        return cls(left, right, [(left.object_index(a), right.object_index(b)) for a, b in named_pairs])
 
     @classmethod
     def diagonal(cls, a: VCategory) -> "SimRelation":
@@ -182,6 +182,15 @@ def is_bisimulation(r: SimRelation) -> SimulationCheck:
     return SimulationCheck(True)
 
 
+def _require_pair_budget(left: VCategory, right: VCategory) -> None:
+    """``SizeLimit`` if more than ``MAX_PAIRS`` pairs of objects share an
+    extent, counted in linear time from the right side's extent counts."""
+    per_extent = collections.Counter(right.extents)
+    pairs = sum(per_extent[e] for e in left.extents)
+    if pairs > MAX_PAIRS:
+        raise SizeLimit(f"{pairs} extent-matching pairs, more than the cap {MAX_PAIRS}")
+
+
 def largest_simulation(left: VCategory, right: VCategory) -> SimRelation:
     """Greatest fixed point of the refinement operator from the full
     extent-matching relation, in synchronous rounds.  Relations passing
@@ -206,9 +215,11 @@ def largest_simulation(left: VCategory, right: VCategory) -> SimRelation:
     Each step needs of the base only what the direct check does: every
     hom lattice has binary and empty joins that are least upper bounds,
     and a transitive order.  No distributivity is used, since no join
-    is ever split or subtracted.
+    is ever split or subtracted.  More than ``MAX_PAIRS`` extent-matching
+    pairs are a ``SizeLimit``, before round 1 builds a partner set.
     """
     require_same_base(left, right)
+    _require_pair_budget(left, right)
     lnames, rnames, rmaps = left.objects, right.objects, right.row_maps
     part, shrunk, trace = _first_round(left, right)
     preds: list[list] = [[] for _ in lnames]  # a' -> (a, hom(a,a'), lattice)
@@ -321,9 +332,12 @@ def largest_bisimulation(left: VCategory, right: VCategory) -> SimRelation:
     separates it, and the trace equals ``_refine``'s.
 
     Precondition: every hom order is antisymmetric, so that equal joins
-    are equal values.  Table lattices are validated when loaded.
+    are equal values.  Table lattices are validated when loaded.  More
+    than ``MAX_PAIRS`` extent-matching pairs are a ``SizeLimit``, before
+    the pairs are listed.
     """
     require_same_base(left, right)
+    _require_pair_budget(left, right)
     na = left.n_objects
     # the right side's objects follow the left's, so its targets shift by na
     rows = list(left.rows) + [[(na + y, x, lat) for y, x, lat in row] for row in right.rows]

@@ -418,19 +418,20 @@ def tse_from_doc(doc, resolve) -> TwoSidedEnrichment:
         if construction == "monoid-congruence":
             pairs = [(source.member_from_doc(m), target.member_from_doc(n)) for m, n in doc["pairs"]]
         else:
-            gen_map = {str(k): target.member_from_doc(v) for k, v in doc["map"].items()}
+            gen_map = {k: target.member_from_doc(v) for k, v in doc["map"].items()}
             pairs = monoid_morphism_pairs(gen_map, source, target)
         return monoid_congruence_tse(source, target, pairs)
     if construction != "explicit":
         raise ParseError(f"unknown span construction {construction!r}")
     source = resolve(doc["source"], Quantaloid)
     target = resolve(doc["target"], Quantaloid)
-    carriers = [str(c["name"]) for c in doc["carriers"]]
-    minus = [source.object_index(str(c["minus"])) for c in doc["carriers"]]
-    plus = [target.object_index(str(c["plus"])) for c in doc["carriers"]]
+    carriers = [c["name"] for c in doc["carriers"]]
+    index = _name_lookup(doc, "carriers", carriers)
+    minus = [source.object_index(c["minus"]) for c in doc["carriers"]]
+    plus = [target.object_index(c["plus"]) for c in doc["carriers"]]
     components = {}
     # the components' keys and values are checked by validate_tse, once
-    for (x, y), pairs in _keyed(doc, "components", _name_lookup(doc, carriers), 2):
+    for (x, y), pairs in _keyed(doc, "components", index, 2):
         mapping = _once(doc, f"component '{carriers[x]},{carriers[y]}'", (
             (source.element_from_doc(minus[x], minus[y], src_doc),
              target.element_from_doc(plus[x], plus[y], tgt_doc))

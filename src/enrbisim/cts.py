@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple
 # cob is lazy (see the package): read its names at call time, so that
 # building a specification's enrichment never runs it
 from . import cob
-from .documents import SCHEMA, _indices, _name_lookup, _once
+from .documents import SCHEMA, _indices, _name_lookup, _names, _once
 from .errors import (
     AmbientMismatch,
     NotComposable,
@@ -234,7 +234,7 @@ class PowersetCatQuantaloid(SetQuantaloid):
         return self.cat.morphisms[m].name
 
     def member_from_doc(self, doc):
-        return self.cat.morphism_index(str(doc))
+        return self.cat.morphism_index(doc)
 
     def _make_hom(self, u, v):
         return PowersetLattice(self.cat.hom_morphisms(u, v))
@@ -263,9 +263,7 @@ class Span(NamedTuple):
 def span_from_doc(cat: FiniteCategory, doc) -> Span:
     """The span a document ``{apex, left, right}`` gives by object and morphism names."""
     return Span(
-        cat.object_index(str(doc["apex"])),
-        cat.morphism_index(str(doc["left"])),
-        cat.morphism_index(str(doc["right"])),
+        cat.object_index(doc["apex"]), cat.morphism_index(doc["left"]), cat.morphism_index(doc["right"])
     )
 
 
@@ -564,20 +562,21 @@ def refine(
 def fincat_from_doc(doc) -> FiniteCategory:
     """The category of a ``fincat`` document: a poset or an explicit table."""
     if doc.get("construction") == "poset":
-        names = [str(n) for n in doc["elements"]]
-        _name_lookup(doc, names)  # a repeated name is a ParseError
+        names = doc["elements"]
+        _name_lookup(doc, "elements", names)  # a repeated name is a ParseError
         order = set(_indices(doc, "leq", doc["leq"], len(names), "a pair of element indices", 2))
         for i, name in enumerate(names):
             if (i, i) not in order:
                 raise ParseError(f"{doc['name']}: leq misses the pair [{i}, {i}] of {name!r}")
         cat = FiniteCategory.poset(names, order)
     else:
-        objects = [str(o) for o in doc["objects"]]
-        n_mor, morphisms = len(doc["morphisms"]), []
-        for m in doc["morphisms"]:
-            src, tgt = _indices(doc, f"morphism {str(m['name'])!r}", [[m["src"], m["tgt"]]],
+        objects = _names(doc, "objects", doc["objects"])
+        mor_names = _names(doc, "morphisms", [m["name"] for m in doc["morphisms"]])
+        n_mor, morphisms = len(mor_names), []
+        for name, m in zip(mor_names, doc["morphisms"]):
+            src, tgt = _indices(doc, f"morphism {name!r}", [[m["src"], m["tgt"]]],
                                 len(objects), "a src, tgt pair of object indices", 2)[0]
-            morphisms.append(Morphism(str(m["name"]), src, tgt))
+            morphisms.append(Morphism(name, src, tgt))
         triples = _indices(doc, "compose", doc["compose"], n_mor, "a triple of morphism indices", 3)
         compose = _once(doc, "compose", ((t[:2], t[2]) for t in triples))
         identities = _indices(doc, "identities", doc["identities"], n_mor, "a morphism index")
@@ -611,13 +610,8 @@ def catfunctor_from_doc(doc, resolve) -> CatFunctor:
     """The functor of a ``catfunctor`` document, by object and morphism names."""
     source = resolve(doc["source"], FiniteCategory)
     target = resolve(doc["target"], FiniteCategory)
-    obj_map = [
-        target.object_index(str(doc["objects"][name])) for name in source.objects
-    ]
-    mor_map = [
-        target.morphism_index(str(doc["morphisms"][m.name]))
-        for m in source.morphisms
-    ]
+    obj_map = [target.object_index(doc["objects"][name]) for name in source.objects]
+    mor_map = [target.morphism_index(doc["morphisms"][m.name]) for m in source.morphisms]
     fun = CatFunctor(source, target, obj_map, mor_map)
     require_valid("functor", fun.validate())
     return fun
@@ -626,12 +620,10 @@ def catfunctor_from_doc(doc, resolve) -> CatFunctor:
 def ctsspec_from_doc(doc, resolve) -> tuple[FiniteCategory, CtsSpec]:
     """The category and specification of a ``ctsspec`` document."""
     cat = resolve(doc["category"], FiniteCategory)
-    vertices = [
-        (str(v["name"]), cat.object_index(str(v["type"]))) for v in doc["vertices"]
-    ]
-    index = _name_lookup(doc, [n for n, _ in vertices])
+    index = _name_lookup(doc, "vertices", [v["name"] for v in doc["vertices"]])
+    vertices = [(v["name"], cat.object_index(v["type"])) for v in doc["vertices"]]
     edges = []
     for e in doc["edges"]:
-        s, t = index(str(e["src"])), index(str(e["tgt"]))
+        s, t = index(e["src"]), index(e["tgt"])
         edges.append((s, t, span_from_doc(cat, e["span"])))
     return cat, CtsSpec(vertices, edges)

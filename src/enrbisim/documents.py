@@ -6,8 +6,9 @@ them in dependency order and validates each object as it is built.
 How a hom element is written and read is the base's own decision
 (its ``element_to_doc`` and ``element_from_doc``), and the object that
 receives an element checks it; this module only says where in a
-document the elements go, and reads every ``"a,b"`` key (``_keyed``)
-and every field of indices (``_indices``).
+document the elements go, and reads every name a document defines
+(``_names``, ``_name_lookup``), every ``"a,b"`` key (``_keyed``) and
+every field of indices (``_indices``).
 The kinds ``cts`` and ``cob`` define are read by those modules, and
 each base by the module of its family, which also writes it
 (``Quantaloid.construction_doc``); Aldebaran automata are ``language``'s.
@@ -23,7 +24,7 @@ from typing import Any
 # bisim, cob and cts are lazy (see the package): read their names at call time
 from . import _moved, bisim, cob, cts
 from .errors import DanglingReference, ParseError, ValidationError, require_valid
-from .quantaloid import Quantaloid
+from .quantaloid import Quantaloid, name_index
 from .vcat import EnrichedGraph, VCategory, VFunctor, free_vcategory, validate_vcategory, validate_vfunctor
 
 SCHEMA = "enrbisim/1"
@@ -60,24 +61,30 @@ def _once(doc, field: str, entries) -> dict:
     return table
 
 
-def _name_lookup(doc, names: list[str]):
-    """Index of a document's own objects by name, in one map.  A repeated
-    name, an unknown one and one with a comma (which the ``"a,b"`` keys
-    could not split) are each a ``ParseError``."""
-    index: dict[str, int] = {}
-    for i, name in enumerate(names):
+def _names(doc, field: str, values) -> list[str]:
+    """The names a document defines in a field, as given: a list of JSON
+    strings, where any other value is a ``ParseError`` naming it."""
+    if not isinstance(values, list):
+        raise ParseError(f"{doc['name']}: {field} is not a list of names")
+    for name in values:
+        if not isinstance(name, str):
+            raise ParseError(f"{doc['name']}: name {name!r} in {field} is not a string")
+    return values
+
+
+def _name_lookup(doc, field: str, values):
+    """Index of the objects a document defines in a field (``_names``), by
+    name (``name_index``).  A repeated name, an unknown one and one with a
+    comma (which the ``"a,b"`` keys could not split) are each a
+    ``ParseError``."""
+    names, seen = _names(doc, field, values), set()
+    for name in names:
         if "," in name:
             raise ParseError(f"{doc['name']}: object name {name!r} has a comma")
-        if index.setdefault(name, i) != i:
+        if name in seen:
             raise ParseError(f"{doc['name']}: object name {name!r} is repeated")
-
-    def lookup(name: str) -> int:
-        try:
-            return index[name]
-        except KeyError:
-            raise ParseError(f"{doc['name']}: no object named {name!r}") from None
-
-    return lookup
+        seen.add(name)
+    return name_index(names, error=lambda message: ParseError(f"{doc['name']}: {message}"))
 
 
 def _keyed(doc, field: str, lookup, arity: int):
@@ -113,22 +120,19 @@ def _vcategory_from_doc(doc, resolve) -> VCategory:
     base = resolve(doc["base"], Quantaloid)
     if "graph" in doc:
         g = doc["graph"]
-        vertices = [
-            (str(v["name"]), base.object_index(str(v["extent"])))
-            for v in g["vertices"]
-        ]
-        index = _name_lookup(doc, [n for n, _ in vertices])
+        index = _name_lookup(doc, "graph vertices", [v["name"] for v in g["vertices"]])
+        vertices = [(v["name"], base.object_index(v["extent"])) for v in g["vertices"]]
         edges = []
         for e in g["edges"]:
-            s, t = index(str(e["src"])), index(str(e["tgt"]))
+            s, t = index(e["src"]), index(e["tgt"])
             edges.append((s, t, base.element_from_doc(vertices[s][1], vertices[t][1], e["label"])))
         cat = free_vcategory(base, EnrichedGraph(vertices, edges))
     else:
-        objs = [(str(o["name"]), base.object_index(str(o["extent"]))) for o in doc["objects"]]
-        names = [n for n, _ in objs]
-        extents = [e for _, e in objs]
+        names = [o["name"] for o in doc["objects"]]
+        index = _name_lookup(doc, "objects", names)
+        extents = [base.object_index(o["extent"]) for o in doc["objects"]]
         homs: list[dict] = [{} for _ in names]
-        for (i, j), elem_doc in _keyed(doc, "homs", _name_lookup(doc, names), 2):
+        for (i, j), elem_doc in _keyed(doc, "homs", index, 2):
             homs[i][j] = base.element_from_doc(extents[i], extents[j], elem_doc)
         cat = VCategory(base, names, extents, homs)
     require_valid("vcategory", validate_vcategory(cat))
@@ -141,8 +145,8 @@ def _vfunctor_from_doc(doc, resolve) -> VFunctor:
     mapping = [0] * source.n_objects
     seen = set()
     for a, b in doc["map"].items():
-        i = source.object_index(str(a))
-        mapping[i] = target.object_index(str(b))
+        i = source.object_index(a)
+        mapping[i] = target.object_index(b)
         seen.add(i)
     if len(seen) != source.n_objects:
         raise ValidationError("functor map misses source objects")
@@ -154,9 +158,7 @@ def _vfunctor_from_doc(doc, resolve) -> VFunctor:
 def _relation_from_doc(doc, resolve) -> bisim.SimRelation:
     left = resolve(doc["left"], VCategory)
     right = resolve(doc["right"], VCategory)
-    return bisim.SimRelation.from_names(
-        left, right, [(str(a), str(b)) for a, b in doc["pairs"]]
-    )
+    return bisim.SimRelation.from_names(left, right, doc["pairs"])
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +173,12 @@ class Bundle:
         self.certified: set[str] = set()  # bases whose laws were checked as they loaded
 
     def get(self, name: str, expected: type | str | None = None):
-        """The named object, checked against a type or a kind name."""
-        if name not in self.objects:
-            raise DanglingReference(f"no object named {name!r} in the bundle")
-        obj = self.objects[name]
-        kind = self.kinds[name]
+        """The named object, checked against a type or a kind name; any
+        other value, a non-string one included, is a ``DanglingReference``."""
+        try:
+            obj, kind = self.objects[name], self.kinds[name]
+        except (KeyError, TypeError):
+            raise DanglingReference(f"no object named {name!r} in the bundle") from None
         if expected is not None and not (
             kind == expected if isinstance(expected, str) else isinstance(obj, expected)
         ):
@@ -252,6 +255,8 @@ def _read_doc(path: Path) -> dict:
     for key in ("name", "kind"):
         if key not in doc:
             raise ParseError(f"{path}: missing {key!r}")
+    if not isinstance(doc["name"], str):
+        raise ParseError(f"{path}: name {doc['name']!r} is not a string")
     if doc["kind"] in _QUANTALOID_SHORTHANDS:
         doc = doc | {"kind": "quantaloid", "construction": doc["kind"]}
     return doc
@@ -289,7 +294,7 @@ def load_bundle(paths, aut_alphabet=None, aut_k=None) -> Bundle:
     bundle = Bundle()
     seen = set()
     for doc in docs:
-        name = str(doc["name"])
+        name = doc["name"]
         if name in seen:
             raise ValidationError(f"duplicate document name {name!r}")
         seen.add(name)
@@ -297,13 +302,9 @@ def load_bundle(paths, aut_alphabet=None, aut_k=None) -> Bundle:
         for doc in docs:
             if doc["kind"] != kind:
                 continue
-            name = str(doc["name"])
-
-            def resolve(ref, expected):
-                return bundle.get(str(ref), expected)
-
+            name = doc["name"]
             try:
-                obj = _BUILDERS[kind](doc, resolve)
+                obj = _BUILDERS[kind](doc, bundle.get)
             except KeyError as err:
                 raise ParseError(f"{name}: missing field {err}") from None
             except (TypeError, ValueError, AttributeError, IndexError, ZeroDivisionError) as err:

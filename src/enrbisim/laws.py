@@ -18,8 +18,6 @@ class QuantaloidReport(NamedTuple):
     """Outcome of validating a quantaloid."""
 
     violations: list[str]
-    hom_distributive: dict[tuple[int, int], bool]
-    notes: list[str]
 
     @property
     def ok(self) -> bool:
@@ -37,8 +35,6 @@ def validate_quantaloid(q: Quantaloid) -> QuantaloidReport:
     violations: a base that cannot be checked is not certified.
     """
     violations: list[str] = []
-    distributive: dict[tuple[int, int], bool] = {}
-    notes = list(getattr(q, "notes", []))
     n = q.n_objects
     if n == 0:
         violations.append("quantaloid has no objects")
@@ -52,25 +48,22 @@ def validate_quantaloid(q: Quantaloid) -> QuantaloidReport:
                 f"hom {q.objects[u]},{q.objects[v]} too large to validate"
             )
             continue
-        problems = hom.validate()
-        for msg in problems:
-            violations.append(f"hom {q.objects[u]},{q.objects[v]}: {msg}")
-        distributive[(u, v)] = hom.is_distributive() if not problems else False
+        violations += (f"hom {q.objects[u]},{q.objects[v]}: {msg}" for msg in hom.validate())
     if violations:
-        return QuantaloidReport(violations, distributive, notes)
+        return QuantaloidReport(violations)
 
     for u in range(n):
         if not q.hom(u, u).has_element(q.unit(u)):
             violations.append(f"unit of {q.objects[u]} is not in its hom")
     if violations:
-        return QuantaloidReport(violations, distributive, notes)
+        return QuantaloidReport(violations)
     work = _law_compositions([[q.hom(u, v).size for v in range(n)] for u in range(n)])
     if work > COMPOSE_BUDGET:
         violations.append(
             f"too large to validate: the law checks take {work} compositions, "
             f"over the budget of {COMPOSE_BUDGET}"
         )
-        return QuantaloidReport(violations, distributive, notes)
+        return QuantaloidReport(violations)
 
     # closure and unit laws
     for u, v in pairs:
@@ -134,7 +127,7 @@ def validate_quantaloid(q: Quantaloid) -> QuantaloidReport:
                 continue
             break
 
-    return QuantaloidReport(violations, distributive, notes)
+    return QuantaloidReport(violations)
 
 
 def _law_compositions(size: list[list[int]]) -> int:

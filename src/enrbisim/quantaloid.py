@@ -31,18 +31,19 @@ class QuantaloidElement(NamedTuple):
     value: Any
 
 
-def name_index(names: list[str], what: str = "object"):
+def name_index(names: list[str], what: str = "object", error=UnknownObject):
     """The position of a name among ``names`` (the first, if repeated), looked
-    up in one dict; any other name is ``UnknownObject``."""
+    up as given in one dict: any other value, a non-string or unhashable one
+    included, is ``error("no <what> named ...")``."""
     index: dict[str, int] = {}
     for i, name in enumerate(names):
         index.setdefault(name, i)
 
-    def lookup(name: str) -> int:
+    def lookup(name) -> int:
         try:
             return index[name]
-        except KeyError:
-            raise UnknownObject(f"no {what} named {name!r}") from None
+        except (KeyError, TypeError):
+            raise error(f"no {what} named {name!r}") from None
 
     return lookup
 

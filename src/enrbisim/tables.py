@@ -9,10 +9,10 @@ from __future__ import annotations
 import itertools
 from typing import Any, Iterable
 
-from .documents import _indices, _keyed, _name_lookup
+from .documents import _indices, _keyed, _name_lookup, _names
 from .errors import BadGrid, IncompleteLattice, ParseError, UnknownElement, UnknownObject, require_valid
 from .lattice import Lattice
-from .quantaloid import Quantaloid
+from .quantaloid import Quantaloid, name_index
 
 INF = float("inf")
 
@@ -42,9 +42,7 @@ class TableLattice(Lattice):
         self.names = list(names)
         n = len(self.names)
         self._n = n
-        self._index: dict[str, int] = {}  # a repeated name means its first index
-        for i, name in enumerate(self.names):
-            self._index.setdefault(name, i)
+        self.index_of = name_index(self.names, "element", UnknownElement)
         full = (1 << n) - 1
         ups = [0] * n  # ups[i] = bitmask of j with i <= j
         downs = [0] * n
@@ -77,12 +75,6 @@ class TableLattice(Lattice):
 
     def name_of(self, x) -> str:
         return self.names[x]
-
-    def index_of(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise UnknownElement(f"no element named {name!r}") from None
 
     def _leq(self, x, y) -> bool:
         return bool(self._ups[x] >> y & 1)
@@ -177,7 +169,6 @@ class TableQuantaloid(Quantaloid):
         self._homs = dict(homs)
         self._tables = dict(tensor_tables)
         self._units = list(units)
-        self.notes: list[str] = []
 
     def _make_hom(self, u, v):
         try:
@@ -273,13 +264,6 @@ class MetricQuantale(TableQuantaloid):
 
         table = [[add(i, j) for j in range(n)] for i in range(n)]
         super().__init__(["*"], {(0, 0): lat}, {(0, 0, 0): table}, [0])
-        for i, j, l in itertools.product(range(n), repeat=3):
-            if table[table[i][j]][l] != table[i][table[j][l]]:
-                self.notes.append(
-                    "rounding breaks associativity at "
-                    f"({names[i]},{names[j]},{names[l]})"
-                )
-                break
 
     def construction_doc(self, name_of) -> dict:
         return {
@@ -312,6 +296,14 @@ def build_boolean_quantale() -> TableQuantaloid:
     return TableQuantaloid(["*"], {(0, 0): lat}, {(0, 0, 0): table}, [1])
 
 
+def _require_keys(doc, field: str, table: dict, objects: list[str], arity: int) -> None:
+    """A ``ParseError`` naming the first ``arity``-tuple of objects that the
+    field's entries, read into ``table``, leave out."""
+    for key in itertools.product(range(len(objects)), repeat=arity):
+        if key not in table:
+            raise ParseError(f"{doc['name']}: {field} misses the key '{','.join(objects[i] for i in key)}'")
+
+
 def quantaloid_from_doc(doc, resolve) -> TableQuantaloid:
     """The base of a ``boolean``, ``metric`` or ``explicit`` document.  An
     explicit base has its laws checked here, as it loads."""
@@ -320,23 +312,25 @@ def quantaloid_from_doc(doc, resolve) -> TableQuantaloid:
         return build_boolean_quantale()
     if kind == "metric":
         return build_metric_quantale([grid_value(str(g)) for g in doc["grid"]])
-    objects = [str(o) for o in doc["objects"]]
-    index = _name_lookup(doc, objects)
+    objects = doc["objects"]
+    index = _name_lookup(doc, "objects", objects)
     homs = {}
     for (u, v), lat_doc in _keyed(doc, "homs", index, 2):
-        names = [str(n) for n in lat_doc["elements"]]
-        order = _indices(doc, f"homs '{objects[u]},{objects[v]}' leq", lat_doc["leq"], len(names),
-                         "a pair of element indices", 2)
+        key = f"'{objects[u]},{objects[v]}'"
+        names = _names(doc, f"homs {key} elements", lat_doc["elements"])
+        order = _indices(doc, f"homs {key} leq", lat_doc["leq"], len(names), "a pair of element indices", 2)
         homs[u, v] = TableLattice(names, order)
         require_valid("lattice", homs[u, v].validate())
-    for u, v in itertools.product(range(len(objects)), repeat=2):
-        if (u, v) not in homs:
-            raise ParseError(f"{doc['name']}: homs misses the key '{objects[u]},{objects[v]}'")
-    tensor = {
-        (u, v, w): [_indices(doc, f"tensor '{objects[u]},{objects[v]},{objects[w]}'", row,
-                             homs[u, w].size, "an element index") for row in table]
-        for (u, v, w), table in _keyed(doc, "tensor", index, 3)
-    }
+    _require_keys(doc, "homs", homs, objects, 2)
+    tensor = {}
+    for (u, v, w), table in _keyed(doc, "tensor", index, 3):
+        key = f"tensor '{objects[u]},{objects[v]},{objects[w]}'"
+        rows, entries = homs[u, v].size, homs[v, w].size
+        if not (isinstance(table, list) and len(table) == rows
+                and all(isinstance(row, list) and len(row) == entries for row in table)):
+            raise ParseError(f"{doc['name']}: {key} is not {rows} rows of {entries} entries")
+        tensor[u, v, w] = [_indices(doc, key, row, homs[u, w].size, "an element index") for row in table]
+    _require_keys(doc, "tensor", tensor, objects, 3)
     units = [0] * len(objects)
     for (u,), idx in _keyed(doc, "id", index, 1):
         units[u] = _indices(doc, f"id '{objects[u]}'", [idx], homs[u, u].size, "an element index")[0]

@@ -565,6 +565,12 @@ def span_doc(carriers, components) -> dict:
 
 
 IDENTITY_COMPONENT = [["0", "0"], ["1", "1"]]
+POSET_DOC = {"schema": SCHEMA, "name": "P", "kind": "fincat", "construction": "poset",
+             "elements": ["0", "1"], "leq": [[0, 0], [0, 1], [1, 1]]}
+
+
+def document(name, kind, **fields) -> dict:
+    return {"schema": SCHEMA, "name": name, "kind": kind, **fields}
 
 
 class TestMalformedDocuments:
@@ -608,6 +614,10 @@ class TestMalformedDocuments:
          "C: morphism 'id' entry ['0', 0] is not a src, tgt pair of object indices in 0..0"),
         (fincat_doc(pullbacks=[[0, 0, 0, True]]),
          "C: pullbacks entry [0, 0, 0, True] is not a quadruple of morphism indices in 0..0"),
+        (explicit_base_doc(["x"], tensor={"x,x,x": [[0, 0, 1], [0, 1, 0], [1, 1]]}),
+         "B: tensor 'x,x,x' is not 2 rows of 2 entries"),
+        (explicit_base_doc(["x"], tensor={"x,x,x": [[0]]}), "B: tensor 'x,x,x' is not 2 rows of 2 entries"),
+        (explicit_base_doc(["x"], tensor={}), "B: tensor misses the key 'x,x,x'"),
     ], ids=[
         "base-homs-arity", "base-homs-unknown", "base-tensor-arity", "base-tensor-unknown",
         "base-id-arity", "base-id-unknown", "base-repeated", "base-comma",
@@ -616,6 +626,7 @@ class TestMalformedDocuments:
         "base-tensor-fraction", "base-tensor-string", "base-id-string", "base-leq-range",
         "base-homs-missing", "fincat-identity-negative", "fincat-compose-negative",
         "fincat-src-string", "fincat-pullback-boolean",
+        "base-tensor-extra-row", "base-tensor-short", "base-tensor-missing",
     ])
     def test_exits_2_naming_the_fault(self, tmp_path, capsys, doc, match):
         write_doc(tmp_path, Q2_DOC)
@@ -623,6 +634,50 @@ class TestMalformedDocuments:
         assert main(["--paths", str(tmp_path), "validate"]) == 2
         out, err = capsys.readouterr()
         assert json.loads(out)["details"] == {"error": f"ParseError: {match}"}
+        assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("docs, error", [
+        ([vcategory_doc([5], {})], "ParseError: V: name 5 in objects is not a string"),
+        ([document("V", "vcategory", base="Q2", graph={"vertices": [{"name": ["x"], "extent": "*"}], "edges": []})],
+         "ParseError: V: name ['x'] in graph vertices is not a string"),
+        ([vcategory_doc(["a"], {}) | {"name": 5}], "ParseError: {dir}/5.json: name 5 is not a string"),
+        ([POSET_DOC | {"elements": ["0", 1]}], "ParseError: P: name 1 in elements is not a string"),
+        ([fincat_doc(objects=[None])], "ParseError: C: name None in objects is not a string"),
+        ([fincat_doc(), document("S", "ctsspec", category="C", vertices=[{"name": 2, "type": "x"}], edges=[])],
+         "ParseError: S: name 2 in vertices is not a string"),
+        ([span_doc([3], {})], "ParseError: T: name 3 in carriers is not a string"),
+        ([vcategory_doc(["a"], {}) | {"objects": [{"name": "a", "extent": 0}]}],
+         "UnknownObject: no object named 0"),
+        ([POSET_DOC, document("G", "catfunctor", source="P", target="P", objects={"0": "0", "1": 1},
+                         morphisms={m: m for m in ("0<=0", "0<=1", "1<=1")})],
+         "UnknownObject: no object named 1"),
+        ([fincat_doc(morphisms=[{"name": "7", "src": 0, "tgt": 0}]), document("PB", "powerset", category="C"),
+          document("V", "vcategory", base="PB", objects=[{"name": "a", "extent": "x"}], homs={"a,a": [7]})],
+         "UnknownObject: no morphism named 7"),
+        ([vcategory_doc(["1", "2"], {"1,1": "1", "2,2": "1"}),
+          document("R", "relation", left="V", right="V", pairs=[[1, 2]])],
+         "UnknownObject: no object named 1"),
+        ([vcategory_doc(["a"], {}) | {"base": ["Q2"]}],
+         "DanglingReference: V: no object named ['Q2'] in the bundle"),
+        ([document("V", "vcategory", base="Q2", graph={"vertices": [{"name": "0", "extent": "*"}],
+                                                  "edges": [{"src": 0, "tgt": "0", "label": "1"}]})],
+         "ParseError: V: no object named 0"),
+    ], ids=[
+        "vcategory-object", "graph-vertex", "document-name", "poset-element", "fincat-object",
+        "ctsspec-vertex", "span-carrier", "extent", "catfunctor-map-value", "powerset-member",
+        "relation-pair", "base-reference", "graph-edge-source",
+    ])
+    def test_names_are_strings_read_as_given(self, tmp_path, capsys, docs, error):
+        """A defined name that is not a JSON string is a ``ParseError`` naming
+        document, field and value; a reference that is not one is looked up
+        as given, and its lookup's error names it."""
+        write_doc(tmp_path, Q2_DOC)
+        for d in docs:
+            write_doc(tmp_path, d)
+        assert main(["--paths", str(tmp_path), "validate"]) == 2
+        out, err = capsys.readouterr()
+        assert json.loads(out)["details"] == {"error": error.replace("{dir}", str(tmp_path))}
         assert "Traceback" not in err
 
 

@@ -5,9 +5,9 @@ documents of the other kinds) or one generated ``.aut`` file, then runs
 a command in-process through ``cli.main``.  Whatever the input, the exit
 code is 0, 1 or 2, the report parses, 0 and 1 come with a yes/no or
 valid/invalid verdict, and no error is reported as an internal one.
-Two inflated inputs, a deeply nested document and an ``.aut`` header
-that announces 10^8 states, are held to the same rule in a child process
-with a capped address space.
+Inflated inputs, a deeply nested document, an ``.aut`` header that
+announces 10^8 states and a 20,000-state automaton compared with itself,
+are held to the same rule in a child process with a capped address space.
 """
 
 import copy
@@ -216,11 +216,19 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
+# 20,000 states, each with an a-loop: 4e8 extent-matching pairs against itself
+LOOPS_AUT = "des (0, 20000, 20000)\n" + "".join(f'({i}, "a", {i})\n' for i in range(20_000))
+
+
 @pytest.mark.parametrize("name, text, argv, error", [
     ("deep.json", "[" * 200_000 + "]" * 200_000, ["validate"], "ParseError"),
     ("big.aut", 'des (0, 1, 100000000)\n(0, "a", 1)\n',
      ["--aut-alphabet", "a", "--aut-k", "2", "validate", "big"], "SizeLimit"),
-], ids=["nested-200000-deep", "aut-header-announces-1e8-states"])
+    ("big.aut", LOOPS_AUT, ["--aut-alphabet", "a", "--aut-k", "2", "bisimilar", "--a", "big", "--b", "big"],
+     "SizeLimit"),
+    ("big.aut", LOOPS_AUT, ["--aut-alphabet", "a", "--aut-k", "2", "simulates", "--a", "big", "--b", "big"],
+     "SizeLimit"),
+], ids=["nested-200000-deep", "aut-header-announces-1e8-states", "bisimilar-4e8-pairs", "simulates-4e8-pairs"])
 def test_inflated_input_is_an_error(tmp_path, name, text, argv, error):
     (tmp_path / name).write_text(text)
     run = subprocess.run(

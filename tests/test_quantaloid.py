@@ -5,7 +5,7 @@ import pytest
 
 from enrbisim.constructions import residual
 from enrbisim.cts import FiniteCategory, build_S_quantaloid
-from enrbisim.errors import BadGrid, NotComposable, SizeLimit, UnknownObject
+from enrbisim.errors import BadGrid, NotComposable, ParseError, SizeLimit, UnknownElement, UnknownObject
 from enrbisim.fixtures import bp2, m3, penta, q2, ql, rel1
 from enrbisim.lattice import COMPOSE_BUDGET, TableLattice
 from enrbisim.quantaloid import (
@@ -17,6 +17,7 @@ from enrbisim.quantaloid import (
     build_metric_quantale,
     build_rel_quantaloid,
     grid_value,
+    name_index,
     tensor,
     validate_quantaloid,
 )
@@ -31,28 +32,25 @@ class TestValidate:
         assert validate_quantaloid(q2()).ok
 
     def test_language_valid(self):
-        report = validate_quantaloid(ql())
-        assert report.ok
-        assert report.hom_distributive[(0, 0)]
+        assert validate_quantaloid(ql()).ok
+        assert ql().is_locally_distributive()
 
     def test_metric_valid(self):
         assert validate_quantaloid(m3()).ok
 
     def test_rel_valid(self):
-        report = validate_quantaloid(rel1())
-        assert report.ok
-        assert report.hom_distributive[(0, 0)]
+        assert validate_quantaloid(rel1()).ok
+        assert rel1().is_locally_distributive()
 
     def test_powerset_valid(self):
-        report = validate_quantaloid(bp2())
-        assert report.ok
-        assert all(report.hom_distributive.values())
+        assert validate_quantaloid(bp2()).ok
+        assert bp2().is_locally_distributive()
 
     def test_pentagon_base_valid_but_not_distributive(self):
-        report = validate_quantaloid(penta())
-        assert report.ok
-        assert not report.hom_distributive[(0, 1)]
-        assert not penta().is_locally_distributive()
+        q = penta()
+        assert validate_quantaloid(q).ok
+        assert not q.hom(0, 1).is_distributive()
+        assert not q.is_locally_distributive()
 
     def test_constant_bottom_tensor_breaks_units(self):
         lat = TableLattice.boolean()
@@ -81,6 +79,21 @@ class TestWorkBound:
             "too large to validate: the law checks take 12649088 compositions, "
             f"over the budget of {COMPOSE_BUDGET}"
         ]
+
+
+class TestNameIndex:
+    @pytest.mark.parametrize("error", [UnknownObject, UnknownElement, ParseError])
+    @pytest.mark.parametrize("value", [["x"], {"x": 1}, "y", 0, None, True])
+    def test_other_values_raise_its_own_error(self, error, value):
+        lookup = name_index(["x", "0", "True"], "thing", error)
+        with pytest.raises(error, match=r"^no thing named ") as caught:
+            lookup(value)
+        assert str(caught.value) == f"no thing named {value!r}"
+
+    def test_names_are_looked_up_as_given(self):
+        lookup = name_index(["x", "y", "x"])
+        assert [lookup("x"), lookup("y")] == [0, 1]
+        assert TableLattice.chain(["0", "1"]).index_of("1") == 1
 
 
 class TestHomCache:
@@ -296,8 +309,8 @@ class TestMetricQuantale:
 
     def test_uneven_grid_reports_associativity_break(self):
         q = build_metric_quantale([0, 1, 2, 5, INF])
-        assert q.notes
-        assert not validate_quantaloid(q).ok
+        assert not hasattr(q, "notes")
+        assert validate_quantaloid(q).violations == ["associativity fails at objects (0,0,0,0)"]
 
     @pytest.mark.parametrize(
         "text",
