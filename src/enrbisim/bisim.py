@@ -24,11 +24,7 @@ from .errors import (
     SizeLimit,
     UnknownObject,
 )
-from .vcat import VCategory, VFunctor, pullback, require_same_base, validate_vfunctor
-
-# Most extent-matching pairs the simulation and bisimulation engines may
-# start from: two 1,600-object automata over one extent have 2.56e6.
-MAX_PAIRS = 1 << 22
+from .vcat import MAX_PAIRS, VCategory, VFunctor, pullback, require_same_base, validate_vfunctor
 
 
 class SimRelation:

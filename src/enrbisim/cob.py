@@ -21,8 +21,8 @@ from .errors import (
     BaseMismatch, NoAdjoint, NotACongruence, ParseError, SizeLimit, UnknownElement, require_valid,
 )
 from .lattice import Lattice
-from .quantaloid import Quantaloid
-from .vcat import VCategory
+from .quantaloid import Quantaloid, name_index
+from .vcat import MAX_PAIRS, VCategory
 
 
 class MonotoneMap:
@@ -261,7 +261,9 @@ def identity_tse(q: Quantaloid) -> TwoSidedEnrichment:
 
 
 def apply_cob(f: TwoSidedEnrichment, a: VCategory) -> VCategory:
-    """Change the base of an enrichment along a two-sided enrichment."""
+    """Change the base of an enrichment along a two-sided enrichment.  It
+    has a hom for each two (object, carrier) pairs of equal extent: more
+    than ``MAX_PAIRS`` is a ``SizeLimit``, before any hom is mapped."""
     if a.base is not f.source:
         raise BaseMismatch("the enrichment does not live over the span's source")
     pairs = [
@@ -270,6 +272,9 @@ def apply_cob(f: TwoSidedEnrichment, a: VCategory) -> VCategory:
         for x in range(f.n_carriers)
         if a.extents[i] == f.minus[x]
     ]
+    if len(pairs) ** 2 > MAX_PAIRS:
+        raise SizeLimit(f"{len(pairs)} (object, carrier) pairs give {len(pairs) ** 2} homs, "
+                        f"more than the cap {MAX_PAIRS}")
     names = [f"({a.objects[i]}|{f.carriers[x]})" for i, x in pairs]
     extents = [f.plus[x] for _, x in pairs]
     # a component need not keep bottom at bottom, so every pair is mapped
@@ -418,7 +423,9 @@ def tse_from_doc(doc, resolve) -> TwoSidedEnrichment:
         if construction == "monoid-congruence":
             pairs = [(source.member_from_doc(m), target.member_from_doc(n)) for m, n in doc["pairs"]]
         else:
-            gen_map = {k: target.member_from_doc(v) for k, v in doc["map"].items()}
+            letters = name_index(source.alphabet, "letter")
+            entries = _keyed(doc, "map", letters, 1, source.alphabet)
+            gen_map = {source.alphabet[i]: target.member_from_doc(v) for (i,), v in entries}
             pairs = monoid_morphism_pairs(gen_map, source, target)
         return monoid_congruence_tse(source, target, pairs)
     if construction != "explicit":

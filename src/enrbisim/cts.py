@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple
 # cob is lazy (see the package): read its names at call time, so that
 # building a specification's enrichment never runs it
 from . import cob
-from .documents import SCHEMA, _indices, _name_lookup, _names, _once
+from .documents import SCHEMA, _indices, _keyed, _name_lookup, _names, _once
 from .errors import (
     AmbientMismatch,
     NotComposable,
@@ -610,8 +610,10 @@ def catfunctor_from_doc(doc, resolve) -> CatFunctor:
     """The functor of a ``catfunctor`` document, by object and morphism names."""
     source = resolve(doc["source"], FiniteCategory)
     target = resolve(doc["target"], FiniteCategory)
-    obj_map = [target.object_index(doc["objects"][name]) for name in source.objects]
-    mor_map = [target.morphism_index(doc["morphisms"][m.name]) for m in source.morphisms]
+    objects = _keyed(doc, "objects", source.object_index, 1, source.objects)
+    morphisms = _keyed(doc, "morphisms", source.morphism_index, 1, [m.name for m in source.morphisms])
+    obj_map = [target.object_index(t) for _, t in objects]
+    mor_map = [target.morphism_index(t) for _, t in morphisms]
     fun = CatFunctor(source, target, obj_map, mor_map)
     require_valid("functor", fun.validate())
     return fun

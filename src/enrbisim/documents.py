@@ -7,8 +7,9 @@ How a hom element is written and read is the base's own decision
 (its ``element_to_doc`` and ``element_from_doc``), and the object that
 receives an element checks it; this module only says where in a
 document the elements go, and reads every name a document defines
-(``_names``, ``_name_lookup``), every ``"a,b"`` key (``_keyed``) and
-every field of indices (``_indices``).
+(``_names``, ``_name_lookup``), every object keyed by names (``_keyed``)
+and every field of indices (``_indices``); ``_read_doc`` refuses a key
+given twice in one JSON object.
 The kinds ``cts`` and ``cob`` define are read by those modules, and
 each base by the module of its family, which also writes it
 (``Quantaloid.construction_doc``); Aldebaran automata are ``language``'s.
@@ -17,13 +18,14 @@ each base by the module of its family, which also writes it
 from __future__ import annotations
 
 import importlib
+import itertools
 import json
 from pathlib import Path
 from typing import Any
 
 # bisim, cob and cts are lazy (see the package): read their names at call time
 from . import _moved, bisim, cob, cts
-from .errors import DanglingReference, ParseError, ValidationError, require_valid
+from .errors import DanglingReference, ParseError, UnknownObject, ValidationError, require_valid
 from .quantaloid import Quantaloid, name_index
 from .vcat import EnrichedGraph, VCategory, VFunctor, free_vcategory, validate_vcategory, validate_vfunctor
 
@@ -87,17 +89,31 @@ def _name_lookup(doc, field: str, values):
     return name_index(names, error=lambda message: ParseError(f"{doc['name']}: {message}"))
 
 
-def _keyed(doc, field: str, lookup, arity: int):
-    """``(indices, value)`` for each entry of a field keyed by ``arity``
-    comma-joined names, each resolved by ``lookup``; a key that names
-    another number of objects is a ``ParseError``."""
+def _keyed(doc, field: str, lookup, arity: int, names=None):
+    """``(indices, value)`` for each entry of a name-keyed field: a key of
+    arity 1 is one whole name, a longer one ``arity`` comma-joined names,
+    each resolved by ``lookup``.  A key that names another number of
+    objects or an unknown one is a ``ParseError``.  With ``names``, so is
+    an ``arity``-tuple of them that no key gives, and the entries come in
+    index order."""
+    given = {}
     for key, value in doc[field].items():
-        names = key.split(",")
-        if len(names) != arity:
+        parts = key.split(",") if arity > 1 else [key]
+        if len(parts) != arity:
             raise ParseError(
-                f"{doc['name']}: {field} key {key!r} names {len(names)} objects, not {arity}"
+                f"{doc['name']}: {field} key {key!r} names {len(parts)} objects, not {arity}"
             )
-        yield tuple(map(lookup, names)), value
+        try:
+            given[tuple(map(lookup, parts))] = value
+        except UnknownObject as err:  # a lookup into another object's names
+            raise ParseError(f"{doc['name']}: {field} key {key!r}: {err}") from None
+    if names is None:
+        return given.items()
+    for indices in itertools.product(range(len(names)), repeat=arity):
+        if indices not in given:
+            key = ",".join(names[i] for i in indices)
+            raise ParseError(f"{doc['name']}: {field} misses the key '{key}'")
+    return sorted(given.items())
 
 
 def _indices(doc, field: str, entries, n: int, what: str, arity: int = 0) -> list:
@@ -142,15 +158,8 @@ def _vcategory_from_doc(doc, resolve) -> VCategory:
 def _vfunctor_from_doc(doc, resolve) -> VFunctor:
     source = resolve(doc["source"], VCategory)
     target = resolve(doc["target"], VCategory)
-    mapping = [0] * source.n_objects
-    seen = set()
-    for a, b in doc["map"].items():
-        i = source.object_index(a)
-        mapping[i] = target.object_index(b)
-        seen.add(i)
-    if len(seen) != source.n_objects:
-        raise ValidationError("functor map misses source objects")
-    f = VFunctor(source, target, mapping)
+    entries = _keyed(doc, "map", source.object_index, 1, source.objects)
+    f = VFunctor(source, target, [target.object_index(b) for _, b in entries])
     require_valid("vfunctor", validate_vfunctor(f))
     return f
 
@@ -242,8 +251,18 @@ def _read_text(path) -> str:
 
 
 def _read_doc(path: Path) -> dict:
+    def once(pairs: list) -> dict:  # a JSON object, where a key given twice is a ParseError
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise ParseError(f"{path}: key {key!r} appears twice in one object")
+                seen.add(key)
+        return obj
+
     try:
-        doc = json.loads(_read_text(path))
+        doc = json.loads(_read_text(path), object_pairs_hook=once)
     except json.JSONDecodeError as err:
         raise ParseError(f"{path}: {err}") from None
     except RecursionError:

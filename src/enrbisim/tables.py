@@ -6,7 +6,6 @@ only a request that names a table base imports this module.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Iterable
 
 from .documents import _indices, _keyed, _name_lookup, _names
@@ -296,14 +295,6 @@ def build_boolean_quantale() -> TableQuantaloid:
     return TableQuantaloid(["*"], {(0, 0): lat}, {(0, 0, 0): table}, [1])
 
 
-def _require_keys(doc, field: str, table: dict, objects: list[str], arity: int) -> None:
-    """A ``ParseError`` naming the first ``arity``-tuple of objects that the
-    field's entries, read into ``table``, leave out."""
-    for key in itertools.product(range(len(objects)), repeat=arity):
-        if key not in table:
-            raise ParseError(f"{doc['name']}: {field} misses the key '{','.join(objects[i] for i in key)}'")
-
-
 def quantaloid_from_doc(doc, resolve) -> TableQuantaloid:
     """The base of a ``boolean``, ``metric`` or ``explicit`` document.  An
     explicit base has its laws checked here, as it loads."""
@@ -315,25 +306,24 @@ def quantaloid_from_doc(doc, resolve) -> TableQuantaloid:
     objects = doc["objects"]
     index = _name_lookup(doc, "objects", objects)
     homs = {}
-    for (u, v), lat_doc in _keyed(doc, "homs", index, 2):
+    for (u, v), lat_doc in _keyed(doc, "homs", index, 2, objects):
         key = f"'{objects[u]},{objects[v]}'"
         names = _names(doc, f"homs {key} elements", lat_doc["elements"])
         order = _indices(doc, f"homs {key} leq", lat_doc["leq"], len(names), "a pair of element indices", 2)
         homs[u, v] = TableLattice(names, order)
         require_valid("lattice", homs[u, v].validate())
-    _require_keys(doc, "homs", homs, objects, 2)
     tensor = {}
-    for (u, v, w), table in _keyed(doc, "tensor", index, 3):
+    for (u, v, w), table in _keyed(doc, "tensor", index, 3, objects):
         key = f"tensor '{objects[u]},{objects[v]},{objects[w]}'"
         rows, entries = homs[u, v].size, homs[v, w].size
         if not (isinstance(table, list) and len(table) == rows
                 and all(isinstance(row, list) and len(row) == entries for row in table)):
             raise ParseError(f"{doc['name']}: {key} is not {rows} rows of {entries} entries")
         tensor[u, v, w] = [_indices(doc, key, row, homs[u, w].size, "an element index") for row in table]
-    _require_keys(doc, "tensor", tensor, objects, 3)
-    units = [0] * len(objects)
-    for (u,), idx in _keyed(doc, "id", index, 1):
-        units[u] = _indices(doc, f"id '{objects[u]}'", [idx], homs[u, u].size, "an element index")[0]
+    units = [
+        _indices(doc, f"id '{objects[u]}'", [idx], homs[u, u].size, "an element index")[0]
+        for (u,), idx in _keyed(doc, "id", index, 1, objects)
+    ]
     q = TableQuantaloid(objects, homs, tensor, units)
     from .laws import validate_quantaloid  # only explicit bases need the law checks
 

@@ -17,6 +17,11 @@ from .lattice import Lattice
 from .quantaloid import Quantaloid, name_index
 
 
+# Most pairs of objects an engine may start from or a construction may
+# build homs between: two 1,600-object automata over one extent have 2.56e6.
+MAX_PAIRS = 1 << 22
+
+
 def require_same_base(a: "VCategory", b: "VCategory") -> None:
     if a.base is not b.base:
         raise BaseMismatch("the two categories live over different bases")
@@ -248,12 +253,10 @@ def pullback(f: VFunctor, g: VFunctor) -> tuple[VCategory, VFunctor, VFunctor]:
         raise BaseMismatch("pullback needs a common codomain")
     a, b = f.source, g.source
     require_same_base(a, b)
-    pairs = [
-        (i, j)
-        for i in range(a.n_objects)
-        for j in range(b.n_objects)
-        if a.extents[i] == b.extents[j] and f(i) == g(j)
-    ]
+    fibres: dict[tuple[int, int], list[int]] = {}
+    for j in range(b.n_objects):
+        fibres.setdefault((b.extents[j], g(j)), []).append(j)
+    pairs = [(i, j) for i in range(a.n_objects) for j in fibres.get((a.extents[i], f(i)), ())]
     names = [f"({a.objects[i]}|{b.objects[j]})" for i, j in pairs]
     extents = [a.extents[i] for i, _ in pairs]
     at = {pair: p for p, pair in enumerate(pairs)}

@@ -573,6 +573,31 @@ def document(name, kind, **fields) -> dict:
     return {"schema": SCHEMA, "name": name, "kind": kind, **fields}
 
 
+def shipped_doc(name: str) -> dict:
+    """A shipped fixture or golden document, by name."""
+    path = Path(FIXTURES[0]) / f"{name}.json"
+    return json.loads((path if path.exists() else GOLDEN_DOCS / f"{name}.json").read_text())
+
+
+INC, F = shipped_doc("INC"), shipped_doc("F")
+ONE_ELEMENT_BASE = explicit_base_doc(
+    ["x"], homs={"x,x": {"elements": ["0"], "leq": [[0, 0]]}}, tensor={"x,x,x": [[0]]}, id={}
+)
+REPEATED_HOM = ('{"schema": "enrbisim/1", "name": "V", "kind": "vcategory", "base": "Q2",'
+                ' "objects": [{"name": "a", "extent": "*"}, {"name": "b", "extent": "*"}],'
+                ' "homs": {"a,a": "1", "a,b": "1", "b,b": "1", "a,b": "0"}}')
+REPEATED_BASE = ('{"schema": "enrbisim/1", "name": "V", "kind": "vcategory", "base": "Q2", "base": "Q2",'
+                 ' "objects": [{"name": "a", "extent": "*"}], "homs": {"a,a": "1"}}')
+LANGUAGES = {"QLab": document("QLab", "language", alphabet=["a", "b"], k=2),
+             "QLn": document("QLn", "language", alphabet=["n"], k=2)}
+
+
+def renaming(letters) -> dict:
+    """A monoid-morphism span M from QLab to QLn sending each letter to n."""
+    return document("M", "tse", construction="monoid-morphism", source="QLab", target="QLn",
+                    map={letter: ["n"] for letter in letters})
+
+
 class TestMalformedDocuments:
     """Every comma-keyed field, every list of names a document resolves and
     every field of indices: a key naming the wrong number of objects, an
@@ -588,7 +613,7 @@ class TestMalformedDocuments:
         (explicit_base_doc(["x"], homs={"x,z": {}}), "B: no object named 'z'"),
         (explicit_base_doc(["x"], tensor={"x,x": []}), "B: tensor key 'x,x' names 2 objects, not 3"),
         (explicit_base_doc(["x"], tensor={"x,x,z": []}), "B: no object named 'z'"),
-        (explicit_base_doc(["x"], id={"x,x": 1}), "B: id key 'x,x' names 2 objects, not 1"),
+        (explicit_base_doc(["x"], id={"x,x": 1}), "B: no object named 'x,x'"),
         (explicit_base_doc(["x"], id={"z": 1}), "B: no object named 'z'"),
         (explicit_base_doc(["x", "x"]), "B: object name 'x' is repeated"),
         (explicit_base_doc(["x,y"]), "B: object name 'x,y' has a comma"),
@@ -636,6 +661,40 @@ class TestMalformedDocuments:
         assert json.loads(out)["details"] == {"error": f"ParseError: {match}"}
         assert "Traceback" not in err
 
+
+    @pytest.mark.parametrize("shipped, docs, error", [
+        (["Q2"], {"V": REPEATED_HOM}, "{dir}/V.json: key 'a,b' appears twice in one object"),
+        (["Q2"], {"V": REPEATED_BASE}, "{dir}/V.json: key 'base' appears twice in one object"),
+        ([], {"B": ONE_ELEMENT_BASE}, "B: id misses the key 'x'"),
+        ([], {"B": explicit_base_doc(["x"], id={})}, "B: id misses the key 'x'"),
+        (["P2", "T3"], {"INC": INC | {"objects": INC["objects"] | {"nonsense": "2"}}},
+         "INC: objects key 'nonsense': no object named 'nonsense'"),
+        (["P2", "T3"], {"INC": INC | {"morphisms": INC["morphisms"] | {"x<=y": "0<=2"}}},
+         "INC: morphisms key 'x<=y': no morphism named 'x<=y'"),
+        (["P2", "T3"], {"INC": INC | {"objects": {"0": "0"}}}, "INC: objects misses the key '1'"),
+        ([], LANGUAGES | {"M": renaming(["a", "b", "zzz"])}, "M: map key 'zzz': no letter named 'zzz'"),
+        ([], LANGUAGES | {"M": renaming(["a"])}, "M: map misses the key 'b'"),
+        (["Q2", "P01", "POINT"], {"F": F | {"map": F["map"] | {"zz": "p"}}},
+         "F: map key 'zz': no object named 'zz'"),
+        (["Q2", "P01", "POINT"], {"F": F | {"map": {"a0": "p"}}}, "F: map misses the key 'a1'"),
+    ], ids=[
+        "vcategory-homs-repeated", "document-field-repeated", "base-id-missing-one-element",
+        "base-id-missing-chain", "catfunctor-objects-unknown", "catfunctor-morphisms-unknown",
+        "catfunctor-objects-missing", "monoid-morphism-unknown", "monoid-morphism-missing",
+        "vfunctor-unknown", "vfunctor-missing",
+    ])
+    def test_keyed_maps_load_as_written(self, tmp_path, capsys, shipped, docs, error):
+        """A key given twice in one JSON object, a key naming nothing and a
+        key missing from a map that must list them all are each a
+        ``ParseError`` naming the document (or its file), field and key."""
+        for name in shipped:
+            write_doc(tmp_path, shipped_doc(name))
+        for name, doc in docs.items():
+            (tmp_path / f"{name}.json").write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        assert main(["--paths", str(tmp_path), "validate"]) == 2
+        out, err = capsys.readouterr()
+        assert json.loads(out)["details"] == {"error": "ParseError: " + error.replace("{dir}", str(tmp_path))}
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("docs, error", [
         ([vcategory_doc([5], {})], "ParseError: V: name 5 in objects is not a string"),

@@ -220,17 +220,27 @@ sys.exit(main(sys.argv[1:]))
 LOOPS_AUT = "des (0, 20000, 20000)\n" + "".join(f'({i}, "a", {i})\n' for i in range(20_000))
 
 
-@pytest.mark.parametrize("name, text, argv, error", [
-    ("deep.json", "[" * 200_000 + "]" * 200_000, ["validate"], "ParseError"),
-    ("big.aut", 'des (0, 1, 100000000)\n(0, "a", 1)\n',
+# the identity span over the automata's base: changing base along it maps
+# every pair of the 20,000 objects, 4e8 homs
+IDENTITY_TSE = json.dumps({"schema": "enrbisim/1", "name": "ID", "kind": "tse", "construction": "identity",
+                           "base": "QL(a,2)"})
+
+
+@pytest.mark.parametrize("files, argv, error", [
+    ({"deep.json": "[" * 200_000 + "]" * 200_000}, ["validate"], "ParseError"),
+    ({"big.aut": 'des (0, 1, 100000000)\n(0, "a", 1)\n'},
      ["--aut-alphabet", "a", "--aut-k", "2", "validate", "big"], "SizeLimit"),
-    ("big.aut", LOOPS_AUT, ["--aut-alphabet", "a", "--aut-k", "2", "bisimilar", "--a", "big", "--b", "big"],
+    ({"big.aut": LOOPS_AUT}, ["--aut-alphabet", "a", "--aut-k", "2", "bisimilar", "--a", "big", "--b", "big"],
      "SizeLimit"),
-    ("big.aut", LOOPS_AUT, ["--aut-alphabet", "a", "--aut-k", "2", "simulates", "--a", "big", "--b", "big"],
+    ({"big.aut": LOOPS_AUT}, ["--aut-alphabet", "a", "--aut-k", "2", "simulates", "--a", "big", "--b", "big"],
      "SizeLimit"),
-], ids=["nested-200000-deep", "aut-header-announces-1e8-states", "bisimilar-4e8-pairs", "simulates-4e8-pairs"])
-def test_inflated_input_is_an_error(tmp_path, name, text, argv, error):
-    (tmp_path / name).write_text(text)
+    ({"big.aut": LOOPS_AUT, "ID.json": IDENTITY_TSE},
+     ["--aut-alphabet", "a", "--aut-k", "2", "cob-apply", "--tse", "ID", "--a", "big"], "SizeLimit"),
+], ids=["nested-200000-deep", "aut-header-announces-1e8-states", "bisimilar-4e8-pairs", "simulates-4e8-pairs",
+        "cob-apply-4e8-homs"])
+def test_inflated_input_is_an_error(tmp_path, files, argv, error):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
     run = subprocess.run(
         [sys.executable, "-c", CAPPED, "--paths", str(tmp_path), *argv],
         env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
