@@ -345,69 +345,90 @@ def require_language_bases(source: Quantaloid, target: Quantaloid) -> None:
         raise NotACongruence("both bases must be truncated language quantales")
 
 
+def relation_tse(
+    source: Quantaloid,
+    target: Quantaloid,
+    carriers: list[str],
+    minus: list[int],
+    plus: list[int],
+    relations: dict[tuple[int, int], set[tuple[Any, Any]]],
+) -> TwoSidedEnrichment:
+    """The span of relational images between two bases whose homs are
+    powersets of members.
+
+    ``relations[(x, y)]`` relates members of hom(minus[x], minus[y]) of
+    ``source`` to members of hom(plus[x], plus[y]) of ``target``; the
+    component at ``(x, y)`` sends a set to the members related to its
+    own.  The span must be lax (else ``NotACongruence``): every member of
+    a target unit is related to one of the source unit, and for related
+    ``(m, n)`` at ``(x, y)`` and ``(m2, n2)`` at ``(y, z)`` every member of
+    ``{n} ; {n2}`` is related to one of ``{m} ; {m2}``.  A component is a
+    union of related members and composition preserves unions in each
+    argument, so a square holds on all sets exactly when it holds on these
+    singletons.
+    """
+    indices = range(len(carriers))
+    # sorted, so that the fault reported is the same on every run
+    pairs = {key: sorted(relations.get(key, ())) for key in itertools.product(indices, repeat=2)}
+    tables: dict[tuple[int, int], dict[Any, set]] = {key: {} for key in pairs}
+    for key, rel in pairs.items():
+        for m, n in rel:
+            tables[key].setdefault(m, set()).add(n)
+
+    def image(x: int, y: int) -> Callable[[frozenset], frozenset]:
+        table = tables[x, y]
+        return lambda members: frozenset().union(*(table.get(m, ()) for m in members))
+
+    for x in indices:
+        if not target.unit(plus[x]) <= image(x, x)(source.unit(minus[x])):
+            raise NotACongruence(f"unit square fails at carrier {carriers[x]}")
+    for x, y, z in itertools.product(indices, repeat=3):
+        for (m, n), (m2, n2) in itertools.product(pairs[x, y], pairs[y, z]):
+            lhs = target.compose(plus[x], plus[y], plus[z], frozenset((n,)), frozenset((n2,)))
+            rhs = source.compose(minus[x], minus[y], minus[z], frozenset((m,)), frozenset((m2,)))
+            if not lhs <= image(x, z)(rhs):
+                src, tgt = source.member_to_doc, target.member_to_doc
+                raise NotACongruence(
+                    f"composition square fails at carriers ({carriers[x]},{carriers[y]},"
+                    f"{carriers[z]}): {tgt(n)!r} ; {tgt(n2)!r} is not below the image of "
+                    f"{src(m)!r} ; {src(m2)!r}"
+                )
+    return span_of_maps(source, target, carriers, minus, plus, image)
+
+
 def monoid_congruence_tse(
     source: Quantaloid,
     target: Quantaloid,
     pairs: Iterable[tuple[tuple, tuple]],
 ) -> TwoSidedEnrichment:
-    """Direct image along a congruence between truncated word monoids.
-
-    The congruence must contain the empty-word pair and be closed under
-    concatenation whenever both concatenations survive the truncation.
-    The component, a union of related words, is well typed, total and
-    join-preserving as built; only its lax squares are checked, since
-    truncation can break them for unbalanced congruences.
-    """
+    """Direct image along a congruence between truncated word monoids: the
+    ``relation_tse`` of the pairs whose words fit the two cutoffs, on one
+    carrier.  A letter outside its alphabet is a ``NotACongruence``,
+    however long its word."""
     require_language_bases(source, target)
     rel = set()
     for m, n in pairs:
         m, n = tuple(m), tuple(n)
-        if len(m) > source.k or len(n) > target.k:
-            continue  # truncated away
-        if any(s not in source.alphabet for s in m) or any(
-            s not in target.alphabet for s in n
-        ):
-            raise NotACongruence(f"pair ({m},{n}) uses unknown symbols")
-        rel.add((m, n))
-    if ((), ()) not in rel:
-        raise NotACongruence("the empty-word pair is missing")
-    for (m, n), (m2, n2) in itertools.product(rel, repeat=2):
-        if len(m + m2) <= source.k and len(n + n2) <= target.k:
-            if (m + m2, n + n2) not in rel:
-                raise NotACongruence(
-                    f"not closed under concatenation at ({m + m2},{n + n2})"
-                )
-
-    by_word: dict[tuple, set] = {}
-    for m, n in rel:
-        by_word.setdefault(m, set()).add(n)
-
-    def image(lang: frozenset) -> frozenset:
-        out = set()
-        for w in lang:
-            out |= by_word.get(w, set())
-        return frozenset(out)
-
-    tse = span_of_maps(source, target, ["*"], [0], [0], lambda x, y: image)
-    problems = _lax_violations(tse)
-    if problems:
-        raise NotACongruence(
-            f"truncation breaks the lax structure: {problems[0]}"
-        )
-    return tse
+        bad = [s for s in m if s not in source.alphabet]
+        bad += [s for s in n if s not in target.alphabet]
+        if bad:
+            raise NotACongruence(f"pair {[list(m), list(n)]} uses the unknown letter {bad[0]!r}")
+        if len(m) <= source.k and len(n) <= target.k:  # else truncated away
+            rel.add((m, n))
+    return relation_tse(source, target, ["*"], [0], [0], {(0, 0): rel})
 
 
 def monoid_morphism_pairs(
     gen_map: dict[str, tuple], source: Quantaloid, target: Quantaloid
 ) -> list[tuple[tuple, tuple]]:
-    """The graph of the word map induced by a generator assignment."""
-    def apply(word: tuple) -> tuple:
-        out: tuple = ()
-        for s in word:
-            out = out + tuple(gen_map[s])
-        return out
-
-    return [(w, apply(w)) for w in source.words if len(apply(w)) <= target.k]
+    """The graph of the word map induced by a generator assignment, on the
+    words whose image fits the target's cutoff.  An image letter outside
+    the target's alphabet is a ``NotACongruence``."""
+    bad = [(a, s) for a, word in gen_map.items() for s in word if s not in target.alphabet]
+    if bad:
+        raise NotACongruence("letter {!r} maps to the unknown letter {!r}".format(*bad[0]))
+    images = {w: tuple(s for a in w for s in gen_map[a]) for w in source.words}
+    return [(w, image) for w, image in images.items() if len(image) <= target.k]
 
 
 def tse_from_doc(doc, resolve) -> TwoSidedEnrichment:

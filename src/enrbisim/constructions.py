@@ -3,7 +3,7 @@
 Terminal enrichments and coproducts, exhaustive functor search,
 lax-relational presentations, slice bases, residuals, Caten 2-cells,
 change-of-base mates, two-sided enrichments built from enrichments,
-congruences, functors and slices, and the sieve left adjoints of an
+functors and slices, and the sieve left adjoints of an
 adjunction.  Every ``enrbisim`` run is a fresh process that compiles
 what it imports, so these live in a module that ``enrbisim.cli`` and
 the modules it loads never import.
@@ -14,13 +14,15 @@ from __future__ import annotations
 import itertools
 from typing import Any, Iterable, NamedTuple
 
-from .cob import MonotoneMap, TwoSidedEnrichment, adjunction_failure, composition_square, span_of_maps
+from .cob import (
+    MonotoneMap, TwoSidedEnrichment, adjunction_failure, composition_square, relation_tse,
+    span_of_maps,
+)
 from .cts import CatFunctor, CribleQuantaloid, PowersetCatQuantaloid, Span, crible_change_tse
 from .errors import (
     BaseMismatch,
     InternalAssertion,
     NoAdjoint,
-    NotACongruence,
     NotComposable,
     NotExact,
     NotParallel,
@@ -493,44 +495,6 @@ def is_strong_tse(f: TwoSidedEnrichment) -> bool:
     )
 
 
-def category_congruence_tse(
-    source,  # PowersetCatQuantaloid
-    target,
-    carriers: list[str],
-    minus: list[int],
-    plus: list[int],
-    relations: dict[tuple[int, int], set[tuple[int, int]]],
-) -> TwoSidedEnrichment:
-    """Direct image along a congruence between finite categories.
-
-    ``relations[(x, y)]`` relates morphisms of the source category from
-    ``minus[x]`` to ``minus[y]`` with morphisms of the target category
-    from ``plus[x]`` to ``plus[y]``; identities must be related and the
-    relation must be closed under composition.
-    """
-    cat_c, cat_d = source.cat, target.cat
-    for x in range(len(carriers)):
-        rel = relations.get((x, x), set())
-        if (cat_c.identities[minus[x]], cat_d.identities[plus[x]]) not in rel:
-            raise NotACongruence(f"identity pair missing at carrier {carriers[x]}")
-    for x in range(len(carriers)):
-        for y in range(len(carriers)):
-            for z in range(len(carriers)):
-                for (fm, fn) in relations.get((x, y), set()):
-                    for (gm, gn) in relations.get((y, z), set()):
-                        comp = (cat_c.compose_mor(fm, gm), cat_d.compose_mor(fn, gn))
-                        if comp not in relations.get((x, z), set()):
-                            raise NotACongruence(
-                                f"composition pair missing at ({x},{y},{z})"
-                            )
-
-    def image(x, y):
-        rel = relations.get((x, y), set())
-        return lambda lang: frozenset(g for f_, g in rel if f_ in lang)
-
-    return span_of_maps(source, target, carriers, minus, plus, image)
-
-
 def functor_exists_tse(source, target, cat_functor) -> TwoSidedEnrichment:
     """Direct image along a functor between finite categories."""
     cat_c = source.cat
@@ -544,7 +508,7 @@ def functor_exists_tse(source, target, cat_functor) -> TwoSidedEnrichment:
         for x in range(len(carriers))
         for y in range(len(carriers))
     }
-    return category_congruence_tse(source, target, carriers, minus, plus, relations)
+    return relation_tse(source, target, carriers, minus, plus, relations)
 
 
 def functor_preimage_tse(source, target, cat_functor) -> TwoSidedEnrichment:
@@ -564,7 +528,7 @@ def functor_preimage_tse(source, target, cat_functor) -> TwoSidedEnrichment:
         for x in range(len(carriers))
         for y in range(len(carriers))
     }
-    return category_congruence_tse(source, target, carriers, minus, plus, relations)
+    return relation_tse(source, target, carriers, minus, plus, relations)
 
 
 def slice_change(

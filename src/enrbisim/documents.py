@@ -64,28 +64,29 @@ def _once(doc, field: str, entries) -> dict:
 
 
 def _names(doc, field: str, values) -> list[str]:
-    """The names a document defines in a field, as given: a list of JSON
-    strings, where any other value is a ``ParseError`` naming it."""
+    """The names a document defines in a field, as given: a list of
+    distinct JSON strings, where any other value and a repeated name are
+    each a ``ParseError`` naming it."""
     if not isinstance(values, list):
         raise ParseError(f"{doc['name']}: {field} is not a list of names")
+    seen = set()
     for name in values:
         if not isinstance(name, str):
             raise ParseError(f"{doc['name']}: name {name!r} in {field} is not a string")
+        if name in seen:
+            raise ParseError(f"{doc['name']}: name {name!r} in {field} is repeated")
+        seen.add(name)
     return values
 
 
 def _name_lookup(doc, field: str, values):
     """Index of the objects a document defines in a field (``_names``), by
-    name (``name_index``).  A repeated name, an unknown one and one with a
-    comma (which the ``"a,b"`` keys could not split) are each a
-    ``ParseError``."""
-    names, seen = _names(doc, field, values), set()
+    name (``name_index``).  An unknown name and one with a comma (which
+    the ``"a,b"`` keys could not split) are each a ``ParseError``."""
+    names = _names(doc, field, values)
     for name in names:
         if "," in name:
             raise ParseError(f"{doc['name']}: object name {name!r} has a comma")
-        if name in seen:
-            raise ParseError(f"{doc['name']}: object name {name!r} is repeated")
-        seen.add(name)
     return name_index(names, error=lambda message: ParseError(f"{doc['name']}: {message}"))
 
 

@@ -1,24 +1,31 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from enrbisim.bisim import is_od
 from enrbisim.cob import (
     TwoSidedEnrichment,
+    _lax_violations,
     apply_cob,
     identity_tse,
     local_right_adjoints,
     monoid_congruence_tse,
     monoid_morphism_pairs,
+    relation_tse,
     right_adjoint_cob,
+    span_of_maps,
     validate_tse,
 )
 from enrbisim.constructions import (
     CatenTwoCell,
     apply_cob_vfunctor,
     caten_2cell_leq,
-    category_congruence_tse,
     check_caten_2cell,
     compose_tse,
     encode_slice,
@@ -37,6 +44,7 @@ from enrbisim.constructions import (
 from enrbisim.errors import BaseMismatch, NoAdjoint, NotACongruence
 from enrbisim.fixtures import aut1, loop1, p01, point, q2, ql
 from enrbisim.generators import random_od_map
+from enrbisim.language import import_aut
 from enrbisim.lattice import MonotoneMap
 from enrbisim.quantaloid import build_language_quantale
 from enrbisim.vcat import VFunctor, pullback, validate_vcategory, validate_vfunctor
@@ -380,7 +388,7 @@ class TestMonoidCongruence:
         )
         assert checked == []
         assert validate_tse(tse) == [] and checked == [tse.component(0, 0)]
-        with pytest.raises(NotACongruence, match="truncation breaks the lax structure"):
+        with pytest.raises(NotACongruence, match="composition square fails"):
             monoid_congruence_tse(QLm, QLm, [((), ()), (("m",), ()), (("m", "m"), ())])
         assert len(checked) == 1
 
@@ -440,9 +448,129 @@ class TestCategoryCongruence:
     def test_missing_identity_pair_rejected(self):
         c, base, fun = self._posets()
         with pytest.raises(NotACongruence):
-            category_congruence_tse(
-                base, base, ["x"], [0], [0], {(0, 0): set()}
-            )
+            relation_tse(base, base, ["x"], [0], [0], {(0, 0): set()})
+
+
+def union_image(rel):
+    """The component sending a set to the members ``rel`` relates to its own."""
+    return lambda members: frozenset(n for m, n in rel if m in members)
+
+
+def exhaustive_congruence(source, target, rel):
+    """The oracle for a monoid congruence: the span of union images, when
+    the empty-word pair is related and ``_lax_violations`` finds nothing on
+    the span; else None."""
+    tse = span_of_maps(source, target, ["*"], [0], [0], lambda x, y: union_image(rel))
+    return tse if ((), ()) in rel and not _lax_violations(tse) else None
+
+
+def closed_congruence(source, target, carriers, minus, plus, relations):
+    """The oracle for a category congruence: the span of union images, when
+    every identity pair is related and the relations are closed under
+    composition; else None."""
+    cat_c, cat_d, indices = source.cat, target.cat, range(len(carriers))
+    for x in indices:
+        if (cat_c.identities[minus[x]], cat_d.identities[plus[x]]) not in relations[x, x]:
+            return None
+    for x, y, z in itertools.product(indices, repeat=3):
+        for (fm, fn), (gm, gn) in itertools.product(relations[x, y], relations[y, z]):
+            if (cat_c.compose_mor(fm, gm), cat_d.compose_mor(fn, gn)) not in relations[x, z]:
+                return None
+    return span_of_maps(source, target, carriers, minus, plus,
+                        lambda x, y: union_image(relations[x, y]))
+
+
+def components(tse):
+    return {key: dict(comp.mapping) for key, comp in tse.components.items()}
+
+
+class TestRelationSpan:
+    """``relation_tse`` checks the lax squares on related members only; on
+    every relation of small bases it accepts exactly the spans the
+    exhaustive check accepts, with the same components."""
+
+    @pytest.mark.parametrize("source, target, accepted", [
+        ((("m",), 2), (("m",), 2), 17),
+        ((("a", "b"), 1), (("n",), 1), 8),
+        ((("m",), 2), (("n",), 1), 8),
+        ((("m",), 1), (("n",), 2), 6),
+    ], ids=["m2-m2", "ab1-n1", "m2-n1", "m1-n2"])
+    def test_monoid_congruence_agrees_with_the_exhaustive_check(self, source, target, accepted):
+        source, target = build_language_quantale(*source), build_language_quantale(*target)
+        universe = list(itertools.product(source.words, target.words))
+        count = 0
+        for bits in range(1 << len(universe)):
+            rel = {pair for i, pair in enumerate(universe) if bits >> i & 1}
+            want = exhaustive_congruence(source, target, rel)
+            try:
+                got = monoid_congruence_tse(source, target, rel)
+            except NotACongruence:
+                assert want is None, sorted(rel)
+                continue
+            assert want is not None, sorted(rel)
+            assert components(got) == components(want)
+            count += 1
+        assert count == accepted
+
+    @pytest.mark.parametrize("n_carriers, expected", [(1, 4), (2, 38)])
+    def test_category_relations_agree_with_identity_and_closure(self, n_carriers, expected):
+        from enrbisim.cts import FiniteCategory, PowersetCatQuantaloid
+
+        cat = FiniteCategory.poset(["0", "1"], [(0, 0), (0, 1), (1, 1)])
+        base = PowersetCatQuantaloid(cat)
+        carriers, indices = [f"c{x}" for x in range(n_carriers)], range(n_carriers)
+        accepted = 0
+        for minus, plus in itertools.product(itertools.product(range(2), repeat=n_carriers), repeat=2):
+            universe = [
+                ((x, y), pair)
+                for x, y in itertools.product(indices, repeat=2)
+                for pair in itertools.product(cat.hom_morphisms(minus[x], minus[y]),
+                                              cat.hom_morphisms(plus[x], plus[y]))
+            ]
+            for bits in range(1 << len(universe)):
+                relations = {key: set() for key in itertools.product(indices, repeat=2)}
+                for i, (key, pair) in enumerate(universe):
+                    if bits >> i & 1:
+                        relations[key].add(pair)
+                legs = (carriers, list(minus), list(plus), relations)
+                want = closed_congruence(base, base, *legs)
+                try:
+                    got = relation_tse(base, base, *legs)
+                except NotACongruence:
+                    assert want is None, relations
+                    continue
+                assert want is not None, relations
+                assert components(got) == components(want)
+                accepted += 1
+        assert accepted == expected
+
+
+def test_three_letter_morphism_cob_apply_finishes(tmp_path):
+    """Changing base along the letter-forgetting morphism QL({a,b,c},2) ->
+    QL({n},2) sends each hom of an automaton to the letter-wise images of
+    its words, well within the time bound."""
+    aut = tmp_path / "A.aut"
+    aut.write_text('des (0, 4, 3)\n(0, "a", 1)\n(1, "b", 2)\n(2, "c", 0)\n(1, "a", 1)\n')
+    docs = {
+        "QLn": {"kind": "language", "alphabet": ["n"], "k": 2},
+        "M": {"kind": "tse", "construction": "monoid-morphism", "source": "QL(a,b,c,2)",
+              "target": "QLn", "map": {letter: ["n"] for letter in "abc"}},
+    }
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps({"schema": "enrbisim/1", "name": name, **doc}))
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run(
+        [sys.executable, "-m", "enrbisim", "--paths", str(tmp_path), "--aut-alphabet", "a,b,c",
+         "--aut-k", "2", "cob-apply", "--tse", "M", "--a", "A"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=30,
+    )
+    assert run.returncode == 0, run.stderr
+    homs = json.loads(run.stdout)["details"]["result"]["homs"]
+    a = import_aut(aut, ["a", "b", "c"], 2)
+    assert len(homs) == a.n_objects ** 2
+    for i, j in itertools.product(range(a.n_objects), repeat=2):
+        got = {tuple(word) for word in homs[f"(s{i}|*),(s{j}|*)"]}
+        assert got == {("n",) * len(word) for word in a.hom(i, j)}
 
 
 class TestSliceChange:

@@ -98,18 +98,18 @@ class TestBundleLoading:
         with pytest.raises(ValidationError, match="duplicate"):
             load_bundle([tmp_path])
 
-    @pytest.mark.parametrize("body", [
-        {"kind": "vcategory", "base": "Q2", "homs": {"x,y": "1"},
-         "objects": [{"name": name, "extent": "*"} for name in ("x", "y", "x")]},
-        {"kind": "vcategory", "base": "Q2",
-         "graph": {"vertices": [{"name": name, "extent": "*"} for name in ("x", "y", "x")],
-                   "edges": [{"src": "y", "tgt": "x", "label": "1"}]}},
-        {"kind": "ctsspec", "category": "P2", "edges": [],
-         "vertices": [{"name": name, "type": "0"} for name in ("x", "y", "x")]},
+    @pytest.mark.parametrize("body, field", [
+        ({"kind": "vcategory", "base": "Q2", "homs": {"x,y": "1"},
+          "objects": [{"name": name, "extent": "*"} for name in ("x", "y", "x")]}, "objects"),
+        ({"kind": "vcategory", "base": "Q2",
+          "graph": {"vertices": [{"name": name, "extent": "*"} for name in ("x", "y", "x")],
+                    "edges": [{"src": "y", "tgt": "x", "label": "1"}]}}, "graph vertices"),
+        ({"kind": "ctsspec", "category": "P2", "edges": [],
+          "vertices": [{"name": name, "type": "0"} for name in ("x", "y", "x")]}, "vertices"),
     ], ids=["table", "graph", "cts-graph"])
-    def test_repeated_object_name_is_a_parse_error(self, tmp_path, capsys, body):
+    def test_repeated_object_name_is_a_parse_error(self, tmp_path, capsys, body, field):
         write_doc(tmp_path, {"schema": SCHEMA, "name": "BAD", **body})
-        with pytest.raises(ParseError, match="BAD: object name 'x' is repeated"):
+        with pytest.raises(ParseError, match=f"BAD: name 'x' in {field} is repeated"):
             load_bundle([*FIXTURES, tmp_path])
         assert main(["--paths", *FIXTURES, "--paths", str(tmp_path), "validate"]) == 2
         assert "ParseError" in json.loads(capsys.readouterr().out)["details"]["error"]
@@ -201,7 +201,7 @@ class TestBoundaryChecks:
          "element indices in 0..1"),
         (["0", "1"], [[0, 0], [1, 1], [True, 1]], "leq entry [True, 1] is not a pair of "
          "element indices in 0..1"),
-        (["0", "0"], [[0, 0], [1, 1]], "object name '0' is repeated"),
+        (["0", "0"], [[0, 0], [1, 1]], "name '0' in elements is repeated"),
         (["0", "1"], [[0, 0], [0, 1]], "leq misses the pair [1, 1] of '1'"),
     ], ids=["index-too-large", "index-negative", "triple", "boolean", "repeated-name",
             "not-reflexive"])
@@ -461,6 +461,25 @@ class TestRelationAndFunctorDocs:
         with pytest.raises(NotACongruence, match="both bases must be truncated language quantales"):
             load_bundle([tmp_path])
 
+    @pytest.mark.parametrize("construction, words, error", [
+        ("monoid-congruence", {"pairs": [[[], []], [["z", "z", "z"], []]]},
+         "pair [['z', 'z', 'z'], []] uses the unknown letter 'z'"),
+        ("monoid-morphism", {"map": {"m": ["z", "z", "z"]}}, "letter 'm' maps to the unknown letter 'z'"),
+    ], ids=["congruence-pair", "morphism-map"])
+    def test_unknown_letter_is_refused_however_long_its_word(
+        self, tmp_path, capsys, construction, words, error
+    ):
+        # the word is longer than the cutoff: its letters are checked before it is dropped
+        for name, letter in (("QLm", "m"), ("QLn", "n")):
+            write_doc(tmp_path, document(name, "language", alphabet=[letter], k=2))
+        target = "QLm" if construction == "monoid-congruence" else "QLn"
+        write_doc(tmp_path, document("T", "tse", construction=construction, source="QLm",
+                                     target=target, **words))
+        assert main(["--paths", str(tmp_path), "validate"]) == 2
+        out, err = capsys.readouterr()
+        assert json.loads(out)["details"] == {"error": f"NotACongruence: {error}"}
+        assert "Traceback" not in err
+
 
 class TestSieveBase:
     @pytest.mark.parametrize("name", ["S(P2)", "SQ"])
@@ -615,13 +634,13 @@ class TestMalformedDocuments:
         (explicit_base_doc(["x"], tensor={"x,x,z": []}), "B: no object named 'z'"),
         (explicit_base_doc(["x"], id={"x,x": 1}), "B: no object named 'x,x'"),
         (explicit_base_doc(["x"], id={"z": 1}), "B: no object named 'z'"),
-        (explicit_base_doc(["x", "x"]), "B: object name 'x' is repeated"),
+        (explicit_base_doc(["x", "x"]), "B: name 'x' in objects is repeated"),
         (explicit_base_doc(["x,y"]), "B: object name 'x,y' has a comma"),
         (vcategory_doc(["a"], {"a": "1"}), "V: homs key 'a' names 1 objects, not 2"),
         (vcategory_doc(["a"], {"a,a,a": "1"}), "V: homs key 'a,a,a' names 3 objects, not 2"),
         (span_doc(["c"], {"c": IDENTITY_COMPONENT}), "T: components key 'c' names 1 objects, not 2"),
         (span_doc(["c"], {"c,z": IDENTITY_COMPONENT}), "T: no object named 'z'"),
-        (span_doc(["c", "c"], {"c,c": IDENTITY_COMPONENT}), "T: object name 'c' is repeated"),
+        (span_doc(["c", "c"], {"c,c": IDENTITY_COMPONENT}), "T: name 'c' in carriers is repeated"),
         (span_doc(["c,d"], {"c,d,c,d": IDENTITY_COMPONENT}), "T: object name 'c,d' has a comma"),
         (explicit_base_doc(["x"], tensor={"x,x,x": [[0, 0], [0, 1.9]]}),
          "B: tensor 'x,x,x' entry 1.9 is not an element index in 0..1"),
@@ -643,6 +662,14 @@ class TestMalformedDocuments:
          "B: tensor 'x,x,x' is not 2 rows of 2 entries"),
         (explicit_base_doc(["x"], tensor={"x,x,x": [[0]]}), "B: tensor 'x,x,x' is not 2 rows of 2 entries"),
         (explicit_base_doc(["x"], tensor={}), "B: tensor misses the key 'x,x,x'"),
+        (fincat_doc(objects=["x", "x"], identities=[0, 1],
+                    morphisms=[{"name": "id", "src": 0, "tgt": 0}, {"name": "id1", "src": 1, "tgt": 1}],
+                    compose=[[0, 0, 0], [1, 1, 1]]), "C: name 'x' in objects is repeated"),
+        (fincat_doc(objects=["x", "y"], identities=[0, 1],
+                    morphisms=[{"name": "id", "src": 0, "tgt": 0}, {"name": "id", "src": 1, "tgt": 1}],
+                    compose=[[0, 0, 0], [1, 1, 1]]), "C: name 'id' in morphisms is repeated"),
+        (explicit_base_doc(["x"], homs={"x,x": {"elements": ["e", "e"], "leq": [[0, 0], [0, 1], [1, 1]]}}),
+         "B: name 'e' in homs 'x,x' elements is repeated"),
     ], ids=[
         "base-homs-arity", "base-homs-unknown", "base-tensor-arity", "base-tensor-unknown",
         "base-id-arity", "base-id-unknown", "base-repeated", "base-comma",
@@ -652,6 +679,7 @@ class TestMalformedDocuments:
         "base-homs-missing", "fincat-identity-negative", "fincat-compose-negative",
         "fincat-src-string", "fincat-pullback-boolean",
         "base-tensor-extra-row", "base-tensor-short", "base-tensor-missing",
+        "fincat-object-repeated", "fincat-morphism-repeated", "base-element-repeated",
     ])
     def test_exits_2_naming_the_fault(self, tmp_path, capsys, doc, match):
         write_doc(tmp_path, Q2_DOC)
