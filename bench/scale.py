@@ -24,6 +24,10 @@ Three input families, each grown over the sizes in the order given:
     cospan back.  The harness exits with status 1 unless both legs of
     each cospan and span are surjective functional bisimulations
     (``is_od``);
+  - ``report``: what the ``bisimilar`` command makes of
+    ``largest_bisimulation``'s relation, its details (the related pairs
+    and the refinement trace, ``_relation_details``) written as the JSON
+    report (``Report.to_json``);
   - ``bisimilar_cli``: the end-to-end layer, one whole request
     ``python -m enrbisim bisimilar`` in a new process, on the automaton's
     ``.aut`` file and a copy whose states other than the initial one are
@@ -105,7 +109,8 @@ NOMINAL_PROBE_S = 0.007  # the probe's median on perfbench's baseline machine
 RELATION_LAYERS = ("validate_vcategory", "largest_bisimulation", "largest_simulation")
 WITNESS_LAYERS = ("quotient", "cospan_witness", "span_witness")
 AUTOMATON_LAYERS = (
-    ("import_aut", "path_homs", "vcategory") + RELATION_LAYERS + WITNESS_LAYERS + ("bisimilar_cli",)
+    ("import_aut", "path_homs", "vcategory") + RELATION_LAYERS + WITNESS_LAYERS
+    + ("report", "bisimilar_cli")
 )
 TABLE_LAYERS = ("free_vcategory",) + RELATION_LAYERS
 SIEVE_LAYERS = ("free_vcategory",)
@@ -118,6 +123,7 @@ NEEDS = {
     "quotient": "largest_bisimulation",
     "cospan_witness": "largest_bisimulation",
     "span_witness": "vcategory",
+    "report": "largest_bisimulation",
 }
 
 
@@ -284,11 +290,13 @@ def relation_steps(bisim, validate_vcategory) -> dict:
 
 
 def measure_automata(k: int, sizes: list[int], cap: float, workdir: Path, src: Path) -> dict:
-    from enrbisim import bisim, documents
+    from enrbisim import bisim, cli, documents
     from enrbisim.quantaloid import build_language_quantale
     from enrbisim.vcat import VCategory, validate_vcategory
 
     base = build_language_quantale(ALPHABET, k)
+    # the command handlers, and this helper with them, left cli for their engines
+    relation_details = getattr(bisim, "_relation_details", None) or cli._relation_details
     env = dict(os.environ, PYTHONPATH=str(src))
 
     def prepare(n):
@@ -323,6 +331,9 @@ def measure_automata(k: int, sizes: list[int], cap: float, workdir: Path, src: P
                 o["vcategory"], o["vcategory"], o["largest_bisimulation"]
             ),
             "span_witness": lambda o: bisim.span_witness(o["vcategory"], o["vcategory"]),
+            "report": lambda o: cli.Report(
+                "bisimilar", "yes", relation_details(o["largest_bisimulation"])
+            ).to_json(),
             "bisimilar_cli": bisimilar_cli,
         }
         outputs: dict = {}
@@ -434,7 +445,8 @@ def digest(name: str, result):
     its rows and map; the number of objects of a cospan's middle or a
     span's apex and a hash of the legs' maps; and a hash of the
     violations or of the related pairs and refinement trace; and a whole
-    request's exit code and a hash of its report."""
+    request's exit code and a hash of its report; and the length and a
+    hash of a report's text."""
     if name == "path_homs":
         return sum(len(x) for row in result for x in row.values())
     if name in ("import_aut", "vcategory"):
@@ -454,6 +466,8 @@ def digest(name: str, result):
         size, text = len(result), repr(result)
     elif name == "bisimilar_cli":
         size, text = result.returncode, result.stdout
+    elif name == "report":
+        size, text = len(result), result
     else:
         size, text = len(result), repr((sorted(result.pairs), result.refinement_trace))
     return f"{size}:{hashlib.sha256(text.encode()).hexdigest()[:16]}"

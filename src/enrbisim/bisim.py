@@ -1,30 +1,24 @@
-"""Simulation and bisimulation of enrichments.
+"""Simulation and bisimulation of enrichments: the relation engines.
 
 A relation between two enrichments over one base relates only objects
 of equal extent.  It is a simulation when every hom out of a related
 source object is dominated by the join of the homs out of its partners;
 a bisimulation when the inverse is a simulation as well.  The largest
 such relations are greatest fixed points of a refinement operator and
-equal the union of all relations passing the direct check.
+equal the union of all relations passing the direct check.  The direct
+checks and the functional bisimulations that witness a relation are
+``witness``'s; their names still resolve here.
 """
 
 from __future__ import annotations
 
 import collections
 import itertools
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
-from .errors import (
-    EndpointMismatch,
-    ExtentMismatch,
-    InternalAssertion,
-    NotABisimulation,
-    NotBisimilar,
-    NotLocallyDistributive,
-    SizeLimit,
-    UnknownObject,
-)
-from .vcat import MAX_PAIRS, VCategory, VFunctor, pullback, require_same_base, validate_vfunctor
+from . import _moved
+from .errors import EndpointMismatch, ExtentMismatch, SizeLimit, UnknownObject
+from .vcat import MAX_PAIRS, VCategory, require_same_base
 
 
 class SimRelation:
@@ -121,17 +115,6 @@ class SimRelation:
         return f"SimRelation({sorted(self.pairs)})"
 
 
-class SimulationCheck(NamedTuple):
-    """Verdict with the first violating triple, if any."""
-
-    ok: bool
-    counterexample: Optional[tuple[str, str, str]] = None
-    direction: str = "forward"
-
-    def __bool__(self):
-        return self.ok
-
-
 def _failing_probe(probes, b, map_b, mates, joins) -> Optional[int]:
     """The first probe ``(a', x, lattice)``, x = hom(a,a') non-bottom, with
     x not below b's join into the mates of a' (read from b's row map
@@ -149,33 +132,6 @@ def _failing_probe(probes, b, map_b, mates, joins) -> Optional[int]:
         if not lat._leq(x, joins[key]):
             return ap
     return None
-
-
-def is_simulation(r: SimRelation) -> SimulationCheck:
-    """Direct check of the simulation condition at every pair."""
-    mates: list[set] = [set() for _ in r.left.objects]
-    for a, b in r.pairs:
-        mates[a].add(b)
-    joins: dict = {}
-    rows, rmaps = r.left.rows, r.right.row_maps
-    for a, b in sorted(r.pairs):
-        ap = _failing_probe(rows[a], b, rmaps[b], mates, joins)
-        if ap is not None:
-            return SimulationCheck(
-                False,
-                (r.left.objects[a], r.right.objects[b], r.left.objects[ap]),
-            )
-    return SimulationCheck(True)
-
-
-def is_bisimulation(r: SimRelation) -> SimulationCheck:
-    fwd = is_simulation(r)
-    if not fwd:
-        return fwd
-    bwd = is_simulation(r.inverse())
-    if not bwd:
-        return SimulationCheck(False, bwd.counterexample, "backward")
-    return SimulationCheck(True)
 
 
 def _require_pair_budget(left: VCategory, right: VCategory) -> None:
@@ -296,18 +252,6 @@ def _block_joins(row: list[tuple], block_of) -> dict:
     return {c: lat._join(xs) for c, (lat, xs) in groups.items()}
 
 
-def _unequal_joins(rows, block_of, want, objects) -> Optional[tuple[int, int]]:
-    """The first object i of ``objects`` whose joins into the blocks of
-    ``block_of`` differ from ``want[block_of[i]]`` (a mapping without
-    bottom entries), with the least block where they differ, else None.
-    """
-    for i in objects:
-        got, w = _block_joins(rows[i], block_of), want[block_of[i]]
-        if got != w:
-            return i, min(c for c in w.keys() | got.keys() if w.get(c) != got.get(c))
-    return None
-
-
 def _numbered(keys: list) -> tuple[list[int], int]:
     """Block ids by first occurrence in object order, and their count."""
     ids: dict = {}
@@ -368,175 +312,35 @@ def bisimilar(left: VCategory, right: VCategory) -> bool:
     return r.total_on_left() and r.total_on_right()
 
 
-def is_functional_bisimulation(f: VFunctor) -> bool:
-    """A functor whose target homs equal the fiberwise joins of source homs."""
-    if validate_vfunctor(f):
-        return False
-    # the fibers are the blocks of f.mapping; non-bottom entries suffice
-    a = f.source
-    return _unequal_joins(a.rows, f.mapping, f.target.row_maps, range(a.n_objects)) is None
+# the commands ``cli.COMMANDS`` routes here: each returns its verdict and details
+def _pair(bundle, flags) -> tuple[VCategory, VCategory]:
+    return bundle.get(flags.a, VCategory), bundle.get(flags.b, VCategory)
 
 
-def is_od(f: VFunctor) -> bool:
-    """Functional bisimulations that are surjective on objects."""
-    return f.is_surjective() and is_functional_bisimulation(f)
+def _relation_details(rel: SimRelation) -> dict:
+    return {
+        "pairs": [list(p) for p in rel.pairs_named()],
+        "trace": [list(entry) for entry in rel.refinement_trace],
+    }
 
 
-class BisimEquivalence:
-    """A partition of an enrichment's objects that is a bisimulation."""
-
-    def __init__(self, carrier: VCategory, blocks: list[list[int]]):
-        self.carrier = carrier
-        seen = sorted(i for block in blocks for i in block)
-        if seen != list(range(carrier.n_objects)) or not all(blocks):
-            raise ValueError("blocks do not partition the objects")
-        self.blocks = sorted([sorted(b) for b in blocks], key=lambda b: b[0])
-        self.block_of = [0] * carrier.n_objects
-        for bi, block in enumerate(self.blocks):
-            for i in block:
-                self.block_of[i] = bi
-        names = carrier.objects
-        for block in self.blocks:
-            if len({carrier.extents[i] for i in block}) > 1:
-                raise ExtentMismatch(f"block of {names[block[0]]} mixes extents")
-        # a partition is a bisimulation iff objects sharing a block have
-        # equal joins into every block
-        rows = carrier.rows
-        # each block's least member's joins: the quotient's homs
-        self._joins = [_block_joins(rows[block[0]], self.block_of) for block in self.blocks]
-        others = (i for block in self.blocks for i in block[1:])  # all but the least
-        bad = _unequal_joins(rows, self.block_of, self._joins, others)
-        if bad is not None:
-            i, c = bad
-            raise NotABisimulation(
-                f"partition is not a bisimulation: "
-                f"{names[self.blocks[self.block_of[i]][0]]} and {names[i]} have "
-                f"different joins into the block of {names[self.blocks[c][0]]}"
-            )
-
-    def as_relation(self) -> SimRelation:
-        return SimRelation(
-            self.carrier,
-            self.carrier,
-            [
-                (i, j)
-                for block in self.blocks
-                for i in block
-                for j in block
-            ],
-        )
-
-    def __repr__(self):
-        return f"BisimEquivalence({self.blocks})"
+def cmd_bisim_largest(bundle, flags) -> tuple[str, dict]:
+    largest = largest_simulation if flags.sim else largest_bisimulation
+    return "valid", _relation_details(largest(*_pair(bundle, flags)))
 
 
-def _closure_blocks(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+def cmd_simulates(bundle, flags) -> tuple[str, dict]:
+    rel = largest_simulation(*_pair(bundle, flags))
+    return "yes" if rel.total_on_left() else "no", _relation_details(rel)
 
 
-def equivalence_closure(r: SimRelation) -> BisimEquivalence:
-    """Reflexive-symmetric-transitive closure of a bisimulation on one
-    enrichment, returned as a partition.  The closure is itself a
-    bisimulation (it is a union of composites of bisimulations); this is
-    re-verified when the partition is built."""
-    if r.left is not r.right:
-        raise EndpointMismatch("closure needs a relation on a single enrichment")
-    check = is_bisimulation(r)
-    if not check:
-        raise NotABisimulation(f"input relation fails at {check.counterexample}")
-    return BisimEquivalence(r.left, _closure_blocks(r.left.n_objects, r.pairs))
+def cmd_bisimilar(bundle, flags) -> tuple[str, dict]:
+    rel = largest_bisimulation(*_pair(bundle, flags))
+    ok = rel.total_on_left() and rel.total_on_right()
+    return "yes" if ok else "no", _relation_details(rel)
 
 
-def quotient(a: VCategory, e: BisimEquivalence) -> tuple[VCategory, VFunctor]:
-    """Collapse a bisimulation equivalence into a new enrichment.
-
-    The hom from one block to another is the join of the carrier's homs
-    from the block's least representative into the whole target block.
-    ``BisimEquivalence`` checked, when it was built, that each block keeps
-    one extent and that the join does not depend on the representative.
-    """
-    if e.carrier is not a:
-        raise NotABisimulation("the equivalence does not live on this enrichment")
-    names = [f"[{a.objects[block[0]]}]" for block in e.blocks]
-    extents = [a.extents[block[0]] for block in e.blocks]
-    quo = VCategory(a.base, names, extents, e._joins)
-    q = VFunctor(a, quo, [e.block_of[i] for i in range(a.n_objects)])
-    return quo, q
-
-
-def cospan_witness(
-    a: VCategory, b: VCategory, r: SimRelation
-) -> tuple[VFunctor, VFunctor]:
-    """Two surjective functional bisimulations into a quotient of ``a``.
-
-    ``a``'s leg quotients the linking relation's classes restricted to
-    ``a``, checked by ``BisimEquivalence``.  ``b``'s leg sends each object
-    to its linked class, and each object's joins into the fibers must
-    equal its class's homs.  A total relation equal to the union of its
-    linked classes' products is the composite of the legs' graphs, so
-    those two checks prove it a bisimulation without a pairwise check.
-    """
-    if r.left is not a or r.right is not b:
-        raise EndpointMismatch("the relation does not link these enrichments")
-    na, nb = a.n_objects, b.n_objects
-    # each class lists its objects in order, a's (below na) before b's
-    blocks = _closure_blocks(na + nb, [(x, na + y) for x, y in r.pairs])
-    blocks_a = [[i for i in blk if i < na] for blk in blocks]
-    total = r.total_on_left() and r.total_on_right()
-    # r lies inside that union, so the sizes decide equality
-    closed = len(r) == sum(len(x) * (len(blk) - len(x)) for x, blk in zip(blocks_a, blocks))
-    if not (total and closed):
-        check = is_bisimulation(r)
-        if not check:
-            raise NotABisimulation(f"relation fails at {check.counterexample}")
-        if not total:
-            raise NotBisimilar("the relation is not total on both sides")
-    if any(len(x) in (0, len(blk)) for x, blk in zip(blocks_a, blocks)):
-        raise InternalAssertion("a linked class misses one side")
-
-    e = BisimEquivalence(a, blocks_a)
-    quo, qa = quotient(a, e)
-    leg = [0] * nb
-    for x, blk in zip(blocks_a, blocks):
-        for y in blk[len(x) :]:
-            leg[y - na] = e.block_of[x[0]]
-    bad = _unequal_joins(b.rows, leg, quo.row_maps, range(nb))
-    if bad is not None:
-        y, c = bad
-        raise NotABisimulation(
-            f"{b.objects[y]} and its linked class {quo.objects[leg[y]]} have "
-            f"different homs into {quo.objects[c]}"
-        )
-    return qa, VFunctor(b, quo, leg)
-
-
-def span_witness(a: VCategory, b: VCategory) -> tuple[VFunctor, VFunctor]:
-    """Projections of the pullback of the cospan witnesses.
-
-    Needs every hom lattice of the base distributive: that is what makes
-    pulling back preserve surjective functional bisimulations.
-    """
-    if not a.base.is_locally_distributive():
-        raise NotLocallyDistributive("the base has a non-distributive hom")
-    require_same_base(a, b)
-    r = largest_bisimulation(a, b)
-    if not (r.total_on_left() and r.total_on_right()):
-        raise NotBisimilar("the enrichments are not bisimilar")
-    f, g = cospan_witness(a, b, r)
-    _, to_a, to_b = pullback(f, g)
-    return to_a, to_b
+__getattr__ = _moved(__name__, dict.fromkeys((
+    "SimulationCheck", "is_simulation", "is_bisimulation", "is_functional_bisimulation", "is_od",
+    "BisimEquivalence", "equivalence_closure", "quotient", "cospan_witness", "span_witness",
+), "witness"))

@@ -8,17 +8,15 @@ text.
 
 from __future__ import annotations
 
+import importlib
 import json
 import sys
 import time
 from types import SimpleNamespace
-from typing import Any, Callable
+from typing import Any
 
-# bisim, cob and cts are lazy (see the package): read their names at call time
-from . import bisim, cob, cts, documents
-from .errors import EnrbisimError, ParseError
-from .quantaloid import Quantaloid
-from .vcat import VCategory, VFunctor
+from . import documents
+from .errors import EnrbisimError
 
 
 class Report:
@@ -112,227 +110,46 @@ def default_fixture_paths() -> list[str]:
     return [str(resources.files("enrbisim").joinpath("data"))]
 
 
-def _relation_details(rel: bisim.SimRelation) -> dict:
-    return {
-        "pairs": [list(p) for p in rel.pairs_named()],
-        "trace": [list(entry) for entry in rel.refinement_trace],
-    }
-
-
-def _counterexample(check: bisim.SimulationCheck) -> dict:
-    if check.counterexample is None:
-        return {}
-    a, b, ap = check.counterexample
-    return {
-        "counterexample": {
-            "pair": [a, b],
-            "probe": ap,
-            "direction": check.direction,
-        }
-    }
-
-
 def run(command: str, bundle: documents.Bundle, flags: SimpleNamespace) -> Report:
-    """Run one command's handler on a loaded bundle and ``parse_args(argv)``."""
-    handler = COMMANDS[command][0]
+    """Run one command on a loaded bundle and ``parse_args(argv)``: the
+    handler ``cmd_<command>`` (dashes as underscores) of the module its
+    ``COMMANDS`` row names, imported here, gives the verdict and details."""
+    module = importlib.import_module(f".{COMMANDS[command][0]}", __package__)
     try:
-        return handler(bundle, flags)
+        verdict, details = getattr(module, f"cmd_{_dest(command)}")(bundle, flags)
     except EnrbisimError as err:
         return Report(command, "error", {"error": f"{type(err).__name__}: {err}"})
-
-
-def _store(bundle: documents.Bundle, name: str, out: VCategory) -> dict:
-    """Keep a command's result in the bundle under ``name``; return its document."""
-    bundle.objects[name] = out
-    bundle.kinds[name] = "vcategory"
-    return documents.vcategory_to_doc(bundle, name, out)
-
-
-def _cmd_validate(bundle, flags) -> Report:
-    """Check the named bases; every other document, explicit table bases
-    included, was checked as it loaded."""
-    from .laws import validate_quantaloid  # only validate and cts-build check laws
-
-    names = flags.names or bundle.names()
-    problems: dict[str, list[str]] = {}
-    for name in names:
-        obj = bundle.get(name)
-        if bundle.kinds[name] == "quantaloid" and name not in bundle.certified:
-            found = validate_quantaloid(obj).violations
-            if found:
-                problems[name] = list(found)
-    verdict = "valid" if not problems else "invalid"
-    return Report("validate", verdict, {"checked": names, "violations": problems})
-
-
-def _pair(bundle, flags) -> tuple[VCategory, VCategory]:
-    return bundle.get(flags.a, VCategory), bundle.get(flags.b, VCategory)
-
-
-def _cmd_bisim_largest(bundle, flags) -> Report:
-    largest = bisim.largest_simulation if flags.sim else bisim.largest_bisimulation
-    return Report("bisim-largest", "valid", _relation_details(largest(*_pair(bundle, flags))))
-
-
-def _cmd_simulates(bundle, flags) -> Report:
-    rel = bisim.largest_simulation(*_pair(bundle, flags))
-    return Report("simulates", "yes" if rel.total_on_left() else "no", _relation_details(rel))
-
-
-def _cmd_bisimilar(bundle, flags) -> Report:
-    rel = bisim.largest_bisimulation(*_pair(bundle, flags))
-    ok = rel.total_on_left() and rel.total_on_right()
-    return Report("bisimilar", "yes" if ok else "no", _relation_details(rel))
-
-
-def _cmd_bisim_check(bundle, flags) -> Report:
-    rel = bundle.get(flags.rel, bisim.SimRelation)
-    check = bisim.is_simulation(rel) if flags.sim else bisim.is_bisimulation(rel)
-    return Report("bisim-check", "yes" if check.ok else "no", _counterexample(check))
-
-
-def _cmd_od_check(bundle, flags) -> Report:
-    ok = bisim.is_od(bundle.get(flags.functor, VFunctor))
-    return Report("od-check", "yes" if ok else "no", {"functor": flags.functor})
-
-
-def _cmd_quotient(bundle, flags) -> Report:
-    a = bundle.get(flags.a, VCategory)
-    rel = bundle.get(flags.rel, bisim.SimRelation)
-    equivalence = bisim.equivalence_closure(rel)
-    quo, qmap = bisim.quotient(a, equivalence)
-    return Report(
-        "quotient",
-        "valid",
-        {
-            "blocks": [[a.objects[i] for i in block] for block in equivalence.blocks],
-            "map_in_class": bisim.is_od(qmap),
-            "result": _store(bundle, flags.out, quo),
-        },
-    )
-
-
-def _cmd_cospan(bundle, flags) -> Report:
-    a, b = _pair(bundle, flags)
-    if flags.rel:
-        rel = bundle.get(flags.rel, bisim.SimRelation)
-    else:
-        rel = bisim.largest_bisimulation(a, b)
-    f, g = bisim.cospan_witness(a, b, rel)
-    return Report(
-        "cospan",
-        "yes",
-        {
-            "target_objects": list(f.target.objects),
-            "left_in_class": bisim.is_od(f),
-            "right_in_class": bisim.is_od(g),
-        },
-    )
-
-
-def _cmd_span(bundle, flags) -> Report:
-    to_a, to_b = bisim.span_witness(*_pair(bundle, flags))
-    return Report(
-        "span",
-        "yes",
-        {
-            "apex_objects": list(to_a.source.objects),
-            "left_in_class": bisim.is_od(to_a),
-            "right_in_class": bisim.is_od(to_b),
-        },
-    )
-
-
-def _cmd_cob_apply(bundle, flags) -> Report:
-    tse = bundle.get(flags.tse, cob.TwoSidedEnrichment)
-    out = cob.apply_cob(tse, bundle.get(flags.a, VCategory))
-    return Report("cob-apply", "valid", {"result": _store(bundle, flags.out, out)})
-
-
-def _cmd_cob_radjoint(bundle, flags) -> Report:
-    tse = bundle.get(flags.tse, cob.TwoSidedEnrichment)
-    b = bundle.get(flags.b, VCategory)
-    out = cob.right_adjoint_cob(tse, b)  # NoAdjoint unless the adjoints cohere
-    details = {"coherent": True, "result": _store(bundle, flags.out, out)}
-    return Report("cob-radjoint", "valid", details)
-
-
-def _cmd_axioms(bundle, flags) -> Report:
-    from .generators import parse_suite, run_axiom_suite  # only ``axioms`` needs them
-
-    base = bundle.get(flags.base, Quantaloid)
-    suite = parse_suite(flags.suite)
-    if flags.cases < 1:
-        raise ParseError(f"--cases must be at least 1, not {flags.cases}")
-    outcome = run_axiom_suite(suite, base, flags.seed, flags.cases)
-    failures = {name: msgs for name, msgs in outcome.items() if msgs}
-    return Report(
-        "axioms",
-        "yes" if not failures else "no",
-        {
-            "base": flags.base,
-            "cases_per_axiom": flags.cases,
-            "seed": flags.seed,
-            "passed": {name: flags.cases - len(msgs) for name, msgs in outcome.items()},
-            "failures": failures,
-        },
-    )
-
-
-def _cmd_cts_build(bundle, flags) -> Report:
-    from .laws import validate_quantaloid
-
-    cat, spec = bundle.get(flags.spec, "ctsspec")  # loaded as (category, spec)
-    sieves = bundle.sieve_base(bundle.name_of(cat))
-    base_report = validate_quantaloid(sieves)
-    out = cts.cts_to_vcat(sieves, spec)
-    return Report(
-        "cts-build",
-        "valid" if base_report.ok else "invalid",
-        {
-            "sieve_base_violations": base_report.violations,
-            "result": _store(bundle, flags.out, out),
-        },
-    )
-
-
-def _cmd_cts_refine(bundle, flags) -> Report:
-    fun = bundle.get(flags.functor, cts.CatFunctor)
-    cat, spec = bundle.get(flags.spec, "ctsspec")
-    source_sq = bundle.sieve_base(bundle.name_of(cat))
-    a = cts.cts_to_vcat(source_sq, spec)
-    target_sq = bundle.sieve_base(bundle.name_of(fun.target))
-    out = cts.refine(fun, a, source_sq, target_sq)
-    return Report("cts-refine", "valid", {"result": _store(bundle, flags.out, out)})
+    return Report(command, verdict, details)
 
 
 _REQUIRED, _FLAG = {"required": True}, {"action": "store_true", "default": False}
 _A, _B = ("--a", _REQUIRED), ("--b", _REQUIRED)
-# each command's handler, help (or None) and arguments, in the order ``-h``
-# lists them: the one declaration ``run``, ``parse_args`` and ``build_parser`` read
-COMMANDS: dict[str, tuple[Callable[..., Report], str | None, tuple]] = {
-    "validate": (_cmd_validate, "validate named objects (default: all)",
+# each command's module, help (or None) and arguments, in the order ``-h``
+# lists them: the one declaration ``run``, ``parse_args`` and ``build_parser``
+# read.  The module serves the command (``run``), so only it is compiled.
+COMMANDS: dict[str, tuple[str, str | None, tuple]] = {
+    "validate": ("laws", "validate named objects (default: all)",
                  (("names", {"nargs": "*"}),)),
-    "bisim-largest": (_cmd_bisim_largest, None,
+    "bisim-largest": ("bisim", None,
                       (_A, _B, ("--sim", dict(_FLAG, help="one direction only")))),
-    "simulates": (_cmd_simulates, None, (_A, _B)),
-    "bisimilar": (_cmd_bisimilar, None, (_A, _B)),
-    "bisim-check": (_cmd_bisim_check, None, (("--rel", _REQUIRED), ("--sim", _FLAG))),
-    "od-check": (_cmd_od_check, None, (("--functor", _REQUIRED),)),
-    "quotient": (_cmd_quotient, None,
+    "simulates": ("bisim", None, (_A, _B)),
+    "bisimilar": ("bisim", None, (_A, _B)),
+    "bisim-check": ("witness", None, (("--rel", _REQUIRED), ("--sim", _FLAG))),
+    "od-check": ("witness", None, (("--functor", _REQUIRED),)),
+    "quotient": ("witness", None,
                  (_A, ("--rel", _REQUIRED), ("--out", {"default": "quotient"}))),
-    "cospan": (_cmd_cospan, None, (_A, _B, ("--rel", {"default": None}))),
-    "span": (_cmd_span, None, (_A, _B)),
-    "cob-apply": (_cmd_cob_apply, None,
+    "cospan": ("witness", None, (_A, _B, ("--rel", {"default": None}))),
+    "span": ("witness", None, (_A, _B)),
+    "cob-apply": ("cob", None,
                   (("--tse", _REQUIRED), _A, ("--out", {"default": "changed"}))),
-    "cob-radjoint": (_cmd_cob_radjoint, None,
+    "cob-radjoint": ("cob", None,
                      (("--tse", _REQUIRED), _B, ("--out", {"default": "lifted"}))),
-    "axioms": (_cmd_axioms, None, (("--suite", {"default": "A1..A6"}), ("--base", _REQUIRED),
-                                   ("--seed", {"type": int, "default": 7}),
-                                   ("--cases", {"type": int, "default": 200}))),
-    "cts-build": (_cmd_cts_build, None, (("--spec", _REQUIRED), ("--out", {"default": "built"}))),
-    "cts-refine": (_cmd_cts_refine, None, (("--spec", _REQUIRED), ("--functor", _REQUIRED),
-                                           ("--out", {"default": "refined"}))),
+    "axioms": ("generators", None, (("--suite", {"default": "A1..A6"}), ("--base", _REQUIRED),
+                                    ("--seed", {"type": int, "default": 7}),
+                                    ("--cases", {"type": int, "default": 200}))),
+    "cts-build": ("cts", None, (("--spec", _REQUIRED), ("--out", {"default": "built"}))),
+    "cts-refine": ("cts", None, (("--spec", _REQUIRED), ("--functor", _REQUIRED),
+                                 ("--out", {"default": "refined"}))),
 }
 # each global option and its ``add_argument`` keywords, in the order ``-h`` lists them
 OPTIONS: dict[str, dict] = {

@@ -453,8 +453,8 @@ def tse_from_doc(doc, resolve) -> TwoSidedEnrichment:
         raise ParseError(f"unknown span construction {construction!r}")
     source = resolve(doc["source"], Quantaloid)
     target = resolve(doc["target"], Quantaloid)
+    index = _name_lookup(doc, "carriers", doc["carriers"], "name")
     carriers = [c["name"] for c in doc["carriers"]]
-    index = _name_lookup(doc, "carriers", carriers)
     minus = [source.object_index(c["minus"]) for c in doc["carriers"]]
     plus = [target.object_index(c["plus"]) for c in doc["carriers"]]
     components = {}
@@ -471,3 +471,15 @@ def tse_from_doc(doc, resolve) -> TwoSidedEnrichment:
     tse = TwoSidedEnrichment(source, target, carriers, minus, plus, components)
     require_valid("span", validate_tse(tse))
     return tse
+
+
+# the commands ``cli.COMMANDS`` routes here: each returns its verdict and details
+def cmd_cob_apply(bundle, flags) -> tuple[str, dict]:
+    out = apply_cob(bundle.get(flags.tse, TwoSidedEnrichment), bundle.get(flags.a, VCategory))
+    return "valid", {"result": bundle.store(flags.out, out)}
+
+
+def cmd_cob_radjoint(bundle, flags) -> tuple[str, dict]:
+    tse, b = bundle.get(flags.tse, TwoSidedEnrichment), bundle.get(flags.b, VCategory)
+    out = right_adjoint_cob(tse, b)  # NoAdjoint unless the adjoints cohere
+    return "valid", {"coherent": True, "result": bundle.store(flags.out, out)}

@@ -29,10 +29,12 @@ from .errors import (
     SizeLimit,
     require_valid,
 )
-from .lattice import Lattice, PowersetLattice
+from .lattice import Lattice
 from .quantaloid import Quantaloid, QuantaloidElement
+from .sets import PowersetLattice
 from .tables import TableLattice, TableQuantaloid
-from .vcat import VCategory, VFunctor, require_same_base, validate_vfunctor
+from .vcat import VCategory, require_same_base
+from .witness import VFunctor, validate_vfunctor
 
 # Most candidate object maps ``enumerate_vfunctors`` may try
 MAX_CANDIDATE_MAPS = 200_000

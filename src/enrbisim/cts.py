@@ -27,10 +27,12 @@ from .errors import (
     SizeLimit,
     TypeMismatch,
     UnknownElement,
+    ValidationError,
     require_valid,
 )
-from .lattice import DEFAULT_ENUM_CAP, MAX_GENERATORS, PowersetLattice, _SetLattice
-from .quantaloid import SetQuantaloid, name_index
+from .lattice import DEFAULT_ENUM_CAP, MAX_GENERATORS
+from .quantaloid import name_index
+from .sets import PowersetLattice, SetQuantaloid, _SetLattice
 from .vcat import EnrichedGraph, VCategory, free_vcategory
 
 
@@ -571,7 +573,7 @@ def fincat_from_doc(doc) -> FiniteCategory:
         cat = FiniteCategory.poset(names, order)
     else:
         objects = _names(doc, "objects", doc["objects"])
-        mor_names = _names(doc, "morphisms", [m["name"] for m in doc["morphisms"]])
+        mor_names = _names(doc, "morphisms", doc["morphisms"], "name")
         n_mor, morphisms = len(mor_names), []
         for name, m in zip(mor_names, doc["morphisms"]):
             src, tgt = _indices(doc, f"morphism {name!r}", [[m["src"], m["tgt"]]],
@@ -622,10 +624,52 @@ def catfunctor_from_doc(doc, resolve) -> CatFunctor:
 def ctsspec_from_doc(doc, resolve) -> tuple[FiniteCategory, CtsSpec]:
     """The category and specification of a ``ctsspec`` document."""
     cat = resolve(doc["category"], FiniteCategory)
-    index = _name_lookup(doc, "vertices", [v["name"] for v in doc["vertices"]])
+    index = _name_lookup(doc, "vertices", doc["vertices"], "name")
     vertices = [(v["name"], cat.object_index(v["type"])) for v in doc["vertices"]]
     edges = []
     for e in doc["edges"]:
         s, t = index(e["src"]), index(e["tgt"])
         edges.append((s, t, span_from_doc(cat, e["span"])))
     return cat, CtsSpec(vertices, edges)
+
+
+def sieve_base(bundle, fincat_name: str) -> CribleQuantaloid:
+    """The sieve quantaloid of a category loaded in ``bundle``: the first
+    sieve base over it there, else one built now and kept under the name
+    ``S(<category>)``, which no other object may have."""
+    cat = bundle.get(fincat_name, FiniteCategory)
+    for obj in bundle.objects.values():
+        if isinstance(obj, CribleQuantaloid) and obj.cat is cat:
+            return obj
+    name = f"S({fincat_name})"
+    if name in bundle.objects:
+        raise ValidationError(
+            f"the sieve base of {fincat_name!r} would be named {name!r}, "
+            f"but that names a {bundle.kinds[name]} that is not a sieve base over it"
+        )
+    sieves = bundle.objects[name] = build_S_quantaloid(cat)
+    bundle.kinds[name] = "quantaloid"
+    return sieves
+
+
+# the commands ``cli.COMMANDS`` routes here: each returns its verdict and details
+def cmd_cts_build(bundle, flags) -> tuple[str, dict]:
+    from .laws import validate_quantaloid  # only cts-build checks the sieve base's laws
+
+    cat, spec = bundle.get(flags.spec, "ctsspec")  # loaded as (category, spec)
+    sieves = sieve_base(bundle, bundle.name_of(cat))
+    base_report = validate_quantaloid(sieves)
+    out = cts_to_vcat(sieves, spec)
+    return "valid" if base_report.ok else "invalid", {
+        "sieve_base_violations": base_report.violations,
+        "result": bundle.store(flags.out, out),
+    }
+
+
+def cmd_cts_refine(bundle, flags) -> tuple[str, dict]:
+    fun = bundle.get(flags.functor, CatFunctor)
+    cat, spec = bundle.get(flags.spec, "ctsspec")
+    source_sq = sieve_base(bundle, bundle.name_of(cat))
+    a = cts_to_vcat(source_sq, spec)
+    out = refine(fun, a, source_sq, sieve_base(bundle, bundle.name_of(fun.target)))
+    return "valid", {"result": bundle.store(flags.out, out)}

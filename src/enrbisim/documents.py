@@ -10,8 +10,8 @@ document the elements go, and reads every name a document defines
 (``_names``, ``_name_lookup``), every object keyed by names (``_keyed``)
 and every field of indices (``_indices``); ``_read_doc`` refuses a key
 given twice in one JSON object.
-The kinds ``cts`` and ``cob`` define are read by those modules, and
-each base by the module of its family, which also writes it
+The kinds ``cts``, ``cob`` and ``witness`` define are read by those
+modules, and each base by the module of its family, which also writes it
 (``Quantaloid.construction_doc``); Aldebaran automata are ``language``'s.
 """
 
@@ -23,13 +23,17 @@ import json
 from pathlib import Path
 from typing import Any
 
-# bisim, cob and cts are lazy (see the package): read their names at call time
-from . import _moved, bisim, cob, cts
-from .errors import DanglingReference, ParseError, UnknownObject, ValidationError, require_valid
+# cob, cts and witness are lazy (see the package): read their names at call time
+from . import _moved, cob, cts, witness
+from .errors import (
+    DanglingReference, ParseError, SizeLimit, UnknownObject, ValidationError, require_valid,
+)
 from .quantaloid import Quantaloid, name_index
-from .vcat import EnrichedGraph, VCategory, VFunctor, free_vcategory, validate_vcategory, validate_vfunctor
+from .vcat import EnrichedGraph, VCategory, free_vcategory, validate_vcategory
 
 SCHEMA = "enrbisim/1"
+# Most names one field of a document may define, and states an Aldebaran header may announce
+MAX_OBJECTS = 1 << 17
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +44,7 @@ SCHEMA = "enrbisim/1"
 # is imported at call time, so that a request runs only the families it names
 _CONSTRUCTIONS = {
     "explicit": "tables", "boolean": "tables", "metric": "tables", "language": "language",
-    "rel": "quantaloid", "powerset": "cts", "sieves": "cts",
+    "rel": "sets", "powerset": "cts", "sieves": "cts",
 }
 
 
@@ -63,12 +67,20 @@ def _once(doc, field: str, entries) -> dict:
     return table
 
 
-def _names(doc, field: str, values) -> list[str]:
+def _names(doc, field: str, values, key: str | None = None) -> list[str]:
     """The names a document defines in a field, as given: a list of
-    distinct JSON strings, where any other value and a repeated name are
-    each a ``ParseError`` naming it."""
+    distinct JSON strings (with ``key``, of objects whose ``key`` each
+    is), where any other value and a repeated name are each a
+    ``ParseError`` naming it.  More than ``MAX_OBJECTS`` entries are a
+    ``SizeLimit``, before any name is read."""
     if not isinstance(values, list):
         raise ParseError(f"{doc['name']}: {field} is not a list of names")
+    if len(values) > MAX_OBJECTS:
+        raise SizeLimit(
+            f"{doc['name']}: {field} lists {len(values)} names, more than the cap {MAX_OBJECTS}"
+        )
+    if key is not None:
+        values = [value[key] for value in values]
     seen = set()
     for name in values:
         if not isinstance(name, str):
@@ -79,11 +91,11 @@ def _names(doc, field: str, values) -> list[str]:
     return values
 
 
-def _name_lookup(doc, field: str, values):
+def _name_lookup(doc, field: str, values, key: str | None = None):
     """Index of the objects a document defines in a field (``_names``), by
     name (``name_index``).  An unknown name and one with a comma (which
     the ``"a,b"`` keys could not split) are each a ``ParseError``."""
-    names = _names(doc, field, values)
+    names = _names(doc, field, values, key)
     for name in names:
         if "," in name:
             raise ParseError(f"{doc['name']}: object name {name!r} has a comma")
@@ -137,7 +149,7 @@ def _vcategory_from_doc(doc, resolve) -> VCategory:
     base = resolve(doc["base"], Quantaloid)
     if "graph" in doc:
         g = doc["graph"]
-        index = _name_lookup(doc, "graph vertices", [v["name"] for v in g["vertices"]])
+        index = _name_lookup(doc, "graph vertices", g["vertices"], "name")
         vertices = [(v["name"], base.object_index(v["extent"])) for v in g["vertices"]]
         edges = []
         for e in g["edges"]:
@@ -145,8 +157,8 @@ def _vcategory_from_doc(doc, resolve) -> VCategory:
             edges.append((s, t, base.element_from_doc(vertices[s][1], vertices[t][1], e["label"])))
         cat = free_vcategory(base, EnrichedGraph(vertices, edges))
     else:
+        index = _name_lookup(doc, "objects", doc["objects"], "name")
         names = [o["name"] for o in doc["objects"]]
-        index = _name_lookup(doc, "objects", names)
         extents = [base.object_index(o["extent"]) for o in doc["objects"]]
         homs: list[dict] = [{} for _ in names]
         for (i, j), elem_doc in _keyed(doc, "homs", index, 2):
@@ -154,21 +166,6 @@ def _vcategory_from_doc(doc, resolve) -> VCategory:
         cat = VCategory(base, names, extents, homs)
     require_valid("vcategory", validate_vcategory(cat))
     return cat
-
-
-def _vfunctor_from_doc(doc, resolve) -> VFunctor:
-    source = resolve(doc["source"], VCategory)
-    target = resolve(doc["target"], VCategory)
-    entries = _keyed(doc, "map", source.object_index, 1, source.objects)
-    f = VFunctor(source, target, [target.object_index(b) for _, b in entries])
-    require_valid("vfunctor", validate_vfunctor(f))
-    return f
-
-
-def _relation_from_doc(doc, resolve) -> bisim.SimRelation:
-    left = resolve(doc["left"], VCategory)
-    right = resolve(doc["right"], VCategory)
-    return bisim.SimRelation.from_names(left, right, doc["pairs"])
 
 
 # ---------------------------------------------------------------------------
@@ -207,32 +204,24 @@ class Bundle:
         )
 
     def sieve_base(self, fincat_name: str) -> cts.CribleQuantaloid:
-        """The sieve quantaloid of a loaded category: the first sieve base
-        over it in the bundle, else one built now and kept under the name
-        ``S(<category>)``, which no other object may have."""
-        cat = self.get(fincat_name, cts.FiniteCategory)
-        for obj in self.objects.values():
-            if isinstance(obj, cts.CribleQuantaloid) and obj.cat is cat:
-                return obj
-        name = f"S({fincat_name})"
-        if name in self.objects:
-            raise ValidationError(
-                f"the sieve base of {fincat_name!r} would be named {name!r}, "
-                f"but that names a {self.kinds[name]} that is not a sieve base over it"
-            )
-        sieves = self.objects[name] = cts.build_S_quantaloid(cat)
-        self.kinds[name] = "quantaloid"
-        return sieves
+        """The sieve quantaloid of a loaded category (``cts.sieve_base``)."""
+        return cts.sieve_base(self, fincat_name)
+
+    def store(self, name: str, out: VCategory) -> dict:
+        """Keep a command's result under ``name``; return its document."""
+        self.objects[name] = out
+        self.kinds[name] = "vcategory"
+        return vcategory_to_doc(self, name, out)
 
 
 # in load order: a document refers only to kinds listed before its own; the
-# readers in cts and cob are read at call time, so only their kinds run them
+# readers in cts, cob and witness are read at call time, so only their kinds run them
 _BUILDERS = {
     "fincat": lambda doc, resolve: cts.fincat_from_doc(doc),
     "quantaloid": _quantaloid_from_doc,
     "vcategory": _vcategory_from_doc,
-    "vfunctor": _vfunctor_from_doc,
-    "relation": _relation_from_doc,
+    "vfunctor": lambda doc, resolve: witness.vfunctor_from_doc(doc, resolve),
+    "relation": lambda doc, resolve: witness.relation_from_doc(doc, resolve),
     "tse": lambda doc, resolve: cob.tse_from_doc(doc, resolve),
     "ctsspec": lambda doc, resolve: cts.ctsspec_from_doc(doc, resolve),
     "catfunctor": lambda doc, resolve: cts.catfunctor_from_doc(doc, resolve),
@@ -349,34 +338,17 @@ def serialize(bundle: Bundle, name: str) -> dict:
     """Canonical document for a loaded object."""
     obj = bundle.get(name)
     kind = bundle.kinds[name]
+    head = {"schema": SCHEMA, "name": name, "kind": kind}
     if kind == "quantaloid":
-        head = {"schema": SCHEMA, "name": name, "kind": "quantaloid"}
         return head | obj.construction_doc(bundle.name_of)
     if kind == "fincat":
         return cts.fincat_to_doc(name, obj)
     if kind == "vcategory":
         return vcategory_to_doc(bundle, name, obj)
     if kind == "vfunctor":
-        return {
-            "schema": SCHEMA,
-            "name": name,
-            "kind": "vfunctor",
-            "source": bundle.name_of(obj.source),
-            "target": bundle.name_of(obj.target),
-            "map": {
-                obj.source.objects[i]: obj.target.objects[obj(i)]
-                for i in range(obj.source.n_objects)
-            },
-        }
+        return head | witness.vfunctor_to_doc(obj, bundle.name_of)
     if kind == "relation":
-        return {
-            "schema": SCHEMA,
-            "name": name,
-            "kind": "relation",
-            "left": bundle.name_of(obj.left),
-            "right": bundle.name_of(obj.right),
-            "pairs": [list(p) for p in obj.pairs_named()],
-        }
+        return head | witness.relation_to_doc(obj, bundle.name_of)
     raise ValidationError(f"cannot serialize documents of kind {kind!r}")
 
 

@@ -7,7 +7,7 @@ Each builder returns a fresh value; callers that need shared identity
 from __future__ import annotations
 
 from .language import build_language_quantale
-from .quantaloid import build_rel_quantaloid
+from .sets import build_rel_quantaloid
 from .tables import INF, TableLattice, TableQuantaloid, build_boolean_quantale, build_metric_quantale
 from .vcat import EnrichedGraph, VCategory, free_vcategory
 

@@ -14,18 +14,13 @@ from __future__ import annotations
 import random
 from typing import Callable
 
-from .bisim import (
-    BisimEquivalence,
-    SimRelation,
-    equivalence_closure,
-    is_bisimulation,
-    is_od,
-    largest_bisimulation,
-    quotient,
-)
+from .bisim import SimRelation, largest_bisimulation
 from .errors import BaseMismatch, ParseError
 from .quantaloid import Quantaloid
-from .vcat import EnrichedGraph, VCategory, VFunctor, free_vcategory, pullback
+from .vcat import EnrichedGraph, VCategory, free_vcategory
+from .witness import (
+    BisimEquivalence, VFunctor, equivalence_closure, is_bisimulation, is_od, pullback, quotient,
+)
 
 
 def terminal(base: Quantaloid) -> VCategory:
@@ -285,3 +280,20 @@ def run_axiom_suite(
                 failures.append(f"case {case}: {message}")
         out[name] = failures
     return out
+
+
+def cmd_axioms(bundle, flags) -> tuple[str, dict]:
+    """The ``axioms`` command: the suite's cases on a loaded base."""
+    base = bundle.get(flags.base, Quantaloid)
+    suite = parse_suite(flags.suite)
+    if flags.cases < 1:
+        raise ParseError(f"--cases must be at least 1, not {flags.cases}")
+    outcome = run_axiom_suite(suite, base, flags.seed, flags.cases)
+    failures = {name: msgs for name, msgs in outcome.items() if msgs}
+    return "yes" if not failures else "no", {
+        "base": flags.base,
+        "cases_per_axiom": flags.cases,
+        "seed": flags.seed,
+        "passed": {name: flags.cases - len(msgs) for name, msgs in outcome.items()},
+        "failures": failures,
+    }

@@ -11,16 +11,13 @@ import re
 from pathlib import Path
 from typing import Iterable
 
-from .documents import SCHEMA, _read_text, _vcategory_from_doc
+from .documents import MAX_OBJECTS, SCHEMA, _read_text, _vcategory_from_doc
 from .errors import ParseError, SizeLimit, UnknownLabel
-from .lattice import PowersetLattice
-from .quantaloid import SetQuantaloid
+from .sets import PowersetLattice, SetQuantaloid
 from .vcat import VCategory
 
 # Most words a language quantale may hold
 MAX_WORDS = 1 << 20
-# Most states the header of an Aldebaran file may announce
-MAX_AUT_STATES = 1 << 17
 
 
 class LanguageQuantale(SetQuantaloid):
@@ -191,9 +188,9 @@ def parse_aut(path) -> tuple[int, int, list[tuple[int, str, int]]]:
     if not header:
         raise ParseError(f"{path}: bad header {lines[0]!r}")
     initial, n_trans, n_states = (int(g) for g in header.groups())
-    if n_states > MAX_AUT_STATES:
+    if n_states > MAX_OBJECTS:
         raise SizeLimit(
-            f"{path}: header announces {n_states} states, more than the cap {MAX_AUT_STATES}"
+            f"{path}: header announces {n_states} states, more than the cap {MAX_OBJECTS}"
         )
     if initial >= n_states:
         raise ParseError(f"{path}: initial state {initial} out of range")

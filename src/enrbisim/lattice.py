@@ -1,11 +1,10 @@
-"""Finite complete lattices: the interface and the powerset lattices.
+"""Finite complete lattices: the interface and the enumeration caps.
 
 Every hom-set in this package is a finite complete lattice: each subset
 has a least upper bound and a greatest lower bound, the empty join being
 bottom and the empty meet top.  Elements are opaque hashable values; the
-concrete classes pick the representation.  Powerset elements are
-frozensets, and their operations never need the full enumeration.  The
-table and down-set lattices live with the bases that use them, in
+concrete classes pick the representation.  The powerset, table and
+down-set lattices live with the bases that use them, in ``sets``,
 ``tables`` and ``cts``, and monotone maps in ``cob``.
 
 The public ``leq``/``join``/``meet`` check that every argument is an
@@ -107,64 +106,7 @@ class Lattice:
             )
 
 
-class _SetLattice(Lattice):
-    """Families of subsets of ``universe`` closed under union and
-    intersection, ordered by inclusion: joins and meets are the set
-    operations and the whole universe is top."""
-
-    def _leq(self, x, y) -> bool:
-        return x <= y
-
-    def _join(self, xs: Iterable):
-        return frozenset().union(*xs)
-
-    def _meet(self, xs: Iterable):
-        acc = None
-        for x in xs:
-            acc = set(x) if acc is None else acc & x
-        return self._uset if acc is None else frozenset(acc)
-
-    def is_distributive(self) -> bool:
-        return True
-
-
-class PowersetLattice(_SetLattice):
-    """All subsets of a finite universe, ordered by inclusion.
-
-    Elements are frozensets of universe members.  The element count is
-    ``2**len(universe)`` so nothing here ever builds tables; enumeration
-    is available only below the cap.
-    """
-
-    def __init__(self, universe: Iterable):
-        self.universe = list(universe)
-        self._uset = frozenset(self.universe)
-        if len(self.universe) != len(self._uset):
-            raise ValueError("universe contains duplicates")
-
-    def __repr__(self):
-        return f"PowersetLattice({len(self.universe)} generators)"
-
-    @property
-    def size(self) -> int:
-        return 1 << len(self.universe)
-
-    def elements(self):
-        self.ensure_enumerable()
-        items = self.universe
-        for r in range(len(items) + 1):
-            for combo in itertools.combinations(items, r):
-                yield frozenset(combo)
-
-    def has_element(self, x) -> bool:
-        return isinstance(x, frozenset) and x <= self._uset
-
-    def sample(self, rng):
-        p = rng.random()
-        return frozenset(u for u in self.universe if rng.random() < p)
-
-
 __getattr__ = _moved(__name__, {
-    "TableLattice": "tables", "DownsetLattice": "cts",
+    "PowersetLattice": "sets", "TableLattice": "tables", "DownsetLattice": "cts",
     "MonotoneMap": "cob", "right_adjoint_of_monotone": "cob",
 })

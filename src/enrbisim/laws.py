@@ -141,3 +141,17 @@ def _law_compositions(size: list[list[int]]) -> int:
     for u, v, w, t in itertools.product(range(n), repeat=4):
         work += size[u][v] * size[v][w] * (1 + 3 * size[w][t])
     return work
+
+
+def cmd_validate(bundle, flags) -> tuple[str, dict]:
+    """The ``validate`` command: check the named bases; every other
+    document, explicit table bases included, was checked as it loaded."""
+    names = flags.names or bundle.names()
+    problems: dict[str, list[str]] = {}
+    for name in names:
+        obj = bundle.get(name)
+        if bundle.kinds[name] == "quantaloid" and name not in bundle.certified:
+            found = validate_quantaloid(obj).violations
+            if found:
+                problems[name] = list(found)
+    return "valid" if not problems else "invalid", {"checked": names, "violations": problems}

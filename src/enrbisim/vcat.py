@@ -1,9 +1,10 @@
-"""Categories enriched over a quantaloid, their functors, pullbacks and free constructions.
+"""Categories enriched over a quantaloid and their free constructions.
 
 An enriched category is a finite object set, an extent map into the
 base's objects, and a hom element in the base's hom lattice for each
 ordered pair, subject to unit and composition inequalities.  Functors
-are extent-preserving maps that never shrink homs.
+between them, and their pullbacks, are ``witness``'s; their names still
+resolve here.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import itertools
 from types import MappingProxyType
 from typing import Any, Mapping, NamedTuple
 
-from .errors import BaseMismatch, NotComposable, TypeMismatch, UnknownObject
+from . import _moved
+from .errors import BaseMismatch, TypeMismatch, UnknownObject
 from .lattice import Lattice
 from .quantaloid import Quantaloid, name_index
 
@@ -190,89 +192,6 @@ def _value_groups(row, extents) -> list:
     return [(e, g, sum(1 << k for k in ks), ks) for (e, g), ks in groups.items()]
 
 
-class VFunctor:
-    """An extent-preserving, hom-non-decreasing map between enrichments."""
-
-    def __init__(self, source: VCategory, target: VCategory, mapping: list[int]):
-        if len(mapping) != source.n_objects:
-            raise ValueError("mapping size disagrees with the source")
-        for t in mapping:
-            if not 0 <= t < target.n_objects:
-                raise UnknownObject(f"target index {t} out of range")
-        self.source = source
-        self.target = target
-        self.mapping = tuple(mapping)
-
-    def __call__(self, i: int) -> int:
-        return self.mapping[i]
-
-    def then(self, other: "VFunctor") -> "VFunctor":
-        if self.target is not other.source:
-            raise NotComposable("functor endpoints do not line up")
-        return VFunctor(
-            self.source, other.target, [other(self(i)) for i in range(self.source.n_objects)]
-        )
-
-    def is_surjective(self) -> bool:
-        return set(self.mapping) == set(range(self.target.n_objects))
-
-    @classmethod
-    def identity(cls, a: VCategory) -> "VFunctor":
-        return cls(a, a, list(range(a.n_objects)))
-
-    def __repr__(self):
-        return f"VFunctor({self.mapping})"
-
-
-def validate_vfunctor(f: VFunctor) -> list[str]:
-    require_same_base(f.source, f.target)
-    out = []
-    a, b = f.source, f.target
-    for i in range(a.n_objects):
-        if a.extents[i] != b.extents[f(i)]:
-            out.append(f"extent changes at {a.objects[i]}")
-    if out:
-        return out
-    # both hom tables were checked by their constructors, and a bottom
-    # hom lies below any image
-    m = f.mapping
-    for i, row in enumerate(a.rows):
-        for j, x, lat in row:
-            if not lat._leq(x, b.hom(m[i], m[j])):
-                out.append(f"hom shrinks at ({a.objects[i]},{a.objects[j]})")
-    return out
-
-
-def pullback(f: VFunctor, g: VFunctor) -> tuple[VCategory, VFunctor, VFunctor]:
-    """Pairs agreeing in the target, with the meets of the factors' homs.
-
-    Over the maps into ``terminal`` this is the product.  A meet with a
-    bottom hom is bottom, so only pairs of non-bottom homs are met.
-    """
-    if f.target is not g.target:
-        raise BaseMismatch("pullback needs a common codomain")
-    a, b = f.source, g.source
-    require_same_base(a, b)
-    fibres: dict[tuple[int, int], list[int]] = {}
-    for j in range(b.n_objects):
-        fibres.setdefault((b.extents[j], g(j)), []).append(j)
-    pairs = [(i, j) for i in range(a.n_objects) for j in fibres.get((a.extents[i], f(i)), ())]
-    names = [f"({a.objects[i]}|{b.objects[j]})" for i, j in pairs]
-    extents = [a.extents[i] for i, _ in pairs]
-    at = {pair: p for p, pair in enumerate(pairs)}
-    homs = [
-        {
-            at[i2, j2]: lat.meet([x, y])
-            for i2, x, lat in a.rows[i1]
-            for j2, y, _ in b.rows[j1]
-            if (i2, j2) in at
-        }
-        for i1, j1 in pairs
-    ]
-    p = VCategory(a.base, names, extents, homs)
-    return p, VFunctor(p, a, [i for i, _ in pairs]), VFunctor(p, b, [j for _, j in pairs])
-
-
 class EnrichedGraph(NamedTuple):
     """Generators for a free enrichment: typed vertices, labelled edges."""
 
@@ -299,3 +218,8 @@ def free_vcategory(base: Quantaloid, graph: EnrichedGraph) -> VCategory:
                 f"({base.objects[extents[s]]},{base.objects[extents[t]]})"
             )
     return VCategory(base, names, extents, base.free_homs(extents, graph.edges))
+
+
+__getattr__ = _moved(__name__, dict.fromkeys(
+    ("VFunctor", "validate_vfunctor", "pullback"), "witness"
+))

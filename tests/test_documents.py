@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from enrbisim.bisim import SimRelation
+from enrbisim import documents
 from enrbisim.cli import default_fixture_paths, main
 from enrbisim.cts import FiniteCategory, Morphism, PowersetCatQuantaloid
 from enrbisim.documents import (
@@ -615,6 +616,44 @@ def renaming(letters) -> dict:
     """A monoid-morphism span M from QLab to QLn sending each letter to n."""
     return document("M", "tse", construction="monoid-morphism", source="QLab", target="QLn",
                     map={letter: ["n"] for letter in letters})
+
+
+ONE_POINT = {"schema": SCHEMA, "name": "P", "kind": "fincat", "construction": "poset",
+             "elements": ["0"], "leq": [[0, 0]]}
+TWO_VERTICES = [{"name": "a", "extent": "*"}, {"name": "b", "extent": "*"}]
+
+
+class TestObjectCap:
+    """Every field that defines names lists at most ``documents.MAX_OBJECTS``
+    of them; one more is a ``SizeLimit`` (exit 2) that names the document
+    and the field, raised before a name is read.  Here the cap is 1; the
+    real cap is tested on 2^17 + 1 objects and vertices in test_fuzz.py."""
+
+    @pytest.mark.parametrize("docs, match", [
+        ([Q2_DOC, vcategory_doc(["a", "b"], {})], "V: objects lists 2 names"),
+        ([Q2_DOC, document("V", "vcategory", base="Q2",
+                           graph={"vertices": TWO_VERTICES, "edges": []})],
+         "V: graph vertices lists 2 names"),
+        ([explicit_base_doc(["x", "y"])], "B: objects lists 2 names"),
+        ([explicit_base_doc(["x"])], "B: homs 'x,x' elements lists 2 names"),
+        ([fincat_doc(objects=["x", "y"])], "C: objects lists 2 names"),
+        ([fincat_doc(morphisms=[{"name": n, "src": 0, "tgt": 0} for n in ("id", "f")])],
+         "C: morphisms lists 2 names"),
+        ([POSET_DOC], "P: elements lists 2 names"),
+        ([ONE_POINT, document("S", "ctsspec", category="P", edges=[],
+                              vertices=[{"name": n, "type": "0"} for n in ("a", "b")])],
+         "S: vertices lists 2 names"),
+        ([Q2_DOC, span_doc(["c", "d"], {})], "T: carriers lists 2 names"),
+    ], ids=["objects", "graph-vertices", "base-objects", "hom-elements", "category-objects",
+            "morphisms", "poset-elements", "spec-vertices", "span-carriers"])
+    def test_one_name_over_the_cap(self, tmp_path, capsys, monkeypatch, docs, match):
+        monkeypatch.setattr(documents, "MAX_OBJECTS", 1)
+        for doc in docs:
+            write_doc(tmp_path, doc)
+        assert main(["--paths", str(tmp_path), "validate"]) == 2
+        out, err = capsys.readouterr()
+        assert json.loads(out)["details"] == {"error": f"SizeLimit: {match}, more than the cap 1"}
+        assert "Traceback" not in err
 
 
 class TestMalformedDocuments:

@@ -6,8 +6,9 @@ a command in-process through ``cli.main``.  Whatever the input, the exit
 code is 0, 1 or 2, the report parses, 0 and 1 come with a yes/no or
 valid/invalid verdict, and no error is reported as an internal one.
 Inflated inputs, a deeply nested document, an ``.aut`` header that
-announces 10^8 states and a 20,000-state automaton compared with itself,
-are held to the same rule in a child process with a capped address space.
+announces 10^8 states, a 20,000-state automaton compared with itself and
+lists of one name more than ``documents.MAX_OBJECTS``, are held to the
+same rule in a child process with a capped address space.
 """
 
 import copy
@@ -21,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from enrbisim.cli import default_fixture_paths, main
-from enrbisim.documents import SCHEMA, load_bundle, serialize
+from enrbisim.documents import MAX_OBJECTS, SCHEMA, load_bundle, serialize
 
 FIXTURES = Path(default_fixture_paths()[0])
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -226,6 +227,14 @@ IDENTITY_TSE = json.dumps({"schema": "enrbisim/1", "name": "ID", "kind": "tse", 
                            "base": "QL(a,2)"})
 
 
+# one name more than the cap: an enrichment's objects and a specification's vertices
+MANY = [f"x{i}" for i in range(MAX_OBJECTS + 1)]
+MANY_OBJECTS = json.dumps(doc("V", "vcategory", base="Q2", homs={},
+                              objects=[{"name": name, "extent": "*"} for name in MANY]))
+MANY_VERTICES = json.dumps(doc("S", "ctsspec", category="P2", edges=[],
+                               vertices=[{"name": name, "type": "0"} for name in MANY]))
+
+
 @pytest.mark.parametrize("files, argv, error", [
     ({"deep.json": "[" * 200_000 + "]" * 200_000}, ["validate"], "ParseError"),
     ({"big.aut": 'des (0, 1, 100000000)\n(0, "a", 1)\n'},
@@ -236,8 +245,12 @@ IDENTITY_TSE = json.dumps({"schema": "enrbisim/1", "name": "ID", "kind": "tse", 
      "SizeLimit"),
     ({"big.aut": LOOPS_AUT, "ID.json": IDENTITY_TSE},
      ["--aut-alphabet", "a", "--aut-k", "2", "cob-apply", "--tse", "ID", "--a", "big"], "SizeLimit"),
+    ({"Q2.json": json.dumps(doc("Q2", "boolean")), "V.json": MANY_OBJECTS}, ["validate"],
+     "SizeLimit: V"),
+    ({"P2.json": (FIXTURES / "P2.json").read_text(), "S.json": MANY_VERTICES}, ["validate"],
+     "SizeLimit: S"),
 ], ids=["nested-200000-deep", "aut-header-announces-1e8-states", "bisimilar-4e8-pairs", "simulates-4e8-pairs",
-        "cob-apply-4e8-homs"])
+        "cob-apply-4e8-homs", "enrichment-of-2^17+1-objects", "ctsspec-of-2^17+1-vertices"])
 def test_inflated_input_is_an_error(tmp_path, files, argv, error):
     for name, text in files.items():
         (tmp_path / name).write_text(text)

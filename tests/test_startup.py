@@ -5,11 +5,13 @@ loads is paid on every request, and so is compiling each module whose
 code runs when no bytecode cache is written.  The modules in KEPT_OFF
 stay off that path.  The eight package modules the benchmark's tracer
 wraps (TRACED) are all in ``sys.modules`` after the import, but three of
-them (LAZY) are registered unrun: a module of those runs only when a
-command first reads one of its names, so a request runs only the ones
-it reaches.  The modules of the table and language base families and
-of the law checks (FAMILIES) are not even imported until a document or
-command needs them.  The ``exec`` audit event, raised each time a
+them, and the witness module (LAZY), are registered unrun: a module of
+those runs only when a command first reads one of its names, so a
+request runs only the ones it reaches.  The modules of the set, table
+and language base families, of the generic free closure and of the law
+checks (FAMILIES) are not even imported until a document or command
+needs them.  The tracer finds each function it wraps under the name it
+gives, wherever the function moved.  The ``exec`` audit event, raised each time a
 module's code runs, from source or from a bytecode cache, tells which
 ran.  A well-formed request reads its argv without ``argparse``, which
 only help and usage errors load.
@@ -37,6 +39,8 @@ KEPT_OFF = {
     "enrbisim.generators",
     "enrbisim.fixtures",
     "enrbisim.constructions",
+    "enrbisim.sets",
+    "enrbisim.closure",
     "enrbisim.tables",
     "enrbisim.language",
     "enrbisim.laws",
@@ -47,8 +51,11 @@ TRACED = {
 }
 
 
-LAZY = {"enrbisim.bisim", "enrbisim.cts", "enrbisim.cob"}
-FAMILIES = {"enrbisim.tables", "enrbisim.language", "enrbisim.laws"}
+LAZY = {"enrbisim.bisim", "enrbisim.witness", "enrbisim.cts", "enrbisim.cob"}
+FAMILIES = {
+    "enrbisim.sets", "enrbisim.closure", "enrbisim.tables", "enrbisim.language", "enrbisim.laws",
+}
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 DATA = SRC / "enrbisim" / "data"
 GOLDEN_DOCS = Path(__file__).parent / "golden" / "docs"
 # what ``from enrbisim import ...`` offers, by the module that defines it
@@ -130,23 +137,26 @@ def paths(*files) -> list[str]:
 # family modules it runs
 RUNS = {
     "automaton bisimilar": (aut_files, ["bisimilar", "--a", "A", "--b", "B"], 0,
-                            {"enrbisim.bisim", "enrbisim.language"}),
+                            {"enrbisim.bisim", "enrbisim.language", "enrbisim.sets"}),
+    "automaton span": (aut_files, ["span", "--a", "A", "--b", "B"], 0,
+                       {"enrbisim.bisim", "enrbisim.witness", "enrbisim.language", "enrbisim.sets"}),
     "table simulates": (lambda _: paths(DATA / "Q2.json", DATA / "P01.json", DATA / "POINT.json"),
                         ["simulates", "--a", "P01", "--b", "POINT"], 0,
                         {"enrbisim.bisim", "enrbisim.tables"}),
     "validate": (lambda _: paths(DATA / "Q2.json"), ["validate"], 0,
                  {"enrbisim.tables", "enrbisim.laws"}),
     "cts-build": (lambda _: paths(DATA / "P2.json", GOLDEN_DOCS / "SPEC.json"),
-                  ["cts-build", "--spec", "SPEC"], 0, {"enrbisim.cts", "enrbisim.laws"}),
+                  ["cts-build", "--spec", "SPEC"], 0,
+                  {"enrbisim.cts", "enrbisim.laws", "enrbisim.sets", "enrbisim.closure"}),
     "cts-refine": (lambda _: paths(DATA / "P2.json", *(GOLDEN_DOCS / f"{name}.json"
                                                       for name in ("SPEC", "T3", "INC"))),
                    ["cts-refine", "--spec", "SPEC", "--functor", "INC"], 0,
-                   {"enrbisim.cts", "enrbisim.cob"}),
+                   {"enrbisim.cts", "enrbisim.cob", "enrbisim.sets", "enrbisim.closure"}),
     # the shipped fixtures hold a fincat document, which cts reads, and
     # table and language bases
     "default-path bisimilar": (lambda _: [], ["bisimilar", "--a", "AUT1", "--b", "LOOP1"], 1,
                                {"enrbisim.bisim", "enrbisim.cts", "enrbisim.tables",
-                                "enrbisim.language"}),
+                                "enrbisim.language", "enrbisim.sets"}),
 }
 
 
@@ -215,3 +225,26 @@ def test_exporting_modules_are_package_attributes():
         "print(json.dumps(wrong))\n"
     )
     assert json.loads(child_output(code)) == []
+
+
+def test_tracer_finds_every_name_it_wraps(tmp_path):
+    # the benchmark's tracer wraps the witnesses under the names bisim.* and
+    # vcat.pullback; a name bound nowhere stops every traced run
+    argv = aut_files(tmp_path) + ["span", "--a", "A", "--b", "B"]
+    code = (
+        "import contextlib, importlib.util, io, sys\n"
+        "sys.dont_write_bytecode = True\n"
+        f"spec = importlib.util.spec_from_file_location('tracer', {str(TRACER)!r})\n"
+        "tracer = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(tracer)\n"
+        "recorder = tracer.Recorder('span')\n"
+        "main = tracer.install(recorder, counts=False)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0, 'exit code'\n"
+        "print(*sorted({span[0] for span in recorder.spans}), sep='\\n')\n"
+    )
+    spans = set(child_output(code).split())
+    witnesses = {"bisim.span_witness", "bisim.cospan_witness", "bisim.quotient", "bisim.is_od",
+                 "vcat.pullback"}
+    assert witnesses <= spans, sorted(witnesses - spans)
+
