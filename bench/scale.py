@@ -6,6 +6,7 @@ Usage (from the root of a checkout):
     python3 bench/scale.py --label change --out bench/BENCH_scale_14.json
     python3 bench/scale.py --src OTHER/src --label parent --out bench/BENCH_scale_14.json
     python3 bench/scale.py --sizes 100 --cap 1 --out /tmp/scale.json   # smoke run
+    python3 bench/scale.py --sizes --load-sizes 10000 20000 40000 --out bench/BENCH_scale_31.json
 
 Three input families, each grown over the sizes in the order given:
 
@@ -60,6 +61,13 @@ and ``largest_simulation`` (the input against itself);
   exits with status 1 if a hom's largest apex differs from it.  Sizes
   stop at ``TABLE_MAX_N`` here too.
 
+and, with ``--load-sizes``, one more layer on larger automata (k = 2):
+
+- ``load``: ``import_aut`` on a seeded 2-out automaton, its wall time
+  (one run, scaled by the probe as below) and, in a second run, its
+  ``tracemalloc`` peak, with the peak's growth from each size to the
+  next.  An empty ``--sizes`` runs this layer alone.
+
 Each layer runs ``REPEATS`` times per size, each run after
 ``gc.collect()`` with the previous run's result dropped, and the median
 is recorded with every run, so that a figure depends neither on what ran
@@ -95,6 +103,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ALPHABET = ("a", "b")
@@ -420,6 +429,40 @@ def measure_sieves(sizes: list[int], cap: float) -> dict:
     return run_layers(SIEVE_LAYERS, [n for n in sizes if n <= TABLE_MAX_N], cap, prepare)
 
 
+def measure_load(sizes: list[int], workdir: Path) -> dict:
+    """The ``load`` layer: ``import_aut`` timed, then run again under ``tracemalloc``."""
+    from enrbisim import documents
+
+    out: dict = {"k": 2, "seconds": {}, "raw_seconds": {}, "probes": {}, "peak_mb": {},
+                 "peak_growth": {}, "digest": {}}
+    for n in sizes:
+        path = workdir / f"load{n}.aut"
+        path.write_text(aut_text(n, random_automaton(random.Random(f"{SEED}:load:{n}"), n)))
+        gc.collect()
+        before = speed_probe()
+        start = time.perf_counter()
+        cat = documents.import_aut(path, ALPHABET, 2)
+        raw = time.perf_counter() - start
+        probes = [before, speed_probe()]
+        out["digest"][str(n)] = digest("import_aut", cat)
+        cat = None
+        gc.collect()
+        tracemalloc.start()
+        documents.import_aut(path, ALPHABET, 2)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+        tracemalloc.stop()
+        path.unlink()
+        out["seconds"][str(n)] = round(raw * NOMINAL_PROBE_S / statistics.mean(probes), 4)
+        out["raw_seconds"][str(n)] = round(raw, 4)
+        out["probes"][str(n)] = [round(p, 6) for p in probes]
+        out["peak_mb"][str(n)] = round(peak, 1)
+        print(f"load n={n}: {raw:.2f} s, tracemalloc peak {peak:.1f} MB", file=sys.stderr, flush=True)
+    for smaller, larger in zip(sizes, sizes[1:]):
+        growth = out["peak_mb"][str(larger)] / out["peak_mb"][str(smaller)]
+        out["peak_growth"][f"{smaller}->{larger}"] = round(growth, 2)
+    return out
+
+
 def classes(r) -> list[list[int]]:
     """The classes of an equivalence relation, from its pairs: each
     object joins the class of its least partner."""
@@ -494,7 +537,10 @@ def main(argv=None) -> int:
                         help="directory holding the enrbisim package to measure")
     parser.add_argument("--label", default="change", help="key of this run in --out")
     parser.add_argument("--out", required=True, help="JSON file to merge the run into")
-    parser.add_argument("--sizes", type=int, nargs="+", default=[100, 200, 400, 800, 1600])
+    parser.add_argument("--sizes", type=int, nargs="*", default=[100, 200, 400, 800, 1600],
+                        help="sizes of the automata, table and sieve layers (none: skip them)")
+    parser.add_argument("--load-sizes", type=int, nargs="*", default=[],
+                        help="sizes of the load layer (default: none)")
     parser.add_argument("--cap", type=float, default=2.0,
                         help="seconds after which a layer stops growing n")
     args = parser.parse_args(argv)
@@ -505,8 +551,8 @@ def main(argv=None) -> int:
         "machine": machine(),
         "seed": SEED,
         "seed_rule": "each input draws from random.Random('<seed>:<k>:<n>') "
-        "(automata), random.Random('<seed>:<base>:<n>') (tables) or "
-        "random.Random('<seed>:S(T2):<n>') (sieves)",
+        "(automata), random.Random('<seed>:<base>:<n>') (tables), "
+        "random.Random('<seed>:S(T2):<n>') (sieves) or random.Random('<seed>:load:<n>') (load)",
         "sizes": args.sizes,
         "cap_s": args.cap,
         "repeats": REPEATS,
@@ -522,17 +568,22 @@ def main(argv=None) -> int:
         "sieves": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
-        for k in CUTOFFS:
+        for k in CUTOFFS if args.sizes else ():
             run["k"][str(k)] = measure_automata(k, args.sizes, args.cap, Path(tmp), src)
-    for base_name in TABLE_BASES:
+        if args.load_sizes:
+            run["load_sizes"] = args.load_sizes
+            run["load"] = measure_load(args.load_sizes, Path(tmp))
+    for base_name in TABLE_BASES if args.sizes else ():
         run["tables"][base_name] = measure_tables(base_name, args.sizes, args.cap)
-    run["sieves"]["S(T2)"] = measure_sieves(args.sizes, args.cap)
+    if args.sizes:
+        run["sieves"]["S(T2)"] = measure_sieves(args.sizes, args.cap)
 
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc.setdefault("harness", "bench/scale.py")
     doc["inputs"] = (
-        "seeded 2-out automata over {a,b}, free enrichments over QL({a,b},k); "
+        "seeded 2-out automata over {a,b}, free enrichments over QL({a,b},k), and larger ones "
+        "over QL({a,b},2) for the load layer; "
         "seeded 2-out graphs closed into Q2 and M3 hom tables, and their free enrichments; "
         "seeded 2-out span specifications over T2 and their free enrichments over S(T2)"
     )

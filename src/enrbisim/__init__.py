@@ -1,13 +1,13 @@
 """Simulation and bisimulation for categories enriched over finite quantaloids.
 
-Importing the package runs no module of it.  ``bisim``, ``witness``,
-``cts`` and ``cob`` are lazy: they sit in ``sys.modules`` and on the
-package from the start, and the first attribute read on one compiles and
-runs it, so a command that never reaches a module does not pay for it.
-The base families ``sets``, ``tables`` and ``language`` and the law
-checks ``laws`` are imported by the first document or command that
-needs them.  The names below, and the modules that define them,
-resolve on first use.
+Importing the package runs no module of it.  ``bisim``, ``simulation``,
+``witness``, ``cts``, ``cob`` and ``jsondocs`` (JSON documents) are lazy:
+they sit in ``sys.modules`` and on the package from the start, and the
+first attribute read on one compiles and runs it, so a command that
+never reaches a module does not pay for it.  The base families ``sets``,
+``tables`` and ``language`` and the law checks ``laws`` are imported by
+the first document or command that needs them.  The names below, and
+the modules that define them, resolve on first use.
 """
 
 import importlib
@@ -26,7 +26,7 @@ def _lazy(*names: str) -> None:
         spec.loader.exec_module(module)
 
 
-_lazy("bisim", "witness", "cts", "cob")
+_lazy("bisim", "witness", "cts", "cob", "jsondocs", "simulation")
 
 
 def _moved(module: str, table: dict[str, str]):

@@ -9,7 +9,6 @@ text.
 from __future__ import annotations
 
 import importlib
-import json
 import sys
 import time
 from types import SimpleNamespace
@@ -51,6 +50,8 @@ class Report:
         return "".join(parts)
 
     def to_text(self) -> str:
+        import json  # only text reports need it here
+
         lines = [f"{self.command}: {self.verdict}"]
         for key in sorted(self.details):
             lines.append(f"  {key}: {json.dumps(self.details[key], sort_keys=True)}")
@@ -59,7 +60,10 @@ class Report:
         return "\n".join(lines)
 
 
-_encode_string = json.encoder.encode_basestring_ascii
+try:  # json.encoder's C string encoder, without importing json
+    from _json import encode_basestring_ascii as _encode_string
+except ImportError:  # no C accelerator: json's own fallback
+    from json.encoder import encode_basestring_ascii as _encode_string
 
 
 def _encode_indented(value, newline: str, parts: list[str]) -> None:
@@ -67,9 +71,10 @@ def _encode_indented(value, newline: str, parts: list[str]) -> None:
     gives for ``value`` at the depth whose line break is ``newline``.
 
     ``indent=2`` forces ``json``'s pure-Python encoder, so the layout is
-    written here.  Strings and keys go through the C encoder
-    ``encode_basestring_ascii`` and ints through ``int.__repr__``, as in
-    ``json``.  Any other value, and any dict with a key that is not a
+    written here, without ``json``: strings and keys go through its C
+    ``encode_basestring_ascii``, ints through ``int.__repr__``, and a list
+    of strings and ints alone (a pair, a trace entry) is one join.  Any
+    other value but a bool or None, and any dict with a key that is not a
     ``str``, is left to ``json.dumps``.
     """
     kind = type(value)
@@ -77,11 +82,21 @@ def _encode_indented(value, newline: str, parts: list[str]) -> None:
         parts.append(_encode_string(value))
     elif kind is int:
         parts.append(int.__repr__(value))
+    elif kind is bool or value is None:
+        parts.append("null" if value is None else "true" if value else "false")
     elif kind is list or kind is tuple:
-        if not value:
-            parts.append("[]")
-            return
         inner = newline + "  "
+        items = []
+        for item in value:
+            if type(item) is str:
+                items.append(_encode_string(item))
+            elif type(item) is int:
+                items.append(int.__repr__(item))
+            else:
+                break
+        else:
+            parts.append("[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]")
+            return
         sep = "[" + inner
         for item in value:
             parts.append(sep)
@@ -100,6 +115,8 @@ def _encode_indented(value, newline: str, parts: list[str]) -> None:
             _encode_indented(value[key], inner, parts)
         parts.append(newline + "}")
     else:
+        import json
+
         parts.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
 
 
@@ -132,7 +149,7 @@ COMMANDS: dict[str, tuple[str, str | None, tuple]] = {
                  (("names", {"nargs": "*"}),)),
     "bisim-largest": ("bisim", None,
                       (_A, _B, ("--sim", dict(_FLAG, help="one direction only")))),
-    "simulates": ("bisim", None, (_A, _B)),
+    "simulates": ("simulation", None, (_A, _B)),
     "bisimilar": ("bisim", None, (_A, _B)),
     "bisim-check": ("witness", None, (("--rel", _REQUIRED), ("--sim", _FLAG))),
     "od-check": ("witness", None, (("--functor", _REQUIRED),)),

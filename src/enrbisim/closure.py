@@ -76,5 +76,7 @@ def free_homs(base: Quantaloid, extents: list[int], edges) -> list[dict[int, Any
                     if j not in queued:
                         queued.add(j)
                         pending.append(j)
-        homs.append(row)
+        # the enrichment takes the rows unchecked: in target order, bottoms dropped
+        homs.append({j: x for j, x in sorted(row.items()) if not (
+            type(x) is type(bottoms_i[j]) and x == bottoms_i[j])})
     return homs

@@ -16,10 +16,10 @@ import itertools
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
-from .documents import _keyed, _name_lookup, _once
 from .errors import (
     BaseMismatch, NoAdjoint, NotACongruence, ParseError, SizeLimit, UnknownElement, require_valid,
 )
+from .jsondocs import _keyed, _name_lookup, _once
 from .lattice import Lattice
 from .quantaloid import Quantaloid, name_index
 from .vcat import MAX_PAIRS, VCategory

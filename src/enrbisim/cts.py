@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple
 # cob is lazy (see the package): read its names at call time, so that
 # building a specification's enrichment never runs it
 from . import cob
-from .documents import SCHEMA, _indices, _keyed, _name_lookup, _names, _once
+from .documents import SCHEMA
 from .errors import (
     AmbientMismatch,
     NotComposable,
@@ -30,6 +30,7 @@ from .errors import (
     ValidationError,
     require_valid,
 )
+from .jsondocs import _indices, _keyed, _name_lookup, _names, _once
 from .lattice import DEFAULT_ENUM_CAP, MAX_GENERATORS
 from .quantaloid import name_index
 from .sets import PowersetLattice, SetQuantaloid, _SetLattice

@@ -1,7 +1,8 @@
 """Truncated word languages, the base of the paper's automata, with
 their own free construction and composition law check.  Their documents
-and Aldebaran automaton files are read here, so only a request that
-names a language base or an automaton imports this module.
+are read here, and Aldebaran automaton files straight into their free
+enrichment, so only a request that names a language base or an
+automaton imports this module.
 """
 
 from __future__ import annotations
@@ -9,12 +10,13 @@ from __future__ import annotations
 import itertools
 import re
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
-from .documents import MAX_OBJECTS, SCHEMA, _read_text, _vcategory_from_doc
-from .errors import ParseError, SizeLimit, UnknownLabel
+from .documents import MAX_OBJECTS, _read_text
+from .errors import ParseError, SizeLimit, UnknownLabel, require_valid
+from .quantaloid import Quantaloid
 from .sets import PowersetLattice, SetQuantaloid
-from .vcat import VCategory
+from .vcat import EnrichedGraph, VCategory, free_vcategory, validate_vcategory
 
 # Most words a language quantale may hold
 MAX_WORDS = 1 << 20
@@ -88,8 +90,8 @@ class LanguageQuantale(SetQuantaloid):
         label appends to a later level.  This equals the generic ascending
         closure but never concatenates two large languages, and it touches
         only what the source reaches within ``k`` letters.  A row maps
-        each reached target to its words and leaves out the rest, whose
-        hom is the empty set.
+        each reached target, in target order, to its words and leaves out
+        the rest, whose hom is the empty set.
         """
         k = self.k
         out: list[list[tuple[int, tuple, int]]] = [[] for _ in range(n_vertices)]
@@ -114,7 +116,7 @@ class LanguageQuantale(SetQuantaloid):
                             else:
                                 have.add(longer)
                             levels[level + length].append((t, longer))
-            table.append({t: frozenset(words) for t, words in reached.items()})
+            table.append({t: frozenset(reached[t]) for t in sorted(reached)})
         return table
 
     def composition_law_holds(self, rows) -> bool:
@@ -210,46 +212,39 @@ def parse_aut(path) -> tuple[int, int, list[tuple[int, str, int]]]:
     return initial, n_states, transitions
 
 
-def aut_base_doc(alphabet, k) -> dict:
-    alphabet = [str(a) for a in alphabet]
-    return {
-        "schema": SCHEMA,
-        "name": f"QL({','.join(alphabet)},{k})",
-        "kind": "quantaloid",
-        "construction": "language",
-        "alphabet": alphabet,
-        "k": int(k),
-    }
-
-
-def aut_to_doc(path, alphabet, k) -> dict:
-    """Translate an Aldebaran file into a free-enrichment document."""
+def aut_documents(path, alphabet, k) -> tuple[tuple[dict, Callable], tuple[dict, Callable]]:
+    """``(entry, reader)`` of the base and of the automaton that
+    ``documents.collect_documents`` lists for an Aldebaran file: the
+    language quantale ``QL(<letters>,<k>)``, and over the base the bundle
+    holds under that name the free enrichment named by the file's stem, on
+    states ``s0``, ``s1``, ... and one-letter words.  Each distinct label
+    is checked against the alphabet here, and read once by the reader."""
     alphabet = [str(a) for a in alphabet]
     _, n_states, transitions = parse_aut(path)
-    for _, label, _ in transitions:
+    labels = list(dict.fromkeys(label for _, label, _ in transitions))  # in order of appearance
+    for label in labels:
         if label not in alphabet:
             raise UnknownLabel(f"{path}: label {label!r} not in the alphabet")
-    return {
-        "schema": SCHEMA,
-        "name": Path(path).stem,
-        "kind": "vcategory",
-        "base": aut_base_doc(alphabet, k)["name"],
-        "graph": {
-            "vertices": [{"name": f"s{i}", "extent": "*"} for i in range(n_states)],
-            "edges": [
-                {"src": f"s{s}", "tgt": f"s{t}", "label": [[label]]}
-                for s, label, t in transitions
-            ],
-        },
-    }
+    name = f"QL({','.join(alphabet)},{k})"
+    base = {"name": name, "kind": "quantaloid", "construction": "language",
+            "alphabet": alphabet, "k": int(k)}
+
+    def read(doc, resolve) -> VCategory:
+        quantale = resolve(name, Quantaloid)
+        star = quantale.object_index("*")
+        words = {label: quantale.element_from_doc(star, star, [[label]]) for label in labels}
+        cat = free_vcategory(quantale, EnrichedGraph(
+            [(f"s{i}", star) for i in range(n_states)],
+            [(s, t, words[label]) for s, label, t in transitions],
+        ))
+        require_valid("vcategory", validate_vcategory(cat))
+        return cat
+
+    return (base, quantaloid_from_doc), ({"name": Path(path).stem, "kind": "vcategory"}, read)
 
 
 def import_aut(path, alphabet, k) -> VCategory:
     """Free enrichment of an automaton over the truncated word base."""
-    doc = aut_to_doc(path, alphabet, k)
-    base = build_language_quantale([str(a) for a in alphabet], int(k))
-
-    def resolve(ref, expected):
-        return base
-
-    return _vcategory_from_doc(doc, resolve)
+    (base, _), (_, read) = aut_documents(path, alphabet, k)
+    quantale = build_language_quantale(base["alphabet"], base["k"])
+    return read(None, lambda ref, expected: quantale)

@@ -111,10 +111,10 @@ class Quantaloid:
         )
 
     def free_homs(self, extents: list[int], edges) -> list[dict[int, Any]]:
-        """Hom rows of the free enrichment on a graph whose vertices have
-        ``extents`` and whose ``edges`` are ``(source, target, label)``:
-        here the generic closure of ``closure``, imported by the first base
-        that runs it; a base with a faster way overrides this."""
+        """Non-bottom hom rows, in target order, of the free enrichment on a
+        graph whose vertices have ``extents`` and whose ``edges`` are
+        ``(source, target, label)``: here the generic closure of ``closure``,
+        imported by the first base that runs it, unless a base overrides it."""
         from .closure import free_homs
 
         return free_homs(self, extents, edges)

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-from .documents import _indices, _keyed, _name_lookup, _names
 from .errors import BadGrid, IncompleteLattice, ParseError, UnknownElement, UnknownObject, require_valid
+from .jsondocs import _indices, _keyed, _name_lookup, _names
 from .lattice import Lattice
 from .quantaloid import Quantaloid, name_index
 

@@ -39,7 +39,10 @@ class VCategory:
     checked against its lattice (``UnknownElement`` if outside it).
     ``rows[i]`` lists object ``i``'s non-bottom homs as ``(target, hom,
     lattice)`` in target order, and ``row_maps[i]`` maps those targets to
-    their homs; both are read-only.
+    their homs; both are read-only.  The free constructions and
+    ``witness.quotient`` pass ``_trusted`` rows, joins and composites of
+    checked homs, non-bottom and in target order: none is checked or
+    sorted again, and each row becomes its row map.
     """
 
     def __init__(
@@ -48,6 +51,7 @@ class VCategory:
         objects: list[str],
         extents: list[int],
         homs: list[Mapping[int, Any]],
+        *, _trusted: bool = False,
     ):
         n = len(objects)
         if len(extents) != n or len(homs) != n:
@@ -68,6 +72,13 @@ class VCategory:
             bottom = self._bottoms[key] = lat.bottom
             kinds[key] = (lat, bottom, type(bottom))
         row_kinds = {u: [kinds[u, v] for v in self.extents] for u in set(self.extents)}
+        if _trusted:
+            self.rows = tuple(
+                tuple((j, x, kinds_i[j][0]) for j, x in row.items())
+                for kinds_i, row in zip(map(row_kinds.__getitem__, self.extents), homs)
+            )
+            self.row_maps = tuple(map(MappingProxyType, homs))
+            return
         rows = []
         for i, row in enumerate(homs):
             targets = sorted(row.keys())  # a dense list row fails here, not misread
@@ -119,77 +130,21 @@ def validate_vcategory(a: VCategory) -> list[str]:
     with bottom on either side gives bottom, which lies below every hom:
     ``validate_quantaloid`` checks those laws for table bases, and the
     structural bases meet them by construction.  A base with a check of
-    its own decides the law first (``composition_law_holds``: a language
-    quantale compares word masks).
-
-    Otherwise each row's non-bottom targets are grouped by (extent, hom
-    value) into bitmasks (``_value_groups``).  At each non-bottom
-    ``hom(i,j) = f`` a group ``(e, g)`` of row ``j`` is composed once,
-    to ``c = f.g``; its failing targets are its bits outside the mask of
-    the targets ``k`` of extent ``e`` with ``c <= hom(i,k)``.  That mask
-    is built once per row ``i`` and ``(e, c)`` from row ``i``'s own
-    groups (no bits when ``c`` is not below bottom, as for every target
-    outside row ``i``; all of them when it is).  A group with no more
-    targets than row ``i`` has groups of extent ``e`` is compared target
-    by target instead, so no row makes more ``_leq`` calls than one
-    comparison per composable triple.  Violations are listed in
-    ``(i, j, k)`` order.
+    its own decides the law (``composition_law_holds``: a language
+    quantale compares word masks); ``jsondocs.composition_violations``
+    checks any other.  Violations are listed in ``(i, j, k)`` order.
     """
     out = []
-    base, ext, rows = a.base, a.extents, a.rows
+    base, ext = a.base, a.extents
     for i in range(a.n_objects):
         lat = a.hom_lattice(i, i)
         if not lat.leq(base.unit(ext[i]), a.hom(i, i)):
             out.append(f"identity not below hom({a.objects[i]},{a.objects[i]})")
-    if base.composition_law_holds(rows):
-        return out
-    groups = [_value_groups(row, ext) for row in rows]
-    names, lattices = a.objects, a._lattices
-    for i, row_i in enumerate(rows):
-        ei, map_i = ext[i], a.row_maps[i]
-        scope = {}  # extent e -> (lattice, bottom, [(value, bits)] of row i's groups in e)
-        for (u, e), lat in lattices.items():
-            if u == ei:
-                scope[e] = (lat, lat._join(()), [])
-        for e, v, bits, _ in groups[i]:
-            scope[e][2].append((v, bits))
-        masks: dict = {}  # (extent, composite) -> bits of the targets above it
-        for j, f, _ in row_i:
-            ej = ext[j]
-            failed = 0
-            for e, g, bits, targets in groups[j]:
-                c = base.compose(ei, ej, e, f, g)
-                mask = masks.get((e, c))
-                if mask is None:
-                    lat, bottom, mine = scope[e]
-                    if len(targets) <= len(mine):
-                        for k in targets:
-                            if not lat._leq(c, map_i.get(k, bottom)):
-                                failed |= 1 << k
-                        continue
-                    if lat._leq(c, bottom):
-                        mask = -1
-                    else:
-                        mask = 0
-                        for v, vbits in mine:
-                            if lat._leq(c, v):
-                                mask |= vbits
-                    masks[e, c] = mask
-                failed |= bits & ~mask
-            while failed:
-                k = (failed & -failed).bit_length() - 1
-                failed &= failed - 1
-                out.append(f"composition fails at ({names[i]},{names[j]},{names[k]})")
+    if not base.composition_law_holds(a.rows):
+        from .jsondocs import composition_violations
+
+        out += composition_violations(a)
     return out
-
-
-def _value_groups(row, extents) -> list:
-    """A row's non-bottom targets grouped by (extent, hom value), as
-    ``(extent, value, bitmask of the targets, their list in order)``."""
-    groups: dict = {}
-    for k, g, _ in row:
-        groups.setdefault((extents[k], g), []).append(k)
-    return [(e, g, sum(1 << k for k in ks), ks) for (e, g), ks in groups.items()]
 
 
 class EnrichedGraph(NamedTuple):
@@ -206,6 +161,7 @@ def free_vcategory(base: Quantaloid, graph: EnrichedGraph) -> VCategory:
     terminates because every hom lattice is finite.  The base computes it
     (``Quantaloid.free_homs``): by default a worklist of the targets whose
     hom grew, and over a language quantale ``path_homs``'s forward sweep.
+    Each label is checked here, so the rows enter the enrichment unchecked.
     """
     names = [name for name, _ in graph.vertices]
     extents = [ext for _, ext in graph.vertices]
@@ -217,7 +173,7 @@ def free_vcategory(base: Quantaloid, graph: EnrichedGraph) -> VCategory:
                 f"edge label {label!r} is not in hom of extents "
                 f"({base.objects[extents[s]]},{base.objects[extents[t]]})"
             )
-    return VCategory(base, names, extents, base.free_homs(extents, graph.edges))
+    return VCategory(base, names, extents, base.free_homs(extents, graph.edges), _trusted=True)
 
 
 __getattr__ = _moved(__name__, dict.fromkeys(

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional
 
+from . import jsondocs
 from .bisim import SimRelation, _block_joins, _failing_probe, _pair, largest_bisimulation
-from .documents import _keyed
 from .errors import (
     BaseMismatch, EndpointMismatch, ExtentMismatch, InternalAssertion, NotABisimulation,
     NotBisimilar, NotComposable, NotLocallyDistributive, UnknownObject, require_valid,
@@ -251,13 +251,15 @@ def quotient(a: VCategory, e: BisimEquivalence) -> tuple[VCategory, VFunctor]:
     The hom from one block to another is the join of the carrier's homs
     from the block's least representative into the whole target block.
     ``BisimEquivalence`` checked, when it was built, that each block keeps
-    one extent and that the join does not depend on the representative.
+    one extent and that the join does not depend on the representative;
+    so the joins enter the quotient unchecked.
     """
     if e.carrier is not a:
         raise NotABisimulation("the equivalence does not live on this enrichment")
     names = [f"[{a.objects[block[0]]}]" for block in e.blocks]
     extents = [a.extents[block[0]] for block in e.blocks]
-    quo = VCategory(a.base, names, extents, e._joins)
+    rows = [dict(sorted(joins.items())) for joins in e._joins]  # joins of checked homs
+    quo = VCategory(a.base, names, extents, rows, _trusted=True)
     q = VFunctor(a, quo, [e.block_of[i] for i in range(a.n_objects)])
     return quo, q
 
@@ -329,7 +331,7 @@ def vfunctor_from_doc(doc, resolve) -> VFunctor:
     """The functor of a ``vfunctor`` document, by object names."""
     source = resolve(doc["source"], VCategory)
     target = resolve(doc["target"], VCategory)
-    entries = _keyed(doc, "map", source.object_index, 1, source.objects)
+    entries = jsondocs._keyed(doc, "map", source.object_index, 1, source.objects)
     f = VFunctor(source, target, [target.object_index(b) for _, b in entries])
     require_valid("vfunctor", validate_vfunctor(f))
     return f

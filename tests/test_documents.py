@@ -1,4 +1,5 @@
 import json
+import random
 import re
 import tempfile
 from pathlib import Path
@@ -11,19 +12,21 @@ from enrbisim import documents
 from enrbisim.cli import default_fixture_paths, main
 from enrbisim.cts import FiniteCategory, Morphism, PowersetCatQuantaloid
 from enrbisim.documents import (
+    MAX_OBJECTS,
     SCHEMA,
-    aut_to_doc,
     import_aut,
     load_bundle,
     parse_aut,
     serialize,
 )
+from enrbisim.jsondocs import _vcategory_from_doc
 from enrbisim.cob import TwoSidedEnrichment, validate_tse
 from enrbisim.errors import (
     DanglingReference,
     NotACongruence,
     ParseError,
     SizeLimit,
+    TypeMismatch,
     UnknownLabel,
     ValidationError,
 )
@@ -313,6 +316,103 @@ class TestRoundTrips:
             load_bundle([tmp_path])
         assert main(["--paths", str(tmp_path), "validate"]) == 2
         assert "ParseError" in json.loads(capsys.readouterr().out)["details"]["error"]
+
+
+def aut_base_doc(alphabet, k) -> dict:
+    alphabet = [str(a) for a in alphabet]
+    return {
+        "schema": SCHEMA,
+        "name": f"QL({','.join(alphabet)},{k})",
+        "kind": "quantaloid",
+        "construction": "language",
+        "alphabet": alphabet,
+        "k": int(k),
+    }
+
+
+def aut_to_doc(path, alphabet, k) -> dict:
+    """The oracle route's first half: an Aldebaran file as a free-enrichment
+    document, one JSON-shaped edge per transition."""
+    alphabet = [str(a) for a in alphabet]
+    _, n_states, transitions = parse_aut(path)
+    for _, label, _ in transitions:
+        if label not in alphabet:
+            raise UnknownLabel(f"{path}: label {label!r} not in the alphabet")
+    return {
+        "schema": SCHEMA,
+        "name": Path(path).stem,
+        "kind": "vcategory",
+        "base": aut_base_doc(alphabet, k)["name"],
+        "graph": {
+            "vertices": [{"name": f"s{i}", "extent": "*"} for i in range(n_states)],
+            "edges": [
+                {"src": f"s{s}", "tgt": f"s{t}", "label": [[label]]}
+                for s, label, t in transitions
+            ],
+        },
+    }
+
+
+def import_aut_by_doc(path, alphabet, k) -> VCategory:
+    """The oracle route: ``aut_to_doc`` read back by the document reader."""
+    doc = aut_to_doc(path, alphabet, k)
+    base = build_language_quantale([str(a) for a in alphabet], int(k))
+    return _vcategory_from_doc(doc, lambda ref, expected: base)
+
+
+def outcome(route, *args):
+    """What a route gives: the enrichment's objects, extents and row maps,
+    or the type and message of what it raised."""
+    try:
+        cat = route(*args)
+    except Exception as err:  # compared below, not swallowed
+        return type(err), str(err)
+    return cat.objects, cat.extents, cat.row_maps
+
+
+class TestAutReaderAgainstDocuments:
+    """The direct ``.aut`` reader against the document route it replaced."""
+
+    def test_random_automata(self, tmp_path):
+        rng = random.Random("aut-reader")
+        path = tmp_path / "A.aut"
+        for case in range(150):
+            n, k = rng.randint(1, 30), rng.randint(0, 4)
+            letters = ["a", "b", "c"][: rng.randint(1, 3)]
+            transitions = [
+                (rng.randrange(n), rng.choice(letters), rng.randrange(n))
+                for _ in range(rng.randint(0, 3 * n))
+            ]
+            transitions += [(s, label, s) for s, label, _ in transitions[: rng.randint(0, 3)]]
+            transitions += transitions[: rng.randint(0, 3)]  # parallel edges
+            rng.shuffle(transitions)
+            lines = [f"des ({rng.randrange(n)}, {len(transitions)}, {n})"]
+            path.write_text("\n".join(lines + [f'({s}, "{a}", {t})' for s, a, t in transitions]))
+            got = outcome(import_aut, path, letters, k)
+            assert got == outcome(import_aut_by_doc, path, letters, k), case
+            if k == 0 and transitions:
+                assert got[0] is TypeMismatch  # a letter is a word longer than the cutoff
+                continue
+            cat = import_aut(path, letters, k)
+            rebuilt = VCategory(cat.base, cat.objects, cat.extents, [dict(m) for m in cat.row_maps])
+            assert rebuilt.rows == cat.rows, case  # the free rows are non-bottom and in order
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "nonsense\n",
+        'des (0, 1, 2)\n(0, m, 1)\n',
+        'des (0, 1, 2)\n(0, "m", 5)\n',
+        'des (0, 2, 2)\n(0, "m", 1)\n',
+        'des (0, 2, 2)\n(0, "m", 1)\n(1, "z", 0)\n',
+        f"des (0, 0, {MAX_OBJECTS + 1})\n",
+        'des (3, 0, 2)\n',
+    ], ids=["empty", "header", "line", "state", "count", "label", "cap", "initial"])
+    def test_same_refusals(self, tmp_path, text):
+        path = tmp_path / "bad.aut"
+        path.write_text(text)
+        got = outcome(import_aut, path, ["m"], 2)
+        assert got == outcome(import_aut_by_doc, path, ["m"], 2)
+        assert got[0] in (ParseError, UnknownLabel, SizeLimit)
 
 
 class TestAutImport:
@@ -809,9 +909,10 @@ class TestMalformedDocuments:
 
 class TestCheckedOnce:
     """A base's codec only decodes; the object a hom element enters checks
-    it, once: the ``VCategory`` constructor each non-bottom hom,
-    ``free_vcategory`` each edge label, and a span's ``MonotoneMap.check``
-    each component key and value."""
+    it, once: the ``VCategory`` constructor each non-bottom hom it is given,
+    ``free_vcategory`` each edge label (the free rows, joins and composites
+    of checked labels, are not checked again), and a span's
+    ``MonotoneMap.check`` each component key and value."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -856,8 +957,16 @@ class TestCheckedOnce:
                          "edges": [{"src": s, "tgt": t, "label": [["m"]]} for s, t in edges]}}
         bundle, loaded = self.load(tmp_path, calls, base, doc)
         cat = bundle.get("G", VCategory)
-        homs = sum(map(len, cat.rows))
-        assert loaded == len(edges) + homs + self.counted(calls, validate_vcategory, cat)
+        assert sum(map(len, cat.rows)) == 9
+        assert loaded == len(edges) + self.counted(calls, validate_vcategory, cat)
+
+    def test_automaton_labels(self, tmp_path, calls):
+        (tmp_path / "G.aut").write_text('des (0, 4, 3)\n(0, "m", 1)\n(1, "m", 2)\n(2, "m", 0)\n(0, "m", 0)\n')
+        before = calls()
+        bundle = load_bundle([tmp_path], aut_alphabet=["m"], aut_k=2)
+        cat = bundle.get("G", VCategory)
+        assert sum(map(len, cat.rows)) == 9
+        assert calls() - before == 4 + self.counted(calls, validate_vcategory, cat)
 
     def test_span_components(self, tmp_path, calls):
         doc = span_doc(["c", "d"], {f"{x},{y}": IDENTITY_COMPONENT for x in "cd" for y in "cd"})

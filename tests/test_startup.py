@@ -5,12 +5,14 @@ loads is paid on every request, and so is compiling each module whose
 code runs when no bytecode cache is written.  The modules in KEPT_OFF
 stay off that path.  The eight package modules the benchmark's tracer
 wraps (TRACED) are all in ``sys.modules`` after the import, but three of
-them, and the witness module (LAZY), are registered unrun: a module of
-those runs only when a command first reads one of its names, so a
-request runs only the ones it reaches.  The modules of the set, table
-and language base families, of the generic free closure and of the law
-checks (FAMILIES) are not even imported until a document or command
-needs them.  The tracer finds each function it wraps under the name it
+them, and the simulation, witness and JSON-document modules (LAZY), are
+registered unrun: a module of those runs only when a command first reads
+one of its names, so a request runs only the ones it reaches.  The
+modules of the set, table and language base families, of the generic
+free closure and of the law checks (FAMILIES) are not even imported
+until a document or command needs them.  ``json`` is imported
+only by a request that reads a JSON document (JSON_FREE are the runs
+that read automata alone).  The tracer finds each function it wraps under the name it
 gives, wherever the function moved.  The ``exec`` audit event, raised each time a
 module's code runs, from source or from a bytecode cache, tells which
 ran.  A well-formed request reads its argv without ``argparse``, which
@@ -36,6 +38,7 @@ KEPT_OFF = {
     "dis",
     "fractions",
     "decimal",
+    "json",
     "enrbisim.generators",
     "enrbisim.fixtures",
     "enrbisim.constructions",
@@ -51,7 +54,10 @@ TRACED = {
 }
 
 
-LAZY = {"enrbisim.bisim", "enrbisim.witness", "enrbisim.cts", "enrbisim.cob"}
+LAZY = {
+    "enrbisim.bisim", "enrbisim.simulation", "enrbisim.witness", "enrbisim.cts", "enrbisim.cob",
+    "enrbisim.jsondocs",
+}
 FAMILIES = {
     "enrbisim.sets", "enrbisim.closure", "enrbisim.tables", "enrbisim.language", "enrbisim.laws",
 }
@@ -140,24 +146,31 @@ RUNS = {
                             {"enrbisim.bisim", "enrbisim.language", "enrbisim.sets"}),
     "automaton span": (aut_files, ["span", "--a", "A", "--b", "B"], 0,
                        {"enrbisim.bisim", "enrbisim.witness", "enrbisim.language", "enrbisim.sets"}),
+    "automaton simulates": (aut_files, ["simulates", "--a", "A", "--b", "B"], 0,
+                            {"enrbisim.bisim", "enrbisim.simulation", "enrbisim.language",
+                             "enrbisim.sets"}),
     "table simulates": (lambda _: paths(DATA / "Q2.json", DATA / "P01.json", DATA / "POINT.json"),
                         ["simulates", "--a", "P01", "--b", "POINT"], 0,
-                        {"enrbisim.bisim", "enrbisim.tables"}),
+                        {"enrbisim.bisim", "enrbisim.simulation", "enrbisim.tables",
+                         "enrbisim.jsondocs"}),
     "validate": (lambda _: paths(DATA / "Q2.json"), ["validate"], 0,
-                 {"enrbisim.tables", "enrbisim.laws"}),
+                 {"enrbisim.tables", "enrbisim.laws", "enrbisim.jsondocs"}),
     "cts-build": (lambda _: paths(DATA / "P2.json", GOLDEN_DOCS / "SPEC.json"),
                   ["cts-build", "--spec", "SPEC"], 0,
-                  {"enrbisim.cts", "enrbisim.laws", "enrbisim.sets", "enrbisim.closure"}),
+                  {"enrbisim.cts", "enrbisim.laws", "enrbisim.sets", "enrbisim.closure",
+                   "enrbisim.jsondocs"}),
     "cts-refine": (lambda _: paths(DATA / "P2.json", *(GOLDEN_DOCS / f"{name}.json"
                                                       for name in ("SPEC", "T3", "INC"))),
                    ["cts-refine", "--spec", "SPEC", "--functor", "INC"], 0,
-                   {"enrbisim.cts", "enrbisim.cob", "enrbisim.sets", "enrbisim.closure"}),
+                   {"enrbisim.cts", "enrbisim.cob", "enrbisim.sets", "enrbisim.closure",
+                    "enrbisim.jsondocs"}),
     # the shipped fixtures hold a fincat document, which cts reads, and
     # table and language bases
     "default-path bisimilar": (lambda _: [], ["bisimilar", "--a", "AUT1", "--b", "LOOP1"], 1,
                                {"enrbisim.bisim", "enrbisim.cts", "enrbisim.tables",
-                                "enrbisim.language", "enrbisim.sets"}),
+                                "enrbisim.language", "enrbisim.sets", "enrbisim.jsondocs"}),
 }
+JSON_FREE = {"automaton bisimilar", "automaton span", "automaton simulates"}
 
 
 @pytest.mark.parametrize("run", RUNS)
@@ -168,6 +181,20 @@ def test_request_runs_only_the_lazy_modules_it_reaches(tmp_path, run):
         f"from enrbisim.cli import main\nassert main({argv!r}) == {code}, 'exit code'"
     )
     assert ran & (LAZY | FAMILIES) == reached
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_only_json_documents_import_json(tmp_path, run):
+    files, command, code, _ = RUNS[run]
+    argv = files(tmp_path) + command
+    imported = child_output(
+        "import contextlib, io, sys\n"
+        "from enrbisim.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == {code}, 'exit code'\n"
+        "print('json' in sys.modules)\n"
+    )
+    assert imported.split() == [str(run not in JSON_FREE)]
 
 
 def imported_by(*args: str) -> tuple[int, set[str]]:
@@ -198,7 +225,7 @@ def test_serializing_a_table_base_runs_no_lazy_module():
         f"bundle = load_bundle([{str(DATA / 'Q2.json')!r}])\n"
         "assert serialize(bundle, 'Q2')['name'] == 'Q2'"
     )
-    assert not ran & LAZY, sorted(ran & LAZY)
+    assert ran & LAZY == {"enrbisim.jsondocs"}  # the JSON reader and writer, and no other
 
 
 def test_every_export_resolves_to_its_module():
