@@ -19,7 +19,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple
 from .errors import (
     BaseMismatch, NoAdjoint, NotACongruence, ParseError, SizeLimit, UnknownElement, require_valid,
 )
-from .jsondocs import _keyed, _name_lookup, _once
+from .jsondocs import _keyed, _listed, _name_lookup, _once
 from .lattice import Lattice
 from .quantaloid import Quantaloid, name_index
 from .vcat import MAX_PAIRS, VCategory
@@ -442,7 +442,8 @@ def tse_from_doc(doc, resolve) -> TwoSidedEnrichment:
         target = resolve(doc["target"], Quantaloid)
         require_language_bases(source, target)  # before a word is read
         if construction == "monoid-congruence":
-            pairs = [(source.member_from_doc(m), target.member_from_doc(n)) for m, n in doc["pairs"]]
+            pairs = [(source.member_from_doc(m), target.member_from_doc(n))
+                     for m, n in _listed(doc, "pairs", doc["pairs"], "a pair of words", 2)]
         else:
             letters = name_index(source.alphabet, "letter")
             entries = _keyed(doc, "map", letters, 1, source.alphabet)
@@ -460,10 +461,11 @@ def tse_from_doc(doc, resolve) -> TwoSidedEnrichment:
     components = {}
     # the components' keys and values are checked by validate_tse, once
     for (x, y), pairs in _keyed(doc, "components", index, 2):
-        mapping = _once(doc, f"component '{carriers[x]},{carriers[y]}'", (
+        key = f"component '{carriers[x]},{carriers[y]}'"
+        mapping = _once(doc, key, (
             (source.element_from_doc(minus[x], minus[y], src_doc),
              target.element_from_doc(plus[x], plus[y], tgt_doc))
-            for src_doc, tgt_doc in pairs
+            for src_doc, tgt_doc in _listed(doc, key, pairs, "a pair of elements", 2)
         ))
         components[(x, y)] = MonotoneMap(
             source.hom(minus[x], minus[y]), target.hom(plus[x], plus[y]), mapping

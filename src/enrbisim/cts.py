@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
     require_valid,
 )
-from .jsondocs import _indices, _keyed, _name_lookup, _names, _once
+from .jsondocs import _indices, _keyed, _listed, _name_lookup, _names, _once
 from .lattice import DEFAULT_ENUM_CAP, MAX_GENERATORS
 from .quantaloid import name_index
 from .sets import PowersetLattice, SetQuantaloid, _SetLattice
@@ -567,7 +567,8 @@ def fincat_from_doc(doc) -> FiniteCategory:
     if doc.get("construction") == "poset":
         names = doc["elements"]
         _name_lookup(doc, "elements", names)  # a repeated name is a ParseError
-        order = set(_indices(doc, "leq", doc["leq"], len(names), "a pair of element indices", 2))
+        pairs = _indices(doc, "leq", doc["leq"], len(names), "a pair of element indices", 2)
+        order = _once(doc, "leq", ((pair, None) for pair in pairs))
         for i, name in enumerate(names):
             if (i, i) not in order:
                 raise ParseError(f"{doc['name']}: leq misses the pair [{i}, {i}] of {name!r}")
@@ -628,7 +629,7 @@ def ctsspec_from_doc(doc, resolve) -> tuple[FiniteCategory, CtsSpec]:
     index = _name_lookup(doc, "vertices", doc["vertices"], "name")
     vertices = [(v["name"], cat.object_index(v["type"])) for v in doc["vertices"]]
     edges = []
-    for e in doc["edges"]:
+    for e in _listed(doc, "edges", doc["edges"]):
         s, t = index(e["src"]), index(e["tgt"])
         edges.append((s, t, span_from_doc(cat, e["span"])))
     return cat, CtsSpec(vertices, edges)

@@ -15,7 +15,7 @@ import random
 from typing import Callable
 
 from .bisim import SimRelation, largest_bisimulation
-from .errors import BaseMismatch, ParseError
+from .errors import BaseMismatch, ParseError, SizeLimit
 from .quantaloid import Quantaloid
 from .vcat import EnrichedGraph, VCategory, free_vcategory
 from .witness import (
@@ -242,6 +242,9 @@ def axiom_a6(base: Quantaloid, rng: random.Random) -> str | None:
     return _check(is_od(f), "the induced tail map is not in the class")
 
 
+# Most cases of each axiom one ``axioms`` run may ask for
+MAX_CASES = 1 << 13
+
 AXIOMS: dict[str, Callable[[Quantaloid, random.Random], str | None]] = {
     "A1": axiom_a1,
     "A2": axiom_a2,
@@ -288,6 +291,8 @@ def cmd_axioms(bundle, flags) -> tuple[str, dict]:
     suite = parse_suite(flags.suite)
     if flags.cases < 1:
         raise ParseError(f"--cases must be at least 1, not {flags.cases}")
+    if flags.cases > MAX_CASES:
+        raise SizeLimit(f"--cases {flags.cases} is more than the cap {MAX_CASES}")
     outcome = run_axiom_suite(suite, base, flags.seed, flags.cases)
     failures = {name: msgs for name, msgs in outcome.items() if msgs}
     return "yes" if not failures else "no", {

@@ -1,7 +1,7 @@
 """JSON documents, read (``_read_doc`` refuses a key given twice in one
-object) and written back (``serialize``), with the readers of every name,
-name-keyed object and index field a document defines; each base reads
-and writes its own elements.  Automata are ``language``'s, so only a
+object) and written back (``serialize``), with the readers of every list,
+name, name-keyed object and index field a document defines; each base
+reads and writes its own elements.  Automata are ``language``'s, so only a
 request that reads a ``.json`` file, stores a result or checks the
 composition law over a base without a check of its own runs this module
 and ``json``.
@@ -48,15 +48,28 @@ def _once(doc, field: str, entries) -> dict:
     return table
 
 
+def _listed(doc, field: str, values, what: str | None = None, arity: int | None = None) -> list:
+    """A list a document gives, as given: a JSON list, where any other
+    value (a string, object, number, bool or null) is a ``ParseError``
+    naming the document and the field.  With ``what``, each entry must be
+    a JSON list too (of ``arity`` items, with ``arity``), and one that is
+    not is a ``ParseError`` naming the entry and ``what`` was expected."""
+    if type(values) is not list:
+        raise ParseError(f"{doc['name']}: {field} is not a list")
+    if what is not None:
+        for entry in values:
+            if type(entry) is not list or arity is not None and len(entry) != arity:
+                raise ParseError(f"{doc['name']}: {field} entry {entry!r} is not {what}")
+    return values
+
+
 def _names(doc, field: str, values, key: str | None = None) -> list[str]:
     """The names a document defines in a field, as given: a list of
     distinct JSON strings (with ``key``, of objects whose ``key`` each
     is), where any other value and a repeated name are each a
     ``ParseError`` naming it.  More than ``documents.MAX_OBJECTS``
     entries are a ``SizeLimit``, before any name is read."""
-    if not isinstance(values, list):
-        raise ParseError(f"{doc['name']}: {field} is not a list of names")
-    if len(values) > documents.MAX_OBJECTS:
+    if len(_listed(doc, field, values)) > documents.MAX_OBJECTS:
         raise SizeLimit(f"{doc['name']}: {field} lists {len(values)} names, "
                         f"more than the cap {documents.MAX_OBJECTS}")
     if key is not None:
@@ -88,9 +101,12 @@ def _keyed(doc, field: str, lookup, arity: int, names=None):
     each resolved by ``lookup``.  A key that names another number of
     objects or an unknown one is a ``ParseError``.  With ``names``, so is
     an ``arity``-tuple of them that no key gives, and the entries come in
-    index order."""
+    index order.  A field that is not a JSON object is a ``ParseError``."""
+    entries = doc[field]
+    if type(entries) is not dict:
+        raise ParseError(f"{doc['name']}: {field} is not an object")
     given = {}
-    for key, value in doc[field].items():
+    for key, value in entries.items():
         parts = key.split(",") if arity > 1 else [key]
         if len(parts) != arity:
             raise ParseError(
@@ -110,29 +126,29 @@ def _keyed(doc, field: str, lookup, arity: int, names=None):
 
 
 def _indices(doc, field: str, entries, n: int, what: str, arity: int = 0) -> list:
-    """The entries of a field that lists indices into ``0..n-1``, taken as
-    given: each one JSON integer, or with ``arity`` a list of that many,
-    read as a tuple.  Anything else (a bool, a float, a string, an index
-    out of range) is a ``ParseError`` naming the entry and ``what`` was
-    expected."""
-    out = []
+    """The entries of a list (``_listed``) of indices into ``0..n-1``,
+    taken as given: each one JSON integer, or with ``arity`` a list of
+    that many, read as a tuple.  Anything else (a bool, a float, a string,
+    an index out of range) is a ``ParseError`` naming the entry and
+    ``what`` was expected."""
+    what = f"{what} in 0..{n - 1}"
+    entries = _listed(doc, field, entries, what, arity) if arity else _listed(doc, field, entries)
     for entry in entries:
-        items = entry if arity else [entry]
-        if not (isinstance(items, list) and len(items) == max(arity, 1)
-                and all(type(i) is int and 0 <= i < n for i in items)):
-            raise ParseError(f"{doc['name']}: {field} entry {entry!r} is not {what} in 0..{n - 1}")
-        out.append(tuple(entry) if arity else entry)
-    return out
+        if not all(type(i) is int and 0 <= i < n for i in (entry if arity else (entry,))):
+            raise ParseError(f"{doc['name']}: {field} entry {entry!r} is not {what}")
+    return [tuple(entry) for entry in entries] if arity else list(entries)
 
 
 def _vcategory_from_doc(doc, resolve) -> VCategory:
     base = resolve(doc["base"], Quantaloid)
     if "graph" in doc:
+        if "objects" in doc or "homs" in doc:
+            raise ParseError(f"{doc['name']}: an enrichment gives either a graph or objects and homs")
         g = doc["graph"]
         index = _name_lookup(doc, "graph vertices", g["vertices"], "name")
         vertices = [(v["name"], base.object_index(v["extent"])) for v in g["vertices"]]
         edges = []
-        for e in g["edges"]:
+        for e in _listed(doc, "graph edges", g["edges"]):
             s, t = index(e["src"]), index(e["tgt"])
             edges.append((s, t, base.element_from_doc(vertices[s][1], vertices[t][1], e["label"])))
         cat = free_vcategory(base, EnrichedGraph(vertices, edges))

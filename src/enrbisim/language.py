@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import re
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 from .documents import MAX_OBJECTS, _read_text
 from .errors import ParseError, SizeLimit, UnknownLabel, require_valid
@@ -34,8 +34,10 @@ class LanguageQuantale(SetQuantaloid):
 
     member_order = staticmethod(lambda word: (len(word), word))
 
-    def __init__(self, alphabet: Iterable[str], k: int):
+    def __init__(self, alphabet: list[str] | tuple[str, ...], k: int):
         super().__init__(["*"])
+        if not isinstance(alphabet, (list, tuple)):  # a string is not read as its letters
+            raise ValueError(f"the alphabet must be a list of letters, not {alphabet!r}")
         self.alphabet = tuple(alphabet)
         if not all(isinstance(letter, str) for letter in self.alphabet):
             raise ValueError(f"a letter must be a string: {self.alphabet!r}")
@@ -164,7 +166,7 @@ class LanguageQuantale(SetQuantaloid):
         return True
 
 
-def build_language_quantale(alphabet: Iterable[str], k: int) -> LanguageQuantale:
+def build_language_quantale(alphabet: list[str] | tuple[str, ...], k: int) -> LanguageQuantale:
     """Truncated word languages over ``alphabet`` with cutoff ``k``."""
     return LanguageQuantale(alphabet, k)
 

@@ -134,5 +134,7 @@ def build_rel_quantaloid(sets: list[list]) -> RelQuantaloid:
 
 
 def quantaloid_from_doc(doc, resolve) -> RelQuantaloid:
-    """The base of a ``rel`` document."""
-    return build_rel_quantaloid([list(s) for s in doc["sets"]])
+    """The base of a ``rel`` document: a list of sets, each a list."""
+    from .jsondocs import _listed  # only a JSON document runs it
+
+    return build_rel_quantaloid(_listed(doc, "sets", doc["sets"], "a list of elements"))

@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Any, Iterable
 
 from .errors import BadGrid, IncompleteLattice, ParseError, UnknownElement, UnknownObject, require_valid
-from .jsondocs import _indices, _keyed, _name_lookup, _names
+from .jsondocs import _indices, _keyed, _listed, _name_lookup, _names, _once
 from .lattice import Lattice
 from .quantaloid import Quantaloid, name_index
 
@@ -302,24 +302,29 @@ def quantaloid_from_doc(doc, resolve) -> TableQuantaloid:
     if kind == "boolean":
         return build_boolean_quantale()
     if kind == "metric":
-        return build_metric_quantale([grid_value(str(g)) for g in doc["grid"]])
+        grid = _listed(doc, "grid", doc["grid"])
+        for g in grid:
+            if type(g) is not str:
+                raise ParseError(f"{doc['name']}: grid entry {g!r} is not a string")
+        return build_metric_quantale(list(map(grid_value, grid)))
     objects = doc["objects"]
     index = _name_lookup(doc, "objects", objects)
     homs = {}
     for (u, v), lat_doc in _keyed(doc, "homs", index, 2, objects):
         key = f"'{objects[u]},{objects[v]}'"
         names = _names(doc, f"homs {key} elements", lat_doc["elements"])
-        order = _indices(doc, f"homs {key} leq", lat_doc["leq"], len(names), "a pair of element indices", 2)
-        homs[u, v] = TableLattice(names, order)
+        field = f"homs {key} leq"
+        order = _indices(doc, field, lat_doc["leq"], len(names), "a pair of element indices", 2)
+        homs[u, v] = TableLattice(names, _once(doc, field, ((pair, None) for pair in order)))
         require_valid("lattice", homs[u, v].validate())
     tensor = {}
     for (u, v, w), table in _keyed(doc, "tensor", index, 3, objects):
         key = f"tensor '{objects[u]},{objects[v]},{objects[w]}'"
         rows, entries = homs[u, v].size, homs[v, w].size
-        if not (isinstance(table, list) and len(table) == rows
-                and all(isinstance(row, list) and len(row) == entries for row in table)):
+        if len(_listed(doc, key, table)) != rows:
             raise ParseError(f"{doc['name']}: {key} is not {rows} rows of {entries} entries")
-        tensor[u, v, w] = [_indices(doc, key, row, homs[u, w].size, "an element index") for row in table]
+        tensor[u, v, w] = [_indices(doc, key, row, homs[u, w].size, "an element index")
+                           for row in _listed(doc, key, table, f"a row of {entries} entries", entries)]
     units = [
         _indices(doc, f"id '{objects[u]}'", [idx], homs[u, u].size, "an element index")[0]
         for (u,), idx in _keyed(doc, "id", index, 1, objects)

@@ -338,10 +338,15 @@ def vfunctor_from_doc(doc, resolve) -> VFunctor:
 
 
 def relation_from_doc(doc, resolve) -> SimRelation:
-    """The relation of a ``relation`` document, by object names."""
+    """The relation of a ``relation`` document, by object names; a pair
+    given twice is a ``ParseError``."""
     left = resolve(doc["left"], VCategory)
     right = resolve(doc["right"], VCategory)
-    return SimRelation.from_names(left, right, doc["pairs"])
+    pairs = jsondocs._listed(doc, "pairs", doc["pairs"], "a pair of names", 2)
+    rel = SimRelation.from_names(left, right, pairs)
+    if len(rel.pairs) < len(pairs):  # the names are known strings now, so hashable
+        jsondocs._once(doc, "pairs", ((tuple(pair), None) for pair in pairs))
+    return rel
 
 
 def vfunctor_to_doc(f: VFunctor, name_of) -> dict:

@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import enrbisim.__main__
-from enrbisim import cli
+from enrbisim import cli, generators
 from enrbisim.cli import Report, build_parser, default_fixture_paths, main, run
 from enrbisim.documents import SCHEMA, load_bundle
+from enrbisim.generators import MAX_CASES
 
 FIXTURES = default_fixture_paths()
 
@@ -579,6 +580,15 @@ class TestExitCodeContract:
         code, out = invoke(capsys, "axioms", "--base", "Q2", "--cases", cases)
         self.assert_error(code, out)
         assert "ParseError" in json.loads(out)["details"]["error"]
+
+    @pytest.mark.parametrize("cases", [str(MAX_CASES + 1), "100000000000"])
+    def test_axiom_cases_over_the_cap(self, capsys, monkeypatch, cases):
+        # refused before any case runs: an axiom that runs is a failure here
+        monkeypatch.setattr(generators, "AXIOMS", dict.fromkeys(generators.AXIOMS, pytest.fail))
+        code, out = invoke(capsys, "axioms", "--base", "Q2", "--cases", cases)
+        self.assert_error(code, out)
+        assert json.loads(out)["details"]["error"] == (
+            f"SizeLimit: --cases {cases} is more than the cap {MAX_CASES}")
 
     def test_missing_cts_spec(self, capsys):
         code, out = invoke(capsys, "cts-build", "--spec", "NOPE")

@@ -131,7 +131,16 @@ class TestBundleLoading:
           "morphisms": [{"name": "id", "src": 0, "tgt": 0}], "compose": [[0, 0, 0]],
           "pullbacks": [[0, 0, 0, 0], [0, 0, 0, 0]]},
          "BAD: pullbacks gives (0, 0) twice"),
-    ], ids=["tse-component", "fincat-compose", "fincat-pullbacks"])
+        ({"kind": "relation", "left": "P01", "right": "P01", "pairs": [["a0", "a1"], ["a1", "a1"], ["a0", "a1"]]},
+         "BAD: pairs gives ('a0', 'a1') twice"),
+        ({"kind": "quantaloid", "objects": ["*"], "tensor": {"*,*,*": [[0, 0], [0, 1]]}, "id": {"*": 1},
+          "homs": {"*,*": {"elements": ["0", "1"], "leq": [[0, 0], [0, 1], [1, 1], [0, 1]]}}},
+         "BAD: homs '*,*' leq gives (0, 1) twice"),
+        ({"kind": "fincat", "construction": "poset", "elements": ["0", "1"],
+          "leq": [[0, 0], [0, 1], [0, 0], [1, 1]]},
+         "BAD: leq gives (0, 0) twice"),
+    ], ids=["tse-component", "fincat-compose", "fincat-pullbacks", "relation-pair", "base-leq-pair",
+            "poset-leq-pair"])
     def test_repeated_entry_is_a_parse_error(self, tmp_path, capsys, body, match):
         write_doc(tmp_path, {"schema": SCHEMA, "name": "BAD", **body})
         with pytest.raises(ParseError, match=re.escape(match)):
@@ -809,6 +818,31 @@ class TestMalformedDocuments:
                     compose=[[0, 0, 0], [1, 1, 1]]), "C: name 'id' in morphisms is repeated"),
         (explicit_base_doc(["x"], homs={"x,x": {"elements": ["e", "e"], "leq": [[0, 0], [0, 1], [1, 1]]}}),
          "B: name 'e' in homs 'x,x' elements is repeated"),
+        (document("V", "vcategory", base="Q2", graph={"vertices": TWO_VERTICES, "edges": ""}),
+         "V: graph edges is not a list"),
+        (document("V", "vcategory", base="Q2", graph={"vertices": TWO_VERTICES, "edges": {}}),
+         "V: graph edges is not a list"),
+        (vcategory_doc(["a"], []), "V: homs is not an object"),
+        (vcategory_doc(["a"], {"a,a": "1"}) | {"graph": {"vertices": TWO_VERTICES, "edges": []}},
+         "V: an enrichment gives either a graph or objects and homs"),
+        (document("L", "language", alphabet="ab", k=2),
+         "L: malformed field (ValueError: the alphabet must be a list of letters, not 'ab')"),
+        (document("R", "rel", sets="ab"), "R: sets is not a list"),
+        (document("R", "rel", sets=["ab"]), "R: sets entry 'ab' is not a list of elements"),
+        (document("R", "rel", sets={"a": 1}), "R: sets is not a list"),
+        (document("M", "metric", grid=[0, 1, "inf"]), "M: grid entry 0 is not a string"),
+        (document("M", "metric", grid="0"), "M: grid is not a list"),
+        (fincat_doc(pullbacks={}), "C: pullbacks is not a list"),
+        (fincat_doc(compose="000"), "C: compose is not a list"),
+        (fincat_doc(identities={"0": 0}), "C: identities is not a list"),
+        (POSET_DOC | {"leq": {}}, "P: leq is not a list"),
+        (explicit_base_doc(["x"], tensor={"x,x,x": {"0": [0, 0], "1": [0, 1]}}),
+         "B: tensor 'x,x,x' is not a list"),
+        (explicit_base_doc(["x"], tensor={"x,x,x": [[0, 0], "01"]}),
+         "B: tensor 'x,x,x' entry '01' is not a row of 2 entries"),
+        (span_doc(["c"], {"c,c": {}}), "T: component 'c,c' is not a list"),
+        (span_doc(["c"], {"c,c": ["00", "11"]}), "T: component 'c,c' entry '00' is not a pair of elements"),
+        (span_doc(["c"], "c,c"), "T: components is not an object"),
     ], ids=[
         "base-homs-arity", "base-homs-unknown", "base-tensor-arity", "base-tensor-unknown",
         "base-id-arity", "base-id-unknown", "base-repeated", "base-comma",
@@ -819,6 +853,11 @@ class TestMalformedDocuments:
         "fincat-src-string", "fincat-pullback-boolean",
         "base-tensor-extra-row", "base-tensor-short", "base-tensor-missing",
         "fincat-object-repeated", "fincat-morphism-repeated", "base-element-repeated",
+        "graph-edges-string", "graph-edges-object", "vcategory-homs-list", "vcategory-graph-and-homs",
+        "language-alphabet-string", "rel-sets-string", "rel-set-string", "rel-sets-object",
+        "metric-grid-number", "metric-grid-string", "fincat-pullbacks-object", "fincat-compose-string",
+        "fincat-identities-object", "poset-leq-object", "base-tensor-object", "base-tensor-row-string",
+        "span-component-object", "span-component-entry-string", "span-components-string",
     ])
     def test_exits_2_naming_the_fault(self, tmp_path, capsys, doc, match):
         write_doc(tmp_path, Q2_DOC)
@@ -844,16 +883,32 @@ class TestMalformedDocuments:
         (["Q2", "P01", "POINT"], {"F": F | {"map": F["map"] | {"zz": "p"}}},
          "F: map key 'zz': no object named 'zz'"),
         (["Q2", "P01", "POINT"], {"F": F | {"map": {"a0": "p"}}}, "F: map misses the key 'a1'"),
+        (["Q2", "P01"], {"R": document("R", "relation", left="P01", right="P01",
+                                       pairs=["pq", "qp", "pp", "qq"])},
+         "R: pairs entry 'pq' is not a pair of names"),
+        (["Q2", "P01"], {"R": document("R", "relation", left="P01", right="P01", pairs={"a0": "a1"})},
+         "R: pairs is not a list"),
+        (["P2"], {"S": document("S", "ctsspec", category="P2", vertices=[{"name": "v", "type": "0"}],
+                                edges={})}, "S: edges is not a list"),
+        ([], LANGUAGES | {"C": document("C", "tse", construction="monoid-congruence", source="QLn",
+                                        target="QLn", pairs={})}, "C: pairs is not a list"),
+        ([], LANGUAGES | {"C": document("C", "tse", construction="monoid-congruence", source="QLn",
+                                        target="QLn", pairs=[[[], []], "nn"])},
+         "C: pairs entry 'nn' is not a pair of words"),
     ], ids=[
         "vcategory-homs-repeated", "document-field-repeated", "base-id-missing-one-element",
         "base-id-missing-chain", "catfunctor-objects-unknown", "catfunctor-morphisms-unknown",
         "catfunctor-objects-missing", "monoid-morphism-unknown", "monoid-morphism-missing",
-        "vfunctor-unknown", "vfunctor-missing",
+        "vfunctor-unknown", "vfunctor-missing", "relation-pairs-strings", "relation-pairs-object",
+        "ctsspec-edges-object", "monoid-congruence-pairs-object", "monoid-congruence-pair-string",
     ])
     def test_keyed_maps_load_as_written(self, tmp_path, capsys, shipped, docs, error):
         """A key given twice in one JSON object, a key naming nothing and a
         key missing from a map that must list them all are each a
-        ``ParseError`` naming the document (or its file), field and key."""
+        ``ParseError`` naming the document (or its file), field and key.
+        So is a list (``jsondocs._listed``) given as a string, an object or
+        another JSON value, never iterated: ``"pq"`` is not the pair
+        ``(p, q)``, nor ``{}`` no entries."""
         for name in shipped:
             write_doc(tmp_path, shipped_doc(name))
         for name, doc in docs.items():

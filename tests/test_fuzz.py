@@ -5,7 +5,11 @@ documents of the other kinds) or one generated ``.aut`` file, then runs
 a command in-process through ``cli.main``.  Whatever the input, the exit
 code is 0, 1 or 2, the report parses, 0 and 1 come with a yes/no or
 valid/invalid verdict, and no error is reported as an internal one.
-Inflated inputs, a deeply nested document, an ``.aut`` header that
+Each list a seed document holds, given as a string, an object or a
+number instead, must exit 2 with a ``ParseError``.  Whatever loads, seed
+or mutated, must serialize back to itself up to the defaults README
+"Documents" lists (the round-trip oracle).  Inflated inputs, a deeply
+nested document, an ``.aut`` header that
 announces 10^8 states, a 20,000-state automaton compared with itself and
 lists of one name more than ``documents.MAX_OBJECTS``, are held to the
 same rule in a child process with a capped address space.
@@ -23,6 +27,7 @@ import pytest
 
 from enrbisim.cli import default_fixture_paths, main
 from enrbisim.documents import MAX_OBJECTS, SCHEMA, load_bundle, serialize
+from enrbisim.errors import EnrbisimError
 
 FIXTURES = Path(default_fixture_paths()[0])
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -186,6 +191,125 @@ def test_mutated_documents(capsys, tmp_path, seeds, chunk):
             (case_dir / f"{target}.json").write_text(json.dumps(mutated))
         for command in (rng.choice(COMMANDS), ["validate", target]):
             run_case(capsys, ["--paths", str(case_dir), *command], what)
+
+
+def list_nodes(d: dict):
+    """The path of every JSON list in a document, the document's own fields and nested ones."""
+    return [path for path, value in nodes(d) if path and type(value) is list]
+
+
+def replaced(d: dict, path, value) -> dict:
+    d = copy.deepcopy(d)
+    parent = d
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return d
+
+
+# a string, an object and a number, each empty or zero and not
+TYPE_JUNK = ["", "ab", {}, {"a": []}, 0, 1.5]
+
+
+def test_a_list_given_as_another_type_is_a_parse_error(capsys, tmp_path, seeds):
+    """Each list a seed document holds, replaced by a string, an object or
+    a number, exits 2 with a ``ParseError``: no list-valued field is
+    iterated as given, so ``"ab"`` is not two entries and ``{}`` not none."""
+    for name, d in seeds.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(d))
+    cases = 0
+    for name, d in seeds.items():
+        for path in list_nodes(d):
+            for junk in TYPE_JUNK:
+                (tmp_path / f"{name}.json").write_text(json.dumps(replaced(d, path, junk)))
+                code = main(["--paths", str(tmp_path), "validate"])
+                details = json.loads(capsys.readouterr().out)["details"]
+                assert code == 2 and details["error"].startswith("ParseError: "), (name, path, junk, details)
+                cases += 1
+        (tmp_path / f"{name}.json").write_text(json.dumps(d))
+    assert cases > 300
+
+
+SERIALIZED = {"quantaloid", "fincat", "vcategory", "vfunctor", "relation"}
+
+
+def as_written(d: dict, bundle) -> dict | None:
+    """What ``serialize`` writes for a loaded document ``d``, by the
+    defaults README "Documents" lists: an explicit base's or category's
+    ``construction`` may be left out and so may a category's
+    ``pullbacks``; ``leq``, ``compose``, ``pullbacks`` and a relation's
+    ``pairs`` are written sorted; an enrichment's hom is written as its
+    base writes it (a table element by name, a set sorted) and an absent
+    one as bottom.  None for a shorthand base, a poset category and a
+    graph enrichment, which are written in explicit form."""
+    if d.get("construction", "explicit") != "explicit" or d["kind"] not in SERIALIZED or "graph" in d:
+        return None
+    d = {key: value for key, value in d.items() if key != "construction"}
+    if d["kind"] == "quantaloid":
+        return d | {"homs": {key: {"elements": hom["elements"], "leq": sorted(hom["leq"])}
+                             for key, hom in d["homs"].items()}}
+    if d["kind"] == "fincat":
+        return d | {"compose": sorted(d["compose"]), "pullbacks": sorted(d.get("pullbacks", []))}
+    if d["kind"] == "relation":
+        return d | {"pairs": sorted(d["pairs"])}
+    if d["kind"] == "vcategory":
+        cat = bundle.get(d["name"])
+        base, names, ext = cat.base, cat.objects, cat.extents
+        homs = {}
+        for i, a in enumerate(names):
+            for j, b in enumerate(names):
+                u, v = ext[i], ext[j]
+                given = d["homs"].get(f"{a},{b}")
+                x = base.hom(u, v).bottom if given is None else base.element_from_doc(u, v, given)
+                homs[f"{a},{b}"] = base.element_to_doc(u, v, x)
+        return d | {"homs": homs}
+    return d
+
+
+def assert_round_trip(seeds: dict, case_dir: Path, target: str):
+    """If the documents in ``case_dir`` load, ``target`` serializes back to
+    itself (``as_written``), and its serialized form loads to the same
+    serialization."""
+    try:
+        bundle = load_bundle([str(case_dir)])
+    except EnrbisimError:
+        return
+    if bundle.kinds.get(target) not in SERIALIZED:
+        return
+    written = serialize(bundle, target)
+    original = json.loads((case_dir / f"{target}.json").read_text())
+    expected = as_written(original, bundle)
+    assert expected is None or written == expected, (target, original, written)
+    again = case_dir / "again"
+    again.mkdir()
+    for name, d in seeds.items():
+        (again / f"{name}.json").write_text(json.dumps(written if name == target else d))
+    assert serialize(load_bundle([str(again)]), target) == written, (target, written)
+
+
+def test_seed_documents_round_trip(tmp_path, seeds):
+    for target in seeds:
+        case_dir = tmp_path / target
+        case_dir.mkdir()
+        for name, d in seeds.items():
+            (case_dir / f"{name}.json").write_text(json.dumps(d))
+        assert_round_trip(seeds, case_dir, target)
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_mutated_documents_round_trip(tmp_path, seeds, chunk):
+    """The round-trip oracle on mutated documents: whatever loads was read
+    as written, up to the listed defaults, and not as some other object."""
+    rng = random.Random(f"fuzz-round-trip:{chunk}")
+    names = sorted(seeds)
+    for case in range(150):
+        target = rng.choice(names)
+        case_dir = tmp_path / f"{case:03d}"
+        case_dir.mkdir()
+        for name, d in seeds.items():
+            mutated = mutate_doc(d, names, rng)[0] if name == target else d
+            (case_dir / f"{name}.json").write_text(json.dumps(mutated))
+        assert_round_trip(seeds, case_dir, target)
 
 
 @pytest.mark.parametrize("chunk", range(2))
