@@ -7,6 +7,7 @@ Usage (from the root of a checkout):
     python3 bench/scale.py --src OTHER/src --label parent --out bench/BENCH_scale_14.json
     python3 bench/scale.py --sizes 100 --cap 1 --out /tmp/scale.json   # smoke run
     python3 bench/scale.py --sizes --load-sizes 10000 20000 40000 --out bench/BENCH_scale_31.json
+    python3 bench/scale.py --sizes --fan-atoms 6 7 8 9 10 --cob-sizes 800 1600 --out bench/BENCH_scale_33.json
 
 Three input families, each grown over the sizes in the order given:
 
@@ -66,7 +67,29 @@ and, with ``--load-sizes``, one more layer on larger automata (k = 2):
 - ``load``: ``import_aut`` on a seeded 2-out automaton, its wall time
   (one run, scaled by the probe as below) and, in a second run, its
   ``tracemalloc`` peak, with the peak's growth from each size to the
-  next.  An empty ``--sizes`` runs this layer alone.
+  next.  An empty ``--sizes`` runs this layer alone, and so the two
+  below.
+
+With ``--fan-atoms``, one layer over fan posets (a bottom, the given
+number of atoms, a top):
+
+- ``cts_refine``: what ``cts-refine`` computes on a 12-vertex ring
+  typed at the top whose i-th edge runs through atom i (mod the atom
+  count), refined along the identity functor: the sieve bases, the
+  specification's free enrichment (``cts_to_vcat``) and ``refine``.
+  The sieves from the top to itself are the 2^atoms + 2 down-sets of
+  the fan, so the local adjoint search dominates.  The harness exits
+  with status 1 unless the refinement gives the free enrichment's homs
+  back.
+
+With ``--cob-sizes``, one layer on the seeded 2-out automata over
+QL({a,b},2):
+
+- ``apply_cob``: change of base along the identity span
+  (``identity_tse``) of the automaton's free enrichment, built untimed;
+  its components keep bottom at bottom, so only non-bottom homs need
+  mapping.  The harness exits with status 1 unless the result has the
+  input's homs.
 
 Each layer runs ``REPEATS`` times per size, each run after
 ``gc.collect()`` with the previous run's result dropped, and the median
@@ -123,6 +146,9 @@ AUTOMATON_LAYERS = (
 )
 TABLE_LAYERS = ("free_vcategory",) + RELATION_LAYERS
 SIEVE_LAYERS = ("free_vcategory",)
+FAN_LAYERS = ("cts_refine",)
+COB_LAYERS = ("apply_cob",)
+FAN_VERTICES = 12
 # the layer whose output each layer consumes; table layers read the input
 NEEDS = {
     "vcategory": "path_homs",
@@ -429,6 +455,75 @@ def measure_sieves(sizes: list[int], cap: float) -> dict:
     return run_layers(SIEVE_LAYERS, [n for n in sizes if n <= TABLE_MAX_N], cap, prepare)
 
 
+def fan_poset(atoms: int):
+    """The fan poset on a bottom ``b``, ``atoms`` atoms ``a<i>`` and a top ``t``."""
+    from enrbisim.cts import FiniteCategory
+
+    names = ["b"] + [f"a{i}" for i in range(atoms)] + ["t"]
+    top = len(names) - 1
+    leq = [(i, i) for i in range(len(names))] + [(0, i) for i in range(1, len(names))]
+    return FiniteCategory.poset(names, leq + [(i, top) for i in range(1, top)])
+
+
+def measure_fans(atom_counts: list[int], cap: float) -> dict:
+    from enrbisim import cts
+
+    def prepare(atoms):
+        cat = fan_poset(atoms)
+        top = cat.n_objects - 1
+        fun = cts.CatFunctor(cat, cat, list(range(cat.n_objects)), list(range(len(cat.morphisms))))
+
+        def span(i):
+            apex = 1 + i % atoms
+            (up,) = cat.hom_morphisms(apex, top)
+            return cts.Span(apex, up, up)
+
+        spec = cts.CtsSpec([(f"v{i}", top) for i in range(FAN_VERTICES)],
+                           [(i, (i + 1) % FAN_VERTICES, span(i)) for i in range(FAN_VERTICES)])
+
+        def cts_refine(o):
+            source, target = cts.build_S_quantaloid(cat), cts.build_S_quantaloid(cat)
+            built = cts.cts_to_vcat(source, spec)
+            return built, cts.refine(fun, built, source, target)
+
+        outputs: dict = {}
+
+        def check():
+            if "cts_refine" in outputs:
+                built, refined = outputs["cts_refine"]
+                if cells(built) != cells(refined):
+                    raise SystemExit(f"fan of {atoms} atoms: refining along the identity "
+                                     "changed a hom")
+
+        return {"cts_refine": cts_refine}, outputs, f"fan({atoms})", check
+
+    return run_layers(FAN_LAYERS, atom_counts, cap, prepare)
+
+
+def measure_cob(sizes: list[int], cap: float) -> dict:
+    from enrbisim import cob
+    from enrbisim.quantaloid import build_language_quantale
+    from enrbisim.vcat import VCategory
+
+    base = build_language_quantale(ALPHABET, 2)
+    span = cob.identity_tse(base)
+
+    def prepare(n):
+        trans = random_automaton(random.Random(f"{SEED}:cob:{n}"), n)
+        edges = [(s, t, frozenset({(label,)})) for s, label, t in trans]
+        a = VCategory(base, [f"s{i}" for i in range(n)], [0] * n, base.path_homs(n, edges))
+        outputs: dict = {}
+
+        def check():
+            out = outputs.get("apply_cob")
+            if out is not None and [dict(m) for m in out.row_maps] != [dict(m) for m in a.row_maps]:
+                raise SystemExit(f"n={n}: changing base along the identity changed a hom")
+
+        return {"apply_cob": lambda o: cob.apply_cob(span, a)}, outputs, "QL(a,b,2)", check
+
+    return run_layers(COB_LAYERS, sizes, cap, prepare)
+
+
 def measure_load(sizes: list[int], workdir: Path) -> dict:
     """The ``load`` layer: ``import_aut`` timed, then run again under ``tracemalloc``."""
     from enrbisim import documents
@@ -511,6 +606,13 @@ def digest(name: str, result):
         size, text = result.returncode, result.stdout
     elif name == "report":
         size, text = len(result), result
+    elif name == "cts_refine":
+        refined = result[1]
+        table = [[sorted(x) for x in row] for row in cells(refined)]
+        size, text = sum(map(len, refined.rows)), repr(table)
+    elif name == "apply_cob":
+        rows = [sorted((j, sorted(x)) for j, x, _ in row) for row in result.rows]
+        size, text = sum(map(len, result.rows)), repr(rows)
     else:
         size, text = len(result), repr((sorted(result.pairs), result.refinement_trace))
     return f"{size}:{hashlib.sha256(text.encode()).hexdigest()[:16]}"
@@ -541,6 +643,10 @@ def main(argv=None) -> int:
                         help="sizes of the automata, table and sieve layers (none: skip them)")
     parser.add_argument("--load-sizes", type=int, nargs="*", default=[],
                         help="sizes of the load layer (default: none)")
+    parser.add_argument("--fan-atoms", type=int, nargs="*", default=[],
+                        help="atom counts of the fan posets of the cts_refine layer (default: none)")
+    parser.add_argument("--cob-sizes", type=int, nargs="*", default=[],
+                        help="automaton sizes of the apply_cob layer (default: none)")
     parser.add_argument("--cap", type=float, default=2.0,
                         help="seconds after which a layer stops growing n")
     args = parser.parse_args(argv)
@@ -552,7 +658,8 @@ def main(argv=None) -> int:
         "seed": SEED,
         "seed_rule": "each input draws from random.Random('<seed>:<k>:<n>') "
         "(automata), random.Random('<seed>:<base>:<n>') (tables), "
-        "random.Random('<seed>:S(T2):<n>') (sieves) or random.Random('<seed>:load:<n>') (load)",
+        "random.Random('<seed>:S(T2):<n>') (sieves), random.Random('<seed>:load:<n>') (load) "
+        "or random.Random('<seed>:cob:<n>') (apply_cob); the fan posets draw nothing",
         "sizes": args.sizes,
         "cap_s": args.cap,
         "repeats": REPEATS,
@@ -577,6 +684,12 @@ def main(argv=None) -> int:
         run["tables"][base_name] = measure_tables(base_name, args.sizes, args.cap)
     if args.sizes:
         run["sieves"]["S(T2)"] = measure_sieves(args.sizes, args.cap)
+    if args.fan_atoms:
+        run["fan_atoms"] = args.fan_atoms
+        run["fans"] = measure_fans(args.fan_atoms, args.cap)
+    if args.cob_sizes:
+        run["cob_sizes"] = args.cob_sizes
+        run["cob"] = measure_cob(args.cob_sizes, args.cap)
 
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
@@ -585,7 +698,9 @@ def main(argv=None) -> int:
         "seeded 2-out automata over {a,b}, free enrichments over QL({a,b},k), and larger ones "
         "over QL({a,b},2) for the load layer; "
         "seeded 2-out graphs closed into Q2 and M3 hom tables, and their free enrichments; "
-        "seeded 2-out span specifications over T2 and their free enrichments over S(T2)"
+        "seeded 2-out span specifications over T2 and their free enrichments over S(T2); "
+        "12-vertex rings over fan posets, refined along the identity; "
+        "free enrichments of seeded 2-out automata over QL({a,b},2), changed along the identity span"
     )
     doc.setdefault("runs", {})[args.label] = run
     out.write_text(json.dumps(doc, indent=1) + "\n")

@@ -46,7 +46,7 @@ class Report:
         if include_timing and self.timing is not None:
             body["timing_seconds"] = round(self.timing, 6)
         parts: list[str] = []
-        _encode_indented(body, "\n", parts)
+        _encode_indented(body, "\n", parts, {})
         return "".join(parts)
 
     def to_text(self) -> str:
@@ -66,7 +66,7 @@ except ImportError:  # no C accelerator: json's own fallback
     from json.encoder import encode_basestring_ascii as _encode_string
 
 
-def _encode_indented(value, newline: str, parts: list[str]) -> None:
+def _encode_indented(value, newline: str, parts: list[str], shared: dict) -> None:
     """Append the text ``json.dumps(value, sort_keys=True, indent=2)``
     gives for ``value`` at the depth whose line break is ``newline``.
 
@@ -74,8 +74,12 @@ def _encode_indented(value, newline: str, parts: list[str]) -> None:
     written here, without ``json``: strings and keys go through its C
     ``encode_basestring_ascii``, ints through ``int.__repr__``, and a list
     of strings and ints alone (a pair, a trace entry) is one join.  Any
-    other value but a bool or None, and any dict with a key that is not a
-    ``str``, is left to ``json.dumps``.
+    other list is written once per depth: ``shared`` keeps, by its ``id``
+    and line break, where its text lies in ``parts``, and then the text,
+    for each further place the same list object fills at that depth (an
+    enrichment document gives one list to every cell with the same hom).
+    Any other value but a bool or None, and any dict with a key that is
+    not a ``str``, is left to ``json.dumps``.
     """
     kind = type(value)
     if kind is str:
@@ -97,12 +101,20 @@ def _encode_indented(value, newline: str, parts: list[str]) -> None:
         else:
             parts.append("[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]")
             return
-        sep = "[" + inner
+        key = (id(value), newline)
+        seen = shared.get(key)
+        if seen is not None:
+            if type(seen) is tuple:  # its second place: join its pieces once
+                seen = shared[key] = "".join(parts[seen[0]:seen[1]])
+            parts.append(seen)
+            return
+        start, sep = len(parts), "[" + inner
         for item in value:
             parts.append(sep)
             sep = "," + inner
-            _encode_indented(item, inner, parts)
+            _encode_indented(item, inner, parts, shared)
         parts.append(newline + "]")
+        shared[key] = (start, len(parts))
     elif kind is dict and all(type(key) is str for key in value):
         if not value:
             parts.append("{}")
@@ -112,7 +124,7 @@ def _encode_indented(value, newline: str, parts: list[str]) -> None:
         for key in sorted(value):
             parts.append(sep + _encode_string(key) + ": ")
             sep = "," + inner
-            _encode_indented(value[key], inner, parts)
+            _encode_indented(value[key], inner, parts, shared)
         parts.append(newline + "}")
     else:
         import json
@@ -157,15 +169,15 @@ COMMANDS: dict[str, tuple[str, str | None, tuple]] = {
                  (_A, ("--rel", _REQUIRED), ("--out", {"default": "quotient"}))),
     "cospan": ("witness", None, (_A, _B, ("--rel", {"default": None}))),
     "span": ("witness", None, (_A, _B)),
-    "cob-apply": ("cob", None,
+    "cob-apply": ("cobdocs", None,
                   (("--tse", _REQUIRED), _A, ("--out", {"default": "changed"}))),
-    "cob-radjoint": ("cob", None,
+    "cob-radjoint": ("cobdocs", None,
                      (("--tse", _REQUIRED), _B, ("--out", {"default": "lifted"}))),
     "axioms": ("generators", None, (("--suite", {"default": "A1..A6"}), ("--base", _REQUIRED),
                                     ("--seed", {"type": int, "default": 7}),
                                     ("--cases", {"type": int, "default": 200}))),
     "cts-build": ("cts", None, (("--spec", _REQUIRED), ("--out", {"default": "built"}))),
-    "cts-refine": ("cts", None, (("--spec", _REQUIRED), ("--functor", _REQUIRED),
+    "cts-refine": ("ctsrefine", None, (("--spec", _REQUIRED), ("--functor", _REQUIRED),
                                  ("--out", {"default": "refined"}))),
 }
 # each global option and its ``add_argument`` keywords, in the order ``-h`` lists them

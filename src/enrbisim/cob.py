@@ -7,21 +7,20 @@ from its hom maps.  Applying one to an enrichment changes its base.
 When the left leg is a bijection and every component has a right
 Galois adjoint, the adjoints form a span back from the target; when
 that span is lax too, changing base along it is the right adjoint of
-the change of base.
+the change of base.  The spans that documents and constructions name,
+the exhaustive lax check and the ``cob-*`` commands are ``cobdocs``'s;
+their names still resolve here.
 """
 
 from __future__ import annotations
 
-import itertools
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, NamedTuple
 
-from .errors import (
-    BaseMismatch, NoAdjoint, NotACongruence, ParseError, SizeLimit, UnknownElement, require_valid,
-)
-from .jsondocs import _keyed, _listed, _name_lookup, _once
+from . import _moved
+from .errors import BaseMismatch, NoAdjoint, SizeLimit, UnknownElement
 from .lattice import Lattice
-from .quantaloid import Quantaloid, name_index
+from .quantaloid import Quantaloid
 from .vcat import MAX_PAIRS, VCategory
 
 
@@ -80,36 +79,46 @@ class MonotoneMap:
 
 def adjunction_failure(left: MonotoneMap, right: MonotoneMap) -> tuple[Any, Any] | None:
     """The first ``(v, w)`` at which ``left(v) <= w  iff  v <= right(w)``
-    fails, or None when ``left`` is left adjoint to ``right``."""
+    fails, or None when ``left`` is left adjoint to ``right``.  Both maps
+    must be total, with values in their lattices (``MonotoneMap.check``,
+    or how they were built): the values are compared with the lattice
+    cores."""
+    src, tgt = left.source, left.target
+    left_of, right_of = left.mapping, right.mapping
+    targets = [(w, right_of[w]) for w in tgt.elements()]
     return next((
         (v, w)
-        for v in left.source.elements()
-        for w in left.target.elements()
-        if left.target.leq(left(v), w) != left.source.leq(v, right(w))
+        for v in src.elements()
+        for w, rw in targets
+        if tgt._leq(left_of[v], w) != src._leq(v, rw)
     ), None)
 
 
 def right_adjoint_of_monotone(f: MonotoneMap) -> MonotoneMap:
     """Right Galois adjoint ``g(w) = join{v : f(v) <= w}`` of ``f``.
 
-    The adjunction ``f(v) <= w  iff  v <= g(w)`` is verified exhaustively
-    before returning; it holds exactly when ``f`` preserves all joins.
+    The adjunction ``f(v) <= w  iff  v <= g(w)`` is verified before
+    returning; it holds exactly when ``f`` preserves all joins.  ``f`` is
+    checked first, so ``g`` is built on the lattice cores.  Both maps are
+    then monotone, so the adjunction is its unit and counit, ``v <=
+    g(f(v))`` and ``f(g(w)) <= w``: one checked ``leq`` per element, which
+    also checks ``g``'s values.  Only a failure searches every pair
+    (``adjunction_failure``), for the first one to name.
     """
     f.source.ensure_enumerable()
     f.target.ensure_enumerable()
     bad = f.check()
     if bad:
         raise NoAdjoint(f"map is not monotone: {bad[0]}")
+    src, tgt = f.source, f.target
+    graph = list(f.mapping.items())
     g = MonotoneMap(
-        f.target,
-        f.source,
-        {
-            w: f.source.join(v for v in f.source.elements() if f.target.leq(f(v), w))
-            for w in f.target.elements()
-        },
+        tgt, src, {w: src._join([v for v, fv in graph if tgt._leq(fv, w)]) for w in tgt.elements()}
     )
-    failure = adjunction_failure(f, g)
-    if failure is not None:
+    f_of, g_of = f.mapping, g.mapping
+    if not (all(src.leq(v, g_of[fv]) for v, fv in graph)
+            and all(tgt.leq(f_of[gw], w) for w, gw in g_of.items())):
+        failure = adjunction_failure(f, g)
         raise NoAdjoint(
             f"no right adjoint: adjunction fails at v={failure[0]!r}, w={failure[1]!r}"
             " (the map does not preserve all joins)"
@@ -186,80 +195,6 @@ def span_of_maps(
     return TwoSidedEnrichment(source, target, carriers, minus, plus, components)
 
 
-def composition_square(
-    f: TwoSidedEnrichment, triple: tuple[int, int, int]
-) -> Iterator[tuple[Lattice, Any, Any]]:
-    """The two sides of a span's composition square at carriers ``(x, y, z)``.
-
-    Yields ``(lattice, lhs, rhs)`` for every ``g`` and ``h`` composable in
-    the source, where ``lhs = f(x, y)(g) ; f(y, z)(h)`` is composed in the
-    target, ``rhs = f(x, z)(g ; h)`` and ``lattice`` is the target hom both
-    lie in.  Raises ``SizeLimit`` at once when one of the two source homs
-    has more than ``DEFAULT_ENUM_CAP`` elements.
-    """
-    x, y, z = triple
-    d, c = f.minus, f.plus
-    hom_xy, hom_yz = f.source.hom(d[x], d[y]), f.source.hom(d[y], d[z])
-    hom_xy.ensure_enumerable()
-    hom_yz.ensure_enumerable()
-    lat = f.target.hom(c[x], c[z])
-    m_xy, m_yz, m_xz = f.component(x, y), f.component(y, z), f.component(x, z)
-    return (
-        (
-            lat,
-            f.target.compose(c[x], c[y], c[z], m_xy(g), m_yz(h)),
-            m_xz(f.source.compose(d[x], d[y], d[z], g, h)),
-        )
-        for g in hom_xy.elements()
-        for h in hom_yz.elements()
-    )
-
-
-def validate_tse(f: TwoSidedEnrichment) -> list[str]:
-    """Exhaustive check of the component shapes and the two lax inequalities."""
-    out = []
-    for (x, y), comp in f.components.items():
-        if comp.source is not f.source.hom(f.minus[x], f.minus[y]):
-            out.append(f"component ({x},{y}) has the wrong source lattice")
-        if comp.target is not f.target.hom(f.plus[x], f.plus[y]):
-            out.append(f"component ({x},{y}) has the wrong target lattice")
-    for x in range(f.n_carriers):
-        for y in range(f.n_carriers):
-            if (x, y) not in f.components:
-                out.append(f"missing component ({x},{y})")
-    if out:
-        return out
-    for (x, y), comp in f.components.items():
-        for msg in comp.check():
-            out.append(f"component ({x},{y}): {msg}")
-    return out or _lax_violations(f)
-
-
-def _lax_violations(f: TwoSidedEnrichment) -> list[str]:
-    """Where a well-shaped span's unit or composition square fails."""
-    out = []
-    for x in range(f.n_carriers):
-        unit_src = f.source.unit(f.minus[x])
-        unit_tgt = f.target.unit(f.plus[x])
-        lat = f.target.hom(f.plus[x], f.plus[x])
-        if not lat.leq(unit_tgt, f.component(x, x)(unit_src)):
-            out.append(f"unit square fails at carrier {f.carriers[x]}")
-    for x, y, z in itertools.product(range(f.n_carriers), repeat=3):
-        try:
-            lax = all(lat.leq(lhs, rhs) for lat, lhs, rhs in composition_square(f, (x, y, z)))
-        except SizeLimit:
-            out.append(f"hom pair at carriers ({x},{y},{z}) too large to check")
-            continue
-        if not lax:
-            out.append(f"composition square fails at carriers ({x},{y},{z})")
-    return out
-
-
-def identity_tse(q: Quantaloid) -> TwoSidedEnrichment:
-    objects = list(range(q.n_objects))
-    return span_of_maps(q, q, list(q.objects), objects, objects, lambda x, y: lambda v: v)
-
-
 def apply_cob(f: TwoSidedEnrichment, a: VCategory) -> VCategory:
     """Change the base of an enrichment along a two-sided enrichment.  It
     has a hom for each two (object, carrier) pairs of equal extent: more
@@ -277,11 +212,28 @@ def apply_cob(f: TwoSidedEnrichment, a: VCategory) -> VCategory:
                         f"more than the cap {MAX_PAIRS}")
     names = [f"({a.objects[i]}|{f.carriers[x]})" for i, x in pairs]
     extents = [f.plus[x] for _, x in pairs]
-    # a component need not keep bottom at bottom, so every pair is mapped
-    homs = [
-        {q: f.component(x1, x2)(a.hom(i1, i2)) for q, (i2, x2) in enumerate(pairs)}
-        for (i1, x1) in pairs
-    ]
+    positions: dict[int, list[int]] = {}  # object of `a` -> positions of its pairs
+    of_carrier: dict[int, list[int]] = {}  # carrier -> positions of its pairs
+    for q, (i, x) in enumerate(pairs):
+        positions.setdefault(i, []).append(q)
+        of_carrier.setdefault(x, []).append(q)
+    # a component that keeps bottom at bottom maps only a's non-bottom homs;
+    # at the pairs of any other component every hom is mapped
+    loose: dict[int, list[int]] = {x: [] for x in of_carrier}  # carrier -> positions mapped in full
+    for x1 in of_carrier:
+        for x2, targets in of_carrier.items():
+            comp = f.component(x1, x2)
+            image, bottom = comp(comp.source.bottom), comp.target.bottom
+            if type(image) is not type(bottom) or image != bottom:
+                loose[x1] += targets
+    homs = []
+    for i1, x1 in pairs:
+        row = {q: f.component(x1, pairs[q][1])(a.hom(i1, pairs[q][0])) for q in loose[x1]}
+        for i2, hom, _ in a.rows[i1]:
+            for q in positions.get(i2, ()):
+                if q not in row:
+                    row[q] = f.component(x1, pairs[q][1])(hom)
+        homs.append(row)
     out = VCategory(f.target, names, extents, homs)
     out.cob_pairs = pairs  # position in `a` and carrier, for functor transport
     return out
@@ -324,164 +276,13 @@ def local_right_adjoints(f: TwoSidedEnrichment, pointwise_only: bool = False) ->
         f.target, f.source, list(f.source.objects), f.object_action(),
         list(range(f.source.n_objects)), lambda u, v: adjoints[carrier_of[u], carrier_of[v]],
     )
+    from .cobdocs import _lax_violations  # only a coherence check runs it
+
     return AdjointReport(adjoints, span, _lax_violations(span))
 
 
-def right_adjoint_cob(f: TwoSidedEnrichment, b: VCategory) -> VCategory:
-    """Right adjoint to the change of base: ``b`` changed along the span
-    of the local right adjoints, which must cohere (``NoAdjoint``)."""
-    if b.base is not f.target:
-        raise BaseMismatch("the enrichment does not live over the span's target")
-    report = local_right_adjoints(f)
-    if not report.coherent:
-        raise NoAdjoint("the local adjoints are not coherent")
-    return apply_cob(report.span, b)
-
-
-def require_language_bases(source: Quantaloid, target: Quantaloid) -> None:
-    from .language import LanguageQuantale  # only the monoid spans need it
-
-    if not (isinstance(source, LanguageQuantale) and isinstance(target, LanguageQuantale)):
-        raise NotACongruence("both bases must be truncated language quantales")
-
-
-def relation_tse(
-    source: Quantaloid,
-    target: Quantaloid,
-    carriers: list[str],
-    minus: list[int],
-    plus: list[int],
-    relations: dict[tuple[int, int], set[tuple[Any, Any]]],
-) -> TwoSidedEnrichment:
-    """The span of relational images between two bases whose homs are
-    powersets of members.
-
-    ``relations[(x, y)]`` relates members of hom(minus[x], minus[y]) of
-    ``source`` to members of hom(plus[x], plus[y]) of ``target``; the
-    component at ``(x, y)`` sends a set to the members related to its
-    own.  The span must be lax (else ``NotACongruence``): every member of
-    a target unit is related to one of the source unit, and for related
-    ``(m, n)`` at ``(x, y)`` and ``(m2, n2)`` at ``(y, z)`` every member of
-    ``{n} ; {n2}`` is related to one of ``{m} ; {m2}``.  A component is a
-    union of related members and composition preserves unions in each
-    argument, so a square holds on all sets exactly when it holds on these
-    singletons.
-    """
-    indices = range(len(carriers))
-    # sorted, so that the fault reported is the same on every run
-    pairs = {key: sorted(relations.get(key, ())) for key in itertools.product(indices, repeat=2)}
-    tables: dict[tuple[int, int], dict[Any, set]] = {key: {} for key in pairs}
-    for key, rel in pairs.items():
-        for m, n in rel:
-            tables[key].setdefault(m, set()).add(n)
-
-    def image(x: int, y: int) -> Callable[[frozenset], frozenset]:
-        table = tables[x, y]
-        return lambda members: frozenset().union(*(table.get(m, ()) for m in members))
-
-    for x in indices:
-        if not target.unit(plus[x]) <= image(x, x)(source.unit(minus[x])):
-            raise NotACongruence(f"unit square fails at carrier {carriers[x]}")
-    for x, y, z in itertools.product(indices, repeat=3):
-        for (m, n), (m2, n2) in itertools.product(pairs[x, y], pairs[y, z]):
-            lhs = target.compose(plus[x], plus[y], plus[z], frozenset((n,)), frozenset((n2,)))
-            rhs = source.compose(minus[x], minus[y], minus[z], frozenset((m,)), frozenset((m2,)))
-            if not lhs <= image(x, z)(rhs):
-                src, tgt = source.member_to_doc, target.member_to_doc
-                raise NotACongruence(
-                    f"composition square fails at carriers ({carriers[x]},{carriers[y]},"
-                    f"{carriers[z]}): {tgt(n)!r} ; {tgt(n2)!r} is not below the image of "
-                    f"{src(m)!r} ; {src(m2)!r}"
-                )
-    return span_of_maps(source, target, carriers, minus, plus, image)
-
-
-def monoid_congruence_tse(
-    source: Quantaloid,
-    target: Quantaloid,
-    pairs: Iterable[tuple[tuple, tuple]],
-) -> TwoSidedEnrichment:
-    """Direct image along a congruence between truncated word monoids: the
-    ``relation_tse`` of the pairs whose words fit the two cutoffs, on one
-    carrier.  A letter outside its alphabet is a ``NotACongruence``,
-    however long its word."""
-    require_language_bases(source, target)
-    rel = set()
-    for m, n in pairs:
-        m, n = tuple(m), tuple(n)
-        bad = [s for s in m if s not in source.alphabet]
-        bad += [s for s in n if s not in target.alphabet]
-        if bad:
-            raise NotACongruence(f"pair {[list(m), list(n)]} uses the unknown letter {bad[0]!r}")
-        if len(m) <= source.k and len(n) <= target.k:  # else truncated away
-            rel.add((m, n))
-    return relation_tse(source, target, ["*"], [0], [0], {(0, 0): rel})
-
-
-def monoid_morphism_pairs(
-    gen_map: dict[str, tuple], source: Quantaloid, target: Quantaloid
-) -> list[tuple[tuple, tuple]]:
-    """The graph of the word map induced by a generator assignment, on the
-    words whose image fits the target's cutoff.  An image letter outside
-    the target's alphabet is a ``NotACongruence``."""
-    bad = [(a, s) for a, word in gen_map.items() for s in word if s not in target.alphabet]
-    if bad:
-        raise NotACongruence("letter {!r} maps to the unknown letter {!r}".format(*bad[0]))
-    images = {w: tuple(s for a in w for s in gen_map[a]) for w in source.words}
-    return [(w, image) for w, image in images.items() if len(image) <= target.k]
-
-
-def tse_from_doc(doc, resolve) -> TwoSidedEnrichment:
-    """The span of a ``tse`` document: the identity, a monoid congruence or
-    morphism between language quantales, or explicit components."""
-    construction = doc.get("construction", "explicit")
-    if construction == "identity":
-        return identity_tse(resolve(doc["base"], Quantaloid))
-    if construction in ("monoid-congruence", "monoid-morphism"):
-        source = resolve(doc["source"], Quantaloid)
-        target = resolve(doc["target"], Quantaloid)
-        require_language_bases(source, target)  # before a word is read
-        if construction == "monoid-congruence":
-            pairs = [(source.member_from_doc(m), target.member_from_doc(n))
-                     for m, n in _listed(doc, "pairs", doc["pairs"], "a pair of words", 2)]
-        else:
-            letters = name_index(source.alphabet, "letter")
-            entries = _keyed(doc, "map", letters, 1, source.alphabet)
-            gen_map = {source.alphabet[i]: target.member_from_doc(v) for (i,), v in entries}
-            pairs = monoid_morphism_pairs(gen_map, source, target)
-        return monoid_congruence_tse(source, target, pairs)
-    if construction != "explicit":
-        raise ParseError(f"unknown span construction {construction!r}")
-    source = resolve(doc["source"], Quantaloid)
-    target = resolve(doc["target"], Quantaloid)
-    index = _name_lookup(doc, "carriers", doc["carriers"], "name")
-    carriers = [c["name"] for c in doc["carriers"]]
-    minus = [source.object_index(c["minus"]) for c in doc["carriers"]]
-    plus = [target.object_index(c["plus"]) for c in doc["carriers"]]
-    components = {}
-    # the components' keys and values are checked by validate_tse, once
-    for (x, y), pairs in _keyed(doc, "components", index, 2):
-        key = f"component '{carriers[x]},{carriers[y]}'"
-        mapping = _once(doc, key, (
-            (source.element_from_doc(minus[x], minus[y], src_doc),
-             target.element_from_doc(plus[x], plus[y], tgt_doc))
-            for src_doc, tgt_doc in _listed(doc, key, pairs, "a pair of elements", 2)
-        ))
-        components[(x, y)] = MonotoneMap(
-            source.hom(minus[x], minus[y]), target.hom(plus[x], plus[y]), mapping
-        )
-    tse = TwoSidedEnrichment(source, target, carriers, minus, plus, components)
-    require_valid("span", validate_tse(tse))
-    return tse
-
-
-# the commands ``cli.COMMANDS`` routes here: each returns its verdict and details
-def cmd_cob_apply(bundle, flags) -> tuple[str, dict]:
-    out = apply_cob(bundle.get(flags.tse, TwoSidedEnrichment), bundle.get(flags.a, VCategory))
-    return "valid", {"result": bundle.store(flags.out, out)}
-
-
-def cmd_cob_radjoint(bundle, flags) -> tuple[str, dict]:
-    tse, b = bundle.get(flags.tse, TwoSidedEnrichment), bundle.get(flags.b, VCategory)
-    out = right_adjoint_cob(tse, b)  # NoAdjoint unless the adjoints cohere
-    return "valid", {"coherent": True, "result": bundle.store(flags.out, out)}
+__getattr__ = _moved(__name__, dict.fromkeys((
+    "composition_square", "validate_tse", "_lax_violations", "identity_tse", "right_adjoint_cob",
+    "require_language_bases", "relation_tse", "monoid_congruence_tse", "monoid_morphism_pairs",
+    "tse_from_doc", "cmd_cob_apply", "cmd_cob_radjoint",
+), "cobdocs"))

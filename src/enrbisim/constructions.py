@@ -14,11 +14,10 @@ from __future__ import annotations
 import itertools
 from typing import Any, Iterable, NamedTuple
 
-from .cob import (
-    MonotoneMap, TwoSidedEnrichment, adjunction_failure, composition_square, relation_tse,
-    span_of_maps,
-)
-from .cts import CatFunctor, CribleQuantaloid, PowersetCatQuantaloid, Span, crible_change_tse
+from .cob import MonotoneMap, TwoSidedEnrichment, adjunction_failure, span_of_maps
+from .cobdocs import composition_square, relation_tse
+from .cts import CribleQuantaloid, PowersetCatQuantaloid, Span
+from .ctsrefine import CatFunctor, crible_change_tse
 from .errors import (
     BaseMismatch,
     InternalAssertion,
@@ -86,8 +85,11 @@ class PrincipalDownsetLattice(Lattice):
 
 
 def verify_adjunction(left: MonotoneMap, right: MonotoneMap) -> bool:
-    """Check ``left(v) <= w  iff  v <= right(w)`` for every pair."""
+    """Check ``left(v) <= w  iff  v <= right(w)`` for every pair.  Maps
+    that are not monotone maps between the two lattices (``check``) are
+    no adjunction."""
     return (left.source is right.target and left.target is right.source
+            and not left.check() and not right.check()
             and adjunction_failure(left, right) is None)
 
 

@@ -9,11 +9,12 @@ Aldebaran automata straight into their free enrichment.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 from typing import Any
 
-# cts, cob, jsondocs and witness are lazy (see the package): read their names at call time
-from . import _moved, cob, cts, jsondocs, witness
+# these modules are lazy (see the package): read their names at call time
+from . import _moved, builders, cobdocs, cts, ctsrefine, jsondocs, witness
 from .errors import DanglingReference, ParseError, ValidationError
 from .vcat import VCategory
 
@@ -67,13 +68,13 @@ class Bundle:
 # lazy module's reader is read at call time, so only its kinds run it
 _BUILDERS = {
     "fincat": lambda doc, resolve: cts.fincat_from_doc(doc),
-    "quantaloid": lambda doc, resolve: jsondocs._quantaloid_from_doc(doc, resolve),
-    "vcategory": lambda doc, resolve: jsondocs._vcategory_from_doc(doc, resolve),
+    "quantaloid": lambda doc, resolve: builders._quantaloid_from_doc(doc, resolve),
+    "vcategory": lambda doc, resolve: builders._vcategory_from_doc(doc, resolve),
     "vfunctor": lambda doc, resolve: witness.vfunctor_from_doc(doc, resolve),
     "relation": lambda doc, resolve: witness.relation_from_doc(doc, resolve),
-    "tse": lambda doc, resolve: cob.tse_from_doc(doc, resolve),
+    "tse": lambda doc, resolve: cobdocs.tse_from_doc(doc, resolve),
     "ctsspec": lambda doc, resolve: cts.ctsspec_from_doc(doc, resolve),
-    "catfunctor": lambda doc, resolve: cts.catfunctor_from_doc(doc, resolve),
+    "catfunctor": lambda doc, resolve: ctsrefine.catfunctor_from_doc(doc, resolve),
 }
 _LOAD_ORDER = list(_BUILDERS)  # a list: document kinds need not be hashable
 
@@ -85,17 +86,24 @@ def _read_text(path) -> str:
         raise ParseError(f"{path}: cannot read: {err}") from None
 
 
+def _directory_files(path: Path) -> list[Path]:
+    """The entries of a directory named ``*.json``, then those named
+    ``*.aut``, each in sorted order (what two ``Path.glob`` calls give),
+    from one listing."""
+    try:
+        names = sorted(os.listdir(path))
+    except OSError as err:
+        raise ParseError(f"{path}: cannot read: {err}") from None
+    return [path / name for suffix in (".json", ".aut") for name in names if name.endswith(suffix)]
+
+
 def collect_documents(paths, aut_alphabet=None, aut_k=None) -> list[tuple[dict, Any]]:
     """Each document at the paths and its reader: None for a JSON document
     (its kind's), ``language``'s for an automaton and its base."""
     docs: list[tuple[dict, Any]] = []
     for raw in paths:
         path = Path(raw)
-        if path.is_dir():
-            files = sorted(path.glob("*.json")) + sorted(path.glob("*.aut"))
-        else:
-            files = [path]
-        for file in files:
+        for file in _directory_files(path) if path.is_dir() else [path]:
             if file.suffix == ".aut":
                 if aut_alphabet is None or aut_k is None:
                     raise ParseError(

@@ -2,39 +2,31 @@
 object) and written back (``serialize``), with the readers of every list,
 name, name-keyed object and index field a document defines; each base
 reads and writes its own elements.  Automata are ``language``'s, so only a
-request that reads a ``.json`` file, stores a result or checks the
-composition law over a base without a check of its own runs this module
-and ``json``.
+request that reads a ``.json`` file or stores a result runs this module
+and ``json``.  The builders of ``quantaloid`` and ``vcategory`` documents
+and the grouped composition-law check are ``builders``'s; their names
+still resolve here.
 """
 
 from __future__ import annotations
 
-import importlib
 import itertools
 import json
 
-from . import cts, documents, witness
+from . import _moved, cts, documents, witness
 from .documents import SCHEMA, Bundle, _read_text
-from .errors import ParseError, SizeLimit, UnknownObject, ValidationError, require_valid
-from .quantaloid import Quantaloid, name_index
-from .vcat import EnrichedGraph, VCategory, free_vcategory, validate_vcategory
+from .errors import ParseError, SizeLimit, UnknownObject, ValidationError
+from .quantaloid import name_index
+from .vcat import VCategory
 
 # the module of each construction's family, which reads its documents: it
 # is imported at call time, so that a request runs only the families it names
 _CONSTRUCTIONS = {
     "explicit": "tables", "boolean": "tables", "metric": "tables", "language": "language",
-    "rel": "sets", "powerset": "cts", "sieves": "cts",
+    "rel": "rel", "powerset": "cts", "sieves": "cts",
 }
 # shorthand spelling: "kind" may name the construction directly
 _QUANTALOID_SHORTHANDS = [kind for kind in _CONSTRUCTIONS if kind != "explicit"]
-
-
-def _quantaloid_from_doc(doc, resolve) -> Quantaloid:
-    kind = doc.get("construction", "explicit")
-    if not isinstance(kind, str) or kind not in _CONSTRUCTIONS:
-        raise ParseError(f"unknown quantaloid construction {kind!r}")
-    family = importlib.import_module(f".{_CONSTRUCTIONS[kind]}", __package__)
-    return family.quantaloid_from_doc(doc, resolve)
 
 
 def _once(doc, field: str, entries) -> dict:
@@ -63,17 +55,34 @@ def _listed(doc, field: str, values, what: str | None = None, arity: int | None 
     return values
 
 
+def _objects(doc, field: str, values) -> list[dict]:
+    """A list of JSON objects a document gives (``_listed``), as given: an
+    entry of any other JSON value is a ``ParseError`` naming it."""
+    for entry in _listed(doc, field, values):
+        if type(entry) is not dict:
+            raise ParseError(f"{doc['name']}: {field} entry {entry!r} is not an object")
+    return values
+
+
+def _object(doc, field: str, value) -> dict:
+    """A JSON object a document gives, as given: any other JSON value is a
+    ``ParseError`` naming the document, the field and the value."""
+    if type(value) is not dict:
+        raise ParseError(f"{doc['name']}: {field} {value!r} is not an object")
+    return value
+
+
 def _names(doc, field: str, values, key: str | None = None) -> list[str]:
     """The names a document defines in a field, as given: a list of
     distinct JSON strings (with ``key``, of objects whose ``key`` each
-    is), where any other value and a repeated name are each a
-    ``ParseError`` naming it.  More than ``documents.MAX_OBJECTS``
+    is, ``_objects``), where any other value and a repeated name are each
+    a ``ParseError`` naming it.  More than ``documents.MAX_OBJECTS``
     entries are a ``SizeLimit``, before any name is read."""
     if len(_listed(doc, field, values)) > documents.MAX_OBJECTS:
         raise SizeLimit(f"{doc['name']}: {field} lists {len(values)} names, "
                         f"more than the cap {documents.MAX_OBJECTS}")
     if key is not None:
-        values = [value[key] for value in values]
+        values = [value[key] for value in _objects(doc, field, values)]
     seen = set()
     for name in values:
         if not isinstance(name, str):
@@ -139,31 +148,6 @@ def _indices(doc, field: str, entries, n: int, what: str, arity: int = 0) -> lis
     return [tuple(entry) for entry in entries] if arity else list(entries)
 
 
-def _vcategory_from_doc(doc, resolve) -> VCategory:
-    base = resolve(doc["base"], Quantaloid)
-    if "graph" in doc:
-        if "objects" in doc or "homs" in doc:
-            raise ParseError(f"{doc['name']}: an enrichment gives either a graph or objects and homs")
-        g = doc["graph"]
-        index = _name_lookup(doc, "graph vertices", g["vertices"], "name")
-        vertices = [(v["name"], base.object_index(v["extent"])) for v in g["vertices"]]
-        edges = []
-        for e in _listed(doc, "graph edges", g["edges"]):
-            s, t = index(e["src"]), index(e["tgt"])
-            edges.append((s, t, base.element_from_doc(vertices[s][1], vertices[t][1], e["label"])))
-        cat = free_vcategory(base, EnrichedGraph(vertices, edges))
-    else:
-        index = _name_lookup(doc, "objects", doc["objects"], "name")
-        names = [o["name"] for o in doc["objects"]]
-        extents = [base.object_index(o["extent"]) for o in doc["objects"]]
-        homs: list[dict] = [{} for _ in names]
-        for (i, j), elem_doc in _keyed(doc, "homs", index, 2):
-            homs[i][j] = base.element_from_doc(extents[i], extents[j], elem_doc)
-        cat = VCategory(base, names, extents, homs)
-    require_valid("vcategory", validate_vcategory(cat))
-    return cat
-
-
 def _read_doc(path) -> dict:
     def once(pairs: list) -> dict:  # a JSON object, where a key given twice is a ParseError
         obj = dict(pairs)
@@ -213,76 +197,27 @@ def serialize(bundle: Bundle, name: str) -> dict:
 
 
 def vcategory_to_doc(bundle: Bundle, name: str, cat: VCategory) -> dict:
+    """The explicit document of an enrichment, every hom written.  Each
+    distinct (extent pair, hom) is written once, and its cells share
+    that one document."""
     base, names, ext, n = cat.base, cat.objects, cat.extents, range(cat.n_objects)
+    written: dict = {}  # (extent pair, hom) -> its document
+    homs = {}
+    for i in n:
+        for j in n:
+            key = (ext[i], ext[j], cat.hom(i, j))
+            doc = written.get(key)
+            if doc is None:
+                doc = written[key] = base.element_to_doc(*key)
+            homs[f"{names[i]},{names[j]}"] = doc
     return {
         "schema": SCHEMA, "name": name, "kind": "vcategory", "base": bundle.name_of(base),
         "objects": [{"name": names[i], "extent": base.objects[ext[i]]} for i in n],
-        "homs": {f"{names[i]},{names[j]}": base.element_to_doc(ext[i], ext[j], cat.hom(i, j))
-                 for i in n for j in n},
+        "homs": homs,
     }
 
 
-def composition_violations(a: VCategory) -> list[str]:
-    """Where ``hom(i,j).hom(j,k) <= hom(i,k)`` fails, both non-bottom, in
-    ``(i, j, k)`` order.  Each row's targets are grouped by (extent, hom
-    value).  A row ``j`` of singleton groups is compared target by target,
-    with no masks.  Else each group ``(e, g)`` of row ``j`` is composed
-    once, to ``c``, and fails at its targets outside the mask of row
-    ``i``'s targets of extent ``e`` above ``c``, built once per ``(e, c)``
-    from row ``i``'s groups (none when ``c`` is not below bottom, all when
-    it is), unless the group is no larger than row ``i``'s group count in
-    ``e``: so a row makes at most one ``_leq`` per triple.
-    """
-    out = []
-    base, ext, rows, names = a.base, a.extents, a.rows, a.objects
-    groups = [_value_groups(row, ext) for row in rows]
-    plans = [None if len(g) == len(row) else g for g, row in zip(groups, rows)]  # None: singletons
-    for i, row_i in enumerate(rows):
-        ei, map_i = ext[i], a.row_maps[i]
-        # extent e -> (lattice, bottom, [(value, bits)] of row i's groups in e)
-        scope = {e: (lat, lat._join(()), []) for (u, e), lat in a._lattices.items() if u == ei}
-        for e, v, bits, _ in groups[i]:
-            scope[e][2].append((v, bits))
-        masks: dict = {}  # (extent, composite) -> bits of the targets above it
-        for j, f, _ in row_i:
-            ej, plan = ext[j], plans[j]
-            if plan is None:
-                for k, g, _ in rows[j]:
-                    lat, bottom, _ = scope[ext[k]]
-                    if not lat._leq(base.compose(ei, ej, ext[k], f, g), map_i.get(k, bottom)):
-                        out.append(f"composition fails at ({names[i]},{names[j]},{names[k]})")
-                continue
-            failed = 0
-            for e, g, bits, targets in plan:
-                c = base.compose(ei, ej, e, f, g)
-                mask = masks.get((e, c))
-                if mask is None:
-                    lat, bottom, mine = scope[e]
-                    if len(targets) <= len(mine):
-                        for k in targets:
-                            if not lat._leq(c, map_i.get(k, bottom)):
-                                failed |= 1 << k
-                        continue
-                    if lat._leq(c, bottom):
-                        mask = -1
-                    else:
-                        mask = 0
-                        for v, vbits in mine:
-                            if lat._leq(c, v):
-                                mask |= vbits
-                    masks[e, c] = mask
-                failed |= bits & ~mask
-            while failed:
-                k = (failed & -failed).bit_length() - 1
-                failed &= failed - 1
-                out.append(f"composition fails at ({names[i]},{names[j]},{names[k]})")
-    return out
-
-
-def _value_groups(row, extents) -> list:
-    """A row's non-bottom targets grouped by (extent, hom value), as
-    ``(extent, value, bitmask of the targets, their list in order)``."""
-    groups: dict = {}
-    for k, g, _ in row:
-        groups.setdefault((extents[k], g), []).append(k)
-    return [(e, g, sum(1 << k for k in ks), ks) for (e, g), ks in groups.items()]
+__getattr__ = _moved(__name__, dict.fromkeys(
+    ("_quantaloid_from_doc", "_vcategory_from_doc", "composition_violations", "_value_groups"),
+    "builders",
+))

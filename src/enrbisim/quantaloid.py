@@ -5,10 +5,10 @@ arrows between each ordered pair, an associative composition that
 preserves joins in each argument separately, and identity arrows.
 One-object quantaloids are quantales.  This module holds the interface.
 Each family of bases has a module that builds, reads, writes and checks
-its own: ``sets`` (relations, and the set bases the next two build on),
-``tables`` (explicit tables, truth values, metric grids), ``language``
-(truncated word languages) and ``cts`` (powersets and sieves of a finite
-category).  ``laws``
+its own: ``sets`` (the set bases the relation, language and sieve
+families build on), ``rel`` (relations), ``tables`` (explicit tables,
+truth values, metric grids), ``language`` (truncated word languages)
+and ``cts`` (powersets and sieves of a finite category).  ``laws``
 checks a base's quantaloid laws.  A request imports only the families
 its documents name; the names that moved still resolve here.
 """
@@ -136,7 +136,8 @@ def tensor(q: Quantaloid, f: QuantaloidElement, g: QuantaloidElement) -> Quantal
 
 
 __getattr__ = _moved(__name__, {
-    **dict.fromkeys(("SetQuantaloid", "RelQuantaloid", "build_rel_quantaloid"), "sets"),
+    "SetQuantaloid": "sets",
+    **dict.fromkeys(("RelQuantaloid", "build_rel_quantaloid"), "rel"),
     **dict.fromkeys(
         ("INF", "TableQuantaloid", "MetricQuantale", "grid_value", "build_boolean_quantale",
          "build_metric_quantale"), "tables"),

@@ -1,7 +1,8 @@
 """The set bases: hom lattices of sets (``PowersetLattice``) and the
-bases whose arrows are sets of members (``SetQuantaloid``), the relation
-bases among them, with the ``rel`` document reader.  The language and
-sieve families build on these, so a table request never imports them.
+bases whose arrows are sets of members (``SetQuantaloid``).  The
+language, sieve and relation families build on these, so a table request
+never imports them.  The relation bases are ``rel``'s; their names still
+resolve here.
 """
 
 from __future__ import annotations
@@ -9,8 +10,9 @@ from __future__ import annotations
 import itertools
 from typing import Any, Iterable
 
-from .errors import ParseError, SizeLimit
-from .lattice import MAX_GENERATORS, Lattice
+from . import _moved
+from .errors import ParseError
+from .lattice import Lattice
 from .quantaloid import Quantaloid
 
 
@@ -96,45 +98,6 @@ class SetQuantaloid(Quantaloid):
         return frozenset(map(self.member_from_doc, doc))
 
 
-class RelQuantaloid(SetQuantaloid):
-    """Sets, with binary relations ordered by inclusion as arrows; a member is a pair ``[x, y]``."""
-
-    def __init__(self, sets: list[list]):
-        super().__init__([f"X{i}" for i in range(len(sets))])
-        self.sets = [list(s) for s in sets]
-
-    def _make_hom(self, u, v):
-        return PowersetLattice(itertools.product(self.sets[u], self.sets[v]))
-
-    def compose(self, u, v, w, f, g):
-        return frozenset(
-            (x, z) for x, y in f for y2, z in g if y == y2
-        )
-
-    def unit(self, u):
-        return frozenset((x, x) for x in self.sets[u])
-
-    def construction_doc(self, name_of) -> dict:
-        return {"construction": "rel", "sets": [list(s) for s in self.sets]}
-
-
-def build_rel_quantaloid(sets: list[list]) -> RelQuantaloid:
-    """Relations between the given finite sets, ordered by inclusion."""
-    if not sets:
-        raise ValueError("need at least one set")
-    if any(len(set(a)) != len(a) for a in sets):
-        raise ValueError("a set repeats an element")
-    for a in sets:
-        for b in sets:
-            if len(a) * len(b) > MAX_GENERATORS:
-                raise SizeLimit(
-                    f"hom powerset would have 2^{len(a) * len(b)} elements"
-                )
-    return RelQuantaloid(sets)
-
-
-def quantaloid_from_doc(doc, resolve) -> RelQuantaloid:
-    """The base of a ``rel`` document: a list of sets, each a list."""
-    from .jsondocs import _listed  # only a JSON document runs it
-
-    return build_rel_quantaloid(_listed(doc, "sets", doc["sets"], "a list of elements"))
+__getattr__ = _moved(__name__, dict.fromkeys(
+    ("RelQuantaloid", "build_rel_quantaloid", "quantaloid_from_doc"), "rel"
+))

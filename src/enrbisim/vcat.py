@@ -131,7 +131,7 @@ def validate_vcategory(a: VCategory) -> list[str]:
     ``validate_quantaloid`` checks those laws for table bases, and the
     structural bases meet them by construction.  A base with a check of
     its own decides the law (``composition_law_holds``: a language
-    quantale compares word masks); ``jsondocs.composition_violations``
+    quantale compares word masks); ``builders.composition_violations``
     checks any other.  Violations are listed in ``(i, j, k)`` order.
     """
     out = []
@@ -141,7 +141,7 @@ def validate_vcategory(a: VCategory) -> list[str]:
         if not lat.leq(base.unit(ext[i]), a.hom(i, i)):
             out.append(f"identity not below hom({a.objects[i]},{a.objects[i]})")
     if not base.composition_law_holds(a.rows):
-        from .jsondocs import composition_violations
+        from .builders import composition_violations
 
         out += composition_violations(a)
     return out

@@ -318,6 +318,24 @@ class TestReportEncoder:
             expected = json.dumps(body, sort_keys=True, indent=2)
             assert report.to_json(include_timing=True) == expected, case
 
+    def test_a_shared_list_is_written_at_each_place_as_json_does(self):
+        """One list object at two depths and many times at one depth (an
+        enrichment document gives one list to every cell with the same
+        hom) is written at each place as ``json.dumps`` writes it."""
+        hom = [{"apex": "0", "left": "0<=1", "right": "0<=0"}, ["a", ["b"]], (1, "x")]
+        words = [["a", "b"], []]
+        cells = {f"x{i},x{j}": hom if (i + j) % 3 else words for i in range(5) for j in range(5)}
+        shapes = [
+            {"hom": hom, "homs": cells, "deeper": {"again": [hom, [hom, words]]}, "pair": ["p", "q"]},
+            [hom] * 40,
+            [words, [words, [words]], {"w": words}],
+        ]
+        shapes += [{"a": d, "b": [d, {"c": d}], "d": [d] * 3} for d in (r.details for r in self.REPORTS)]
+        for case, details in enumerate(shapes):
+            expected = json.dumps({"schema": SCHEMA, "command": "c", "verdict": "yes",
+                                   "details": details}, sort_keys=True, indent=2)
+            assert Report("c", "yes", details).to_json() == expected, case
+
     def test_shapes_cover_every_kind(self):
         seen = set()
 

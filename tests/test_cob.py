@@ -43,11 +43,11 @@ from enrbisim.constructions import (
 )
 from enrbisim.errors import BaseMismatch, NoAdjoint, NotACongruence
 from enrbisim.fixtures import aut1, loop1, p01, point, q2, ql
-from enrbisim.generators import random_od_map
+from enrbisim.generators import random_od_map, random_vcategory
 from enrbisim.language import import_aut
 from enrbisim.lattice import MonotoneMap
 from enrbisim.quantaloid import build_language_quantale
-from enrbisim.vcat import VFunctor, pullback, validate_vcategory, validate_vfunctor
+from enrbisim.vcat import VCategory, VFunctor, pullback, validate_vcategory, validate_vfunctor
 
 
 @pytest.fixture(scope="module")
@@ -632,3 +632,70 @@ class TestOdPreservation:
                 new_src = apply_cob(tse, g.source)
                 new_tgt = apply_cob(tse, g.target)
                 assert is_od(apply_cob_vfunctor(tse, g, new_src, new_tgt))
+
+
+def dense_apply_cob(f, a) -> VCategory:
+    """The oracle for ``apply_cob``: every two (object, carrier) pairs of
+    equal extent mapped by their component, bottom homs included."""
+    pairs = [(i, x) for i in range(a.n_objects) for x in range(f.n_carriers) if a.extents[i] == f.minus[x]]
+    homs = [{q: f.component(x1, x2)(a.hom(i1, i2)) for q, (i2, x2) in enumerate(pairs)}
+            for i1, x1 in pairs]
+    names = [f"({a.objects[i]}|{f.carriers[x]})" for i, x in pairs]
+    return VCategory(f.target, names, [f.plus[x] for _, x in pairs], homs)
+
+
+def sparse_apply_cases() -> dict:
+    """Every kind of span the tests build, each with the enrichments over its
+    source to change: spans whose components keep bottom at bottom, and
+    spans with components that do not (a constant top, an enrichment read
+    as a span out of the one-arrow base), where every pair is mapped."""
+    from enrbisim.cts import CatFunctor, FiniteCategory, PowersetCatQuantaloid, build_S_quantaloid
+    from enrbisim.ctsrefine import crible_change_tse
+
+    Q2, QLm, QLn = q2(), ql(("m",), 2), ql(("n",), 2)
+    qlab = build_language_quantale(("a", "b"), 2)
+    lat = Q2.hom(0, 0)
+    constant_top = MonotoneMap(lat, lat, {0: 1, 1: 1})
+    two = FiniteCategory.poset(["0", "1"], [(0, 0), (0, 1), (1, 1)])
+    three = FiniteCategory.poset(["0", "1", "2"], [(i, j) for i in range(3) for j in range(i, 3)])
+    into = CatFunctor(two, three, [0, 2], [three.morphism_index(f"{2 * m.src}<={2 * m.tgt}")
+                                           for m in two.morphisms])
+    s2, s3, bp2 = build_S_quantaloid(two), build_S_quantaloid(three), PowersetCatQuantaloid(two)
+    same = CatFunctor(two, two, [0, 1], list(range(len(two.morphisms))))
+    relabel = relabel_tse(QLm, QLn, {"m": "n"})
+    spans = {
+        "identity": identity_tse(Q2),
+        "identity-language": identity_tse(QLm),
+        "relabel": relabel,
+        "collapse": relabel_tse(qlab, QLn, {"a": "n", "b": "n"}),
+        "fan-congruence": monoid_congruence_tse(QLm, QLm, [((), ()), ((), ("m",)), ((), ("m", "m"))]),
+        "composite": compose_tse(relabel, identity_tse(QLn)),
+        "two-carriers": span_of_maps(Q2, Q2, ["c", "d"], [0, 0], [0, 0], lambda x, y: lambda v: v),
+        "constant-top": TwoSidedEnrichment(Q2, Q2, ["*"], [0], [0], {(0, 0): constant_top}),
+        "mixed": TwoSidedEnrichment(Q2, Q2, ["c", "d"], [0, 0], [0, 0], {
+            (0, 0): MonotoneMap.identity(lat), (0, 1): constant_top,
+            (1, 0): MonotoneMap.identity(lat), (1, 1): MonotoneMap.identity(lat)}),
+        "enrichment-as-span": vcat_as_tse(loop1(QLm)),
+        "sieve-inclusion": crible_change_tse(into, s2, s3),
+        "sieve-identity": crible_change_tse(same, s2, s2),
+        "powerset-image": functor_exists_tse(bp2, bp2, same),
+        "powerset-preimage": functor_preimage_tse(bp2, bp2, same),
+    }
+    cases = {}
+    for name, f in spans.items():
+        rng = random.Random(f"sparse-apply:{name}")
+        sources = [random_vcategory(f.source, rng, max_objects=4) for _ in range(6)]
+        if f.source is QLm:
+            sources += [aut1(QLm), loop1(QLm)]
+        cases[name] = (f, sources)
+    return cases
+
+
+@pytest.mark.parametrize("case", list(sparse_apply_cases()))
+def test_sparse_apply_cob_is_mapping_every_pair(case):
+    f, sources = sparse_apply_cases()[case]
+    for a in sources:
+        out, oracle = apply_cob(f, a), dense_apply_cob(f, a)
+        assert (out.objects, out.extents, out.rows) == (oracle.objects, oracle.extents, oracle.rows)
+        assert out.cob_pairs == [(i, x) for i in range(a.n_objects) for x in range(f.n_carriers)
+                                 if a.extents[i] == f.minus[x]]

@@ -1,4 +1,9 @@
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +28,7 @@ from enrbisim.cts import (
     span_leq,
     validate_fincat,
 )
+from enrbisim.documents import load_bundle
 from enrbisim.errors import AmbientMismatch, NotExact, TypeMismatch
 from enrbisim.quantaloid import validate_quantaloid
 from enrbisim.vcat import VFunctor, validate_vcategory, validate_vfunctor
@@ -422,3 +428,50 @@ class TestAdjunction:
         sa, sb = build_S_quantaloid(two), build_S_quantaloid(three)
         lefts = crible_left_adjoints(adj, sa, sb)
         assert set(lefts) == {(x, y) for x in range(3) for y in range(3)}
+
+
+def fan_documents() -> dict[str, dict]:
+    """A 12-element fan poset (a bottom, 10 atoms, a top), a 12-vertex ring
+    typed at the top whose edges run through the atoms, and the identity
+    functor.  The sieves from the top to itself are the 1,026 down-sets of
+    the fan, so each adjoint search compares about a million pairs."""
+    names = ["b"] + [f"a{i}" for i in range(10)] + ["t"]
+    leq = [[i, i] for i in range(12)] + [[0, i] for i in range(1, 12)] + [[i, 11] for i in range(1, 11)]
+    atom = [f"a{i % 10}" for i in range(12)]
+    docs = {
+        "FAN": {"kind": "fincat", "construction": "poset", "elements": names, "leq": leq},
+        "SPEC": {"kind": "ctsspec", "category": "FAN",
+                 "vertices": [{"name": f"v{i}", "type": "t"} for i in range(12)],
+                 "edges": [{"src": f"v{i}", "tgt": f"v{(i + 1) % 12}",
+                            "span": {"apex": atom[i], "left": f"{atom[i]}<=t", "right": f"{atom[i]}<=t"}}
+                           for i in range(12)]},
+        "ID": {"kind": "catfunctor", "source": "FAN", "target": "FAN", "objects": {n: n for n in names},
+               "morphisms": {f"{names[i]}<={names[j]}": f"{names[i]}<={names[j]}" for i, j in leq}},
+    }
+    return {name: {"schema": "enrbisim/1", "name": name, **doc} for name, doc in docs.items()}
+
+
+def test_fan_poset_refinement_finishes(tmp_path):
+    """Refining along the identity of the fan poset searches the adjoints
+    of its 1,026-sieve hom on the lattice cores, well within the time
+    bound, and gives the specification's own enrichment back."""
+    for name, doc in fan_documents().items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run(
+        [sys.executable, "-m", "enrbisim", "--paths", str(tmp_path), "cts-refine", "--spec", "SPEC",
+         "--functor", "ID"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=5,
+    )
+    assert run.returncode == 0, run.stderr
+    homs = json.loads(run.stdout)["details"]["result"]["homs"]
+    bundle = load_bundle([str(tmp_path)])
+    cat, spec = bundle.get("SPEC")
+    built = cts_to_vcat(bundle.sieve_base("FAN"), spec)
+    assert len(homs) == 144
+    for i, j in itertools.product(range(12), repeat=2):
+        written = homs[f"(v{i}|t),(v{j}|t)"]
+        assert {(s["apex"], s["left"], s["right"]) for s in written} == {
+            (cat.objects[s.apex], cat.morphisms[s.left].name, cat.morphisms[s.right].name)
+            for s in built.hom(i, j)
+        }

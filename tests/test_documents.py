@@ -148,6 +148,26 @@ class TestBundleLoading:
         assert main(["--paths", *FIXTURES, "--paths", str(tmp_path), "validate"]) == 2
         assert "ParseError" in json.loads(capsys.readouterr().out)["details"]["error"]
 
+    def test_a_directory_lists_as_two_globs_did(self, tmp_path):
+        """One listing gives what ``sorted(glob("*.json")) +
+        sorted(glob("*.aut"))`` gave: hidden files and directories named
+        like documents included, suffixes matched by case, ``.aut``
+        entries after every ``.json`` one."""
+        for name in ["b.json", "a.json", ".hidden.json", ".json", "X.JSON", "Z.json", "c.aut", "a.aut",
+                     "a.AUT", "notes.txt", "aut", "json", "z.json.bak", "y.aut.json"]:
+            (tmp_path / name).write_text("")
+        (tmp_path / "x.json").mkdir()
+        (tmp_path / "d.aut").mkdir()
+        globbed = sorted(tmp_path.glob("*.json")) + sorted(tmp_path.glob("*.aut"))
+        assert documents._directory_files(tmp_path) == globbed
+        assert [p.name for p in globbed][-3:] == ["a.aut", "c.aut", "d.aut"]
+        assert {".hidden.json", "x.json"} <= {p.name for p in globbed}
+
+    def test_a_directory_named_like_a_document_cannot_be_read(self, tmp_path):
+        (tmp_path / "x.json").mkdir()
+        with pytest.raises(ParseError, match="x.json: cannot read"):
+            load_bundle([tmp_path])
+
     def test_shorthand_kind_spelling(self, tmp_path):
         write_doc(
             tmp_path,
@@ -843,6 +863,20 @@ class TestMalformedDocuments:
         (span_doc(["c"], {"c,c": {}}), "T: component 'c,c' is not a list"),
         (span_doc(["c"], {"c,c": ["00", "11"]}), "T: component 'c,c' entry '00' is not a pair of elements"),
         (span_doc(["c"], "c,c"), "T: components is not an object"),
+        (document("V", "vcategory", base="Q2", graph={"vertices": TWO_VERTICES, "edges": ["ab"]}),
+         "V: graph edges entry 'ab' is not an object"),
+        (document("V", "vcategory", base="Q2", graph={"vertices": ["a"], "edges": []}),
+         "V: graph vertices entry 'a' is not an object"),
+        (document("V", "vcategory", base="Q2", graph="ab"), "V: graph 'ab' is not an object"),
+        (document("V", "vcategory", base="Q2", graph=[]), "V: graph [] is not an object"),
+        ([fincat_doc(), document("S", "ctsspec", category="C", vertices=[{"name": "v", "type": "x"}],
+                                 edges=["ab"])], "S: edges entry 'ab' is not an object"),
+        ([fincat_doc(), document("S", "ctsspec", category="C", vertices=[["v", "x"]], edges=[])],
+         "S: vertices entry ['v', 'x'] is not an object"),
+        ([fincat_doc(), document("S", "ctsspec", category="C", vertices=[{"name": "v", "type": "x"}],
+                                 edges=[{"src": "v", "tgt": "v", "span": "x"}])],
+         "S: edge span 'x' is not an object"),
+        (fincat_doc(morphisms=["id"]), "C: morphisms entry 'id' is not an object"),
     ], ids=[
         "base-homs-arity", "base-homs-unknown", "base-tensor-arity", "base-tensor-unknown",
         "base-id-arity", "base-id-unknown", "base-repeated", "base-comma",
@@ -858,10 +892,12 @@ class TestMalformedDocuments:
         "metric-grid-number", "metric-grid-string", "fincat-pullbacks-object", "fincat-compose-string",
         "fincat-identities-object", "poset-leq-object", "base-tensor-object", "base-tensor-row-string",
         "span-component-object", "span-component-entry-string", "span-components-string",
+        "graph-edge-string", "graph-vertex-string", "graph-string", "graph-list",
+        "ctsspec-edge-string", "ctsspec-vertex-list", "ctsspec-span-string", "fincat-morphism-string",
     ])
     def test_exits_2_naming_the_fault(self, tmp_path, capsys, doc, match):
-        write_doc(tmp_path, Q2_DOC)
-        write_doc(tmp_path, doc)
+        for each in [Q2_DOC, *(doc if isinstance(doc, list) else [doc])]:
+            write_doc(tmp_path, each)
         assert main(["--paths", str(tmp_path), "validate"]) == 2
         out, err = capsys.readouterr()
         assert json.loads(out)["details"] == {"error": f"ParseError: {match}"}

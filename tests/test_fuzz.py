@@ -97,9 +97,63 @@ def nodes(value, path=()):
             yield from nodes(child, path + (i,))
 
 
+# a key no reader reads, which a shape-keeping mutation adds to an object
+UNKNOWN_KEY = "note"
+
+
+def name_slots(value) -> list:
+    """Where a list defines names: each entry's position, and its key when the
+    entries are objects named by ``"name"``; empty unless there are two or more."""
+    if type(value) is not list or len(value) < 2:
+        return []
+    if all(type(v) is str for v in value):
+        return [(i, None) for i in range(len(value))]
+    if all(type(v) is dict and type(v.get("name")) is str for v in value):
+        return [(i, "name") for i in range(len(value))]
+    return []
+
+
+def keep_shape(d: dict, rng: random.Random) -> str | None:
+    """A change that keeps the document's shape, in place: a list reordered,
+    an entry repeated, a key no reader reads added to an object, or two
+    names a list defines swapped.  None if the document has no place for
+    the change drawn."""
+    op = rng.choice(["reorder", "repeat", "unknown", "swap"])
+    at = {
+        "reorder": lambda v: type(v) is list and len(set(map(json.dumps, v))) > 1,
+        "repeat": lambda v: type(v) is list and len(v) > 0,
+        "unknown": lambda v: type(v) is dict,
+        "swap": lambda v: bool(name_slots(v)),
+    }[op]
+    places = [(p, v) for p, v in nodes(d) if at(v)]
+    if not places:
+        return None
+    path, value = rng.choice(places)
+    if op == "reorder":
+        before = list(value)
+        while value == before:
+            rng.shuffle(value)
+    elif op == "repeat":
+        value.append(copy.deepcopy(rng.choice(value)))
+    elif op == "unknown":
+        value[UNKNOWN_KEY] = rng.choice(JUNK)
+    else:
+        (i, key), (j, _) = rng.sample(name_slots(value), 2)
+        if key is None:
+            value[i], value[j] = value[j], value[i]
+        else:
+            value[i][key], value[j][key] = value[j][key], value[i][key]
+    return f"{op} at {list(path)}"
+
+
 def mutate_doc(original: dict, names: list[str], rng: random.Random) -> tuple[dict, str]:
-    """One random change at one random place of the document tree."""
+    """One random change at one random place of the document tree; half the
+    time one that keeps the document's shape (``keep_shape``)."""
     d = copy.deepcopy(original)
+    if rng.random() < 0.5:
+        what = keep_shape(d, rng)
+        if what is not None:
+            return d, what
     path = rng.choice([p for p, _ in nodes(d) if p])
     parent = d
     for key in path[:-1]:
@@ -233,15 +287,26 @@ def test_a_list_given_as_another_type_is_a_parse_error(capsys, tmp_path, seeds):
 SERIALIZED = {"quantaloid", "fincat", "vcategory", "vfunctor", "relation"}
 
 
+def without_unknown(value):
+    """``value`` with every ``UNKNOWN_KEY`` dropped from its objects."""
+    if type(value) is dict:
+        return {k: without_unknown(v) for k, v in value.items() if k != UNKNOWN_KEY}
+    if type(value) is list:
+        return [without_unknown(v) for v in value]
+    return value
+
+
 def as_written(d: dict, bundle) -> dict | None:
     """What ``serialize`` writes for a loaded document ``d``, by the
-    defaults README "Documents" lists: an explicit base's or category's
+    defaults README "Documents" lists: a field no reader reads is
+    ignored (``without_unknown``); an explicit base's or category's
     ``construction`` may be left out and so may a category's
     ``pullbacks``; ``leq``, ``compose``, ``pullbacks`` and a relation's
     ``pairs`` are written sorted; an enrichment's hom is written as its
     base writes it (a table element by name, a set sorted) and an absent
     one as bottom.  None for a shorthand base, a poset category and a
     graph enrichment, which are written in explicit form."""
+    d = without_unknown(d)
     if d.get("construction", "explicit") != "explicit" or d["kind"] not in SERIALIZED or "graph" in d:
         return None
     d = {key: value for key, value in d.items() if key != "construction"}

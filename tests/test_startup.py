@@ -5,12 +5,13 @@ loads is paid on every request, and so is compiling each module whose
 code runs when no bytecode cache is written.  The modules in KEPT_OFF
 stay off that path.  The eight package modules the benchmark's tracer
 wraps (TRACED) are all in ``sys.modules`` after the import, but three of
-them, and the simulation, witness and JSON-document modules (LAZY), are
-registered unrun: a module of those runs only when a command first reads
-one of its names, so a request runs only the ones it reaches.  The
-modules of the set, table and language base families, of the generic
-free closure and of the law checks (FAMILIES) are not even imported
-until a document or command needs them.  ``json`` is imported
+them, and the simulation, witness, refinement, span-document,
+JSON-document and document-builder modules (LAZY), are registered unrun:
+a module of those runs only when a command first reads one of its names,
+so a request runs only the ones it reaches.  The modules of the set,
+relation, table and language base families, of the generic free closure
+and of the law checks (FAMILIES) are not even imported until a document
+or command needs them.  ``json`` is imported
 only by a request that reads a JSON document (JSON_FREE are the runs
 that read automata alone).  The tracer finds each function it wraps under the name it
 gives, wherever the function moved.  The ``exec`` audit event, raised each time a
@@ -43,6 +44,7 @@ KEPT_OFF = {
     "enrbisim.fixtures",
     "enrbisim.constructions",
     "enrbisim.sets",
+    "enrbisim.rel",
     "enrbisim.closure",
     "enrbisim.tables",
     "enrbisim.language",
@@ -55,11 +57,12 @@ TRACED = {
 
 
 LAZY = {
-    "enrbisim.bisim", "enrbisim.simulation", "enrbisim.witness", "enrbisim.cts", "enrbisim.cob",
-    "enrbisim.jsondocs",
+    "enrbisim.bisim", "enrbisim.simulation", "enrbisim.witness", "enrbisim.cts", "enrbisim.ctsrefine",
+    "enrbisim.cob", "enrbisim.cobdocs", "enrbisim.jsondocs", "enrbisim.builders",
 }
 FAMILIES = {
-    "enrbisim.sets", "enrbisim.closure", "enrbisim.tables", "enrbisim.language", "enrbisim.laws",
+    "enrbisim.sets", "enrbisim.rel", "enrbisim.closure", "enrbisim.tables", "enrbisim.language",
+    "enrbisim.laws",
 }
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 DATA = SRC / "enrbisim" / "data"
@@ -140,7 +143,10 @@ def paths(*files) -> list[str]:
 
 
 # each run: its arguments (after the files), its exit code, the lazy and
-# family modules it runs
+# family modules it runs.  No automaton run reaches the relation bases; a
+# table request runs the document builders and their law check; a
+# cts-build runs neither the functor module nor cob, and a cts-refine
+# runs cob but neither its span documents nor the document builders
 RUNS = {
     "automaton bisimilar": (aut_files, ["bisimilar", "--a", "A", "--b", "B"], 0,
                             {"enrbisim.bisim", "enrbisim.language", "enrbisim.sets"}),
@@ -152,9 +158,9 @@ RUNS = {
     "table simulates": (lambda _: paths(DATA / "Q2.json", DATA / "P01.json", DATA / "POINT.json"),
                         ["simulates", "--a", "P01", "--b", "POINT"], 0,
                         {"enrbisim.bisim", "enrbisim.simulation", "enrbisim.tables",
-                         "enrbisim.jsondocs"}),
+                         "enrbisim.jsondocs", "enrbisim.builders"}),
     "validate": (lambda _: paths(DATA / "Q2.json"), ["validate"], 0,
-                 {"enrbisim.tables", "enrbisim.laws", "enrbisim.jsondocs"}),
+                 {"enrbisim.tables", "enrbisim.laws", "enrbisim.jsondocs", "enrbisim.builders"}),
     "cts-build": (lambda _: paths(DATA / "P2.json", GOLDEN_DOCS / "SPEC.json"),
                   ["cts-build", "--spec", "SPEC"], 0,
                   {"enrbisim.cts", "enrbisim.laws", "enrbisim.sets", "enrbisim.closure",
@@ -162,13 +168,14 @@ RUNS = {
     "cts-refine": (lambda _: paths(DATA / "P2.json", *(GOLDEN_DOCS / f"{name}.json"
                                                       for name in ("SPEC", "T3", "INC"))),
                    ["cts-refine", "--spec", "SPEC", "--functor", "INC"], 0,
-                   {"enrbisim.cts", "enrbisim.cob", "enrbisim.sets", "enrbisim.closure",
-                    "enrbisim.jsondocs"}),
+                   {"enrbisim.cts", "enrbisim.ctsrefine", "enrbisim.cob", "enrbisim.sets",
+                    "enrbisim.closure", "enrbisim.jsondocs"}),
     # the shipped fixtures hold a fincat document, which cts reads, and
     # table and language bases
     "default-path bisimilar": (lambda _: [], ["bisimilar", "--a", "AUT1", "--b", "LOOP1"], 1,
                                {"enrbisim.bisim", "enrbisim.cts", "enrbisim.tables",
-                                "enrbisim.language", "enrbisim.sets", "enrbisim.jsondocs"}),
+                                "enrbisim.language", "enrbisim.sets", "enrbisim.rel",
+                                "enrbisim.jsondocs", "enrbisim.builders"}),
 }
 JSON_FREE = {"automaton bisimilar", "automaton span", "automaton simulates"}
 
@@ -225,7 +232,8 @@ def test_serializing_a_table_base_runs_no_lazy_module():
         f"bundle = load_bundle([{str(DATA / 'Q2.json')!r}])\n"
         "assert serialize(bundle, 'Q2')['name'] == 'Q2'"
     )
-    assert ran & LAZY == {"enrbisim.jsondocs"}  # the JSON reader and writer, and no other
+    # the JSON reader and writer, and the base's builder
+    assert ran & LAZY == {"enrbisim.jsondocs", "enrbisim.builders"}
 
 
 def test_every_export_resolves_to_its_module():
@@ -254,24 +262,39 @@ def test_exporting_modules_are_package_attributes():
     assert json.loads(child_output(code)) == []
 
 
-def test_tracer_finds_every_name_it_wraps(tmp_path):
-    # the benchmark's tracer wraps the witnesses under the names bisim.* and
-    # vcat.pullback; a name bound nowhere stops every traced run
-    argv = aut_files(tmp_path) + ["span", "--a", "A", "--b", "B"]
-    code = (
+def traced_spans(argv: list[str], code: int) -> set[str]:
+    """The names of the spans the benchmark's tracer records in a fresh
+    interpreter running ``argv``."""
+    program = (
         "import contextlib, importlib.util, io, sys\n"
         "sys.dont_write_bytecode = True\n"
         f"spec = importlib.util.spec_from_file_location('tracer', {str(TRACER)!r})\n"
         "tracer = importlib.util.module_from_spec(spec)\n"
         "spec.loader.exec_module(tracer)\n"
-        "recorder = tracer.Recorder('span')\n"
+        "recorder = tracer.Recorder('run')\n"
         "main = tracer.install(recorder, counts=False)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert main({argv!r}) == 0, 'exit code'\n"
+        f"    assert main({argv!r}) == {code}, 'exit code'\n"
         "print(*sorted({span[0] for span in recorder.spans}), sep='\\n')\n"
     )
-    spans = set(child_output(code).split())
+    return set(child_output(program).split())
+
+
+def test_tracer_finds_every_name_it_wraps(tmp_path):
+    # the benchmark's tracer wraps the witnesses under the names bisim.* and
+    # vcat.pullback; a name bound nowhere stops every traced run
+    spans = traced_spans(aut_files(tmp_path) + ["span", "--a", "A", "--b", "B"], 0)
     witnesses = {"bisim.span_witness", "bisim.cospan_witness", "bisim.quotient", "bisim.is_od",
                  "vcat.pullback"}
     assert witnesses <= spans, sorted(witnesses - spans)
 
+
+def test_tracer_times_the_sieve_layers_where_they_moved():
+    # the sieve workload's spans, under the names the tracer gives them:
+    # refinement, its change of base and adjoints, the sieve base's law
+    # check and the report's enrichment document
+    build, refine = (RUNS[run][0](None) + RUNS[run][1] for run in ("cts-build", "cts-refine"))
+    spans = traced_spans(build, 0) | traced_spans(refine, 0)
+    sieve = {"cts.refine", "cob.apply_cob", "cob.local_right_adjoints",
+             "quantaloid.validate_quantaloid", "documents.vcategory_to_doc"}
+    assert sieve <= spans, sorted(sieve - spans)
