@@ -30,6 +30,14 @@ Three input families, each grown over the sizes in the order given:
     ``largest_bisimulation``'s relation, its details (the related pairs
     and the refinement trace, ``_relation_details``) written as the JSON
     report (``Report.to_json``);
+
+  Since the partition form of ``largest_bisimulation``'s relation, that
+  layer times the refinement rounds alone: the relation keeps every
+  round's block ids and builds its pairs and trace when first read.  So
+  each layer that reads the relation gets a fresh shallow copy of it,
+  and the digest reads another: ``report`` pays for the pairs and the
+  trace on every run, as a request does, and ``quotient`` for the
+  pairs.  A relation with eager pairs copies the same way;
   - ``bisimilar_cli``: the end-to-end layer, one whole request
     ``python -m enrbisim bisimilar`` in a new process, on the automaton's
     ``.aut`` file and a copy whose states other than the initial one are
@@ -115,6 +123,7 @@ Standard library only; nothing here is part of the test suite.
 from __future__ import annotations
 
 import argparse
+import copy
 import gc
 import hashlib
 import json
@@ -301,7 +310,8 @@ def run_layers(layers, sizes: list[int], cap: float, prepare) -> dict:
             layer["raw_seconds"][str(n)] = round(raw, 6)
             layer["runs"][str(n)] = [round(r, 6) for r in runs]
             layer["probes"][str(n)] = [[round(p, 6) for p in pair] for pair in probes]
-            layer["digest"][str(n)] = digest(name, result)
+            # on a copy, so that no pairs or trace built lazily stay on the output
+            layer["digest"][str(n)] = digest(name, copy.copy(result))
             if seconds > cap:
                 layer["stopped"] = {"n": n, "why": f"median {seconds:.3f} s, over the cap"}
             print(f"{label} n={n} {name}: {seconds:.4f} s (raw {raw:.4f} s)", file=sys.stderr,
@@ -332,18 +342,22 @@ def measure_automata(k: int, sizes: list[int], cap: float, workdir: Path, src: P
     base = build_language_quantale(ALPHABET, k)
     # the command handlers, and this helper with them, left cli for their engines
     relation_details = getattr(bisim, "_relation_details", None) or cli._relation_details
+
+    def fresh(o):
+        """The relation, without what an earlier reader built lazily on it."""
+        return copy.copy(o["largest_bisimulation"])
     env = dict(os.environ, PYTHONPATH=str(src))
 
     def prepare(n):
         rng = random.Random(f"{SEED}:{k}:{n}")
         trans = random_automaton(rng, n)
-        path, copy = workdir / f"a{n}.aut", workdir / f"b{n}.aut"
+        path, twin = workdir / f"a{n}.aut", workdir / f"b{n}.aut"
         path.write_text(aut_text(n, trans))
-        copy.write_text(aut_text(n, shuffled(rng, n, trans)))
+        twin.write_text(aut_text(n, shuffled(rng, n, trans)))
         request = [
-            sys.executable, "-m", "enrbisim", "--paths", str(path), "--paths", str(copy),
+            sys.executable, "-m", "enrbisim", "--paths", str(path), "--paths", str(twin),
             "--aut-alphabet", ",".join(ALPHABET), "--aut-k", str(k),
-            "bisimilar", "--a", path.stem, "--b", copy.stem,
+            "bisimilar", "--a", path.stem, "--b", twin.stem,
         ]
         children: list[subprocess.CompletedProcess] = []
 
@@ -360,14 +374,14 @@ def measure_automata(k: int, sizes: list[int], cap: float, workdir: Path, src: P
             **relation_steps(bisim, validate_vcategory),
             "quotient": lambda o: bisim.quotient(
                 o["vcategory"],
-                bisim.BisimEquivalence(o["vcategory"], classes(o["largest_bisimulation"])),
+                bisim.BisimEquivalence(o["vcategory"], classes(fresh(o))),
             ),
             "cospan_witness": lambda o: bisim.cospan_witness(
-                o["vcategory"], o["vcategory"], o["largest_bisimulation"]
+                o["vcategory"], o["vcategory"], fresh(o)
             ),
             "span_witness": lambda o: bisim.span_witness(o["vcategory"], o["vcategory"]),
             "report": lambda o: cli.Report(
-                "bisimilar", "yes", relation_details(o["largest_bisimulation"])
+                "bisimilar", "yes", relation_details(fresh(o))
             ).to_json(),
             "bisimilar_cli": bisimilar_cli,
         }
@@ -375,7 +389,7 @@ def measure_automata(k: int, sizes: list[int], cap: float, workdir: Path, src: P
 
         def check():
             path.unlink()
-            copy.unlink()
+            twin.unlink()
             for child in children:
                 if child.returncode != 0 or json.loads(child.stdout)["verdict"] != "yes":
                     raise SystemExit(f"k={k} n={n}: bisimilar exited {child.returncode}, not 0 "

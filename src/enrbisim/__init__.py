@@ -1,7 +1,7 @@
 """Simulation and bisimulation for categories enriched over finite quantaloids.
 
 Importing the package runs no module of it.  ``bisim``, ``simulation``,
-``witness``, ``cts`` and ``ctsrefine`` (refinement along functors),
+``witness``, ``checks`` (given relations), ``cts`` and ``ctsrefine`` (refinement along functors),
 ``cob`` and ``cobdocs`` (the spans documents name), ``jsondocs`` (JSON
 documents) and ``builders`` (base and enrichment documents) are lazy:
 they sit in ``sys.modules`` and on the package from the start, and the
@@ -28,7 +28,7 @@ def _lazy(*names: str) -> None:
         spec.loader.exec_module(module)
 
 
-_lazy("bisim", "witness", "cts", "ctsrefine", "cob", "cobdocs", "jsondocs", "builders", "simulation")
+_lazy(*"bisim witness checks cts ctsrefine cob cobdocs jsondocs builders simulation".split())
 
 
 def _moved(module: str, table: dict[str, str]):

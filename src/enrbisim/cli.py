@@ -163,9 +163,9 @@ COMMANDS: dict[str, tuple[str, str | None, tuple]] = {
                       (_A, _B, ("--sim", dict(_FLAG, help="one direction only")))),
     "simulates": ("simulation", None, (_A, _B)),
     "bisimilar": ("bisim", None, (_A, _B)),
-    "bisim-check": ("witness", None, (("--rel", _REQUIRED), ("--sim", _FLAG))),
-    "od-check": ("witness", None, (("--functor", _REQUIRED),)),
-    "quotient": ("witness", None,
+    "bisim-check": ("checks", None, (("--rel", _REQUIRED), ("--sim", _FLAG))),
+    "od-check": ("checks", None, (("--functor", _REQUIRED),)),
+    "quotient": ("checks", None,
                  (_A, ("--rel", _REQUIRED), ("--out", {"default": "quotient"}))),
     "cospan": ("witness", None, (_A, _B, ("--rel", {"default": None}))),
     "span": ("witness", None, (_A, _B)),

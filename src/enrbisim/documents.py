@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Any
 
 # these modules are lazy (see the package): read their names at call time
-from . import _moved, builders, cobdocs, cts, ctsrefine, jsondocs, witness
+from . import _moved, builders, checks, cobdocs, cts, ctsrefine, jsondocs
 from .errors import DanglingReference, ParseError, ValidationError
 from .vcat import VCategory
 
@@ -70,8 +70,8 @@ _BUILDERS = {
     "fincat": lambda doc, resolve: cts.fincat_from_doc(doc),
     "quantaloid": lambda doc, resolve: builders._quantaloid_from_doc(doc, resolve),
     "vcategory": lambda doc, resolve: builders._vcategory_from_doc(doc, resolve),
-    "vfunctor": lambda doc, resolve: witness.vfunctor_from_doc(doc, resolve),
-    "relation": lambda doc, resolve: witness.relation_from_doc(doc, resolve),
+    "vfunctor": lambda doc, resolve: checks.vfunctor_from_doc(doc, resolve),
+    "relation": lambda doc, resolve: checks.relation_from_doc(doc, resolve),
     "tse": lambda doc, resolve: cobdocs.tse_from_doc(doc, resolve),
     "ctsspec": lambda doc, resolve: cts.ctsspec_from_doc(doc, resolve),
     "catfunctor": lambda doc, resolve: ctsrefine.catfunctor_from_doc(doc, resolve),

@@ -18,9 +18,8 @@ from .bisim import SimRelation, largest_bisimulation
 from .errors import BaseMismatch, ParseError, SizeLimit
 from .quantaloid import Quantaloid
 from .vcat import EnrichedGraph, VCategory, free_vcategory
-from .witness import (
-    BisimEquivalence, VFunctor, equivalence_closure, is_bisimulation, is_od, pullback, quotient,
-)
+from .checks import equivalence_closure, is_bisimulation
+from .witness import BisimEquivalence, VFunctor, is_od, pullback, quotient
 
 
 def terminal(base: Quantaloid) -> VCategory:

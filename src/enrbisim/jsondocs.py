@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 
-from . import _moved, cts, documents, witness
+from . import _moved, checks, cts, documents
 from .documents import SCHEMA, Bundle, _read_text
 from .errors import ParseError, SizeLimit, UnknownObject, ValidationError
 from .quantaloid import name_index
@@ -190,9 +190,9 @@ def serialize(bundle: Bundle, name: str) -> dict:
     if kind == "vcategory":
         return vcategory_to_doc(bundle, name, obj)
     if kind == "vfunctor":
-        return head | witness.vfunctor_to_doc(obj, bundle.name_of)
+        return head | checks.vfunctor_to_doc(obj, bundle.name_of)
     if kind == "relation":
-        return head | witness.relation_to_doc(obj, bundle.name_of)
+        return head | checks.relation_to_doc(obj, bundle.name_of)
     raise ValidationError(f"cannot serialize documents of kind {kind!r}")
 
 

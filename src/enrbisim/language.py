@@ -1,14 +1,12 @@
-"""Truncated word languages, the base of the paper's automata, with
-their own free construction and composition law check.  Their documents
-are read here, and Aldebaran automaton files straight into their free
-enrichment, so only a request that names a language base or an
-automaton imports this module.
+"""Truncated word languages, the base of the paper's automata, with their own free
+construction and composition law check.  Their documents are read here, and Aldebaran
+automaton files straight into their free enrichment, so only a request that names a
+language base or an automaton imports this module.
 """
 
 from __future__ import annotations
 
 import itertools
-import re
 from pathlib import Path
 from typing import Callable
 
@@ -56,11 +54,8 @@ class LanguageQuantale(SetQuantaloid):
             # log2(MAX_WORDS) symbols, so the symbol cap binds on one letter only
             if n_words > MAX_WORDS or symbols > 32 * MAX_WORDS:
                 raise SizeLimit(f"the words up to length {self.k} exceed the cap {MAX_WORDS}")
-        self.words = [
-            word
-            for length in range(longest + 1)
-            for word in itertools.product(self.alphabet, repeat=length)
-        ]
+        self.words = [word for length in range(longest + 1)
+                      for word in itertools.product(self.alphabet, repeat=length)]
 
     def _make_hom(self, u, v):
         return PowersetLattice(self.words)
@@ -78,22 +73,19 @@ class LanguageQuantale(SetQuantaloid):
     def free_homs(self, extents, edges):
         return self.path_homs(len(extents), edges)
 
-    def path_homs(
-        self, n_vertices: int, edges: list[tuple[int, int, frozenset]]
-    ) -> list[dict[int, frozenset]]:
+    def path_homs(self, n_vertices: int,
+                  edges: list[tuple[int, int, frozenset]]) -> list[dict[int, frozenset]]:
         """Hom rows of the free enrichment on a labelled graph.
 
-        A forward sweep from each source over the out-edge lists.  Level
-        ``l`` lists the pairs (vertex, word of length ``l`` reaching it),
-        each pair once; level 0 holds the source and the empty word.
-        Walking a level extends each pair along every out-edge label: an
-        empty-word label appends to the level being walked, so each level
-        is closed under those before the next one starts, and any other
-        label appends to a later level.  This equals the generic ascending
-        closure but never concatenates two large languages, and it touches
-        only what the source reaches within ``k`` letters.  A row maps
-        each reached target, in target order, to its words and leaves out
-        the rest, whose hom is the empty set.
+        A forward sweep from each source over the out-edge lists.  Level ``l`` lists the
+        pairs (vertex, word of length ``l`` reaching it), each pair once; level 0 holds the
+        source and the empty word.  Walking a level extends each pair along every out-edge
+        label: an empty-word label appends to the level being walked, so each level is
+        closed under those before the next one starts, and any other label appends to a
+        later level.  This equals the generic ascending closure but never concatenates two
+        large languages, and it touches only what the source reaches within ``k`` letters.
+        A row maps each reached target, in target order, to its words and leaves out the
+        rest, whose hom is the empty set.
         """
         k = self.k
         out: list[list[tuple[int, tuple, int]]] = [[] for _ in range(n_vertices)]
@@ -124,14 +116,13 @@ class LanguageQuantale(SetQuantaloid):
     def composition_law_holds(self, rows) -> bool:
         """Whether ``hom(i,j) . hom(j,l) <= hom(i,l)`` for all ``i, j, l``.
 
-        ``rows`` are an enrichment's non-bottom rows (``VCategory.rows``).
-        Row ``i`` becomes a map ``masks[i]`` from each word to the bitmask of
-        the targets ``l`` whose hom contains it.  The law holds exactly when
-        ``masks[j][w] <= masks[i][u.w]`` (as bit sets) for every word ``u`` in
-        ``hom(i,j)`` and every word ``w`` of row ``j`` with ``|u| + |w| <= k``.
-        Each row's words are bucketed by length, so only those pairs are
-        visited.  Each concatenation comes from ``self.compose`` on
-        singletons, once per word pair, so truncation is defined in one place.
+        ``rows`` are an enrichment's non-bottom rows (``VCategory.rows``).  Row ``i`` becomes
+        a map ``masks[i]`` from each word to the bitmask of the targets ``l`` whose hom
+        contains it.  The law holds exactly when ``masks[j][w] <= masks[i][u.w]`` (as bit
+        sets) for every word ``u`` in ``hom(i,j)`` and every word ``w`` of row ``j`` with
+        ``|u| + |w| <= k``.  Each row's words are bucketed by length, so only those pairs are
+        visited.  Each concatenation comes from ``self.compose`` on singletons, once per
+        word pair, so truncation is defined in one place.
         """
         cutoff = self.k
         masks: list[dict[tuple, int]] = []
@@ -179,8 +170,25 @@ def quantaloid_from_doc(doc, resolve) -> LanguageQuantale:
 # ---------------------------------------------------------------------------
 # Aldebaran automata
 
-_AUT_HEADER = re.compile(r"des\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\s*$")
-_AUT_LINE = re.compile(r'\(\s*(\d+)\s*,\s*"([^"]*)"\s*,\s*(\d+)\s*\)\s*$')
+def _aut_header(path, line: str) -> list[int]:
+    """``init, trans, states`` of a stripped ``des (init, trans, states)`` line, read, as every
+    line, by ``str`` methods: ``strip`` drops what ``\\s`` matches, ``isdecimal`` takes ``\\d``."""
+    rest = line[3:].lstrip() if line.startswith("des") else ""
+    parts = [part.strip() for part in rest[1:-1].split(",")] if rest[:1] + rest[-1:] == "()" else []
+    if len(parts) != 3 or not all(map(str.isdecimal, parts)):
+        raise ParseError(f"{path}: bad header {line!r}")
+    return [int(part) for part in parts]
+
+
+def _aut_transition(path, line: str) -> tuple[int, str, int]:
+    """``src, label, dst`` of a stripped ``(src, "label", dst)`` line; a label holds no quote."""
+    parts = line.split('"', 2)
+    head, label, tail = parts if len(parts) == 3 else ("", "", "")
+    (src, comma, gap), (gap2, comma2, dst) = head.partition(","), tail.partition(",")
+    if not (comma and comma2 and src[:1] == "(" and dst[-1:] == ")" and not (gap + gap2).strip()
+            and src[1:].strip().isdecimal() and dst[:-1].strip().isdecimal()):
+        raise ParseError(f"{path}: bad transition line {line!r}")
+    return int(src[1:]), label, int(dst[:-1])
 
 
 def parse_aut(path) -> tuple[int, int, list[tuple[int, str, int]]]:
@@ -188,29 +196,21 @@ def parse_aut(path) -> tuple[int, int, list[tuple[int, str, int]]]:
     lines = [ln.strip() for ln in _read_text(path).splitlines() if ln.strip()]
     if not lines:
         raise ParseError(f"{path}: empty file")
-    header = _AUT_HEADER.match(lines[0])
-    if not header:
-        raise ParseError(f"{path}: bad header {lines[0]!r}")
-    initial, n_trans, n_states = (int(g) for g in header.groups())
+    initial, n_trans, n_states = _aut_header(path, lines[0])
     if n_states > MAX_OBJECTS:
         raise SizeLimit(
-            f"{path}: header announces {n_states} states, more than the cap {MAX_OBJECTS}"
-        )
+            f"{path}: header announces {n_states} states, more than the cap {MAX_OBJECTS}")
     if initial >= n_states:
         raise ParseError(f"{path}: initial state {initial} out of range")
     transitions = []
     for ln in lines[1:]:
-        m = _AUT_LINE.match(ln)
-        if not m:
-            raise ParseError(f"{path}: bad transition line {ln!r}")
-        src, label, dst = int(m.group(1)), m.group(2), int(m.group(3))
+        src, label, dst = _aut_transition(path, ln)
         if src >= n_states or dst >= n_states:
             raise ParseError(f"{path}: state out of range in {ln!r}")
         transitions.append((src, label, dst))
     if len(transitions) != n_trans:
         raise ParseError(
-            f"{path}: header announces {n_trans} transitions, found {len(transitions)}"
-        )
+            f"{path}: header announces {n_trans} transitions, found {len(transitions)}")
     return initial, n_states, transitions
 
 

@@ -39,9 +39,9 @@ class VCategory:
     checked against its lattice (``UnknownElement`` if outside it).
     ``rows[i]`` lists object ``i``'s non-bottom homs as ``(target, hom,
     lattice)`` in target order, and ``row_maps[i]`` maps those targets to
-    their homs; both are read-only.  The free constructions and
-    ``witness.quotient`` pass ``_trusted`` rows, joins and composites of
-    checked homs, non-bottom and in target order: none is checked or
+    their homs; both are read-only.  The free constructions, ``witness.quotient``
+    and ``witness.pullback`` pass ``_trusted`` rows, joins, meets and composites
+    of checked homs, non-bottom and in target order: none is checked or
     sorted again, and each row becomes its row map.
     """
 

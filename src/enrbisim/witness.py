@@ -1,19 +1,18 @@
-"""What witnesses and checks a (bi)simulation relation that ``bisim``
-computed or a document gave: enriched functors and their pullbacks, the
-direct checks of a relation, surjective functional bisimulations,
-quotients, and the cospan and span witnesses of bisimilarity, with the
-``vfunctor`` and ``relation`` documents and the commands that need them.
+"""What witnesses bisimilarity: enriched functors and their pullbacks,
+surjective functional bisimulations, quotients, and the cospan and span
+witnesses, which read the blocks of ``largest_bisimulation``'s result,
+with the commands that build them.  The checks of a relation or functor
+that a document or a caller gives are ``checks``'.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+from typing import Optional
 
-from . import jsondocs
-from .bisim import SimRelation, _block_joins, _failing_probe, _pair, largest_bisimulation
+from .bisim import SimRelation, _block_joins, _pair, largest_bisimulation
 from .errors import (
     BaseMismatch, EndpointMismatch, ExtentMismatch, InternalAssertion, NotABisimulation,
-    NotBisimilar, NotComposable, NotLocallyDistributive, UnknownObject, require_valid,
+    NotBisimilar, NotComposable, NotLocallyDistributive, UnknownObject,
 )
 from .vcat import VCategory, require_same_base
 
@@ -65,8 +64,9 @@ def validate_vfunctor(f: VFunctor) -> list[str]:
     # hom lies below any image
     m = f.mapping
     for i, row in enumerate(a.rows):
+        image = b.row_maps[m[i]]
         for j, x, lat in row:
-            if not lat._leq(x, b.hom(m[i], m[j])):
+            if not lat._leq(x, image[m[j]] if m[j] in image else b.hom(m[i], m[j])):
                 out.append(f"hom shrinks at ({a.objects[i]},{a.objects[j]})")
     return out
 
@@ -75,7 +75,11 @@ def pullback(f: VFunctor, g: VFunctor) -> tuple[VCategory, VFunctor, VFunctor]:
     """Pairs agreeing in the target, with the meets of the factors' homs.
 
     Over the maps into ``terminal`` this is the product.  A meet with a
-    bottom hom is bottom, so only pairs of non-bottom homs are met.
+    bottom hom is bottom, so each apex pair's row meets ``a``'s non-bottom
+    homs with ``b``'s into the fibre of their target alone, in target
+    order.  A meet that is bottom by the constructor's type-and-equality
+    rule is dropped, so the rows, meets of checked homs, enter the apex
+    unchecked.
     """
     if f.target is not g.target:
         raise BaseMismatch("pullback needs a common codomain")
@@ -88,55 +92,19 @@ def pullback(f: VFunctor, g: VFunctor) -> tuple[VCategory, VFunctor, VFunctor]:
     names = [f"({a.objects[i]}|{b.objects[j]})" for i, j in pairs]
     extents = [a.extents[i] for i, _ in pairs]
     at = {pair: p for p, pair in enumerate(pairs)}
-    homs = [
-        {
-            at[i2, j2]: lat.meet([x, y])
-            for i2, x, lat in a.rows[i1]
-            for j2, y, _ in b.rows[j1]
-            if (i2, j2) in at
-        }
-        for i1, j1 in pairs
-    ]
-    p = VCategory(a.base, names, extents, homs)
+    homs = []
+    for i1, j1 in pairs:
+        row, image = {}, b.row_maps[j1]
+        for i2, x, lat in a.rows[i1]:  # in target order, and each fibre in object order
+            bottom = a._bottoms[a.extents[i1], a.extents[i2]]
+            for j2 in fibres.get((a.extents[i2], f(i2)), ()):
+                if j2 in image:
+                    meet = lat.meet((x, image[j2]))
+                    if not (type(meet) is type(bottom) and meet == bottom):
+                        row[at[i2, j2]] = meet
+        homs.append(row)
+    p = VCategory(a.base, names, extents, homs, _trusted=True)
     return p, VFunctor(p, a, [i for i, _ in pairs]), VFunctor(p, b, [j for _, j in pairs])
-
-
-class SimulationCheck(NamedTuple):
-    """Verdict with the first violating triple, if any."""
-
-    ok: bool
-    counterexample: Optional[tuple[str, str, str]] = None
-    direction: str = "forward"
-
-    def __bool__(self):
-        return self.ok
-
-
-def is_simulation(r: SimRelation) -> SimulationCheck:
-    """Direct check of the simulation condition at every pair."""
-    mates: list[set] = [set() for _ in r.left.objects]
-    for a, b in r.pairs:
-        mates[a].add(b)
-    joins: dict = {}
-    rows, rmaps = r.left.rows, r.right.row_maps
-    for a, b in sorted(r.pairs):
-        ap = _failing_probe(rows[a], b, rmaps[b], mates, joins)
-        if ap is not None:
-            return SimulationCheck(
-                False,
-                (r.left.objects[a], r.right.objects[b], r.left.objects[ap]),
-            )
-    return SimulationCheck(True)
-
-
-def is_bisimulation(r: SimRelation) -> SimulationCheck:
-    fwd = is_simulation(r)
-    if not fwd:
-        return fwd
-    bwd = is_simulation(r.inverse())
-    if not bwd:
-        return SimulationCheck(False, bwd.counterexample, "backward")
-    return SimulationCheck(True)
 
 
 def _unequal_joins(rows, block_of, want, objects) -> Optional[tuple[int, int]]:
@@ -213,38 +181,6 @@ class BisimEquivalence:
         return f"BisimEquivalence({self.blocks})"
 
 
-def _closure_blocks(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
-
-
-def equivalence_closure(r: SimRelation) -> BisimEquivalence:
-    """Reflexive-symmetric-transitive closure of a bisimulation on one
-    enrichment, returned as a partition.  The closure is itself a
-    bisimulation (it is a union of composites of bisimulations); this is
-    re-verified when the partition is built."""
-    if r.left is not r.right:
-        raise EndpointMismatch("closure needs a relation on a single enrichment")
-    check = is_bisimulation(r)
-    if not check:
-        raise NotABisimulation(f"input relation fails at {check.counterexample}")
-    return BisimEquivalence(r.left, _closure_blocks(r.left.n_objects, r.pairs))
-
-
 def quotient(a: VCategory, e: BisimEquivalence) -> tuple[VCategory, VFunctor]:
     """Collapse a bisimulation equivalence into a new enrichment.
 
@@ -272,25 +208,28 @@ def cospan_witness(
     ``a``'s leg quotients the linking relation's classes restricted to
     ``a``, checked by ``BisimEquivalence``.  ``b``'s leg sends each object
     to its linked class, and each object's joins into the fibers must
-    equal its class's homs.  A total relation equal to the union of its
-    linked classes' products is the composite of the legs' graphs, so
-    those two checks prove it a bisimulation without a pairwise check.
+    equal its class's homs.  ``largest_bisimulation``'s result is the
+    union of its final blocks' products, so those blocks are its classes
+    and the two checks prove it a bisimulation; any other relation's
+    classes are ``checks.linked_classes``', which decides when the
+    pairwise check must run.
     """
     if r.left is not a or r.right is not b:
         raise EndpointMismatch("the relation does not link these enrichments")
     na, nb = a.n_objects, b.n_objects
     # each class lists its objects in order, a's (below na) before b's
-    blocks = _closure_blocks(na + nb, [(x, na + y) for x, y in r.pairs])
+    if r._rounds is None:
+        from .checks import linked_classes  # only a relation given as such runs it
+
+        blocks = linked_classes(r)
+    elif not (r.total_on_left() and r.total_on_right()):
+        raise NotBisimilar("the relation is not total on both sides")
+    else:
+        parts: dict = {}  # block ids number the blocks by least member
+        for i, c in enumerate(r._rounds[-1]):
+            parts.setdefault(c, []).append(i)
+        blocks = list(parts.values())
     blocks_a = [[i for i in blk if i < na] for blk in blocks]
-    total = r.total_on_left() and r.total_on_right()
-    # r lies inside that union, so the sizes decide equality
-    closed = len(r) == sum(len(x) * (len(blk) - len(x)) for x, blk in zip(blocks_a, blocks))
-    if not (total and closed):
-        check = is_bisimulation(r)
-        if not check:
-            raise NotABisimulation(f"relation fails at {check.counterexample}")
-        if not total:
-            raise NotBisimilar("the relation is not total on both sides")
     if any(len(x) in (0, len(blk)) for x, blk in zip(blocks_a, blocks)):
         raise InternalAssertion("a linked class misses one side")
 
@@ -325,68 +264,6 @@ def span_witness(a: VCategory, b: VCategory) -> tuple[VFunctor, VFunctor]:
     f, g = cospan_witness(a, b, r)
     _, to_a, to_b = pullback(f, g)
     return to_a, to_b
-
-
-def vfunctor_from_doc(doc, resolve) -> VFunctor:
-    """The functor of a ``vfunctor`` document, by object names."""
-    source = resolve(doc["source"], VCategory)
-    target = resolve(doc["target"], VCategory)
-    entries = jsondocs._keyed(doc, "map", source.object_index, 1, source.objects)
-    f = VFunctor(source, target, [target.object_index(b) for _, b in entries])
-    require_valid("vfunctor", validate_vfunctor(f))
-    return f
-
-
-def relation_from_doc(doc, resolve) -> SimRelation:
-    """The relation of a ``relation`` document, by object names; a pair
-    given twice is a ``ParseError``."""
-    left = resolve(doc["left"], VCategory)
-    right = resolve(doc["right"], VCategory)
-    pairs = jsondocs._listed(doc, "pairs", doc["pairs"], "a pair of names", 2)
-    rel = SimRelation.from_names(left, right, pairs)
-    if len(rel.pairs) < len(pairs):  # the names are known strings now, so hashable
-        jsondocs._once(doc, "pairs", ((tuple(pair), None) for pair in pairs))
-    return rel
-
-
-def vfunctor_to_doc(f: VFunctor, name_of) -> dict:
-    """What a functor's document says after its name and kind; ``name_of``
-    gives the bundle name of an enrichment."""
-    return {"source": name_of(f.source), "target": name_of(f.target),
-            "map": {x: f.target.objects[y] for x, y in zip(f.source.objects, f.mapping)}}
-
-
-def relation_to_doc(r: SimRelation, name_of) -> dict:
-    """What a relation's document says after its name and kind."""
-    return {"left": name_of(r.left), "right": name_of(r.right),
-            "pairs": [list(p) for p in r.pairs_named()]}
-
-
-# the commands ``cli.COMMANDS`` routes here: each returns its verdict and details
-def cmd_bisim_check(bundle, flags) -> tuple[str, dict]:
-    rel = bundle.get(flags.rel, SimRelation)
-    check = is_simulation(rel) if flags.sim else is_bisimulation(rel)
-    details = {}
-    if check.counterexample is not None:
-        a, b, ap = check.counterexample
-        details["counterexample"] = {"pair": [a, b], "probe": ap, "direction": check.direction}
-    return "yes" if check.ok else "no", details
-
-
-def cmd_od_check(bundle, flags) -> tuple[str, dict]:
-    ok = is_od(bundle.get(flags.functor, VFunctor))
-    return "yes" if ok else "no", {"functor": flags.functor}
-
-
-def cmd_quotient(bundle, flags) -> tuple[str, dict]:
-    a = bundle.get(flags.a, VCategory)
-    equivalence = equivalence_closure(bundle.get(flags.rel, SimRelation))
-    quo, qmap = quotient(a, equivalence)
-    return "valid", {
-        "blocks": [[a.objects[i] for i in block] for block in equivalence.blocks],
-        "map_in_class": is_od(qmap),
-        "result": bundle.store(flags.out, quo),
-    }
 
 
 def cmd_cospan(bundle, flags) -> tuple[str, dict]:

@@ -4,6 +4,8 @@ import random
 import pytest
 
 from enrbisim.bisim import (
+    _block_joins,
+    _numbered,
     BisimEquivalence,
     SimRelation,
     bisimilar,
@@ -39,6 +41,7 @@ from enrbisim.vcat import (
     VCategory,
     VFunctor,
     free_vcategory,
+    pullback,
     validate_vcategory,
     validate_vfunctor,
 )
@@ -177,11 +180,12 @@ def covering_copy(a, rng, perturb):
     return VCategory(a.base, names, [a.extents[i] for i in origin], homs)
 
 
-def aut_pair(rng, n, flip):
+def aut_pair(rng, n, flip, k=2):
     """A random 2-out automaton over {a,b} and a copy with about a tenth
     of its states cloned (incoming transitions split between original and
-    clone), renumbered; ``flip`` changes the label of one transition."""
-    base = ql(("a", "b"), 2)
+    clone), renumbered, both over QL({a,b},k); ``flip`` changes the label
+    of one transition."""
+    base = ql(("a", "b"), k)
     trans = [(s, rng.choice("ab"), rng.randrange(n)) for s in range(n) for _ in range(2)]
     cloned = rng.sample(range(n), n // 10)
     clone_of = {c: n + i for i, c in enumerate(cloned)}
@@ -305,6 +309,147 @@ class TestSignatureRefinement:
                     merged += 1
                     break
         assert merged
+
+
+def alive_pairs_bisimulation(left: VCategory, right: VCategory) -> SimRelation:
+    """The signature rounds of ``largest_bisimulation`` with the list of
+    alive pairs it carried before it kept block ids, scanned every round,
+    and the trace sorted at the end: the oracle of the partition form at
+    sizes where ``_refine`` is slow."""
+    na = left.n_objects
+    rows = list(left.rows) + [[(na + y, x, lat) for y, x, lat in row] for row in right.rows]
+    block_of, count = _numbered(left.extents + right.extents)
+    alive = [(a, b) for a in range(na) for b in range(na, len(rows)) if block_of[a] == block_of[b]]
+    removed = []
+    for round_no in itertools.count(1):
+        new, new_count = _numbered([(block_of[x], tuple(sorted(_block_joins(row, block_of).items())))
+                                    for x, row in enumerate(rows)])
+        if new_count == count:
+            break
+        removed += [(round_no, a, b) for a, b in alive if new[a] != new[b]]
+        alive = [(a, b) for a, b in alive if new[a] == new[b]]
+        block_of, count = new, new_count
+    trace = sorted((r, left.objects[a], right.objects[b - na]) for r, a, b in removed)
+    return SimRelation(left, right, [(a, b - na) for a, b in alive], trace=trace)
+
+
+def assert_partition_matches_eager(a, b) -> SimRelation:
+    """The engine's partition form against the eager relation of the
+    alive-pairs oracle: totalities first, read off the blocks before any
+    pair is built, then the pairs, the trace, ``len``, ``==`` and ``hash``."""
+    got, want = largest_bisimulation(a, b), alive_pairs_bisimulation(a, b)
+    totals = (got.total_on_left(), got.total_on_right())
+    assert "pairs" not in vars(got) and "refinement_trace" not in vars(got)
+    assert totals == (want.total_on_left(), want.total_on_right())
+    assert got.pairs_named() == want.pairs_named()
+    assert len(got) == len(want)
+    assert got.pairs == want.pairs
+    assert got.refinement_trace == want.refinement_trace
+    assert got == want and want == got and hash(got) == hash(want)
+    return got
+
+
+def assert_witnesses_in_class(a, b) -> None:
+    """Both legs of the cospan of the engine's relation and of the span
+    are surjective functional bisimulations."""
+    f, g = cospan_witness(a, b, largest_bisimulation(a, b))
+    assert is_od(f) and is_od(g)
+    to_a, to_b = span_witness(a, b)
+    assert is_od(to_a) and is_od(to_b)
+
+
+class TestPartitionForm:
+    """``largest_bisimulation``'s partition-backed relation against an eager one."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_BASES))
+    def test_random_pairs(self, name):
+        base = ORACLE_BASES[name]()
+        rng = random.Random(f"oracle:{name}")  # TestSignatureRefinement's pairs
+        for n in (10, 20, 30, 40):
+            a = random_table(base, rng, n, "x")
+            assert_partition_matches_eager(a, covering_copy(a, rng, perturb=n % 20 == 0))
+            assert_partition_matches_eager(a, random_table(base, rng, n // 2, "z"))
+        a = random_table(base, rng, 25, "x")
+        assert_partition_matches_eager(a, a)
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_automata(self, k):
+        rng = random.Random(f"partition:{k}")
+        bisimilar_pairs = 0
+        for n in (100, 300):
+            a, copy = aut_pair(rng, n, False, k)
+            for b in (a, copy):
+                got = assert_partition_matches_eager(a, b)
+                assert got.total_on_left() and got.total_on_right()
+                assert_witnesses_in_class(a, b)
+                bisimilar_pairs += 1
+            got = assert_partition_matches_eager(*aut_pair(rng, n, True, k))
+            assert got.refinement_trace and not (got.total_on_left() and got.total_on_right())
+        assert bisimilar_pairs == 4
+
+    def test_cospan_of_non_total_blocks_is_not_bisimilar(self, QL):
+        a, b = aut1(QL), loop1(QL)
+        with pytest.raises(NotBisimilar, match="not total"):
+            cospan_witness(a, b, largest_bisimulation(a, b))
+
+
+def pullback_by_row_pairs(f: VFunctor, g: VFunctor):
+    """``pullback`` as it met every pair of row entries of each apex pair,
+    through the checked constructor: the oracle of the fibre walk.  Also
+    the number of meets it made, bottom ones included."""
+    a, b = f.source, g.source
+    fibres: dict = {}
+    for j in range(b.n_objects):
+        fibres.setdefault((b.extents[j], g(j)), []).append(j)
+    pairs = [(i, j) for i in range(a.n_objects) for j in fibres.get((a.extents[i], f(i)), ())]
+    at = {pair: p for p, pair in enumerate(pairs)}
+    homs = [
+        {at[i2, j2]: lat.meet([x, y]) for i2, x, lat in a.rows[i1] for j2, y, _ in b.rows[j1]
+         if (i2, j2) in at}
+        for i1, j1 in pairs
+    ]
+    p = VCategory(a.base, [f"({a.objects[i]}|{b.objects[j]})" for i, j in pairs],
+                  [a.extents[i] for i, _ in pairs], homs)
+    legs = VFunctor(p, a, [i for i, _ in pairs]), VFunctor(p, b, [j for _, j in pairs])
+    return (p, *legs), sum(map(len, homs))
+
+
+def lowered_cover(a: VCategory, rng) -> VFunctor:
+    """A functor onto ``a`` from one or two shuffled copies of each object,
+    about half of their homs met with a random element, so lowered."""
+    origin = [i for i in range(a.n_objects) for _ in range(rng.randint(1, 2))]
+    rng.shuffle(origin)
+    homs = []
+    for i in origin:
+        row = {}
+        for y, j in enumerate(origin):
+            lat, x = a.hom_lattice(i, j), a.hom(i, j)
+            row[y] = lat.meet([x, lat.sample(rng)]) if rng.random() < 0.5 else x
+        homs.append(row)
+    cover = VCategory(a.base, [f"y{x}" for x in range(len(origin))], [a.extents[i] for i in origin],
+                      homs)
+    f = VFunctor(cover, a, origin)
+    assert validate_vfunctor(f) == []
+    return f
+
+
+class TestPullbackAgainstRowPairs:
+    @pytest.mark.parametrize("name", ["M3", "Q2", "QL"])
+    def test_generated_functor_pairs(self, name):
+        base = ORACLE_BASES[name]()
+        rng = random.Random(f"pullback:{name}")
+        dropped = 0
+        for case in range(12):
+            c = random_table(base, rng, rng.randint(2, 12), "c")
+            f, g = lowered_cover(c, rng), lowered_cover(c, rng)
+            got, (want, meets) = pullback(f, g), pullback_by_row_pairs(f, g)
+            p, q = got[0], want[0]
+            assert p.n_objects and (p.objects, p.extents) == (q.objects, q.extents), case
+            assert p.rows == q.rows and p.row_maps == q.row_maps, case
+            assert (got[1].mapping, got[2].mapping) == (want[1].mapping, want[2].mapping), case
+            dropped += meets - sum(map(len, q.rows))
+        # over QL a meet of two non-bottom homs may be bottom, and is dropped
+        assert dropped > 0 or name != "QL"
 
 
 def dense_violation(left, right, partners, a, b, joins):

@@ -444,6 +444,84 @@ class TestAutReaderAgainstDocuments:
         assert got[0] in (ParseError, UnknownLabel, SizeLimit)
 
 
+# the patterns the Aldebaran reader used before it read lines with ``str``
+# methods: the oracle of ``TestAutLinesAgainstPatterns``
+AUT_HEADER = re.compile(r"des\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\s*$")
+AUT_LINE = re.compile(r'\(\s*(\d+)\s*,\s*"([^"]*)"\s*,\s*(\d+)\s*\)\s*$')
+# whitespace and decimal digits beyond ASCII, which \s and \d match, and
+# look-alikes they do not: a superscript two and a zero-width space
+AUT_SPACES = ["", "", " ", "  ", "\t", "\x0b", "\x0c", "\u00a0", "\u2003", "\u3000", "\u200b"]
+AUT_DIGITS = "0123456789" + "\u0663\u0969\uff10\uff15" + "\u00b2"
+AUT_LABEL_CHARS = "ab,() \t'\\\u00e9x"
+AUT_NOISE = AUT_DIGITS + AUT_LABEL_CHARS + '"' + "des"
+
+
+def aut_number(rng) -> str:
+    return "".join(rng.choice(AUT_DIGITS[:14] if rng.random() < 0.95 else AUT_DIGITS)
+                   for _ in range(rng.randint(1, 3)))
+
+
+def aut_lines(rng, header: bool) -> str:
+    """A well-formed header or transition line, its tokens spaced at random."""
+    space = lambda: rng.choice(AUT_SPACES)  # noqa: E731
+    if header:
+        return (f"des{space()}({space()}{aut_number(rng)}{space()},{space()}{aut_number(rng)}"
+                f"{space()},{space()}{aut_number(rng)}{space()}){space()}")
+    label = "".join(rng.choice(AUT_LABEL_CHARS) for _ in range(rng.randint(0, 4)))
+    return (f"({space()}{aut_number(rng)}{space()},{space()}\"{label}\"{space()},{space()}"
+            f"{aut_number(rng)}{space()}){space()}")
+
+
+def mutated(rng, line: str) -> str:
+    """``line`` with one to three characters deleted, inserted or replaced."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(line) + 1)
+        op = rng.randrange(3)
+        if op == 0:
+            line = line[:i] + line[i + 1:]
+        else:
+            line = line[:i] + rng.choice(AUT_NOISE + "".join(AUT_SPACES)) + line[i + (op == 2):]
+    return line
+
+
+class TestAutLinesAgainstPatterns:
+    """The ``str`` line readers against the patterns they replaced, on the
+    stripped lines ``parse_aut`` gives them."""
+
+    def test_seeded_and_mutated_lines(self):
+        from enrbisim.language import _aut_header, _aut_transition
+
+        def read(reader, line):
+            try:
+                return reader("A.aut", line)
+            except ParseError as err:  # with the message parse_aut gave before
+                what = "header" if reader is _aut_header else "transition line"
+                assert str(err) == f"A.aut: bad {what} {line!r}"
+                return "ParseError", line
+
+        rng = random.Random("aut-lines")
+        accepted, refused, unicode = 0, 0, 0
+        for case in range(4000):
+            header = case % 2 == 0
+            line = aut_lines(rng, header)
+            if case % 4 >= 2:
+                line = mutated(rng, line)
+            line = line.strip()
+            if not line:
+                continue
+            if header:
+                m = AUT_HEADER.match(line)
+                got, want = read(_aut_header, line), m and [int(g) for g in m.groups()]
+            else:
+                m = AUT_LINE.match(line)
+                got, want = read(_aut_transition, line), m and (int(m[1]), m[2], int(m[3]))
+            assert got == (want or ("ParseError", line)), (case, line)
+            accepted += m is not None
+            refused += m is None
+            unicode += m is not None and not line.isascii()
+        assert accepted > 1000 and refused > 500 and unicode > 100
+
+
 class TestAutImport:
     def test_direct_translation(self, tmp_path):
         path = tmp_path / "two.aut"

@@ -5,8 +5,9 @@ loads is paid on every request, and so is compiling each module whose
 code runs when no bytecode cache is written.  The modules in KEPT_OFF
 stay off that path.  The eight package modules the benchmark's tracer
 wraps (TRACED) are all in ``sys.modules`` after the import, but three of
-them, and the simulation, witness, refinement, span-document,
-JSON-document and document-builder modules (LAZY), are registered unrun:
+them, and the simulation, witness, relation-check, refinement,
+span-document, JSON-document and document-builder modules (LAZY), are
+registered unrun:
 a module of those runs only when a command first reads one of its names,
 so a request runs only the ones it reaches.  The modules of the set,
 relation, table and language base families, of the generic free closure
@@ -17,7 +18,8 @@ that read automata alone).  The tracer finds each function it wraps under the na
 gives, wherever the function moved.  The ``exec`` audit event, raised each time a
 module's code runs, from source or from a bytecode cache, tells which
 ran.  A well-formed request reads its argv without ``argparse``, which
-only help and usage errors load.
+only help and usage errors load.  The process entry turns the cyclic
+collector off, since a request leaves next to no cyclic garbage.
 """
 
 import json
@@ -57,8 +59,8 @@ TRACED = {
 
 
 LAZY = {
-    "enrbisim.bisim", "enrbisim.simulation", "enrbisim.witness", "enrbisim.cts", "enrbisim.ctsrefine",
-    "enrbisim.cob", "enrbisim.cobdocs", "enrbisim.jsondocs", "enrbisim.builders",
+    "enrbisim.bisim", "enrbisim.simulation", "enrbisim.witness", "enrbisim.checks", "enrbisim.cts",
+    "enrbisim.ctsrefine", "enrbisim.cob", "enrbisim.cobdocs", "enrbisim.jsondocs", "enrbisim.builders",
 }
 FAMILIES = {
     "enrbisim.sets", "enrbisim.rel", "enrbisim.closure", "enrbisim.tables", "enrbisim.language",
@@ -298,3 +300,50 @@ def test_tracer_times_the_sieve_layers_where_they_moved():
     sieve = {"cts.refine", "cob.apply_cob", "cob.local_right_adjoints",
              "quantaloid.validate_quantaloid", "documents.vcategory_to_doc"}
     assert sieve <= spans, sorted(sieve - spans)
+
+
+def ring_spec(tmp_path, n: int) -> Path:
+    """A span specification over P2: n vertices typed 0 and 1 in turn,
+    each with edges to the next vertex and the third after it."""
+    types = [i % 2 for i in range(n)]
+    edges = []
+    for s in range(n):
+        for t in ((s + 1) % n, (s + 3) % n):
+            m = min(types[s], types[t])
+            edges.append({"src": f"v{s}", "tgt": f"v{t}",
+                          "span": {"apex": str(m), "left": f"{m}<={types[s]}",
+                                   "right": f"{m}<={types[t]}"}})
+    path = tmp_path / f"SPEC{n}" / "SPEC.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps({
+        "schema": "enrbisim/1", "name": "SPEC", "kind": "ctsspec", "category": "P2",
+        "vertices": [{"name": f"v{i}", "type": str(t)} for i, t in enumerate(types)],
+        "edges": edges,
+    }))
+    return path
+
+
+def entry_garbage(argv: list[str]) -> tuple[int, bool, int]:
+    """The exit code of ``entry`` in a fresh interpreter running ``argv``,
+    whether the cyclic collector is on after it, and what a full
+    ``gc.collect()`` then finds unreachable."""
+    out = child_output(
+        "import contextlib, gc, io, sys\n"
+        "from enrbisim.__main__ import entry\n"
+        f"sys.argv = ['enrbisim', *{argv!r}]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = entry()\n"
+        "print(code, gc.isenabled(), gc.collect())\n"
+    ).split()
+    return int(out[0]), out[1] == "True", int(out[2])
+
+
+def test_entry_runs_without_the_cyclic_collector(tmp_path):
+    # an automaton span and a table simulates leave no cyclic garbage
+    files, command, _, _ = RUNS["table simulates"]
+    for argv in (aut_files(tmp_path) + ["span", "--a", "A", "--b", "B"], files(tmp_path) + command):
+        assert entry_garbage(argv) == (0, False, 0), argv
+    # a cts-build leaves only its bases' closures, as many at 24 vertices as at 8
+    small, large = (entry_garbage(paths(DATA / "P2.json", ring_spec(tmp_path, n))
+                                  + ["cts-build", "--spec", "SPEC"]) for n in (8, 24))
+    assert small[:2] == (0, False) and small == large
