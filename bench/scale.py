@@ -15,7 +15,7 @@ Three input families, each grown over the sizes in the order given:
   over the truncated language quantale QL({a,b},k) for k = 2 and k = 4,
   with the layers
   - ``import_aut``: parse an Aldebaran file, build and validate its free
-    enrichment (``documents.import_aut``);
+    enrichment (``language.import_aut``);
   - ``path_homs``: the free construction's hom rows alone;
   - ``vcategory``: the ``VCategory`` constructor on those rows;
   - the witness layers, each on the enrichment against itself with
@@ -325,23 +325,27 @@ def run_layers(layers, sizes: list[int], cap: float, prepare) -> dict:
     return out
 
 
-def relation_steps(bisim, validate_vcategory) -> dict:
+def relation_steps() -> dict:
     """The layers both families share, on the enrichment ``vcategory``."""
+    from enrbisim.bisim import largest_bisimulation
+    from enrbisim.simulation import largest_simulation
+    from enrbisim.vcat import validate_vcategory
+
     return {
         "validate_vcategory": lambda o: validate_vcategory(o["vcategory"]),
-        "largest_bisimulation": lambda o: bisim.largest_bisimulation(o["vcategory"], o["vcategory"]),
-        "largest_simulation": lambda o: bisim.largest_simulation(o["vcategory"], o["vcategory"]),
+        "largest_bisimulation": lambda o: largest_bisimulation(o["vcategory"], o["vcategory"]),
+        "largest_simulation": lambda o: largest_simulation(o["vcategory"], o["vcategory"]),
     }
 
 
 def measure_automata(k: int, sizes: list[int], cap: float, workdir: Path, src: Path) -> dict:
-    from enrbisim import bisim, cli, documents
-    from enrbisim.quantaloid import build_language_quantale
-    from enrbisim.vcat import VCategory, validate_vcategory
+    from enrbisim.bisim import _relation_details
+    from enrbisim.cli import Report
+    from enrbisim.language import build_language_quantale, import_aut
+    from enrbisim.vcat import VCategory
+    from enrbisim.witness import BisimEquivalence, cospan_witness, is_od, quotient, span_witness
 
     base = build_language_quantale(ALPHABET, k)
-    # the command handlers, and this helper with them, left cli for their engines
-    relation_details = getattr(bisim, "_relation_details", None) or cli._relation_details
 
     def fresh(o):
         """The relation, without what an earlier reader built lazily on it."""
@@ -368,21 +372,16 @@ def measure_automata(k: int, sizes: list[int], cap: float, workdir: Path, src: P
         edges = [(s, t, frozenset({(label,)})) for s, label, t in trans]
         names = [f"s{i}" for i in range(n)]
         steps = {
-            "import_aut": lambda o: documents.import_aut(path, ALPHABET, k),
+            "import_aut": lambda o: import_aut(path, ALPHABET, k),
             "path_homs": lambda o: base.path_homs(n, edges),
             "vcategory": lambda o: VCategory(base, names, [0] * n, o["path_homs"]),
-            **relation_steps(bisim, validate_vcategory),
-            "quotient": lambda o: bisim.quotient(
-                o["vcategory"],
-                bisim.BisimEquivalence(o["vcategory"], classes(fresh(o))),
+            **relation_steps(),
+            "quotient": lambda o: quotient(
+                o["vcategory"], BisimEquivalence(o["vcategory"], classes(fresh(o)))
             ),
-            "cospan_witness": lambda o: bisim.cospan_witness(
-                o["vcategory"], o["vcategory"], fresh(o)
-            ),
-            "span_witness": lambda o: bisim.span_witness(o["vcategory"], o["vcategory"]),
-            "report": lambda o: cli.Report(
-                "bisimilar", "yes", relation_details(fresh(o))
-            ).to_json(),
+            "cospan_witness": lambda o: cospan_witness(o["vcategory"], o["vcategory"], fresh(o)),
+            "span_witness": lambda o: span_witness(o["vcategory"], o["vcategory"]),
+            "report": lambda o: Report("bisimilar", "yes", _relation_details(fresh(o))).to_json(),
             "bisimilar_cli": bisimilar_cli,
         }
         outputs: dict = {}
@@ -395,7 +394,7 @@ def measure_automata(k: int, sizes: list[int], cap: float, workdir: Path, src: P
                     raise SystemExit(f"k={k} n={n}: bisimilar exited {child.returncode}, not 0 "
                                      f"with verdict yes: {child.stderr[-500:]}")
             for name in ("cospan_witness", "span_witness"):
-                if not all(map(bisim.is_od, outputs.get(name, ()))):
+                if not all(map(is_od, outputs.get(name, ()))):
                     raise SystemExit(f"k={k} n={n}: a {name} leg is not is_od")
 
         return steps, outputs, f"k={k}", check
@@ -404,9 +403,8 @@ def measure_automata(k: int, sizes: list[int], cap: float, workdir: Path, src: P
 
 
 def measure_tables(base_name: str, sizes: list[int], cap: float) -> dict:
-    from enrbisim import bisim
-    from enrbisim.quantaloid import build_boolean_quantale, build_metric_quantale
-    from enrbisim.vcat import EnrichedGraph, VCategory, free_vcategory, validate_vcategory
+    from enrbisim.tables import build_boolean_quantale, build_metric_quantale
+    from enrbisim.vcat import EnrichedGraph, VCategory, free_vcategory
 
     base = build_boolean_quantale() if base_name == "Q2" else build_metric_quantale(M3_GRID)
 
@@ -423,7 +421,7 @@ def measure_tables(base_name: str, sizes: list[int], cap: float) -> dict:
         outputs = {"vcategory": cat}
         steps = {
             "free_vcategory": lambda o: free_vcategory(base, graph),
-            **relation_steps(bisim, validate_vcategory),
+            **relation_steps(),
         }
 
         def check():
@@ -481,11 +479,12 @@ def fan_poset(atoms: int):
 
 def measure_fans(atom_counts: list[int], cap: float) -> dict:
     from enrbisim import cts
+    from enrbisim.ctsrefine import CatFunctor, refine
 
     def prepare(atoms):
         cat = fan_poset(atoms)
         top = cat.n_objects - 1
-        fun = cts.CatFunctor(cat, cat, list(range(cat.n_objects)), list(range(len(cat.morphisms))))
+        fun = CatFunctor(cat, cat, list(range(cat.n_objects)), list(range(len(cat.morphisms))))
 
         def span(i):
             apex = 1 + i % atoms
@@ -498,7 +497,7 @@ def measure_fans(atom_counts: list[int], cap: float) -> dict:
         def cts_refine(o):
             source, target = cts.build_S_quantaloid(cat), cts.build_S_quantaloid(cat)
             built = cts.cts_to_vcat(source, spec)
-            return built, cts.refine(fun, built, source, target)
+            return built, refine(fun, built, source, target)
 
         outputs: dict = {}
 
@@ -516,11 +515,12 @@ def measure_fans(atom_counts: list[int], cap: float) -> dict:
 
 def measure_cob(sizes: list[int], cap: float) -> dict:
     from enrbisim import cob
-    from enrbisim.quantaloid import build_language_quantale
+    from enrbisim.cobdocs import identity_tse
+    from enrbisim.language import build_language_quantale
     from enrbisim.vcat import VCategory
 
     base = build_language_quantale(ALPHABET, 2)
-    span = cob.identity_tse(base)
+    span = identity_tse(base)
 
     def prepare(n):
         trans = random_automaton(random.Random(f"{SEED}:cob:{n}"), n)
@@ -540,7 +540,7 @@ def measure_cob(sizes: list[int], cap: float) -> dict:
 
 def measure_load(sizes: list[int], workdir: Path) -> dict:
     """The ``load`` layer: ``import_aut`` timed, then run again under ``tracemalloc``."""
-    from enrbisim import documents
+    from enrbisim.language import import_aut
 
     out: dict = {"k": 2, "seconds": {}, "raw_seconds": {}, "probes": {}, "peak_mb": {},
                  "peak_growth": {}, "digest": {}}
@@ -550,14 +550,14 @@ def measure_load(sizes: list[int], workdir: Path) -> dict:
         gc.collect()
         before = speed_probe()
         start = time.perf_counter()
-        cat = documents.import_aut(path, ALPHABET, 2)
+        cat = import_aut(path, ALPHABET, 2)
         raw = time.perf_counter() - start
         probes = [before, speed_probe()]
         out["digest"][str(n)] = digest("import_aut", cat)
         cat = None
         gc.collect()
         tracemalloc.start()
-        documents.import_aut(path, ALPHABET, 2)
+        import_aut(path, ALPHABET, 2)
         peak = tracemalloc.get_traced_memory()[1] / 2**20
         tracemalloc.stop()
         path.unlink()

@@ -9,7 +9,7 @@ Galois adjoint, the adjoints form a span back from the target; when
 that span is lax too, changing base along it is the right adjoint of
 the change of base.  The spans that documents and constructions name,
 the exhaustive lax check and the ``cob-*`` commands are ``cobdocs``'s;
-their names still resolve here.
+four of their names still resolve here.
 """
 
 from __future__ import annotations
@@ -281,8 +281,7 @@ def local_right_adjoints(f: TwoSidedEnrichment, pointwise_only: bool = False) ->
     return AdjointReport(adjoints, span, _lax_violations(span))
 
 
+# read here by tests/test_acceptance.py
 __getattr__ = _moved(__name__, dict.fromkeys((
-    "composition_square", "validate_tse", "_lax_violations", "identity_tse", "right_adjoint_cob",
-    "require_language_bases", "relation_tse", "monoid_congruence_tse", "monoid_morphism_pairs",
-    "tse_from_doc", "cmd_cob_apply", "cmd_cob_radjoint",
+    "identity_tse", "right_adjoint_cob", "monoid_congruence_tse", "monoid_morphism_pairs",
 ), "cobdocs"))

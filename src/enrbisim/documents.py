@@ -58,7 +58,10 @@ class Bundle:
         return cts.sieve_base(self, fincat_name)
 
     def store(self, name: str, out: VCategory) -> dict:
-        """Keep a command's result under ``name``; return its document."""
+        """Keep a command's result under ``name``, which nothing loaded may
+        have; return its document."""
+        if name in self.objects:
+            raise ValidationError(f"--out {name!r} names a {self.kinds[name]} the bundle holds")
         self.objects[name] = out
         self.kinds[name] = "vcategory"
         return jsondocs.vcategory_to_doc(self, name, out)
@@ -99,8 +102,11 @@ def _directory_files(path: Path) -> list[Path]:
 
 def collect_documents(paths, aut_alphabet=None, aut_k=None) -> list[tuple[dict, Any]]:
     """Each document at the paths and its reader: None for a JSON document
-    (its kind's), ``language``'s for an automaton and its base."""
+    (its kind's), ``language``'s for an automaton and its base.  A JSON
+    document may stand for the automata's base, in any order, only as a
+    ``language`` base with the flags' letters and ``k``."""
     docs: list[tuple[dict, Any]] = []
+    aut_base = None
     for raw in paths:
         path = Path(raw)
         for file in _directory_files(path) if path.is_dir() else [path]:
@@ -112,11 +118,21 @@ def collect_documents(paths, aut_alphabet=None, aut_k=None) -> list[tuple[dict, 
                 from .language import aut_documents  # only automata need it
 
                 base, automaton = aut_documents(file, aut_alphabet, aut_k)
-                if not any(d["name"] == base[0]["name"] for d, _ in docs):
+                if aut_base is None:
+                    aut_base = base
                     docs.append(base)
                 docs.append(automaton)
             else:
                 docs.append((jsondocs._read_doc(file), None))
+    if aut_base is not None:  # a document of its name must give each of its fields, typed alike
+        want = aut_base[0]
+        given = [doc for doc, read in docs if read is None and doc["name"] == want["name"]]
+        if any((doc.get(key), type(doc.get(key))) != (value, type(value))
+               for doc in given for key, value in want.items()):
+            raise ValidationError(f"document {want['name']!r} is not the language base --aut-alphabet "
+                                  f"{','.join(want['alphabet'])} --aut-k {want['k']} give the automata")
+        if given:
+            docs.remove(aut_base)
     return docs
 
 
@@ -153,5 +169,5 @@ def load_bundle(paths, aut_alphabet=None, aut_k=None) -> Bundle:
     return bundle
 
 
-__getattr__ = _moved(__name__, {"import_aut": "language", "parse_aut": "language",
-                                "serialize": "jsondocs", "vcategory_to_doc": "jsondocs"})
+# read here by perfbench/tracer.py (vcategory_to_doc) and perfbench/micro.py (import_aut)
+__getattr__ = _moved(__name__, {"import_aut": "language", "vcategory_to_doc": "jsondocs"})

@@ -4,8 +4,7 @@ name, name-keyed object and index field a document defines; each base
 reads and writes its own elements.  Automata are ``language``'s, so only a
 request that reads a ``.json`` file or stores a result runs this module
 and ``json``.  The builders of ``quantaloid`` and ``vcategory`` documents
-and the grouped composition-law check are ``builders``'s; their names
-still resolve here.
+and the grouped composition-law check are ``builders``'s.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 
-from . import _moved, checks, cts, documents
+from . import checks, cts, documents
 from .documents import SCHEMA, Bundle, _read_text
 from .errors import ParseError, SizeLimit, UnknownObject, ValidationError
 from .quantaloid import name_index
@@ -216,8 +215,3 @@ def vcategory_to_doc(bundle: Bundle, name: str, cat: VCategory) -> dict:
         "homs": homs,
     }
 
-
-__getattr__ = _moved(__name__, dict.fromkeys(
-    ("_quantaloid_from_doc", "_vcategory_from_doc", "composition_violations", "_value_groups"),
-    "builders",
-))

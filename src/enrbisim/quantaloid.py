@@ -10,7 +10,7 @@ families build on), ``rel`` (relations), ``tables`` (explicit tables,
 truth values, metric grids), ``language`` (truncated word languages)
 and ``cts`` (powersets and sieves of a finite category).  ``laws``
 checks a base's quantaloid laws.  A request imports only the families
-its documents name; the names that moved still resolve here.
+its documents name; four of their names still resolve here.
 """
 
 from __future__ import annotations
@@ -135,12 +135,9 @@ def tensor(q: Quantaloid, f: QuantaloidElement, g: QuantaloidElement) -> Quantal
     return QuantaloidElement(f.source, g.target, value)
 
 
+# read here by perfbench/tracer.py (T) and tests/test_acceptance.py (A)
 __getattr__ = _moved(__name__, {
-    "SetQuantaloid": "sets",
-    **dict.fromkeys(("RelQuantaloid", "build_rel_quantaloid"), "rel"),
-    **dict.fromkeys(
-        ("INF", "TableQuantaloid", "MetricQuantale", "grid_value", "build_boolean_quantale",
-         "build_metric_quantale"), "tables"),
-    **dict.fromkeys(("LanguageQuantale", "MAX_WORDS", "build_language_quantale"), "language"),
-    **dict.fromkeys(("QuantaloidReport", "validate_quantaloid", "_law_compositions"), "laws"),
+    "LanguageQuantale": "language",  # T
+    "validate_quantaloid": "laws",  # T, A
+    "build_language_quantale": "language", "build_metric_quantale": "tables",  # A
 })

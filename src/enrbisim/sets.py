@@ -1,8 +1,7 @@
 """The set bases: hom lattices of sets (``PowersetLattice``) and the
 bases whose arrows are sets of members (``SetQuantaloid``).  The
 language, sieve and relation families build on these, so a table request
-never imports them.  The relation bases are ``rel``'s; their names still
-resolve here.
+never imports them.  The relation bases are ``rel``'s.
 """
 
 from __future__ import annotations
@@ -10,7 +9,6 @@ from __future__ import annotations
 import itertools
 from typing import Any, Iterable
 
-from . import _moved
 from .errors import ParseError
 from .lattice import Lattice
 from .quantaloid import Quantaloid
@@ -97,7 +95,3 @@ class SetQuantaloid(Quantaloid):
             raise ParseError(f"a set element must be a list of members, not {doc!r}")
         return frozenset(map(self.member_from_doc, doc))
 
-
-__getattr__ = _moved(__name__, dict.fromkeys(
-    ("RelQuantaloid", "build_rel_quantaloid", "quantaloid_from_doc"), "rel"
-))

@@ -1,12 +1,12 @@
 """The largest simulation engine, which only ``simulates`` and
-``bisim-largest --sim`` run; its names still resolve in ``bisim``."""
+``bisim-largest --sim`` run; ``largest_simulation`` still resolves in ``bisim``."""
 
 from __future__ import annotations
 
 import itertools
 
-from .bisim import (SimRelation, VCategory, _block_joins, _failing_probe, _pair, _relation_details,
-                    _require_pair_budget, require_same_base)
+from .bisim import SimRelation, _block_joins, _failing_probe, _pair, _relation_details, _require_pair_budget
+from .vcat import VCategory, require_same_base
 
 
 def largest_simulation(left: VCategory, right: VCategory) -> SimRelation:

@@ -3,8 +3,8 @@
 An enriched category is a finite object set, an extent map into the
 base's objects, and a hom element in the base's hom lattice for each
 ordered pair, subject to unit and composition inequalities.  Functors
-between them, and their pullbacks, are ``witness``'s; their names still
-resolve here.
+between them, and their pullbacks, are ``witness``'s; two of their
+names still resolve here.
 """
 
 from __future__ import annotations
@@ -176,6 +176,5 @@ def free_vcategory(base: Quantaloid, graph: EnrichedGraph) -> VCategory:
     return VCategory(base, names, extents, base.free_homs(extents, graph.edges), _trusted=True)
 
 
-__getattr__ = _moved(__name__, dict.fromkeys(
-    ("VFunctor", "validate_vfunctor", "pullback"), "witness"
-))
+# read here by perfbench/tracer.py (pullback) and tests/test_acceptance.py (both)
+__getattr__ = _moved(__name__, {"pullback": "witness", "VFunctor": "witness"})

@@ -3,24 +3,8 @@ import random
 
 import pytest
 
-from enrbisim.bisim import (
-    _block_joins,
-    _numbered,
-    BisimEquivalence,
-    SimRelation,
-    bisimilar,
-    cospan_witness,
-    equivalence_closure,
-    is_bisimulation,
-    is_functional_bisimulation,
-    is_od,
-    is_simulation,
-    largest_bisimulation,
-    largest_simulation,
-    quotient,
-    simulates,
-    span_witness,
-)
+from enrbisim.bisim import _block_joins, _numbered, SimRelation, bisimilar, largest_bisimulation
+from enrbisim.checks import equivalence_closure, is_bisimulation, is_simulation
 from enrbisim.errors import (
     ExtentMismatch,
     NotABisimulation,
@@ -36,13 +20,17 @@ from enrbisim.generators import (
     run_axiom_suite,
 )
 from enrbisim.constructions import isomorphic_by
-from enrbisim.vcat import (
-    EnrichedGraph,
-    VCategory,
+from enrbisim.simulation import largest_simulation, simulates
+from enrbisim.vcat import EnrichedGraph, VCategory, free_vcategory, validate_vcategory
+from enrbisim.witness import (
+    BisimEquivalence,
     VFunctor,
-    free_vcategory,
+    cospan_witness,
+    is_functional_bisimulation,
+    is_od,
     pullback,
-    validate_vcategory,
+    quotient,
+    span_witness,
     validate_vfunctor,
 )
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import enrbisim.__main__
 from enrbisim import cli, generators
-from enrbisim.cli import Report, build_parser, default_fixture_paths, main, run
+from enrbisim.cli import Report, build_parser, default_fixture_paths, main, parse_args, run
 from enrbisim.documents import SCHEMA, load_bundle
 from enrbisim.generators import MAX_CASES
 
@@ -82,13 +82,13 @@ class TestExitCodes:
 
     def test_validate_checks_each_base_once(self, capsys, monkeypatch, tmp_path):
         # an explicit table base is checked as it loads, a named construction by ``validate``
-        from enrbisim import documents, quantaloid
+        from enrbisim import jsondocs, laws
 
         copy_fixtures(tmp_path, ["Q2", "QL_m_2"])
         (tmp_path / "Q2X.json").write_text(json.dumps(
-            documents.serialize(load_bundle([tmp_path]), "Q2") | {"name": "Q2X"}
+            jsondocs.serialize(load_bundle([tmp_path]), "Q2") | {"name": "Q2X"}
         ))
-        original, calls = quantaloid.validate_quantaloid, []
+        original, calls = laws.validate_quantaloid, []
 
         def counting(q):
             calls.append(q)
@@ -250,6 +250,33 @@ class TestCommands:
             "bisimilar", "--a", "left", "--b", "right",
         )
         assert code == 0
+
+
+GOLDEN_DOCS = Path(__file__).parent / "golden" / "docs"
+
+
+class TestOutNames:
+    """A storing command's ``--out`` may not name what the bundle holds."""
+
+    @pytest.mark.parametrize("argv", [
+        ["quotient", "--a", "P01", "--rel", "E", "--out", "P01"],
+        ["cob-apply", "--tse", "ID", "--a", "P01", "--out", "Q2"],
+        ["cob-radjoint", "--tse", "ID", "--b", "POINT", "--out", "E"],
+        ["cts-build", "--spec", "SPEC", "--out", "P2"],
+        ["cts-build", "--spec", "SPEC", "--out", "S(P2)"],  # the sieve base it builds
+        ["cts-refine", "--spec", "SPEC", "--functor", "INC", "--out", "SPEC"],
+    ], ids=lambda argv: f"{argv[0]}-{argv[-1]}")
+    def test_out_naming_a_held_object_is_refused(self, capsys, argv):
+        paths = ["--paths", FIXTURES[0], "--paths", str(GOLDEN_DOCS)]
+        code, out = invoke(capsys, *paths, *argv)
+        assert code == 2
+        assert json.loads(out)["details"]["error"].startswith(f"ValidationError: --out {argv[-1]!r}")
+        bundle, flags = load_bundle([FIXTURES[0], GOLDEN_DOCS]), parse_args(argv)
+        held, vcategories = dict(bundle.objects), bundle.names("vcategory")
+        assert run(flags.command, bundle, flags).exit_code == 2
+        # nothing was replaced or stored
+        assert all(bundle.objects[name] is obj for name, obj in held.items())
+        assert bundle.names("vcategory") == vcategories
 
 
 class TestQuantaloidWorkBound:
@@ -723,12 +750,13 @@ class TestExitCodeContract:
         assert "ValidationError" in json.loads(out)["details"]["error"]
 
     def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch):
-        from enrbisim import bisim
+        # the engine as the module serving ``bisimilar`` reads it, wherever that is
+        serving = importlib.import_module(f"enrbisim.{cli.COMMANDS['bisimilar'][0]}")
 
         def broken(a, b):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(bisim, "largest_bisimulation", broken)
+        monkeypatch.setattr(serving, "largest_bisimulation", broken)
         code = main(["bisimilar", "--a", "P01", "--b", "POINT"])
         captured = capsys.readouterr()
         self.assert_error(code, captured.out)

@@ -8,18 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from enrbisim.bisim import is_od
-from enrbisim.cob import (
-    TwoSidedEnrichment,
+from enrbisim.cob import MonotoneMap, TwoSidedEnrichment, apply_cob, local_right_adjoints, span_of_maps
+from enrbisim.cobdocs import (
     _lax_violations,
-    apply_cob,
     identity_tse,
-    local_right_adjoints,
     monoid_congruence_tse,
     monoid_morphism_pairs,
     relation_tse,
     right_adjoint_cob,
-    span_of_maps,
     validate_tse,
 )
 from enrbisim.constructions import (
@@ -44,10 +40,9 @@ from enrbisim.constructions import (
 from enrbisim.errors import BaseMismatch, NoAdjoint, NotACongruence
 from enrbisim.fixtures import aut1, loop1, p01, point, q2, ql
 from enrbisim.generators import random_od_map, random_vcategory
-from enrbisim.language import import_aut
-from enrbisim.lattice import MonotoneMap
-from enrbisim.quantaloid import build_language_quantale
-from enrbisim.vcat import VCategory, VFunctor, pullback, validate_vcategory, validate_vfunctor
+from enrbisim.language import build_language_quantale, import_aut
+from enrbisim.vcat import VCategory, validate_vcategory
+from enrbisim.witness import VFunctor, is_od, pullback, validate_vfunctor
 
 
 @pytest.fixture(scope="module")
@@ -415,7 +410,8 @@ class TestMonoidCongruence:
 
 class TestCategoryCongruence:
     def _posets(self):
-        from enrbisim.cts import CatFunctor, FiniteCategory, PowersetCatQuantaloid
+        from enrbisim.cts import FiniteCategory, PowersetCatQuantaloid
+        from enrbisim.ctsrefine import CatFunctor
 
         c = FiniteCategory.poset(["0", "1"], [(0, 0), (0, 1), (1, 1)])
         base = PowersetCatQuantaloid(c)
@@ -649,8 +645,8 @@ def sparse_apply_cases() -> dict:
     source to change: spans whose components keep bottom at bottom, and
     spans with components that do not (a constant top, an enrichment read
     as a span out of the one-arrow base), where every pair is mapped."""
-    from enrbisim.cts import CatFunctor, FiniteCategory, PowersetCatQuantaloid, build_S_quantaloid
-    from enrbisim.ctsrefine import crible_change_tse
+    from enrbisim.cts import FiniteCategory, PowersetCatQuantaloid, build_S_quantaloid
+    from enrbisim.ctsrefine import CatFunctor, crible_change_tse
 
     Q2, QLm, QLn = q2(), ql(("m",), 2), ql(("n",), 2)
     qlab = build_language_quantale(("a", "b"), 2)

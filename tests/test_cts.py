@@ -7,11 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from enrbisim.bisim import is_od
 from enrbisim.cob import MonotoneMap, apply_cob, local_right_adjoints
 from enrbisim.constructions import CatAdjunction, apply_cob_vfunctor, crible_left_adjoints
 from enrbisim.cts import (
-    CatFunctor,
     CribleQuantaloid,
     CtsSpec,
     FiniteCategory,
@@ -19,19 +17,18 @@ from enrbisim.cts import (
     Span,
     all_spans,
     build_S_quantaloid,
-    crible_change_tse,
     cts_to_vcat,
     identity_span,
-    preserves_chosen_pullbacks,
-    refine,
     span_compose,
     span_leq,
     validate_fincat,
 )
+from enrbisim.ctsrefine import CatFunctor, crible_change_tse, preserves_chosen_pullbacks, refine
 from enrbisim.documents import load_bundle
 from enrbisim.errors import AmbientMismatch, NotExact, TypeMismatch
-from enrbisim.quantaloid import validate_quantaloid
-from enrbisim.vcat import VFunctor, validate_vcategory, validate_vfunctor
+from enrbisim.laws import validate_quantaloid
+from enrbisim.vcat import validate_vcategory
+from enrbisim.witness import VFunctor, is_od, validate_vfunctor
 
 
 def crible_preimage_map(fun, source_sq, target_sq, x, y) -> MonotoneMap:

@@ -11,16 +11,11 @@ from enrbisim.bisim import SimRelation
 from enrbisim import documents
 from enrbisim.cli import default_fixture_paths, main
 from enrbisim.cts import FiniteCategory, Morphism, PowersetCatQuantaloid
-from enrbisim.documents import (
-    MAX_OBJECTS,
-    SCHEMA,
-    import_aut,
-    load_bundle,
-    parse_aut,
-    serialize,
-)
-from enrbisim.jsondocs import _vcategory_from_doc
-from enrbisim.cob import TwoSidedEnrichment, validate_tse
+from enrbisim.documents import MAX_OBJECTS, SCHEMA, load_bundle
+from enrbisim.builders import _vcategory_from_doc
+from enrbisim.jsondocs import serialize
+from enrbisim.cob import TwoSidedEnrichment
+from enrbisim.cobdocs import validate_tse
 from enrbisim.errors import (
     DanglingReference,
     NotACongruence,
@@ -31,8 +26,9 @@ from enrbisim.errors import (
     ValidationError,
 )
 from enrbisim.fixtures import aut1, loop1
-from enrbisim.lattice import PowersetLattice
-from enrbisim.quantaloid import Quantaloid, build_language_quantale
+from enrbisim.language import build_language_quantale, import_aut, parse_aut
+from enrbisim.quantaloid import Quantaloid
+from enrbisim.sets import PowersetLattice
 from enrbisim.tables import TableLattice
 from enrbisim.vcat import VCategory, validate_vcategory
 
@@ -562,6 +558,28 @@ class TestAutImport:
         bundle = load_bundle([path], aut_alphabet=["m"], aut_k=2)
         assert "two" in bundle.objects
         assert "QL(m,2)" in bundle.objects
+
+    @pytest.mark.parametrize("first", ["document", "automaton"])
+    @pytest.mark.parametrize("base, agrees", [
+        ({"kind": "language", "alphabet": ["a", "b"], "k": 2}, True),
+        ({"kind": "quantaloid", "construction": "language", "alphabet": ["a", "b"], "k": 2}, True),
+        ({"kind": "language", "alphabet": ["a", "b"], "k": 3}, False),
+        ({"kind": "boolean"}, False),
+    ], ids=["equal", "equal-long-form", "other-k", "table"])
+    def test_document_named_like_the_automaton_base(self, tmp_path, first, base, agrees):
+        # the flags name the automata's base; a document may stand for it, in
+        # either order, only as that very language base
+        aut, doc = tmp_path / "A.aut", tmp_path / "QL.json"
+        aut.write_text('des (0, 2, 2)\n(0, "a", 1)\n(1, "b", 0)\n')
+        doc.write_text(json.dumps({"schema": SCHEMA, "name": "QL(a,b,2)", **base}))
+        paths = [doc, aut] if first == "document" else [aut, doc]
+        if agrees:
+            bundle = load_bundle(paths, aut_alphabet=["a", "b"], aut_k=2)
+            base = bundle.get("A").base
+            assert base is bundle.get("QL(a,b,2)") and (base.alphabet, base.k) == (("a", "b"), 2)
+        else:
+            with pytest.raises(ValidationError, match=r"'QL\(a,b,2\)'.*--aut-alphabet a,b --aut-k 2"):
+                load_bundle(paths, aut_alphabet=["a", "b"], aut_k=2)
 
     def test_aut_doc_shape(self, tmp_path):
         path = tmp_path / "two.aut"

@@ -26,7 +26,8 @@ from pathlib import Path
 import pytest
 
 from enrbisim.cli import default_fixture_paths, main
-from enrbisim.documents import MAX_OBJECTS, SCHEMA, load_bundle, serialize
+from enrbisim.documents import MAX_OBJECTS, SCHEMA, load_bundle
+from enrbisim.jsondocs import serialize
 from enrbisim.errors import EnrbisimError
 
 FIXTURES = Path(default_fixture_paths()[0])

@@ -6,12 +6,9 @@ from hypothesis import given, settings, strategies as st
 from enrbisim.constructions import PrincipalDownsetLattice, verify_adjunction
 from enrbisim.errors import NoAdjoint, SizeLimit, UnknownElement
 from enrbisim.fixtures import penta
-from enrbisim.lattice import (
-    MonotoneMap,
-    PowersetLattice,
-    TableLattice,
-    right_adjoint_of_monotone,
-)
+from enrbisim.cob import MonotoneMap, right_adjoint_of_monotone
+from enrbisim.sets import PowersetLattice
+from enrbisim.tables import TableLattice
 
 
 def diamond():

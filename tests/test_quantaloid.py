@@ -7,20 +7,12 @@ from enrbisim.constructions import residual
 from enrbisim.cts import FiniteCategory, build_S_quantaloid
 from enrbisim.errors import BadGrid, NotComposable, ParseError, SizeLimit, UnknownElement, UnknownObject
 from enrbisim.fixtures import bp2, m3, penta, q2, ql, rel1
-from enrbisim.lattice import COMPOSE_BUDGET, TableLattice
-from enrbisim.quantaloid import (
-    INF,
-    MAX_WORDS,
-    TableQuantaloid,
-    _law_compositions,
-    build_language_quantale,
-    build_metric_quantale,
-    build_rel_quantaloid,
-    grid_value,
-    name_index,
-    tensor,
-    validate_quantaloid,
-)
+from enrbisim.language import MAX_WORDS, build_language_quantale
+from enrbisim.lattice import COMPOSE_BUDGET
+from enrbisim.laws import _law_compositions, validate_quantaloid
+from enrbisim.quantaloid import name_index, tensor
+from enrbisim.rel import build_rel_quantaloid
+from enrbisim.tables import INF, TableLattice, TableQuantaloid, build_metric_quantale, grid_value
 
 
 def lang_elem(q, *words):

@@ -31,19 +31,13 @@ from enrbisim.errors import (
 )
 from enrbisim.fixtures import aut1, bp2, codisc2, loop1, m3, p01, penta, point, q2, ql, rel1
 from enrbisim.generators import coproduct, random_vcategory, terminal, to_terminal
-from enrbisim.lattice import PowersetLattice, TableLattice
-from enrbisim.quantaloid import (
-    Quantaloid, TableQuantaloid, build_language_quantale, validate_quantaloid,
-)
-from enrbisim.vcat import (
-    EnrichedGraph,
-    VCategory,
-    VFunctor,
-    free_vcategory,
-    pullback,
-    validate_vcategory,
-    validate_vfunctor,
-)
+from enrbisim.language import build_language_quantale
+from enrbisim.laws import validate_quantaloid
+from enrbisim.quantaloid import Quantaloid
+from enrbisim.sets import PowersetLattice
+from enrbisim.tables import TableLattice, TableQuantaloid
+from enrbisim.vcat import EnrichedGraph, VCategory, free_vcategory, validate_vcategory
+from enrbisim.witness import VFunctor, pullback, validate_vfunctor
 
 
 @pytest.fixture(scope="module")
@@ -939,11 +933,13 @@ def assert_sparse_rows(a):
 
 class TestBuilderInvariants:
     def test_every_builder_keeps_sparse_rows(self, tmp_path):
-        from enrbisim.bisim import quotient
         from enrbisim.cli import default_fixture_paths
-        from enrbisim.cob import apply_cob, monoid_congruence_tse, monoid_morphism_pairs, right_adjoint_cob
+        from enrbisim.cob import apply_cob
+        from enrbisim.cobdocs import monoid_congruence_tse, monoid_morphism_pairs, right_adjoint_cob
         from enrbisim.constructions import tse_as_vcat, vcat_as_tse
-        from enrbisim.documents import load_bundle, serialize
+        from enrbisim.documents import load_bundle
+        from enrbisim.jsondocs import serialize
+        from enrbisim.witness import quotient
         from enrbisim.generators import cover_od, random_bisim_equivalence
 
         rng = random.Random("builders")
