@@ -140,11 +140,12 @@ def default_fixture_paths() -> list[str]:
 
 
 def run(command: str, bundle: documents.Bundle, flags: SimpleNamespace) -> Report:
-    """Run one command on a loaded bundle and ``parse_args(argv)``: the
-    handler ``cmd_<command>`` (dashes as underscores) of the module its
-    ``COMMANDS`` row names, imported here, gives the verdict and details."""
-    module = importlib.import_module(f".{COMMANDS[command][0]}", __package__)
+    """Run one command on a loaded bundle and ``parse_args(argv)``: unless the
+    bundle holds its ``--out``, ``cmd_<command>`` (dashes as underscores) of
+    the module its ``COMMANDS`` row names, imported here, gives the verdict."""
     try:
+        bundle.refuse_held(getattr(flags, "out", None))  # None: the command stores nothing
+        module = importlib.import_module(f".{COMMANDS[command][0]}", __package__)
         verdict, details = getattr(module, f"cmd_{_dest(command)}")(bundle, flags)
     except EnrbisimError as err:
         return Report(command, "error", {"error": f"{type(err).__name__}: {err}"})

@@ -63,11 +63,6 @@ class MonotoneMap:
                     out.append(f"not monotone at {x!r} <= {y!r}")
         return out
 
-    def pointwise_leq(self, other: "MonotoneMap") -> bool:
-        return all(
-            self.target.leq(self(x), other(x)) for x in self.source.elements()
-        )
-
     @classmethod
     def identity(cls, lat: Lattice) -> "MonotoneMap":
         return cls(lat, lat, {x: x for x in lat.elements()})

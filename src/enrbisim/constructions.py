@@ -1,12 +1,10 @@
 """The paper's constructions that no command reaches.
 
-Terminal enrichments and coproducts, exhaustive functor search,
-lax-relational presentations, slice bases, residuals, Caten 2-cells,
-change-of-base mates, two-sided enrichments built from enrichments,
-functors and slices, and the sieve left adjoints of an
-adjunction.  Every ``enrbisim`` run is a fresh process that compiles
-what it imports, so these live in a module that ``enrbisim.cli`` and
-the modules it loads never import.
+Exhaustive functor search, slice bases and the functors they encode,
+the change-of-base mates, and the lax-relational presentations of
+enrichments over a category's powerset base.  Every ``enrbisim`` run is
+a fresh process that compiles what it imports, so these live in a
+module that ``enrbisim.cli`` and the modules it loads never import.
 """
 
 from __future__ import annotations
@@ -14,32 +12,19 @@ from __future__ import annotations
 import itertools
 from typing import Any, Iterable, NamedTuple
 
-from .cob import MonotoneMap, TwoSidedEnrichment, adjunction_failure, span_of_maps
-from .cobdocs import composition_square, relation_tse
-from .cts import CribleQuantaloid, PowersetCatQuantaloid, Span
-from .ctsrefine import CatFunctor, crible_change_tse
-from .errors import (
-    BaseMismatch,
-    InternalAssertion,
-    NoAdjoint,
-    NotComposable,
-    NotExact,
-    NotParallel,
-    SizeLimit,
-    require_valid,
-)
+from .cob import TwoSidedEnrichment, span_of_maps
+from .cts import PowersetCatQuantaloid
+from .errors import BaseMismatch, NoAdjoint, SizeLimit, ValidationError, require_valid
 from .lattice import Lattice
-from .quantaloid import Quantaloid, QuantaloidElement
-from .sets import PowersetLattice
-from .tables import TableLattice, TableQuantaloid
-from .vcat import VCategory, require_same_base
+from .quantaloid import Quantaloid
+from .vcat import VCategory, require_same_base, validate_vcategory
 from .witness import VFunctor, validate_vfunctor
 
 # Most candidate object maps ``enumerate_vfunctors`` may try
 MAX_CANDIDATE_MAPS = 200_000
 
 # ---------------------------------------------------------------------------
-# lattices and quantaloids
+# slice lattices
 
 
 class PrincipalDownsetLattice(Lattice):
@@ -84,79 +69,8 @@ class PrincipalDownsetLattice(Lattice):
         return self.base.meet([self.base.sample(rng), self.cap])
 
 
-def verify_adjunction(left: MonotoneMap, right: MonotoneMap) -> bool:
-    """Check ``left(v) <= w  iff  v <= right(w)`` for every pair.  Maps
-    that are not monotone maps between the two lattices (``check``) are
-    no adjunction."""
-    return (left.source is right.target and left.target is right.source
-            and not left.check() and not right.check()
-            and adjunction_failure(left, right) is None)
-
-
-def residual(
-    q: Quantaloid,
-    side: str,
-    f: QuantaloidElement,
-    h: QuantaloidElement,
-) -> QuantaloidElement:
-    """Largest ``g`` with ``f . g <= h`` (right) or ``g . f <= h`` (left).
-
-    These exist because composition preserves joins in each argument;
-    the defining inequality is asserted on the result.
-    """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    if side == "right":
-        if f.source != h.source:
-            raise NotComposable("right residual needs f and h out of one object")
-        u, v, w = f.source, f.target, h.target
-        free = (v, w)
-
-        def comp(g):
-            return q.compose(u, v, w, f.value, g)
-
-    else:
-        if f.target != h.target:
-            raise NotComposable("left residual needs f and h into one object")
-        u, v, w = h.source, f.source, f.target
-        free = (u, v)
-
-        def comp(g):
-            return q.compose(u, v, w, g, f.value)
-
-    q.hom(f.source, f.target).check_element(f.value)
-    hom, out_hom = q.hom(*free), q.hom(u, w)
-    if isinstance(hom, PowersetLattice):
-        value = frozenset(
-            y for y in hom.universe if out_hom.leq(comp(frozenset({y})), h.value)
-        )
-    else:
-        hom.ensure_enumerable()
-        value = hom.join(g for g in hom.elements() if out_hom.leq(comp(g), h.value))
-    if not out_hom.leq(comp(value), h.value):
-        raise InternalAssertion(f"{side} residual violates its defining inequality")
-    return QuantaloidElement(*free, value)
-
-
-def build_unit_quantaloid() -> TableQuantaloid:
-    """One object, one arrow: the unit for pasting enrichments."""
-    lat = TableLattice(["*"], [(0, 0)])
-    return TableQuantaloid(["*"], {(0, 0): lat}, {(0, 0, 0): [[0]]}, [0])
-
-
 # ---------------------------------------------------------------------------
-# enrichments: transformations, functor search, presentations and slices
-
-
-def exists_vnatural(f: VFunctor, g: VFunctor) -> bool:
-    """Whether the unique candidate transformation from f to g exists."""
-    if f.source is not g.source or f.target is not g.target:
-        raise NotParallel("the functors are not parallel")
-    a, b = f.source, f.target
-    return all(
-        b.hom_lattice(f(i), g(i)).leq(b.base.unit(a.extents[i]), b.hom(f(i), g(i)))
-        for i in range(a.n_objects)
-    )
+# enrichments: functor search, presentations and slices
 
 
 def enumerate_vfunctors(a: VCategory, b: VCategory) -> list[VFunctor]:
@@ -185,61 +99,30 @@ class LaxRelationalPresentation(NamedTuple):
     relations: dict[int, set[tuple[int, int]]]  # morphism -> fiber index pairs
 
 
-def validate_laxrel(p: LaxRelationalPresentation) -> list[str]:
-    out = []
+def laxrel_to_vcat(p: LaxRelationalPresentation, base=None) -> VCategory:
+    """Enrichment over the powerset base of the presentation's category:
+    the hom from the ``i``-th element over ``c`` to the ``j``-th over ``d``
+    holds the morphisms ``c -> d`` relating ``i`` to ``j``.  It is checked
+    as every enrichment is (``validate_vcategory``), which passes exactly
+    when identities relate each element to itself and the relations
+    compose laxly."""
     cat = p.cat
     if len(p.fibers) != len(cat.objects):
-        return ["one fiber per category object is required"]
-    for c in range(len(cat.objects)):
-        ident = cat.identities[c]
-        rel = p.relations.get(ident, set())
-        for i in range(len(p.fibers[c])):
-            if (i, i) not in rel:
-                out.append(f"identity relation misses ({c},{i})")
-    for f in range(len(cat.morphisms)):
-        for g in range(len(cat.morphisms)):
-            if cat.mor_tgt(f) != cat.mor_src(g):
-                continue
-            fg = cat.compose_mor(f, g)
-            for x, y in p.relations.get(f, set()):
-                for y2, z in p.relations.get(g, set()):
-                    if y == y2 and (x, z) not in p.relations.get(fg, set()):
-                        out.append(
-                            f"composite relation misses ({x},{z}) under morphism {fg}"
-                        )
-    return out
-
-
-def laxrel_to_vcat(p: LaxRelationalPresentation, base=None) -> VCategory:
-    """Enrichment over the powerset base of the presentation's category."""
-    require_valid("presentation", validate_laxrel(p))
+        raise ValidationError("presentation invalid: one fiber per category object is required")
     if base is None:
-        base = PowersetCatQuantaloid(p.cat)
-    if getattr(base, "cat", None) is not p.cat:
+        base = PowersetCatQuantaloid(cat)
+    if getattr(base, "cat", None) is not cat:
         raise BaseMismatch("base was built from a different category")
-    names, extents = [], []
-    for c, fiber in enumerate(p.fibers):
-        for name in fiber:
-            names.append(name)
-            extents.append(c)
-    index = {}
-    pos = 0
-    for c, fiber in enumerate(p.fibers):
-        for i in range(len(fiber)):
-            index[(c, i)] = pos
-            pos += 1
-    homs: list[dict] = [{} for _ in names]
-    for c, fiber in enumerate(p.fibers):
-        for d, fiber2 in enumerate(p.fibers):
-            for i in range(len(fiber)):
-                for j in range(len(fiber2)):
-                    mors = frozenset(
-                        m
-                        for m in p.cat.hom_morphisms(c, d)
-                        if (i, j) in p.relations.get(m, set())
-                    )
-                    homs[index[(c, i)]][index[(d, j)]] = mors
-    return VCategory(base, names, extents, homs)
+    elements = [(c, i) for c, fiber in enumerate(p.fibers) for i in range(len(fiber))]
+    homs = [
+        {y: frozenset(m for m in cat.hom_morphisms(c, d) if (i, j) in p.relations.get(m, ()))
+         for y, (d, j) in enumerate(elements)}
+        for c, i in elements
+    ]
+    names = [name for fiber in p.fibers for name in fiber]
+    a = VCategory(base, names, [c for c, _ in elements], homs)
+    require_valid("presentation", validate_vcategory(a))
+    return a
 
 
 def vcat_to_laxrel(a: VCategory) -> LaxRelationalPresentation:
@@ -308,59 +191,8 @@ def decode_slice(va: SliceQuantaloid, s: VCategory) -> VFunctor:
     return VFunctor(x, a, list(s.extents))
 
 
-def same_presentation(a: VCategory, b: VCategory) -> bool:
-    """Exact equality of presentation: names, extents and homs."""
-    return (
-        a.base is b.base
-        and a.objects == b.objects
-        and a.extents == b.extents
-        and a.row_maps == b.row_maps
-    )
-
-
-def isomorphic_by(a: VCategory, b: VCategory, mapping: list[int]) -> bool:
-    """Whether ``mapping`` is a bijective hom-preserving functor a -> b."""
-    if sorted(mapping) != list(range(b.n_objects)) or a.n_objects != b.n_objects:
-        return False
-    return all(
-        a.extents[i] == b.extents[mapping[i]]
-        and {mapping[j]: x for j, x in row.items()} == b.row_maps[mapping[i]]
-        for i, row in enumerate(a.row_maps)
-    )
-
-
 # ---------------------------------------------------------------------------
-# two-sided enrichments: composition, mates, 2-cells and constructions
-
-
-class CatenTwoCell(NamedTuple):
-    """A carrier map between two parallel two-sided enrichments."""
-
-    source: TwoSidedEnrichment
-    target: TwoSidedEnrichment
-    mapping: list[int]
-
-
-def compose_tse(f: TwoSidedEnrichment, g: TwoSidedEnrichment) -> TwoSidedEnrichment:
-    """Span composition of carriers with composite components."""
-    if f.target is not g.source:
-        raise NotComposable("middle quantaloids do not match")
-    pairs = [
-        (x, y)
-        for x in range(f.n_carriers)
-        for y in range(g.n_carriers)
-        if f.plus[x] == g.minus[y]
-    ]
-    carriers = [f"({f.carriers[x]}|{g.carriers[y]})" for x, y in pairs]
-    minus = [f.minus[x] for x, _ in pairs]
-    plus = [g.plus[y] for _, y in pairs]
-
-    def image(i, j):
-        (x1, y1), (x2, y2) = pairs[i], pairs[j]
-        first, then = f.component(x1, x2), g.component(y1, y2)
-        return lambda v: then(first(v))
-
-    return span_of_maps(f.source, g.target, carriers, minus, plus, image)
+# two-sided enrichments: mates and slice changes
 
 
 def _cob_pairs(a: VCategory) -> list[tuple[int, int]]:
@@ -418,123 +250,6 @@ def transpose_to_left(
     return VFunctor(changed, b, mapping)
 
 
-def check_caten_2cell(cell: CatenTwoCell) -> list[str]:
-    """Span morphism plus pointwise domination of components."""
-    f, g, m = cell.source, cell.target, cell.mapping
-    if f.source is not g.source or f.target is not g.target:
-        raise NotParallel("the enrichments are not parallel")
-    out = []
-    if len(m) != f.n_carriers:
-        return ["mapping size disagrees with the carriers"]
-    for x in range(f.n_carriers):
-        if f.minus[x] != g.minus[m[x]] or f.plus[x] != g.plus[m[x]]:
-            out.append(f"legs not preserved at carrier {f.carriers[x]}")
-    if out:
-        return out
-    for x in range(f.n_carriers):
-        for y in range(f.n_carriers):
-            if not f.component(x, y).pointwise_leq(g.component(m[x], m[y])):
-                out.append(f"component not dominated at ({x},{y})")
-    return out
-
-
-def caten_2cell_leq(
-    cell_f: CatenTwoCell, cell_g: CatenTwoCell
-) -> bool:
-    """The local order on 2-cells between the same two enrichments."""
-    if cell_f.source is not cell_g.source or cell_f.target is not cell_g.target:
-        raise NotParallel("the 2-cells are not parallel")
-    f = cell_f.source
-    b = cell_f.target
-    for x in range(f.n_carriers):
-        u = f.minus[x]
-        lat = b.target.hom(b.plus[cell_f.mapping[x]], b.plus[cell_g.mapping[x]])
-        value = b.component(cell_f.mapping[x], cell_g.mapping[x])(f.source.unit(u))
-        if not lat.leq(b.target.unit(f.plus[x]), value):
-            return False
-    return True
-
-
-_UNIT_BASE = None
-
-
-def shared_unit_base() -> Quantaloid:
-    """The one-arrow base, shared so parallel spans compare equal."""
-    global _UNIT_BASE
-    if _UNIT_BASE is None:
-        _UNIT_BASE = build_unit_quantaloid()
-    return _UNIT_BASE
-
-
-def vcat_as_tse(a: VCategory) -> TwoSidedEnrichment:
-    """Present an enrichment as a span out of the one-arrow base."""
-    n = a.n_objects
-    return span_of_maps(
-        shared_unit_base(), a.base, list(a.objects), [0] * n, list(a.extents),
-        lambda x, y: lambda only: a.hom(x, y),
-    )
-
-
-def tse_as_vcat(f: TwoSidedEnrichment) -> VCategory:
-    """Inverse reading of ``vcat_as_tse``."""
-    if f.source.n_objects != 1 or f.source.hom(0, 0).size != 1:
-        raise BaseMismatch("the span does not start at the one-arrow base")
-    only = next(iter(f.source.hom(0, 0).elements()))
-    n = f.n_carriers
-    homs = [
-        {y: f.component(x, y)(only) for y in range(n)} for x in range(n)
-    ]
-    return VCategory(f.target, list(f.carriers), list(f.plus), homs)
-
-
-def is_strong_tse(f: TwoSidedEnrichment) -> bool:
-    """Whether the components preserve composition and units exactly."""
-    for x in range(f.n_carriers):
-        if f.component(x, x)(f.source.unit(f.minus[x])) != f.target.unit(f.plus[x]):
-            return False
-    return all(
-        lhs == rhs
-        for triple in itertools.product(range(f.n_carriers), repeat=3)
-        for _, lhs, rhs in composition_square(f, triple)
-    )
-
-
-def functor_exists_tse(source, target, cat_functor) -> TwoSidedEnrichment:
-    """Direct image along a functor between finite categories."""
-    cat_c = source.cat
-    carriers = list(cat_c.objects)
-    minus = list(range(len(carriers)))
-    plus = [cat_functor.obj_map[c] for c in minus]
-    relations = {
-        (x, y): {
-            (m, cat_functor.mor_map[m]) for m in cat_c.hom_morphisms(x, y)
-        }
-        for x in range(len(carriers))
-        for y in range(len(carriers))
-    }
-    return relation_tse(source, target, carriers, minus, plus, relations)
-
-
-def functor_preimage_tse(source, target, cat_functor) -> TwoSidedEnrichment:
-    """Inverse image along a functor: a span from the functor's target base.
-
-    ``cat_functor`` goes from ``target.cat`` to ``source.cat``; carriers
-    are the objects of the functor's source category.
-    """
-    cat_d = target.cat
-    carriers = list(cat_d.objects)
-    plus = list(range(len(carriers)))
-    minus = [cat_functor.obj_map[c] for c in plus]
-    relations = {
-        (x, y): {
-            (cat_functor.mor_map[m], m) for m in cat_d.hom_morphisms(x, y)
-        }
-        for x in range(len(carriers))
-        for y in range(len(carriers))
-    }
-    return relation_tse(source, target, carriers, minus, plus, relations)
-
-
 def slice_change(
     f: VFunctor,
     va: SliceQuantaloid | None = None,
@@ -554,89 +269,3 @@ def slice_change(
     return span_of_maps(
         va, vb, list(a.objects), list(range(a.n_objects)), list(f.mapping), lambda x, y: lambda v: v
     )
-
-
-# ---------------------------------------------------------------------------
-# adjunctions between finite categories and their sieve left adjoints
-
-
-class CatAdjunction(NamedTuple):
-    """An adjunction between finite categories, given by unit and counit."""
-
-    left: CatFunctor  # F : A -> B
-    right: CatFunctor  # G : B -> A
-    unit: list[int]  # per object a of A, a morphism a -> G F a
-    counit: list[int]  # per object b of B, a morphism F G b -> b
-
-    def validate(self) -> list[str]:
-        out = []
-        a_cat, b_cat = self.left.source, self.left.target
-        if self.right.source is not b_cat or self.right.target is not a_cat:
-            return ["the two functors are not opposed"]
-        for a in range(a_cat.n_objects):
-            eta = self.unit[a]
-            if a_cat.mor_src(eta) != a or a_cat.mor_tgt(eta) != self.right.obj_map[
-                self.left.obj_map[a]
-            ]:
-                out.append(f"unit mistyped at {a_cat.objects[a]}")
-        for b in range(b_cat.n_objects):
-            eps = self.counit[b]
-            if b_cat.mor_src(eps) != self.left.obj_map[
-                self.right.obj_map[b]
-            ] or b_cat.mor_tgt(eps) != b:
-                out.append(f"counit mistyped at {b_cat.objects[b]}")
-        if out:
-            return out
-        for a in range(a_cat.n_objects):
-            lhs = b_cat.compose_mor(
-                self.left.mor_map[self.unit[a]],
-                self.counit[self.left.obj_map[a]],
-            )
-            if lhs != b_cat.identities[self.left.obj_map[a]]:
-                out.append(f"triangle identity fails at {a_cat.objects[a]}")
-        for b in range(b_cat.n_objects):
-            lhs = a_cat.compose_mor(
-                self.unit[self.right.obj_map[b]],
-                self.right.mor_map[self.counit[b]],
-            )
-            if lhs != a_cat.identities[self.right.obj_map[b]]:
-                out.append(f"triangle identity fails at {b_cat.objects[b]}")
-        return out
-
-    def transpose(self, t: int, b: int) -> int:
-        """Mate of ``t : a -> G b`` across the adjunction: ``F a -> b``."""
-        return self.left.target.compose_mor(self.left.mor_map[t], self.counit[b])
-
-
-def crible_left_adjoints(
-    adj: CatAdjunction,
-    sa: CribleQuantaloid,
-    sb: CribleQuantaloid,
-) -> dict[tuple[int, int], MonotoneMap]:
-    """Left adjoints to the sieve images along the right functor.
-
-    For an adjunction the direct-image span along the right functor has,
-    on top of its right adjoints, local left adjoints that transpose
-    every span leg.  ``sa`` holds the sieves over the left functor's
-    source and ``sb`` those over its target; each candidate is verified
-    against the Galois condition before being returned.
-    """
-    if sa.cat is not adj.left.source or sb.cat is not adj.left.target:
-        raise NotExact("the sieve bases do not match the adjunction")
-
-    def left(x, y, crible):
-        spans = [
-            Span(adj.left.obj_map[s.apex], adj.transpose(s.left, x), adj.transpose(s.right, y))
-            for s in crible
-        ]
-        return sb.down_close(x, y, spans)
-
-    out = {}
-    for (x, y), right in crible_change_tse(adj.right, sb, sa).components.items():
-        candidate = MonotoneMap.from_function(
-            right.target, right.source, lambda crible: left(x, y, crible)
-        )
-        if adjunction_failure(candidate, right) is not None:
-            raise NoAdjoint(f"no left adjoint at objects ({x},{y})")
-        out[(x, y)] = candidate
-    return out

@@ -57,11 +57,15 @@ class Bundle:
         """The sieve quantaloid of a loaded category (``cts.sieve_base``)."""
         return cts.sieve_base(self, fincat_name)
 
-    def store(self, name: str, out: VCategory) -> dict:
-        """Keep a command's result under ``name``, which nothing loaded may
-        have; return its document."""
+    def refuse_held(self, name: str | None) -> None:
+        """Refuse ``--out name`` when the bundle holds ``name``."""
         if name in self.objects:
             raise ValidationError(f"--out {name!r} names a {self.kinds[name]} the bundle holds")
+
+    def store(self, name: str, out: VCategory) -> dict:
+        """Keep a command's result under ``name``, which nothing the bundle
+        holds may have (a sieve base the command added too); return its document."""
+        self.refuse_held(name)
         self.objects[name] = out
         self.kinds[name] = "vcategory"
         return jsondocs.vcategory_to_doc(self, name, out)

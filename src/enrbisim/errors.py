@@ -37,10 +37,6 @@ class BaseMismatch(EnrbisimError):
     """Two enriched structures live over different bases."""
 
 
-class NotParallel(EnrbisimError):
-    """The two functors or enrichments do not share source and target."""
-
-
 class TypeMismatch(EnrbisimError):
     """An edge label does not live in the hom forced by its endpoints."""
 

@@ -22,9 +22,8 @@ from typing import Any, Iterable, Iterator
 from . import _moved
 from .errors import SizeLimit, UnknownElement
 
-# Largest element count we are willing to enumerate exhaustively: every
-# exhaustive check (quantaloid laws, laxness of a span, local right
-# adjoints, residuals) reads this one cap.
+# Most elements an exhaustive check (quantaloid laws, laxness of a span,
+# local right adjoints) may enumerate.
 DEFAULT_ENUM_CAP = 1 << 13
 # Most generators a rel, powerset or sieve base allows a hom: a powerset
 # of 12 has 2^12 elements, within DEFAULT_ENUM_CAP = 2^13.

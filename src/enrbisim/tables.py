@@ -45,11 +45,9 @@ class TableLattice(Lattice):
         full = (1 << n) - 1
         ups = [0] * n  # ups[i] = bitmask of j with i <= j
         downs = [0] * n
-        self._pairs = set()
         for i, j in leq_pairs:
             if not (0 <= i < n and 0 <= j < n):
                 raise UnknownElement(f"order pair ({i},{j}) out of range 0..{n - 1}")
-            self._pairs.add((i, j))
             ups[i] |= 1 << j
             downs[j] |= 1 << i
         self._ups = ups
@@ -101,10 +99,6 @@ class TableLattice(Lattice):
 
     def sample(self, rng):
         return rng.randrange(self._n)
-
-    def dual(self) -> "TableLattice":
-        """The order-reversed lattice (joins and meets swap)."""
-        return TableLattice(self.names, [(j, i) for i, j in self._pairs])
 
     def validate(self) -> list[str]:
         out = []

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from oracles import isomorphic_by
 
 from enrbisim.bisim import _block_joins, _numbered, SimRelation, bisimilar, largest_bisimulation
 from enrbisim.checks import equivalence_closure, is_bisimulation, is_simulation
@@ -19,7 +20,6 @@ from enrbisim.generators import (
     random_vcategory,
     run_axiom_suite,
 )
-from enrbisim.constructions import isomorphic_by
 from enrbisim.simulation import largest_simulation, simulates
 from enrbisim.vcat import EnrichedGraph, VCategory, free_vcategory, validate_vcategory
 from enrbisim.witness import (

@@ -253,19 +253,28 @@ class TestCommands:
 
 
 GOLDEN_DOCS = Path(__file__).parent / "golden" / "docs"
+# storing commands whose --out names a loaded object
+OUT_HELD = [
+    ["quotient", "--a", "P01", "--rel", "E", "--out", "P01"],
+    ["cob-apply", "--tse", "ID", "--a", "P01", "--out", "Q2"],
+    ["cob-radjoint", "--tse", "ID", "--b", "POINT", "--out", "E"],
+    ["cts-build", "--spec", "SPEC", "--out", "P2"],
+    ["cts-refine", "--spec", "SPEC", "--functor", "INC", "--out", "SPEC"],
+]
+
+
+def out_case_id(argv):
+    return f"{argv[0]}-{argv[-1]}"
 
 
 class TestOutNames:
     """A storing command's ``--out`` may not name what the bundle holds."""
 
     @pytest.mark.parametrize("argv", [
-        ["quotient", "--a", "P01", "--rel", "E", "--out", "P01"],
-        ["cob-apply", "--tse", "ID", "--a", "P01", "--out", "Q2"],
-        ["cob-radjoint", "--tse", "ID", "--b", "POINT", "--out", "E"],
-        ["cts-build", "--spec", "SPEC", "--out", "P2"],
+        *OUT_HELD[:4],
         ["cts-build", "--spec", "SPEC", "--out", "S(P2)"],  # the sieve base it builds
-        ["cts-refine", "--spec", "SPEC", "--functor", "INC", "--out", "SPEC"],
-    ], ids=lambda argv: f"{argv[0]}-{argv[-1]}")
+        *OUT_HELD[4:],
+    ], ids=out_case_id)
     def test_out_naming_a_held_object_is_refused(self, capsys, argv):
         paths = ["--paths", FIXTURES[0], "--paths", str(GOLDEN_DOCS)]
         code, out = invoke(capsys, *paths, *argv)
@@ -277,6 +286,19 @@ class TestOutNames:
         # nothing was replaced or stored
         assert all(bundle.objects[name] is obj for name, obj in held.items())
         assert bundle.names("vcategory") == vcategories
+
+    @pytest.mark.parametrize("argv", OUT_HELD, ids=out_case_id)
+    def test_loaded_name_is_refused_before_the_handler_runs(self, monkeypatch, argv):
+        # cts-build would otherwise build the sieve base, check its laws and
+        # build the enrichment before refusing the name
+        flags = parse_args(argv)
+        module = importlib.import_module(f"enrbisim.{cli.COMMANDS[flags.command][0]}")
+        calls = []
+        monkeypatch.setattr(module, f"cmd_{flags.command.replace('-', '_')}",
+                            lambda *args: calls.append(args) or ("valid", {}))
+        report = run(flags.command, load_bundle([FIXTURES[0], GOLDEN_DOCS]), flags)
+        assert report.exit_code == 2 and calls == []
+        assert report.details["error"].startswith(f"ValidationError: --out {argv[-1]!r}")
 
 
 class TestQuantaloidWorkBound:

@@ -8,9 +8,17 @@ from pathlib import Path
 
 import pytest
 
-from enrbisim.cob import MonotoneMap, TwoSidedEnrichment, apply_cob, local_right_adjoints, span_of_maps
+from enrbisim.cob import (
+    MonotoneMap,
+    TwoSidedEnrichment,
+    adjunction_failure,
+    apply_cob,
+    local_right_adjoints,
+    span_of_maps,
+)
 from enrbisim.cobdocs import (
     _lax_violations,
+    composition_square,
     identity_tse,
     monoid_congruence_tse,
     monoid_morphism_pairs,
@@ -19,28 +27,19 @@ from enrbisim.cobdocs import (
     validate_tse,
 )
 from enrbisim.constructions import (
-    CatenTwoCell,
     apply_cob_vfunctor,
-    caten_2cell_leq,
-    check_caten_2cell,
-    compose_tse,
     encode_slice,
     enumerate_vfunctors,
-    functor_exists_tse,
-    functor_preimage_tse,
-    is_strong_tse,
     slice_change,
     slice_quantaloid,
     transpose_to_left,
     transpose_to_right,
-    tse_as_vcat,
-    vcat_as_tse,
-    verify_adjunction,
 )
 from enrbisim.errors import BaseMismatch, NoAdjoint, NotACongruence
 from enrbisim.fixtures import aut1, loop1, p01, point, q2, ql
 from enrbisim.generators import random_od_map, random_vcategory
 from enrbisim.language import build_language_quantale, import_aut
+from enrbisim.tables import TableLattice, TableQuantaloid
 from enrbisim.vcat import VCategory, validate_vcategory
 from enrbisim.witness import VFunctor, is_od, pullback, validate_vfunctor
 
@@ -67,6 +66,29 @@ def relabel_tse(src, tgt, mapping):
     )
 
 
+def functor_image_tse(source, target, fun, inverse=False):
+    """The direct image of morphism sets along ``fun``, a functor from
+    ``source.cat`` to ``target.cat``; with ``inverse``, the inverse image
+    along ``fun`` from ``target.cat`` to ``source.cat``.  A relation span
+    with one carrier per object of ``fun``'s source."""
+    cat = fun.source
+    objects = list(range(len(cat.objects)))
+    pairs = {(x, y): {(m, fun.mor_map[m]) for m in cat.hom_morphisms(x, y)}
+             for x in objects for y in objects}
+    if not inverse:
+        return relation_tse(source, target, list(cat.objects), objects, list(fun.obj_map), pairs)
+    reversed_pairs = {key: {(n, m) for m, n in rel} for key, rel in pairs.items()}
+    return relation_tse(source, target, list(cat.objects), list(fun.obj_map), objects, reversed_pairs)
+
+
+def is_strong(f):
+    """Whether a span's components preserve units and composition exactly."""
+    units = all(f.component(x, x)(f.source.unit(f.minus[x])) == f.target.unit(f.plus[x])
+                for x in range(f.n_carriers))
+    return units and all(lhs == rhs for triple in itertools.product(range(f.n_carriers), repeat=3)
+                         for _, lhs, rhs in composition_square(f, triple))
+
+
 class TestValidateTse:
     def test_identity_valid(self, Q2):
         assert validate_tse(identity_tse(Q2)) == []
@@ -79,42 +101,6 @@ class TestValidateTse:
         comp = MonotoneMap(lat, lat, {0: 0, 1: 0})  # sends the unit to bottom
         tse = TwoSidedEnrichment(Q2, Q2, ["*"], [0], [0], {(0, 0): comp})
         assert any("unit square" in v for v in validate_tse(tse))
-
-
-class TestComposeTse:
-    def test_identity_right_unit(self, QLm, QLn):
-        f = relabel_tse(QLm, QLn, {"m": "n"})
-        fid = compose_tse(f, identity_tse(QLn))
-        assert fid.n_carriers == 1
-        hom = QLm.hom(0, 0)
-        for x in hom.elements():
-            assert fid.component(0, 0)(x) == f.component(0, 0)(x)
-
-    def test_relabellings_compose(self, QLm, QLn):
-        qlp = build_language_quantale(("p",), 2)
-        f = relabel_tse(QLm, QLn, {"m": "n"})
-        g = relabel_tse(QLn, qlp, {"n": "p"})
-        fg = compose_tse(f, g)
-        direct = relabel_tse(QLm, qlp, {"m": "p"})
-        for x in QLm.hom(0, 0).elements():
-            assert fg.component(0, 0)(x) == direct.component(0, 0)(x)
-
-    def test_carrier_count_is_pullback_size(self, Q2):
-        f = identity_tse(Q2)
-        assert compose_tse(f, f).n_carriers == 1
-
-    def test_associative_up_to_flattening(self, QLm, QLn):
-        qlp = build_language_quantale(("p",), 2)
-        qlq = build_language_quantale(("q",), 2)
-        f = relabel_tse(QLm, QLn, {"m": "n"})
-        g = relabel_tse(QLn, qlp, {"n": "p"})
-        h = relabel_tse(qlp, qlq, {"p": "q"})
-        left = compose_tse(compose_tse(f, g), h)
-        right = compose_tse(f, compose_tse(g, h))
-        assert left.n_carriers == right.n_carriers
-        assert left.minus == right.minus and left.plus == right.plus
-        for key, comp in left.components.items():
-            assert comp.mapping == right.components[key].mapping
 
 
 class TestApplyCob:
@@ -163,7 +149,7 @@ class TestLocalRightAdjoints:
     def test_collapse_letters_coherent(self, QLn):
         qlab = build_language_quantale(("a", "b"), 2)
         f = relabel_tse(qlab, QLn, {"a": "n", "b": "n"})
-        assert is_strong_tse(f)
+        assert is_strong(f)
         report = local_right_adjoints(f)
         assert report.coherent
 
@@ -265,76 +251,6 @@ class TestRightAdjointCob:
             transpose_to_left(f, a, a, a, g)
 
 
-class TestCatenTwoCells:
-    def test_identity_cell(self, QLm, QLn):
-        f = relabel_tse(QLm, QLn, {"m": "n"})
-        assert check_caten_2cell(CatenTwoCell(f, f, [0])) == []
-
-    def test_pointwise_smaller_components(self, Q2):
-        lat = Q2.hom(0, 0)
-        small = MonotoneMap(lat, lat, {0: 0, 1: 1})
-        tse_small = TwoSidedEnrichment(Q2, Q2, ["*"], [0], [0], {(0, 0): small})
-        tse_big = identity_tse(Q2)
-        assert check_caten_2cell(CatenTwoCell(tse_small, tse_big, [0])) == []
-
-    def test_violation_reported(self, Q2):
-        lat = Q2.hom(0, 0)
-        small = MonotoneMap(lat, lat, {0: 0, 1: 1})
-        top = MonotoneMap(lat, lat, {0: 1, 1: 1})
-        tse_small = TwoSidedEnrichment(Q2, Q2, ["*"], [0], [0], {(0, 0): small})
-        tse_top = TwoSidedEnrichment(Q2, Q2, ["*"], [0], [0], {(0, 0): top})
-        assert check_caten_2cell(CatenTwoCell(tse_top, tse_small, [0]))
-
-    def test_cell_order(self, Q2):
-        f = identity_tse(Q2)
-        cell = CatenTwoCell(f, f, [0])
-        assert caten_2cell_leq(cell, cell)
-
-
-class TestVcatAsTse:
-    def test_point_round_trip(self, Q2):
-        p = point(Q2)
-        back = tse_as_vcat(vcat_as_tse(p))
-        assert back.objects == p.objects and back.row_maps == p.row_maps
-
-    def test_aut1_round_trip(self, QLm):
-        a = aut1(QLm)
-        tse = vcat_as_tse(a)
-        assert validate_tse(tse) == []
-        back = tse_as_vcat(tse)
-        assert back.objects == a.objects
-        assert back.extents == a.extents
-        assert back.row_maps == a.row_maps
-
-    def test_functors_are_2cells(self, QLm):
-        a, b = aut1(QLm), loop1(QLm)
-        ta, tb = vcat_as_tse(a), vcat_as_tse(b)
-        cells = [
-            mapping
-            for mapping in itertools.product(range(b.n_objects), repeat=a.n_objects)
-            if check_caten_2cell(CatenTwoCell(ta, tb, list(mapping))) == []
-        ]
-        assert len(cells) == len(enumerate_vfunctors(a, b))
-
-    def test_cell_order_matches_transformation_existence(self, Q2):
-        from enrbisim.constructions import exists_vnatural
-
-        a = p01(Q2)
-        ta = vcat_as_tse(a)
-        cells = [
-            list(mapping)
-            for mapping in itertools.product(range(a.n_objects), repeat=a.n_objects)
-            if check_caten_2cell(CatenTwoCell(ta, ta, list(mapping))) == []
-        ]
-        for m1 in cells:
-            for m2 in cells:
-                want = exists_vnatural(VFunctor(a, a, m1), VFunctor(a, a, m2))
-                got = caten_2cell_leq(
-                    CatenTwoCell(ta, ta, m1), CatenTwoCell(ta, ta, m2)
-                )
-                assert got == want
-
-
 class TestMonoidCongruence:
     def test_identity_graph(self, QLm):
         tse = relabel_tse(QLm, QLm, {"m": "m"})
@@ -349,9 +265,9 @@ class TestMonoidCongruence:
             {"a": ("n",), "b": ("n",)}, qlab, QLn
         )]
         preimage_f = monoid_congruence_tse(QLn, qlab, rev)
-        assert verify_adjunction(
-            exists_f.component(0, 0), preimage_f.component(0, 0)
-        )
+        exists_0, preimage_0 = exists_f.component(0, 0), preimage_f.component(0, 0)
+        assert exists_0.check() == preimage_0.check() == []
+        assert adjunction_failure(exists_0, preimage_0) is None
         forall_f = local_right_adjoints(preimage_f, pointwise_only=True).adjoints[
             (0, 0)
         ]
@@ -367,7 +283,7 @@ class TestMonoidCongruence:
 
     def test_exists_is_strong_and_left_adjoint(self, QLm, QLn):
         f = relabel_tse(QLm, QLn, {"m": "n"})
-        assert is_strong_tse(f)
+        assert is_strong(f)
         assert local_right_adjoints(f).coherent
 
     def test_components_are_not_rechecked(self, QLm, QLn, monkeypatch):
@@ -421,7 +337,7 @@ class TestCategoryCongruence:
 
     def test_identity_functor_tse(self):
         c, base, fun = self._posets()
-        tse = functor_exists_tse(base, base, fun)
+        tse = functor_image_tse(base, base, fun)
         assert validate_tse(tse) == []
         for x in range(2):
             for y in range(2):
@@ -430,8 +346,8 @@ class TestCategoryCongruence:
 
     def test_exists_adjoint_is_preimage(self):
         c, base, fun = self._posets()
-        exists_f = functor_exists_tse(base, base, fun)
-        preimage_f = functor_preimage_tse(base, base, fun)
+        exists_f = functor_image_tse(base, base, fun)
+        preimage_f = functor_image_tse(base, base, fun, inverse=True)
         report = local_right_adjoints(exists_f)
         assert report.coherent
         for x in range(2):
@@ -658,24 +574,29 @@ def sparse_apply_cases() -> dict:
                                            for m in two.morphisms])
     s2, s3, bp2 = build_S_quantaloid(two), build_S_quantaloid(three), PowersetCatQuantaloid(two)
     same = CatFunctor(two, two, [0, 1], list(range(len(two.morphisms))))
-    relabel = relabel_tse(QLm, QLn, {"m": "n"})
+    relabel, ident = relabel_tse(QLm, QLn, {"m": "n"}), identity_tse(QLn)
+    one = TableQuantaloid(["*"], {(0, 0): TableLattice(["*"], [(0, 0)])}, {(0, 0, 0): [[0]]}, [0])
+    loop = loop1(QLm)
     spans = {
         "identity": identity_tse(Q2),
         "identity-language": identity_tse(QLm),
         "relabel": relabel,
         "collapse": relabel_tse(qlab, QLn, {"a": "n", "b": "n"}),
         "fan-congruence": monoid_congruence_tse(QLm, QLm, [((), ()), ((), ("m",)), ((), ("m", "m"))]),
-        "composite": compose_tse(relabel, identity_tse(QLn)),
+        "composite": span_of_maps(QLm, QLn, ["(*|*)"], [0], [0], lambda x, y: lambda v: (
+            ident.component(0, 0)(relabel.component(0, 0)(v)))),
         "two-carriers": span_of_maps(Q2, Q2, ["c", "d"], [0, 0], [0, 0], lambda x, y: lambda v: v),
         "constant-top": TwoSidedEnrichment(Q2, Q2, ["*"], [0], [0], {(0, 0): constant_top}),
         "mixed": TwoSidedEnrichment(Q2, Q2, ["c", "d"], [0, 0], [0, 0], {
             (0, 0): MonotoneMap.identity(lat), (0, 1): constant_top,
             (1, 0): MonotoneMap.identity(lat), (1, 1): MonotoneMap.identity(lat)}),
-        "enrichment-as-span": vcat_as_tse(loop1(QLm)),
+        "enrichment-as-span": span_of_maps(  # the one-arrow base's arrow goes to each hom
+            one, QLm, list(loop.objects), [0] * loop.n_objects, list(loop.extents),
+            lambda x, y: lambda only: loop.hom(x, y)),
         "sieve-inclusion": crible_change_tse(into, s2, s3),
         "sieve-identity": crible_change_tse(same, s2, s2),
-        "powerset-image": functor_exists_tse(bp2, bp2, same),
-        "powerset-preimage": functor_preimage_tse(bp2, bp2, same),
+        "powerset-image": functor_image_tse(bp2, bp2, same),
+        "powerset-preimage": functor_image_tse(bp2, bp2, same, inverse=True),
     }
     cases = {}
     for name, f in spans.items():

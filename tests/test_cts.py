@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from enrbisim.cob import MonotoneMap, apply_cob, local_right_adjoints
-from enrbisim.constructions import CatAdjunction, apply_cob_vfunctor, crible_left_adjoints
+from enrbisim.constructions import apply_cob_vfunctor
 from enrbisim.cts import (
     CribleQuantaloid,
     CtsSpec,
@@ -385,46 +385,6 @@ class TestRefine:
         moved = apply_cob_vfunctor(tse, f, new_src, new_tgt)
         assert validate_vfunctor(moved) == []
         assert is_od(moved)
-
-
-class TestAdjunction:
-    def test_poset_adjunction_left_adjoints(self):
-        # F : 2-chain -> 3-chain includes 0,2 ; G rounds down {0,1}->0, 2->1
-        two = FiniteCategory.poset(["a", "b"], [(0, 0), (0, 1), (1, 1)])
-        three = FiniteCategory.poset(
-            ["0", "1", "2"], [(i, j) for i in range(3) for j in range(3) if i <= j]
-        )
-        f_obj = [0, 2]
-        f_mor = []
-        for m in two.morphisms:
-            f_mor.append(
-                three.morphism_index(
-                    f"{three.objects[f_obj[m.src]]}<={three.objects[f_obj[m.tgt]]}"
-                )
-            )
-        g_obj = [0, 0, 1]
-        g_mor = []
-        for m in three.morphisms:
-            g_mor.append(
-                two.morphism_index(
-                    f"{two.objects[g_obj[m.src]]}<={two.objects[g_obj[m.tgt]]}"
-                )
-            )
-        F = CatFunctor(two, three, f_obj, f_mor)
-        G = CatFunctor(three, two, g_obj, g_mor)
-        assert F.validate() == [] and G.validate() == []
-        unit = [two.morphism_index(f"{two.objects[a]}<={two.objects[g_obj[f_obj[a]]]}") for a in range(2)]
-        counit = [
-            three.morphism_index(
-                f"{three.objects[f_obj[g_obj[b]]]}<={three.objects[b]}"
-            )
-            for b in range(3)
-        ]
-        adj = CatAdjunction(F, G, unit, counit)
-        assert adj.validate() == []
-        sa, sb = build_S_quantaloid(two), build_S_quantaloid(three)
-        lefts = crible_left_adjoints(adj, sa, sb)
-        assert set(lefts) == {(x, y) for x in range(3) for y in range(3)}
 
 
 def fan_documents() -> dict[str, dict]:

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from enrbisim.constructions import residual
 from enrbisim.cts import FiniteCategory, build_S_quantaloid
 from enrbisim.errors import BadGrid, NotComposable, ParseError, SizeLimit, UnknownElement, UnknownObject
 from enrbisim.fixtures import bp2, m3, penta, q2, ql, rel1
@@ -128,61 +127,6 @@ class TestTensor:
         f = base.element(0, 1, 2)
         with pytest.raises(NotComposable):
             tensor(base, f, f)
-
-
-class TestResidual:
-    def test_boolean_implication(self):
-        q = q2()
-        one = q.element(0, 0, 1)
-        zero = q.element(0, 0, 0)
-        assert residual(q, "right", one, zero).value == 0
-        assert residual(q, "right", zero, zero).value == 1
-
-    def test_language_residual_with_truncation(self):
-        # largest L with {m}.L inside {mm}: mm itself is allowed because
-        # the concatenation m.mm exceeds the cutoff and vanishes
-        q = ql()
-        m = lang_elem(q, ("m",))
-        mm = lang_elem(q, ("m", "m"))
-        r = residual(q, "right", m, mm)
-        assert r.value == frozenset({("m",), ("m", "m")})
-
-    def test_residual_universality(self):
-        q = ql()
-        hom = q.hom(0, 0)
-        elems = list(hom.elements())
-        for f in elems:
-            for h in elems:
-                r = residual(
-                    q, "right", q.element(0, 0, f), q.element(0, 0, h)
-                ).value
-                assert hom.leq(q.compose(0, 0, 0, f, r), h)
-                for g in elems:
-                    if hom.leq(q.compose(0, 0, 0, f, g), h):
-                        assert hom.leq(g, r)
-
-    def test_multi_object_residuals(self):
-        # residuals across distinct objects of the two-object base
-        base = penta()
-        hom01 = base.hom(0, 1)
-        for f in base.hom(0, 0).elements():
-            for h in hom01.elements():
-                r = residual(
-                    base, "right", base.element(0, 0, f), base.element(0, 1, h)
-                )
-                assert r.source == 0 and r.target == 1
-                assert hom01.leq(base.compose(0, 0, 1, f, r.value), h)
-                for g in hom01.elements():
-                    if hom01.leq(base.compose(0, 0, 1, f, g), h):
-                        assert hom01.leq(g, r.value)
-
-    def test_left_residual(self):
-        q = ql()
-        hom = q.hom(0, 0)
-        m = lang_elem(q, ("m",))
-        mm = lang_elem(q, ("m", "m"))
-        r = residual(q, "left", m, mm)
-        assert hom.leq(q.compose(0, 0, 0, r.value, m.value), mm.value)
 
 
 class TestRelQuantaloid:

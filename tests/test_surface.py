@@ -21,16 +21,19 @@ PACKAGE = ROOT / "src" / "enrbisim"
 MODULES = sorted(m.name for m in pkgutil.iter_modules([str(PACKAGE)]) if m.name != "__main__")
 
 
+def statement_names(node: ast.stmt) -> set[str]:
+    """The names one top-level statement defines, not imports."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return set()
+
+
 def defined_names(module: str) -> set[str]:
     """The names a module's own top-level statements define, not import."""
-    names = set()
-    for node in ast.parse((PACKAGE / f"{module}.py").read_text()).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
-    return names
+    return set().union(*map(statement_names, ast.parse((PACKAGE / f"{module}.py").read_text()).body))
 
 
 DEFINED = {module: defined_names(module) for module in MODULES}
@@ -104,3 +107,28 @@ def test_every_export_is_one_import_of_its_defining_module():
         home = enrbisim._MODULE_OF[name]
         assert name in DEFINED[home], (name, home)
         assert getattr(enrbisim, name) is vars(importlib.import_module(f"enrbisim.{home}"))[name]
+
+
+# the lax-relational presentations, kept as the test of the claim that
+# enrichments over a category's powerset base are exactly its lax-relational
+# presentations (tests/test_vcat.py)
+LAXREL = {"LaxRelationalPresentation", "laxrel_to_vcat", "vcat_to_laxrel"}
+
+
+def test_constructions_define_only_what_the_acceptance_suite_and_laxrel_reach():
+    """A definition in ``constructions`` (which no command runs) stays only
+    if the acceptance suite imports it, it is a lax-relational name, or one
+    of those refers to it."""
+    refers = {}
+    for node in ast.parse((PACKAGE / "constructions.py").read_text()).body:
+        names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        refers.update(dict.fromkeys(statement_names(node), names))
+    imported = {name for m, name in package_reads(ROOT / "tests" / "test_acceptance.py")
+                if m == "constructions"}
+    reached, todo = set(), imported | LAXREL
+    while todo:
+        name = todo.pop()
+        if name in refers and name not in reached:
+            reached.add(name)
+            todo |= refers[name]
+    assert DEFINED["constructions"] == reached, sorted(DEFINED["constructions"] ^ reached)
