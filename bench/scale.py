@@ -75,7 +75,8 @@ and, with ``--load-sizes``, one more layer on larger automata (k = 2):
 - ``load``: ``import_aut`` on a seeded 2-out automaton, its wall time
   (one run, scaled by the probe as below) and, in a second run, its
   ``tracemalloc`` peak, with the peak's growth from each size to the
-  next.  An empty ``--sizes`` runs this layer alone, and so the two
+  next, and the memory still held once it returns, with its enrichment
+  kept.  An empty ``--sizes`` runs this layer alone, and so the two
   below.
 
 With ``--fan-atoms``, one layer over fan posets (a bottom, the given
@@ -539,11 +540,12 @@ def measure_cob(sizes: list[int], cap: float) -> dict:
 
 
 def measure_load(sizes: list[int], workdir: Path) -> dict:
-    """The ``load`` layer: ``import_aut`` timed, then run again under ``tracemalloc``."""
+    """The ``load`` layer: ``import_aut`` timed, then run again under ``tracemalloc``,
+    which reads its peak and, with the enrichment still referenced, what it holds."""
     from enrbisim.language import import_aut
 
     out: dict = {"k": 2, "seconds": {}, "raw_seconds": {}, "probes": {}, "peak_mb": {},
-                 "peak_growth": {}, "digest": {}}
+                 "peak_growth": {}, "held_mb": {}, "digest": {}}
     for n in sizes:
         path = workdir / f"load{n}.aut"
         path.write_text(aut_text(n, random_automaton(random.Random(f"{SEED}:load:{n}"), n)))
@@ -557,15 +559,18 @@ def measure_load(sizes: list[int], workdir: Path) -> dict:
         cat = None
         gc.collect()
         tracemalloc.start()
-        import_aut(path, ALPHABET, 2)
-        peak = tracemalloc.get_traced_memory()[1] / 2**20
+        cat = import_aut(path, ALPHABET, 2)
+        held, peak = (size / 2**20 for size in tracemalloc.get_traced_memory())
         tracemalloc.stop()
+        cat = None
         path.unlink()
         out["seconds"][str(n)] = round(raw * NOMINAL_PROBE_S / statistics.mean(probes), 4)
         out["raw_seconds"][str(n)] = round(raw, 4)
         out["probes"][str(n)] = [round(p, 6) for p in probes]
         out["peak_mb"][str(n)] = round(peak, 1)
-        print(f"load n={n}: {raw:.2f} s, tracemalloc peak {peak:.1f} MB", file=sys.stderr, flush=True)
+        out["held_mb"][str(n)] = round(held, 1)
+        print(f"load n={n}: {raw:.2f} s, tracemalloc peak {peak:.1f} MB, held {held:.1f} MB",
+              file=sys.stderr, flush=True)
     for smaller, larger in zip(sizes, sizes[1:]):
         growth = out["peak_mb"][str(larger)] / out["peak_mb"][str(smaller)]
         out["peak_growth"][f"{smaller}->{larger}"] = round(growth, 2)
@@ -602,13 +607,13 @@ def digest(name: str, result):
     if name == "path_homs":
         return sum(len(x) for row in result for x in row.values())
     if name in ("import_aut", "vcategory"):
-        return sum(len(x) for row in result.rows for _, x, _ in row)
+        return sum(len(x) for row in result.row_maps for x in row.values())
     if name == "free_vcategory":
         table = [[sorted(x) if isinstance(x, frozenset) else x for x in row] for row in cells(result)]
-        size, text = sum(map(len, result.rows)), repr(table)
+        size, text = sum(map(len, result.row_maps)), repr(table)
     elif name == "quotient":
         quo, q = result
-        rows = [[(j, sorted(x)) for j, x, _ in row] for row in quo.rows]
+        rows = [[(j, sorted(x)) for j, x in row.items()] for row in quo.row_maps]
         size, text = quo.n_objects, repr((rows, q.mapping))
     elif name in ("cospan_witness", "span_witness"):
         f, g = result
@@ -623,10 +628,10 @@ def digest(name: str, result):
     elif name == "cts_refine":
         refined = result[1]
         table = [[sorted(x) for x in row] for row in cells(refined)]
-        size, text = sum(map(len, refined.rows)), repr(table)
+        size, text = sum(map(len, refined.row_maps)), repr(table)
     elif name == "apply_cob":
-        rows = [sorted((j, sorted(x)) for j, x, _ in row) for row in result.rows]
-        size, text = sum(map(len, result.rows)), repr(rows)
+        rows = [sorted((j, sorted(x)) for j, x in row.items()) for row in result.row_maps]
+        size, text = sum(map(len, result.row_maps)), repr(rows)
     else:
         size, text = len(result), repr((sorted(result.pairs), result.refinement_trace))
     return f"{size}:{hashlib.sha256(text.encode()).hexdigest()[:16]}"

@@ -120,6 +120,16 @@ class SimRelation:
         final, na = self._rounds[-1], self.left.n_objects
         return set(final[na:]) <= set(final[:na])
 
+    def final_classes(self) -> Optional[list[list[int]]]:
+        """The partition form's final blocks on the coproduct (right objects after left ones),
+        each in object order, by least member; None for a relation given by its pairs."""
+        if self._rounds is None:
+            return None
+        parts: dict = {}  # block ids number the blocks by least member
+        for i, c in enumerate(self._rounds[-1]):
+            parts.setdefault(c, []).append(i)
+        return list(parts.values())
+
     def pairs_named(self) -> list[tuple[str, str]]:
         lnames, rnames, eager = self.left.objects, self.right.objects, self._rounds is None
         named = [(lnames[a], rnames[b]) for a, b in (self.pairs if eager else self._linked())]
@@ -139,13 +149,15 @@ class SimRelation:
         return f"SimRelation({sorted(self.pairs)})"
 
 
-def _failing_probe(probes, b, map_b, mates, joins) -> Optional[int]:
-    """The first probe ``(a', x, lattice)``, x = hom(a,a') non-bottom, with x not below
-    b's join into the mates of a' (read from b's row map ``map_b``), else None; ``joins``
-    caches those joins by (a', b).  A bottom hom lies below any join and adds nothing to
-    one, so only non-bottom homs are probed or joined, by the unchecked cores."""
-    for ap, x, lat in probes:
+def _failing_probe(cat, a, probes, b, map_b, mates, joins) -> Optional[int]:
+    """The first probe ``(a', x)`` of object a of ``cat``, x = hom(a,a') non-bottom, with x
+    not below b's join into the mates of a' (read from b's row map ``map_b``), else None;
+    ``joins`` caches those joins by (a', b).  A bottom hom lies below any join and adds
+    nothing to one, so only non-bottom homs are probed or joined, by the unchecked cores."""
+    kinds = cat.row_kinds[cat.extents[a]]
+    for ap, x in probes:
         key = (ap, b)
+        lat = kinds[ap][0]
         if key not in joins:
             # the intersection walks the smaller of b's targets and the mates
             joins[key] = lat._join([map_b[bp] for bp in map_b.keys() & mates[ap]])
@@ -162,13 +174,14 @@ def _require_pair_budget(left: VCategory, right: VCategory) -> None:
         raise SizeLimit(f"{pairs} extent-matching pairs, more than the cap {MAX_PAIRS}")
 
 
-def _block_joins(row: list[tuple], block_of) -> dict:
-    """Each block the row's checked homs reach -> their join by the unchecked core (one hom
-    is its own join); a join of non-bottom homs is not bottom, so absent blocks join to bottom."""
+def _block_joins(cat: VCategory, i: int, block_of) -> dict:
+    """Each block object i's homs reach -> their join by the unchecked core (one hom is its
+    own join); a join of non-bottom homs is not bottom, so absent blocks join to bottom."""
     groups: dict = {}
-    for y, x, lat in row:
-        groups.setdefault(block_of[y], (lat, []))[1].append(x)
-    return {c: xs[0] if len(xs) == 1 else lat._join(xs) for c, (lat, xs) in groups.items()}
+    kinds = cat.row_kinds[cat.extents[i]]
+    for y, x in cat.row_maps[i].items():
+        groups.setdefault(block_of[y], (kinds[y], []))[1].append(x)
+    return {c: xs[0] if len(xs) == 1 else kind[0]._join(xs) for c, (kind, xs) in groups.items()}
 
 
 def _numbered(keys: list) -> tuple[list[int], int]:
@@ -194,13 +207,13 @@ def largest_bisimulation(left: VCategory, right: VCategory) -> SimRelation:
     require_same_base(left, right)
     _require_pair_budget(left, right)
     na = left.n_objects
-    # the right side's objects follow the left's, so its targets shift by na
-    rows = list(left.rows) + [[(na + y, x, lat) for y, x, lat in row] for row in right.rows]
     rounds = [_numbered(left.extents + right.extents)]
     while True:
         block_of, count = rounds[-1]
-        new = _numbered([(block_of[x], tuple(sorted(_block_joins(row, block_of).items())))
-                         for x, row in enumerate(rows)])
+        # the right side's objects follow the left's: each side reads its own part
+        sides = ((left, block_of[:na]), (right, block_of[na:]))
+        new = _numbered([(ids[x], tuple(sorted(_block_joins(cat, x, ids).items())))
+                         for cat, ids in sides for x in range(cat.n_objects)])
         if new[1] == count:
             return SimRelation(left, right, _rounds=[ids for ids, _ in rounds])
         rounds.append(new)

@@ -59,21 +59,20 @@ def composition_violations(a: VCategory) -> list[str]:
     ``e``: so a row makes at most one ``_leq`` per triple.
     """
     out = []
-    base, ext, rows, names = a.base, a.extents, a.rows, a.objects
-    groups = [_value_groups(row, ext) for row in rows]
-    plans = [None if len(g) == len(row) else g for g, row in zip(groups, rows)]  # None: singletons
-    for i, row_i in enumerate(rows):
-        ei, map_i = ext[i], a.row_maps[i]
-        # extent e -> (lattice, bottom, [(value, bits)] of row i's groups in e)
-        scope = {e: (lat, lat._join(()), []) for (u, e), lat in a._lattices.items() if u == ei}
+    base, ext, maps, names = a.base, a.extents, a.row_maps, a.objects
+    groups = [_value_groups(row, ext) for row in maps]
+    plans = [None if len(g) == len(row) else g for g, row in zip(groups, maps)]  # None: singletons
+    for i, map_i in enumerate(maps):
+        ei, kinds_i = ext[i], a.row_kinds[ext[i]]
+        mine: dict = {}  # extent e -> [(value, bits)] of row i's groups in e
         for e, v, bits, _ in groups[i]:
-            scope[e][2].append((v, bits))
+            mine.setdefault(e, []).append((v, bits))
         masks: dict = {}  # (extent, composite) -> bits of the targets above it
-        for j, f, _ in row_i:
+        for j, f in map_i.items():
             ej, plan = ext[j], plans[j]
             if plan is None:
-                for k, g, _ in rows[j]:
-                    lat, bottom, _ = scope[ext[k]]
+                for k, g in maps[j].items():
+                    lat, bottom = kinds_i[k]
                     if not lat._leq(base.compose(ei, ej, ext[k], f, g), map_i.get(k, bottom)):
                         out.append(f"composition fails at ({names[i]},{names[j]},{names[k]})")
                 continue
@@ -82,8 +81,8 @@ def composition_violations(a: VCategory) -> list[str]:
                 c = base.compose(ei, ej, e, f, g)
                 mask = masks.get((e, c))
                 if mask is None:
-                    lat, bottom, mine = scope[e]
-                    if len(targets) <= len(mine):
+                    (lat, bottom), mine_e = kinds_i[targets[0]], mine.get(e, ())
+                    if len(targets) <= len(mine_e):
                         for k in targets:
                             if not lat._leq(c, map_i.get(k, bottom)):
                                 failed |= 1 << k
@@ -92,7 +91,7 @@ def composition_violations(a: VCategory) -> list[str]:
                         mask = -1
                     else:
                         mask = 0
-                        for v, vbits in mine:
+                        for v, vbits in mine_e:
                             if lat._leq(c, v):
                                 mask |= vbits
                     masks[e, c] = mask
@@ -105,9 +104,9 @@ def composition_violations(a: VCategory) -> list[str]:
 
 
 def _value_groups(row, extents) -> list:
-    """A row's non-bottom targets grouped by (extent, hom value), as
+    """A row map's targets grouped by (extent, hom value), as
     ``(extent, value, bitmask of the targets, their list in order)``."""
     groups: dict = {}
-    for k, g, _ in row:
+    for k, g in row.items():
         groups.setdefault((extents[k], g), []).append(k)
     return [(e, g, sum(1 << k for k in ks), ks) for (e, g), ks in groups.items()]

@@ -34,9 +34,9 @@ def is_simulation(r: SimRelation) -> SimulationCheck:
     for a, b in r.pairs:
         mates[a].add(b)
     joins: dict = {}
-    rows, rmaps = r.left.rows, r.right.row_maps
+    left, rmaps = r.left, r.right.row_maps
     for a, b in sorted(r.pairs):
-        ap = _failing_probe(rows[a], b, rmaps[b], mates, joins)
+        ap = _failing_probe(left, a, left.row_maps[a].items(), b, rmaps[b], mates, joins)
         if ap is not None:
             return SimulationCheck(
                 False,

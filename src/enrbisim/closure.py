@@ -9,6 +9,7 @@ import itertools
 from typing import Any
 
 from .quantaloid import Quantaloid
+from .vcat import is_bottom
 
 
 def free_homs(base: Quantaloid, extents: list[int], edges) -> list[dict[int, Any]]:
@@ -77,6 +78,5 @@ def free_homs(base: Quantaloid, extents: list[int], edges) -> list[dict[int, Any
                         queued.add(j)
                         pending.append(j)
         # the enrichment takes the rows unchecked: in target order, bottoms dropped
-        homs.append({j: x for j, x in sorted(row.items()) if not (
-            type(x) is type(bottoms_i[j]) and x == bottoms_i[j])})
+        homs.append({j: x for j, x in sorted(row.items()) if not is_bottom(x, bottoms_i[j])})
     return homs

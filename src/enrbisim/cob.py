@@ -21,7 +21,7 @@ from . import _moved
 from .errors import BaseMismatch, NoAdjoint, SizeLimit, UnknownElement
 from .lattice import Lattice
 from .quantaloid import Quantaloid
-from .vcat import MAX_PAIRS, VCategory
+from .vcat import MAX_PAIRS, VCategory, is_bottom
 
 
 class MonotoneMap:
@@ -218,13 +218,12 @@ def apply_cob(f: TwoSidedEnrichment, a: VCategory) -> VCategory:
     for x1 in of_carrier:
         for x2, targets in of_carrier.items():
             comp = f.component(x1, x2)
-            image, bottom = comp(comp.source.bottom), comp.target.bottom
-            if type(image) is not type(bottom) or image != bottom:
+            if not is_bottom(comp(comp.source.bottom), comp.target.bottom):
                 loose[x1] += targets
     homs = []
     for i1, x1 in pairs:
         row = {q: f.component(x1, pairs[q][1])(a.hom(i1, pairs[q][0])) for q in loose[x1]}
-        for i2, hom, _ in a.rows[i1]:
+        for i2, hom in a.row_maps[i1].items():
             for q in positions.get(i2, ()):
                 if q not in row:
                     row[q] = f.component(x1, pairs[q][1])(hom)

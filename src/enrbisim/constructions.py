@@ -105,10 +105,19 @@ def laxrel_to_vcat(p: LaxRelationalPresentation, base=None) -> VCategory:
     holds the morphisms ``c -> d`` relating ``i`` to ``j``.  It is checked
     as every enrichment is (``validate_vcategory``), which passes exactly
     when identities relate each element to itself and the relations
-    compose laxly."""
+    compose laxly.  A relation keyed by no morphism of the category, or
+    relating a pair outside its morphism's fibers, is refused."""
     cat = p.cat
     if len(p.fibers) != len(cat.objects):
         raise ValidationError("presentation invalid: one fiber per category object is required")
+    for m, pairs in p.relations.items():
+        if m not in range(len(cat.morphisms)):
+            raise ValidationError(f"presentation invalid: the category has no morphism {m!r}")
+        ends = (len(p.fibers[cat.mor_src(m)]), len(p.fibers[cat.mor_tgt(m)]))
+        outside = set(pairs) - set(itertools.product(*map(range, ends)))
+        if outside:
+            raise ValidationError(f"presentation invalid: morphism {cat.morphisms[m].name} "
+                                  f"relates {min(outside, key=repr)!r}, outside its fibers")
     if base is None:
         base = PowersetCatQuantaloid(cat)
     if getattr(base, "cat", None) is not cat:
@@ -130,18 +139,13 @@ def vcat_to_laxrel(a: VCategory) -> LaxRelationalPresentation:
     cat = getattr(a.base, "cat", None)
     if cat is None:
         raise BaseMismatch("the base is not a powerset-of-homs quantaloid")
-    fibers = [[a.objects[i] for i in a.fiber(c)] for c in range(len(cat.objects))]
     fiber_idx = [a.fiber(c) for c in range(len(cat.objects))]
-    relations: dict[int, set[tuple[int, int]]] = {
-        m: set() for m in range(len(cat.morphisms))
+    relations = {
+        m: {(i, j) for i, oi in enumerate(fiber_idx[cat.mor_src(m)])
+            for j, oj in enumerate(fiber_idx[cat.mor_tgt(m)]) if m in a.hom(oi, oj)}
+        for m in range(len(cat.morphisms))
     }
-    for m in range(len(cat.morphisms)):
-        c, d = cat.mor_src(m), cat.mor_tgt(m)
-        for i, oi in enumerate(fiber_idx[c]):
-            for j, oj in enumerate(fiber_idx[d]):
-                if m in a.hom(oi, oj):
-                    relations[m].add((i, j))
-    return LaxRelationalPresentation(cat, fibers, relations)
+    return LaxRelationalPresentation(cat, [[a.objects[i] for i in f] for f in fiber_idx], relations)
 
 
 class SliceQuantaloid(Quantaloid):

@@ -381,12 +381,13 @@ class CribleQuantaloid(SetQuantaloid):
         super().__init__(list(cat.objects))
         self.cat = cat
         self._composites: dict[tuple, frozenset] = {}  # (u, v, w, f, g) -> f.g
+        self._spans: dict[tuple[int, int], list[Span]] = {}  # each pair's, for its hom lattice
         for x in range(cat.n_objects):
             for y in range(cat.n_objects):
-                if len(all_spans(cat, x, y)) > MAX_GENERATORS:
+                spans = self._spans[x, y] = all_spans(cat, x, y)
+                if len(spans) > MAX_GENERATORS:
                     raise SizeLimit(
-                        f"{len(all_spans(cat, x, y))} spans between "
-                        f"{cat.objects[x]} and {cat.objects[y]}"
+                        f"{len(spans)} spans between {cat.objects[x]} and {cat.objects[y]}"
                     )
 
     def member_to_doc(self, s):
@@ -401,9 +402,7 @@ class CribleQuantaloid(SetQuantaloid):
         return {"construction": "sieves", "category": name_of(self.cat)}
 
     def _make_hom(self, u, v):
-        return DownsetLattice(
-            all_spans(self.cat, u, v), lambda s, t: span_leq(self.cat, s, t)
-        )
+        return DownsetLattice(self._spans.pop((u, v)), lambda s, t: span_leq(self.cat, s, t))
 
     def down_close(self, u: int, v: int, spans: Iterable[Span]) -> frozenset:
         hom = self.hom(u, v)

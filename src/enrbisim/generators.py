@@ -117,7 +117,7 @@ def cover_od(c: VCategory, multiplicities: list[int]) -> VFunctor:
             names.append(f"{c.objects[i]}~{copy}")
             extents.append(c.extents[i])
             mapping.append(i)
-    homs = [{y: h for j, h, _ in c.rows[i] for y in copies[j]} for i in mapping]
+    homs = [{y: h for j, h in c.row_maps[i].items() for y in copies[j]} for i in mapping]
     a = VCategory(c.base, names, extents, homs)
     return VFunctor(a, c, mapping)
 
@@ -177,7 +177,7 @@ def axiom_a1(base: Quantaloid, rng: random.Random) -> str | None:
         [f.target.objects[perm.index(i)] + "'" for i in range(len(perm))],
         [f.target.extents[perm.index(i)] for i in range(len(perm))],
         [
-            {perm[j]: h for j, h, _ in f.target.rows[perm.index(i)]}
+            {perm[j]: h for j, h in f.target.row_maps[perm.index(i)].items()}
             for i in range(len(perm))
         ],
     )

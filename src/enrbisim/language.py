@@ -116,7 +116,7 @@ class LanguageQuantale(SetQuantaloid):
     def composition_law_holds(self, rows) -> bool:
         """Whether ``hom(i,j) . hom(j,l) <= hom(i,l)`` for all ``i, j, l``.
 
-        ``rows`` are an enrichment's non-bottom rows (``VCategory.rows``).  Row ``i`` becomes
+        ``rows`` are an enrichment's row maps (``VCategory.row_maps``).  Row ``i`` becomes
         a map ``masks[i]`` from each word to the bitmask of the targets ``l`` whose hom
         contains it.  The law holds exactly when ``masks[j][w] <= masks[i][u.w]`` (as bit
         sets) for every word ``u`` in ``hom(i,j)`` and every word ``w`` of row ``j`` with
@@ -129,7 +129,7 @@ class LanguageQuantale(SetQuantaloid):
         by_length: list[list[list[tuple[tuple, int]]]] = []
         for row in rows:
             mask: dict[tuple, int] = {}
-            for t, words, _ in row:
+            for t, words in row.items():
                 bit = 1 << t
                 for w in words:
                     mask[w] = mask.get(w, 0) | bit
@@ -140,7 +140,7 @@ class LanguageQuantale(SetQuantaloid):
             by_length.append(buckets)
         concat: dict[tuple, dict[tuple, tuple]] = {}
         for i, (row, mask_i) in enumerate(zip(rows, masks)):
-            for j, words, _ in row:
+            for j, words in row.items():
                 buckets = by_length[j]
                 for u in words:
                     if j == i and not u:

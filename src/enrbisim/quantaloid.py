@@ -99,7 +99,7 @@ class Quantaloid:
 
     def composition_law_holds(self, rows) -> bool:
         """Whether a check of the base's own shows ``hom(i,j) . hom(j,l) <=
-        hom(i,l)`` for the rows of an enrichment (``VCategory.rows``).
+        hom(i,l)`` for an enrichment's row maps (``VCategory.row_maps``).
         False leaves the law to ``validate_vcategory``'s generic check."""
         return False
 

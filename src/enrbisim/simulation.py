@@ -40,23 +40,23 @@ def largest_simulation(left: VCategory, right: VCategory) -> SimRelation:
     _require_pair_budget(left, right)
     lnames, rnames, rmaps = left.objects, right.objects, right.row_maps
     part, shrunk, trace = _first_round(left, right)
-    preds: list[list] = [[] for _ in lnames]  # a' -> (a, hom(a,a'), lattice)
-    for a, row in enumerate(left.rows):
-        for ap, x, lat in row:
-            preds[ap].append((a, x, lat))
+    preds: list[list] = [[] for _ in lnames]  # a' -> (a, hom(a,a'))
+    for a, row in enumerate(left.row_maps):
+        for ap, x in row.items():
+            preds[ap].append((a, x))
     for round_no in itertools.count(2):
         if not shrunk:
             break
         probes: dict = {}  # a -> its probes whose partner sets shrank
         for ap in shrunk:
-            for a, x, lat in preds[ap]:
-                probes.setdefault(a, []).append((ap, x, lat))
+            for a, x in preds[ap]:
+                probes.setdefault(a, []).append((ap, x))
         joins: dict = {}  # (a', b) -> partner join
         removed = [
             (a, b)
             for a, checks in probes.items()
             for b in part[a]
-            if _failing_probe(checks, b, rmaps[b], part, joins) is not None
+            if _failing_probe(left, a, checks, b, rmaps[b], part, joins) is not None
         ]
         shrunk = set()
         for a, b in removed:
@@ -75,11 +75,10 @@ def _first_round(left: VCategory, right: VCategory) -> tuple[list[set], set, lis
     so each distinct left vector meets each distinct right one once.  An
     extent that b has no hom into has the bottom join there.
     """
-    base = left.base
     by_vector: list[dict] = [{}, {}]  # (extent, {extent: join}) -> (joins, objects)
     for side, cat in enumerate((left, right)):
-        for x, row in enumerate(cat.rows):
-            joins = _block_joins(row, cat.extents)
+        for x in range(cat.n_objects):
+            joins = _block_joins(cat, x, cat.extents)
             key = (cat.extents[x], frozenset(joins.items()))
             by_vector[side].setdefault(key, (joins, []))[1].append(x)
     right_groups: dict = {}  # extent -> [(joins, objects)]
@@ -89,12 +88,13 @@ def _first_round(left: VCategory, right: VCategory) -> tuple[list[set], set, lis
     shrunk: set = set()
     trace: list = []
     lnames, rnames = left.objects, right.objects
+    column = {e: j for j, e in enumerate(left.extents)}  # extent -> a left object of it
     for (ea, _), (need, lefts) in by_vector[0].items():
-        lats = {e: base.hom(ea, e) for e in need}
-        checks = [(e, lats[e], x, lats[e]._join(())) for e, x in need.items()]
+        kinds = left.row_kinds[ea]
+        checks = [(e, *kinds[column[e]], x) for e, x in need.items()]
         good, bad = [], []
         for have, rights in right_groups.get(ea, ()):
-            for e, lat, x, bottom in checks:
+            for e, lat, bottom, x in checks:
                 if not lat._leq(x, have.get(e, bottom)):
                     bad += rights
                     break

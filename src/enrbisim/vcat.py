@@ -29,20 +29,27 @@ def require_same_base(a: "VCategory", b: "VCategory") -> None:
         raise BaseMismatch("the two categories live over different bases")
 
 
+def is_bottom(x, bottom) -> bool:
+    """The one rule for when a hom is bottom: it has the bottom's own type and equals it."""
+    return type(x) is type(bottom) and x == bottom
+
+
 class VCategory:
     """An enrichment over a quantaloid.
 
     ``homs`` gives one row per object, ``{target: hom}``; a target it
     leaves out has the bottom hom.  The constructor is the one place that
-    decides how homs are stored and which are bottom: a hom with the
-    bottom's own type that equals it is dropped, and every other one is
-    checked against its lattice (``UnknownElement`` if outside it).
-    ``rows[i]`` lists object ``i``'s non-bottom homs as ``(target, hom,
-    lattice)`` in target order, and ``row_maps[i]`` maps those targets to
-    their homs; both are read-only.  The free constructions, ``witness.quotient``
-    and ``witness.pullback`` pass ``_trusted`` rows, joins, meets and composites
-    of checked homs, non-bottom and in target order: none is checked or
-    sorted again, and each row becomes its row map.
+    decides how homs are stored: a hom that ``is_bottom`` is dropped, and
+    every other one is checked against its lattice (``UnknownElement`` if
+    outside it).  ``row_maps[i]``, read-only, maps object ``i``'s targets
+    with a non-bottom hom to that hom, in target order: it is the only
+    store of homs.  ``row_kinds[e][j]`` is the ``(lattice, bottom)`` of
+    the homs from an object of extent ``e`` to object ``j``: the one table
+    a reader asks which lattice a hom lives in and what is bottom there.
+    The free constructions, ``witness.quotient`` and ``witness.pullback``
+    pass ``_trusted`` rows, joins, meets and composites of checked homs,
+    non-bottom and in target order: none is checked or sorted again, and
+    each row becomes its row map as it is.
     """
 
     def __init__(
@@ -62,57 +69,44 @@ class VCategory:
         self.extents = list(extents)
         for e in self.extents:
             base.check_object(e)
-        # the boundary: every non-bottom hom is checked here once, so
-        # interior loops may use the unchecked lattice cores on it
-        self._lattices: dict[tuple[int, int], Lattice] = {}  # by extent pair
-        self._bottoms: dict[tuple[int, int], Any] = {}
-        kinds = {}  # extent pair -> (lattice, bottom, type of bottom)
-        for key in itertools.product(set(self.extents), repeat=2):
-            lat = self._lattices[key] = base.hom(*key)
-            bottom = self._bottoms[key] = lat.bottom
-            kinds[key] = (lat, bottom, type(bottom))
-        row_kinds = {u: [kinds[u, v] for v in self.extents] for u in set(self.extents)}
+        lattices = {key: base.hom(*key) for key in itertools.product(set(self.extents), repeat=2)}
+        kinds = {key: (lat, lat.bottom) for key, lat in lattices.items()}
+        self.row_kinds = {u: [kinds[u, v] for v in self.extents] for u in set(self.extents)}
         if _trusted:
-            self.rows = tuple(
-                tuple((j, x, kinds_i[j][0]) for j, x in row.items())
-                for kinds_i, row in zip(map(row_kinds.__getitem__, self.extents), homs)
-            )
             self.row_maps = tuple(map(MappingProxyType, homs))
             return
-        rows = []
+        # the boundary: every non-bottom hom is checked here once, so
+        # interior loops may use the unchecked lattice cores on it
+        row_maps = []
         for i, row in enumerate(homs):
             targets = sorted(row.keys())  # a dense list row fails here, not misread
             if targets and not (0 <= targets[0] and targets[-1] < n):
                 raise ValueError(f"hom row {i} has a target outside 0..{n - 1}")
-            kinds_i = row_kinds[self.extents[i]]
-            out = []
+            kinds_i, out = self.row_kinds[self.extents[i]], {}
             for j in targets:
-                x = row[j]
-                lat, bottom, bottom_type = kinds_i[j]
-                if type(x) is bottom_type and x == bottom:
-                    continue
-                lat.check_element(x)
-                out.append((j, x, lat))
-            rows.append(tuple(out))
-        self.rows = tuple(rows)
-        self.row_maps = tuple(MappingProxyType({j: x for j, x, _ in row}) for row in rows)
+                x, (lat, bottom) = row[j], kinds_i[j]
+                if not is_bottom(x, bottom):
+                    lat.check_element(x)
+                    out[j] = x
+            row_maps.append(MappingProxyType(out))
+        self.row_maps = tuple(row_maps)
 
     @property
     def n_objects(self) -> int:
         return len(self.objects)
 
-    def _extent_pair(self, i: int, j: int) -> tuple[int, int]:
+    def _kind(self, i: int, j: int) -> tuple[Lattice, Any]:
         n = len(self.objects)
         if not (0 <= i < n and 0 <= j < n):
             raise UnknownObject(f"object index pair ({i}, {j}) out of range")
-        return self.extents[i], self.extents[j]
+        return self.row_kinds[self.extents[i]][j]
 
     def hom(self, i: int, j: int):
-        key = self._extent_pair(i, j)
-        return self.row_maps[i].get(j, self._bottoms[key])
+        bottom = self._kind(i, j)[1]  # checks the indices first
+        return self.row_maps[i].get(j, bottom)
 
     def hom_lattice(self, i: int, j: int) -> Lattice:
-        return self._lattices[self._extent_pair(i, j)]
+        return self._kind(i, j)[0]
 
     def fiber(self, base_object: int) -> list[int]:
         return [i for i, e in enumerate(self.extents) if e == base_object]
@@ -140,7 +134,7 @@ def validate_vcategory(a: VCategory) -> list[str]:
         lat = a.hom_lattice(i, i)
         if not lat.leq(base.unit(ext[i]), a.hom(i, i)):
             out.append(f"identity not below hom({a.objects[i]},{a.objects[i]})")
-    if not base.composition_law_holds(a.rows):
+    if not base.composition_law_holds(a.row_maps):
         from .builders import composition_violations
 
         out += composition_violations(a)

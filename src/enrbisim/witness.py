@@ -14,7 +14,7 @@ from .errors import (
     BaseMismatch, EndpointMismatch, ExtentMismatch, InternalAssertion, NotABisimulation,
     NotBisimilar, NotComposable, NotLocallyDistributive, UnknownObject,
 )
-from .vcat import VCategory, require_same_base
+from .vcat import VCategory, is_bottom, require_same_base
 
 
 class VFunctor:
@@ -63,10 +63,10 @@ def validate_vfunctor(f: VFunctor) -> list[str]:
     # both hom tables were checked by their constructors, and a bottom
     # hom lies below any image
     m = f.mapping
-    for i, row in enumerate(a.rows):
-        image = b.row_maps[m[i]]
-        for j, x, lat in row:
-            if not lat._leq(x, image[m[j]] if m[j] in image else b.hom(m[i], m[j])):
+    for i, row in enumerate(a.row_maps):
+        image, kinds = b.row_maps[m[i]], a.row_kinds[a.extents[i]]
+        for j, x in row.items():
+            if not kinds[j][0]._leq(x, image[m[j]] if m[j] in image else b.hom(m[i], m[j])):
                 out.append(f"hom shrinks at ({a.objects[i]},{a.objects[j]})")
     return out
 
@@ -77,9 +77,8 @@ def pullback(f: VFunctor, g: VFunctor) -> tuple[VCategory, VFunctor, VFunctor]:
     Over the maps into ``terminal`` this is the product.  A meet with a
     bottom hom is bottom, so each apex pair's row meets ``a``'s non-bottom
     homs with ``b``'s into the fibre of their target alone, in target
-    order.  A meet that is bottom by the constructor's type-and-equality
-    rule is dropped, so the rows, meets of checked homs, enter the apex
-    unchecked.
+    order.  A meet that ``is_bottom`` is dropped, so the rows, meets of
+    checked homs, enter the apex unchecked.
     """
     if f.target is not g.target:
         raise BaseMismatch("pullback needs a common codomain")
@@ -94,26 +93,26 @@ def pullback(f: VFunctor, g: VFunctor) -> tuple[VCategory, VFunctor, VFunctor]:
     at = {pair: p for p, pair in enumerate(pairs)}
     homs = []
     for i1, j1 in pairs:
-        row, image = {}, b.row_maps[j1]
-        for i2, x, lat in a.rows[i1]:  # in target order, and each fibre in object order
-            bottom = a._bottoms[a.extents[i1], a.extents[i2]]
+        row, image, kinds = {}, b.row_maps[j1], a.row_kinds[a.extents[i1]]
+        for i2, x in a.row_maps[i1].items():  # in target order, and each fibre in object order
+            lat, bottom = kinds[i2]
             for j2 in fibres.get((a.extents[i2], f(i2)), ()):
                 if j2 in image:
                     meet = lat.meet((x, image[j2]))
-                    if not (type(meet) is type(bottom) and meet == bottom):
+                    if not is_bottom(meet, bottom):
                         row[at[i2, j2]] = meet
         homs.append(row)
     p = VCategory(a.base, names, extents, homs, _trusted=True)
     return p, VFunctor(p, a, [i for i, _ in pairs]), VFunctor(p, b, [j for _, j in pairs])
 
 
-def _unequal_joins(rows, block_of, want, objects) -> Optional[tuple[int, int]]:
-    """The first object i of ``objects`` whose joins into the blocks of
-    ``block_of`` differ from ``want[block_of[i]]`` (a mapping without
-    bottom entries), with the least block where they differ, else None.
+def _unequal_joins(cat, block_of, want, objects) -> Optional[tuple[int, int]]:
+    """The first object i of ``objects`` (of ``cat``) whose joins into the
+    blocks of ``block_of`` differ from ``want[block_of[i]]`` (a mapping
+    without bottom entries), with the least block where they differ, else None.
     """
     for i in objects:
-        got, w = _block_joins(rows[i], block_of), want[block_of[i]]
+        got, w = _block_joins(cat, i, block_of), want[block_of[i]]
         if got != w:
             return i, min(c for c in w.keys() | got.keys() if w.get(c) != got.get(c))
     return None
@@ -125,7 +124,7 @@ def is_functional_bisimulation(f: VFunctor) -> bool:
         return False
     # the fibers are the blocks of f.mapping; non-bottom entries suffice
     a = f.source
-    return _unequal_joins(a.rows, f.mapping, f.target.row_maps, range(a.n_objects)) is None
+    return _unequal_joins(a, f.mapping, f.target.row_maps, range(a.n_objects)) is None
 
 
 def is_od(f: VFunctor) -> bool:
@@ -150,13 +149,11 @@ class BisimEquivalence:
         for block in self.blocks:
             if len({carrier.extents[i] for i in block}) > 1:
                 raise ExtentMismatch(f"block of {names[block[0]]} mixes extents")
-        # a partition is a bisimulation iff objects sharing a block have
-        # equal joins into every block
-        rows = carrier.rows
-        # each block's least member's joins: the quotient's homs
-        self._joins = [_block_joins(rows[block[0]], self.block_of) for block in self.blocks]
+        # a partition is a bisimulation iff objects sharing a block have equal joins
+        # into every block; each block's least member's joins are the quotient's homs
+        self._joins = [_block_joins(carrier, block[0], self.block_of) for block in self.blocks]
         others = (i for block in self.blocks for i in block[1:])  # all but the least
-        bad = _unequal_joins(rows, self.block_of, self._joins, others)
+        bad = _unequal_joins(carrier, self.block_of, self._joins, others)
         if bad is not None:
             i, c = bad
             raise NotABisimulation(
@@ -166,16 +163,8 @@ class BisimEquivalence:
             )
 
     def as_relation(self) -> SimRelation:
-        return SimRelation(
-            self.carrier,
-            self.carrier,
-            [
-                (i, j)
-                for block in self.blocks
-                for i in block
-                for j in block
-            ],
-        )
+        pairs = [(i, j) for block in self.blocks for i in block for j in block]
+        return SimRelation(self.carrier, self.carrier, pairs)
 
     def __repr__(self):
         return f"BisimEquivalence({self.blocks})"
@@ -218,17 +207,13 @@ def cospan_witness(
         raise EndpointMismatch("the relation does not link these enrichments")
     na, nb = a.n_objects, b.n_objects
     # each class lists its objects in order, a's (below na) before b's
-    if r._rounds is None:
+    blocks = r.final_classes()
+    if blocks is None:
         from .checks import linked_classes  # only a relation given as such runs it
 
         blocks = linked_classes(r)
     elif not (r.total_on_left() and r.total_on_right()):
         raise NotBisimilar("the relation is not total on both sides")
-    else:
-        parts: dict = {}  # block ids number the blocks by least member
-        for i, c in enumerate(r._rounds[-1]):
-            parts.setdefault(c, []).append(i)
-        blocks = list(parts.values())
     blocks_a = [[i for i in blk if i < na] for blk in blocks]
     if any(len(x) in (0, len(blk)) for x, blk in zip(blocks_a, blocks)):
         raise InternalAssertion("a linked class misses one side")
@@ -239,7 +224,7 @@ def cospan_witness(
     for x, blk in zip(blocks_a, blocks):
         for y in blk[len(x) :]:
             leg[y - na] = e.block_of[x[0]]
-    bad = _unequal_joins(b.rows, leg, quo.row_maps, range(nb))
+    bad = _unequal_joins(b, leg, quo.row_maps, range(nb))
     if bad is not None:
         y, c = bad
         raise NotABisimulation(

@@ -20,3 +20,10 @@ def isomorphic_by(a, b, mapping: list[int]) -> bool:
         and {mapping[j]: x for j, x in row.items()} == b.row_maps[mapping[i]]
         for i, row in enumerate(a.row_maps)
     )
+
+
+def rows_of(a) -> tuple:
+    """Each object's non-bottom homs as ``(target, hom, lattice)`` in target
+    order, read from ``row_maps`` and the lattices of the ``row_kinds`` table."""
+    return tuple(tuple((j, x, a.row_kinds[e][j][0]) for j, x in row.items())
+                 for e, row in zip(a.extents, a.row_maps))

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from oracles import isomorphic_by
+from oracles import isomorphic_by, rows_of
 
 from enrbisim.bisim import _block_joins, _numbered, SimRelation, bisimilar, largest_bisimulation
 from enrbisim.checks import equivalence_closure, is_bisimulation, is_simulation
@@ -204,7 +204,8 @@ def sparse_violation(left, right, partners, a, b, joins):
     """``dense_violation`` on non-bottom homs alone: a bottom hom lies
     below any join and adds nothing to one."""
     map_b = right.row_maps[b]
-    for ap, x, lat in left.rows[a]:
+    for ap, x in left.row_maps[a].items():
+        lat = left.hom_lattice(a, ap)
         if (ap, b) not in joins:
             joins[ap, b] = lat._join([map_b[bp] for bp in partners.get(ap, ()) if bp in map_b])
         if not lat._leq(x, joins[ap, b]):
@@ -304,14 +305,15 @@ def alive_pairs_bisimulation(left: VCategory, right: VCategory) -> SimRelation:
     alive pairs it carried before it kept block ids, scanned every round,
     and the trace sorted at the end: the oracle of the partition form at
     sizes where ``_refine`` is slow."""
-    na = left.n_objects
-    rows = list(left.rows) + [[(na + y, x, lat) for y, x, lat in row] for row in right.rows]
+    na, n = left.n_objects, left.n_objects + right.n_objects
+    sides = ((left, 0, na), (right, na, n))  # each side's objects and targets, right after left
     block_of, count = _numbered(left.extents + right.extents)
-    alive = [(a, b) for a in range(na) for b in range(na, len(rows)) if block_of[a] == block_of[b]]
+    alive = [(a, b) for a in range(na) for b in range(na, n) if block_of[a] == block_of[b]]
     removed = []
     for round_no in itertools.count(1):
-        new, new_count = _numbered([(block_of[x], tuple(sorted(_block_joins(row, block_of).items())))
-                                    for x, row in enumerate(rows)])
+        new, new_count = _numbered([
+            (block_of[lo + x], tuple(sorted(_block_joins(cat, x, block_of[lo:hi]).items())))
+            for cat, lo, hi in sides for x in range(cat.n_objects)])
         if new_count == count:
             break
         removed += [(round_no, a, b) for a, b in alive if new[a] != new[b]]
@@ -391,8 +393,9 @@ def pullback_by_row_pairs(f: VFunctor, g: VFunctor):
         fibres.setdefault((b.extents[j], g(j)), []).append(j)
     pairs = [(i, j) for i in range(a.n_objects) for j in fibres.get((a.extents[i], f(i)), ())]
     at = {pair: p for p, pair in enumerate(pairs)}
+    rows_a, rows_b = rows_of(a), rows_of(b)
     homs = [
-        {at[i2, j2]: lat.meet([x, y]) for i2, x, lat in a.rows[i1] for j2, y, _ in b.rows[j1]
+        {at[i2, j2]: lat.meet([x, y]) for i2, x, lat in rows_a[i1] for j2, y, _ in rows_b[j1]
          if (i2, j2) in at}
         for i1, j1 in pairs
     ]
@@ -433,9 +436,9 @@ class TestPullbackAgainstRowPairs:
             got, (want, meets) = pullback(f, g), pullback_by_row_pairs(f, g)
             p, q = got[0], want[0]
             assert p.n_objects and (p.objects, p.extents) == (q.objects, q.extents), case
-            assert p.rows == q.rows and p.row_maps == q.row_maps, case
+            assert rows_of(p) == rows_of(q) and p.row_maps == q.row_maps, case
             assert (got[1].mapping, got[2].mapping) == (want[1].mapping, want[2].mapping), case
-            dropped += meets - sum(map(len, q.rows))
+            dropped += meets - sum(map(len, q.row_maps))
         # over QL a meet of two non-bottom homs may be bottom, and is dropped
         assert dropped > 0 or name != "QL"
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from enrbisim import cts
 from enrbisim.cob import MonotoneMap, apply_cob, local_right_adjoints
 from enrbisim.constructions import apply_cob_vfunctor
 from enrbisim.cts import (
@@ -25,7 +26,7 @@ from enrbisim.cts import (
 )
 from enrbisim.ctsrefine import CatFunctor, crible_change_tse, preserves_chosen_pullbacks, refine
 from enrbisim.documents import load_bundle
-from enrbisim.errors import AmbientMismatch, NotExact, TypeMismatch
+from enrbisim.errors import AmbientMismatch, NotExact, SizeLimit, TypeMismatch
 from enrbisim.laws import validate_quantaloid
 from enrbisim.vcat import validate_vcategory
 from enrbisim.witness import VFunctor, is_od, validate_vfunctor
@@ -178,6 +179,24 @@ class TestSieveQuantaloid:
                     # the first call fills the cache, the second reads it
                     assert sq.compose(x, y, z, m, k) == direct
                     assert sq.compose(x, y, z, m, k) == direct
+
+    def test_each_pairs_spans_are_enumerated_once(self, poset3, monkeypatch):
+        calls: dict = {}
+
+        def counted(cat, x, y):
+            calls[x, y] = calls.get((x, y), 0) + 1
+            return all_spans(cat, x, y)
+
+        monkeypatch.setattr(cts, "all_spans", counted)
+        sq = build_S_quantaloid(poset3)
+        pairs = list(itertools.product(range(poset3.n_objects), repeat=2))
+        assert all(sq.hom(x, y).size >= 2 for x, y in pairs)  # every hom lattice built
+        assert calls == dict.fromkeys(pairs, 1)
+        calls.clear()
+        monkeypatch.setattr(cts, "MAX_GENERATORS", 1)  # the pairs from 0 have one span, (1, 1) two
+        with pytest.raises(SizeLimit, match="2 spans between 1 and 1"):
+            build_S_quantaloid(poset3)
+        assert calls == dict.fromkeys(pairs[:5], 1)
 
     def test_validate_whole_quantaloid_poset3(self, poset3):
         assert validate_quantaloid(build_S_quantaloid(poset3)).ok

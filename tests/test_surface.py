@@ -132,3 +132,52 @@ def test_constructions_define_only_what_the_acceptance_suite_and_laxrel_reach():
             reached.add(name)
             todo |= refers[name]
     assert DEFINED["constructions"] == reached, sorted(DEFINED["constructions"] ^ reached)
+
+
+def attribute_reads(attrs: set[str], owner: str) -> list[str]:
+    """Where a module of the package other than ``owner``, ``bench/`` or
+    the tests reads one of ``attrs``."""
+    files = [*PACKAGE.glob("*.py"), *(ROOT / "bench").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    return sorted(
+        f"{path.relative_to(ROOT)}:{node.lineno}: .{node.attr}"
+        for path in files if path != PACKAGE / f"{owner}.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in attrs
+    )
+
+
+def test_homs_are_stored_only_in_row_maps():
+    from enrbisim.fixtures import aut1, p01, q2, ql
+    from enrbisim.witness import BisimEquivalence, quotient
+
+    a = aut1(ql())
+    trusted, _ = quotient(a, BisimEquivalence(a, [[i] for i in range(a.n_objects)]))
+    for cat in (p01(q2()), a, trusted):
+        assert not hasattr(cat, "rows") and len(cat.row_maps) == cat.n_objects, cat
+    assert attribute_reads({"rows"}, "vcat") == []
+
+
+def test_only_vcat_keeps_the_lattices_and_bottoms_of_homs():
+    """Each hom's lattice and bottom come from ``VCategory.row_kinds``."""
+    assert attribute_reads({"_lattices", "_bottoms"}, "vcat") == []
+
+
+def test_the_bottom_rule_is_written_once():
+    """``type(x) is type(bottom)`` appears in ``vcat.is_bottom`` alone."""
+    def type_call(node):
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "type"
+
+    found = [
+        (path.stem, node.lineno) for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Compare) and type_call(node.left) and any(map(type_call, node.comparators))
+    ]
+    rule = next(node for node in ast.parse((PACKAGE / "vcat.py").read_text()).body
+                if isinstance(node, ast.FunctionDef) and node.name == "is_bottom")
+    assert len(found) == 1 and found[0][0] == "vcat", found
+    assert rule.lineno <= found[0][1] <= rule.end_lineno
+
+
+def test_only_bisim_reads_the_block_ids_of_a_relation():
+    """``SimRelation._rounds`` is the partition form; ``final_classes`` hands out its classes."""
+    assert attribute_reads({"_rounds"}, "bisim") == []

@@ -4,7 +4,7 @@ import json
 import random
 
 import pytest
-from oracles import isomorphic_by, same_presentation
+from oracles import isomorphic_by, rows_of, same_presentation
 
 from enrbisim.cli import main
 from enrbisim.constructions import (
@@ -158,8 +158,8 @@ class TestGroupedCheck:
             a = random_hom_table(base, rng, rng.randint(6, 12))
             found = validate_vcategory(a)
             assert found == dense_validate(a), case
-            for i, row in enumerate(a.rows):
-                values = {(a.extents[k], x) for k, x, _ in row}
+            for i, row in enumerate(a.row_maps):
+                values = {(a.extents[k], x) for k, x in row.items()}
                 fails = [m for m in found if m.startswith(f"composition fails at ({a.objects[i]},")]
                 busy += len(values) >= 2 and len(fails) >= 2
         assert busy >= 20
@@ -187,7 +187,7 @@ class TestGroupedCheck:
                 a = random_hom_table(base, rng, rng.randint(6, 12))
             else:
                 a = random_vcategory(base, rng, max_objects=12, density=0.3)
-            triples = sum(len(a.rows[j]) for row in a.rows for j, _, _ in row)
+            triples = sum(len(a.row_maps[j]) for row in a.row_maps for j in row)
             calls.update(leq=0, compose=0)
             validate_vcategory(a)
             assert calls["leq"] <= triples + a.n_objects, case
@@ -195,7 +195,7 @@ class TestGroupedCheck:
 
 
 class TestNonBottomRows:
-    """``VCategory.rows`` against a scan of a dense table, given to the
+    """``VCategory.row_maps`` against a scan of a dense table, given to the
     constructor as ``{target: hom}`` rows in shuffled order, with some
     bottoms written out and the rest left out."""
 
@@ -229,9 +229,9 @@ class TestNonBottomRows:
                 )
                 for i, row in enumerate(dense)
             )
-            assert b.rows == want, case
+            assert rows_of(b) == want, case
             assert all(
-                got[2] is b.hom_lattice(i, got[0]) for i, row in enumerate(b.rows) for got in row
+                got[2] is b.hom_lattice(i, got[0]) for i, row in enumerate(rows_of(b)) for got in row
             )
             assert b.row_maps == tuple({j: x for j, x, _ in row} for row in want), case
             for i, j in itertools.product(range(n), repeat=2):
@@ -242,8 +242,8 @@ class TestNonBottomRows:
 
     def test_explicit_bottom_is_dropped_and_missing_target_reads_bottom(self, Q2):
         a = VCategory(Q2, ["x", "y", "z"], [0, 0, 0], [{2: 1, 0: 1, 1: 0}, {1: 1}, {2: 1}])
-        assert a.rows == (((0, 1, a.hom_lattice(0, 0)), (2, 1, a.hom_lattice(0, 2))),
-                          ((1, 1, a.hom_lattice(1, 1)),), ((2, 1, a.hom_lattice(2, 2)),))
+        assert rows_of(a) == (((0, 1, a.hom_lattice(0, 0)), (2, 1, a.hom_lattice(0, 2))),
+                              ((1, 1, a.hom_lattice(1, 1)),), ((2, 1, a.hom_lattice(2, 2)),))
         assert dict(a.row_maps[0]) == {0: 1, 2: 1}
         assert a.hom(0, 1) == a.hom(1, 0) == Q2.hom(0, 0).bottom == 0
 
@@ -325,7 +325,7 @@ class TestLanguageKernelsAgainstOracles:
         for (i, j), words in given.items():
             homs[i][j] = frozenset(tuple(w) for w in words)
         a = VCategory(base, ["x", "y", "z"], [0, 0, 0], homs)
-        assert not base.composition_law_holds(a.rows)
+        assert not base.composition_law_holds(a.row_maps)
         assert validate_vcategory(a) == dense_validate(a) == ["composition fails at (x,y,z)"]
 
     @pytest.mark.parametrize("k", [2, 4])
@@ -337,7 +337,7 @@ class TestLanguageKernelsAgainstOracles:
             n = 30
             a = free_vcategory(base, random_automaton_graph(rng, n))
             assert validate_vcategory(a) == dense_validate(a) == []
-            assert base.composition_law_holds(a.rows)
+            assert base.composition_law_holds(a.row_maps)
             for edit in ("remove", "add", "add the empty word"):
                 homs = [dict(row) for row in a.row_maps]
                 if edit == "remove":
@@ -350,7 +350,7 @@ class TestLanguageKernelsAgainstOracles:
                 expected = dense_validate(b)
                 assert validate_vcategory(b) == expected, case
                 law_fails = any(m.startswith("composition") for m in expected)
-                assert base.composition_law_holds(b.rows) is not law_fails, case
+                assert base.composition_law_holds(b.row_maps) is not law_fails, case
                 broken += law_fails
         assert broken >= 4
 
@@ -370,7 +370,7 @@ class TestHomBoundary:
         table = [[0, 1], [1, 1]]
         base = TableQuantaloid(["*"], {(0, 0): lat}, {(0, 0, 0): table}, [0])
         assert validate_quantaloid(base).violations == [] and lat.bottom == 1
-        assert VCategory(base, ["x", "y"], [0, 0], [{0: 0, 1: 1}, {0: 1, 1: 0}]).rows == (
+        assert rows_of(VCategory(base, ["x", "y"], [0, 0], [{0: 0, 1: 1}, {0: 1, 1: 0}])) == (
             ((0, 0, lat),),
             ((1, 0, lat),),
         )
@@ -763,7 +763,7 @@ class TestFreeVCategory:
         )
         fast = free_vcategory(QL, graph)
         slow = VCategory(QL, fast.objects, fast.extents, kleene_closure(QL, [0, 0], graph.edges))
-        assert fast.rows == slow.rows
+        assert rows_of(fast) == rows_of(slow)
 
     def test_free_over_boolean_is_reachability(self, Q2):
         graph = EnrichedGraph(
@@ -831,6 +831,19 @@ class TestLaxRelational:
         a = laxrel_to_vcat(pres, base)
         assert arrow in a.hom(0, 2)  # x0 -> y0 carries the arrow
         assert arrow not in a.hom(1, 2)
+
+    def test_relations_outside_the_category_or_its_fibers_are_refused(self):
+        base, pres, arrow = self._presentation()
+        cat, ids = pres.cat, pres.cat.identities
+        one_each = {ids[0]: {(0, 0)}, ids[1]: {(0, 0)}}
+        for fibers, relations, named in [
+            ([["x"], ["y"]], {**one_each, arrow: {(3, 7)}}, r"morphism 0<=1 relates \(3, 7\)"),
+            (pres.fibers, {**pres.relations, arrow: {(0, 0), (1, 1)}}, r"0<=1 relates \(1, 1\)"),
+            (pres.fibers, {**pres.relations, ids[1]: {(0, 0), (0, -1)}}, r"1<=1 relates \(0, -1\)"),
+            (pres.fibers, {**pres.relations, len(cat.morphisms): {(0, 0)}}, "has no morphism 3"),
+        ]:
+            with pytest.raises(ValidationError, match=f"presentation invalid: .*{named}"):
+                laxrel_to_vcat(LaxRelationalPresentation(cat, fibers, relations), base)
 
     def test_random_round_trips(self):
         from enrbisim.cts import FiniteCategory, PowersetCatQuantaloid
@@ -958,7 +971,7 @@ class TestSlice:
 def assert_sparse_rows(a):
     """No row holds a bottom, rows are in target order, and ``hom`` reads
     the extent pair's bottom exactly where the row has no entry."""
-    for i, row in enumerate(a.rows):
+    for i, row in enumerate(rows_of(a)):
         targets = [j for j, _, _ in row]
         assert targets == sorted(set(targets)), a
         assert all(x != lat.bottom for _, x, lat in row), a
